@@ -93,19 +93,19 @@ def _parse_orderings(task: Task, path: str) -> dict[int, list[int]]:
     return orderings
 
 
-def _build_model(task: Task, fs, args) -> lp.LpModel:
+def _build_model(task: Task, fs, args) -> tuple[lp.LpModel, dict[int, str]]:
+    """The chosen potential model with its objective set, and its weight
+    unknown per feature index."""
     if args.method == "direct2d":
         if fs.dimension > 2:
             raise CliUsageError("method direct2d needs features of dimension <= 2")
         built = direct2d.build_direct2d_lp(task, fs)
-        model, weight_vars = built.model, built.weight_vars
     elif args.method == "bucket":
         orderings = _parse_orderings(task, args.order) if args.order else None
         built = elimination.build_general_lp(task, fs, orderings)
-        model, weight_vars = built.model, built.weight_vars
     else:  # exhaustive
         built = direct2d.build_exhaustive_lp(task, fs, state_cap=args.state_cap)
-        model, weight_vars = built.model, built.weight_vars
+    model, weight_vars = built.model, built.weight_vars
     kind, count = _parse_objective(args.objective)
     if kind == "init":
         model.set_objective("max", direct2d.state_objective(fs, weight_vars,
@@ -113,13 +113,7 @@ def _build_model(task: Task, fs, args) -> lp.LpModel:
     else:
         model.set_objective("max", direct2d.samples_objective(task, fs, weight_vars,
                                                               count, args.seed))
-    return model
-
-
-def _extract_weights(task: Task, fs, model: lp.LpModel, solution) -> dict[str, float]:
-    values = solution.values
-    return {features.format_feature(task, f): values[direct2d.weight_var_name(f)]
-            for f in fs.features}
+    return model, weight_vars
 
 
 def cmd_validate_task(args) -> int:
@@ -146,7 +140,7 @@ def cmd_tnf(args) -> int:
 def cmd_lp(args) -> int:
     task = _load_tnf_task(args.task)
     fs = _feature_set(task, args.dim, args.features)
-    model = _build_model(task, fs, args)
+    model, _ = _build_model(task, fs, args)
     _write_output(lp.export_lp(model), args.out)
     return EXIT_OK
 
@@ -154,21 +148,19 @@ def cmd_lp(args) -> int:
 def cmd_solve(args) -> int:
     task = _load_tnf_task(args.task)
     fs = _feature_set(task, args.dim, args.features)
-    model = _build_model(task, fs, args)
+    model, weight_vars = _build_model(task, fs, args)
     solution = lp.solve(model)
     if solution.status != "optimal":
         print(f"error: model is {solution.status}", file=sys.stderr)
         return EXIT_DOMAIN
-    weights = _extract_weights(task, fs, model, solution)
-    goal_state = tuple(task.goal[v] for v in range(len(task.variables)))
-    goal_potential = sum(w for text, w in weights.items()
-                         if features.parse_feature(task, text).true_in(goal_state))
+    result = direct2d.extract_result(fs, weight_vars, task, solution)
+    weights = features.weights_to_strings(task, fs, result.weights)
     print(json.dumps({
         "objective": round(solution.objective_value, 9),
         "status": solution.status,
         "method": args.method,
         "dimension": fs.dimension,
-        "goal_potential": round(goal_potential, 9),
+        "goal_potential": round(result.goal_potential, 9),
         "bound_active": sorted(n for n in solution.bound_active if n.startswith("w_")),
         "weights": {k: round(v, 9) for k, v in weights.items()},
     }, indent=None, sort_keys=False))

@@ -9,7 +9,9 @@ oracles for the equivalence with state-maximized potential heuristics.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .features import Feature, FeatureSet, WeightFunction
 from .lp import FEASIBILITY_TOL, LinearExpression, LpModel, LpSolution
@@ -35,6 +37,8 @@ class Projection:
     abstract_transitions: list[tuple[int, int, int]]  # aligned with ts.transitions
     initial: int
     goal: int
+    # abstract state of every concrete state, by concrete state index
+    state_map: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def map_state(self, state: State) -> int:
         index = 0
@@ -55,21 +59,20 @@ def project(ts: TransitionSystem, pattern) -> Projection:
     pattern = tuple(sorted(pattern))
     doms = tuple(ts.domain_sizes[v] for v in pattern)
     abstract_states = tuple(itertools.product(*(range(d) for d in doms)))
-
-    def amap(state_index: int) -> int:
-        state = ts.states[state_index]
-        index = 0
-        for var, dom in zip(pattern, doms):
-            index = index * dom + state[var]
-        return index
-
-    transitions = [(amap(src), op, amap(dst)) for src, op, dst in ts.transitions]
-    goals = {amap(g) for g in ts.goals}
+    # Mixed-radix index over the pattern, last variable least significant,
+    # as in Projection.map_state.
+    states = ts.state_array()
+    state_map = np.zeros(len(ts.states), dtype=np.int64)
+    for var, dom in zip(pattern, doms):
+        state_map = state_map * dom + states[:, var]
+    amap = state_map.tolist()
+    transitions = [(amap[src], op, amap[dst]) for src, op, dst in ts.transitions]
+    goals = {amap[g] for g in ts.goals}
     if len(goals) != 1:
         raise AbstractionError("projection needs a single abstract goal state "
                                "(task must be in transition normal form)")
     return Projection(pattern, doms, abstract_states, transitions,
-                      amap(ts.initial), goals.pop())
+                      amap[ts.initial], goals.pop(), state_map)
 
 
 def _h_name(abstraction: int, abstract_state: int) -> str:
@@ -98,10 +101,42 @@ class CostPartitioningLp:
         return out
 
 
-def _add_h_unknowns(model: LpModel, projections: list[Projection]) -> None:
+def _add_h_unknowns(model: LpModel, projections: list[Projection]) -> list[int]:
+    """Declare every abstract state's h unknown; returns the column of each
+    projection's abstract state 0."""
+    offsets = []
     for ai, proj in enumerate(projections):
+        offsets.append(len(model.unknowns))
         for si in range(len(proj.abstract_states)):
             model.add_unknown(_h_name(ai, si))
+    return offsets
+
+
+def _add_goal_rows(model: LpModel, projections: list[Projection],
+                   offsets: list[int]) -> None:
+    """h of each abstract goal state is 0."""
+    model.add_rows(np.arange(len(projections) + 1),
+                   [offset + proj.goal for offset, proj in zip(offsets, projections)],
+                   np.ones(len(projections)), "=", 0.0,
+                   [f"goal_a{ai}" for ai in range(len(projections))])
+
+
+def _add_consistency_rows(model: LpModel, asrc: np.ndarray, adst: np.ndarray,
+                          cost_columns: np.ndarray, names: list[str]) -> None:
+    """h(asrc) - h(adst) - cost <= 0 per (column-indexed) abstract transition;
+    on self-loops the h terms cancel and only -cost remains."""
+    columns = np.stack([asrc, adst, cost_columns], axis=1).ravel()
+    coefficients = np.tile([1.0, -1.0, -1.0], len(asrc))
+    model.add_rows(np.arange(len(asrc) + 1) * 3, columns, coefficients, "<=", 0.0, names)
+
+
+def _add_partition_rows(model: LpModel, cost_columns: np.ndarray, limits,
+                        names: list[str]) -> None:
+    """Per row of `cost_columns` (one column per abstraction), the summed
+    cost unknowns stay below the limit."""
+    count, width = cost_columns.shape
+    model.add_rows(np.arange(count + 1) * width, cost_columns.ravel(),
+                   np.ones(cost_columns.size), "<=", np.asarray(limits, dtype=float), names)
 
 
 def _set_state_objective(model: LpModel, projections: list[Projection],
@@ -120,25 +155,27 @@ def build_tcp_lp(ts: TransitionSystem, patterns, state: State) -> CostPartitioni
     stay below the operator cost.  Objective: total abstract value of the
     given state."""
     projections = [project(ts, p) for p in patterns]
+    n_transitions = len(ts.transitions)
     model = LpModel()
-    _add_h_unknowns(model, projections)
+    offsets = _add_h_unknowns(model, projections)
+    first_cost = len(model.unknowns)
     cost_vars: dict[tuple[int, int], str] = {}
     for ai in range(len(projections)):
-        for ti in range(len(ts.transitions)):
+        for ti in range(n_transitions):
             cost_vars[(ai, ti)] = model.add_unknown(f"c_a{ai}_t{ti}")
+    # cost column of (abstraction ai, transition ti), one row per transition
+    cost_columns = (first_cost + np.arange(len(projections)) * n_transitions
+                    + np.arange(n_transitions)[:, None])
+    _add_goal_rows(model, projections, offsets)
+    table = ts.transition_array()
     for ai, proj in enumerate(projections):
-        model.add_row(LinearExpression.term(_h_name(ai, proj.goal)), "=", 0.0,
-                      f"goal_a{ai}")
-    for ai, proj in enumerate(projections):
-        for ti, (asrc, _, adst) in enumerate(proj.abstract_transitions):
-            expr = (LinearExpression.term(_h_name(ai, asrc))
-                    - LinearExpression.term(_h_name(ai, adst))
-                    - LinearExpression.term(cost_vars[(ai, ti)]))
-            model.add_row(expr, "<=", 0.0, f"cons_a{ai}_t{ti}")
-    for ti, (_, op, _) in enumerate(ts.transitions):
-        terms = {cost_vars[(ai, ti)]: 1.0 for ai in range(len(projections))}
-        model.add_row(LinearExpression.build(0.0, terms), "<=",
-                      float(ts.operator_costs[op]), f"part_t{ti}")
+        _add_consistency_rows(
+            model, offsets[ai] + proj.state_map[table[:, 0]],
+            offsets[ai] + proj.state_map[table[:, 2]], cost_columns[:, ai],
+            [f"cons_a{ai}_t{ti}" for ti in range(n_transitions)])
+    costs = np.array(ts.operator_costs, dtype=float)
+    _add_partition_rows(model, cost_columns, costs[table[:, 1]],
+                        [f"part_t{ti}" for ti in range(n_transitions)])
     _set_state_objective(model, projections, state)
     return CostPartitioningLp(model, projections, cost_vars, per_transition=True)
 
@@ -150,29 +187,30 @@ def build_ocp_lp(ts: TransitionSystem, patterns, state: State) -> CostPartitioni
     projections = [project(ts, p) for p in patterns]
     n_ops = len(ts.operator_costs)
     model = LpModel()
-    _add_h_unknowns(model, projections)
+    offsets = _add_h_unknowns(model, projections)
+    first_cost = len(model.unknowns)
     cost_vars: dict[tuple[int, int], str] = {}
     for ai in range(len(projections)):
         for op in range(n_ops):
             cost_vars[(ai, op)] = model.add_unknown(f"c_a{ai}_o{op}")
+    # cost column of (abstraction ai, operator op), one row per operator
+    cost_columns = first_cost + np.arange(len(projections)) * n_ops + np.arange(n_ops)[:, None]
+    _add_goal_rows(model, projections, offsets)
+    table = ts.transition_array()
+    ops = table[:, 1]
     for ai, proj in enumerate(projections):
-        model.add_row(LinearExpression.term(_h_name(ai, proj.goal)), "=", 0.0,
-                      f"goal_a{ai}")
-    for ai, proj in enumerate(projections):
-        seen = set()
-        for asrc, op, adst in proj.abstract_transitions:
-            key = (asrc, op, adst)
-            if key in seen:
-                continue
-            seen.add(key)
-            expr = (LinearExpression.term(_h_name(ai, asrc))
-                    - LinearExpression.term(_h_name(ai, adst))
-                    - LinearExpression.term(cost_vars[(ai, op)]))
-            model.add_row(expr, "<=", 0.0, f"cons_a{ai}_s{asrc}_o{op}_s{adst}")
-    for op in range(n_ops):
-        terms = {cost_vars[(ai, op)]: 1.0 for ai in range(len(projections))}
-        model.add_row(LinearExpression.build(0.0, terms), "<=",
-                      float(ts.operator_costs[op]), f"part_o{op}")
+        asrc, adst = proj.state_map[table[:, 0]], proj.state_map[table[:, 2]]
+        # first occurrence of each distinct (asrc, op, adst), in transition order
+        n_abstract = len(proj.abstract_states)
+        key = (asrc * n_ops + ops) * n_abstract + adst
+        first = np.sort(np.unique(key, return_index=True)[1])
+        asrc, op_ids, adst = asrc[first], ops[first], adst[first]
+        _add_consistency_rows(
+            model, offsets[ai] + asrc, offsets[ai] + adst, cost_columns[op_ids, ai],
+            [f"cons_a{ai}_s{s}_o{o}_s{d}"
+             for s, o, d in zip(asrc.tolist(), op_ids.tolist(), adst.tolist())])
+    _add_partition_rows(model, cost_columns, ts.operator_costs,
+                        [f"part_o{op}" for op in range(n_ops)])
     _set_state_objective(model, projections, state)
     return CostPartitioningLp(model, projections, cost_vars, per_transition=False)
 

@@ -11,7 +11,10 @@ context variable.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass
+
+import numpy as np
 
 from .features import (Feature, FeatureSet, WeightFunction, classify_features,
                        delta_independent, evaluate_potential)
@@ -192,8 +195,10 @@ def samples_objective(task: Task, fs: FeatureSet, weight_vars: dict[int, str],
     return expr * (1.0 / count)
 
 
-def _extract(fs: FeatureSet, weight_vars: dict[int, str], task: Task,
-             solution) -> PotentialSolveResult:
+def extract_result(fs: FeatureSet, weight_vars: dict[int, str], task: Task,
+                   solution) -> PotentialSolveResult:
+    """Weights by feature index, the objective value, the goal state's
+    potential and the weights at a bound, from an optimal solution."""
     values = solution.values
     weights = WeightFunction([values[weight_vars[i]] for i in range(len(fs))])
     goal_state = tuple(task.goal[v] for v in range(len(task.variables)))
@@ -210,7 +215,19 @@ def solve_for_state(task: Task, fs: FeatureSet, state: State) -> PotentialSolveR
     built = build_direct2d_lp(task, fs)
     built.model.set_objective("max", state_objective(fs, built.weight_vars, state))
     solution = solve(built.model.freeze()).require_optimal()
-    return _extract(fs, built.weight_vars, task, solution)
+    return extract_result(fs, built.weight_vars, task, solution)
+
+
+def _truth_matrix(fs: FeatureSet, states: np.ndarray) -> np.ndarray:
+    """(state, feature) matrix holding 1 where the feature is true."""
+    truth = np.zeros((len(states), len(fs)), dtype=np.int8)
+    by_size: dict[int, list[int]] = defaultdict(list)
+    for i, f in enumerate(fs.features):
+        by_size[f.size].append(i)
+    for indices in by_size.values():
+        facts = np.array([fs.features[i].facts for i in indices])  # feature, fact, (var, val)
+        truth[:, indices] = np.all(states[:, facts[:, :, 0]] == facts[:, :, 1], axis=2)
+    return truth
 
 
 def build_exhaustive_lp(task: Task, fs: FeatureSet,
@@ -229,15 +246,16 @@ def build_exhaustive_lp(task: Task, fs: FeatureSet,
     for i, f in enumerate(fs.features):
         weight_vars[i] = model.add_unknown(weight_var_name(f), WEIGHT_LOWER, WEIGHT_UPPER)
     model.add_row(goal_row_expression(task, fs, weight_vars), "<=", 0.0, "goal")
-    for ti, (src, op_id, dst) in enumerate(ts.transitions):
-        s, t = ts.states[src], ts.states[dst]
-        terms: dict[str, float] = {}
-        for i, f in enumerate(fs.features):
-            change = int(f.true_in(s)) - int(f.true_in(t))
-            if change:
-                terms[weight_vars[i]] = terms.get(weight_vars[i], 0.0) + change
-        model.add_row(LinearExpression.build(0.0, terms), "<=",
-                      float(task.operators[op_id].cost), f"t{ti}")
+    # Row of transition s -> t: truth(s) - truth(t) over the features, whose
+    # weight unknowns are columns 0..|F|-1.
+    truth = _truth_matrix(fs, ts.state_array())
+    table = ts.transition_array()
+    change = truth[table[:, 0]] - truth[table[:, 2]]
+    rows, columns = np.nonzero(change)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(table)))))
+    costs = np.array([op.cost for op in task.operators], dtype=float)
+    model.add_rows(indptr, columns, change[rows, columns], "<=", costs[table[:, 1]],
+                   [f"t{ti}" for ti in range(len(table))])
     return Direct2dLp(model, weight_vars, {})
 
 
@@ -246,4 +264,4 @@ def solve_exhaustive_for_state(task: Task, fs: FeatureSet, state: State,
     built = build_exhaustive_lp(task, fs, ts)
     built.model.set_objective("max", state_objective(fs, built.weight_vars, state))
     solution = solve(built.model.freeze()).require_optimal()
-    return _extract(fs, built.weight_vars, task, solution)
+    return extract_result(fs, built.weight_vars, task, solution)

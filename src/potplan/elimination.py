@@ -13,10 +13,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .features import Feature, FeatureSet, classify_features, delta_independent
+from .features import (Feature, FeatureSet, OperatorPartition, classify_features,
+                       delta_independent)
 from .lp import LinearExpression, LpModel, Row, evaluate, solve
 from .direct2d import (PotentialSolveResult, WEIGHT_LOWER, WEIGHT_UPPER,
-                       _extract, state_objective, weight_var_name, _require_tnf)
+                       extract_result, state_objective, weight_var_name, _require_tnf)
 from .task import State, Task
 
 
@@ -101,18 +102,22 @@ class DependencyGraph:
         return adj
 
 
-def scoped_functions_for_operator(task: Task, fs: FeatureSet,
-                                  op_index: int) -> ScopedFunctionSet:
+def scoped_functions_for_operator(task: Task, fs: FeatureSet, op_index: int,
+                                  partition: OperatorPartition | None = None
+                                  ) -> ScopedFunctionSet:
     """One function per context-dependent feature: its scope is the feature's
     variables outside the operator, and the single nonzero entry (if any) is
-    the weight unknown scaled by the inside-fact delta."""
+    the weight unknown scaled by the inside-fact delta.  `partition` is the
+    operator's feature classification, computed here when not given."""
     _require_tnf(task)
     op = task.operators[op_index]
+    if partition is None:
+        partition = classify_features(fs, op)
     op_vars = set(op.eff)
     outside_vars = [v.id for v in task.variables if v.id not in op_vars]
     domains = {v: task.variables[v].domain_size for v in outside_vars}
     functions = []
-    for i in classify_features(fs, op).context_dependent:
+    for i in partition.context_dependent:
         f = fs.features[i]
         inside = tuple(fact for fact in f.facts if fact[0] in op_vars)
         outside = tuple(fact for fact in f.facts if fact[0] not in op_vars)
@@ -126,19 +131,22 @@ def scoped_functions_for_operator(task: Task, fs: FeatureSet,
     return ScopedFunctionSet(domains, functions)
 
 
-def context_dependency_graph(task: Task, fs: FeatureSet, op_index: int) -> DependencyGraph:
+def context_dependency_graph(task: Task, fs: FeatureSet, op_index: int,
+                             partition: OperatorPartition | None = None
+                             ) -> DependencyGraph:
     """Vertices are all task variables; an edge joins two non-operator
-    variables that co-occur outside the operator in some feature touching it."""
+    variables that co-occur outside the operator in some feature touching it.
+    Only context-dependent features have variables both in and outside the
+    operator, so only they are scanned; `partition` is the operator's
+    feature classification, computed here when not given."""
     op = task.operators[op_index]
-    op_vars = set(op.pre) | set(op.eff)
+    if partition is None:
+        partition = classify_features(fs, op)
+    op_vars = set(op.eff)
     edges = set()
-    for f in fs.features:
-        f_vars = set(f.variables)
-        if not f_vars & op_vars:
-            continue
-        outside = sorted(f_vars - op_vars)
-        for u, v in itertools.combinations(outside, 2):
-            edges.add((u, v))
+    for i in partition.context_dependent:
+        outside = [var for var in fs.features[i].variables if var not in op_vars]
+        edges.update(itertools.combinations(outside, 2))
     return DependencyGraph(tuple(v.id for v in task.variables), frozenset(edges))
 
 
@@ -374,14 +382,14 @@ def build_general_lp(task: Task, fs: FeatureSet,
                 independent = independent + LinearExpression.term(
                     weight_vars[i], float(change))
 
-        graph = context_dependency_graph(task, fs, op_index)
+        graph = context_dependency_graph(task, fs, op_index, partition)
         if orderings and op_index in orderings:
             order = list(orderings[op_index])
         else:
             order = min_fill_order(graph)
         width = induced_width(graph, order)
 
-        psi = scoped_functions_for_operator(task, fs, op_index)
+        psi = scoped_functions_for_operator(task, fs, op_index, partition)
         if not psi.functions:
             model.add_row(independent, "<=", float(op.cost), f"op{op_index}")
             pipelines.append(OperatorPipeline(op_index, graph, order, width,
@@ -410,4 +418,4 @@ def solve_general_for_state(task: Task, fs: FeatureSet, state: State,
     built = build_general_lp(task, fs, orderings)
     built.model.set_objective("max", state_objective(fs, built.weight_vars, state))
     solution = solve(built.model.freeze()).require_optimal()
-    return _extract(fs, built.weight_vars, task, solution)
+    return extract_result(fs, built.weight_vars, task, solution)

@@ -15,7 +15,9 @@ import re
 import shlex
 import subprocess
 import tempfile
-from dataclasses import dataclass, field
+from array import array
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
@@ -137,16 +139,66 @@ class Row:
     name: str = ""
 
 
-@dataclass
-class LpModel:
-    unknowns: list[tuple[str, float, float]] = field(default_factory=list)
-    rows: list[Row] = field(default_factory=list)
-    objective_sense: str = "max"
-    objective: LinearExpression = ZERO
+def _append(buffer: array, values) -> None:
+    """Append a numpy-convertible sequence to a typed array in one copy."""
+    buffer.frombytes(np.ascontiguousarray(values, dtype=buffer.typecode).tobytes())
 
-    def __post_init__(self):
-        self._by_name = {name: i for i, (name, _, _) in enumerate(self.unknowns)}
+
+class RowView(Sequence):
+    """Read-only sequence over a model's rows that builds Row objects on demand."""
+
+    def __init__(self, model: "LpModel"):
+        self._model = model
+
+    def __len__(self) -> int:
+        return len(self._model._rhs)
+
+    def __getitem__(self, index):
+        m = self._model
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("row index out of range")
+        start = m._row_ends[index - 1] if index else 0
+        terms = {m.unknowns[j][0]: c for j, c in zip(m._columns[start:m._row_ends[index]],
+                                                     m._coefficients[start:m._row_ends[index]])}
+        return Row(LinearExpression.build(0.0, terms), RELATIONS[m._relations[index]],
+                   m._rhs[index], m._row_names[index])
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Sequence) and not isinstance(other, str):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+
+class LpModel:
+    """Columns with bounds, an objective, and the rows as one sparse table.
+
+    Row i holds the terms `_columns[s:e]` / `_coefficients[s:e]` with s the
+    previous row's end and e `_row_ends[i]`, plus a relation code (an index
+    into RELATIONS), a right-hand side and a name ("" for unnamed).  Names of
+    unknowns are resolved to column indices when a row is added; `rows`
+    rebuilds name-based Row objects only for callers that ask for them.
+    """
+
+    def __init__(self):
+        self.unknowns: list[tuple[str, float, float]] = []
+        self.objective_sense = "max"
+        self.objective = ZERO
+        self._by_name: dict[str, int] = {}
         self._frozen = False
+        self._columns = array("q")
+        self._coefficients = array("d")
+        self._row_ends = array("q")
+        self._relations = array("b")
+        self._rhs = array("d")
+        self._row_names: list[str] = []
+
+    @property
+    def rows(self) -> RowView:
+        return RowView(self)
 
     def freeze(self) -> "LpModel":
         self._frozen = True
@@ -186,9 +238,70 @@ class LpModel:
         if relation not in RELATIONS:
             raise LpError(f"bad relation '{relation}'")
         self._check_refs(expression, "row")
+        self._columns.extend(self._by_name[n] for n, _ in expression.terms)
+        self._coefficients.extend(c for _, c in expression.terms)
+        self._row_ends.append(len(self._columns))
+        self._relations.append(RELATIONS.index(relation))
         # Fold the expression constant into the right-hand side.
-        folded = LinearExpression.build(0.0, dict(expression.terms))
-        self.rows.append(Row(folded, relation, float(rhs) - expression.constant, name))
+        self._rhs.append(float(rhs) - expression.constant)
+        self._row_names.append(name)
+
+    def add_rows(self, indptr, columns, coefficients, relations, rhs,
+                 names=None) -> None:
+        """Append rows given in CSR form: row i has the terms
+        `columns[indptr[i]:indptr[i + 1]]` (column indices) with the matching
+        `coefficients`.  `relations` and `rhs` are one value for every row or
+        one per row; `names` is one per row, or None for unnamed rows.  As in
+        LinearExpression, a column repeated within a row is summed and zero
+        coefficients are dropped."""
+        self._mutating()
+        indptr = np.asarray(indptr, dtype=np.int64)
+        columns = np.asarray(columns, dtype=np.int64)
+        coefficients = np.asarray(coefficients, dtype=float)
+        count = len(indptr) - 1
+        if count < 0 or indptr[0] != 0 or indptr[-1] != len(columns) \
+                or len(coefficients) != len(columns) or np.any(np.diff(indptr) < 0):
+            raise LpError("rows: indptr, columns and coefficients do not match")
+        if columns.size and (columns.min() < 0 or columns.max() >= len(self.unknowns)):
+            bad = columns[(columns < 0) | (columns >= len(self.unknowns))][0]
+            raise LpError(f"row references undeclared unknown column {bad}")
+        if isinstance(relations, str):
+            relations = [relations]
+        for relation in relations:
+            if relation not in RELATIONS:
+                raise LpError(f"bad relation '{relation}'")
+        codes = np.array([RELATIONS.index(r) for r in relations], dtype=np.int8)
+        rhs = np.asarray(rhs, dtype=float).reshape(-1)
+        names = [""] * count if names is None else list(names)
+        for what, size in (("relations", len(codes)), ("right-hand sides", len(rhs))):
+            if size not in (1, count):
+                raise LpError(f"rows: {size} {what} for {count} rows")
+        if len(names) != count:
+            raise LpError(f"rows: {len(names)} names for {count} rows")
+        block = csr_matrix((coefficients, columns, indptr),
+                           shape=(count, len(self.unknowns)))
+        block.sum_duplicates()
+        block.eliminate_zeros()
+        _append(self._row_ends, block.indptr[1:].astype(np.int64) + len(self._columns))
+        _append(self._columns, block.indices)
+        _append(self._coefficients, block.data)
+        _append(self._relations, np.broadcast_to(codes, count))
+        _append(self._rhs, np.broadcast_to(rhs, count))
+        self._row_names.extend(names)
+
+    def row_table(self) -> tuple[csr_matrix, np.ndarray, np.ndarray]:
+        """All rows as a CSR matrix over the columns, with per-row relation
+        codes (indices into RELATIONS) and right-hand sides."""
+        ends = np.array(self._row_ends, dtype=np.int64)
+        indptr = np.concatenate(([0], ends))
+        matrix = csr_matrix((np.array(self._coefficients, dtype=float),
+                             np.array(self._columns, dtype=np.int64), indptr),
+                            shape=(len(ends), len(self.unknowns)))
+        return (matrix, np.array(self._relations, dtype=np.int8),
+                np.array(self._rhs, dtype=float))
+
+    def row_name(self, index: int) -> str:
+        return self._row_names[index] or f"c{index + 1}"
 
     def set_objective(self, sense: str, expression: LinearExpression) -> None:
         self._mutating()
@@ -214,23 +327,35 @@ class LpSolution:
 
 def check_solution(model: LpModel, values: dict[str, float],
                    tolerance: float = FEASIBILITY_TOL) -> list[str]:
-    """Names of rows/bounds the assignment violates beyond the tolerance."""
-    violations = []
-    for i, row in enumerate(model.rows):
-        lhs = evaluate(row.expression, values)
-        slack = tolerance * max(1.0, abs(row.rhs))
-        ok = {
-            "<=": lhs <= row.rhs + slack,
-            ">=": lhs >= row.rhs - slack,
-            "=": abs(lhs - row.rhs) <= slack,
-        }[row.relation]
-        if not ok:
-            violations.append(row.name or f"c{i + 1}")
-    for name, lower, upper in model.unknowns:
-        v = values[name]
-        if v < lower - tolerance or v > upper + tolerance:
-            violations.append(f"bound:{name}")
+    """Names of rows/bounds the assignment violates beyond the tolerance:
+    rows first, in row order, then bounds in column order."""
+    x = _column_values(model, values)
+    matrix, relations, rhs = model.row_table()
+    lhs = matrix @ x
+    slack = tolerance * np.maximum(1.0, np.abs(rhs))
+    # Written as "not ok" so that a NaN left-hand side counts as a violation.
+    ok = np.where(relations == RELATIONS.index("<="), lhs <= rhs + slack,
+                  np.where(relations == RELATIONS.index(">="), lhs >= rhs - slack,
+                           np.abs(lhs - rhs) <= slack))
+    violations = [model.row_name(i) for i in np.flatnonzero(~ok)]
+    lower, upper = _bounds(model)
+    out_of_bounds = (x < lower - tolerance) | (x > upper + tolerance)
+    violations.extend(f"bound:{model.unknowns[j][0]}" for j in np.flatnonzero(out_of_bounds))
     return violations
+
+
+def _column_values(model: LpModel, values: dict[str, float]) -> np.ndarray:
+    """The assignment as a vector in column order."""
+    try:
+        return np.array([values[name] for name, _, _ in model.unknowns], dtype=float)
+    except KeyError as e:
+        raise MissingAssignmentError(f"no value for unknown {e}") from None
+
+
+def _bounds(model: LpModel) -> tuple[np.ndarray, np.ndarray]:
+    lower = np.array([lo for _, lo, _ in model.unknowns], dtype=float)
+    upper = np.array([hi for _, _, hi in model.unknowns], dtype=float)
+    return lower, upper
 
 
 def solve(model: LpModel) -> LpSolution:
@@ -248,37 +373,19 @@ def _solve_scipy(model: LpModel) -> LpSolution:
     for name, coef in model.objective.terms:
         c[model.index_of(name)] = sense * coef
 
-    ub_rows, ub_rhs, eq_rows, eq_rhs = [], [], [], []
-    for row in model.rows:
-        coeffs = [(model.index_of(name), coef) for name, coef in row.expression.terms]
-        if row.relation == "=":
-            eq_rows.append(coeffs)
-            eq_rhs.append(row.rhs)
-        elif row.relation == "<=":
-            ub_rows.append(coeffs)
-            ub_rhs.append(row.rhs)
-        else:
-            ub_rows.append([(j, -coef) for j, coef in coeffs])
-            ub_rhs.append(-row.rhs)
-
-    def sparse(rows):
-        data, indices, indptr = [], [], [0]
-        for coeffs in rows:
-            for j, coef in coeffs:
-                indices.append(j)
-                data.append(coef)
-            indptr.append(len(data))
-        return csr_matrix((data, indices, indptr), shape=(len(rows), n))
-
+    # HiGHS takes A_ub x <= b_ub and A_eq x = b_eq: negate the >= rows.
+    matrix, relations, rhs = model.row_table()
+    sign = np.where(relations == RELATIONS.index(">="), -1.0, 1.0)
+    signed = matrix.data * np.repeat(sign, np.diff(matrix.indptr))
+    equality = relations == RELATIONS.index("=")
     kwargs = {}
-    if ub_rows:
-        kwargs["A_ub"] = sparse(ub_rows)
-        kwargs["b_ub"] = np.array(ub_rhs)
-    if eq_rows:
-        kwargs["A_eq"] = sparse(eq_rows)
-        kwargs["b_eq"] = np.array(eq_rhs)
-    bounds = [(None if math.isinf(lo) else lo, None if math.isinf(hi) else hi)
-              for _, lo, hi in model.unknowns]
+    if not equality.all():
+        kwargs["A_ub"] = _select_rows(matrix, signed, ~equality)
+        kwargs["b_ub"] = (sign * rhs)[~equality]
+    if equality.any():
+        kwargs["A_eq"] = _select_rows(matrix, signed, equality)
+        kwargs["b_eq"] = rhs[equality]
+    bounds = np.column_stack(_bounds(model))  # infinite where unbounded
     result = linprog(c, bounds=bounds, method="highs", **kwargs)
 
     if result.status == 2:
@@ -287,8 +394,18 @@ def _solve_scipy(model: LpModel) -> LpSolution:
         return LpSolution("unbounded")
     if result.status != 0:
         raise SolverFailureError(f"linprog failed (status {result.status}): {result.message}")
-    values = {name: float(x) for (name, _, _), x in zip(model.unknowns, result.x)}
+    values = dict(zip((name for name, _, _ in model.unknowns), result.x.tolist()))
     return _finish(model, values)
+
+
+def _select_rows(matrix: csr_matrix, data: np.ndarray, mask: np.ndarray) -> csr_matrix:
+    """The rows of `matrix` where `mask` holds, with `data` in place of its
+    entries (numpy masking; scipy's row indexing costs more on small models)."""
+    lengths = np.diff(matrix.indptr)
+    keep = np.repeat(mask, lengths)
+    indptr = np.concatenate(([0], np.cumsum(lengths[mask])))
+    return csr_matrix((data[keep], matrix.indices[keep], indptr),
+                      shape=(len(indptr) - 1, matrix.shape[1]))
 
 
 def _finish(model: LpModel, values: dict[str, float]) -> LpSolution:
@@ -296,11 +413,12 @@ def _finish(model: LpModel, values: dict[str, float]) -> LpSolution:
     if violations:
         raise SolverFailureError(f"solution violates rows: {', '.join(violations[:5])}")
     objective = evaluate(model.objective, values)
-    active = tuple(
-        name for name, lower, upper in model.unknowns
-        if (not math.isinf(lower) and abs(values[name] - lower) <= FEASIBILITY_TOL)
-        or (not math.isinf(upper) and abs(values[name] - upper) <= FEASIBILITY_TOL))
-    return LpSolution("optimal", values, objective, active)
+    x = _column_values(model, values)
+    lower, upper = _bounds(model)
+    active = ((~np.isinf(lower) & (np.abs(x - lower) <= FEASIBILITY_TOL))
+              | (~np.isinf(upper) & (np.abs(x - upper) <= FEASIBILITY_TOL)))
+    return LpSolution("optimal", values, objective,
+                      tuple(model.unknowns[j][0] for j in np.flatnonzero(active)))
 
 
 def _solve_external(model: LpModel, command: str) -> LpSolution:
@@ -364,8 +482,7 @@ def export_lp(model: LpModel) -> str:
     lines.append(f" obj: {_format_expression(model.objective, order)}".rstrip())
     lines.append("Subject To")
     for i, row in enumerate(model.rows):
-        name = row.name or f"c{i + 1}"
-        lines.append(f" {name}: {_format_expression(row.expression, order)} "
+        lines.append(f" {model.row_name(i)}: {_format_expression(row.expression, order)} "
                      f"{row.relation} {row.rhs!r}")
     lines.append("Bounds")
     for name, lower, upper in model.unknowns:

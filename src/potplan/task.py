@@ -11,6 +11,8 @@ import heapq
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 State = tuple[int, ...]
 PartialAssignment = dict[int, int]
 
@@ -142,6 +144,15 @@ class TransitionSystem:
 
     def default_costs(self) -> list[float]:
         return [float(self.operator_costs[op]) for _, op, _ in self.transitions]
+
+    def state_array(self) -> np.ndarray:
+        """States as a (state, variable) matrix of value indices."""
+        return np.array(self.states, dtype=np.int64).reshape(
+            len(self.states), len(self.domain_sizes))
+
+    def transition_array(self) -> np.ndarray:
+        """Transitions as a (transition, 3) matrix of (source, operator, target)."""
+        return np.array(self.transitions, dtype=np.int64).reshape(len(self.transitions), 3)
 
 
 def is_applicable(op: Operator, state: State) -> bool:

@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import potplan
 from potplan.cli import main
 from potplan.task import parse_sas
 from potplan.tnf import is_tnf
@@ -277,8 +279,12 @@ def test_solve_byte_identical(capsys, toy1_file):
 
 
 def test_module_entry_point(toy1_file):
+    # Run the package under test, installed or not.
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(potplan.__file__)))
+    path = os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "potplan", "validate-task",
-                           toy1_file], capture_output=True, text=True)
+                           toy1_file], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["valid"] is True
 

@@ -300,3 +300,19 @@ def test_k4_reduction_weights_satisfy_consistency_rows():
             assert lhs <= row.rhs + 1e-9, row.name
         else:
             assert lhs >= row.rhs - 1e-9, row.name
+
+
+def test_general_lp_classifies_each_operator_once(monkeypatch):
+    import potplan.elimination as elimination
+    task = random_task(4, 3, 6, 0)
+    fs = random_features(task, 10, 3, 0)
+    calls = []
+    original = elimination.classify_features
+    monkeypatch.setattr(elimination, "classify_features",
+                        lambda fs, op: calls.append(op) or original(fs, op))
+    built = build_general_lp(task, fs)
+    assert calls == task.operators
+    # the partition passed in gives the same graph as classifying afresh
+    monkeypatch.undo()
+    for pipeline in built.pipelines:
+        assert pipeline.graph == context_dependency_graph(task, fs, pipeline.op_index)

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from potplan.lp import (LinearExpression, LpError, LpModel,
+from potplan.lp import (LinearExpression, LpError, LpModel, Row,
                         MissingAssignmentError, SOLVER_ENV_VAR, SolverFailureError,
                         check_solution, evaluate, export_lp, parse_lp, solve)
 
@@ -86,6 +86,28 @@ def test_solution_recheck():
     sol = solve(m)
     assert check_solution(m, sol.values) == []
     assert check_solution(m, {"x": 5.0}) == ["c1"]
+
+    m = LpModel()
+    m.add_unknown("x", 0, 10)
+    m.add_unknown("y")
+    m.add_row(term("x") + term("y"), ">=", 2, "low")
+    m.add_row(term("x") - term("y"), "=", 1, "tie")
+    m.add_row(term("x"), "<=", 3)
+    m.add_rows([0, 1, 3], [1, 0, 1], [1.0, 2.0, 1.0], [">=", "="], [-1.0, 3.5],
+               ["bulk_low", "bulk_tie"])
+    assert check_solution(m, {"x": 1.5, "y": 0.5}) == []
+    # violated rows in row order, then violated bounds
+    assert check_solution(m, {"x": -4.0, "y": -5.0}) == [
+        "low", "bulk_low", "bulk_tie", "bound:x"]
+    assert check_solution(m, {"x": 11.0, "y": 0.0}) == [
+        "tie", "c3", "bulk_tie", "bound:x"]
+    # slack is 1e-6 * max(1, |rhs|): 3e-6 off passes the "= 3.5" row but not "= 1"
+    assert check_solution(m, {"x": 1.5, "y": 0.5 + 3e-6}) == ["tie"]
+    assert check_solution(m, {"x": 1.5, "y": 0.5 + 4e-6}) == ["tie", "bulk_tie"]
+    assert check_solution(m, {"x": float("nan"), "y": 0.5}) == [
+        "low", "tie", "c3", "bulk_tie"]
+    with pytest.raises(MissingAssignmentError):
+        check_solution(m, {"x": 1.0})
 
 
 def test_bound_active_flag():
@@ -197,9 +219,30 @@ def test_model_validation():
         m.add_row(term("ghost"), "<=", 0)
     with pytest.raises(LpError):
         m.add_row(term("x"), "<<", 0)
+    m.add_unknown("y", 0.0, 1.0)
+    m.add_unknown("z", 0.0, 1.0)
+    with pytest.raises(LpError, match="undeclared unknown column 3"):
+        m.add_rows([0, 2], [0, 3], [1.0, 1.0], "<=", 0)
+    with pytest.raises(LpError, match="undeclared"):
+        m.add_rows([0, 1], [-1], [1.0], "<=", 0)
+    with pytest.raises(LpError, match="bad relation"):
+        m.add_rows([0, 1, 2], [0, 1], [1.0, 1.0], ["<=", "=<"], 0)
+    with pytest.raises(LpError):
+        m.add_rows([0, 2], [0, 1], [1.0], "<=", 0)  # coefficient missing
+    with pytest.raises(LpError):
+        m.add_rows([0, 1, 2], [0, 1], [1.0, 1.0], "<=", [0.0, 1.0, 2.0])
+    with pytest.raises(LpError):
+        m.add_rows([0, 1], [0], [1.0], "<=", 0, ["a", "b"])
+    assert len(m.rows) == 0  # nothing half-added
+    # repeated columns are summed and zeros dropped, as LinearExpression does
+    m.add_rows([0, 3, 4], [1, 0, 1, 2], [1.0, 2.0, -1.0, 0.0], ["<=", ">="], [1.0, 2.0])
+    assert m.rows == [Row(LinearExpression.build(0.0, {"x": 2.0}), "<=", 1.0),
+                      Row(LinearExpression(), ">=", 2.0)]
     m.freeze()
     with pytest.raises(LpError):
-        m.add_unknown("z")
+        m.add_unknown("w")
+    with pytest.raises(LpError):
+        m.add_rows([0, 1], [0], [1.0], "<=", 0)
 
 
 STUB_SOLVER = """\
