@@ -102,7 +102,7 @@ def _build_model(task: Task, fs, args) -> tuple[lp.LpModel, dict[int, str]]:
         built = direct2d.build_direct2d_lp(task, fs)
     elif args.method == "bucket":
         orderings = _parse_orderings(task, args.order) if args.order else None
-        built = elimination.build_general_lp(task, fs, orderings)
+        built = direct2d.build_general_lp(task, fs, orderings)
     else:  # exhaustive
         built = direct2d.build_exhaustive_lp(task, fs, state_cap=args.state_cap)
     model, weight_vars = built.model, built.weight_vars

@@ -1,11 +1,21 @@
-"""The compact LP characterizing admissible and consistent potentials for
-feature sets of dimension at most 2, plus the exhaustive per-transition LP
-used as its reference oracle.
+"""The compact LP characterizing admissible and consistent potentials, for
+feature sets of any dimension, plus the exhaustive per-transition LP used as
+its reference oracle.
 
-The compact model has one goal-awareness row and, per operator, one cost row
-over the state-independent weight change plus upper-bound unknowns for the
-per-variable context contribution, with one bounding row per value of each
-context variable.
+One assembler, `build_general_lp`, writes every compact model: the
+goal-awareness row `state_objective(goal_state) <= 0`, then per operator a
+cost row, the context-independent weight change plus the bound on the
+context-dependent change that bucket elimination (`elimination`) computes over
+the operator's scoped functions, followed by the elimination rows.  Operators
+touched by no context-dependent feature get the cost row alone.
+
+For features of dimension at most 2 every context-dependency graph has no
+edges (width 0), and elimination yields the binary model of Pommerening,
+Helmert & Bonet (AAAI 2017): one unknown `z_o{op}_v{var}` per context
+variable paired with the operator by some feature, with one row
+`z_o{op}_v{var}.{value}` per value of that variable.  `build_direct2d_lp` is
+that case.  At higher dimension the unknowns carry the assignment to the
+remaining scope, `z_o{op}_v{var}__v{u}.{value}_...`.
 """
 
 from __future__ import annotations
@@ -16,9 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .elimination import (bucket_eliminate, context_dependency_graph, induced_width,
+                          min_fill_order, scoped_functions_for_operator,
+                          to_lp_constraints)
 from .features import (Feature, FeatureSet, WeightFunction, classify_features,
                        delta_independent, evaluate_potential)
-from .lp import LinearExpression, LpModel, Row, solve
+from .lp import ZERO, LinearExpression, LpModel, solve
 from .task import (DEFAULT_STATE_CAP, State, Task, TransitionSystem,
                    build_transition_system, is_applicable, successor)
 from .tnf import is_tnf
@@ -35,22 +48,10 @@ def weight_var_name(feature: Feature) -> str:
     return "w_" + "__".join(f"v{var}.{val}" for var, val in feature.facts)
 
 
-def z_var_name(op_index: int, var: int) -> str:
-    return f"z_o{op_index}_v{var}"
-
-
 @dataclass
-class OperatorRows:
-    main: Row
-    z_bounds: list[Row]
-    z_names: dict[int, str]  # context variable id -> unknown name
-
-
-@dataclass
-class Direct2dLp:
+class PotentialLp:
     model: LpModel
-    weight_vars: dict[int, str]
-    z_vars: dict[tuple[int, int], str]
+    weight_vars: dict[int, str]  # feature index -> weight unknown
 
 
 @dataclass
@@ -66,97 +67,65 @@ def _require_tnf(task: Task) -> None:
         raise PotentialLpError("task is not in transition normal form")
 
 
-def goal_row_expression(task: Task, fs: FeatureSet,
-                        weight_vars: dict[int, str]) -> LinearExpression:
-    goal_state = tuple(task.goal[v] for v in range(len(task.variables)))
-    terms: dict[str, float] = {}
-    for i, f in enumerate(fs.features):
-        if f.true_in(goal_state):
-            terms[weight_vars[i]] = terms.get(weight_vars[i], 0.0) + 1.0
-    return LinearExpression.build(0.0, terms)
+def _goal_state(task: Task) -> State:
+    return tuple(task.goal[v] for v in range(len(task.variables)))
 
 
-def build_goal_row(task: Task, fs: FeatureSet) -> Row:
-    """Goal-awareness: the summed weight of all goal-true features is <= 0."""
-    _require_tnf(task)
-    weight_vars = {i: weight_var_name(f) for i, f in enumerate(fs.features)}
-    return Row(goal_row_expression(task, fs, weight_vars), "<=", 0.0, "goal")
+def _add_weights(model: LpModel, fs: FeatureSet) -> dict[int, str]:
+    return {i: model.add_unknown(weight_var_name(f), WEIGHT_LOWER, WEIGHT_UPPER)
+            for i, f in enumerate(fs.features)}
 
 
-def build_operator_rows(task: Task, fs: FeatureSet, op_index: int) -> OperatorRows:
-    """Cost row plus z-bound rows for one operator.
+def build_general_lp(task: Task, fs: FeatureSet,
+                     orderings: dict[int, list[int]] | None = None) -> PotentialLp:
+    """Assemble the compact model (no objective set yet).
 
-    A z unknown exists only for context variables actually paired with the
-    operator by some context-dependent feature; for those, one bound row is
-    emitted per domain value (empty sums included, they keep z above the zero
-    contribution of values matched by no feature).
-    """
-    _require_tnf(task)
-    if fs.dimension > 2:
-        raise PotentialLpError(f"feature set has dimension {fs.dimension}, "
-                               "this construction needs dimension <= 2")
-    op = task.operators[op_index]
-    weight_vars = {i: weight_var_name(f) for i, f in enumerate(fs.features)}
-    partition = classify_features(fs, op)
-    op_vars = set(op.eff)
-
-    main = LinearExpression()
-    for i in partition.context_independent:
-        change = delta_independent(op, fs.features[i])
-        if change:
-            main = main + LinearExpression.term(weight_vars[i], float(change))
-
-    # context feature -> (outside variable, outside value, inside-fact delta)
-    by_context_var: dict[int, dict[int, LinearExpression]] = {}
-    for i in partition.context_dependent:
-        f = fs.features[i]
-        inside = [fact for fact in f.facts if fact[0] in op_vars]
-        outside = [fact for fact in f.facts if fact[0] not in op_vars]
-        var, val = outside[0]
-        change = delta_independent(op, Feature(tuple(inside)))
-        bucket = by_context_var.setdefault(var, {})
-        if change:
-            bucket[val] = bucket.get(val, LinearExpression()) + \
-                LinearExpression.term(weight_vars[i], float(change))
-
-    z_names: dict[int, str] = {}
-    z_bounds: list[Row] = []
-    for var in sorted(by_context_var):
-        name = z_var_name(op_index, var)
-        z_names[var] = name
-        main = main + LinearExpression.term(name)
-        sums = by_context_var[var]
-        for val in range(task.variables[var].domain_size):
-            rhs_expr = sums.get(val, LinearExpression())
-            z_bounds.append(Row(LinearExpression.term(name) - rhs_expr, ">=", 0.0,
-                                f"z_o{op_index}_v{var}.{val}"))
-    main_row = Row(main, "<=", float(op.cost), f"op{op_index}")
-    return OperatorRows(main_row, z_bounds, z_names)
-
-
-def build_direct2d_lp(task: Task, fs: FeatureSet) -> Direct2dLp:
-    """Assemble the full compact model (no objective set yet).
-
-    Row order is deterministic: goal row first, then per operator its cost
-    row followed by z-bound rows ordered by (variable, value).
+    Row order is deterministic: the goal row, then per operator its cost row
+    followed by its elimination rows in equation order.  Orderings default to
+    min-fill on each context-dependency graph, which at width 0 eliminates
+    the context variables by increasing id.
     """
     _require_tnf(task)
     model = LpModel()
-    weight_vars = {}
-    for i, f in enumerate(fs.features):
-        weight_vars[i] = model.add_unknown(weight_var_name(f), WEIGHT_LOWER, WEIGHT_UPPER)
-    goal = build_goal_row(task, fs)
-    pending: list[Row] = [goal]
-    z_vars: dict[tuple[int, int], str] = {}
-    for op_index in range(len(task.operators)):
-        rows = build_operator_rows(task, fs, op_index)
-        for var, name in rows.z_names.items():
-            z_vars[(op_index, var)] = model.add_unknown(name)
-        pending.append(rows.main)
-        pending.extend(rows.z_bounds)
-    for row in pending:
-        model.add_row(row.expression, row.relation, row.rhs, row.name)
-    return Direct2dLp(model, weight_vars, z_vars)
+    weight_vars = _add_weights(model, fs)
+    model.add_row(state_objective(fs, weight_vars, _goal_state(task)), "<=", 0.0, "goal")
+    for op_index, op in enumerate(task.operators):
+        partition = classify_features(fs, op)
+        cost: dict[str, float] = {}
+        for i in partition.context_independent:
+            change = delta_independent(op, fs.features[i])
+            if change:
+                cost[weight_vars[i]] = float(change)
+        order = orderings.get(op_index) if orderings else None
+        rows, bound = [], ZERO
+        if order is not None or partition.context_dependent:
+            graph = context_dependency_graph(task, fs, op_index, partition)
+            if order is None:
+                order = min_fill_order(graph)
+            induced_width(graph, list(order))  # raises unless every variable is listed once
+        if partition.context_dependent:
+            psi = scoped_functions_for_operator(task, fs, op_index, weight_vars, partition)
+            pieces = to_lp_constraints(bucket_eliminate(psi, list(order),
+                                                        prefix=f"z_o{op_index}"))
+            rows, bound = pieces.rows, pieces.result
+            for name in pieces.aux_unknowns:
+                model.add_unknown(name)
+            for name, coef in bound.terms:
+                cost[name] = cost.get(name, 0.0) + coef
+        model.add_row(LinearExpression.build(bound.constant, cost), "<=",
+                      float(op.cost), f"op{op_index}")
+        for row in rows:
+            model.add_row(row.expression, row.relation, row.rhs, row.name)
+    return PotentialLp(model, weight_vars)
+
+
+def build_direct2d_lp(task: Task, fs: FeatureSet) -> PotentialLp:
+    """The compact model for features of dimension at most 2, whose
+    context-dependency graphs have no edges."""
+    if fs.dimension > 2:
+        raise PotentialLpError(f"feature set has dimension {fs.dimension}, "
+                               "this construction needs dimension <= 2")
+    return build_general_lp(task, fs)
 
 
 def state_objective(fs: FeatureSet, weight_vars: dict[int, str],
@@ -201,21 +170,34 @@ def extract_result(fs: FeatureSet, weight_vars: dict[int, str], task: Task,
     potential and the weights at a bound, from an optimal solution."""
     values = solution.values
     weights = WeightFunction([values[weight_vars[i]] for i in range(len(fs))])
-    goal_state = tuple(task.goal[v] for v in range(len(task.variables)))
     return PotentialSolveResult(
         weights=weights,
         value=solution.objective_value,
-        goal_potential=evaluate_potential(fs, weights, goal_state),
+        goal_potential=evaluate_potential(fs, weights, _goal_state(task)),
         bound_active=solution.bound_active,
     )
 
 
-def solve_for_state(task: Task, fs: FeatureSet, state: State) -> PotentialSolveResult:
-    """Maximize the potential of one state over the compact model."""
-    built = build_direct2d_lp(task, fs)
+def _maximize(task: Task, fs: FeatureSet, built: PotentialLp,
+              state: State) -> PotentialSolveResult:
+    """Maximize the potential of one state over a built model.  Auxiliary
+    unknowns never enter the objective (their one-sided slack would otherwise
+    distort it)."""
     built.model.set_objective("max", state_objective(fs, built.weight_vars, state))
     solution = solve(built.model.freeze()).require_optimal()
     return extract_result(fs, built.weight_vars, task, solution)
+
+
+def solve_for_state(task: Task, fs: FeatureSet, state: State) -> PotentialSolveResult:
+    """Maximize the potential of one state over the dimension-2 model."""
+    return _maximize(task, fs, build_direct2d_lp(task, fs), state)
+
+
+def solve_general_for_state(task: Task, fs: FeatureSet, state: State,
+                            orderings: dict[int, list[int]] | None = None
+                            ) -> PotentialSolveResult:
+    """Maximize the potential of one state over the model of any dimension."""
+    return _maximize(task, fs, build_general_lp(task, fs, orderings), state)
 
 
 def _truth_matrix(fs: FeatureSet, states: np.ndarray) -> np.ndarray:
@@ -232,7 +214,7 @@ def _truth_matrix(fs: FeatureSet, states: np.ndarray) -> np.ndarray:
 
 def build_exhaustive_lp(task: Task, fs: FeatureSet,
                         ts: TransitionSystem | None = None,
-                        state_cap: int = DEFAULT_STATE_CAP) -> Direct2dLp:
+                        state_cap: int = DEFAULT_STATE_CAP) -> PotentialLp:
     """Reference model with one consistency row per explicit transition.
 
     Exponentially large in general; usable only at desk scale, where it is
@@ -242,10 +224,8 @@ def build_exhaustive_lp(task: Task, fs: FeatureSet,
     if ts is None:
         ts = build_transition_system(task, state_cap)
     model = LpModel()
-    weight_vars = {}
-    for i, f in enumerate(fs.features):
-        weight_vars[i] = model.add_unknown(weight_var_name(f), WEIGHT_LOWER, WEIGHT_UPPER)
-    model.add_row(goal_row_expression(task, fs, weight_vars), "<=", 0.0, "goal")
+    weight_vars = _add_weights(model, fs)
+    model.add_row(state_objective(fs, weight_vars, _goal_state(task)), "<=", 0.0, "goal")
     # Row of transition s -> t: truth(s) - truth(t) over the features, whose
     # weight unknowns are columns 0..|F|-1.
     truth = _truth_matrix(fs, ts.state_array())
@@ -256,12 +236,9 @@ def build_exhaustive_lp(task: Task, fs: FeatureSet,
     costs = np.array([op.cost for op in task.operators], dtype=float)
     model.add_rows(indptr, columns, change[rows, columns], "<=", costs[table[:, 1]],
                    [f"t{ti}" for ti in range(len(table))])
-    return Direct2dLp(model, weight_vars, {})
+    return PotentialLp(model, weight_vars)
 
 
 def solve_exhaustive_for_state(task: Task, fs: FeatureSet, state: State,
                                ts: TransitionSystem | None = None) -> PotentialSolveResult:
-    built = build_exhaustive_lp(task, fs, ts)
-    built.model.set_objective("max", state_objective(fs, built.weight_vars, state))
-    solution = solve(built.model.freeze()).require_optimal()
-    return extract_result(fs, built.weight_vars, task, solution)
+    return _maximize(task, fs, build_exhaustive_lp(task, fs, ts), state)

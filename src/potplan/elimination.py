@@ -1,11 +1,15 @@
-"""Symbolic bucket elimination over linear expressions and the general LP for
-potential heuristics of any dimension.
+"""Symbolic bucket elimination over linear expressions, and the
+context-dependency graphs and scoped functions of an operator that it runs on.
 
 The eliminator turns a set of scoped functions (tables mapping partial
 assignments to linear expressions) into a system of max-equations over fresh
 auxiliary unknowns; relaxing each equation to one-sided `aux >= candidate`
 rows yields linear constraints whose projection onto the base unknowns is
-unchanged, provided no auxiliary unknown enters the objective.
+unchanged, provided no auxiliary unknown enters the objective.  The final
+equation only sums what is left; it gets no unknown, its candidate stands for
+the system's value in the LP.  `direct2d` assembles the potential LP from
+these pieces; for features of dimension at most 2 every context-dependency
+graph has no edges and elimination yields the compact binary model.
 """
 
 from __future__ import annotations
@@ -15,10 +19,8 @@ from dataclasses import dataclass, field
 
 from .features import (Feature, FeatureSet, OperatorPartition, classify_features,
                        delta_independent)
-from .lp import LinearExpression, LpModel, Row, evaluate, solve
-from .direct2d import (PotentialSolveResult, WEIGHT_LOWER, WEIGHT_UPPER,
-                       extract_result, state_objective, weight_var_name, _require_tnf)
-from .task import State, Task
+from .lp import ZERO, LinearExpression, Row, evaluate
+from .task import Task
 
 
 class OrderingError(ValueError):
@@ -38,7 +40,7 @@ class ScopedFunction:
 
     def value(self, assignment: dict[int, int]) -> LinearExpression:
         key = tuple(assignment[v] for v in self.scope)
-        return self.table.get(key, LinearExpression())
+        return self.table.get(key, ZERO)
 
 
 @dataclass
@@ -64,7 +66,9 @@ class AuxEquation:
 @dataclass
 class EquationSystem:
     """aux_i = max over its candidates; candidates only reference base
-    unknowns and earlier aux names.  The last equation defines the result."""
+    unknowns and earlier aux names.  The last equation defines the result;
+    `bucket_eliminate` makes it the sum of what elimination leaves, a single
+    candidate."""
 
     equations: list[AuxEquation]
 
@@ -103,13 +107,14 @@ class DependencyGraph:
 
 
 def scoped_functions_for_operator(task: Task, fs: FeatureSet, op_index: int,
+                                  weight_vars: dict[int, str],
                                   partition: OperatorPartition | None = None
                                   ) -> ScopedFunctionSet:
     """One function per context-dependent feature: its scope is the feature's
     variables outside the operator, and the single nonzero entry (if any) is
-    the weight unknown scaled by the inside-fact delta.  `partition` is the
-    operator's feature classification, computed here when not given."""
-    _require_tnf(task)
+    the feature's weight unknown (named by `weight_vars`, feature index ->
+    name) scaled by the inside-fact delta.  `partition` is the operator's
+    feature classification, computed here when not given."""
     op = task.operators[op_index]
     if partition is None:
         partition = classify_features(fs, op)
@@ -126,7 +131,7 @@ def scoped_functions_for_operator(task: Task, fs: FeatureSet, op_index: int,
         table = {}
         if change:
             key = tuple(val for _, val in outside)
-            table[key] = LinearExpression.term(weight_var_name(f), float(change))
+            table[key] = LinearExpression.term(weight_vars[i], float(change))
         functions.append(ScopedFunction(scope, table))
     return ScopedFunctionSet(domains, functions)
 
@@ -209,17 +214,22 @@ def _assignment_key(scope: tuple[int, ...], assignment: dict[int, int]) -> str:
 
 
 def bucket_eliminate(psi: ScopedFunctionSet, order: list[int],
-                     prefix: str = "aux") -> EquationSystem:
+                     prefix: str = "z") -> EquationSystem:
     """Generate the max-equation system whose result equals the maximum, over
     all assignments, of the summed function values.
 
     Processes the order back to front.  Each processed variable's bucket
     holds every function whose scope has that variable as its latest; the
     bucket is condensed into one fresh aux unknown per assignment to the
-    remaining scope (assignments where every candidate is identically zero
-    are skipped, their value is the zero expression).  Variables with empty
-    buckets are skipped entirely.  The final equation sums the scope-free
-    functions; with no functions at all it degenerates to max{0}.
+    remaining scope, named `{prefix}_v{var}` plus `__{assignment}` when that
+    scope is not empty.  Over a non-empty remaining scope, assignments whose
+    candidates are all identically zero are skipped (their value is the zero
+    expression, and a function left without entries is dropped); over an
+    empty one the unknown is kept even then, so at width 0 every variable
+    paired with the operator has its `aux >= 0` rows, as in the binary model.
+    Variables with empty buckets are skipped entirely.  The final
+    equation, `{prefix}_result`, sums the scope-free functions; with no
+    functions at all it degenerates to max{0}.
     """
     scope_vars = set()
     for fn in psi.functions:
@@ -258,25 +268,31 @@ def bucket_eliminate(psi: ScopedFunctionSet, order: list[int],
             candidates = []
             for x in range(psi.domains[var]):
                 assignment[var] = x
-                total = LinearExpression()
-                for fn in bucket:
-                    total = total + fn.value(assignment)
-                candidates.append(total)
+                candidates.append(_sum(fn.value(assignment) for fn in bucket))
             del assignment[var]
-            if all(c.is_zero() for c in candidates):
+            if new_scope and all(c.is_zero() for c in candidates):
                 continue  # table entry stays absent (zero)
             suffix = _assignment_key(new_scope, assignment)
-            name = f"{prefix}_x{var}" + (f"__{suffix}" if suffix else "")
+            name = f"{prefix}_v{var}" + (f"__{suffix}" if suffix else "")
             equations.append(AuxEquation(name, candidates))
             table[tuple(values)] = LinearExpression.term(name)
         if table:
             place(ScopedFunction(new_scope, table))
 
-    total = LinearExpression()
-    for fn in ground:
-        total = total + fn.table.get((), LinearExpression())
+    total = _sum(fn.table.get((), ZERO) for fn in ground)
     equations.append(AuxEquation(f"{prefix}_result", [total]))
     return EquationSystem(equations)
+
+
+def _sum(expressions) -> LinearExpression:
+    """Sum of linear expressions, built once."""
+    constant = 0.0
+    terms: dict[str, float] = {}
+    for expression in expressions:
+        constant += expression.constant
+        for name, coef in expression.terms:
+            terms[name] = terms.get(name, 0.0) + coef
+    return LinearExpression.build(constant, terms)
 
 
 @dataclass
@@ -287,15 +303,24 @@ class LpPieces:
 
 
 def to_lp_constraints(system: EquationSystem) -> LpPieces:
-    """One fresh unknown per equation and one `aux >= candidate` row per
-    candidate, except that an equation whose single candidate is a bare
-    earlier aux unknown becomes an alias instead of an unknown and a row."""
+    """One fresh unknown per equation but the last, and one row
+    `aux >= candidate` per candidate, named `{aux}.{j}` for candidate j (the
+    eliminated variable's value).  An equation whose single candidate is a
+    bare earlier aux unknown becomes an alias instead of an unknown and a
+    row.  The last equation gets no unknown either: its single candidate,
+    aliases substituted, is returned as `result`."""
+    if not system.equations:
+        return LpPieces([], [], ZERO)
+    *eliminated, final = system.equations
+    if len(final.candidates) != 1:
+        raise ValueError(f"result equation '{final.name}' needs exactly one "
+                         f"candidate, has {len(final.candidates)}")
     aliases: dict[str, LinearExpression] = {}
     declared: set[str] = set()
     unknowns: list[str] = []
     rows: list[Row] = []
-    for eq in system.equations:
-        candidates = [c.substitute(aliases) for c in eq.candidates]
+    for eq in eliminated:
+        candidates = [_inline(c, aliases) for c in eq.candidates]
         if len(candidates) == 1:
             c = candidates[0]
             if c.constant == 0.0 and len(c.terms) == 1 and \
@@ -305,14 +330,18 @@ def to_lp_constraints(system: EquationSystem) -> LpPieces:
         declared.add(eq.name)
         unknowns.append(eq.name)
         for j, c in enumerate(candidates):
-            lhs = LinearExpression.term(eq.name) - LinearExpression.build(
-                0.0, dict(c.terms))
-            rows.append(Row(lhs, ">=", c.constant, f"{eq.name}.ge{j}"))
-    if not system.equations:
-        return LpPieces([], [], LinearExpression())
-    result_name = system.result_name
-    result = aliases.get(result_name, LinearExpression.term(result_name))
-    return LpPieces(unknowns, rows, result)
+            terms = {name: -coef for name, coef in c.terms}
+            terms[eq.name] = terms.get(eq.name, 0.0) + 1.0
+            rows.append(Row(LinearExpression.build(0.0, terms), ">=", c.constant,
+                            f"{eq.name}.{j}"))
+    return LpPieces(unknowns, rows, _inline(final.candidates[0], aliases))
+
+
+def _inline(expression: LinearExpression,
+            aliases: dict[str, LinearExpression]) -> LinearExpression:
+    if any(name in aliases for name, _ in expression.terms):
+        return expression.substitute(aliases)
+    return expression
 
 
 def brute_force_max(psi: ScopedFunctionSet, base: dict[str, float] | None = None) -> float:
@@ -330,92 +359,3 @@ def brute_force_max(psi: ScopedFunctionSet, base: dict[str, float] | None = None
         if best is None or total > best:
             best = total
     return best
-
-
-@dataclass
-class OperatorPipeline:
-    op_index: int
-    graph: DependencyGraph
-    order: list[int]
-    width: int
-    system: EquationSystem | None  # None when the operator has no context functions
-    aux_unknowns: list[str]
-    rows: int
-
-
-@dataclass
-class GeneralLp:
-    model: LpModel
-    weight_vars: dict[int, str]
-    pipelines: list[OperatorPipeline]
-
-    @property
-    def max_width(self) -> int:
-        return max((p.width for p in self.pipelines), default=0)
-
-
-def build_general_lp(task: Task, fs: FeatureSet,
-                     orderings: dict[int, list[int]] | None = None) -> GeneralLp:
-    """Goal row, then per operator the cost row over the state-independent
-    change plus the result of its context elimination, plus the elimination
-    rows.  Orderings default to min-fill on each context-dependency graph."""
-    _require_tnf(task)
-    model = LpModel()
-    weight_vars = {}
-    for i, f in enumerate(fs.features):
-        weight_vars[i] = model.add_unknown(weight_var_name(f), WEIGHT_LOWER, WEIGHT_UPPER)
-
-    goal_terms: dict[str, float] = {}
-    goal_state = tuple(task.goal[v] for v in range(len(task.variables)))
-    for i, f in enumerate(fs.features):
-        if f.true_in(goal_state):
-            goal_terms[weight_vars[i]] = goal_terms.get(weight_vars[i], 0.0) + 1.0
-    model.add_row(LinearExpression.build(0.0, goal_terms), "<=", 0.0, "goal")
-
-    pipelines = []
-    for op_index, op in enumerate(task.operators):
-        partition = classify_features(fs, op)
-        independent = LinearExpression()
-        for i in partition.context_independent:
-            change = delta_independent(op, fs.features[i])
-            if change:
-                independent = independent + LinearExpression.term(
-                    weight_vars[i], float(change))
-
-        graph = context_dependency_graph(task, fs, op_index, partition)
-        if orderings and op_index in orderings:
-            order = list(orderings[op_index])
-        else:
-            order = min_fill_order(graph)
-        width = induced_width(graph, order)
-
-        psi = scoped_functions_for_operator(task, fs, op_index, partition)
-        if not psi.functions:
-            model.add_row(independent, "<=", float(op.cost), f"op{op_index}")
-            pipelines.append(OperatorPipeline(op_index, graph, order, width,
-                                              None, [], 0))
-            continue
-
-        system = bucket_eliminate(psi, order, prefix=f"aux_o{op_index}")
-        pieces = to_lp_constraints(system)
-        for name in pieces.aux_unknowns:
-            model.add_unknown(name)
-        model.add_row(independent + pieces.result, "<=", float(op.cost),
-                      f"op{op_index}")
-        for row in pieces.rows:
-            model.add_row(row.expression, row.relation, row.rhs, row.name)
-        pipelines.append(OperatorPipeline(op_index, graph, order, width, system,
-                                          pieces.aux_unknowns, len(pieces.rows)))
-    return GeneralLp(model, weight_vars, pipelines)
-
-
-def solve_general_for_state(task: Task, fs: FeatureSet, state: State,
-                            orderings: dict[int, list[int]] | None = None
-                            ) -> PotentialSolveResult:
-    """Maximize the potential of one state over the general model.  Auxiliary
-    unknowns never enter the objective (their one-sided slack would otherwise
-    distort it)."""
-    built = build_general_lp(task, fs, orderings)
-    built.model.set_objective("max", state_objective(fs, built.weight_vars, state))
-    solution = solve(built.model.freeze()).require_optimal()
-    return extract_result(fs, built.weight_vars, task, solution)

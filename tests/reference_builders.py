@@ -1,14 +1,18 @@
-"""Row-by-row constructions of the projection, TCP, OCP and exhaustive LPs.
+"""Row-by-row constructions of the projection, TCP, OCP, exhaustive and
+dimension-2 potential LPs.
 
-These build every row as a LinearExpression, one transition at a time, and
-serve as the reference that the array-assembled builders in potplan must
-reproduce exactly: same columns, same rows, same order.
+These build every row as a LinearExpression, one transition or operator at a
+time, and serve as the reference that the builders in potplan must reproduce
+exactly: same columns, same rows, same order.  The dimension-2 reference is
+the binary model written out directly (goal row; per operator a cost row and
+one bound unknown per context variable with a row per value), which the
+bucket-elimination assembler has to match on edgeless context graphs.
 """
 
 import itertools
 
-from potplan.direct2d import (WEIGHT_LOWER, WEIGHT_UPPER, goal_row_expression,
-                              weight_var_name)
+from potplan.direct2d import WEIGHT_LOWER, WEIGHT_UPPER, weight_var_name
+from potplan.features import Feature, classify_features, delta_independent
 from potplan.lp import LinearExpression, LpModel
 
 
@@ -97,12 +101,26 @@ def reference_ocp_model(ts, patterns, state):
     return _finish(model, projections, state)
 
 
-def reference_exhaustive_model(task, fs, ts):
-    model = LpModel()
+def _reference_weights(model, fs):
     weight_vars = {}
     for i, f in enumerate(fs.features):
         weight_vars[i] = model.add_unknown(weight_var_name(f), WEIGHT_LOWER, WEIGHT_UPPER)
-    model.add_row(goal_row_expression(task, fs, weight_vars), "<=", 0.0, "goal")
+    return weight_vars
+
+
+def _reference_goal_row(model, task, fs, weight_vars):
+    goal_state = tuple(task.goal[v] for v in range(len(task.variables)))
+    terms = {}
+    for i, f in enumerate(fs.features):
+        if f.true_in(goal_state):
+            terms[weight_vars[i]] = terms.get(weight_vars[i], 0.0) + 1.0
+    model.add_row(LinearExpression.build(0.0, terms), "<=", 0.0, "goal")
+
+
+def reference_exhaustive_model(task, fs, ts):
+    model = LpModel()
+    weight_vars = _reference_weights(model, fs)
+    _reference_goal_row(model, task, fs, weight_vars)
     for ti, (src, op_id, dst) in enumerate(ts.transitions):
         s, t = ts.states[src], ts.states[dst]
         terms = {}
@@ -112,4 +130,53 @@ def reference_exhaustive_model(task, fs, ts):
                 terms[weight_vars[i]] = terms.get(weight_vars[i], 0.0) + change
         model.add_row(LinearExpression.build(0.0, terms), "<=",
                       float(task.operators[op_id].cost), f"t{ti}")
+    return model
+
+
+def _reference_operator_rows(task, fs, weight_vars, op_index):
+    """Cost row, z unknowns and z-bound rows of one operator: a z unknown
+    for every context variable paired with the operator by a
+    context-dependent feature (even if no weight change reaches it), with one
+    row per domain value."""
+    op = task.operators[op_index]
+    partition = classify_features(fs, op)
+    op_vars = set(op.eff)
+    main = LinearExpression()
+    for i in partition.context_independent:
+        change = delta_independent(op, fs.features[i])
+        if change:
+            main = main + LinearExpression.term(weight_vars[i], float(change))
+    by_context_var = {}
+    for i in partition.context_dependent:
+        f = fs.features[i]
+        inside = [fact for fact in f.facts if fact[0] in op_vars]
+        (var, val), = [fact for fact in f.facts if fact[0] not in op_vars]
+        change = delta_independent(op, Feature(tuple(inside)))
+        bucket = by_context_var.setdefault(var, {})
+        if change:
+            bucket[val] = bucket.get(val, LinearExpression()) + \
+                LinearExpression.term(weight_vars[i], float(change))
+    z_names, z_rows = [], []
+    for var in sorted(by_context_var):
+        name = f"z_o{op_index}_v{var}"
+        z_names.append(name)
+        main = main + LinearExpression.term(name)
+        for val in range(task.variables[var].domain_size):
+            rhs = by_context_var[var].get(val, LinearExpression())
+            z_rows.append((LinearExpression.term(name) - rhs, ">=", 0.0,
+                           f"{name}.{val}"))
+    return (main, "<=", float(op.cost), f"op{op_index}"), z_names, z_rows
+
+
+def reference_direct2d_model(task, fs):
+    assert fs.dimension <= 2
+    model = LpModel()
+    weight_vars = _reference_weights(model, fs)
+    _reference_goal_row(model, task, fs, weight_vars)
+    for op_index in range(len(task.operators)):
+        main, z_names, z_rows = _reference_operator_rows(task, fs, weight_vars, op_index)
+        for name in z_names:
+            model.add_unknown(name)
+        for row in [main] + z_rows:
+            model.add_row(*row)
     return model

@@ -14,12 +14,11 @@ import pytest
 
 from potplan.costpart import all_patterns, build_ocp_lp, build_tcp_lp
 from potplan.direct2d import (build_direct2d_lp, solve_exhaustive_for_state,
-                              solve_for_state)
+                              solve_for_state, solve_general_for_state)
 from potplan.elimination import (bucket_eliminate, brute_force_max,
                                  context_dependency_graph, dependency_graph,
-                                 induced_width, min_fill_order,
-                                 solve_general_for_state, to_lp_constraints)
-from potplan.features import generate_features
+                                 induced_width, min_fill_order, to_lp_constraints)
+from potplan.features import classify_features, generate_features
 from potplan.generator import random_features, random_scoped_set, random_task
 from potplan.lp import LpModel, solve
 from potplan.reduction import (Graph, complete_graph, cycle_graph, empty_graph,
@@ -210,9 +209,10 @@ def test_criterion_9_size_formula():
             fs = generate_features(task, 2)
             built = build_direct2d_lp(task, fs)
             expected = 1
-            for op_index in range(len(task.operators)):
+            for op in task.operators:
                 expected += 1
-                context_vars = {var for (o, var) in built.z_vars if o == op_index}
+                context_vars = {var for i in classify_features(fs, op).context_dependent
+                                for var in fs.features[i].variables if var not in op.eff}
                 expected += sum(task.variables[v].domain_size
                                 for v in context_vars)
             assert len(built.model.rows) == expected, seed

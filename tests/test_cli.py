@@ -74,6 +74,24 @@ def test_solve_exhaustive_and_bucket_agree(capsys, toy1_file):
     assert len({round(v, 6) for v in values.values()}) == 1
 
 
+@pytest.mark.parametrize("source", ["toy1"] + [f"gen{seed}" for seed in range(6)])
+def test_bucket_prints_direct2d_output_at_dimension_2(capsys, tmp_path, toy1_file, source):
+    """At dimension <= 2 the bucket method builds the direct2d model, so the
+    two print the same objective, goal potential, bound list and weights."""
+    path = toy1_file
+    if source != "toy1":
+        path = str(tmp_path / "gen.sas")
+        assert run_cli(capsys, "gen", "--seed", source[3:], "-o", path)[0] == 0
+    for dim in ("1", "2"):
+        printed = {}
+        for method in ("direct2d", "bucket"):
+            code, out, _ = run_cli(capsys, "solve", "--dim", dim, "--method", method, path)
+            assert code == 0
+            printed[method] = json.loads(out)
+            assert printed[method].pop("method") == method
+        assert printed["bucket"] == printed["direct2d"]
+
+
 def test_solve_dim3_needs_bucket(capsys, toy1_file):
     code, _, err = run_cli(capsys, "solve", "--dim", "3",
                            "--method", "direct2d", toy1_file)

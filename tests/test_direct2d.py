@@ -1,7 +1,6 @@
 import pytest
 
-from potplan.direct2d import (PotentialLpError, build_direct2d_lp,
-                              build_goal_row, build_operator_rows, sample_states,
+from potplan.direct2d import (PotentialLpError, build_direct2d_lp, sample_states,
                               samples_objective, solve_exhaustive_for_state,
                               solve_for_state)
 from potplan.features import (Feature, FeatureSet, classify_features,
@@ -13,49 +12,64 @@ from potplan.search import PotentialHeuristic, validate
 from potplan.task import Task, successor
 
 
+def rows_by_name(model):
+    return {row.name: row for row in model.rows}
+
+
+def z_unknowns(model, op_index):
+    prefix = f"z_o{op_index}_"
+    return [name for name, _, _ in model.unknowns if name.startswith(prefix)]
+
+
 def test_goal_row_dim1(toy1):
-    row = build_goal_row(toy1, generate_features(toy1, 1))
-    assert row.relation == "<=" and row.rhs == 0.0
+    row = build_direct2d_lp(toy1, generate_features(toy1, 1)).model.rows[0]
+    assert row.name == "goal" and row.relation == "<=" and row.rhs == 0.0
     assert row.expression.coefficients() == {"w_v0.1": 1.0, "w_v1.1": 1.0}
 
 
 def test_goal_row_dim2(toy1):
-    row = build_goal_row(toy1, generate_features(toy1, 2))
+    row = build_direct2d_lp(toy1, generate_features(toy1, 2)).model.rows[0]
+    assert row.name == "goal"
     assert row.expression.coefficients() == {
         "w_v0.1": 1.0, "w_v1.1": 1.0, "w_v0.1__v1.1": 1.0}
 
 
 def test_goal_row_empty_feature_set(toy1):
-    row = build_goal_row(toy1, FeatureSet(()))
+    row = build_direct2d_lp(toy1, FeatureSet(())).model.rows[0]
+    assert row.name == "goal"
     assert row.expression.is_zero() and row.rhs == 0.0
 
 
 def test_goal_row_requires_tnf(toy1):
     task = Task(toy1.variables, toy1.operators, toy1.initial_state, {0: 1})
     with pytest.raises(PotentialLpError):
-        build_goal_row(task, generate_features(task, 1))
+        build_direct2d_lp(task, generate_features(task, 1))
 
 
 def test_operator_rows_dim1(toy1):
-    rows = build_operator_rows(toy1, generate_features(toy1, 1), 0)
-    assert rows.z_bounds == [] and rows.z_names == {}
-    assert rows.main.expression.coefficients() == {"w_v0.0": 1.0, "w_v0.1": -1.0}
-    assert rows.main.relation == "<=" and rows.main.rhs == 1.0
+    model = build_direct2d_lp(toy1, generate_features(toy1, 1)).model
+    rows = rows_by_name(model)
+    assert z_unknowns(model, 0) == []
+    assert not [name for name in rows if name.startswith("z_o0_")]
+    assert rows["op0"].expression.coefficients() == {"w_v0.0": 1.0, "w_v0.1": -1.0}
+    assert rows["op0"].relation == "<=" and rows["op0"].rhs == 1.0
 
 
 def test_operator_rows_dim2(toy1):
-    rows = build_operator_rows(toy1, generate_features(toy1, 2), 0)
+    model = build_direct2d_lp(toy1, generate_features(toy1, 2)).model
+    rows = rows_by_name(model)
     z = "z_o0_v1"
-    assert rows.z_names == {1: z}
-    assert rows.main.expression.coefficients() == {
+    assert z_unknowns(model, 0) == [z]
+    assert rows["op0"].expression.coefficients() == {
         "w_v0.0": 1.0, "w_v0.1": -1.0, z: 1.0}
-    assert len(rows.z_bounds) == 2
+    assert [name for name in rows if name.startswith("z_o0_")] == [f"{z}.0", f"{z}.1"]
     # z >= w(X=0 & Y=v) - w(X=1 & Y=v) for v in {0, 1}
     expected = [
         {z: 1.0, "w_v0.0__v1.0": -1.0, "w_v0.1__v1.0": 1.0},
         {z: 1.0, "w_v0.0__v1.1": -1.0, "w_v0.1__v1.1": 1.0},
     ]
-    for row, coeffs in zip(rows.z_bounds, expected):
+    for value, coeffs in enumerate(expected):
+        row = rows[f"{z}.{value}"]
         assert row.relation == ">=" and row.rhs == 0.0
         assert row.expression.coefficients() == coeffs
 
@@ -64,17 +78,18 @@ def test_operator_touching_all_variables(toy1):
     from potplan.task import Operator
     op = Operator("both", {0: 0, 1: 0}, {0: 1, 1: 1}, 1)
     task = Task(toy1.variables, [op], toy1.initial_state, toy1.goal)
-    rows = build_operator_rows(task, generate_features(task, 2), 0)
-    assert rows.z_names == {} and rows.z_bounds == []
+    model = build_direct2d_lp(task, generate_features(task, 2)).model
+    assert z_unknowns(model, 0) == []
+    assert [row.name for row in model.rows] == ["goal", "op0"]
 
 
 def test_dimension_cap(toy1):
     fs = FeatureSet((Feature.of(((0, 0), (1, 0))), Feature.of(((0, 1),))))
-    build_operator_rows(toy1, fs, 0)  # dimension 2 is fine
+    build_direct2d_lp(toy1, fs)  # dimension 2 is fine
     too_big = random_task(3, 2, 3, 0)
     fs3 = FeatureSet((Feature.of(((0, 0), (1, 0), (2, 0))),))
     with pytest.raises(PotentialLpError):
-        build_operator_rows(too_big, fs3, 0)
+        build_direct2d_lp(too_big, fs3)
 
 
 def test_solve_for_state_toy1(toy1):
@@ -155,9 +170,10 @@ def test_row_count_formula(seed):
     fs = generate_features(task, 2)
     built = build_direct2d_lp(task, fs)
     expected = 1
-    for op_index, op in enumerate(task.operators):
+    for op in task.operators:
         expected += 1
-        context_vars = {var for (o, var) in built.z_vars if o == op_index}
+        context_vars = {var for i in classify_features(fs, op).context_dependent
+                        for var in fs.features[i].variables if var not in op.eff}
         expected += sum(task.variables[v].domain_size for v in context_vars)
     assert len(built.model.rows) == expected
 
@@ -175,7 +191,8 @@ def test_z_vars_keyed_by_context_pairs(seed):
             for var, _ in fs.features[i].facts:
                 if var not in op_vars:
                     paired.add(var)
-        assert {var for (o, var) in built.z_vars if o == op_index} == paired
+        assert z_unknowns(built.model, op_index) == \
+            [f"z_o{op_index}_v{var}" for var in sorted(paired)]
 
 
 def test_sampled_objective_is_deterministic(toy1):

@@ -2,14 +2,15 @@ import itertools
 
 import pytest
 
-from potplan.direct2d import solve_exhaustive_for_state, solve_for_state
+from potplan.direct2d import (build_general_lp, solve_exhaustive_for_state,
+                              solve_for_state, solve_general_for_state,
+                              weight_var_name)
 from potplan.elimination import (AuxEquation, DependencyGraph, EquationSystem,
-                                 OrderingError, ScopedFunctionSet,
-                                 brute_force_max, bucket_eliminate, build_general_lp,
+                                 OrderingError, ScopedFunction, ScopedFunctionSet,
+                                 brute_force_max, bucket_eliminate,
                                  context_dependency_graph, dependency_graph,
                                  induced_width, min_fill_order,
-                                 scoped_functions_for_operator,
-                                 solve_general_for_state, to_lp_constraints)
+                                 scoped_functions_for_operator, to_lp_constraints)
 from potplan.features import Feature, FeatureSet, generate_features
 from potplan.generator import random_features, random_scoped_set, random_task
 from potplan.lp import LinearExpression, LpModel, evaluate, solve
@@ -21,9 +22,13 @@ def candidate_shape(expression):
     return (expression.constant, dict(expression.terms))
 
 
+def weight_names(fs):
+    return {i: weight_var_name(f) for i, f in enumerate(fs.features)}
+
+
 def test_scoped_functions_toy1(toy1):
     fs = generate_features(toy1, 2)
-    psi = scoped_functions_for_operator(toy1, fs, 0)
+    psi = scoped_functions_for_operator(toy1, fs, 0, weight_names(fs))
     assert psi.domains == {1: 2}
     by_key = {}
     for fn in psi.functions:
@@ -41,7 +46,7 @@ def test_scoped_functions_toy1(toy1):
 
 def test_scoped_functions_exclude_independent(toy1):
     fs = generate_features(toy1, 1)
-    psi = scoped_functions_for_operator(toy1, fs, 0)
+    psi = scoped_functions_for_operator(toy1, fs, 0, weight_names(fs))
     assert psi.functions == []
 
 
@@ -119,6 +124,24 @@ def test_worked_example_evaluation(paper_be):
     assert brute_force_max(paper_be, {"a": 1.0, "b": 1.0}) == 9.0
 
 
+def test_zero_entries_kept_only_over_empty_scope():
+    """An all-zero entry gets an unknown only when elimination leaves no
+    scope; over a non-empty scope it stays absent and its function is
+    dropped."""
+    a = LinearExpression.term("a")
+    pair = ScopedFunctionSet({0: 2, 1: 2}, [ScopedFunction((0, 1), {})])
+    assert [eq.name for eq in bucket_eliminate(pair, [0, 1]).equations] == \
+        ["z_result"]
+    single = ScopedFunctionSet({0: 2, 1: 2}, [ScopedFunction((0,), {}),
+                                              ScopedFunction((1,), {(1,): a})])
+    system = bucket_eliminate(single, [0, 1])
+    shapes = [(eq.name, [candidate_shape(c) for c in eq.candidates])
+              for eq in system.equations]
+    assert shapes == [("z_v1", [(0.0, {}), (0.0, {"a": 1.0})]),
+                      ("z_v0", [(0.0, {}), (0.0, {})]),
+                      ("z_result", [(0.0, {"z_v1": 1.0, "z_v0": 1.0})])]
+
+
 def test_worked_example_lp_rows(paper_be):
     system = bucket_eliminate(paper_be, [0, 1])
     pieces = to_lp_constraints(system)
@@ -128,9 +151,11 @@ def test_worked_example_lp_rows(paper_be):
 
 
 def test_single_constant_equation_keeps_row():
-    system = EquationSystem([AuxEquation("aux", [LinearExpression.const(5.0)])])
+    system = EquationSystem([AuxEquation("aux", [LinearExpression.const(5.0)]),
+                             AuxEquation("result", [LinearExpression.term("aux")])])
     pieces = to_lp_constraints(system)
     assert len(pieces.rows) == 1 and pieces.aux_unknowns == ["aux"]
+    assert pieces.result == LinearExpression.term("aux")
     row = pieces.rows[0]
     assert row.expression.coefficients() == {"aux": 1.0}
     assert row.relation == ">=" and row.rhs == 5.0
@@ -247,7 +272,7 @@ def test_general_lp_dim1_reduces_to_plain_rows(toy1):
     fs = generate_features(toy1, 1)
     built = build_general_lp(toy1, fs)
     assert len(built.model.rows) == 3  # goal + one per operator
-    assert all(p.system is None for p in built.pipelines)
+    assert len(built.model.unknowns) == len(fs)  # no elimination unknowns
     assert solve_general_for_state(toy1, fs, toy1.initial_state).value == \
         pytest.approx(2.0)
 
@@ -279,16 +304,22 @@ def test_k4_reduction_weights_satisfy_consistency_rows():
     into the general model satisfies every consistency row; only the
     goal-awareness row fails, as that potential is not goal-aware."""
     red = reduce_3col(complete_graph(4))
-    built = build_general_lp(red.task, red.features)
-    assert built.max_width == 3  # the switch operator sees the whole graph
+    task, fs = red.task, red.features
+    built = build_general_lp(task, fs)
     assignment = {}
-    for i, f in enumerate(red.features.features):
-        from potplan.direct2d import weight_var_name
+    for i, f in enumerate(fs.features):
         assignment[weight_var_name(f)] = red.weights[i]
-    for pipeline in built.pipelines:
-        if pipeline.system is not None:
-            aux_values, _ = pipeline.system.evaluate(assignment)
+    widths = []
+    for op_index, op in enumerate(task.operators):
+        graph = context_dependency_graph(task, fs, op_index)
+        order = min_fill_order(graph)
+        widths.append(induced_width(graph, order))
+        psi = scoped_functions_for_operator(task, fs, op_index, built.weight_vars)
+        if psi.functions:
+            system = bucket_eliminate(psi, order, prefix=f"z_o{op_index}")
+            aux_values, _ = system.evaluate(assignment)
             assignment.update(aux_values)
+    assert max(widths) == 3  # the switch operator sees the whole graph
     # aliased aux names appear in the evaluation but not as model unknowns
     name_of = {name for name, _, _ in built.model.unknowns}
     assert name_of <= set(assignment)
@@ -303,16 +334,25 @@ def test_k4_reduction_weights_satisfy_consistency_rows():
 
 
 def test_general_lp_classifies_each_operator_once(monkeypatch):
+    import potplan.direct2d as direct2d
     import potplan.elimination as elimination
     task = random_task(4, 3, 6, 0)
     fs = random_features(task, 10, 3, 0)
     calls = []
     original = elimination.classify_features
-    monkeypatch.setattr(elimination, "classify_features",
-                        lambda fs, op: calls.append(op) or original(fs, op))
-    built = build_general_lp(task, fs)
+    for module in (direct2d, elimination):
+        monkeypatch.setattr(module, "classify_features",
+                            lambda fs, op: calls.append(op) or original(fs, op))
+    graphs = {}
+    build_graph = direct2d.context_dependency_graph
+    monkeypatch.setattr(direct2d, "context_dependency_graph",
+                        lambda task, fs, op_index, partition:
+                        graphs.setdefault(op_index, build_graph(task, fs, op_index,
+                                                                partition)))
+    build_general_lp(task, fs)
     assert calls == task.operators
     # the partition passed in gives the same graph as classifying afresh
     monkeypatch.undo()
-    for pipeline in built.pipelines:
-        assert pipeline.graph == context_dependency_graph(task, fs, pipeline.op_index)
+    assert graphs
+    for op_index, graph in graphs.items():
+        assert graph == context_dependency_graph(task, fs, op_index)

@@ -1,21 +1,23 @@
-"""The array-assembled projection, TCP, OCP and exhaustive builders produce
-exactly the models of their row-by-row references: export_lp of both is
-byte-identical and the stored matrices are equal, so HiGHS sees the same
-columns, rows and coefficients."""
+"""The array-assembled projection, TCP, OCP and exhaustive builders, and the
+bucket-elimination assembler at dimension <= 2, produce exactly the models of
+their row-by-row references: export_lp of both is byte-identical and the
+stored matrices are equal, so HiGHS sees the same columns, rows and
+coefficients."""
 
 import numpy as np
 import pytest
 
 from potplan.costpart import all_patterns, build_ocp_lp, build_tcp_lp, project
-from potplan.direct2d import build_exhaustive_lp
+from potplan.direct2d import build_direct2d_lp, build_exhaustive_lp, build_general_lp
 from potplan.features import FeatureSet, generate_features
 from potplan.generator import random_features, random_task
 from potplan.lp import export_lp
 from potplan.task import Operator, Task, build_transition_system
 
 from conftest import make_toy1
-from reference_builders import (reference_exhaustive_model, reference_ocp_model,
-                                reference_projection, reference_tcp_model)
+from reference_builders import (reference_direct2d_model, reference_exhaustive_model,
+                                reference_ocp_model, reference_projection,
+                                reference_tcp_model)
 
 
 def toy1_with_self_loop() -> Task:
@@ -99,3 +101,26 @@ def test_instances_cover_self_loops_and_duplicates():
             abstract_loops += sum(s == d for s, _, d in moves)
             repeated += len(moves) - len(set(moves))
     assert abstract_loops and repeated and concrete_loops
+
+
+POTENTIAL_TASKS = {"toy1": make_toy1}
+POTENTIAL_TASKS.update({f"random{seed}": (lambda seed=seed: random_task(4, 3, 6, seed))
+                        for seed in range(12)})
+
+
+@pytest.mark.parametrize("name", sorted(POTENTIAL_TASKS))
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_direct2d_model_matches_reference(name, dimension):
+    task = POTENTIAL_TASKS[name]()
+    fs = generate_features(task, dimension)
+    reference = reference_direct2d_model(task, fs)
+    assert_same_model(build_direct2d_lp(task, fs).model, reference)
+    assert_same_model(build_general_lp(task, fs).model, reference)
+
+
+def test_potential_instances_cover_no_op_operators():
+    """Operators with pre = eff change no weight, yet the reference keeps
+    their z unknowns and `z >= 0` rows; the suite above must reach them."""
+    with_no_ops = [name for name, make in POTENTIAL_TASKS.items()
+                   if any(op.pre == op.eff for op in make().operators)]
+    assert len(with_no_ops) > len(POTENTIAL_TASKS) // 2
