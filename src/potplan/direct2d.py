@@ -32,8 +32,8 @@ from .elimination import (bucket_eliminate, context_dependency_graph, induced_wi
 from .features import (Feature, FeatureSet, WeightFunction, classify_features,
                        delta_independent, evaluate_potential)
 from .lp import ZERO, LinearExpression, LpModel, solve
-from .task import (DEFAULT_STATE_CAP, State, Task, TransitionSystem,
-                   build_transition_system, is_applicable, successor)
+from .task import (DEFAULT_STATE_CAP, State, SuccessorGenerator, Task,
+                   TransitionSystem, build_transition_system)
 from .tnf import is_tnf
 
 WEIGHT_LOWER = -1e8
@@ -143,14 +143,15 @@ def sample_states(task: Task, count: int, seed: int,
     rng = random.Random(seed)
     if max_walk is None:
         max_walk = 4 * len(task.variables)
+    successors = SuccessorGenerator(task)
     states = []
     for _ in range(count):
         state = task.initial_state
         for _ in range(rng.randint(0, max_walk)):
-            applicable = [op for op in task.operators if is_applicable(op, state)]
+            applicable = successors(state)
             if not applicable:
                 break
-            state = successor(state, rng.choice(applicable))
+            state = rng.choice(applicable)[1]
         states.append(state)
     return states
 

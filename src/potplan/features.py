@@ -10,6 +10,7 @@ touched by the operator), and context-dependent (some in, some out).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .task import Operator, PartialAssignment, State, Task, successor
@@ -43,7 +44,7 @@ class Feature:
     def size(self) -> int:
         return len(self.facts)
 
-    @property
+    @cached_property
     def variables(self) -> tuple[int, ...]:
         return tuple(var for var, _ in self.facts)
 

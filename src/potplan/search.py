@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .features import FeatureSet, WeightFunction
-from .task import (DEFAULT_STATE_CAP, State, Task, build_transition_system,
-                   exact_goal_distances, is_applicable, successor)
+from .task import (DEFAULT_STATE_CAP, State, SuccessorGenerator, Task,
+                   build_transition_system, exact_goal_distances)
 
 VALIDATION_TOL = 1e-6
 
@@ -87,11 +87,13 @@ def astar(task: Task, heuristic: Callable[[State], float]) -> SearchResult:
     start = time.perf_counter()
     counter = itertools.count()
     h_cache: dict[State, float] = {}
+    successors = SuccessorGenerator(task)
 
     def h(state: State) -> float:
-        if state not in h_cache:
-            h_cache[state] = heuristic(state)
-        return h_cache[state]
+        value = h_cache.get(state)
+        if value is None:
+            value = h_cache[state] = heuristic(state)
+        return value
 
     s0 = task.initial_state
     g_best: dict[State, float] = {s0: 0.0}
@@ -103,9 +105,9 @@ def astar(task: Task, heuristic: Callable[[State], float]) -> SearchResult:
     expansion_f: list[float] = []
 
     while open_list:
-        f, _, _, state = heapq.heappop(open_list)
+        f, h_state, _, state = heapq.heappop(open_list)
         g = g_best[state]
-        if f - h(state) > g + 1e-12:
+        if f - h_state > g + 1e-12:
             continue  # stale entry, a better path has been found since
         if task.is_goal_state(state):
             plan: list[int] = []
@@ -119,16 +121,14 @@ def astar(task: Task, heuristic: Callable[[State], float]) -> SearchResult:
                                 len(h_cache), time.perf_counter() - start)
         expansions += 1
         expansion_f.append(f)
-        for op_id, op in enumerate(task.operators):
-            if not is_applicable(op, state):
-                continue
-            succ = successor(state, op)
-            g2 = g + op.cost
+        for op_id, succ, cost in successors(state):
+            g2 = g + cost
             if g2 < g_best.get(succ, math.inf) - 1e-12:
                 g_best[succ] = g2
                 parent[succ] = (state, op_id)
+                h_succ = h(succ)
                 heapq.heappush(open_list,
-                               (*tiebreak_key(g2 + h(succ), h(succ), next(counter)), succ))
+                               (*tiebreak_key(g2 + h_succ, h_succ, next(counter)), succ))
     raise NoPlanError("goal is unreachable from the initial state")
 
 

@@ -169,6 +169,50 @@ def successor(state: State, op: Operator) -> State:
     return tuple(result)
 
 
+class SuccessorGenerator:
+    """The applicable operators of a task's states, indexed by precondition.
+
+    Each operator is filed under its first precondition fact (lowest
+    variable); operators without a precondition are applicable everywhere.
+    A state therefore looks only at the operators filed under one of its own
+    facts and checks just the rest of their preconditions, instead of testing
+    every operator.  Built once per task; the task must not change after.
+    """
+
+    def __init__(self, task: Task):
+        # one entry per operator: (id, remaining precondition, effect, cost)
+        self._unconditional: list[tuple] = []
+        self._by_fact: list[list[list[tuple]]] = [
+            [[] for _ in range(var.domain_size)] for var in task.variables]
+        for op_id, op in enumerate(task.operators):
+            pre = sorted(op.pre.items())
+            entry = (op_id, tuple(pre[1:]), tuple(op.eff.items()), op.cost)
+            if pre:
+                var, val = pre[0]
+                self._by_fact[var][val].append(entry)
+            else:
+                self._unconditional.append(entry)
+
+    def __call__(self, state: State) -> list[tuple[int, State, int]]:
+        """(operator id, successor, cost) of every operator applicable in
+        state, in increasing operator id."""
+        candidates = list(self._unconditional)
+        for by_value, val in zip(self._by_fact, state):
+            candidates += by_value[val]
+        result = []
+        for op_id, rest, eff, cost in candidates:
+            for var, val in rest:
+                if state[var] != val:
+                    break
+            else:
+                succ = list(state)
+                for var, val in eff:
+                    succ[var] = val
+                result.append((op_id, tuple(succ), cost))
+        result.sort()  # operator ids are distinct: only they are compared
+        return result
+
+
 def iter_states(domain_sizes: tuple[int, ...]):
     """All states in lexicographic order (variable 0 most significant)."""
     n = len(domain_sizes)
@@ -200,14 +244,9 @@ def build_transition_system(task: Task, state_cap: int = DEFAULT_STATE_CAP) -> T
         raise StateSpaceTooLargeError(count, state_cap)
     doms = task.domain_sizes
     states = tuple(iter_states(doms))
-    transitions: list[tuple[int, int, int]] = []
-    for si, s in enumerate(states):
-        for oi, op in enumerate(task.operators):
-            if is_applicable(op, s):
-                t = list(s)
-                for var, val in op.eff.items():
-                    t[var] = val
-                transitions.append((si, oi, state_index(tuple(t), doms)))
+    successors = SuccessorGenerator(task)
+    transitions = [(si, oi, state_index(t, doms))
+                   for si, s in enumerate(states) for oi, t, _ in successors(s)]
     goals = frozenset(si for si, s in enumerate(states) if task.is_goal_state(s))
     return TransitionSystem(
         states=states,

@@ -30,6 +30,28 @@ def toy1() -> Task:
     return make_toy1()
 
 
+def make_mixed_preconditions() -> Task:
+    """Not in TNF: `reset` has no precondition (applicable in every state),
+    `a12` and `light` have prevail conditions on variables they do not
+    change, and `swap` changes two variables.  Operator order differs from
+    the order of the operators' first precondition variables, and `setB`
+    and `a01` commute, so blind A* finds two plans of equal cost and picks
+    one by the order in which it generates successors."""
+    return Task(
+        variables=[Variable(0, "A", 3, ("0", "1", "2")),
+                   Variable(1, "B", 2, ("0", "1")),
+                   Variable(2, "C", 2, ("0", "1"))],
+        operators=[Operator("setB", {1: 0}, {1: 1}, 1),
+                   Operator("a01", {0: 0}, {0: 1}, 1),
+                   Operator("a12", {0: 1, 1: 1}, {0: 2}, 1),
+                   Operator("reset", {}, {2: 0}, 1),
+                   Operator("light", {0: 2}, {2: 1}, 1),
+                   Operator("swap", {0: 2, 2: 1}, {0: 0, 1: 0}, 0)],
+        initial_state=(0, 0, 0),
+        goal={0: 2, 1: 1, 2: 1},
+    )
+
+
 def ab(a: float = 0.0, b: float = 0.0, const: float = 0.0) -> LinearExpression:
     return LinearExpression.build(const, {"a": a, "b": b})
 

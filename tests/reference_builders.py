@@ -1,19 +1,25 @@
 """Row-by-row constructions of the projection, TCP, OCP, exhaustive and
-dimension-2 potential LPs.
+dimension-2 potential LPs, and the operator-scan transition system and A*.
 
 These build every row as a LinearExpression, one transition or operator at a
 time, and serve as the reference that the builders in potplan must reproduce
 exactly: same columns, same rows, same order.  The dimension-2 reference is
 the binary model written out directly (goal row; per operator a cost row and
 one bound unknown per context variable with a row per value), which the
-bucket-elimination assembler has to match on edgeless context graphs.
+bucket-elimination assembler has to match on edgeless context graphs.  The
+search references test every operator in every state with `is_applicable`
+and `successor`; the indexed successor generator has to reproduce them.
 """
 
+import heapq
 import itertools
+import math
 
 from potplan.direct2d import WEIGHT_LOWER, WEIGHT_UPPER, weight_var_name
 from potplan.features import Feature, classify_features, delta_independent
 from potplan.lp import LinearExpression, LpModel
+from potplan.search import NoPlanError, SearchResult, tiebreak_key
+from potplan.task import is_applicable, iter_states, state_index, successor
 
 
 def reference_projection(ts, pattern):
@@ -180,3 +186,67 @@ def reference_direct2d_model(task, fs):
         for row in [main] + z_rows:
             model.add_row(*row)
     return model
+
+
+def reference_successors(task, state):
+    """(operator id, successor, cost) of every applicable operator, in
+    operator order."""
+    return [(op_id, successor(state, op), op.cost)
+            for op_id, op in enumerate(task.operators) if is_applicable(op, state)]
+
+
+def reference_transitions(task):
+    """(source index, operator id, target index) for every state in
+    lexicographic order, then every applicable operator in operator order."""
+    doms = task.domain_sizes
+    return [(si, op_id, state_index(t, doms))
+            for si, s in enumerate(iter_states(doms))
+            for op_id, t, _ in reference_successors(task, s)]
+
+
+def reference_astar(task, heuristic):
+    """A* that scans every operator of the task at each expansion; the
+    wall time of the result is 0."""
+    counter = itertools.count()
+    h_cache = {}
+
+    def h(state):
+        if state not in h_cache:
+            h_cache[state] = heuristic(state)
+        return h_cache[state]
+
+    s0 = task.initial_state
+    g_best = {s0: 0.0}
+    open_list = []
+    h0 = h(s0)
+    heapq.heappush(open_list, (*tiebreak_key(h0, h0, next(counter)), s0))
+    parent = {}
+    expansions = 0
+    expansion_f = []
+    while open_list:
+        f, _, _, state = heapq.heappop(open_list)
+        g = g_best[state]
+        if f - h(state) > g + 1e-12:
+            continue
+        if task.is_goal_state(state):
+            plan = []
+            cursor = state
+            while cursor in parent:
+                cursor, op_id = parent[cursor]
+                plan.append(op_id)
+            plan.reverse()
+            before_last = sum(1 for fv in expansion_f if fv < g - 1e-9)
+            return SearchResult(plan, g, expansions, before_last, len(h_cache), 0.0)
+        expansions += 1
+        expansion_f.append(f)
+        for op_id, op in enumerate(task.operators):
+            if not is_applicable(op, state):
+                continue
+            succ = successor(state, op)
+            g2 = g + op.cost
+            if g2 < g_best.get(succ, math.inf) - 1e-12:
+                g_best[succ] = g2
+                parent[succ] = (state, op_id)
+                heapq.heappush(open_list,
+                               (*tiebreak_key(g2 + h(succ), h(succ), next(counter)), succ))
+    raise NoPlanError("goal is unreachable from the initial state")

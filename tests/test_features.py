@@ -33,6 +33,15 @@ def test_same_variable_conjunction_rejected():
         Feature.of(((0, 0), (0, 1)))
 
 
+def test_cached_variables_leave_equality_order_and_hash_alone():
+    a, b = Feature.of(((2, 1), (0, 0))), Feature.of(((0, 0), (2, 1)))
+    assert a.variables == (0, 2)
+    assert a == b and hash(a) == hash(b)
+    assert b.variables is b.variables
+    assert Feature.of(((0, 0),)) < a < Feature.of(((0, 1),))
+    assert sorted([Feature.of(((1, 0),)), a]) == [a, Feature.of(((1, 0),))]
+
+
 def test_explicit_list_validated(toy1):
     fs = generate_features(toy1, 2, [Feature.of(((0, 1), (1, 0)))])
     assert len(fs) == 1

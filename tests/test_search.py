@@ -8,6 +8,9 @@ from potplan.search import (NoPlanError, PotentialHeuristic, TIEBREAK_POLICY,
                             astar, blind, tiebreak_key, validate)
 from potplan.task import Task, build_transition_system, exact_goal_distances
 
+from conftest import make_mixed_preconditions, make_toy1
+from reference_builders import reference_astar
+
 
 def optimal_heuristic(task, dim):
     fs = generate_features(task, dim)
@@ -116,3 +119,27 @@ def test_expansion_trend_aggregate():
         totals["pot2"] += astar(
             task, optimal_heuristic(task, 2)).expansions_before_last_f_layer
     assert totals["pot2"] <= totals["pot1"] <= totals["blind"]
+
+
+def _search_summary(result):
+    return (result.plan, result.cost, result.expansions,
+            result.expansions_before_last_f_layer, result.evaluated)
+
+
+@pytest.mark.parametrize("name", [f"random{seed}" for seed in range(12)] + ["toy1"])
+def test_astar_matches_operator_scan(name):
+    task = make_toy1() if name == "toy1" else random_task(4, 3, 6, int(name[6:]))
+    for heuristic in (blind, optimal_heuristic(task, 1), optimal_heuristic(task, 2)):
+        assert _search_summary(astar(task, heuristic)) == \
+            _search_summary(reference_astar(task, heuristic))
+
+
+def test_astar_matches_operator_scan_mixed_preconditions():
+    task = make_mixed_preconditions()
+
+    def goal_count(state):
+        return float(sum(state[var] != val for var, val in task.goal.items()))
+
+    for heuristic in (blind, goal_count):
+        assert _search_summary(astar(task, heuristic)) == \
+            _search_summary(reference_astar(task, heuristic))

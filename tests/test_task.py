@@ -4,9 +4,12 @@ import pytest
 
 from potplan.generator import random_task
 from potplan.task import (NotApplicableError, SasParseError, StateSpaceTooLargeError,
-                          UnsupportedFeatureError, build_transition_system,
-                          exact_goal_distances, is_applicable, parse_sas,
-                          serialize_sas, successor)
+                          SuccessorGenerator, UnsupportedFeatureError,
+                          build_transition_system, exact_goal_distances, is_applicable,
+                          iter_states, parse_sas, serialize_sas, successor)
+
+from conftest import make_mixed_preconditions, make_toy1
+from reference_builders import reference_successors, reference_transitions
 
 TOY1_SAS = """\
 begin_version
@@ -158,6 +161,25 @@ def test_transition_soundness(seed):
     count = sum(1 for s in ts.states for op in task.operators if is_applicable(op, s))
     assert count == len(ts.transitions) == len(set(
         (src, op) for src, op, _ in ts.transitions))
+
+
+GENERATOR_TASKS = {
+    **{f"random{seed}": (lambda seed=seed: random_task(4, 3, 6, seed)) for seed in range(12)},
+    **{f"non_tnf{seed}": (lambda seed=seed: random_task(4, 3, 6, seed, tnf=False,
+                                                          solvable=False))
+       for seed in range(6)},
+    "toy1": make_toy1,
+    "mixed_preconditions": make_mixed_preconditions,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_TASKS))
+def test_successor_generator_matches_operator_scan(name):
+    task = GENERATOR_TASKS[name]()
+    successors = SuccessorGenerator(task)
+    for state in iter_states(task.domain_sizes):
+        assert successors(state) == reference_successors(task, state)
+    assert build_transition_system(task).transitions == reference_transitions(task)
 
 
 def test_goal_distances_toy1(toy1):
