@@ -4,7 +4,7 @@ validators, cost-partitioning LPs, bucket elimination, and an A* search."""
 from .task import (Task, Variable, Operator, TransitionSystem, State,
                    parse_sas, serialize_sas, successor, SuccessorGenerator,
                    build_transition_system, exact_goal_distances)
-from .tnf import is_tnf, to_tnf, ensure_tnf
+from .tnf import is_tnf, to_tnf
 from .features import (Feature, FeatureSet, WeightFunction, generate_features,
                        evaluate_potential, classify_features, delta,
                        delta_independent)

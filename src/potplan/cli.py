@@ -161,7 +161,7 @@ def cmd_solve(args) -> int:
         "method": args.method,
         "dimension": fs.dimension,
         "goal_potential": round(result.goal_potential, 9),
-        "bound_active": sorted(n for n in solution.bound_active if n.startswith("w_")),
+        "bound_active": sorted(solution.bound_active),
         "weights": {k: round(v, 9) for k, v in weights.items()},
     }, indent=None, sort_keys=False))
     return EXIT_OK

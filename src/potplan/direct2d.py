@@ -4,10 +4,10 @@ its reference oracle.
 
 One assembler, `build_general_lp`, writes every compact model: the
 goal-awareness row `state_objective(goal_state) <= 0`, then per operator a
-cost row, the context-independent weight change plus the bound on the
-context-dependent change that bucket elimination (`elimination`) computes over
-the operator's scoped functions, followed by the elimination rows.  Operators
-touched by no context-dependent feature get the cost row alone.
+cost row, the bound on the operator's change in potential that bucket
+elimination (`elimination`) computes over one scoped function per feature
+touching the operator, followed by the elimination rows.  Operators touched
+by no context-dependent feature get the cost row alone.
 
 For features of dimension at most 2 every context-dependency graph has no
 edges (width 0), and elimination yields the binary model of Pommerening,
@@ -26,12 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elimination import (bucket_eliminate, context_dependency_graph, induced_width,
-                          min_fill_order, scoped_functions_for_operator,
+from .elimination import (DependencyGraph, bucket_eliminate, dependency_graph,
+                          induced_width, min_fill_order, scoped_functions_for_operator,
                           to_lp_constraints)
-from .features import (Feature, FeatureSet, WeightFunction, classify_features,
-                       delta_independent, evaluate_potential)
-from .lp import ZERO, LinearExpression, LpModel, solve
+from .features import Feature, FeatureSet, WeightFunction, evaluate_potential
+from .lp import LinearExpression, LpModel, solve
 from .task import (DEFAULT_STATE_CAP, State, SuccessorGenerator, Task,
                    TransitionSystem, build_transition_system)
 from .tnf import is_tnf
@@ -81,40 +80,29 @@ def build_general_lp(task: Task, fs: FeatureSet,
     """Assemble the compact model (no objective set yet).
 
     Row order is deterministic: the goal row, then per operator its cost row
-    followed by its elimination rows in equation order.  Orderings default to
-    min-fill on each context-dependency graph, which at width 0 eliminates
-    the context variables by increasing id.
+    (the elimination result) followed by its elimination rows in equation
+    order.  Orderings default to min-fill on each context-dependency graph,
+    which at width 0 eliminates the context variables by increasing id.
     """
     _require_tnf(task)
     model = LpModel()
     weight_vars = _add_weights(model, fs)
     model.add_row(state_objective(fs, weight_vars, _goal_state(task)), "<=", 0.0, "goal")
+    vertices = tuple(v.id for v in task.variables)
     for op_index, op in enumerate(task.operators):
-        partition = classify_features(fs, op)
-        cost: dict[str, float] = {}
-        for i in partition.context_independent:
-            change = delta_independent(op, fs.features[i])
-            if change:
-                cost[weight_vars[i]] = float(change)
+        psi = scoped_functions_for_operator(task, fs, op_index, weight_vars)
         order = orderings.get(op_index) if orderings else None
-        rows, bound = [], ZERO
-        if order is not None or partition.context_dependent:
-            graph = context_dependency_graph(task, fs, op_index, partition)
+        if order is not None or any(fn.scope for fn in psi.functions):
+            graph = DependencyGraph(vertices, dependency_graph(psi).edges)
             if order is None:
                 order = min_fill_order(graph)
             induced_width(graph, list(order))  # raises unless every variable is listed once
-        if partition.context_dependent:
-            psi = scoped_functions_for_operator(task, fs, op_index, weight_vars, partition)
-            pieces = to_lp_constraints(bucket_eliminate(psi, list(order),
-                                                        prefix=f"z_o{op_index}"))
-            rows, bound = pieces.rows, pieces.result
-            for name in pieces.aux_unknowns:
-                model.add_unknown(name)
-            for name, coef in bound.terms:
-                cost[name] = cost.get(name, 0.0) + coef
-        model.add_row(LinearExpression.build(bound.constant, cost), "<=",
-                      float(op.cost), f"op{op_index}")
-        for row in rows:
+        pieces = to_lp_constraints(bucket_eliminate(psi, list(order or ()),
+                                                    prefix=f"z_o{op_index}"))
+        for name in pieces.aux_unknowns:
+            model.add_unknown(name)
+        model.add_row(pieces.result, "<=", float(op.cost), f"op{op_index}")
+        for row in pieces.rows:
             model.add_row(row.expression, row.relation, row.rhs, row.name)
     return PotentialLp(model, weight_vars)
 

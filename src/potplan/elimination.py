@@ -1,6 +1,10 @@
 """Symbolic bucket elimination over linear expressions, and the
 context-dependency graphs and scoped functions of an operator that it runs on.
 
+An operator's change in potential sums one function per feature touching it,
+over the feature's variables outside the operator; a context-independent
+feature's function has the empty scope, a constant of the final sum.
+
 The eliminator turns a set of scoped functions (tables mapping partial
 assignments to linear expressions) into a system of max-equations over fresh
 auxiliary unknowns; relaxing each equation to one-sided `aux >= candidate`
@@ -17,8 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .features import (Feature, FeatureSet, OperatorPartition, classify_features,
-                       delta_independent)
+from .features import FeatureSet, _require_tnf_operator
 from .lp import ZERO, LinearExpression, Row, evaluate
 from .task import Task
 
@@ -49,12 +52,6 @@ class ScopedFunctionSet:
 
     domains: dict[int, int]  # variable id -> domain size
     functions: list[ScopedFunction] = field(default_factory=list)
-
-    def scope_variables(self) -> set[int]:
-        out: set[int] = set()
-        for fn in self.functions:
-            out.update(fn.scope)
-        return out
 
 
 @dataclass
@@ -106,52 +103,52 @@ class DependencyGraph:
         return adj
 
 
-def scoped_functions_for_operator(task: Task, fs: FeatureSet, op_index: int,
-                                  weight_vars: dict[int, str],
-                                  partition: OperatorPartition | None = None
-                                  ) -> ScopedFunctionSet:
-    """One function per context-dependent feature: its scope is the feature's
-    variables outside the operator, and the single nonzero entry (if any) is
-    the feature's weight unknown (named by `weight_vars`, feature index ->
-    name) scaled by the inside-fact delta.  `partition` is the operator's
-    feature classification, computed here when not given."""
+def _split(task: Task, fs: FeatureSet, op_index: int):
+    """(feature index, variables outside the operator, their values, change)
+    of every feature sharing a variable with the operator, in feature order.
+    The change is that of the facts inside the operator, [inside <= pre] -
+    [inside <= eff]; a context-independent feature has no outside variables."""
     op = task.operators[op_index]
-    if partition is None:
-        partition = classify_features(fs, op)
-    op_vars = set(op.eff)
-    outside_vars = [v.id for v in task.variables if v.id not in op_vars]
-    domains = {v: task.variables[v].domain_size for v in outside_vars}
+    _require_tnf_operator(op)
+    pre, eff, features = op.pre, op.eff, fs.features
+    for i in fs.touching(eff):
+        scope, values = [], []
+        in_pre = in_eff = True
+        for var, val in features[i].facts:
+            if var in eff:
+                in_pre = in_pre and pre[var] == val
+                in_eff = in_eff and eff[var] == val
+            else:
+                scope.append(var)
+                values.append(val)
+        yield i, tuple(scope), tuple(values), in_pre - in_eff
+
+
+def scoped_functions_for_operator(task: Task, fs: FeatureSet, op_index: int,
+                                  weight_vars: dict[int, str]) -> ScopedFunctionSet:
+    """One function per feature sharing a variable with the operator: its
+    scope is the feature's variables outside the operator (empty for a
+    context-independent feature, so elimination adds it to the final sum),
+    and the single nonzero entry (if any) is the feature's weight unknown
+    (named by `weight_vars`, feature index -> name) scaled by the change of
+    the facts inside the operator."""
+    op_vars = task.operators[op_index].eff
+    domains = {v.id: v.domain_size for v in task.variables if v.id not in op_vars}
     functions = []
-    for i in partition.context_dependent:
-        f = fs.features[i]
-        inside = tuple(fact for fact in f.facts if fact[0] in op_vars)
-        outside = tuple(fact for fact in f.facts if fact[0] not in op_vars)
-        scope = tuple(var for var, _ in outside)
-        change = delta_independent(op, Feature(inside))
+    for i, scope, values, change in _split(task, fs, op_index):
         table = {}
         if change:
-            key = tuple(val for _, val in outside)
-            table[key] = LinearExpression.term(weight_vars[i], float(change))
+            table[values] = LinearExpression(0.0, ((weight_vars[i], float(change)),))
         functions.append(ScopedFunction(scope, table))
     return ScopedFunctionSet(domains, functions)
 
 
-def context_dependency_graph(task: Task, fs: FeatureSet, op_index: int,
-                             partition: OperatorPartition | None = None
-                             ) -> DependencyGraph:
+def context_dependency_graph(task: Task, fs: FeatureSet, op_index: int) -> DependencyGraph:
     """Vertices are all task variables; an edge joins two non-operator
-    variables that co-occur outside the operator in some feature touching it.
-    Only context-dependent features have variables both in and outside the
-    operator, so only they are scanned; `partition` is the operator's
-    feature classification, computed here when not given."""
-    op = task.operators[op_index]
-    if partition is None:
-        partition = classify_features(fs, op)
-    op_vars = set(op.eff)
+    variables that co-occur outside the operator in some feature touching it."""
     edges = set()
-    for i in partition.context_dependent:
-        outside = [var for var in fs.features[i].variables if var not in op_vars]
-        edges.update(itertools.combinations(outside, 2))
+    for _, scope, _, _ in _split(task, fs, op_index):
+        edges.update(itertools.combinations(scope, 2))
     return DependencyGraph(tuple(v.id for v in task.variables), frozenset(edges))
 
 

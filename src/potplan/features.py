@@ -9,6 +9,7 @@ touched by the operator), and context-dependent (some in, some out).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -63,6 +64,10 @@ class FeatureSet:
         if len(set(self.features)) != len(self.features):
             raise FeatureError("duplicate features")
         self._index = {f: i for i, f in enumerate(self.features)}
+        self._by_variable = defaultdict(list)  # variable -> feature indices
+        for i, f in enumerate(self.features):
+            for var, _ in f.facts:
+                self._by_variable[var].append(i)
 
     def __len__(self) -> int:
         return len(self.features)
@@ -72,6 +77,11 @@ class FeatureSet:
 
     def index_of(self, feature: Feature) -> int:
         return self._index[feature]
+
+    def touching(self, variables) -> list[int]:
+        """Indices of the features that mention one of the variables, in
+        increasing order."""
+        return sorted(set().union(*(self._by_variable.get(var, ()) for var in variables)))
 
     @property
     def dimension(self) -> int:
@@ -133,7 +143,7 @@ def evaluate_potential(fs: FeatureSet, w: WeightFunction, state: State) -> float
 
 
 def _require_tnf_operator(op: Operator) -> frozenset[int]:
-    if set(op.pre) != set(op.eff):
+    if op.pre.keys() != op.eff.keys():
         raise FeatureError(f"operator {op.name} is not in transition normal form")
     return frozenset(op.eff)
 

@@ -245,8 +245,17 @@ def build_transition_system(task: Task, state_cap: int = DEFAULT_STATE_CAP) -> T
     doms = task.domain_sizes
     states = tuple(iter_states(doms))
     successors = SuccessorGenerator(task)
-    transitions = [(si, oi, state_index(t, doms))
-                   for si, s in enumerate(states) for oi, t, _ in successors(s)]
+    # successor index = source index + sum of (eff - value) * stride over the effects
+    strides = [math.prod(doms[var + 1:]) for var in range(len(doms))]
+    shifts = [tuple((var, val, strides[var]) for var, val in op.eff.items())
+              for op in task.operators]
+    transitions = []
+    for si, s in enumerate(states):
+        for oi, _, _ in successors(s):
+            ti = si
+            for var, val, stride in shifts[oi]:
+                ti += (val - s[var]) * stride
+            transitions.append((si, oi, ti))
     goals = frozenset(si for si, s in enumerate(states) if task.is_goal_state(s))
     return TransitionSystem(
         states=states,

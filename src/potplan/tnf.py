@@ -73,10 +73,3 @@ def to_tnf(task: Task) -> tuple[Task, TnfCertificate]:
 
     result = Task(variables, operators, task.initial_state, goal)
     return result, TnfCertificate(fresh, added)
-
-
-def ensure_tnf(task: Task) -> Task:
-    """Return the task itself when already normalized, else its TNF transform."""
-    if is_tnf(task):
-        return task
-    return to_tnf(task)[0]

@@ -1,12 +1,15 @@
 """Row-by-row constructions of the projection, TCP, OCP, exhaustive and
-dimension-2 potential LPs, and the operator-scan transition system and A*.
+dimension-2 potential LPs, the classified construction of the potential LP
+of any dimension, and the operator-scan transition system and A*.
 
 These build every row as a LinearExpression, one transition or operator at a
 time, and serve as the reference that the builders in potplan must reproduce
 exactly: same columns, same rows, same order.  The dimension-2 reference is
 the binary model written out directly (goal row; per operator a cost row and
 one bound unknown per context variable with a row per value), which the
-bucket-elimination assembler has to match on edgeless context graphs.  The
+bucket-elimination assembler has to match on edgeless context graphs; at
+higher dimension it has to match the construction that splits each
+operator's features with `classify_features` and `delta_independent`.  The
 search references test every operator in every state with `is_applicable`
 and `successor`; the indexed successor generator has to reproduce them.
 """
@@ -16,6 +19,8 @@ import itertools
 import math
 
 from potplan.direct2d import WEIGHT_LOWER, WEIGHT_UPPER, weight_var_name
+from potplan.elimination import (DependencyGraph, ScopedFunction, ScopedFunctionSet,
+                                 bucket_eliminate, min_fill_order, to_lp_constraints)
 from potplan.features import Feature, classify_features, delta_independent
 from potplan.lp import LinearExpression, LpModel
 from potplan.search import NoPlanError, SearchResult, tiebreak_key
@@ -185,6 +190,57 @@ def reference_direct2d_model(task, fs):
             model.add_unknown(name)
         for row in [main] + z_rows:
             model.add_row(*row)
+    return model
+
+
+def reference_general_model(task, fs, orderings=None):
+    """The compact model of any dimension as the classified construction
+    writes it: per operator, the cost row holds the context-independent
+    changes (`delta_independent`), and bucket elimination runs only over
+    the scoped functions of the context-dependent features, its result
+    merged into the cost row."""
+    model = LpModel()
+    weight_vars = _reference_weights(model, fs)
+    _reference_goal_row(model, task, fs, weight_vars)
+    for op_index, op in enumerate(task.operators):
+        partition = classify_features(fs, op)
+        op_vars = set(op.eff)
+        cost = {}
+        for i in partition.context_independent:
+            change = delta_independent(op, fs.features[i])
+            if change:
+                cost[weight_vars[i]] = float(change)
+        constant, rows = 0.0, []
+        if partition.context_dependent:
+            functions, edges = [], set()
+            for i in partition.context_dependent:
+                f = fs.features[i]
+                inside = tuple(fact for fact in f.facts if fact[0] in op_vars)
+                outside = tuple(fact for fact in f.facts if fact[0] not in op_vars)
+                scope = tuple(var for var, _ in outside)
+                edges.update(itertools.combinations(scope, 2))
+                change = delta_independent(op, Feature(inside))
+                table = {}
+                if change:
+                    table[tuple(val for _, val in outside)] = \
+                        LinearExpression.term(weight_vars[i], float(change))
+                functions.append(ScopedFunction(scope, table))
+            domains = {v.id: v.domain_size for v in task.variables if v.id not in op_vars}
+            order = orderings.get(op_index) if orderings else None
+            if order is None:
+                order = min_fill_order(DependencyGraph(
+                    tuple(v.id for v in task.variables), frozenset(edges)))
+            pieces = to_lp_constraints(bucket_eliminate(
+                ScopedFunctionSet(domains, functions), list(order), prefix=f"z_o{op_index}"))
+            for name in pieces.aux_unknowns:
+                model.add_unknown(name)
+            for name, coef in pieces.result.terms:
+                cost[name] = cost.get(name, 0.0) + coef
+            constant, rows = pieces.result.constant, pieces.rows
+        model.add_row(LinearExpression.build(constant, cost), "<=", float(op.cost),
+                      f"op{op_index}")
+        for row in rows:
+            model.add_row(row.expression, row.relation, row.rhs, row.name)
     return model
 
 

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 
@@ -11,7 +12,7 @@ from potplan.elimination import (AuxEquation, DependencyGraph, EquationSystem,
                                  context_dependency_graph, dependency_graph,
                                  induced_width, min_fill_order,
                                  scoped_functions_for_operator, to_lp_constraints)
-from potplan.features import Feature, FeatureSet, generate_features
+from potplan.features import Feature, FeatureSet, delta_independent, generate_features
 from potplan.generator import random_features, random_scoped_set, random_task
 from potplan.lp import LinearExpression, LpModel, evaluate, solve
 from potplan.reduction import complete_graph, reduce_3col
@@ -30,8 +31,9 @@ def test_scoped_functions_toy1(toy1):
     fs = generate_features(toy1, 2)
     psi = scoped_functions_for_operator(toy1, fs, 0, weight_names(fs))
     assert psi.domains == {1: 2}
+    dependent = [fn for fn in psi.functions if fn.scope]
     by_key = {}
-    for fn in psi.functions:
+    for fn in dependent:
         assert fn.scope == (1,)
         for key, expr in fn.table.items():
             by_key[(key, tuple(expr.terms))] = expr
@@ -41,13 +43,24 @@ def test_scoped_functions_toy1(toy1):
     assert ((0,), tuple(plus.terms)) in by_key
     assert ((1,), tuple(minus.terms)) in by_key
     assert by_key[((1,), tuple(minus.terms))] == minus
-    assert len(psi.functions) == 4  # one per context feature
+    assert len(dependent) == 4  # one per context feature
+    # X=0 and X=1 change by a constant: functions of the empty scope
+    independent = [fn.table for fn in psi.functions if not fn.scope]
+    assert independent == [{(): LinearExpression.term("w_v0.0")},
+                           {(): -1 * LinearExpression.term("w_v0.1")}]
 
 
-def test_scoped_functions_exclude_independent(toy1):
+def test_scoped_functions_independent_have_empty_scope(toy1):
     fs = generate_features(toy1, 1)
+    op = toy1.operators[0]
     psi = scoped_functions_for_operator(toy1, fs, 0, weight_names(fs))
-    assert psi.functions == []
+    expected = [i for i, f in enumerate(fs.features) if set(f.variables) <= set(op.eff)]
+    assert len(psi.functions) == len(expected) == 2
+    for i, fn in zip(expected, psi.functions):
+        assert fn.scope == ()
+        change = delta_independent(op, fs.features[i])
+        assert fn.value({}) == LinearExpression.term(weight_var_name(fs.features[i]),
+                                                     change)
 
 
 def test_context_graph_dim2_is_edge_free(toy1):
@@ -333,26 +346,31 @@ def test_k4_reduction_weights_satisfy_consistency_rows():
             assert lhs >= row.rhs - 1e-9, row.name
 
 
-def test_general_lp_classifies_each_operator_once(monkeypatch):
+def test_general_lp_splits_without_classifying(monkeypatch):
     import potplan.direct2d as direct2d
-    import potplan.elimination as elimination
     task = random_task(4, 3, 6, 0)
     fs = random_features(task, 10, 3, 0)
-    calls = []
-    original = elimination.classify_features
-    for module in (direct2d, elimination):
-        monkeypatch.setattr(module, "classify_features",
-                            lambda fs, op: calls.append(op) or original(fs, op))
-    graphs = {}
-    build_graph = direct2d.context_dependency_graph
-    monkeypatch.setattr(direct2d, "context_dependency_graph",
-                        lambda task, fs, op_index, partition:
-                        graphs.setdefault(op_index, build_graph(task, fs, op_index,
-                                                                partition)))
-    build_general_lp(task, fs)
-    assert calls == task.operators
-    # the partition passed in gives the same graph as classifying afresh
+
+    def refuse(*args):
+        raise AssertionError("the assembler classified a feature")
+
+    for name, module in list(sys.modules.items()):
+        if name == "potplan" or name.startswith("potplan."):
+            for attr in ("classify_features", "delta_independent"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    graphs = []
+    width = direct2d.induced_width
+    monkeypatch.setattr(direct2d, "induced_width",
+                        lambda graph, order: graphs.append(graph) or width(graph, order))
+    built = build_general_lp(task, fs)
     monkeypatch.undo()
-    assert graphs
-    for op_index, graph in graphs.items():
-        assert graph == context_dependency_graph(task, fs, op_index)
+    # every operator is touched by a context-dependent feature here, so each
+    # has its graph built, and it is the operator's context-dependency graph
+    assert graphs == [context_dependency_graph(task, fs, op_index)
+                      for op_index in range(len(task.operators))]
+    # one function per feature sharing a variable with the operator, no more
+    for op_index, op in enumerate(task.operators):
+        psi = scoped_functions_for_operator(task, fs, op_index, built.weight_vars)
+        assert len(psi.functions) == sum(1 for f in fs.features
+                                         if set(f.variables) & set(op.eff))

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from potplan.features import (Feature, FeatureError, FeatureSet, WeightFunction,
@@ -111,6 +113,22 @@ def test_partition_is_complete(seed):
         part = classify_features(fs, op)
         indices = part.irrelevant + part.context_independent + part.context_dependent
         assert sorted(indices) == list(range(len(fs)))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_touching_matches_feature_scan(seed):
+    task = random_task(4, 3, 5, seed, solvable=False)
+    fs = random_features(task, 12, 3, seed)
+    n = len(task.variables)
+    for size in range(n + 1):
+        for variables in itertools.combinations(range(n), size):
+            expected = [i for i, f in enumerate(fs.features)
+                        if set(f.variables) & set(variables)]
+            assert fs.touching(variables) == expected
+    for op in task.operators:
+        part = classify_features(fs, op)
+        assert fs.touching(op.eff) == sorted(part.context_independent +
+                                             part.context_dependent)
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -1,6 +1,6 @@
 """The array-assembled projection, TCP, OCP and exhaustive builders, and the
-bucket-elimination assembler at dimension <= 2, produce exactly the models of
-their row-by-row references: export_lp of both is byte-identical and the
+bucket-elimination assembler at any dimension, produce exactly the models of
+their references: export_lp of both is byte-identical and the
 stored matrices are equal, so HiGHS sees the same columns, rows and
 coefficients."""
 
@@ -9,15 +9,17 @@ import pytest
 
 from potplan.costpart import all_patterns, build_ocp_lp, build_tcp_lp, project
 from potplan.direct2d import build_direct2d_lp, build_exhaustive_lp, build_general_lp
+from potplan.elimination import context_dependency_graph, min_fill_order
 from potplan.features import FeatureSet, generate_features
 from potplan.generator import random_features, random_task
 from potplan.lp import export_lp
+from potplan.reduction import complete_graph, reduce_3col
 from potplan.task import Operator, Task, build_transition_system
 
 from conftest import make_toy1
 from reference_builders import (reference_direct2d_model, reference_exhaustive_model,
-                                reference_ocp_model, reference_projection,
-                                reference_tcp_model)
+                                reference_general_model, reference_ocp_model,
+                                reference_projection, reference_tcp_model)
 
 
 def toy1_with_self_loop() -> Task:
@@ -124,3 +126,49 @@ def test_potential_instances_cover_no_op_operators():
     with_no_ops = [name for name, make in POTENTIAL_TASKS.items()
                    if any(op.pre == op.eff for op in make().operators)]
     assert len(with_no_ops) > len(POTENTIAL_TASKS) // 2
+
+
+def k4_reduction():
+    red = reduce_3col(complete_graph(4))
+    return red.task, red.features
+
+
+def random_dimension3(seed):
+    task = random_task(4, 3, 6, seed)
+    return task, random_features(task, 10, 3, seed)
+
+
+GENERAL_CASES = {"k4_reduction": k4_reduction}
+GENERAL_CASES.update({f"random{seed}": (lambda seed=seed: random_dimension3(seed))
+                      for seed in range(12)})
+
+
+def reversed_min_fill_orders(task, fs):
+    return {op_index: min_fill_order(context_dependency_graph(task, fs, op_index))[::-1]
+            for op_index in range(len(task.operators))}
+
+
+@pytest.mark.parametrize("name", sorted(GENERAL_CASES))
+def test_general_model_matches_reference(name):
+    """At dimension 3, where context-dependency graphs have edges; with
+    min-fill orders and with each of them reversed."""
+    task, fs = GENERAL_CASES[name]()
+    assert_same_model(build_general_lp(task, fs).model, reference_general_model(task, fs))
+    orders = reversed_min_fill_orders(task, fs)
+    assert_same_model(build_general_lp(task, fs, orders).model,
+                      reference_general_model(task, fs, orders))
+
+
+def test_general_instances_cover_context_edges():
+    """The suite above reaches operators whose context-dependency graph has
+    edges, where reversing the order changes the model."""
+    with_edges = changed = 0
+    for make in GENERAL_CASES.values():
+        task, fs = make()
+        assert fs.dimension == 3
+        with_edges += any(context_dependency_graph(task, fs, k).edges
+                          for k in range(len(task.operators)))
+        orders = reversed_min_fill_orders(task, fs)
+        changed += export_lp(build_general_lp(task, fs).model) != \
+            export_lp(build_general_lp(task, fs, orders).model)
+    assert with_edges > len(GENERAL_CASES) // 2 and changed > len(GENERAL_CASES) // 2

@@ -1,0 +1,194 @@
+"""Check that two source trees of potplan give the same output.
+
+    python tools/same_output.py BEFORE_TREE AFTER_TREE [TASK.sas ...]
+
+Runs one fixed list of `potplan.cli.main` calls in process under each tree
+(one subprocess per tree, importing `potplan` from TREE/src) and compares,
+call by call, stdout, the exit code and a digest of every `linprog` input:
+c, bounds, b_ub/b_eq, and A_ub/A_eq in canonical CSC form (duplicates
+summed, indices sorted, stored zeros kept), which is what scipy hands HiGHS.
+
+The inputs are written once, with BEFORE_TREE, into a temporary directory:
+`gen --seed 0..11` (whose printed tasks are compared too), and
+`random_task(4, 3, 6, seed)` with `random_features(task, 10, dim, seed)` for
+seeds 0..5 and dimensions 1-3 as feature files, plus two `--order` files (one
+valid, one missing a variable).  Each extra TASK.sas is run through the
+potential-LP calls as well; a TASK.features file beside it adds the bucket
+calls over those features.  Exit code 0 when every call matches, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+import scipy.sparse
+
+GEN_SEEDS = range(12)
+RANDOM_SEEDS = range(6)
+
+
+def _import_potplan(tree: str):
+    sys.path.insert(0, os.path.join(os.path.abspath(tree), "src"))
+    import potplan.cli
+    if not os.path.abspath(potplan.cli.__file__).startswith(os.path.abspath(tree)):
+        raise SystemExit(f"potplan imported from {potplan.cli.__file__}, not {tree}")
+    return potplan
+
+
+def _write(path: str, text: str) -> str:
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)
+    return path
+
+
+def _task_calls(sas: str, features: str | None) -> list[list[str]]:
+    calls = [["solve", sas], ["solve", "--method", "bucket", sas], ["lp", sas],
+             ["width", sas]]
+    if features:
+        dim3 = ["--dim", "3", "--features", features, sas]
+        calls += [["solve", "--method", "bucket", *dim3], ["lp", "--method", "bucket", *dim3],
+                  ["width", "--features", features, "--format", "json", sas]]
+    return calls
+
+
+def prepare(tree: str, workdir: str, extra: list[str]) -> None:
+    """Write the inputs and `calls.json`, the list of argument vectors."""
+    potplan = _import_potplan(tree)
+    from potplan.elimination import context_dependency_graph, min_fill_order
+    from potplan.features import format_feature
+    from potplan.generator import random_features, random_task
+    from potplan.task import serialize_sas
+    os.chdir(workdir)
+    calls = []
+    for seed in GEN_SEEDS:
+        sas = f"gen{seed}.sas"
+        with contextlib.redirect_stdout(io.StringIO()):
+            potplan.cli.main(["gen", "--seed", str(seed), "-o", sas])
+        calls.append(["gen", "--seed", str(seed)])
+        calls += [["search", sas, "--heuristic", h] for h in ("pot1", "pot2")]
+        calls.append(["compare", sas, "--state", "random:2", "--format", "json"])
+        calls += [["solve", "--method", m, "--dim", d, sas]
+                  for m in ("direct2d", "bucket") for d in ("1", "2")]
+        calls += [["lp", sas], ["width", sas]]
+    for seed in RANDOM_SEEDS:
+        task = random_task(4, 3, 6, seed)
+        sas = _write(f"random{seed}.sas", serialize_sas(task))
+        for dim in (1, 2, 3):
+            fs = random_features(task, 10, dim, seed)
+            features = _write(f"random{seed}_dim{dim}.features",
+                              "".join(format_feature(task, f) + "\n" for f in fs))
+            methods = ("direct2d", "bucket") if dim <= 2 else ("bucket",)
+            for method in methods:
+                base = ["--method", method, "--features", features, sas]
+                calls += [["solve", *base], ["lp", *base],
+                          ["solve", "--objective", "samples:5", *base]]
+            calls.append(["width", "--features", features, "--format", "json", sas])
+            if seed == 0 and dim == 3:
+                names = [v.name for v in task.variables]
+                orders = {op.name: [names[v] for v in
+                                    min_fill_order(context_dependency_graph(task, fs, k))[::-1]]
+                          for k, op in enumerate(task.operators)}
+                bad = {task.operators[0].name: names[:1]}
+                for name, order in (("order.json", orders), ("bad_order.json", bad)):
+                    _write(name, json.dumps(order))
+                    base = ["--method", "bucket", "--features", features, "--order", name, sas]
+                    calls += [["solve", *base], ["lp", *base]]
+    for sas in extra:
+        features = os.path.splitext(sas)[0] + ".features"
+        calls += _task_calls(sas, features if os.path.exists(features) else None)
+    _write("calls.json", json.dumps(calls))
+
+
+def _digest(args: tuple, kwargs: dict) -> str:
+    inputs = dict(kwargs, c=args[0] if args else kwargs["c"])
+    h = hashlib.sha256()
+    for key in sorted(inputs):
+        value = inputs[key]
+        if scipy.sparse.issparse(value):
+            matrix = scipy.sparse.csc_matrix(value, copy=True)
+            matrix.sum_duplicates()
+            matrix.sort_indices()
+            parts = [np.array(matrix.shape), matrix.indptr, matrix.indices, matrix.data]
+        elif key == "bounds":
+            parts = [np.array([[-np.inf if lo is None else lo, np.inf if hi is None else hi]
+                               for lo, hi in value], dtype=float)]
+        elif value is None or isinstance(value, str):
+            parts = [np.frombuffer(repr(value).encode(), dtype=np.uint8)]
+        else:
+            parts = [np.asarray(value, dtype=float)]
+        h.update(key.encode())
+        for part in parts:
+            h.update(repr(part.shape).encode())
+            h.update(np.ascontiguousarray(part).tobytes())
+    return h.hexdigest()
+
+
+def run(tree: str, workdir: str) -> None:
+    """Print one JSON record per call: stdout digest, exit code, linprog digests."""
+    potplan = _import_potplan(tree)
+    os.chdir(workdir)
+    with open("calls.json", encoding="utf-8") as f:
+        calls = json.load(f)
+    digests: list[str] = []
+    linprog = potplan.lp.linprog
+
+    def recording(*args, **kwargs):
+        digests.append(_digest(args, kwargs))
+        return linprog(*args, **kwargs)
+
+    potplan.lp.linprog = recording
+    records = []
+    for argv in calls:
+        digests.clear()
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = potplan.cli.main(argv)
+            except SystemExit as e:
+                code = e.code
+        records.append({"stdout": hashlib.sha256(out.getvalue().encode()).hexdigest(),
+                        "exit": code, "linprog": list(digests)})
+    json.dump(records, sys.stdout)
+
+
+def _worker(mode: str, tree: str, workdir: str, extra: list[str]) -> str:
+    argv = [sys.executable, os.path.abspath(__file__), "--worker", mode, tree, workdir, *extra]
+    return subprocess.run(argv, check=True, stdout=subprocess.PIPE, text=True).stdout
+
+
+def main(argv: list[str]) -> int:
+    if argv[:1] == ["--worker"]:
+        mode, tree, workdir, *extra = argv[1:]
+        if mode == "prepare":
+            prepare(tree, workdir, extra)
+        else:
+            run(tree, workdir)
+        return 0
+    if len(argv) < 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    before, after, *extra = argv
+    with tempfile.TemporaryDirectory() as workdir:
+        _worker("prepare", before, workdir, [os.path.abspath(p) for p in extra])
+        with open(os.path.join(workdir, "calls.json"), encoding="utf-8") as f:
+            calls = json.load(f)
+        results = [json.loads(_worker("run", tree, workdir, [])) for tree in (before, after)]
+    differ = [(argv, a, b) for argv, a, b in zip(calls, *results) if a != b]
+    for argv, a, b in differ:
+        fields = ", ".join(key for key in a if a[key] != b[key])
+        print(f"differs in {fields}: {' '.join(argv)}")
+    print(f"{len(calls)} calls, {sum(len(r['linprog']) for r in results[0])} linprog inputs: "
+          + ("identical" if not differ else f"{len(differ)} differ"))
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
