@@ -6,8 +6,7 @@ from .task import (Task, Variable, Operator, TransitionSystem, State,
                    build_transition_system, exact_goal_distances)
 from .tnf import is_tnf, to_tnf
 from .features import (Feature, FeatureSet, WeightFunction, generate_features,
-                       evaluate_potential, classify_features, delta,
-                       delta_independent)
+                       evaluate_potential)
 from .lp import LinearExpression, LpModel, LpSolution, evaluate, solve, export_lp, parse_lp
 from .direct2d import (PotentialLp, build_general_lp, build_direct2d_lp,
                        build_exhaustive_lp, solve_for_state, solve_general_for_state,

@@ -64,18 +64,15 @@ def _feature_set(task: Task, dim: int, features_path: str | None):
     return features.generate_features(task, dim)
 
 
-def _parse_objective(spec: str) -> tuple[str, int]:
-    if spec == "init":
-        return "init", 0
-    if spec.startswith("samples:"):
-        try:
-            n = int(spec.split(":", 1)[1])
-        except ValueError:
-            raise CliUsageError(f"bad objective '{spec}'") from None
-        if n < 1:
-            raise CliUsageError("samples objective needs a positive count")
-        return "samples", n
-    raise CliUsageError(f"unknown objective '{spec}' (use init or samples:N)")
+def _count(spec: str) -> int:
+    """N of a `kind:N` spec, which must be a positive integer."""
+    try:
+        n = int(spec.split(":", 1)[1])
+    except ValueError:
+        raise CliUsageError(f"bad count in '{spec}'") from None
+    if n < 1:
+        raise CliUsageError(f"'{spec}' needs a positive count")
+    return n
 
 
 def _parse_orderings(task: Task, path: str) -> dict[int, list[int]]:
@@ -106,13 +103,13 @@ def _build_model(task: Task, fs, args) -> tuple[lp.LpModel, dict[int, str]]:
     else:  # exhaustive
         built = direct2d.build_exhaustive_lp(task, fs, state_cap=args.state_cap)
     model, weight_vars = built.model, built.weight_vars
-    kind, count = _parse_objective(args.objective)
-    if kind == "init":
-        model.set_objective("max", direct2d.state_objective(fs, weight_vars,
-                                                            task.initial_state))
+    if args.objective == "init":
+        states = [task.initial_state]
+    elif args.objective.startswith("samples:"):
+        states = direct2d.sample_states(task, _count(args.objective), args.seed)
     else:
-        model.set_objective("max", direct2d.samples_objective(task, fs, weight_vars,
-                                                              count, args.seed))
+        raise CliUsageError(f"unknown objective '{args.objective}' (use init or samples:N)")
+    model.set_objective("max", direct2d.state_objective(fs, weight_vars, *states))
     return model, weight_vars
 
 
@@ -231,7 +228,7 @@ def _compare_states(task: Task, ts, args):
     if args.state == "init":
         return [("init", task.initial_state)]
     if args.state.startswith("random:"):
-        count = int(args.state.split(":", 1)[1])
+        count = _count(args.state)
         finite = [i for i, d in enumerate(exact_goal_distances(ts))
                   if d < math.inf]
         rng = random.Random(args.seed)

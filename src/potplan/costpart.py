@@ -15,7 +15,8 @@ import numpy as np
 
 from .features import Feature, FeatureSet, WeightFunction
 from .lp import FEASIBILITY_TOL, LinearExpression, LpModel, LpSolution
-from .task import State, TransitionSystem, _bellman_ford_to_goal, _dijkstra_to_goal
+from .task import (State, TransitionSystem, goal_distances, iter_states, state_index,
+                   strides)
 
 
 class AbstractionError(ValueError):
@@ -41,30 +42,21 @@ class Projection:
     state_map: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def map_state(self, state: State) -> int:
-        index = 0
-        for var, dom in zip(self.pattern, self.domain_sizes):
-            index = index * dom + state[var]
-        return index
+        return state_index(tuple(state[var] for var in self.pattern), self.domain_sizes)
 
     def goal_distances(self, costs: list[float]) -> list[float]:
         """Abstract goal distances under signed per-concrete-transition costs."""
-        n = len(self.abstract_states)
-        if all(c >= 0 for c in costs):
-            return _dijkstra_to_goal(n, self.abstract_transitions, {self.goal}, costs)
-        return _bellman_ford_to_goal(n, self.abstract_transitions, {self.goal}, costs)
+        return goal_distances(len(self.abstract_states), self.abstract_transitions,
+                              {self.goal}, costs)
 
 
 def project(ts: TransitionSystem, pattern) -> Projection:
     """Project the explicit system onto a (possibly empty) variable pattern."""
     pattern = tuple(sorted(pattern))
     doms = tuple(ts.domain_sizes[v] for v in pattern)
-    abstract_states = tuple(itertools.product(*(range(d) for d in doms)))
-    # Mixed-radix index over the pattern, last variable least significant,
-    # as in Projection.map_state.
-    states = ts.state_array()
-    state_map = np.zeros(len(ts.states), dtype=np.int64)
-    for var, dom in zip(pattern, doms):
-        state_map = state_map * dom + states[:, var]
+    abstract_states = tuple(iter_states(doms))
+    # the index of each concrete state's restriction, as in Projection.map_state
+    state_map = ts.state_array()[:, list(pattern)] @ np.array(strides(doms), dtype=np.int64)
     amap = state_map.tolist()
     transitions = [(amap[src], op, amap[dst]) for src, op, dst in ts.transitions]
     goals = {amap[g] for g in ts.goals}
@@ -83,22 +75,18 @@ def _h_name(abstraction: int, abstract_state: int) -> str:
 class CostPartitioningLp:
     model: LpModel
     projections: list[Projection]
-    cost_vars: dict[tuple[int, int], str]  # (abstraction, transition or operator) -> name
+    # column of the cost unknown of (transition or operator, abstraction)
+    cost_columns: np.ndarray
     per_transition: bool
 
     def extract_cost_functions(self, ts: TransitionSystem,
                                solution: LpSolution) -> list[list[float]]:
         """Per abstraction, one cost per concrete transition."""
-        values = solution.values
-        out = []
-        for ai in range(len(self.projections)):
-            if self.per_transition:
-                out.append([values[self.cost_vars[(ai, ti)]]
-                            for ti in range(len(ts.transitions))])
-            else:
-                out.append([values[self.cost_vars[(ai, op)]]
-                            for _, op, _ in ts.transitions])
-        return out
+        columns = self.cost_columns
+        if not self.per_transition:
+            columns = columns[ts.transition_array()[:, 1]]
+        x = np.array([solution.values[name] for name, _, _ in self.model.unknowns])
+        return x[columns].T.tolist()
 
 
 def _add_h_unknowns(model: LpModel, projections: list[Projection]) -> list[int]:
@@ -159,10 +147,9 @@ def build_tcp_lp(ts: TransitionSystem, patterns, state: State) -> CostPartitioni
     model = LpModel()
     offsets = _add_h_unknowns(model, projections)
     first_cost = len(model.unknowns)
-    cost_vars: dict[tuple[int, int], str] = {}
     for ai in range(len(projections)):
         for ti in range(n_transitions):
-            cost_vars[(ai, ti)] = model.add_unknown(f"c_a{ai}_t{ti}")
+            model.add_unknown(f"c_a{ai}_t{ti}")
     # cost column of (abstraction ai, transition ti), one row per transition
     cost_columns = (first_cost + np.arange(len(projections)) * n_transitions
                     + np.arange(n_transitions)[:, None])
@@ -177,7 +164,7 @@ def build_tcp_lp(ts: TransitionSystem, patterns, state: State) -> CostPartitioni
     _add_partition_rows(model, cost_columns, costs[table[:, 1]],
                         [f"part_t{ti}" for ti in range(n_transitions)])
     _set_state_objective(model, projections, state)
-    return CostPartitioningLp(model, projections, cost_vars, per_transition=True)
+    return CostPartitioningLp(model, projections, cost_columns, per_transition=True)
 
 
 def build_ocp_lp(ts: TransitionSystem, patterns, state: State) -> CostPartitioningLp:
@@ -189,10 +176,9 @@ def build_ocp_lp(ts: TransitionSystem, patterns, state: State) -> CostPartitioni
     model = LpModel()
     offsets = _add_h_unknowns(model, projections)
     first_cost = len(model.unknowns)
-    cost_vars: dict[tuple[int, int], str] = {}
     for ai in range(len(projections)):
         for op in range(n_ops):
-            cost_vars[(ai, op)] = model.add_unknown(f"c_a{ai}_o{op}")
+            model.add_unknown(f"c_a{ai}_o{op}")
     # cost column of (abstraction ai, operator op), one row per operator
     cost_columns = first_cost + np.arange(len(projections)) * n_ops + np.arange(n_ops)[:, None]
     _add_goal_rows(model, projections, offsets)
@@ -212,7 +198,7 @@ def build_ocp_lp(ts: TransitionSystem, patterns, state: State) -> CostPartitioni
     _add_partition_rows(model, cost_columns, ts.operator_costs,
                         [f"part_o{op}" for op in range(n_ops)])
     _set_state_objective(model, projections, state)
-    return CostPartitioningLp(model, projections, cost_vars, per_transition=False)
+    return CostPartitioningLp(model, projections, cost_columns, per_transition=False)
 
 
 def validate_partition(ts: TransitionSystem, cost_functions: list[list[float]]
@@ -249,8 +235,7 @@ def features_of_abstractions(ts: TransitionSystem, patterns) -> FeatureSet:
         pattern = tuple(sorted(pattern))
         if not pattern:
             raise AbstractionError("empty patterns have no feature representation")
-        doms = [range(ts.domain_sizes[v]) for v in pattern]
-        for values in itertools.product(*doms):
+        for values in iter_states(tuple(ts.domain_sizes[v] for v in pattern)):
             f = Feature(tuple(zip(pattern, values)))
             if f not in seen:
                 seen.add(f)

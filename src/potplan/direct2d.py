@@ -2,12 +2,15 @@
 feature sets of any dimension, plus the exhaustive per-transition LP used as
 its reference oracle.
 
-One assembler, `build_general_lp`, writes every compact model: the
-goal-awareness row `state_objective(goal_state) <= 0`, then per operator a
-cost row, the bound on the operator's change in potential that bucket
-elimination (`elimination`) computes over one scoped function per feature
-touching the operator, followed by the elimination rows.  Operators touched
-by no context-dependent feature get the cost row alone.
+Both models start with one bounded weight unknown per feature and the
+goal-awareness row `state_objective(goal_state) <= 0`; `state_objective`,
+the mean potential over given states, also gives the `init` and
+`samples:N` objectives.  One assembler, `build_general_lp`, writes every
+compact model: then per operator a cost row, the bound on the operator's
+change in potential that bucket elimination (`elimination`) computes over
+one scoped function per feature touching the operator, followed by the
+elimination rows.  Operators touched by no context-dependent feature get
+the cost row alone.
 
 For features of dimension at most 2 every context-dependency graph has no
 edges (width 0), and elimination yields the binary model of Pommerening,
@@ -21,7 +24,6 @@ remaining scope, `z_o{op}_v{var}__v{u}.{value}_...`.
 from __future__ import annotations
 
 import random
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +31,7 @@ import numpy as np
 from .elimination import (DependencyGraph, bucket_eliminate, dependency_graph,
                           induced_width, min_fill_order, scoped_functions_for_operator,
                           to_lp_constraints)
-from .features import Feature, FeatureSet, WeightFunction, evaluate_potential
+from .features import Feature, FeatureSet, WeightFunction, evaluate_potential, truth_matrix
 from .lp import LinearExpression, LpModel, solve
 from .task import (DEFAULT_STATE_CAP, State, SuccessorGenerator, Task,
                    TransitionSystem, build_transition_system)
@@ -70,9 +72,15 @@ def _goal_state(task: Task) -> State:
     return tuple(task.goal[v] for v in range(len(task.variables)))
 
 
-def _add_weights(model: LpModel, fs: FeatureSet) -> dict[int, str]:
-    return {i: model.add_unknown(weight_var_name(f), WEIGHT_LOWER, WEIGHT_UPPER)
-            for i, f in enumerate(fs.features)}
+def _weights_and_goal_row(task: Task, fs: FeatureSet) -> PotentialLp:
+    """A model with one bounded weight unknown per feature (columns
+    0..|F|-1) and the goal row: the goal state's potential is at most 0."""
+    _require_tnf(task)
+    model = LpModel()
+    weight_vars = {i: model.add_unknown(weight_var_name(f), WEIGHT_LOWER, WEIGHT_UPPER)
+                   for i, f in enumerate(fs.features)}
+    model.add_row(state_objective(fs, weight_vars, _goal_state(task)), "<=", 0.0, "goal")
+    return PotentialLp(model, weight_vars)
 
 
 def build_general_lp(task: Task, fs: FeatureSet,
@@ -84,13 +92,11 @@ def build_general_lp(task: Task, fs: FeatureSet,
     order.  Orderings default to min-fill on each context-dependency graph,
     which at width 0 eliminates the context variables by increasing id.
     """
-    _require_tnf(task)
-    model = LpModel()
-    weight_vars = _add_weights(model, fs)
-    model.add_row(state_objective(fs, weight_vars, _goal_state(task)), "<=", 0.0, "goal")
+    built = _weights_and_goal_row(task, fs)
+    model = built.model
     vertices = tuple(v.id for v in task.variables)
     for op_index, op in enumerate(task.operators):
-        psi = scoped_functions_for_operator(task, fs, op_index, weight_vars)
+        psi = scoped_functions_for_operator(task, fs, op_index, built.weight_vars)
         order = orderings.get(op_index) if orderings else None
         if order is not None or any(fn.scope for fn in psi.functions):
             graph = DependencyGraph(vertices, dependency_graph(psi).edges)
@@ -104,7 +110,7 @@ def build_general_lp(task: Task, fs: FeatureSet,
         model.add_row(pieces.result, "<=", float(op.cost), f"op{op_index}")
         for row in pieces.rows:
             model.add_row(row.expression, row.relation, row.rhs, row.name)
-    return PotentialLp(model, weight_vars)
+    return built
 
 
 def build_direct2d_lp(task: Task, fs: FeatureSet) -> PotentialLp:
@@ -117,12 +123,17 @@ def build_direct2d_lp(task: Task, fs: FeatureSet) -> PotentialLp:
 
 
 def state_objective(fs: FeatureSet, weight_vars: dict[int, str],
-                    state: State) -> LinearExpression:
-    terms: dict[str, float] = {}
-    for i, f in enumerate(fs.features):
-        if f.true_in(state):
-            terms[weight_vars[i]] = terms.get(weight_vars[i], 0.0) + 1.0
-    return LinearExpression.build(0.0, terms)
+                    *states: State) -> LinearExpression:
+    """Mean potential over the given states, as a linear expression: each
+    feature's weight unknown (named by `weight_vars`, feature index -> name)
+    times the number of the states it is true in, over their count."""
+    counts = truth_matrix(fs, states).sum(axis=0)
+    held = np.flatnonzero(counts)
+    # count * (1 / n), not count / n: the float that adding 1.0 per state and
+    # scaling the sum by 1 / n gives
+    coefficients = counts[held] * (1.0 / len(states))
+    return LinearExpression.build(0.0, dict(zip([weight_vars[i] for i in held.tolist()],
+                                                coefficients.tolist())))
 
 
 def sample_states(task: Task, count: int, seed: int,
@@ -142,15 +153,6 @@ def sample_states(task: Task, count: int, seed: int,
             state = rng.choice(applicable)[1]
         states.append(state)
     return states
-
-
-def samples_objective(task: Task, fs: FeatureSet, weight_vars: dict[int, str],
-                      count: int, seed: int) -> LinearExpression:
-    """Mean potential over sampled states, as a linear objective."""
-    expr = LinearExpression()
-    for state in sample_states(task, count, seed):
-        expr = expr + state_objective(fs, weight_vars, state)
-    return expr * (1.0 / count)
 
 
 def extract_result(fs: FeatureSet, weight_vars: dict[int, str], task: Task,
@@ -189,18 +191,6 @@ def solve_general_for_state(task: Task, fs: FeatureSet, state: State,
     return _maximize(task, fs, build_general_lp(task, fs, orderings), state)
 
 
-def _truth_matrix(fs: FeatureSet, states: np.ndarray) -> np.ndarray:
-    """(state, feature) matrix holding 1 where the feature is true."""
-    truth = np.zeros((len(states), len(fs)), dtype=np.int8)
-    by_size: dict[int, list[int]] = defaultdict(list)
-    for i, f in enumerate(fs.features):
-        by_size[f.size].append(i)
-    for indices in by_size.values():
-        facts = np.array([fs.features[i].facts for i in indices])  # feature, fact, (var, val)
-        truth[:, indices] = np.all(states[:, facts[:, :, 0]] == facts[:, :, 1], axis=2)
-    return truth
-
-
 def build_exhaustive_lp(task: Task, fs: FeatureSet,
                         ts: TransitionSystem | None = None,
                         state_cap: int = DEFAULT_STATE_CAP) -> PotentialLp:
@@ -209,23 +199,20 @@ def build_exhaustive_lp(task: Task, fs: FeatureSet,
     Exponentially large in general; usable only at desk scale, where it is
     the ground truth all compact constructions are compared against.
     """
-    _require_tnf(task)
+    built = _weights_and_goal_row(task, fs)
     if ts is None:
         ts = build_transition_system(task, state_cap)
-    model = LpModel()
-    weight_vars = _add_weights(model, fs)
-    model.add_row(state_objective(fs, weight_vars, _goal_state(task)), "<=", 0.0, "goal")
     # Row of transition s -> t: truth(s) - truth(t) over the features, whose
     # weight unknowns are columns 0..|F|-1.
-    truth = _truth_matrix(fs, ts.state_array())
+    truth = truth_matrix(fs, ts.state_array())
     table = ts.transition_array()
     change = truth[table[:, 0]] - truth[table[:, 2]]
     rows, columns = np.nonzero(change)
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(table)))))
     costs = np.array([op.cost for op in task.operators], dtype=float)
-    model.add_rows(indptr, columns, change[rows, columns], "<=", costs[table[:, 1]],
-                   [f"t{ti}" for ti in range(len(table))])
-    return PotentialLp(model, weight_vars)
+    built.model.add_rows(indptr, columns, change[rows, columns], "<=", costs[table[:, 1]],
+                         [f"t{ti}" for ti in range(len(table))])
+    return built
 
 
 def solve_exhaustive_for_state(task: Task, fs: FeatureSet, state: State,

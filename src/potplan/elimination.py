@@ -21,9 +21,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .features import FeatureSet, _require_tnf_operator
+from .features import FeatureError, FeatureSet
 from .lp import ZERO, LinearExpression, Row, evaluate
-from .task import Task
+from .task import Operator, Task
 
 
 class OrderingError(ValueError):
@@ -101,6 +101,11 @@ class DependencyGraph:
             adj[u].add(v)
             adj[v].add(u)
         return adj
+
+
+def _require_tnf_operator(op: Operator) -> None:
+    if op.pre.keys() != op.eff.keys():
+        raise FeatureError(f"operator {op.name} is not in transition normal form")
 
 
 def _split(task: Task, fs: FeatureSet, op_index: int):

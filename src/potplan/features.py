@@ -1,10 +1,8 @@
-"""Fact-conjunction features, weight functions, and per-operator bookkeeping.
+"""Fact-conjunction features, feature sets, weight functions, and the truth
+table of features over states.
 
 A feature is a conjunction of facts over pairwise distinct variables.  The
 potential of a state is the sum of the weights of all features true in it.
-Relative to an operator, features split into three classes: irrelevant
-(no variable in common with the operator), context-independent (all variables
-touched by the operator), and context-dependent (some in, some out).
 """
 
 from __future__ import annotations
@@ -14,7 +12,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .task import Operator, PartialAssignment, State, Task, successor
+import numpy as np
+
+from .task import State, Task
 
 
 class FeatureError(ValueError):
@@ -52,9 +52,6 @@ class Feature:
     def true_in(self, state: State) -> bool:
         return all(state[var] == val for var, val in self.facts)
 
-    def entailed_by(self, assignment: PartialAssignment) -> bool:
-        return all(assignment.get(var) == val for var, val in self.facts)
-
 
 @dataclass
 class FeatureSet:
@@ -87,6 +84,16 @@ class FeatureSet:
     def dimension(self) -> int:
         return max((f.size for f in self.features), default=0)
 
+    @cached_property
+    def _padded_facts(self) -> np.ndarray:
+        """The facts as a (feature, fact, (variable, value)) array, each
+        feature's last fact repeated up to the dimension, which leaves the
+        conjunction unchanged."""
+        width = self.dimension
+        return np.array([x for f in self.features
+                         for fact in f.facts + f.facts[-1:] * (width - f.size) for x in fact],
+                        dtype=np.int64).reshape(len(self.features), width, 2)
+
 
 @dataclass
 class WeightFunction:
@@ -100,13 +107,6 @@ class WeightFunction:
 
     def __getitem__(self, index: int) -> float:
         return self.values[index]
-
-
-@dataclass
-class OperatorPartition:
-    irrelevant: tuple[int, ...]
-    context_independent: tuple[int, ...]
-    context_dependent: tuple[int, ...]
 
 
 def generate_features(task: Task, dimension: int,
@@ -139,42 +139,16 @@ def generate_features(task: Task, dimension: int,
 
 
 def evaluate_potential(fs: FeatureSet, w: WeightFunction, state: State) -> float:
-    return sum(w[i] for i, f in enumerate(fs.features) if f.true_in(state))
+    return sum(w[i] for i in np.flatnonzero(truth_matrix(fs, [state])[0]).tolist())
 
 
-def _require_tnf_operator(op: Operator) -> frozenset[int]:
-    if op.pre.keys() != op.eff.keys():
-        raise FeatureError(f"operator {op.name} is not in transition normal form")
-    return frozenset(op.eff)
-
-
-def classify_features(fs: FeatureSet, op: Operator) -> OperatorPartition:
-    op_vars = _require_tnf_operator(op)
-    irrelevant, independent, dependent = [], [], []
-    for i, f in enumerate(fs.features):
-        f_vars = set(f.variables)
-        if not f_vars & op_vars:
-            irrelevant.append(i)
-        elif f_vars <= op_vars:
-            independent.append(i)
-        else:
-            dependent.append(i)
-    return OperatorPartition(tuple(irrelevant), tuple(independent), tuple(dependent))
-
-
-def delta(op: Operator, feature: Feature, state: State) -> int:
-    """Change of the feature's truth value when applying op in state."""
-    after = successor(state, op)  # raises NotApplicableError
-    return int(feature.true_in(state)) - int(feature.true_in(after))
-
-
-def delta_independent(op: Operator, feature: Feature) -> int:
-    """State-independent delta of a context-independent feature."""
-    op_vars = _require_tnf_operator(op)
-    if not set(feature.variables) <= op_vars:
-        raise FeatureError(f"feature {feature.facts} is not context-independent "
-                           f"for operator {op.name}")
-    return int(feature.entailed_by(op.pre)) - int(feature.entailed_by(op.eff))
+def truth_matrix(fs: FeatureSet, states) -> np.ndarray:
+    """(state, feature) matrix holding 1 where the feature is true in the
+    state; `states` is a (state, variable) array of value indices, or a
+    sequence of states."""
+    facts = fs._padded_facts
+    states = np.asarray(states, dtype=np.int64)
+    return np.all(states[:, facts[:, :, 0]] == facts[:, :, 1], axis=2).view(np.int8)
 
 
 def format_feature(task: Task, feature: Feature) -> str:

@@ -16,7 +16,6 @@ import shlex
 import subprocess
 import tempfile
 from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,35 +143,6 @@ def _append(buffer: array, values) -> None:
     buffer.frombytes(np.ascontiguousarray(values, dtype=buffer.typecode).tobytes())
 
 
-class RowView(Sequence):
-    """Read-only sequence over a model's rows that builds Row objects on demand."""
-
-    def __init__(self, model: "LpModel"):
-        self._model = model
-
-    def __len__(self) -> int:
-        return len(self._model._rhs)
-
-    def __getitem__(self, index):
-        m = self._model
-        if index < 0:
-            index += len(self)
-        if not 0 <= index < len(self):
-            raise IndexError("row index out of range")
-        start = m._row_ends[index - 1] if index else 0
-        terms = {m.unknowns[j][0]: c for j, c in zip(m._columns[start:m._row_ends[index]],
-                                                     m._coefficients[start:m._row_ends[index]])}
-        return Row(LinearExpression.build(0.0, terms), RELATIONS[m._relations[index]],
-                   m._rhs[index], m._row_names[index])
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Sequence) and not isinstance(other, str):
-            return list(self) == list(other)
-        return NotImplemented
-
-    __hash__ = None
-
-
 class LpModel:
     """Columns with bounds, an objective, and the rows as one sparse table.
 
@@ -197,8 +167,17 @@ class LpModel:
         self._row_names: list[str] = []
 
     @property
-    def rows(self) -> RowView:
-        return RowView(self)
+    def rows(self) -> list[Row]:
+        """The rows as name-based Row objects, built anew on every access."""
+        names = [name for name, _, _ in self.unknowns]
+        rows, start = [], 0
+        for end, code, rhs, name in zip(self._row_ends, self._relations, self._rhs,
+                                        self._row_names):
+            terms = {names[j]: c for j, c in zip(self._columns[start:end],
+                                                 self._coefficients[start:end])}
+            rows.append(Row(LinearExpression.build(0.0, terms), RELATIONS[code], rhs, name))
+            start = end
+        return rows
 
     def freeze(self) -> "LpModel":
         self._frozen = True
@@ -329,7 +308,12 @@ def check_solution(model: LpModel, values: dict[str, float],
                    tolerance: float = FEASIBILITY_TOL) -> list[str]:
     """Names of rows/bounds the assignment violates beyond the tolerance:
     rows first, in row order, then bounds in column order."""
-    x = _column_values(model, values)
+    return _violations(model, _column_values(model, values), *_bounds(model), tolerance)
+
+
+def _violations(model: LpModel, x: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+                tolerance: float) -> list[str]:
+    """`check_solution` for a vector in column order and the column bounds."""
     matrix, relations, rhs = model.row_table()
     lhs = matrix @ x
     slack = tolerance * np.maximum(1.0, np.abs(rhs))
@@ -338,7 +322,6 @@ def check_solution(model: LpModel, values: dict[str, float],
                   np.where(relations == RELATIONS.index(">="), lhs >= rhs - slack,
                            np.abs(lhs - rhs) <= slack))
     violations = [model.row_name(i) for i in np.flatnonzero(~ok)]
-    lower, upper = _bounds(model)
     out_of_bounds = (x < lower - tolerance) | (x > upper + tolerance)
     violations.extend(f"bound:{model.unknowns[j][0]}" for j in np.flatnonzero(out_of_bounds))
     return violations
@@ -385,8 +368,8 @@ def _solve_scipy(model: LpModel) -> LpSolution:
     if equality.any():
         kwargs["A_eq"] = _select_rows(matrix, signed, equality)
         kwargs["b_eq"] = rhs[equality]
-    bounds = np.column_stack(_bounds(model))  # infinite where unbounded
-    result = linprog(c, bounds=bounds, method="highs", **kwargs)
+    lower, upper = _bounds(model)  # infinite where unbounded
+    result = linprog(c, bounds=np.column_stack((lower, upper)), method="highs", **kwargs)
 
     if result.status == 2:
         return LpSolution("infeasible")
@@ -394,8 +377,7 @@ def _solve_scipy(model: LpModel) -> LpSolution:
         return LpSolution("unbounded")
     if result.status != 0:
         raise SolverFailureError(f"linprog failed (status {result.status}): {result.message}")
-    values = dict(zip((name for name, _, _ in model.unknowns), result.x.tolist()))
-    return _finish(model, values)
+    return _finish(model, result.x, lower, upper)
 
 
 def _select_rows(matrix: csr_matrix, data: np.ndarray, mask: np.ndarray) -> csr_matrix:
@@ -408,16 +390,16 @@ def _select_rows(matrix: csr_matrix, data: np.ndarray, mask: np.ndarray) -> csr_
                       shape=(len(indptr) - 1, matrix.shape[1]))
 
 
-def _finish(model: LpModel, values: dict[str, float]) -> LpSolution:
-    violations = check_solution(model, values)
+def _finish(model: LpModel, x: np.ndarray, lower: np.ndarray,
+            upper: np.ndarray) -> LpSolution:
+    """The optimal solution `x` (in column order) after the row re-check."""
+    violations = _violations(model, x, lower, upper, FEASIBILITY_TOL)
     if violations:
         raise SolverFailureError(f"solution violates rows: {', '.join(violations[:5])}")
-    objective = evaluate(model.objective, values)
-    x = _column_values(model, values)
-    lower, upper = _bounds(model)
+    values = dict(zip((name for name, _, _ in model.unknowns), x.tolist()))
     active = ((~np.isinf(lower) & (np.abs(x - lower) <= FEASIBILITY_TOL))
               | (~np.isinf(upper) & (np.abs(x - upper) <= FEASIBILITY_TOL)))
-    return LpSolution("optimal", values, objective,
+    return LpSolution("optimal", values, evaluate(model.objective, values),
                       tuple(model.unknowns[j][0] for j in np.flatnonzero(active)))
 
 
@@ -447,7 +429,7 @@ def _solve_external(model: LpModel, command: str) -> LpSolution:
         if name not in values:
             raise SolverFailureError(f"solution names unknown column '{name}'")
         values[name] = float(value)
-    return _finish(model, values)
+    return _finish(model, _column_values(model, values), *_bounds(model))
 
 
 def _format_coefficient(coef: float) -> str:

@@ -8,6 +8,7 @@ treated as immutable after construction and can be shared freely.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -75,11 +76,6 @@ class Operator:
     def __post_init__(self):
         if self.cost < 0:
             raise TaskError(f"operator {self.name}: negative cost {self.cost}")
-
-    @property
-    def variables(self) -> frozenset[int]:
-        """vars of the operator; in TNF pre and eff mention the same set."""
-        return frozenset(self.pre) | frozenset(self.eff)
 
 
 @dataclass
@@ -215,26 +211,20 @@ class SuccessorGenerator:
 
 def iter_states(domain_sizes: tuple[int, ...]):
     """All states in lexicographic order (variable 0 most significant)."""
-    n = len(domain_sizes)
-    state = [0] * n
-    while True:
-        yield tuple(state)
-        i = n - 1
-        while i >= 0:
-            state[i] += 1
-            if state[i] < domain_sizes[i]:
-                break
-            state[i] = 0
-            i -= 1
-        if i < 0:
-            return
+    return itertools.product(*(range(dom) for dom in domain_sizes))
 
 
 def state_index(state: State, domain_sizes: tuple[int, ...]) -> int:
+    """Position of the state in `iter_states` order."""
     index = 0
     for val, dom in zip(state, domain_sizes):
         index = index * dom + val
     return index
+
+
+def strides(domain_sizes: tuple[int, ...]) -> list[int]:
+    """How far `state_index` moves per unit of each variable's value."""
+    return [math.prod(domain_sizes[var + 1:]) for var in range(len(domain_sizes))]
 
 
 def build_transition_system(task: Task, state_cap: int = DEFAULT_STATE_CAP) -> TransitionSystem:
@@ -246,8 +236,8 @@ def build_transition_system(task: Task, state_cap: int = DEFAULT_STATE_CAP) -> T
     states = tuple(iter_states(doms))
     successors = SuccessorGenerator(task)
     # successor index = source index + sum of (eff - value) * stride over the effects
-    strides = [math.prod(doms[var + 1:]) for var in range(len(doms))]
-    shifts = [tuple((var, val, strides[var]) for var, val in op.eff.items())
+    place = strides(doms)
+    shifts = [tuple((var, val, place[var]) for var, val in op.eff.items())
               for op in task.operators]
     transitions = []
     for si, s in enumerate(states):
@@ -280,10 +270,16 @@ def exact_goal_distances(ts: TransitionSystem, costs=None) -> list[float]:
         costs = ts.default_costs()
     if len(costs) != len(ts.transitions):
         raise TaskError(f"expected {len(ts.transitions)} transition costs, got {len(costs)}")
-    n = len(ts.states)
+    return goal_distances(len(ts.states), ts.transitions, ts.goals, costs)
+
+
+def goal_distances(n: int, transitions, goals, costs) -> list[float]:
+    """Distances to the nearest goal over states 0..n-1, given (source, label,
+    target) transitions and one cost each: Dijkstra when no cost is negative,
+    Bellman-Ford otherwise (see `exact_goal_distances`)."""
     if all(c >= 0 for c in costs):
-        return _dijkstra_to_goal(n, ts.transitions, ts.goals, costs)
-    return _bellman_ford_to_goal(n, ts.transitions, ts.goals, costs)
+        return _dijkstra_to_goal(n, transitions, goals, costs)
+    return _bellman_ford_to_goal(n, transitions, goals, costs)
 
 
 def _dijkstra_to_goal(n, transitions, goals, costs) -> list[float]:

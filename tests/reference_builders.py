@@ -1,6 +1,7 @@
 """Row-by-row constructions of the projection, TCP, OCP, exhaustive and
 dimension-2 potential LPs, the classified construction of the potential LP
-of any dimension, and the operator-scan transition system and A*.
+of any dimension, the repeated-addition sample objective, and the
+operator-scan transition system and A*.
 
 These build every row as a LinearExpression, one transition or operator at a
 time, and serve as the reference that the builders in potplan must reproduce
@@ -17,14 +18,81 @@ and `successor`; the indexed successor generator has to reproduce them.
 import heapq
 import itertools
 import math
+from dataclasses import dataclass
 
-from potplan.direct2d import WEIGHT_LOWER, WEIGHT_UPPER, weight_var_name
+from potplan.direct2d import WEIGHT_LOWER, WEIGHT_UPPER, sample_states, weight_var_name
 from potplan.elimination import (DependencyGraph, ScopedFunction, ScopedFunctionSet,
                                  bucket_eliminate, min_fill_order, to_lp_constraints)
-from potplan.features import Feature, classify_features, delta_independent
+from potplan.features import Feature, FeatureError
 from potplan.lp import LinearExpression, LpModel
 from potplan.search import NoPlanError, SearchResult, tiebreak_key
 from potplan.task import is_applicable, iter_states, state_index, successor
+
+
+@dataclass
+class OperatorPartition:
+    """An operator's features, by index: irrelevant (no variable in common
+    with the operator), context-independent (all variables touched by the
+    operator) and context-dependent (some in, some out)."""
+    irrelevant: tuple[int, ...]
+    context_independent: tuple[int, ...]
+    context_dependent: tuple[int, ...]
+
+
+def _require_tnf_operator(op):
+    if op.pre.keys() != op.eff.keys():
+        raise FeatureError(f"operator {op.name} is not in transition normal form")
+    return frozenset(op.eff)
+
+
+def classify_features(fs, op):
+    op_vars = _require_tnf_operator(op)
+    irrelevant, independent, dependent = [], [], []
+    for i, f in enumerate(fs.features):
+        f_vars = set(f.variables)
+        if not f_vars & op_vars:
+            irrelevant.append(i)
+        elif f_vars <= op_vars:
+            independent.append(i)
+        else:
+            dependent.append(i)
+    return OperatorPartition(tuple(irrelevant), tuple(independent), tuple(dependent))
+
+
+def entailed_by(feature, assignment):
+    return all(assignment.get(var) == val for var, val in feature.facts)
+
+
+def delta(op, feature, state):
+    """Change of the feature's truth value when applying op in state."""
+    after = successor(state, op)  # raises NotApplicableError
+    return int(feature.true_in(state)) - int(feature.true_in(after))
+
+
+def delta_independent(op, feature):
+    """State-independent delta of a context-independent feature."""
+    op_vars = _require_tnf_operator(op)
+    if not set(feature.variables) <= op_vars:
+        raise FeatureError(f"feature {feature.facts} is not context-independent "
+                           f"for operator {op.name}")
+    return int(entailed_by(feature, op.pre)) - int(entailed_by(feature, op.eff))
+
+
+def _reference_state_objective(fs, weight_vars, state):
+    terms = {}
+    for i, f in enumerate(fs.features):
+        if f.true_in(state):
+            terms[weight_vars[i]] = terms.get(weight_vars[i], 0.0) + 1.0
+    return LinearExpression.build(0.0, terms)
+
+
+def reference_samples_objective(task, fs, weight_vars, count, seed):
+    """Mean potential over sampled states: the states' indicator expressions
+    added up one by one, then scaled by 1/count."""
+    expr = LinearExpression()
+    for state in sample_states(task, count, seed):
+        expr = expr + _reference_state_objective(fs, weight_vars, state)
+    return expr * (1.0 / count)
 
 
 def reference_projection(ts, pattern):
@@ -121,11 +189,7 @@ def _reference_weights(model, fs):
 
 def _reference_goal_row(model, task, fs, weight_vars):
     goal_state = tuple(task.goal[v] for v in range(len(task.variables)))
-    terms = {}
-    for i, f in enumerate(fs.features):
-        if f.true_in(goal_state):
-            terms[weight_vars[i]] = terms.get(weight_vars[i], 0.0) + 1.0
-    model.add_row(LinearExpression.build(0.0, terms), "<=", 0.0, "goal")
+    model.add_row(_reference_state_objective(fs, weight_vars, goal_state), "<=", 0.0, "goal")
 
 
 def reference_exhaustive_model(task, fs, ts):

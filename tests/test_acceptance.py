@@ -18,7 +18,7 @@ from potplan.direct2d import (build_direct2d_lp, solve_exhaustive_for_state,
 from potplan.elimination import (bucket_eliminate, brute_force_max,
                                  context_dependency_graph, dependency_graph,
                                  induced_width, min_fill_order, to_lp_constraints)
-from potplan.features import classify_features, generate_features
+from potplan.features import generate_features
 from potplan.generator import random_features, random_scoped_set, random_task
 from potplan.lp import LpModel, solve
 from potplan.reduction import (Graph, complete_graph, cycle_graph, empty_graph,
@@ -27,6 +27,7 @@ from potplan.search import PotentialHeuristic, astar, blind, validate
 from potplan.task import build_transition_system, exact_goal_distances
 
 from conftest import make_paper_be
+from reference_builders import classify_features
 
 
 @contextmanager

@@ -182,6 +182,14 @@ def test_compare_random_states_json(capsys, toy1_file):
         assert row["h_tcp2"] >= row["h_ocp2"] - 1e-6
 
 
+@pytest.mark.parametrize("argv", [
+    ["compare", "--state", "random:abc"], ["compare", "--state", "random:-2"],
+    ["solve", "--objective", "samples:abc"], ["solve", "--objective", "samples:0"]])
+def test_count_must_be_positive_integer(capsys, toy1_file, argv):
+    code, out, err = run_cli(capsys, *argv, toy1_file)
+    assert code == 2 and "usage error" in err and out == ""
+
+
 def test_width_subcommand(capsys, tmp_path, toy1_file):
     code, out, _ = run_cli(capsys, "width", "--dim", "2", toy1_file,
                            "--format", "json")

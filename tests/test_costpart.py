@@ -90,6 +90,25 @@ def test_validate_partition_of_solved_tcp(toy1):
     assert ok
 
 
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("build, unknown", [
+    (build_tcp_lp, lambda ai, ti, op: f"c_a{ai}_t{ti}"),
+    (build_ocp_lp, lambda ai, ti, op: f"c_a{ai}_o{op}")], ids=["tcp", "ocp"])
+def test_extract_cost_functions(seed, build, unknown):
+    """Each abstraction's cost of a transition is the value of the cost
+    unknown of that transition (TCP) or of its operator (OCP)."""
+    task = random_task(3, 3, 5, seed)
+    ts = build_transition_system(task)
+    patterns = all_patterns(len(task.variables), 2)
+    built = build(ts, patterns, task.initial_state)
+    solution = solve(built.model).require_optimal()
+    cost_functions = built.extract_cost_functions(ts, solution)
+    assert cost_functions == [
+        [solution.values[unknown(ai, ti, op)] for ti, (_, op, _) in enumerate(ts.transitions)]
+        for ai in range(len(patterns))]
+    assert validate_partition(ts, cost_functions) == (True, None)
+
+
 def test_features_of_abstractions(toy1):
     ts = build_transition_system(toy1)
     fs = features_of_abstractions(ts, [(0,)])

@@ -1,15 +1,16 @@
 import pytest
 
-from potplan.direct2d import (PotentialLpError, build_direct2d_lp, sample_states,
-                              samples_objective, solve_exhaustive_for_state,
-                              solve_for_state)
-from potplan.features import (Feature, FeatureSet, classify_features,
-                              delta_independent, evaluate_potential,
-                              generate_features)
-from potplan.generator import random_task
+from potplan.direct2d import (PotentialLpError, build_direct2d_lp, build_general_lp,
+                              sample_states, solve_exhaustive_for_state, solve_for_state,
+                              state_objective)
+from potplan.features import Feature, FeatureSet, evaluate_potential, generate_features
+from potplan.generator import random_features, random_task
 from potplan.lp import solve
 from potplan.search import PotentialHeuristic, validate
 from potplan.task import Task, successor
+
+from reference_builders import (classify_features, delta_independent,
+                                reference_samples_objective)
 
 
 def rows_by_name(model):
@@ -198,13 +199,27 @@ def test_z_vars_keyed_by_context_pairs(seed):
 def test_sampled_objective_is_deterministic(toy1):
     fs = generate_features(toy1, 2)
     built = build_direct2d_lp(toy1, fs)
-    obj1 = samples_objective(toy1, fs, built.weight_vars, 8, seed=3)
-    obj2 = samples_objective(toy1, fs, built.weight_vars, 8, seed=3)
+    obj1 = state_objective(fs, built.weight_vars, *sample_states(toy1, 8, seed=3))
+    obj2 = state_objective(fs, built.weight_vars, *sample_states(toy1, 8, seed=3))
     assert obj1 == obj2
     assert sample_states(toy1, 5, seed=3) == sample_states(toy1, 5, seed=3)
     built.model.set_objective("max", obj1)
     solution = solve(built.model).require_optimal()
     assert solution.objective_value <= 2.0 + 1e-6  # mean potential below max h*
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+@pytest.mark.parametrize("count", [1, 5])
+def test_state_objective_equals_repeated_addition(seed, dimension, count):
+    task = random_task(4, 3, 6, seed)
+    if dimension <= 2:
+        fs = generate_features(task, dimension)
+    else:
+        fs = random_features(task, 10, 3, seed)
+    built = build_general_lp(task, fs)
+    objective = state_objective(fs, built.weight_vars, *sample_states(task, count, seed))
+    assert objective == reference_samples_objective(task, fs, built.weight_vars, count, seed)
 
 
 def test_goal_potential_reported(toy1):

@@ -12,11 +12,13 @@ from potplan.elimination import (AuxEquation, DependencyGraph, EquationSystem,
                                  context_dependency_graph, dependency_graph,
                                  induced_width, min_fill_order,
                                  scoped_functions_for_operator, to_lp_constraints)
-from potplan.features import Feature, FeatureSet, delta_independent, generate_features
+from potplan.features import Feature, FeatureSet, generate_features
 from potplan.generator import random_features, random_scoped_set, random_task
 from potplan.lp import LinearExpression, LpModel, evaluate, solve
 from potplan.reduction import complete_graph, reduce_3col
 from potplan.task import Operator, Task, Variable
+
+from reference_builders import delta_independent
 
 
 def candidate_shape(expression):

@@ -3,11 +3,12 @@ import itertools
 import pytest
 
 from potplan.features import (Feature, FeatureError, FeatureSet, WeightFunction,
-                              classify_features, delta, delta_independent,
                               evaluate_potential, format_feature, generate_features,
-                              parse_feature, parse_feature_file)
+                              parse_feature, parse_feature_file, truth_matrix)
 from potplan.generator import random_features, random_task
-from potplan.task import build_transition_system, is_applicable
+from potplan.task import build_transition_system, is_applicable, iter_states
+
+from reference_builders import classify_features, delta, delta_independent
 
 
 def w_for(fs, mapping):
@@ -64,6 +65,17 @@ def test_evaluate_potential_false_feature(toy1):
     fs = generate_features(toy1, 2)
     w = w_for(fs, {((0, 0), (1, 0)): 5.0})
     assert evaluate_potential(fs, w, (0, 1)) == 0.0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_truth_matrix_matches_true_in(seed):
+    task = random_task(4, 3, 6, seed)
+    states = list(iter_states(task.domain_sizes))
+    for fs in (FeatureSet(()), generate_features(task, 1), generate_features(task, 2),
+               random_features(task, 10, 3, seed)):
+        truth = truth_matrix(fs, states)
+        assert truth.shape == (len(states), len(fs))
+        assert truth.tolist() == [[int(f.true_in(s)) for f in fs] for s in states]
 
 
 def test_classify_dim2(toy1):

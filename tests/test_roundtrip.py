@@ -3,7 +3,7 @@ parsing it back gives the same object, and writing it again the same text."""
 
 from hypothesis import given, settings, strategies as st
 
-from potplan.direct2d import build_general_lp, samples_objective, state_objective
+from potplan.direct2d import build_general_lp, sample_states, state_objective
 from potplan.features import generate_features
 from potplan.generator import random_features, random_task
 from potplan.lp import export_lp, parse_lp
@@ -69,7 +69,8 @@ def test_potential_lp_round_trip(n_vars, max_dom, n_ops, seed, dimension, sample
         fs = random_features(task, 8, 3, seed)
     built = build_general_lp(task, fs)
     if samples:
-        objective = samples_objective(task, fs, built.weight_vars, samples, seed)
+        objective = state_objective(fs, built.weight_vars,
+                                    *sample_states(task, samples, seed))
     else:
         objective = state_objective(fs, built.weight_vars, task.initial_state)
     built.model.set_objective("max", objective)

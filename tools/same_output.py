@@ -12,9 +12,11 @@ The inputs are written once, with BEFORE_TREE, into a temporary directory:
 `gen --seed 0..11` (whose printed tasks are compared too), and
 `random_task(4, 3, 6, seed)` with `random_features(task, 10, dim, seed)` for
 seeds 0..5 and dimensions 1-3 as feature files, plus two `--order` files (one
-valid, one missing a variable).  Each extra TASK.sas is run through the
-potential-LP calls as well; a TASK.features file beside it adds the bucket
-calls over those features.  Exit code 0 when every call matches, 1 otherwise.
+valid, one missing a variable) and the weights that `solve --method
+exhaustive` prints for each random task, which `validate` reads back.  Each
+extra TASK.sas is run through the potential-LP calls as well; a
+TASK.features file beside it adds the bucket calls over those features.
+Exit code 0 when every call matches, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -81,6 +83,16 @@ def prepare(tree: str, workdir: str, extra: list[str]) -> None:
     for seed in RANDOM_SEEDS:
         task = random_task(4, 3, 6, seed)
         sas = _write(f"random{seed}.sas", serialize_sas(task))
+        exhaustive = [["solve", "--method", "exhaustive", sas],
+                      ["lp", "--method", "exhaustive", sas]]
+        calls += [*exhaustive, *([*argv, "--objective", "samples:5"] for argv in exhaustive)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            potplan.cli.main(exhaustive[0])
+        weights = _write(f"random{seed}.weights.json",
+                         json.dumps(json.loads(out.getvalue())["weights"]))
+        calls += [["validate", sas, "--weights", weights], ["compare", sas],
+                  ["search", sas, "--heuristic", "blind"]]
         for dim in (1, 2, 3):
             fs = random_features(task, 10, dim, seed)
             features = _write(f"random{seed}_dim{dim}.features",
