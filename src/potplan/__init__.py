@@ -11,10 +11,9 @@ from .lp import LinearExpression, LpModel, LpSolution, evaluate, solve, export_l
 from .direct2d import (PotentialLp, build_general_lp, build_direct2d_lp,
                        build_exhaustive_lp, solve_for_state, solve_general_for_state,
                        solve_exhaustive_for_state)
-from .elimination import (ScopedFunction, ScopedFunctionSet, EquationSystem,
-                          DependencyGraph, scoped_functions_for_operator,
+from .elimination import (ScopedFunction, DependencyGraph, scoped_functions_for_operator,
                           context_dependency_graph, min_fill_order, induced_width,
-                          bucket_eliminate, to_lp_constraints, brute_force_max)
+                          bucket_eliminate, brute_force_max)
 from .costpart import (Projection, project, build_tcp_lp, build_ocp_lp,
                        validate_partition, features_of_abstractions, all_patterns)
 from .reduction import Graph, reduce_3col, is_3colorable, phi_of_state

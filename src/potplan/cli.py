@@ -79,6 +79,10 @@ def _parse_orderings(task: Task, path: str) -> dict[int, list[int]]:
     by_name = {op.name: i for i, op in enumerate(task.operators)}
     var_by_name = {v.name: v.id for v in task.variables}
     raw = json.loads(_read(path))
+    if not isinstance(raw, dict) or not all(
+            isinstance(names, list) and all(isinstance(n, str) for n in names)
+            for names in raw.values()):
+        raise CliUsageError("order file must map operator names to lists of variable names")
     orderings = {}
     for op_name, var_names in raw.items():
         if op_name not in by_name:

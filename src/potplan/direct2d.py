@@ -9,8 +9,10 @@ the mean potential over given states, also gives the `init` and
 compact model: then per operator a cost row, the bound on the operator's
 change in potential that bucket elimination (`elimination`) computes over
 one scoped function per feature touching the operator, followed by the
-elimination rows.  Operators touched by no context-dependent feature get
-the cost row alone.
+elimination rows.  Elimination reads weights as columns 0..|F|-1, declares
+its own unknowns on the model and hands back column-indexed rows, which go
+into the model in one `add_rows` call.  Operators touched by no
+context-dependent feature get the cost row alone.
 
 For features of dimension at most 2 every context-dependency graph has no
 edges (width 0), and elimination yields the binary model of Pommerening,
@@ -28,9 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elimination import (DependencyGraph, bucket_eliminate, dependency_graph,
-                          induced_width, min_fill_order, scoped_functions_for_operator,
-                          to_lp_constraints)
+from .elimination import (bucket_eliminate, dependency_graph, induced_width,
+                          min_fill_order, scoped_functions_for_operator)
 from .features import Feature, FeatureSet, WeightFunction, evaluate_potential, truth_matrix
 from .lp import LinearExpression, LpModel, solve
 from .task import (DEFAULT_STATE_CAP, State, SuccessorGenerator, Task,
@@ -88,28 +89,35 @@ def build_general_lp(task: Task, fs: FeatureSet,
     """Assemble the compact model (no objective set yet).
 
     Row order is deterministic: the goal row, then per operator its cost row
-    (the elimination result) followed by its elimination rows in equation
-    order.  Orderings default to min-fill on each context-dependency graph,
-    which at width 0 eliminates the context variables by increasing id.
+    (the elimination result) followed by its elimination rows in the order
+    elimination writes them.  Orderings default to min-fill on each
+    context-dependency graph, which at width 0 eliminates the context
+    variables by increasing id.  Elimination declares its unknowns as it
+    goes; every operator's rows are then appended in one `add_rows` call.
     """
     built = _weights_and_goal_row(task, fs)
     model = built.model
     vertices = tuple(v.id for v in task.variables)
+    domains = task.domain_sizes
+    indptr, columns, coefficients, relations, rhs, names = [0], [], [], [], [], []
     for op_index, op in enumerate(task.operators):
-        psi = scoped_functions_for_operator(task, fs, op_index, built.weight_vars)
+        functions = scoped_functions_for_operator(task, fs, op_index)
         order = orderings.get(op_index) if orderings else None
-        if order is not None or any(fn.scope for fn in psi.functions):
-            graph = DependencyGraph(vertices, dependency_graph(psi).edges)
+        if order is not None or any(fn.scope for fn in functions):
+            graph = dependency_graph(functions, vertices)
             if order is None:
                 order = min_fill_order(graph)
             induced_width(graph, list(order))  # raises unless every variable is listed once
-        pieces = to_lp_constraints(bucket_eliminate(psi, list(order or ()),
-                                                    prefix=f"z_o{op_index}"))
-        for name in pieces.aux_unknowns:
-            model.add_unknown(name)
-        model.add_row(pieces.result, "<=", float(op.cost), f"op{op_index}")
-        for row in pieces.rows:
-            model.add_row(row.expression, row.relation, row.rhs, row.name)
+        result, rows = bucket_eliminate(model, functions, domains, list(order or ()),
+                                        prefix=f"z_o{op_index}")
+        for name, terms in [(f"op{op_index}", result), *rows]:
+            columns.extend(terms)
+            coefficients.extend(terms.values())
+            indptr.append(len(columns))
+            names.append(name)
+        relations += ["<="] + [">="] * len(rows)
+        rhs += [float(op.cost)] + [0.0] * len(rows)
+    model.add_rows(indptr, columns, coefficients, relations, rhs, names)
     return built
 
 

@@ -49,9 +49,6 @@ class Feature:
     def variables(self) -> tuple[int, ...]:
         return tuple(var for var, _ in self.facts)
 
-    def true_in(self, state: State) -> bool:
-        return all(state[var] == val for var, val in self.facts)
-
 
 @dataclass
 class FeatureSet:
@@ -194,8 +191,13 @@ def weights_to_strings(task: Task, fs: FeatureSet, w: WeightFunction) -> dict[st
 
 
 def weights_from_strings(task: Task, mapping: dict[str, float]) -> tuple[FeatureSet, WeightFunction]:
+    if not isinstance(mapping, dict):
+        raise FeatureError("weights must map feature strings to numbers")
     features, values = [], []
     for text, weight in mapping.items():
         features.append(parse_feature(task, text))
-        values.append(float(weight))
+        try:
+            values.append(float(weight))
+        except (TypeError, ValueError):
+            raise FeatureError(f"weight of '{text}' is not a number: {weight!r}") from None
     return FeatureSet(tuple(features)), WeightFunction(values)

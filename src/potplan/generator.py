@@ -9,8 +9,7 @@ import math
 import random
 
 from .features import Feature, FeatureSet
-from .lp import LinearExpression
-from .elimination import ScopedFunction, ScopedFunctionSet
+from .elimination import ScopedFunction
 from .task import Operator, Task, Variable, build_transition_system, exact_goal_distances
 
 GENERATOR_STATE_CAP = 200_000
@@ -95,11 +94,14 @@ def random_features(task: Task, count: int, max_size: int, seed: int,
 
 
 def random_scoped_set(n_vars: int, max_dom: int, n_functions: int, seed: int,
-                      max_scope: int = 3, value_range: float = 10.0) -> ScopedFunctionSet:
-    """Constant-valued scoped functions over random variable subsets, used to
-    exercise the eliminator against the brute-force maximum."""
+                      max_scope: int = 3, value_range: float = 10.0
+                      ) -> tuple[tuple[int, ...], list[ScopedFunction]]:
+    """Domain sizes of variables 0..n_vars-1 and constant-valued scoped
+    functions over random subsets of them, used to exercise the eliminator
+    against the brute-force maximum.  Each constant is the coefficient of
+    column 0, which the caller fixes at 1."""
     rng = random.Random(f"scoped:{seed}")
-    domains = {v: rng.randint(2, max_dom) if max_dom > 2 else 2 for v in range(n_vars)}
+    domains = tuple(rng.randint(2, max_dom) if max_dom > 2 else 2 for _ in range(n_vars))
     functions = []
     for _ in range(n_functions):
         scope = tuple(sorted(rng.sample(range(n_vars),
@@ -109,6 +111,6 @@ def random_scoped_set(n_vars: int, max_dom: int, n_functions: int, seed: int,
             if rng.random() < 0.8:  # leave some entries at (sparse) zero
                 value = round(rng.uniform(-value_range, value_range), 3)
                 if value:
-                    table[key] = LinearExpression.const(value)
+                    table[key] = {0: value}
         functions.append(ScopedFunction(scope, table))
-    return ScopedFunctionSet(domains, functions)
+    return domains, functions

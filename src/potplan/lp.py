@@ -106,16 +106,6 @@ class LinearExpression:
 
     __rmul__ = __mul__
 
-    def substitute(self, replacements: dict[str, "LinearExpression"]) -> "LinearExpression":
-        """Replace whole unknowns by expressions (used to inline aliased unknowns)."""
-        result = LinearExpression.const(self.constant)
-        for name, coef in self.terms:
-            if name in replacements:
-                result = result + coef * replacements[name]
-            else:
-                result = result + LinearExpression.term(name, coef)
-        return result
-
 
 ZERO = LinearExpression()
 

@@ -1,6 +1,8 @@
+import math
 import os
 import sys
 
+import numpy as np
 import pytest
 
 try:
@@ -8,8 +10,9 @@ try:
 except ImportError:  # running from a source checkout without installing
     sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
-from potplan.elimination import ScopedFunction, ScopedFunctionSet
-from potplan.lp import LinearExpression
+from potplan.elimination import ScopedFunction, bucket_eliminate
+from potplan.features import Feature, FeatureSet
+from potplan.lp import LpModel
 from potplan.task import Operator, Task, Variable
 
 
@@ -52,19 +55,85 @@ def make_mixed_preconditions() -> Task:
     )
 
 
-def ab(a: float = 0.0, b: float = 0.0, const: float = 0.0) -> LinearExpression:
-    return LinearExpression.build(const, {"a": a, "b": b})
+def make_alias_task() -> tuple[Task, FeatureSet]:
+    """Variables a, b, c with b of domain 1; one operator setting a from 0
+    to 1.  Eliminating c, b, a (the order [a, b, c]) condenses c into one
+    unknown per value of b, and b's single candidate is that unknown, so b
+    gets no unknown of its own."""
+    variables = [Variable(0, "a", 2, ("0", "1")), Variable(1, "b", 1, ("0",)),
+                 Variable(2, "c", 2, ("0", "1"))]
+    task = Task(variables, [Operator("o", {0: 0}, {0: 1}, 1)], (0, 0, 0),
+                {0: 1, 1: 0, 2: 0})
+    return task, FeatureSet((Feature.of(((0, 0), (1, 0), (2, 0))),
+                             Feature.of(((0, 0), (2, 1)))))
 
 
-def make_paper_be() -> ScopedFunctionSet:
-    """Two scoped functions over binary variables whose tables hold linear
-    expressions in two base unknowns; the standing worked example for the
-    symbolic eliminator."""
+def ab(a: float = 0.0, b: float = 0.0) -> dict[int, float]:
+    """Coefficients of the base columns a (0) and b (1), zeros left out."""
+    return {column: float(c) for column, c in ((0, a), (1, b)) if c}
+
+
+PAPER_BE_DOMAINS = (2, 2)
+
+
+def make_paper_be() -> list[ScopedFunction]:
+    """Two scoped functions over binary variables whose entries combine two
+    base columns, a and b; the standing worked example for the eliminator
+    (variable domains `PAPER_BE_DOMAINS`)."""
     f = ScopedFunction((0,), {(0,): ab(a=3, b=-2), (1,): ab(a=4, b=2)})
     g = ScopedFunction((0, 1), {(0, 0): ab(a=8), (0, 1): ab(b=7), (1, 0): ab(b=-3)})
-    return ScopedFunctionSet(domains={0: 2, 1: 2}, functions=[f, g])
+    return [f, g]
 
 
 @pytest.fixture
-def paper_be() -> ScopedFunctionSet:
+def paper_be() -> list[ScopedFunction]:
     return make_paper_be()
+
+
+def base_model(*names: str, lower: float = -math.inf, upper: float = math.inf) -> LpModel:
+    """A model whose columns are the given base unknowns."""
+    model = LpModel()
+    for name in names:
+        model.add_unknown(name, lower, upper)
+    return model
+
+
+def eliminate(model: LpModel, functions, domains, order, prefix: str = "z") -> dict[str, float]:
+    """Run `bucket_eliminate` on the model, append its rows and return the
+    result terms by unknown name."""
+    result, rows = bucket_eliminate(model, functions, domains, list(order), prefix)
+    terms = [t for _, t in rows]
+    model.add_rows(np.cumsum([0] + [len(t) for t in terms]),
+                   [c for t in terms for c in t], [v for t in terms for v in t.values()],
+                   ">=", 0.0, [name for name, _ in rows])
+    names = [name for name, _, _ in model.unknowns]
+    return {names[column]: coefficient for column, coefficient in result.items()}
+
+
+def candidates(model: LpModel) -> list[tuple[str, list[tuple[float, dict[str, float]]]]]:
+    """Every elimination unknown, in declaration order, with its candidates
+    read off its rows `{unknown}.{j}` (unknown - candidate >= constant) as
+    (constant, {name: coefficient})."""
+    out: dict[str, list] = {}
+    for row in model.rows:
+        aux = row.name.rpartition(".")[0]
+        if model.has_unknown(aux):
+            out.setdefault(aux, []).append(
+                (row.rhs, {n: -c for n, c in row.expression.terms if n != aux}))
+    return list(out.items())  # rows follow their unknown's declaration
+
+
+def bottom_up_values(model: LpModel, base: dict[str, float]) -> dict[str, float]:
+    """Values of every unknown: those named in `base` as given, and each
+    other one, in declaration order, the max over its rows `{unknown}.{j}`
+    of the candidate's value (the least value those rows allow)."""
+    rows: dict[str, list] = {}
+    for row in model.rows:
+        rows.setdefault(row.name.rpartition(".")[0], []).append(row)
+    values = dict(base)
+    for name, _, _ in model.unknowns:
+        if name not in values:
+            values[name] = max(row.rhs - sum(c * values[n] for n, c in row.expression.terms
+                                             if n != name)
+                               for row in rows[name])
+    return values

@@ -1,6 +1,7 @@
 """Row-by-row constructions of the projection, TCP, OCP, exhaustive and
 dimension-2 potential LPs, the classified construction of the potential LP
-of any dimension, the repeated-addition sample objective, and the
+of any dimension over the symbolic eliminator (tables of LinearExpressions,
+max-equations, then rows), the repeated-addition sample objective, and the
 operator-scan transition system and A*.
 
 These build every row as a LinearExpression, one transition or operator at a
@@ -21,10 +22,9 @@ import math
 from dataclasses import dataclass
 
 from potplan.direct2d import WEIGHT_LOWER, WEIGHT_UPPER, sample_states, weight_var_name
-from potplan.elimination import (DependencyGraph, ScopedFunction, ScopedFunctionSet,
-                                 bucket_eliminate, min_fill_order, to_lp_constraints)
+from potplan.elimination import DependencyGraph, OrderingError, ScopedFunction, min_fill_order
 from potplan.features import Feature, FeatureError
-from potplan.lp import LinearExpression, LpModel
+from potplan.lp import ZERO, LinearExpression, LpModel, Row
 from potplan.search import NoPlanError, SearchResult, tiebreak_key
 from potplan.task import is_applicable, iter_states, state_index, successor
 
@@ -59,6 +59,10 @@ def classify_features(fs, op):
     return OperatorPartition(tuple(irrelevant), tuple(independent), tuple(dependent))
 
 
+def true_in(feature, state):
+    return all(state[var] == val for var, val in feature.facts)
+
+
 def entailed_by(feature, assignment):
     return all(assignment.get(var) == val for var, val in feature.facts)
 
@@ -66,7 +70,7 @@ def entailed_by(feature, assignment):
 def delta(op, feature, state):
     """Change of the feature's truth value when applying op in state."""
     after = successor(state, op)  # raises NotApplicableError
-    return int(feature.true_in(state)) - int(feature.true_in(after))
+    return int(true_in(feature, state)) - int(true_in(feature, after))
 
 
 def delta_independent(op, feature):
@@ -81,7 +85,7 @@ def delta_independent(op, feature):
 def _reference_state_objective(fs, weight_vars, state):
     terms = {}
     for i, f in enumerate(fs.features):
-        if f.true_in(state):
+        if true_in(f, state):
             terms[weight_vars[i]] = terms.get(weight_vars[i], 0.0) + 1.0
     return LinearExpression.build(0.0, terms)
 
@@ -200,7 +204,7 @@ def reference_exhaustive_model(task, fs, ts):
         s, t = ts.states[src], ts.states[dst]
         terms = {}
         for i, f in enumerate(fs.features):
-            change = int(f.true_in(s)) - int(f.true_in(t))
+            change = int(true_in(f, s)) - int(true_in(f, t))
             if change:
                 terms[weight_vars[i]] = terms.get(weight_vars[i], 0.0) + change
         model.add_row(LinearExpression.build(0.0, terms), "<=",
@@ -257,6 +261,130 @@ def reference_direct2d_model(task, fs):
     return model
 
 
+def _value(fn, assignment):
+    return fn.table.get(tuple(assignment[v] for v in fn.scope), ZERO)
+
+
+def _assignment_key(scope, assignment):
+    return "_".join(f"v{var}.{assignment[var]}" for var in scope)
+
+
+def reference_bucket_eliminate(domains, functions, order, prefix="z"):
+    """The symbolic eliminator: scoped functions whose entries are
+    LinearExpressions become max-equations `(name, candidates)` over fresh
+    auxiliary names, processed back to front as `bucket_eliminate` does
+    (same names, same all-zero rule); the last equation, `{prefix}_result`,
+    has the sum of the scope-free functions as its one candidate.
+    `domains` maps every variable a scope may hold to its size."""
+    scope_vars = set()
+    for fn in functions:
+        scope_vars.update(fn.scope)
+    undeclared = scope_vars - set(domains)
+    if undeclared:
+        raise OrderingError(f"scope variables without domains: {sorted(undeclared)}")
+    missing = scope_vars - set(order)
+    if missing:
+        raise OrderingError(f"ordering misses scope variables {sorted(missing)}")
+    position = {v: i for i, v in enumerate(order)}
+
+    buckets = {v: [] for v in order}
+    ground = []  # empty-scope functions
+
+    def place(fn):
+        if not fn.scope:
+            ground.append(fn)
+        else:
+            buckets[max(fn.scope, key=position.__getitem__)].append(fn)
+
+    for fn in functions:
+        place(fn)
+
+    equations = []
+    for var in reversed(order):
+        bucket = buckets[var]
+        if not bucket:
+            continue
+        new_scope = tuple(sorted(
+            {u for fn in bucket for u in fn.scope} - {var}))
+        table = {}
+        scope_domains = [range(domains[u]) for u in new_scope]
+        for values in itertools.product(*scope_domains):
+            assignment = dict(zip(new_scope, values))
+            candidates = []
+            for x in range(domains[var]):
+                assignment[var] = x
+                candidates.append(_sum(_value(fn, assignment) for fn in bucket))
+            del assignment[var]
+            if new_scope and all(c.is_zero() for c in candidates):
+                continue  # table entry stays absent (zero)
+            suffix = _assignment_key(new_scope, assignment)
+            name = f"{prefix}_v{var}" + (f"__{suffix}" if suffix else "")
+            equations.append((name, candidates))
+            table[tuple(values)] = LinearExpression.term(name)
+        if table:
+            place(ScopedFunction(new_scope, table))
+
+    total = _sum(fn.table.get((), ZERO) for fn in ground)
+    equations.append((f"{prefix}_result", [total]))
+    return equations
+
+
+def _sum(expressions):
+    """Sum of linear expressions, built once."""
+    constant = 0.0
+    terms = {}
+    for expression in expressions:
+        constant += expression.constant
+        for name, coef in expression.terms:
+            terms[name] = terms.get(name, 0.0) + coef
+    return LinearExpression.build(constant, terms)
+
+
+def reference_lp_constraints(equations):
+    """(unknowns, rows, result) of the max-equations: one fresh unknown per
+    equation but the last, and one row `aux >= candidate` per candidate,
+    named `{aux}.{j}` for candidate j.  An equation whose single candidate is
+    a bare earlier aux unknown becomes an alias instead of an unknown and a
+    row.  The last equation gets no unknown either: its single candidate,
+    aliases substituted, is returned as `result`."""
+    if not equations:
+        return [], [], ZERO
+    *eliminated, (final_name, final) = equations
+    if len(final) != 1:
+        raise ValueError(f"result equation '{final_name}' needs exactly one "
+                         f"candidate, has {len(final)}")
+    aliases = {}
+    declared = set()
+    unknowns = []
+    rows = []
+    for name, candidates in eliminated:
+        candidates = [_inline(c, aliases) for c in candidates]
+        if len(candidates) == 1:
+            c = candidates[0]
+            if c.constant == 0.0 and len(c.terms) == 1 and \
+                    c.terms[0][1] == 1.0 and c.terms[0][0] in declared:
+                aliases[name] = c
+                continue
+        declared.add(name)
+        unknowns.append(name)
+        for j, c in enumerate(candidates):
+            terms = {n: -coef for n, coef in c.terms}
+            terms[name] = terms.get(name, 0.0) + 1.0
+            rows.append(Row(LinearExpression.build(0.0, terms), ">=", c.constant,
+                            f"{name}.{j}"))
+    return unknowns, rows, _inline(final[0], aliases)
+
+
+def _inline(expression, aliases):
+    """The expression with aliased unknowns replaced by what they stand for."""
+    if not any(name in aliases for name, _ in expression.terms):
+        return expression
+    result = LinearExpression.const(expression.constant)
+    for name, coef in expression.terms:
+        result = result + coef * aliases.get(name, LinearExpression.term(name))
+    return result
+
+
 def reference_general_model(task, fs, orderings=None):
     """The compact model of any dimension as the classified construction
     writes it: per operator, the cost row holds the context-independent
@@ -294,13 +422,13 @@ def reference_general_model(task, fs, orderings=None):
             if order is None:
                 order = min_fill_order(DependencyGraph(
                     tuple(v.id for v in task.variables), frozenset(edges)))
-            pieces = to_lp_constraints(bucket_eliminate(
-                ScopedFunctionSet(domains, functions), list(order), prefix=f"z_o{op_index}"))
-            for name in pieces.aux_unknowns:
+            unknowns, rows, result = reference_lp_constraints(reference_bucket_eliminate(
+                domains, functions, list(order), prefix=f"z_o{op_index}"))
+            for name in unknowns:
                 model.add_unknown(name)
-            for name, coef in pieces.result.terms:
+            for name, coef in result.terms:
                 cost[name] = cost.get(name, 0.0) + coef
-            constant, rows = pieces.result.constant, pieces.rows
+            constant = result.constant
         model.add_row(LinearExpression.build(constant, cost), "<=", float(op.cost),
                       f"op{op_index}")
         for row in rows:

@@ -15,18 +15,18 @@ import pytest
 from potplan.costpart import all_patterns, build_ocp_lp, build_tcp_lp
 from potplan.direct2d import (build_direct2d_lp, solve_exhaustive_for_state,
                               solve_for_state, solve_general_for_state)
-from potplan.elimination import (bucket_eliminate, brute_force_max,
-                                 context_dependency_graph, dependency_graph,
-                                 induced_width, min_fill_order, to_lp_constraints)
+from potplan.elimination import (brute_force_max, context_dependency_graph,
+                                 dependency_graph, induced_width, min_fill_order)
 from potplan.features import generate_features
 from potplan.generator import random_features, random_scoped_set, random_task
-from potplan.lp import LpModel, solve
+from potplan.lp import LinearExpression, evaluate, solve
 from potplan.reduction import (Graph, complete_graph, cycle_graph, empty_graph,
                                is_3colorable, phi_of_state, reduce_3col)
 from potplan.search import PotentialHeuristic, astar, blind, validate
 from potplan.task import build_transition_system, exact_goal_distances
 
-from conftest import make_paper_be
+from conftest import (PAPER_BE_DOMAINS, base_model, bottom_up_values, candidates,
+                      eliminate, make_paper_be)
 from reference_builders import classify_features
 
 
@@ -49,27 +49,24 @@ def suite_task(seed):
 
 def test_criterion_1_golden_bucket_elimination():
     with criterion(1, "golden-bucket-elimination", 1.0):
-        system = bucket_eliminate(make_paper_be(), [0, 1])
-        assert len(system.equations) == 4
-        renaming = {}
+        model = base_model("a", "b")
+        result = eliminate(model, make_paper_be(), PAPER_BE_DOMAINS, [0, 1])
+        system = candidates(model)
+        assert len(system) == 3
+        renaming = {name: f"AUX{i + 1}" for i, (name, _) in enumerate(system)}
 
-        def shape(expression):
-            terms = {}
-            for name, coef in expression.terms:
-                terms[renaming.get(name, name)] = coef
-            return (expression.constant, terms)
+        def shape(candidate):
+            constant, terms = candidate
+            return (constant, {renaming.get(name, name): coef for name, coef in terms.items()})
 
-        for i, eq in enumerate(system.equations):
-            renaming[eq.name] = f"AUX{i + 1}"
-        shapes = [[shape(c) for c in eq.candidates] for eq in system.equations]
+        shapes = [[shape(c) for c in cands] for _, cands in system]
         assert shapes[0] == [(0.0, {"a": 8.0}), (0.0, {"b": 7.0})]
         assert shapes[1] == [(0.0, {"b": -3.0}), (0.0, {})]
         assert shapes[2] == [(0.0, {"a": 3.0, "b": -2.0, "AUX1": 1.0}),
                              (0.0, {"a": 4.0, "b": 2.0, "AUX2": 1.0})]
-        assert shapes[3] == [(0.0, {"AUX3": 1.0})]
-        pieces = to_lp_constraints(system)
-        assert len(pieces.rows) == 6
-        assert all(row.relation == ">=" for row in pieces.rows)
+        assert shape((0.0, result)) == (0.0, {"AUX3": 1.0})
+        assert len(model.rows) == 6
+        assert all(row.relation == ">=" for row in model.rows)
 
 
 def test_criterion_2_direct2d_equals_exhaustive():
@@ -103,35 +100,27 @@ def test_criterion_4_numeric_max_oracle():
         for seed in range(200):
             n_vars = 2 + seed % 3
             n_functions = 2 + seed % 4
-            psi = random_scoped_set(n_vars, 3, n_functions, seed)
-            graph = dependency_graph(psi)
+            domains, functions = random_scoped_set(n_vars, 3, n_functions, seed)
+            graph = dependency_graph(functions, range(n_vars))
             order = min_fill_order(graph)
             width = induced_width(graph, order)
-            system = bucket_eliminate(psi, order)
-            pieces = to_lp_constraints(system)
-
-            model = LpModel()
-            for name in pieces.aux_unknowns:
-                model.add_unknown(name)
-            for row in pieces.rows:
-                model.add_row(row.expression, row.relation, row.rhs, row.name)
-            model.set_objective("min", pieces.result)
+            # the constants sit on column 0, fixed at 1
+            model = base_model("one", lower=1.0, upper=1.0)
+            result = LinearExpression.build(0.0, eliminate(model, functions, domains, order))
+            model.set_objective("min", result)
             solution = solve(model).require_optimal()
-            expected = brute_force_max(psi)
+            expected = brute_force_max(functions, domains, [1.0])
             assert solution.objective_value == pytest.approx(expected, abs=1e-9), seed
-            _, bottom_up = system.evaluate({})
+            bottom_up = evaluate(result, bottom_up_values(model, {"one": 1.0}))
             assert bottom_up == pytest.approx(expected, abs=1e-9), seed
 
-            # width-parameterized size budget; the final summing stage may
-            # add one unknown and one row beyond the per-variable budget
-            d = max(psi.domains.values())
+            # width-parameterized size budget; the final sum adds no unknown
+            # and no row
+            d = max(domains)
             aux_budget = n_vars * d ** width
             row_budget = n_vars * d ** (width + 1)
-            elimination = system.equations[:-1]
-            assert len(elimination) <= aux_budget, seed
-            assert sum(len(eq.candidates) for eq in elimination) <= row_budget, seed
-            assert len(pieces.aux_unknowns) <= aux_budget + 1, seed
-            assert len(pieces.rows) <= row_budget + 1, seed
+            assert len(model.unknowns) - 1 <= aux_budget, seed
+            assert len(model.rows) <= row_budget, seed
 
 
 def test_criterion_5_dimension3_equivalence():

@@ -278,6 +278,33 @@ def test_lp_with_order_file(capsys, tmp_path, three_var_file):
     assert code == 2 and "usage error" in err
 
 
+@pytest.mark.parametrize("order", [["oA", "A"], {"oA": "A"}, {"oA": [["A"]]}])
+def test_malformed_order_file_is_usage_error(capsys, tmp_path, three_var_file, order):
+    features_path = tmp_path / "features.txt"
+    features_path.write_text(THREE_VAR_FEATURES)
+    order_path = tmp_path / "order.json"
+    order_path.write_text(json.dumps(order))
+    code, out, err = run_cli(capsys, "lp", "--dim", "3", "--method", "bucket",
+                             "--features", str(features_path),
+                             "--order", str(order_path), three_var_file)
+    assert code == 2 and out == "" and err.startswith("usage error: order file")
+
+
+@pytest.mark.parametrize("command", ["validate", "search"])
+@pytest.mark.parametrize("weights", [[["X=0", 1.0]], {"X=0": "abc"}, {"X=0": None}],
+                         ids=["list", "text", "null"])
+def test_malformed_weights_file_is_domain_error(capsys, tmp_path, toy1_file, command,
+                                                weights):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(weights))
+    if command == "validate":
+        argv = ["validate", "--weights", str(path), toy1_file]
+    else:
+        argv = ["search", "--heuristic", f"weights:{path}", toy1_file]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == "" and err.startswith("error: weight")
+
+
 def test_gen_round_trip(capsys, tmp_path):
     out_path = tmp_path / "gen.sas"
     code, _, _ = run_cli(capsys, "gen", "--vars", "3", "--dom", "3", "--ops", "5",

@@ -8,7 +8,7 @@ from potplan.features import (Feature, FeatureError, FeatureSet, WeightFunction,
 from potplan.generator import random_features, random_task
 from potplan.task import build_transition_system, is_applicable, iter_states
 
-from reference_builders import classify_features, delta, delta_independent
+from reference_builders import classify_features, delta, delta_independent, true_in
 
 
 def w_for(fs, mapping):
@@ -75,7 +75,7 @@ def test_truth_matrix_matches_true_in(seed):
                random_features(task, 10, 3, seed)):
         truth = truth_matrix(fs, states)
         assert truth.shape == (len(states), len(fs))
-        assert truth.tolist() == [[int(f.true_in(s)) for f in fs] for s in states]
+        assert truth.tolist() == [[int(true_in(f, s)) for f in fs] for s in states]
 
 
 def test_classify_dim2(toy1):

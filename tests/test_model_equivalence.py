@@ -16,7 +16,7 @@ from potplan.lp import export_lp
 from potplan.reduction import complete_graph, reduce_3col
 from potplan.task import Operator, Task, build_transition_system
 
-from conftest import make_toy1
+from conftest import make_alias_task, make_toy1
 from reference_builders import (reference_direct2d_model, reference_exhaustive_model,
                                 reference_general_model, reference_ocp_model,
                                 reference_projection, reference_tcp_model)
@@ -138,7 +138,7 @@ def random_dimension3(seed):
     return task, random_features(task, 10, 3, seed)
 
 
-GENERAL_CASES = {"k4_reduction": k4_reduction}
+GENERAL_CASES = {"k4_reduction": k4_reduction, "domain1_alias": make_alias_task}
 GENERAL_CASES.update({f"random{seed}": (lambda seed=seed: random_dimension3(seed))
                       for seed in range(12)})
 
@@ -151,7 +151,8 @@ def reversed_min_fill_orders(task, fs):
 @pytest.mark.parametrize("name", sorted(GENERAL_CASES))
 def test_general_model_matches_reference(name):
     """At dimension 3, where context-dependency graphs have edges; with
-    min-fill orders and with each of them reversed."""
+    min-fill orders and with each of them reversed.  The reference is the
+    symbolic eliminator over linear expressions."""
     task, fs = GENERAL_CASES[name]()
     assert_same_model(build_general_lp(task, fs).model, reference_general_model(task, fs))
     orders = reversed_min_fill_orders(task, fs)
@@ -161,7 +162,9 @@ def test_general_model_matches_reference(name):
 
 def test_general_instances_cover_context_edges():
     """The suite above reaches operators whose context-dependency graph has
-    edges, where reversing the order changes the model."""
+    edges, where reversing the order changes the model, and a domain-1
+    variable whose unknown becomes an alias (under the reversed order)."""
+    assert reversed_min_fill_orders(*make_alias_task()) == {0: [0, 1, 2]}
     with_edges = changed = 0
     for make in GENERAL_CASES.values():
         task, fs = make()

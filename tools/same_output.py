@@ -13,7 +13,10 @@ The inputs are written once, with BEFORE_TREE, into a temporary directory:
 `random_task(4, 3, 6, seed)` with `random_features(task, 10, dim, seed)` for
 seeds 0..5 and dimensions 1-3 as feature files, plus two `--order` files (one
 valid, one missing a variable) and the weights that `solve --method
-exhaustive` prints for each random task, which `validate` reads back.  Each
+exhaustive` prints for each random task, which `validate` reads back.  A
+three-variable task with a domain-1 variable, two features and an `--order`
+file under which that variable's unknown becomes an alias adds a bucket `lp`
+and `solve`.  Each
 extra TASK.sas is run through the potential-LP calls as well; a
 TASK.features file beside it adds the bucket calls over those features.
 Exit code 0 when every call matches, 1 otherwise.
@@ -65,9 +68,9 @@ def prepare(tree: str, workdir: str, extra: list[str]) -> None:
     """Write the inputs and `calls.json`, the list of argument vectors."""
     potplan = _import_potplan(tree)
     from potplan.elimination import context_dependency_graph, min_fill_order
-    from potplan.features import format_feature
+    from potplan.features import Feature, FeatureSet, format_feature
     from potplan.generator import random_features, random_task
-    from potplan.task import serialize_sas
+    from potplan.task import Operator, Task, Variable, serialize_sas
     os.chdir(workdir)
     calls = []
     for seed in GEN_SEEDS:
@@ -113,6 +116,16 @@ def prepare(tree: str, workdir: str, extra: list[str]) -> None:
                     _write(name, json.dumps(order))
                     base = ["--method", "bucket", "--features", features, "--order", name, sas]
                     calls += [["solve", *base], ["lp", *base]]
+    alias = Task([Variable(0, "a", 2, ("0", "1")), Variable(1, "b", 1, ("0",)),
+                  Variable(2, "c", 2, ("0", "1"))],
+                 [Operator("o", {0: 0}, {0: 1}, 1)], (0, 0, 0), {0: 1, 1: 0, 2: 0})
+    sas = _write("alias.sas", serialize_sas(alias))
+    fs = FeatureSet((Feature(((0, 0), (1, 0), (2, 0))), Feature(((0, 0), (2, 1)))))
+    features = _write("alias.features", "".join(format_feature(alias, f) + "\n" for f in fs))
+    _write("alias_order.json", json.dumps({"o": ["a", "b", "c"]}))
+    base = ["--method", "bucket", "--dim", "3", "--features", features,
+            "--order", "alias_order.json", sas]
+    calls += [["lp", *base], ["solve", *base]]
     for sas in extra:
         features = os.path.splitext(sas)[0] + ".features"
         calls += _task_calls(sas, features if os.path.exists(features) else None)
