@@ -228,13 +228,12 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _compare_states(task: Task, ts, args):
+def _compare_states(task: Task, ts, distances: list[float], args):
     if args.state == "init":
         return [("init", task.initial_state)]
     if args.state.startswith("random:"):
         count = _count(args.state)
-        finite = [i for i, d in enumerate(exact_goal_distances(ts))
-                  if d < math.inf]
+        finite = [i for i, d in enumerate(distances) if d < math.inf]
         rng = random.Random(args.seed)
         picks = [finite[rng.randrange(len(finite))] for _ in range(count)]
         return [(f"s{idx}", ts.states[idx]) for idx in picks]
@@ -249,7 +248,7 @@ def cmd_compare(args) -> int:
     fs1 = features.generate_features(task, 1)
     fs2 = features.generate_features(task, 2)
     rows = []
-    for label, state in _compare_states(task, ts, args):
+    for label, state in _compare_states(task, ts, distances, args):
         pot1 = direct2d.solve_for_state(task, fs1, state).value
         pot2 = direct2d.solve_for_state(task, fs2, state).value
         ocp = lp.solve(costpart.build_ocp_lp(ts, patterns, state).model)

@@ -1,9 +1,9 @@
 """Projection abstractions and the optimal transition / operator cost
 partitioning LPs over an explicit transition system.
 
-These LPs have one cost unknown per (abstraction, transition) — or per
-(abstraction, operator) in the operator variant — and exist at desk scale as
-oracles for the equivalence with state-maximized potential heuristics.
+The operator LP has one cost unknown per (abstraction, operator); the
+transition LP has its cost unknowns eliminated exactly.  Both exist at desk
+scale as oracles for the equivalence with state-maximized potential heuristics.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ class Projection:
     """Restriction of every state to a pattern of variables.
 
     Abstract transitions are kept one per concrete transition (parallel
-    lists), so each may carry its own cost unknown in the transition
-    partitioning LP; the operator variant collapses them again.
+    lists), as the transition partitioning LP has one row per concrete
+    transition; the operator variant collapses them again.
     """
 
     pattern: tuple[int, ...]
@@ -75,18 +75,22 @@ def _h_name(abstraction: int, abstract_state: int) -> str:
 class CostPartitioningLp:
     model: LpModel
     projections: list[Projection]
-    # column of the cost unknown of (transition or operator, abstraction)
-    cost_columns: np.ndarray
+    # operator variant: column of the cost unknown of (operator, abstraction);
+    # transition variant, which has no cost unknowns: h column of the
+    # abstract state of (concrete state, abstraction)
+    columns: np.ndarray
     per_transition: bool
 
     def extract_cost_functions(self, ts: TransitionSystem,
                                solution: LpSolution) -> list[list[float]]:
-        """Per abstraction, one cost per concrete transition."""
-        columns = self.cost_columns
-        if not self.per_transition:
-            columns = columns[ts.transition_array()[:, 1]]
+        """Per abstraction, one cost per concrete transition: the value of
+        its operator's cost unknown, or in the transition variant the least
+        feasible cost h(abstract source) - h(abstract target)."""
         x = np.array([solution.values[name] for name, _, _ in self.model.unknowns])
-        return x[columns].T.tolist()
+        table = ts.transition_array()
+        if self.per_transition:
+            return (x[self.columns[table[:, 0]]] - x[self.columns[table[:, 2]]]).T.tolist()
+        return x[self.columns[table[:, 1]]].T.tolist()
 
 
 def _add_h_unknowns(model: LpModel, projections: list[Projection]) -> list[int]:
@@ -138,39 +142,34 @@ def _set_state_objective(model: LpModel, projections: list[Projection],
 
 def build_tcp_lp(ts: TransitionSystem, patterns, state: State) -> CostPartitioningLp:
     """Transition cost partitioning: per abstraction a zero row for the
-    abstract goal and a consistency row per concrete transition against that
-    transition's own cost unknown; per transition, the summed cost unknowns
-    stay below the operator cost.  Objective: total abstract value of the
-    given state."""
+    abstract goal; per concrete transition t the row `part_t{t}`, sum_a
+    h_a(asrc) - h_a(adst) <= operator cost.  It sums the rows h_a(asrc) -
+    h_a(adst) - c_{a,t} <= 0 over all a and sum_a c_{a,t} <= cost, the only
+    rows holding the free cost unknowns c_{a,t}; eliminating them this way
+    (Fourier-Motzkin) keeps the optimum.  Objective: total abstract value of
+    the given state."""
     projections = [project(ts, p) for p in patterns]
-    n_transitions = len(ts.transitions)
     model = LpModel()
     offsets = _add_h_unknowns(model, projections)
-    first_cost = len(model.unknowns)
-    for ai in range(len(projections)):
-        for ti in range(n_transitions):
-            model.add_unknown(f"c_a{ai}_t{ti}")
-    # cost column of (abstraction ai, transition ti), one row per transition
-    cost_columns = (first_cost + np.arange(len(projections)) * n_transitions
-                    + np.arange(n_transitions)[:, None])
     _add_goal_rows(model, projections, offsets)
+    maps = [offset + proj.state_map for offset, proj in zip(offsets, projections)]
+    state_columns = np.array(maps, dtype=np.int64).reshape(len(projections), len(ts.states)).T
     table = ts.transition_array()
-    for ai, proj in enumerate(projections):
-        _add_consistency_rows(
-            model, offsets[ai] + proj.state_map[table[:, 0]],
-            offsets[ai] + proj.state_map[table[:, 2]], cost_columns[:, ai],
-            [f"cons_a{ai}_t{ti}" for ti in range(n_transitions)])
+    # on abstract self-loops the h terms cancel and add_rows drops them
+    columns = np.hstack([state_columns[table[:, 0]], state_columns[table[:, 2]]])
     costs = np.array(ts.operator_costs, dtype=float)
-    _add_partition_rows(model, cost_columns, costs[table[:, 1]],
-                        [f"part_t{ti}" for ti in range(n_transitions)])
+    model.add_rows(np.arange(len(table) + 1) * columns.shape[1], columns.ravel(),
+                   np.tile(np.repeat([1.0, -1.0], len(projections)), len(table)), "<=",
+                   costs[table[:, 1]], [f"part_t{ti}" for ti in range(len(table))])
     _set_state_objective(model, projections, state)
-    return CostPartitioningLp(model, projections, cost_columns, per_transition=True)
+    return CostPartitioningLp(model, projections, state_columns, per_transition=True)
 
 
 def build_ocp_lp(ts: TransitionSystem, patterns, state: State) -> CostPartitioningLp:
-    """Operator cost partitioning: like the transition variant but with one
-    cost unknown per (abstraction, operator); parallel abstract transitions
-    collapse into a single consistency row."""
+    """Operator cost partitioning: goal rows as in the transition variant,
+    one cost unknown per (abstraction, operator), a consistency row per
+    distinct abstract transition (parallel ones collapse) and per operator a
+    row keeping its summed cost unknowns below its cost."""
     projections = [project(ts, p) for p in patterns]
     n_ops = len(ts.operator_costs)
     model = LpModel()

@@ -1,8 +1,9 @@
-"""Row-by-row constructions of the projection, TCP, OCP, exhaustive and
-dimension-2 potential LPs, the classified construction of the potential LP
-of any dimension over the symbolic eliminator (tables of LinearExpressions,
-max-equations, then rows), the repeated-addition sample objective, and the
-operator-scan transition system and A*.
+"""Row-by-row constructions of the projection, TCP (with and without its
+cost unknowns), OCP, exhaustive and dimension-2 potential LPs, the
+classified construction of the potential LP of any dimension over the
+symbolic eliminator (tables of LinearExpressions, max-equations, then rows),
+the repeated-addition sample objective, and the operator-scan transition
+system and A*.
 
 These build every row as a LinearExpression, one transition or operator at a
 time, and serve as the reference that the builders in potplan must reproduce
@@ -14,6 +15,9 @@ higher dimension it has to match the construction that splits each
 operator's features with `classify_features` and `delta_independent`.  The
 search references test every operator in every state with `is_applicable`
 and `successor`; the indexed successor generator has to reproduce them.
+The TCP model with one cost unknown per (abstraction, transition) is no
+builder's reference but the oracle of the eliminated one: same optimum, and
+the solution lifted into it is feasible.
 """
 
 import heapq
@@ -158,6 +162,22 @@ def reference_tcp_model(ts, patterns, state):
         terms = {f"c_a{ai}_t{ti}": 1.0 for ai in range(len(projections))}
         model.add_row(LinearExpression.build(0.0, terms), "<=",
                       float(ts.operator_costs[op]), f"part_t{ti}")
+    return _finish(model, projections, state)
+
+
+def reference_tcp_eliminated_model(ts, patterns, state):
+    """reference_tcp_model with its cost unknowns eliminated: the same goal
+    rows, then per transition the sum of its consistency rows and its
+    partition row, named `part_t{ti}`."""
+    projections, model = _start(ts, patterns, state)
+    for ai, proj in enumerate(projections):
+        model.add_row(_h(ai, proj[5]), "=", 0.0, f"goal_a{ai}")
+    for ti, (_, op, _) in enumerate(ts.transitions):
+        expr = LinearExpression()
+        for ai, proj in enumerate(projections):
+            asrc, _, adst = proj[3][ti]
+            expr = expr + _h(ai, asrc) - _h(ai, adst)
+        model.add_row(expr, "<=", float(ts.operator_costs[op]), f"part_t{ti}")
     return _finish(model, projections, state)
 
 

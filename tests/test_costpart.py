@@ -91,12 +91,13 @@ def test_validate_partition_of_solved_tcp(toy1):
 
 
 @pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("build, unknown", [
-    (build_tcp_lp, lambda ai, ti, op: f"c_a{ai}_t{ti}"),
-    (build_ocp_lp, lambda ai, ti, op: f"c_a{ai}_o{op}")], ids=["tcp", "ocp"])
-def test_extract_cost_functions(seed, build, unknown):
-    """Each abstraction's cost of a transition is the value of the cost
-    unknown of that transition (TCP) or of its operator (OCP)."""
+@pytest.mark.parametrize("build, cost", [
+    (build_tcp_lp, lambda x, ai, asrc, op, adst: x[f"h_a{ai}_s{asrc}"] - x[f"h_a{ai}_s{adst}"]),
+    (build_ocp_lp, lambda x, ai, asrc, op, adst: x[f"c_a{ai}_o{op}"])], ids=["tcp", "ocp"])
+def test_extract_cost_functions(seed, build, cost):
+    """Each abstraction's cost of a transition is the least feasible one,
+    h(abstract source) - h(abstract target) (TCP, which has no cost
+    unknowns), or the value of its operator's cost unknown (OCP)."""
     task = random_task(3, 3, 5, seed)
     ts = build_transition_system(task)
     patterns = all_patterns(len(task.variables), 2)
@@ -104,8 +105,8 @@ def test_extract_cost_functions(seed, build, unknown):
     solution = solve(built.model).require_optimal()
     cost_functions = built.extract_cost_functions(ts, solution)
     assert cost_functions == [
-        [solution.values[unknown(ai, ti, op)] for ti, (_, op, _) in enumerate(ts.transitions)]
-        for ai in range(len(patterns))]
+        [cost(solution.values, ai, *move) for move in proj.abstract_transitions]
+        for ai, proj in enumerate(built.projections)]
     assert validate_partition(ts, cost_functions) == (True, None)
 
 

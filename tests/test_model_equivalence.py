@@ -2,7 +2,10 @@
 bucket-elimination assembler at any dimension, produce exactly the models of
 their references: export_lp of both is byte-identical and the
 stored matrices are equal, so HiGHS sees the same columns, rows and
-coefficients."""
+coefficients.  The TCP model, whose cost unknowns are eliminated, is also
+solved against the full model with them."""
+
+import math
 
 import numpy as np
 import pytest
@@ -12,14 +15,15 @@ from potplan.direct2d import build_direct2d_lp, build_exhaustive_lp, build_gener
 from potplan.elimination import context_dependency_graph, min_fill_order
 from potplan.features import FeatureSet, generate_features
 from potplan.generator import random_features, random_task
-from potplan.lp import export_lp
+from potplan.lp import check_solution, export_lp, solve
 from potplan.reduction import complete_graph, reduce_3col
-from potplan.task import Operator, Task, build_transition_system
+from potplan.task import Operator, Task, build_transition_system, exact_goal_distances
 
 from conftest import make_alias_task, make_toy1
 from reference_builders import (reference_direct2d_model, reference_exhaustive_model,
                                 reference_general_model, reference_ocp_model,
-                                reference_projection, reference_tcp_model)
+                                reference_projection, reference_tcp_eliminated_model,
+                                reference_tcp_model)
 
 
 def toy1_with_self_loop() -> Task:
@@ -73,9 +77,36 @@ def test_tcp_and_ocp_models_match_reference(name):
     for patterns in pattern_sets(task):
         for state in states_of(ts):
             assert_same_model(build_tcp_lp(ts, patterns, state).model,
-                              reference_tcp_model(ts, patterns, state))
+                              reference_tcp_eliminated_model(ts, patterns, state))
             assert_same_model(build_ocp_lp(ts, patterns, state).model,
                               reference_ocp_model(ts, patterns, state))
+
+
+@pytest.mark.parametrize("name", sorted(TASKS))
+def test_eliminated_tcp_matches_full_model(name):
+    """The TCP model without cost unknowns has the optimum of the model with
+    them, and its h values with the least partition of
+    extract_cost_functions are a feasible point of that model.  On a
+    dead-end state both report the same status: with the all-variable
+    pattern, which sees the dead end, unbounded."""
+    task = TASKS[name]()
+    ts = build_transition_system(task)
+    dead_ends = [ts.states[i] for i, d in enumerate(exact_goal_distances(ts)) if d == math.inf]
+    for patterns in pattern_sets(task):
+        for state in states_of(ts) + dead_ends[:1]:
+            built = build_tcp_lp(ts, patterns, state)
+            full = reference_tcp_model(ts, patterns, state)
+            eliminated, reference = solve(built.model), solve(full)
+            assert eliminated.status == reference.status
+            if state in dead_ends and tuple(range(len(task.variables))) in patterns:
+                assert eliminated.status == "unbounded"
+            if eliminated.status != "optimal":
+                continue
+            assert abs(eliminated.objective_value - reference.objective_value) <= 1e-9
+            lifted = dict(eliminated.values)
+            for ai, costs in enumerate(built.extract_cost_functions(ts, eliminated)):
+                lifted.update((f"c_a{ai}_t{ti}", cost) for ti, cost in enumerate(costs))
+            assert check_solution(full, lifted) == []
 
 
 @pytest.mark.parametrize("name", sorted(TASKS))
@@ -92,17 +123,18 @@ def test_exhaustive_model_matches_reference(name):
 def test_instances_cover_self_loops_and_duplicates():
     """The suite above reaches the cases the array builders must treat like
     the row-by-row ones: abstract self-loops (cancelling h terms), repeated
-    abstract transitions (OCP de-duplication) and concrete self-loops (empty
-    exhaustive rows)."""
-    abstract_loops = repeated = concrete_loops = 0
+    abstract transitions (OCP de-duplication), concrete self-loops (empty
+    exhaustive rows) and dead-end states (unbounded TCP)."""
+    abstract_loops = repeated = concrete_loops = dead_ends = 0
     for make in TASKS.values():
         ts = build_transition_system(make())
         concrete_loops += sum(src == dst for src, _, dst in ts.transitions)
+        dead_ends += math.inf in exact_goal_distances(ts)
         for pattern in all_patterns(len(ts.domain_sizes), 2):
             moves = project(ts, pattern).abstract_transitions
             abstract_loops += sum(s == d for s, _, d in moves)
             repeated += len(moves) - len(set(moves))
-    assert abstract_loops and repeated and concrete_loops
+    assert abstract_loops and repeated and concrete_loops and dead_ends
 
 
 POTENTIAL_TASKS = {"toy1": make_toy1}

@@ -13,12 +13,13 @@ The inputs are written once, with BEFORE_TREE, into a temporary directory:
 `random_task(4, 3, 6, seed)` with `random_features(task, 10, dim, seed)` for
 seeds 0..5 and dimensions 1-3 as feature files, plus two `--order` files (one
 valid, one missing a variable) and the weights that `solve --method
-exhaustive` prints for each random task, which `validate` reads back.  A
-three-variable task with a domain-1 variable, two features and an `--order`
-file under which that variable's unknown becomes an alias adds a bucket `lp`
-and `solve`.  Each
-extra TASK.sas is run through the potential-LP calls as well; a
-TASK.features file beside it adds the bucket calls over those features.
+exhaustive` prints for each random task, which `validate` reads back.
+`random_task(4, 4, 8, seed)` for seeds 0, 15 and 34 (96 to 192 states) adds
+`compare --state random:3`.  A three-variable task with a domain-1 variable,
+two features and an `--order` file under which that variable's unknown
+becomes an alias adds a bucket `lp` and `solve`.  Each extra TASK.sas is run
+through the potential-LP calls as well; a TASK.features file beside it adds
+the bucket calls over those features.
 Exit code 0 when every call matches, 1 otherwise.
 """
 
@@ -38,6 +39,7 @@ import scipy.sparse
 
 GEN_SEEDS = range(12)
 RANDOM_SEEDS = range(6)
+COMPARE_SEEDS = (0, 15, 34)  # 96, 128 and 192 states
 
 
 def _import_potplan(tree: str):
@@ -116,6 +118,9 @@ def prepare(tree: str, workdir: str, extra: list[str]) -> None:
                     _write(name, json.dumps(order))
                     base = ["--method", "bucket", "--features", features, "--order", name, sas]
                     calls += [["solve", *base], ["lp", *base]]
+    for seed in COMPARE_SEEDS:
+        sas = _write(f"compare{seed}.sas", serialize_sas(random_task(4, 4, 8, seed)))
+        calls.append(["compare", sas, "--state", "random:3", "--format", "json"])
     alias = Task([Variable(0, "a", 2, ("0", "1")), Variable(1, "b", 1, ("0",)),
                   Variable(2, "c", 2, ("0", "1"))],
                  [Operator("o", {0: 0}, {0: 1}, 1)], (0, 0, 0), {0: 1, 1: 0, 2: 0})
