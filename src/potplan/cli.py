@@ -240,35 +240,56 @@ def _compare_states(task: Task, ts, distances: list[float], args):
     raise CliUsageError(f"unknown state spec '{args.state}'")
 
 
+def _optima(model: lp.LpModel, states, set_state) -> list[float]:
+    """The model's maximum at each state.  Only the objective changes
+    between the solves, so each re-solve starts from the last basis."""
+    values = []
+    for state in states:
+        set_state(state)
+        values.append(lp.solve(model).require_optimal().objective_value)
+    return values
+
+
+def _potential_optima(task: Task, dim: int, states) -> list[float]:
+    fs = features.generate_features(task, dim)
+    built = direct2d.build_direct2d_lp(task, fs)
+    return _optima(built.model, states, lambda state: built.model.set_objective(
+        "max", direct2d.state_objective(fs, built.weight_vars, state)))
+
+
+def _partitioning_optima(build, ts, patterns, states) -> list[float]:
+    built = build(ts, patterns, states[0])
+    return _optima(built.model, states, built.set_state)
+
+
 def cmd_compare(args) -> int:
     task = _load_tnf_task(args.task)
     ts = build_transition_system(task, args.state_cap)
     distances = exact_goal_distances(ts)
     patterns = costpart.all_patterns(len(task.variables), 2)
-    fs1 = features.generate_features(task, 1)
-    fs2 = features.generate_features(task, 2)
+    picks = _compare_states(task, ts, distances, args)
+    states = [state for _, state in picks]
+    # Models outside, states inside: one model and its solver session at a time.
+    columns = {
+        "h_pot1": _potential_optima(task, 1, states),
+        "h_pot2": _potential_optima(task, 2, states),
+        "h_ocp2": _partitioning_optima(costpart.build_ocp_lp, ts, patterns, states),
+        "h_tcp2": _partitioning_optima(costpart.build_tcp_lp, ts, patterns, states),
+    }
     rows = []
-    for label, state in _compare_states(task, ts, distances, args):
-        pot1 = direct2d.solve_for_state(task, fs1, state).value
-        pot2 = direct2d.solve_for_state(task, fs2, state).value
-        ocp = lp.solve(costpart.build_ocp_lp(ts, patterns, state).model)
-        tcp = lp.solve(costpart.build_tcp_lp(ts, patterns, state).model)
+    for i, (label, state) in enumerate(picks):
         h_star = distances[state_index(state, ts.domain_sizes)]
         rows.append({
             "state": label,
-            "h_pot1": round(pot1, 6),
-            "h_pot2": round(pot2, 6),
-            "h_ocp2": round(ocp.require_optimal().objective_value, 6),
-            "h_tcp2": round(tcp.require_optimal().objective_value, 6),
+            **{column: round(values[i], 6) for column, values in columns.items()},
             "h_star": h_star if math.isfinite(h_star) else "inf",
         })
     if args.format == "json":
         print(json.dumps(rows))
     else:
-        columns = ["state", "h_pot1", "h_pot2", "h_ocp2", "h_tcp2", "h_star"]
-        print(",".join(columns))
+        print(",".join(rows[0]))
         for row in rows:
-            print(",".join(str(row[c]) for c in columns))
+            print(",".join(str(value) for value in row.values()))
     return EXIT_OK
 
 

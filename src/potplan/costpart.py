@@ -25,21 +25,23 @@ class AbstractionError(ValueError):
 
 @dataclass
 class Projection:
-    """Restriction of every state to a pattern of variables.
-
-    Abstract transitions are kept one per concrete transition (parallel
-    lists), as the transition partitioning LP has one row per concrete
-    transition; the operator variant collapses them again.
-    """
+    """Restriction of every state to a pattern of variables."""
 
     pattern: tuple[int, ...]
     domain_sizes: tuple[int, ...]
     abstract_states: tuple[tuple[int, ...], ...]
-    abstract_transitions: list[tuple[int, int, int]]  # aligned with ts.transitions
     initial: int
     goal: int
     # abstract state of every concrete state, by concrete state index
-    state_map: np.ndarray | None = field(default=None, compare=False, repr=False)
+    state_map: np.ndarray = field(compare=False, repr=False)
+    ts: TransitionSystem = field(compare=False, repr=False)
+
+    @property
+    def abstract_transitions(self) -> list[tuple[int, int, int]]:
+        """One abstract transition per concrete transition (aligned with
+        `ts.transitions`), built on access: neither LP builder reads them."""
+        amap = self.state_map.tolist()
+        return [(amap[src], op, amap[dst]) for src, op, dst in self.ts.transitions]
 
     def map_state(self, state: State) -> int:
         return state_index(tuple(state[var] for var in self.pattern), self.domain_sizes)
@@ -57,14 +59,12 @@ def project(ts: TransitionSystem, pattern) -> Projection:
     abstract_states = tuple(iter_states(doms))
     # the index of each concrete state's restriction, as in Projection.map_state
     state_map = ts.state_array()[:, list(pattern)] @ np.array(strides(doms), dtype=np.int64)
-    amap = state_map.tolist()
-    transitions = [(amap[src], op, amap[dst]) for src, op, dst in ts.transitions]
-    goals = {amap[g] for g in ts.goals}
+    goals = set(state_map[sorted(ts.goals)].tolist())
     if len(goals) != 1:
         raise AbstractionError("projection needs a single abstract goal state "
                                "(task must be in transition normal form)")
-    return Projection(pattern, doms, abstract_states, transitions,
-                      amap[ts.initial], goals.pop(), state_map)
+    return Projection(pattern, doms, abstract_states, int(state_map[ts.initial]),
+                      goals.pop(), state_map, ts)
 
 
 def _h_name(abstraction: int, abstract_state: int) -> str:
@@ -80,6 +80,14 @@ class CostPartitioningLp:
     # abstract state of (concrete state, abstraction)
     columns: np.ndarray
     per_transition: bool
+
+    def set_state(self, state: State) -> None:
+        """Make the objective the total abstract value of the given state."""
+        terms: dict[str, float] = {}
+        for ai, proj in enumerate(self.projections):
+            name = _h_name(ai, proj.map_state(state))
+            terms[name] = terms.get(name, 0.0) + 1.0
+        self.model.set_objective("max", LinearExpression.build(0.0, terms))
 
     def extract_cost_functions(self, ts: TransitionSystem,
                                solution: LpSolution) -> list[list[float]]:
@@ -131,15 +139,6 @@ def _add_partition_rows(model: LpModel, cost_columns: np.ndarray, limits,
                    np.ones(cost_columns.size), "<=", np.asarray(limits, dtype=float), names)
 
 
-def _set_state_objective(model: LpModel, projections: list[Projection],
-                         state: State) -> None:
-    terms: dict[str, float] = {}
-    for ai, proj in enumerate(projections):
-        name = _h_name(ai, proj.map_state(state))
-        terms[name] = terms.get(name, 0.0) + 1.0
-    model.set_objective("max", LinearExpression.build(0.0, terms))
-
-
 def build_tcp_lp(ts: TransitionSystem, patterns, state: State) -> CostPartitioningLp:
     """Transition cost partitioning: per abstraction a zero row for the
     abstract goal; per concrete transition t the row `part_t{t}`, sum_a
@@ -161,8 +160,9 @@ def build_tcp_lp(ts: TransitionSystem, patterns, state: State) -> CostPartitioni
     model.add_rows(np.arange(len(table) + 1) * columns.shape[1], columns.ravel(),
                    np.tile(np.repeat([1.0, -1.0], len(projections)), len(table)), "<=",
                    costs[table[:, 1]], [f"part_t{ti}" for ti in range(len(table))])
-    _set_state_objective(model, projections, state)
-    return CostPartitioningLp(model, projections, state_columns, per_transition=True)
+    built = CostPartitioningLp(model, projections, state_columns, per_transition=True)
+    built.set_state(state)
+    return built
 
 
 def build_ocp_lp(ts: TransitionSystem, patterns, state: State) -> CostPartitioningLp:
@@ -196,8 +196,9 @@ def build_ocp_lp(ts: TransitionSystem, patterns, state: State) -> CostPartitioni
              for s, o, d in zip(asrc.tolist(), op_ids.tolist(), adst.tolist())])
     _add_partition_rows(model, cost_columns, ts.operator_costs,
                         [f"part_o{op}" for op in range(n_ops)])
-    _set_state_objective(model, projections, state)
-    return CostPartitioningLp(model, projections, cost_columns, per_transition=False)
+    built = CostPartitioningLp(model, projections, cost_columns, per_transition=False)
+    built.set_state(state)
+    return built
 
 
 def validate_partition(ts: TransitionSystem, cost_functions: list[list[float]]

@@ -183,7 +183,7 @@ def _maximize(task: Task, fs: FeatureSet, built: PotentialLp,
     unknowns never enter the objective (their one-sided slack would otherwise
     distort it)."""
     built.model.set_objective("max", state_objective(fs, built.weight_vars, state))
-    solution = solve(built.model.freeze()).require_optimal()
+    solution = solve(built.model).require_optimal()
     return extract_result(fs, built.weight_vars, task, solution)
 
 

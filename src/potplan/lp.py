@@ -1,5 +1,10 @@
 """Solver-agnostic linear programs: expression algebra, model assembly, a
-solve contract backed by scipy's HiGHS, and CPLEX-LP-format text export.
+solve contract backed by the HiGHS that scipy bundles, and CPLEX-LP-format
+text export.
+
+A model keeps its HiGHS object between solves as long as only its objective
+changes, so that re-solving it for another objective starts from the last
+optimal basis; adding a row or a column drops that session.
 
 An optional external solver can be plugged in through the environment
 variable POTPLAN_LP_SOLVER_CMD; the configured command is invoked with two
@@ -19,7 +24,11 @@ from array import array
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+# Not called: perfbench/tracing.py wraps `potplan.lp.linprog` when a traced
+# benchmark run starts and fails if the name is missing, so it stays importable
+# until perfbench/ is next revised.
+from scipy.optimize import linprog  # noqa: F401
+from scipy.optimize._highspy import _core as highs_core
 from scipy.sparse import csr_matrix
 
 FEASIBILITY_TOL = 1e-6   # absolute, for row re-checks
@@ -149,6 +158,7 @@ class LpModel:
         self.objective = ZERO
         self._by_name: dict[str, int] = {}
         self._frozen = False
+        self._session: _Session | None = None
         self._columns = array("q")
         self._coefficients = array("d")
         self._row_ends = array("q")
@@ -173,9 +183,11 @@ class LpModel:
         self._frozen = True
         return self
 
-    def _mutating(self):
+    def _mutating(self, keeps_session: bool = False):
         if self._frozen:
             raise LpError("model is frozen")
+        if not keeps_session:
+            self._session = None
 
     def add_unknown(self, name: str, lower: float = -math.inf,
                     upper: float = math.inf) -> str:
@@ -273,7 +285,8 @@ class LpModel:
         return self._row_names[index] or f"c{index + 1}"
 
     def set_objective(self, sense: str, expression: LinearExpression) -> None:
-        self._mutating()
+        """Replace the objective; the next solve warm-starts from the last."""
+        self._mutating(keeps_session=True)
         if sense not in ("max", "min"):
             raise LpError(f"bad objective sense '{sense}'")
         self._check_refs(expression, "objective")
@@ -298,13 +311,16 @@ def check_solution(model: LpModel, values: dict[str, float],
                    tolerance: float = FEASIBILITY_TOL) -> list[str]:
     """Names of rows/bounds the assignment violates beyond the tolerance:
     rows first, in row order, then bounds in column order."""
-    return _violations(model, _column_values(model, values), *_bounds(model), tolerance)
+    return _violations(model, model.row_table(), _column_values(model, values),
+                       *_bounds(model), tolerance)
 
 
-def _violations(model: LpModel, x: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+def _violations(model: LpModel, table: tuple[csr_matrix, np.ndarray, np.ndarray],
+                x: np.ndarray, lower: np.ndarray, upper: np.ndarray,
                 tolerance: float) -> list[str]:
-    """`check_solution` for a vector in column order and the column bounds."""
-    matrix, relations, rhs = model.row_table()
+    """`check_solution` for the model's row table, a vector in column order
+    and the column bounds."""
+    matrix, relations, rhs = table
     lhs = matrix @ x
     slack = tolerance * np.maximum(1.0, np.abs(rhs))
     # Written as "not ok" so that a NaN left-hand side counts as a violation.
@@ -339,6 +355,73 @@ def solve(model: LpModel) -> LpSolution:
     return _solve_scipy(model)
 
 
+class _Session:
+    """What the solves of one model share until a row or column changes:
+    its HiGHS object, which keeps the last basis, and the row table and
+    column bounds of the re-check."""
+
+    def __init__(self, model: LpModel):
+        self.table = model.row_table()
+        self.lower, self.upper = _bounds(model)
+        self.highs = highs_core._Highs()
+        for option, value in (("output_flag", False), ("log_to_console", False),
+                              ("presolve", "on"), ("simplex_strategy", 1)):  # dual simplex
+            self.highs.setOptionValue(option, value)
+
+    def highs_lp(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, csr_matrix]:
+        """Column bounds, row bounds and the column-wise matrix as linprog
+        hands them to HiGHS: the `<=` and `>=` rows first, with the `>=`
+        rows negated, then the `=` rows."""
+        matrix, relations, rhs = self.table
+        sign = np.where(relations == RELATIONS.index(">="), -1.0, 1.0)
+        equality = relations == RELATIONS.index("=")
+        order = np.concatenate((np.flatnonzero(~equality), np.flatnonzero(equality)))
+        signed = csr_matrix((matrix.data * np.repeat(sign, np.diff(matrix.indptr)),
+                             matrix.indices, matrix.indptr), shape=matrix.shape)
+        upper = (sign * rhs)[order]
+        lower = np.where(equality[order], upper, -np.inf)
+        return self.lower, self.upper, lower, upper, signed[order].tocsc()
+
+
+_DECIDED = (highs_core.HighsModelStatus.kOptimal, highs_core.HighsModelStatus.kInfeasible,
+            highs_core.HighsModelStatus.kUnbounded)
+
+
+def _run_highs(highs, cost: np.ndarray, lp: tuple | None = None):
+    """Hand HiGHS a model to minimize, run it and return its model status.
+    `lp` is `_Session.highs_lp()` for a new model, or None to re-solve the
+    model HiGHS holds with only the cost vector changed, starting from its
+    last basis."""
+    if lp is None:
+        highs.changeColsCost(len(cost), np.arange(len(cost), dtype=np.int32), cost)
+    else:
+        col_lower, col_upper, row_lower, row_upper, matrix = lp
+        model = highs_core.HighsLp()
+        model.num_col_ = model.a_matrix_.num_col_ = matrix.shape[1]
+        model.num_row_ = model.a_matrix_.num_row_ = matrix.shape[0]
+        model.a_matrix_.format_ = highs_core.MatrixFormat.kColwise
+        model.a_matrix_.start_ = matrix.indptr
+        model.a_matrix_.index_ = matrix.indices
+        model.a_matrix_.value_ = matrix.data
+        model.col_cost_ = cost
+        model.col_lower_ = col_lower
+        model.col_upper_ = col_upper
+        model.row_lower_ = row_lower
+        model.row_upper_ = row_upper
+        if highs.passModel(model) == highs_core.HighsStatus.kError:
+            return highs_core.HighsModelStatus.kModelError  # as linprog reports it
+    highs.run()
+    status = highs.getModelStatus()
+    if lp is None and status not in _DECIDED:
+        # A warm start can end undecided (HiGHS reports "Unknown" when it
+        # starts from the basis an unbounded objective left): run again
+        # without that basis, as a solve of a fresh copy would.
+        highs.clearSolver()
+        highs.run()
+        status = highs.getModelStatus()
+    return status
+
+
 def _solve_scipy(model: LpModel) -> LpSolution:
     n = len(model.unknowns)
     sense = 1.0 if model.objective_sense == "min" else -1.0
@@ -346,44 +429,29 @@ def _solve_scipy(model: LpModel) -> LpSolution:
     for name, coef in model.objective.terms:
         c[model.index_of(name)] = sense * coef
 
-    # HiGHS takes A_ub x <= b_ub and A_eq x = b_eq: negate the >= rows.
-    matrix, relations, rhs = model.row_table()
-    sign = np.where(relations == RELATIONS.index(">="), -1.0, 1.0)
-    signed = matrix.data * np.repeat(sign, np.diff(matrix.indptr))
-    equality = relations == RELATIONS.index("=")
-    kwargs = {}
-    if not equality.all():
-        kwargs["A_ub"] = _select_rows(matrix, signed, ~equality)
-        kwargs["b_ub"] = (sign * rhs)[~equality]
-    if equality.any():
-        kwargs["A_eq"] = _select_rows(matrix, signed, equality)
-        kwargs["b_eq"] = rhs[equality]
-    lower, upper = _bounds(model)  # infinite where unbounded
-    result = linprog(c, bounds=np.column_stack((lower, upper)), method="highs", **kwargs)
-
-    if result.status == 2:
+    session = model._session
+    if session is None:
+        session = model._session = _Session(model)
+        status = _run_highs(session.highs, c, session.highs_lp())
+    else:
+        status = _run_highs(session.highs, c)
+    statuses = highs_core.HighsModelStatus
+    if status == statuses.kModelError:
+        model._session = None  # HiGHS holds no model to re-solve
+    if status in (statuses.kInfeasible, statuses.kModelError):
         return LpSolution("infeasible")
-    if result.status == 3:
+    if status == statuses.kUnbounded:
         return LpSolution("unbounded")
-    if result.status != 0:
-        raise SolverFailureError(f"linprog failed (status {result.status}): {result.message}")
-    return _finish(model, result.x, lower, upper)
+    if status != statuses.kOptimal:
+        raise SolverFailureError(f"HiGHS failed: {session.highs.modelStatusToString(status)}")
+    x = np.array(session.highs.getSolution().col_value)
+    return _finish(model, x, session.table, session.lower, session.upper)
 
 
-def _select_rows(matrix: csr_matrix, data: np.ndarray, mask: np.ndarray) -> csr_matrix:
-    """The rows of `matrix` where `mask` holds, with `data` in place of its
-    entries (numpy masking; scipy's row indexing costs more on small models)."""
-    lengths = np.diff(matrix.indptr)
-    keep = np.repeat(mask, lengths)
-    indptr = np.concatenate(([0], np.cumsum(lengths[mask])))
-    return csr_matrix((data[keep], matrix.indices[keep], indptr),
-                      shape=(len(indptr) - 1, matrix.shape[1]))
-
-
-def _finish(model: LpModel, x: np.ndarray, lower: np.ndarray,
-            upper: np.ndarray) -> LpSolution:
+def _finish(model: LpModel, x: np.ndarray, table: tuple[csr_matrix, np.ndarray, np.ndarray],
+            lower: np.ndarray, upper: np.ndarray) -> LpSolution:
     """The optimal solution `x` (in column order) after the row re-check."""
-    violations = _violations(model, x, lower, upper, FEASIBILITY_TOL)
+    violations = _violations(model, table, x, lower, upper, FEASIBILITY_TOL)
     if violations:
         raise SolverFailureError(f"solution violates rows: {', '.join(violations[:5])}")
     values = dict(zip((name for name, _, _ in model.unknowns), x.tolist()))
@@ -419,7 +487,7 @@ def _solve_external(model: LpModel, command: str) -> LpSolution:
         if name not in values:
             raise SolverFailureError(f"solution names unknown column '{name}'")
         values[name] = float(value)
-    return _finish(model, _column_values(model, values), *_bounds(model))
+    return _finish(model, _column_values(model, values), model.row_table(), *_bounds(model))
 
 
 def _format_coefficient(coef: float) -> str:

@@ -4,11 +4,19 @@ import random
 import stat
 import sys
 
+import numpy as np
 import pytest
+from scipy.optimize import linprog
+from scipy.sparse import diags
 
-from potplan.lp import (LinearExpression, LpError, LpModel, Row,
+from potplan import costpart, direct2d
+from potplan.features import generate_features
+from potplan.lp import (LinearExpression, LpError, LpModel, RELATIONS, Row,
                         MissingAssignmentError, SOLVER_ENV_VAR, SolverFailureError,
                         check_solution, evaluate, export_lp, parse_lp, solve)
+from potplan.task import build_transition_system, exact_goal_distances
+
+from test_model_equivalence import TASKS
 
 
 def term(name, coef=1.0):
@@ -243,6 +251,170 @@ def test_model_validation():
         m.add_unknown("w")
     with pytest.raises(LpError):
         m.add_rows([0, 1], [0], [1.0], "<=", 0)
+
+
+def _seeded_model(seed):
+    """Up to 5 columns, each free, bounded below, above or on both sides, and
+    up to 6 rows of every relation, some seeds with none."""
+    rng = random.Random(seed)
+    m = LpModel()
+    names = [f"x{i}" for i in range(rng.randint(1, 5))]
+    for n in names:
+        kind = rng.randrange(4)
+        lo = round(rng.uniform(-5, 0), 3) if kind in (1, 3) else -math.inf
+        hi = round(rng.uniform(0, 5), 3) if kind in (2, 3) else math.inf
+        m.add_unknown(n, lo, hi)
+    for _ in range(rng.choice([0, 1, 2, 3, 4, 6])):
+        m.add_row(LinearExpression.build(
+            0.0, {n: round(rng.uniform(-4, 4), 3) for n in names if rng.random() < 0.7}),
+            rng.choice(RELATIONS), round(rng.uniform(-3, 6), 3))
+    m.set_objective(rng.choice(["max", "min"]), LinearExpression.build(
+        0.0, {n: round(rng.uniform(-2, 2), 3) for n in names}))
+    return m
+
+
+def _linprog(model):
+    """The model solved by scipy's linprog, given the `<=`/`>=` rows (the
+    `>=` ones negated) as A_ub and the `=` rows as A_eq."""
+    c = np.zeros(len(model.unknowns))
+    for name, coef in model.objective.terms:
+        c[model.index_of(name)] = coef if model.objective_sense == "min" else -coef
+    matrix, relations, rhs = model.row_table()
+    sign = np.where(relations == RELATIONS.index(">="), -1.0, 1.0)
+    signed = (diags(sign) @ matrix).tocsr()
+    equality = relations == RELATIONS.index("=")
+    kwargs = {}
+    if not equality.all():
+        kwargs.update(A_ub=signed[~equality], b_ub=(sign * rhs)[~equality])
+    if equality.any():
+        kwargs.update(A_eq=signed[equality], b_eq=rhs[equality])
+    return linprog(c, bounds=[(lo, hi) for _, lo, hi in model.unknowns],
+                   method="highs", **kwargs)
+
+
+def test_solve_matches_linprog_bit_for_bit():
+    """Same status as linprog on the same arrays, and on optimal models the
+    same vertex to the last bit."""
+    statuses, no_rows, free = set(), 0, 0
+    for seed in range(120):
+        m = _seeded_model(seed)
+        ours, reference = solve(m), _linprog(m)
+        expected = {0: "optimal", 2: "infeasible", 3: "unbounded"}[reference.status]
+        assert ours.status == expected, seed
+        if expected == "optimal":
+            x = np.array([ours.values[name] for name, _, _ in m.unknowns])
+            assert np.array_equal(x, reference.x), seed
+        statuses.add(expected)
+        no_rows += not m.rows
+        free += any(math.isinf(lo) and math.isinf(hi) for _, lo, hi in m.unknowns)
+    assert statuses == {"optimal", "infeasible", "unbounded"} and no_rows and free
+
+
+def _objectives(model, seed, count=8):
+    rng = random.Random(seed)
+    names = [name for name, _, _ in model.unknowns]
+    return [(rng.choice(["max", "min"]), LinearExpression.build(
+        0.0, {n: round(rng.uniform(-2, 2), 3) for n in names if rng.random() < 0.8}))
+        for _ in range(count)]
+
+
+def _assert_same_result(warm, cold):
+    assert warm.status == cold.status
+    if cold.status == "optimal":
+        assert abs(warm.objective_value - cold.objective_value) <= 1e-9
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_warm_resolves_match_cold_solves(seed):
+    """One model re-solved for a sequence of objectives gives what a fresh
+    copy solved once per objective gives."""
+    warm = _seeded_model(seed)
+    for sense, objective in _objectives(warm, seed):
+        warm.set_objective(sense, objective)
+        cold = _seeded_model(seed)
+        cold.set_objective(sense, objective)
+        _assert_same_result(solve(warm), solve(cold))
+
+
+def test_warm_resolve_through_unbounded():
+    """Bounded, then unbounded, then bounded again on one model; the session
+    is kept across objective changes."""
+    def model():
+        m = LpModel()
+        m.add_unknown("x")
+        m.add_unknown("y", 0.0, 1.0)
+        m.add_row(term("x") + term("y"), "<=", 3)
+        m.add_row(term("y"), ">=", 0.5)
+        return m
+
+    warm = model()
+    results = []
+    for objective in (term("x"), -term("x"), term("x") + 2 * term("y"), 2 * term("y")):
+        warm.set_objective("max", objective)
+        session = warm._session
+        result = solve(warm)
+        assert session is None or warm._session is session
+        cold = model()
+        cold.set_objective("max", objective)
+        _assert_same_result(result, solve(cold))
+        results.append((result.status, result.objective_value))
+    assert results == [("optimal", 2.5), ("unbounded", None), ("optimal", 4.0),
+                       ("optimal", 2.0)]
+
+
+def test_structure_change_after_solve_is_honoured():
+    m = LpModel()
+    m.add_unknown("x", 0.0, 10.0)
+    m.add_row(term("x"), "<=", 3)
+    m.set_objective("max", term("x"))
+    assert solve(m).objective_value == 3.0
+    m.add_row(term("x"), "<=", 1, "tighter")
+    assert m._session is None
+    assert solve(m).objective_value == 1.0
+    m.add_rows([0, 1], [0], [1.0], ">=", 2.0)
+    assert solve(m).status == "infeasible"
+    m = LpModel()
+    m.add_unknown("x", 0.0, 10.0)
+    m.set_objective("max", term("x"))
+    assert solve(m).objective_value == 10.0
+    m.add_unknown("y", 0.0, 2.0)
+    m.add_row(term("x") + term("y"), "<=", 4)
+    m.set_objective("max", term("x") + 3 * term("y"))
+    solution = solve(m)
+    assert solution.values == {"x": 2.0, "y": 2.0} and solution.objective_value == 8.0
+
+
+def _compare_models(task, ts, state):
+    """The four `compare` models, maximizing at the given state."""
+    patterns = costpart.all_patterns(len(task.variables), 2)
+    models = []
+    for dim in (1, 2):
+        fs = generate_features(task, dim)
+        built = direct2d.build_direct2d_lp(task, fs)
+        built.model.set_objective("max", direct2d.state_objective(fs, built.weight_vars, state))
+        models.append(built.model)
+    for build in (costpart.build_ocp_lp, costpart.build_tcp_lp):
+        models.append(build(ts, patterns, state).model)
+    return models
+
+
+@pytest.mark.parametrize("name", sorted(TASKS))
+def test_compare_models_warm_equal_cold(name):
+    """Each `compare` model built once and re-solved at every state, dead
+    ends included, has the status and optimum of a fresh build per state."""
+    task = TASKS[name]()
+    ts = build_transition_system(task)
+    warm = _compare_models(task, ts, ts.states[0])
+    statuses = set()
+    for state in ts.states:
+        cold = _compare_models(task, ts, state)
+        for model, fresh in zip(warm, cold):
+            model.set_objective(fresh.objective_sense, fresh.objective)
+            result = solve(model)
+            _assert_same_result(result, solve(fresh))
+            statuses.add(result.status)
+    dead_end = math.inf in exact_goal_distances(ts)
+    assert statuses == ({"optimal", "unbounded"} if dead_end else {"optimal"})
 
 
 STUB_SOLVER = """\

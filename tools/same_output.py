@@ -4,9 +4,12 @@
 
 Runs one fixed list of `potplan.cli.main` calls in process under each tree
 (one subprocess per tree, importing `potplan` from TREE/src) and compares,
-call by call, stdout, the exit code and a digest of every `linprog` input:
-c, bounds, b_ub/b_eq, and A_ub/A_eq in canonical CSC form (duplicates
-summed, indices sorted, stored zeros kept), which is what scipy hands HiGHS.
+call by call, stdout, the exit code and a digest of every LP handed to
+HiGHS through `potplan.lp._run_highs`: for a new model the cost vector, the
+column and row bounds and the column-wise matrix, for a re-solve of the same
+model the new cost vector alone.  A tree without `_run_highs` (older than the
+direct HiGHS sessions) records no digests; its calls are then compared by
+stdout and exit code only.
 
 The inputs are written once, with BEFORE_TREE, into a temporary directory:
 `gen --seed 0..11` (whose printed tasks are compared too), and
@@ -35,7 +38,6 @@ import sys
 import tempfile
 
 import numpy as np
-import scipy.sparse
 
 GEN_SEEDS = range(12)
 RANDOM_SEEDS = range(6)
@@ -137,44 +139,37 @@ def prepare(tree: str, workdir: str, extra: list[str]) -> None:
     _write("calls.json", json.dumps(calls))
 
 
-def _digest(args: tuple, kwargs: dict) -> str:
-    inputs = dict(kwargs, c=args[0] if args else kwargs["c"])
+def _digest(cost, lp) -> str:
+    """Digest of one hand-off: the cost vector, then for a new model its
+    column bounds, row bounds and CSC matrix (shape, indptr, indices, data)."""
+    parts = [cost]
+    if lp is not None:
+        *bounds, matrix = lp
+        parts += [*bounds, np.array(matrix.shape), matrix.indptr, matrix.indices, matrix.data]
     h = hashlib.sha256()
-    for key in sorted(inputs):
-        value = inputs[key]
-        if scipy.sparse.issparse(value):
-            matrix = scipy.sparse.csc_matrix(value, copy=True)
-            matrix.sum_duplicates()
-            matrix.sort_indices()
-            parts = [np.array(matrix.shape), matrix.indptr, matrix.indices, matrix.data]
-        elif key == "bounds":
-            parts = [np.array([[-np.inf if lo is None else lo, np.inf if hi is None else hi]
-                               for lo, hi in value], dtype=float)]
-        elif value is None or isinstance(value, str):
-            parts = [np.frombuffer(repr(value).encode(), dtype=np.uint8)]
-        else:
-            parts = [np.asarray(value, dtype=float)]
-        h.update(key.encode())
-        for part in parts:
-            h.update(repr(part.shape).encode())
-            h.update(np.ascontiguousarray(part).tobytes())
+    for part in parts:
+        part = np.asarray(part)
+        part = part.astype(np.int64 if part.dtype.kind in "iu" else float)
+        h.update(repr(part.shape).encode())
+        h.update(np.ascontiguousarray(part).tobytes())
     return h.hexdigest()
 
 
 def run(tree: str, workdir: str) -> None:
-    """Print one JSON record per call: stdout digest, exit code, linprog digests."""
+    """Print one JSON record per call: stdout digest, exit code, and the
+    digests of the LPs handed to HiGHS (null if the tree cannot show them)."""
     potplan = _import_potplan(tree)
     os.chdir(workdir)
     with open("calls.json", encoding="utf-8") as f:
         calls = json.load(f)
     digests: list[str] = []
-    linprog = potplan.lp.linprog
+    hand_off = getattr(potplan.lp, "_run_highs", None)
+    if hand_off is not None:
+        def recording(highs, cost, lp=None):
+            digests.append(_digest(cost, lp))
+            return hand_off(highs, cost, lp)
 
-    def recording(*args, **kwargs):
-        digests.append(_digest(args, kwargs))
-        return linprog(*args, **kwargs)
-
-    potplan.lp.linprog = recording
+        potplan.lp._run_highs = recording
     records = []
     for argv in calls:
         digests.clear()
@@ -185,7 +180,7 @@ def run(tree: str, workdir: str) -> None:
             except SystemExit as e:
                 code = e.code
         records.append({"stdout": hashlib.sha256(out.getvalue().encode()).hexdigest(),
-                        "exit": code, "linprog": list(digests)})
+                        "exit": code, "highs": list(digests) if hand_off else None})
     json.dump(records, sys.stdout)
 
 
@@ -211,11 +206,18 @@ def main(argv: list[str]) -> int:
         with open(os.path.join(workdir, "calls.json"), encoding="utf-8") as f:
             calls = json.load(f)
         results = [json.loads(_worker("run", tree, workdir, [])) for tree in (before, after)]
+    digested = all(r[0]["highs"] is not None for r in results if r)
+    if not digested:
+        print("a tree has no lp._run_highs: comparing stdout and exit codes only")
+        for records in results:
+            for record in records:
+                del record["highs"]
     differ = [(argv, a, b) for argv, a, b in zip(calls, *results) if a != b]
     for argv, a, b in differ:
         fields = ", ".join(key for key in a if a[key] != b[key])
         print(f"differs in {fields}: {' '.join(argv)}")
-    print(f"{len(calls)} calls, {sum(len(r['linprog']) for r in results[0])} linprog inputs: "
+    hand_offs = sum(len(r["highs"]) for r in results[0]) if digested else 0
+    print(f"{len(calls)} calls, {hand_offs} HiGHS hand-offs: "
           + ("identical" if not differ else f"{len(differ)} differ"))
     return 1 if differ else 0
 
