@@ -8,9 +8,8 @@ from .tnf import is_tnf, to_tnf
 from .features import (Feature, FeatureSet, WeightFunction, generate_features,
                        evaluate_potential)
 from .lp import LinearExpression, LpModel, LpSolution, evaluate, solve, export_lp, parse_lp
-from .direct2d import (PotentialLp, build_general_lp, build_direct2d_lp,
-                       build_exhaustive_lp, solve_for_state, solve_general_for_state,
-                       solve_exhaustive_for_state)
+from .direct2d import (build_general_lp, build_direct2d_lp, build_exhaustive_lp,
+                       solve_for_state, solve_general_for_state, solve_exhaustive_for_state)
 from .elimination import (ScopedFunction, DependencyGraph, scoped_functions_for_operator,
                           context_dependency_graph, min_fill_order, induced_width,
                           bucket_eliminate, brute_force_max)

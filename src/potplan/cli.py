@@ -94,27 +94,25 @@ def _parse_orderings(task: Task, path: str) -> dict[int, list[int]]:
     return orderings
 
 
-def _build_model(task: Task, fs, args) -> tuple[lp.LpModel, dict[int, str]]:
-    """The chosen potential model with its objective set, and its weight
-    unknown per feature index."""
+def _build_model(task: Task, fs, args) -> lp.LpModel:
+    """The chosen potential model with its objective set."""
     if args.method == "direct2d":
         if fs.dimension > 2:
             raise CliUsageError("method direct2d needs features of dimension <= 2")
-        built = direct2d.build_direct2d_lp(task, fs)
+        model = direct2d.build_direct2d_lp(task, fs)
     elif args.method == "bucket":
         orderings = _parse_orderings(task, args.order) if args.order else None
-        built = direct2d.build_general_lp(task, fs, orderings)
+        model = direct2d.build_general_lp(task, fs, orderings)
     else:  # exhaustive
-        built = direct2d.build_exhaustive_lp(task, fs, state_cap=args.state_cap)
-    model, weight_vars = built.model, built.weight_vars
+        model = direct2d.build_exhaustive_lp(task, fs, state_cap=args.state_cap)
     if args.objective == "init":
         states = [task.initial_state]
     elif args.objective.startswith("samples:"):
         states = direct2d.sample_states(task, _count(args.objective), args.seed)
     else:
         raise CliUsageError(f"unknown objective '{args.objective}' (use init or samples:N)")
-    model.set_objective("max", direct2d.state_objective(fs, weight_vars, *states))
-    return model, weight_vars
+    model.set_objective("max", direct2d.state_objective(fs, *states))
+    return model
 
 
 def cmd_validate_task(args) -> int:
@@ -141,7 +139,7 @@ def cmd_tnf(args) -> int:
 def cmd_lp(args) -> int:
     task = _load_tnf_task(args.task)
     fs = _feature_set(task, args.dim, args.features)
-    model, _ = _build_model(task, fs, args)
+    model = _build_model(task, fs, args)
     _write_output(lp.export_lp(model), args.out)
     return EXIT_OK
 
@@ -149,12 +147,12 @@ def cmd_lp(args) -> int:
 def cmd_solve(args) -> int:
     task = _load_tnf_task(args.task)
     fs = _feature_set(task, args.dim, args.features)
-    model, weight_vars = _build_model(task, fs, args)
+    model = _build_model(task, fs, args)
     solution = lp.solve(model)
     if solution.status != "optimal":
         print(f"error: model is {solution.status}", file=sys.stderr)
         return EXIT_DOMAIN
-    result = direct2d.extract_result(fs, weight_vars, task, solution)
+    result = direct2d.extract_result(fs, task, solution)
     weights = features.weights_to_strings(task, fs, result.weights)
     print(json.dumps({
         "objective": round(solution.objective_value, 9),
@@ -211,14 +209,9 @@ def cmd_validate(args) -> int:
     report = search.validate(task, heuristic, args.state_cap)
     counterexample = None
     if report.counterexample is not None:
-        if isinstance(report.counterexample, tuple) and \
-                len(report.counterexample) == 2 and \
-                isinstance(report.counterexample[1], int):
-            state, op_id = report.counterexample
-            counterexample = {"state": list(state),
-                              "operator": task.operators[op_id].name}
-        else:
-            counterexample = {"state": list(report.counterexample)}
+        counterexample = {"state": list(report.counterexample)}
+        if report.operator is not None:
+            counterexample["operator"] = task.operators[report.operator].name
     print(json.dumps({
         "goal_aware": report.goal_aware,
         "consistent": report.consistent,
@@ -252,9 +245,9 @@ def _optima(model: lp.LpModel, states, set_state) -> list[float]:
 
 def _potential_optima(task: Task, dim: int, states) -> list[float]:
     fs = features.generate_features(task, dim)
-    built = direct2d.build_direct2d_lp(task, fs)
-    return _optima(built.model, states, lambda state: built.model.set_objective(
-        "max", direct2d.state_objective(fs, built.weight_vars, state)))
+    model = direct2d.build_direct2d_lp(task, fs)
+    return _optima(model, states, lambda state: model.set_objective(
+        "max", direct2d.state_objective(fs, state)))
 
 
 def _partitioning_optima(build, ts, patterns, states) -> list[float]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .features import Feature, FeatureSet, WeightFunction
-from .lp import FEASIBILITY_TOL, LinearExpression, LpModel, LpSolution
+from .lp import FEASIBILITY_TOL, LpModel, LpSolution
 from .task import (State, TransitionSystem, goal_distances, iter_states, state_index,
                    strides)
 
@@ -67,14 +67,11 @@ def project(ts: TransitionSystem, pattern) -> Projection:
                       goals.pop(), state_map, ts)
 
 
-def _h_name(abstraction: int, abstract_state: int) -> str:
-    return f"h_a{abstraction}_s{abstract_state}"
-
-
 @dataclass
 class CostPartitioningLp:
     model: LpModel
     projections: list[Projection]
+    offsets: list[int]  # column of each projection's abstract state 0
     # operator variant: column of the cost unknown of (operator, abstraction);
     # transition variant, which has no cost unknowns: h column of the
     # abstract state of (concrete state, abstraction)
@@ -83,18 +80,15 @@ class CostPartitioningLp:
 
     def set_state(self, state: State) -> None:
         """Make the objective the total abstract value of the given state."""
-        terms: dict[str, float] = {}
-        for ai, proj in enumerate(self.projections):
-            name = _h_name(ai, proj.map_state(state))
-            terms[name] = terms.get(name, 0.0) + 1.0
-        self.model.set_objective("max", LinearExpression.build(0.0, terms))
+        self.model.set_objective("max", {offset + proj.map_state(state): 1.0
+                                         for offset, proj in zip(self.offsets, self.projections)})
 
     def extract_cost_functions(self, ts: TransitionSystem,
                                solution: LpSolution) -> list[list[float]]:
         """Per abstraction, one cost per concrete transition: the value of
         its operator's cost unknown, or in the transition variant the least
         feasible cost h(abstract source) - h(abstract target)."""
-        x = np.array([solution.values[name] for name, _, _ in self.model.unknowns])
+        x = solution.x
         table = ts.transition_array()
         if self.per_transition:
             return (x[self.columns[table[:, 0]]] - x[self.columns[table[:, 2]]]).T.tolist()
@@ -108,7 +102,7 @@ def _add_h_unknowns(model: LpModel, projections: list[Projection]) -> list[int]:
     for ai, proj in enumerate(projections):
         offsets.append(len(model.unknowns))
         for si in range(len(proj.abstract_states)):
-            model.add_unknown(_h_name(ai, si))
+            model.add_unknown(f"h_a{ai}_s{si}")
     return offsets
 
 
@@ -160,7 +154,8 @@ def build_tcp_lp(ts: TransitionSystem, patterns, state: State) -> CostPartitioni
     model.add_rows(np.arange(len(table) + 1) * columns.shape[1], columns.ravel(),
                    np.tile(np.repeat([1.0, -1.0], len(projections)), len(table)), "<=",
                    costs[table[:, 1]], [f"part_t{ti}" for ti in range(len(table))])
-    built = CostPartitioningLp(model, projections, state_columns, per_transition=True)
+    built = CostPartitioningLp(model, projections, offsets, state_columns,
+                               per_transition=True)
     built.set_state(state)
     return built
 
@@ -196,7 +191,8 @@ def build_ocp_lp(ts: TransitionSystem, patterns, state: State) -> CostPartitioni
              for s, o, d in zip(asrc.tolist(), op_ids.tolist(), adst.tolist())])
     _add_partition_rows(model, cost_columns, ts.operator_costs,
                         [f"part_o{op}" for op in range(n_ops)])
-    built = CostPartitioningLp(model, projections, cost_columns, per_transition=False)
+    built = CostPartitioningLp(model, projections, offsets, cost_columns,
+                               per_transition=False)
     built.set_state(state)
     return built
 

@@ -2,9 +2,10 @@
 feature sets of any dimension, plus the exhaustive per-transition LP used as
 its reference oracle.
 
-Both models start with one bounded weight unknown per feature and the
-goal-awareness row `state_objective(goal_state) <= 0`; `state_objective`,
-the mean potential over given states, also gives the `init` and
+Both models, returned as the `LpModel` itself, start with one bounded weight
+unknown per feature (feature i is column i) and the goal-awareness row
+`state_objective(goal_state) <= 0`; `state_objective`, the mean potential
+over given states as a map {column: coefficient}, also gives the `init` and
 `samples:N` objectives.  One assembler, `build_general_lp`, writes every
 compact model: then per operator a cost row, the bound on the operator's
 change in potential that bucket elimination (`elimination`) computes over
@@ -33,7 +34,7 @@ import numpy as np
 from .elimination import (bucket_eliminate, dependency_graph, induced_width,
                           min_fill_order, scoped_functions_for_operator)
 from .features import Feature, FeatureSet, WeightFunction, evaluate_potential, truth_matrix
-from .lp import LinearExpression, LpModel, solve
+from .lp import LpModel, LpSolution, solve
 from .task import (DEFAULT_STATE_CAP, State, SuccessorGenerator, Task,
                    TransitionSystem, build_transition_system)
 from .tnf import is_tnf
@@ -48,12 +49,6 @@ class PotentialLpError(ValueError):
 
 def weight_var_name(feature: Feature) -> str:
     return "w_" + "__".join(f"v{var}.{val}" for var, val in feature.facts)
-
-
-@dataclass
-class PotentialLp:
-    model: LpModel
-    weight_vars: dict[int, str]  # feature index -> weight unknown
 
 
 @dataclass
@@ -73,19 +68,20 @@ def _goal_state(task: Task) -> State:
     return tuple(task.goal[v] for v in range(len(task.variables)))
 
 
-def _weights_and_goal_row(task: Task, fs: FeatureSet) -> PotentialLp:
+def _weights_and_goal_row(task: Task, fs: FeatureSet) -> LpModel:
     """A model with one bounded weight unknown per feature (columns
     0..|F|-1) and the goal row: the goal state's potential is at most 0."""
     _require_tnf(task)
     model = LpModel()
-    weight_vars = {i: model.add_unknown(weight_var_name(f), WEIGHT_LOWER, WEIGHT_UPPER)
-                   for i, f in enumerate(fs.features)}
-    model.add_row(state_objective(fs, weight_vars, _goal_state(task)), "<=", 0.0, "goal")
-    return PotentialLp(model, weight_vars)
+    for f in fs.features:
+        model.add_unknown(weight_var_name(f), WEIGHT_LOWER, WEIGHT_UPPER)
+    goal = state_objective(fs, _goal_state(task))
+    model.add_rows([0, len(goal)], list(goal), list(goal.values()), "<=", 0.0, ["goal"])
+    return model
 
 
 def build_general_lp(task: Task, fs: FeatureSet,
-                     orderings: dict[int, list[int]] | None = None) -> PotentialLp:
+                     orderings: dict[int, list[int]] | None = None) -> LpModel:
     """Assemble the compact model (no objective set yet).
 
     Row order is deterministic: the goal row, then per operator its cost row
@@ -95,8 +91,7 @@ def build_general_lp(task: Task, fs: FeatureSet,
     variables by increasing id.  Elimination declares its unknowns as it
     goes; every operator's rows are then appended in one `add_rows` call.
     """
-    built = _weights_and_goal_row(task, fs)
-    model = built.model
+    model = _weights_and_goal_row(task, fs)
     vertices = tuple(v.id for v in task.variables)
     domains = task.domain_sizes
     indptr, columns, coefficients, relations, rhs, names = [0], [], [], [], [], []
@@ -118,10 +113,10 @@ def build_general_lp(task: Task, fs: FeatureSet,
         relations += ["<="] + [">="] * len(rows)
         rhs += [float(op.cost)] + [0.0] * len(rows)
     model.add_rows(indptr, columns, coefficients, relations, rhs, names)
-    return built
+    return model
 
 
-def build_direct2d_lp(task: Task, fs: FeatureSet) -> PotentialLp:
+def build_direct2d_lp(task: Task, fs: FeatureSet) -> LpModel:
     """The compact model for features of dimension at most 2, whose
     context-dependency graphs have no edges."""
     if fs.dimension > 2:
@@ -130,18 +125,16 @@ def build_direct2d_lp(task: Task, fs: FeatureSet) -> PotentialLp:
     return build_general_lp(task, fs)
 
 
-def state_objective(fs: FeatureSet, weight_vars: dict[int, str],
-                    *states: State) -> LinearExpression:
-    """Mean potential over the given states, as a linear expression: each
-    feature's weight unknown (named by `weight_vars`, feature index -> name)
-    times the number of the states it is true in, over their count."""
+def state_objective(fs: FeatureSet, *states: State) -> dict[int, float]:
+    """Mean potential over the given states, as {column: coefficient}: each
+    feature's weight column times the number of the states the feature is
+    true in, over their count."""
     counts = truth_matrix(fs, states).sum(axis=0)
     held = np.flatnonzero(counts)
     # count * (1 / n), not count / n: the float that adding 1.0 per state and
     # scaling the sum by 1 / n gives
     coefficients = counts[held] * (1.0 / len(states))
-    return LinearExpression.build(0.0, dict(zip([weight_vars[i] for i in held.tolist()],
-                                                coefficients.tolist())))
+    return dict(zip(held.tolist(), coefficients.tolist()))
 
 
 def sample_states(task: Task, count: int, seed: int,
@@ -163,12 +156,11 @@ def sample_states(task: Task, count: int, seed: int,
     return states
 
 
-def extract_result(fs: FeatureSet, weight_vars: dict[int, str], task: Task,
-                   solution) -> PotentialSolveResult:
-    """Weights by feature index, the objective value, the goal state's
-    potential and the weights at a bound, from an optimal solution."""
-    values = solution.values
-    weights = WeightFunction([values[weight_vars[i]] for i in range(len(fs))])
+def extract_result(fs: FeatureSet, task: Task, solution: LpSolution) -> PotentialSolveResult:
+    """Weights by feature index (columns 0..|F|-1), the objective value, the
+    goal state's potential and the weights at a bound, from an optimal
+    solution."""
+    weights = WeightFunction(solution.x[:len(fs)].tolist())
     return PotentialSolveResult(
         weights=weights,
         value=solution.objective_value,
@@ -177,14 +169,13 @@ def extract_result(fs: FeatureSet, weight_vars: dict[int, str], task: Task,
     )
 
 
-def _maximize(task: Task, fs: FeatureSet, built: PotentialLp,
+def _maximize(task: Task, fs: FeatureSet, model: LpModel,
               state: State) -> PotentialSolveResult:
     """Maximize the potential of one state over a built model.  Auxiliary
     unknowns never enter the objective (their one-sided slack would otherwise
     distort it)."""
-    built.model.set_objective("max", state_objective(fs, built.weight_vars, state))
-    solution = solve(built.model).require_optimal()
-    return extract_result(fs, built.weight_vars, task, solution)
+    model.set_objective("max", state_objective(fs, state))
+    return extract_result(fs, task, solve(model).require_optimal())
 
 
 def solve_for_state(task: Task, fs: FeatureSet, state: State) -> PotentialSolveResult:
@@ -201,13 +192,13 @@ def solve_general_for_state(task: Task, fs: FeatureSet, state: State,
 
 def build_exhaustive_lp(task: Task, fs: FeatureSet,
                         ts: TransitionSystem | None = None,
-                        state_cap: int = DEFAULT_STATE_CAP) -> PotentialLp:
+                        state_cap: int = DEFAULT_STATE_CAP) -> LpModel:
     """Reference model with one consistency row per explicit transition.
 
     Exponentially large in general; usable only at desk scale, where it is
     the ground truth all compact constructions are compared against.
     """
-    built = _weights_and_goal_row(task, fs)
+    model = _weights_and_goal_row(task, fs)
     if ts is None:
         ts = build_transition_system(task, state_cap)
     # Row of transition s -> t: truth(s) - truth(t) over the features, whose
@@ -218,9 +209,9 @@ def build_exhaustive_lp(task: Task, fs: FeatureSet,
     rows, columns = np.nonzero(change)
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(table)))))
     costs = np.array([op.cost for op in task.operators], dtype=float)
-    built.model.add_rows(indptr, columns, change[rows, columns], "<=", costs[table[:, 1]],
-                         [f"t{ti}" for ti in range(len(table))])
-    return built
+    model.add_rows(indptr, columns, change[rows, columns], "<=", costs[table[:, 1]],
+                   [f"t{ti}" for ti in range(len(table))])
+    return model
 
 
 def solve_exhaustive_for_state(task: Task, fs: FeatureSet, state: State,

@@ -21,7 +21,7 @@ import shlex
 import subprocess
 import tempfile
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 # Not called: perfbench/tracing.py wraps `potplan.lp.linprog` when a traced
@@ -147,15 +147,17 @@ class LpModel:
 
     Row i holds the terms `_columns[s:e]` / `_coefficients[s:e]` with s the
     previous row's end and e `_row_ends[i]`, plus a relation code (an index
-    into RELATIONS), a right-hand side and a name ("" for unnamed).  Names of
-    unknowns are resolved to column indices when a row is added; `rows`
-    rebuilds name-based Row objects only for callers that ask for them.
+    into RELATIONS), a right-hand side and a name ("" for unnamed).  The
+    objective is a map {column: coefficient}.  Names of unknowns are resolved
+    to columns only where a name-level LinearExpression comes in (`add_row`,
+    `column_terms`); `rows` rebuilds name-based Row objects only for callers
+    that ask for them.
     """
 
     def __init__(self):
         self.unknowns: list[tuple[str, float, float]] = []
         self.objective_sense = "max"
-        self.objective = ZERO
+        self.objective: dict[int, float] = {}
         self._by_name: dict[str, int] = {}
         self._frozen = False
         self._session: _Session | None = None
@@ -205,27 +207,21 @@ class LpModel:
     def has_unknown(self, name: str) -> bool:
         return name in self._by_name
 
-    def index_of(self, name: str) -> int:
-        return self._by_name[name]
-
-    def _check_refs(self, expression: LinearExpression, where: str) -> None:
-        for name, _ in expression.terms:
-            if name not in self._by_name:
-                raise LpError(f"{where} references undeclared unknown '{name}'")
+    def column_terms(self, expression: LinearExpression) -> dict[int, float]:
+        """The expression's terms as {column: coefficient}, in its (name)
+        order; its constant is left out."""
+        try:
+            return {self._by_name[name]: coef for name, coef in expression.terms}
+        except KeyError as e:
+            raise LpError(f"expression references undeclared unknown {e}") from None
 
     def add_row(self, expression: LinearExpression, relation: str, rhs: float,
                 name: str = "") -> None:
-        self._mutating()
-        if relation not in RELATIONS:
-            raise LpError(f"bad relation '{relation}'")
-        self._check_refs(expression, "row")
-        self._columns.extend(self._by_name[n] for n, _ in expression.terms)
-        self._coefficients.extend(c for _, c in expression.terms)
-        self._row_ends.append(len(self._columns))
-        self._relations.append(RELATIONS.index(relation))
-        # Fold the expression constant into the right-hand side.
-        self._rhs.append(float(rhs) - expression.constant)
-        self._row_names.append(name)
+        """Append one row; the expression's constant is folded into the
+        right-hand side."""
+        terms = self.column_terms(expression)
+        self.add_rows([0, len(terms)], list(terms), list(terms.values()), relation,
+                      float(rhs) - expression.constant, [name])
 
     def add_rows(self, indptr, columns, coefficients, relations, rhs,
                  names=None) -> None:
@@ -284,22 +280,34 @@ class LpModel:
     def row_name(self, index: int) -> str:
         return self._row_names[index] or f"c{index + 1}"
 
-    def set_objective(self, sense: str, expression: LinearExpression) -> None:
-        """Replace the objective; the next solve warm-starts from the last."""
+    def set_objective(self, sense: str, terms: dict[int, float]) -> None:
+        """Replace the objective, given as {column: coefficient} (zeros are
+        dropped); the next solve warm-starts from the last."""
         self._mutating(keeps_session=True)
         if sense not in ("max", "min"):
             raise LpError(f"bad objective sense '{sense}'")
-        self._check_refs(expression, "objective")
+        for column in terms:
+            if not 0 <= column < len(self.unknowns):
+                raise LpError(f"objective references undeclared unknown column {column}")
         self.objective_sense = sense
-        self.objective = expression
+        self.objective = {int(j): float(c) for j, c in terms.items() if c != 0.0}
 
 
 @dataclass
 class LpSolution:
     status: str  # optimal | infeasible | unbounded
-    values: dict[str, float] | None = None
+    x: np.ndarray | None = None  # the unknowns' values in column order
     objective_value: float | None = None
     bound_active: tuple[str, ...] = ()
+    # the model's (name, lower, upper) list, read only by `values`
+    unknowns: list[tuple[str, float, float]] = field(default_factory=list, repr=False)
+
+    @property
+    def values(self) -> dict[str, float] | None:
+        """The unknowns' values by name, built on every access."""
+        if self.x is None:
+            return None
+        return dict(zip((name for name, _, _ in self.unknowns), self.x.tolist()))
 
     def require_optimal(self) -> "LpSolution":
         if self.status != "optimal":
@@ -311,8 +319,11 @@ def check_solution(model: LpModel, values: dict[str, float],
                    tolerance: float = FEASIBILITY_TOL) -> list[str]:
     """Names of rows/bounds the assignment violates beyond the tolerance:
     rows first, in row order, then bounds in column order."""
-    return _violations(model, model.row_table(), _column_values(model, values),
-                       *_bounds(model), tolerance)
+    try:
+        x = np.array([values[name] for name, _, _ in model.unknowns], dtype=float)
+    except KeyError as e:
+        raise MissingAssignmentError(f"no value for unknown {e}") from None
+    return _violations(model, model.row_table(), x, *_bounds(model), tolerance)
 
 
 def _violations(model: LpModel, table: tuple[csr_matrix, np.ndarray, np.ndarray],
@@ -331,14 +342,6 @@ def _violations(model: LpModel, table: tuple[csr_matrix, np.ndarray, np.ndarray]
     out_of_bounds = (x < lower - tolerance) | (x > upper + tolerance)
     violations.extend(f"bound:{model.unknowns[j][0]}" for j in np.flatnonzero(out_of_bounds))
     return violations
-
-
-def _column_values(model: LpModel, values: dict[str, float]) -> np.ndarray:
-    """The assignment as a vector in column order."""
-    try:
-        return np.array([values[name] for name, _, _ in model.unknowns], dtype=float)
-    except KeyError as e:
-        raise MissingAssignmentError(f"no value for unknown {e}") from None
 
 
 def _bounds(model: LpModel) -> tuple[np.ndarray, np.ndarray]:
@@ -423,11 +426,16 @@ def _run_highs(highs, cost: np.ndarray, lp: tuple | None = None):
 
 
 def _solve_scipy(model: LpModel) -> LpSolution:
-    n = len(model.unknowns)
+    if not model.unknowns:
+        # HiGHS rejects a model without columns.  Its rows read
+        # `0 <relation> rhs`, so the row re-check alone decides it.
+        table, empty = model.row_table(), np.zeros(0)
+        if _violations(model, table, empty, empty, empty, FEASIBILITY_TOL):
+            return LpSolution("infeasible")
+        return _finish(model, empty, table, empty, empty)
     sense = 1.0 if model.objective_sense == "min" else -1.0
-    c = np.zeros(n)
-    for name, coef in model.objective.terms:
-        c[model.index_of(name)] = sense * coef
+    c = np.zeros(len(model.unknowns))
+    c[list(model.objective)] = sense * np.array(list(model.objective.values()))
 
     session = model._session
     if session is None:
@@ -454,11 +462,19 @@ def _finish(model: LpModel, x: np.ndarray, table: tuple[csr_matrix, np.ndarray, 
     violations = _violations(model, table, x, lower, upper, FEASIBILITY_TOL)
     if violations:
         raise SolverFailureError(f"solution violates rows: {', '.join(violations[:5])}")
-    values = dict(zip((name for name, _, _ in model.unknowns), x.tolist()))
+    unknowns, objective = model.unknowns, model.objective
+    # Summed term by term in unknown-name order, as `evaluate` sums a
+    # LinearExpression, not in column order and not with `sum()` (which
+    # compensates from Python 3.12 on): with weights at the 1e8 bound the
+    # terms cancel, and another order changes the printed objective (e.g.
+    # 36.0 becomes 36.00000006 on a dimension-2 potential model).
+    value = 0.0
+    for j in sorted(objective, key=lambda j: unknowns[j][0]):
+        value += objective[j] * float(x[j])
     active = ((~np.isinf(lower) & (np.abs(x - lower) <= FEASIBILITY_TOL))
               | (~np.isinf(upper) & (np.abs(x - upper) <= FEASIBILITY_TOL)))
-    return LpSolution("optimal", values, evaluate(model.objective, values),
-                      tuple(model.unknowns[j][0] for j in np.flatnonzero(active)))
+    return LpSolution("optimal", x, value,
+                      tuple(unknowns[j][0] for j in np.flatnonzero(active)), unknowns)
 
 
 def _solve_external(model: LpModel, command: str) -> LpSolution:
@@ -478,16 +494,16 @@ def _solve_external(model: LpModel, command: str) -> LpSolution:
             lines = [line.strip() for line in f if line.strip()]
     if lines and lines[0] in ("infeasible", "unbounded"):
         return LpSolution(lines[0])
-    values = {name: 0.0 for name, _, _ in model.unknowns}
+    x = np.zeros(len(model.unknowns))
     for line in lines:
         parts = line.split()
         if len(parts) != 2:
             raise SolverFailureError(f"bad solution line '{line}'")
         name, value = parts
-        if name not in values:
+        if not model.has_unknown(name):
             raise SolverFailureError(f"solution names unknown column '{name}'")
-        values[name] = float(value)
-    return _finish(model, _column_values(model, values), model.row_table(), *_bounds(model))
+        x[model._by_name[name]] = float(value)
+    return _finish(model, x, model.row_table(), *_bounds(model))
 
 
 def _format_coefficient(coef: float) -> str:
@@ -500,30 +516,31 @@ def _format_coefficient(coef: float) -> str:
     return f"+ {coef!r} "
 
 
-def _format_expression(expression: LinearExpression, order: dict[str, int]) -> str:
-    parts = []
-    for name, coef in sorted(expression.terms, key=lambda t: order[t[0]]):
-        parts.append(f"{_format_coefficient(coef)}{name}")
-    if expression.constant != 0.0:
-        c = expression.constant
-        parts.append(f"- {-c!r}" if c < 0 else f"+ {c!r}")
-    text = " ".join(parts)
+def _format_terms(names: list[str], terms) -> str:
+    """(column, coefficient) pairs, in column order, written with their
+    unknowns' names."""
+    text = " ".join(f"{_format_coefficient(coef)}{names[j]}" for j, coef in terms)
     return text[2:] if text.startswith("+ ") else text
 
 
 def export_lp(model: LpModel) -> str:
     """CPLEX LP text: Maximize/Minimize, Subject To, Bounds, End.
 
-    Every unknown gets a Bounds line, so parse_lp can recover the column list
-    (with its order) even for columns that appear in no row.
+    Terms are written in column order.  Every unknown gets a Bounds line, so
+    parse_lp can recover the column list (with its order) even for columns
+    that appear in no row.
     """
-    order = {name: i for i, (name, _, _) in enumerate(model.unknowns)}
+    names = [name for name, _, _ in model.unknowns]
     lines = ["Maximize" if model.objective_sense == "max" else "Minimize"]
-    lines.append(f" obj: {_format_expression(model.objective, order)}".rstrip())
+    lines.append(f" obj: {_format_terms(names, sorted(model.objective.items()))}".rstrip())
     lines.append("Subject To")
-    for i, row in enumerate(model.rows):
-        lines.append(f" {model.row_name(i)}: {_format_expression(row.expression, order)} "
-                     f"{row.relation} {row.rhs!r}")
+    matrix, relations, rhs = model.row_table()
+    matrix.sort_indices()
+    indptr = matrix.indptr.tolist()
+    terms = list(zip(matrix.indices.tolist(), matrix.data.tolist()))
+    for i, (code, bound) in enumerate(zip(relations.tolist(), rhs.tolist())):
+        row = _format_terms(names, terms[indptr[i]:indptr[i + 1]])
+        lines.append(f" {model.row_name(i)}: {row} {RELATIONS[code]} {bound!r}")
     lines.append("Bounds")
     for name, lower, upper in model.unknowns:
         if math.isinf(lower) and math.isinf(upper):
@@ -547,16 +564,11 @@ def _parse_expression(tokens: list[str]) -> LinearExpression:
     sign = 1.0
     pending: float | None = None
     for token in tokens:
-        if token == "+":
+        if token in ("+", "-"):
             if pending is not None:
                 expr = expr + sign * pending
                 pending = None
-            sign = 1.0
-        elif token == "-":
-            if pending is not None:
-                expr = expr + sign * pending
-                pending = None
-            sign = -1.0
+            sign = 1.0 if token == "+" else -1.0
         elif re.match(r"^[0-9.]|^inf$", token):
             if pending is not None:
                 expr = expr + sign * pending
@@ -659,10 +671,12 @@ def parse_lp(text: str) -> LpModel:
                 model.add_unknown(unk)
         model.add_row(lhs, relation, rhs.constant, name)
     objective = _parse_expression(objective_tokens)
+    if objective.constant:
+        raise LpError("constants in the objective are not supported")
     for unk, _ in objective.terms:
         if not model.has_unknown(unk):
             model.add_unknown(unk)
-    model.set_objective(sense, objective)
+    model.set_objective(sense, model.column_terms(objective))
     return model
 
 

@@ -44,8 +44,10 @@ class ValidationReport:
     goal_aware: bool
     consistent: bool
     admissible: bool
-    # (state, operator id) for a consistency violation, a state otherwise
-    counterexample: tuple[State, int] | State | None = None
+    # the first violating state; for a consistency violation the source of
+    # the violating transition, whose operator id is `operator`
+    counterexample: State | None = None
+    operator: int | None = None
 
     @property
     def all_ok(self) -> bool:
@@ -159,11 +161,11 @@ def validate(task: Task, heuristic: Callable[[State], float],
             break
 
     # a consistency violation names a transition and is the most useful witness
-    counterexample = None
+    counterexample, operator = None, None
     if not consistent:
-        counterexample = cons_witness
+        counterexample, operator = cons_witness
     elif not goal_aware:
         counterexample = ga_witness
     elif not admissible:
         counterexample = adm_witness
-    return ValidationReport(goal_aware, consistent, admissible, counterexample)
+    return ValidationReport(goal_aware, consistent, admissible, counterexample, operator)

@@ -94,9 +94,10 @@ def _reference_state_objective(fs, weight_vars, state):
     return LinearExpression.build(0.0, terms)
 
 
-def reference_samples_objective(task, fs, weight_vars, count, seed):
+def reference_samples_objective(task, fs, count, seed):
     """Mean potential over sampled states: the states' indicator expressions
     added up one by one, then scaled by 1/count."""
+    weight_vars = {i: weight_var_name(f) for i, f in enumerate(fs.features)}
     expr = LinearExpression()
     for state in sample_states(task, count, seed):
         expr = expr + _reference_state_objective(fs, weight_vars, state)
@@ -143,7 +144,7 @@ def _finish(model, projections, state):
             index = index * dom + state[var]
         name = f"h_a{ai}_s{index}"
         terms[name] = terms.get(name, 0.0) + 1.0
-    model.set_objective("max", LinearExpression.build(0.0, terms))
+    model.set_objective("max", model.column_terms(LinearExpression.build(0.0, terms)))
     return model
 
 

@@ -107,7 +107,7 @@ def test_criterion_4_numeric_max_oracle():
             # the constants sit on column 0, fixed at 1
             model = base_model("one", lower=1.0, upper=1.0)
             result = LinearExpression.build(0.0, eliminate(model, functions, domains, order))
-            model.set_objective("min", result)
+            model.set_objective("min", model.column_terms(result))
             solution = solve(model).require_optimal()
             expected = brute_force_max(functions, domains, [1.0])
             assert solution.objective_value == pytest.approx(expected, abs=1e-9), seed
@@ -197,7 +197,7 @@ def test_criterion_9_size_formula():
         for seed in range(100):
             task = suite_task(seed)
             fs = generate_features(task, 2)
-            built = build_direct2d_lp(task, fs)
+            model = build_direct2d_lp(task, fs)
             expected = 1
             for op in task.operators:
                 expected += 1
@@ -205,4 +205,4 @@ def test_criterion_9_size_formula():
                                 for var in fs.features[i].variables if var not in op.eff}
                 expected += sum(task.variables[v].domain_size
                                 for v in context_vars)
-            assert len(built.model.rows) == expected, seed
+            assert len(model.rows) == expected, seed

@@ -162,6 +162,34 @@ def test_validate_subcommand(capsys, tmp_path, toy1_file):
     assert payload["counterexample"] is None
 
 
+def test_validate_two_variable_state_counterexample(capsys, tmp_path):
+    """A state witness of a two-variable task is printed as a state, not
+    read as a (state, operator) pair."""
+    sas = tmp_path / "two.sas"
+    run_cli(capsys, "gen", "--vars", "2", "--dom", "2", "--ops", "4", "--seed", "3",
+            "-o", str(sas))
+    weights = tmp_path / "w.json"
+    weights.write_text(json.dumps({"var0=val0": 1.0, "var0=val1": 1.0}))
+    code, out, _ = run_cli(capsys, "validate", "--weights", str(weights), str(sas))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["consistent"] is True and payload["goal_aware"] is False
+    assert payload["counterexample"] == {"state": [0, 0]}
+
+
+@pytest.mark.parametrize("method", [[], ["--method", "bucket", "--dim", "3"]])
+def test_solve_empty_feature_set(capsys, tmp_path, toy1_file, method):
+    """Without features the model has no columns; the zero potential is
+    optimal."""
+    features = tmp_path / "empty.features"
+    features.write_text("")
+    code, out, _ = run_cli(capsys, "solve", *method, "--features", str(features), toy1_file)
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["objective"], payload["status"], payload["weights"]) == \
+        (0.0, "optimal", {})
+
+
 def test_compare_csv(capsys, toy1_file):
     code, out, _ = run_cli(capsys, "compare", "--state", "init", toy1_file)
     assert code == 0

@@ -5,7 +5,7 @@ from potplan.direct2d import (PotentialLpError, build_direct2d_lp, build_general
                               state_objective)
 from potplan.features import Feature, FeatureSet, evaluate_potential, generate_features
 from potplan.generator import random_features, random_task
-from potplan.lp import solve
+from potplan.lp import LinearExpression, evaluate, solve
 from potplan.search import PotentialHeuristic, validate
 from potplan.task import Task, successor
 
@@ -23,20 +23,20 @@ def z_unknowns(model, op_index):
 
 
 def test_goal_row_dim1(toy1):
-    row = build_direct2d_lp(toy1, generate_features(toy1, 1)).model.rows[0]
+    row = build_direct2d_lp(toy1, generate_features(toy1, 1)).rows[0]
     assert row.name == "goal" and row.relation == "<=" and row.rhs == 0.0
     assert row.expression.coefficients() == {"w_v0.1": 1.0, "w_v1.1": 1.0}
 
 
 def test_goal_row_dim2(toy1):
-    row = build_direct2d_lp(toy1, generate_features(toy1, 2)).model.rows[0]
+    row = build_direct2d_lp(toy1, generate_features(toy1, 2)).rows[0]
     assert row.name == "goal"
     assert row.expression.coefficients() == {
         "w_v0.1": 1.0, "w_v1.1": 1.0, "w_v0.1__v1.1": 1.0}
 
 
 def test_goal_row_empty_feature_set(toy1):
-    row = build_direct2d_lp(toy1, FeatureSet(())).model.rows[0]
+    row = build_direct2d_lp(toy1, FeatureSet(())).rows[0]
     assert row.name == "goal"
     assert row.expression.is_zero() and row.rhs == 0.0
 
@@ -48,7 +48,7 @@ def test_goal_row_requires_tnf(toy1):
 
 
 def test_operator_rows_dim1(toy1):
-    model = build_direct2d_lp(toy1, generate_features(toy1, 1)).model
+    model = build_direct2d_lp(toy1, generate_features(toy1, 1))
     rows = rows_by_name(model)
     assert z_unknowns(model, 0) == []
     assert not [name for name in rows if name.startswith("z_o0_")]
@@ -57,7 +57,7 @@ def test_operator_rows_dim1(toy1):
 
 
 def test_operator_rows_dim2(toy1):
-    model = build_direct2d_lp(toy1, generate_features(toy1, 2)).model
+    model = build_direct2d_lp(toy1, generate_features(toy1, 2))
     rows = rows_by_name(model)
     z = "z_o0_v1"
     assert z_unknowns(model, 0) == [z]
@@ -79,7 +79,7 @@ def test_operator_touching_all_variables(toy1):
     from potplan.task import Operator
     op = Operator("both", {0: 0, 1: 0}, {0: 1, 1: 1}, 1)
     task = Task(toy1.variables, [op], toy1.initial_state, toy1.goal)
-    model = build_direct2d_lp(task, generate_features(task, 2)).model
+    model = build_direct2d_lp(task, generate_features(task, 2))
     assert z_unknowns(model, 0) == []
     assert [row.name for row in model.rows] == ["goal", "op0"]
 
@@ -169,21 +169,21 @@ def test_tightness_witness(seed):
 def test_row_count_formula(seed):
     task = suite_task(seed)
     fs = generate_features(task, 2)
-    built = build_direct2d_lp(task, fs)
+    model = build_direct2d_lp(task, fs)
     expected = 1
     for op in task.operators:
         expected += 1
         context_vars = {var for i in classify_features(fs, op).context_dependent
                         for var in fs.features[i].variables if var not in op.eff}
         expected += sum(task.variables[v].domain_size for v in context_vars)
-    assert len(built.model.rows) == expected
+    assert len(model.rows) == expected
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_z_vars_keyed_by_context_pairs(seed):
     task = suite_task(seed)
     fs = generate_features(task, 2)
-    built = build_direct2d_lp(task, fs)
+    model = build_direct2d_lp(task, fs)
     for op_index, op in enumerate(task.operators):
         part = classify_features(fs, op)
         op_vars = set(op.eff)
@@ -192,19 +192,19 @@ def test_z_vars_keyed_by_context_pairs(seed):
             for var, _ in fs.features[i].facts:
                 if var not in op_vars:
                     paired.add(var)
-        assert z_unknowns(built.model, op_index) == \
+        assert z_unknowns(model, op_index) == \
             [f"z_o{op_index}_v{var}" for var in sorted(paired)]
 
 
 def test_sampled_objective_is_deterministic(toy1):
     fs = generate_features(toy1, 2)
-    built = build_direct2d_lp(toy1, fs)
-    obj1 = state_objective(fs, built.weight_vars, *sample_states(toy1, 8, seed=3))
-    obj2 = state_objective(fs, built.weight_vars, *sample_states(toy1, 8, seed=3))
+    model = build_direct2d_lp(toy1, fs)
+    obj1 = state_objective(fs, *sample_states(toy1, 8, seed=3))
+    obj2 = state_objective(fs, *sample_states(toy1, 8, seed=3))
     assert obj1 == obj2
     assert sample_states(toy1, 5, seed=3) == sample_states(toy1, 5, seed=3)
-    built.model.set_objective("max", obj1)
-    solution = solve(built.model).require_optimal()
+    model.set_objective("max", obj1)
+    solution = solve(model).require_optimal()
     assert solution.objective_value <= 2.0 + 1e-6  # mean potential below max h*
 
 
@@ -217,9 +217,9 @@ def test_state_objective_equals_repeated_addition(seed, dimension, count):
         fs = generate_features(task, dimension)
     else:
         fs = random_features(task, 10, 3, seed)
-    built = build_general_lp(task, fs)
-    objective = state_objective(fs, built.weight_vars, *sample_states(task, count, seed))
-    assert objective == reference_samples_objective(task, fs, built.weight_vars, count, seed)
+    model = build_general_lp(task, fs)
+    objective = state_objective(fs, *sample_states(task, count, seed))
+    assert objective == model.column_terms(reference_samples_objective(task, fs, count, seed))
 
 
 def test_goal_potential_reported(toy1):
@@ -228,3 +228,22 @@ def test_goal_potential_reported(toy1):
     assert result.goal_potential <= 1e-6  # goal-aware by construction
     shifted = result.value - result.goal_potential
     assert shifted >= result.value - 1e-9
+
+
+def test_objective_is_summed_in_unknown_name_order():
+    """The objective value is the name-keyed objective evaluated term by term
+    in unknown-name order.  On this task weights at the 1e8 bound cancel,
+    and summing the same terms in column order gives another float."""
+    task = random_task(10, 2, 24, 2)
+    fs = generate_features(task, 2)
+    model = build_direct2d_lp(task, fs)
+    model.set_objective("max", state_objective(fs, task.initial_state))
+    solution = solve(model).require_optimal()
+    names = [name for name, _, _ in model.unknowns]
+    by_name = LinearExpression.build(0.0, {names[j]: c for j, c in model.objective.items()})
+    value = solve_for_state(task, fs, task.initial_state).value
+    assert value == solution.objective_value == evaluate(by_name, solution.values) == 36.0
+    by_column = 0.0
+    for column, coefficient in sorted(model.objective.items()):
+        by_column += coefficient * float(solution.x[column])
+    assert by_column != value

@@ -192,7 +192,7 @@ def test_alias_adds_no_unknown():
     becomes that unknown: no column and no row of its own, and the cost row
     holds the unknown it stands for."""
     task, fs = make_alias_task()
-    text = export_lp(build_general_lp(task, fs, {0: [0, 1, 2]}).model)
+    text = export_lp(build_general_lp(task, fs, {0: [0, 1, 2]}))
     assert " op0: z_o0_v2__v1.0 <= 1.0\n" in text
     assert "z_o0_v1" not in text
     model = base_model("w0", "w1")
@@ -209,7 +209,7 @@ def lp_minimum_of_result(functions, domains, order):
     column 0 fixed at 1."""
     model = base_model("one", lower=1.0, upper=1.0)
     result = eliminate(model, functions, domains, order)
-    model.set_objective("min", LinearExpression.build(0.0, result))
+    model.set_objective("min", model.column_terms(LinearExpression.build(0.0, result)))
     return solve(model).require_optimal(), model, result
 
 
@@ -250,7 +250,7 @@ def test_minimizing_aux_recovers_equation_solution(seed):
     model = base_model("one", lower=1.0, upper=1.0)
     eliminate(model, functions, domains, order)
     aux = [name for name, _, _ in model.unknowns[1:]]
-    model.set_objective("min", LinearExpression.build(0.0, dict.fromkeys(aux, 1.0)))
+    model.set_objective("min", dict.fromkeys(range(1, len(model.unknowns)), 1.0))
     solution = solve(model).require_optimal()
     aux_values = bottom_up_values(model, {"one": 1.0})
     for name in aux:
@@ -288,9 +288,9 @@ def test_dim2_general_matches_direct(seed):
 
 def test_general_lp_dim1_reduces_to_plain_rows(toy1):
     fs = generate_features(toy1, 1)
-    built = build_general_lp(toy1, fs)
-    assert len(built.model.rows) == 3  # goal + one per operator
-    assert len(built.model.unknowns) == len(fs)  # no elimination unknowns
+    model = build_general_lp(toy1, fs)
+    assert len(model.rows) == 3  # goal + one per operator
+    assert len(model.unknowns) == len(fs)  # no elimination unknowns
     assert solve_general_for_state(toy1, fs, toy1.initial_state).value == \
         pytest.approx(2.0)
 
@@ -323,15 +323,15 @@ def test_k4_reduction_weights_satisfy_consistency_rows():
     goal-awareness row fails, as that potential is not goal-aware."""
     red = reduce_3col(complete_graph(4))
     task, fs = red.task, red.features
-    built = build_general_lp(task, fs)
+    model = build_general_lp(task, fs)
     widths = []
     for op_index in range(len(task.operators)):
         graph = context_dependency_graph(task, fs, op_index)
         widths.append(induced_width(graph, min_fill_order(graph)))
     assert max(widths) == 3  # the switch operator sees the whole graph
-    assignment = bottom_up_values(built.model, {weight_var_name(f): red.weights[i]
+    assignment = bottom_up_values(model, {weight_var_name(f): red.weights[i]
                                                 for i, f in enumerate(fs.features)})
-    for row in built.model.rows:
+    for row in model.rows:
         lhs = evaluate(row.expression, assignment)
         if row.name == "goal":
             assert lhs > 0  # the reduction potential is not goal-aware

@@ -63,7 +63,7 @@ def test_solve_bounded():
     m = LpModel()
     m.add_unknown("x")
     m.add_row(term("x"), "<=", 3)
-    m.set_objective("max", term("x"))
+    m.set_objective("max", m.column_terms(term("x")))
     sol = solve(m)
     assert sol.status == "optimal"
     assert sol.values["x"] == pytest.approx(3.0)
@@ -73,7 +73,7 @@ def test_solve_bounded():
 def test_solve_unbounded():
     m = LpModel()
     m.add_unknown("x")
-    m.set_objective("max", term("x"))
+    m.set_objective("max", m.column_terms(term("x")))
     assert solve(m).status == "unbounded"
 
 
@@ -82,7 +82,7 @@ def test_solve_infeasible():
     m.add_unknown("x")
     m.add_row(term("x"), "<=", 0)
     m.add_row(term("x"), ">=", 1)
-    m.set_objective("max", term("x"))
+    m.set_objective("max", m.column_terms(term("x")))
     assert solve(m).status == "infeasible"
 
 
@@ -90,7 +90,7 @@ def test_solution_recheck():
     m = LpModel()
     m.add_unknown("x", 0, 10)
     m.add_row(term("x"), "<=", 3)
-    m.set_objective("max", term("x"))
+    m.set_objective("max", m.column_terms(term("x")))
     sol = solve(m)
     assert check_solution(m, sol.values) == []
     assert check_solution(m, {"x": 5.0}) == ["c1"]
@@ -118,12 +118,44 @@ def test_solution_recheck():
         check_solution(m, {"x": 1.0})
 
 
+def test_model_without_columns_is_decided_by_its_rows():
+    """HiGHS rejects a model without columns; its rows read `0 <relation>
+    rhs`, optimal with objective 0 when all hold and infeasible otherwise."""
+    m = LpModel()
+    solution = solve(m)
+    assert (solution.status, solution.objective_value, solution.values) == ("optimal", 0.0, {})
+    m.add_rows([0, 0, 0], [], [], ["<=", "="], [1.0, 0.0], ["low", "tie"])
+    m.set_objective("min", {})
+    solution = solve(m)
+    assert (solution.status, solution.objective_value, solution.bound_active) == \
+        ("optimal", 0.0, ())
+    m.add_rows([0, 0], [], [], ">=", 1.0, ["high"])
+    assert solve(m).status == "infeasible"
+
+
+def test_objective_by_column():
+    m = LpModel()
+    m.add_unknown("x", 0.0, 2.0)
+    m.add_unknown("y", 0.0, 1.0)
+    m.set_objective("max", {1: 3.0, 0: 0.0})  # the zero is dropped
+    assert m.objective == {1: 3.0}
+    solution = solve(m)
+    assert solution.objective_value == 3.0 and solution.x.tolist()[1] == 1.0
+    assert export_lp(m).splitlines()[1] == " obj: 3.0 y"
+    with pytest.raises(LpError, match="undeclared unknown column 2"):
+        m.set_objective("max", {2: 1.0})
+    with pytest.raises(LpError, match="undeclared unknown 'z'"):
+        m.column_terms(term("z"))
+    with pytest.raises(LpError, match="constants in the objective"):
+        parse_lp("Maximize\n obj: x + 2.0\nSubject To\nBounds\n x free\nEnd\n")
+
+
 def test_bound_active_flag():
     m = LpModel()
     m.add_unknown("x", -1.0, 1.0)
     m.add_unknown("y")
     m.add_row(term("y") - term("x"), "<=", 0)
-    m.set_objective("max", term("y"))
+    m.set_objective("max", m.column_terms(term("y")))
     sol = solve(m)
     assert "x" in sol.bound_active and "y" not in sol.bound_active
 
@@ -132,7 +164,7 @@ def test_export_format():
     m = LpModel()
     m.add_unknown("x")
     m.add_row(term("x"), "<=", 3)
-    m.set_objective("max", term("x"))
+    m.set_objective("max", m.column_terms(term("x")))
     doc = export_lp(m)
     lines = doc.splitlines()
     assert lines[0] == "Maximize"
@@ -155,10 +187,10 @@ def test_export_empty_model_skeleton():
 def test_export_toy1_dim1_shape(toy1):
     from potplan.direct2d import build_direct2d_lp
     from potplan.features import generate_features
-    built = build_direct2d_lp(toy1, generate_features(toy1, 1))
-    doc = export_lp(built.model)
-    assert len(built.model.unknowns) == 4
-    assert len(built.model.rows) == 3
+    model = build_direct2d_lp(toy1, generate_features(toy1, 1))
+    doc = export_lp(model)
+    assert len(model.unknowns) == 4
+    assert len(model.rows) == 3
     lines = doc.splitlines()
     rows = lines[lines.index("Subject To") + 1:lines.index("Bounds")]
     assert len(rows) == 3 and all("<=" in r for r in rows)
@@ -176,8 +208,8 @@ def _random_model(seed):
         expr = LinearExpression.build(
             0.0, {n: round(rng.uniform(-4, 4), 3) for n in names if rng.random() < 0.8})
         m.add_row(expr, rng.choice(["<=", ">=", "="]), round(rng.uniform(-3, 6), 3))
-    m.set_objective(rng.choice(["max", "min"]), LinearExpression.build(
-        0.0, {n: round(rng.uniform(-2, 2), 3) for n in names}))
+    m.set_objective(rng.choice(["max", "min"]),
+                    {j: round(rng.uniform(-2, 2), 3) for j in range(len(names))})
     return m
 
 
@@ -268,8 +300,8 @@ def _seeded_model(seed):
         m.add_row(LinearExpression.build(
             0.0, {n: round(rng.uniform(-4, 4), 3) for n in names if rng.random() < 0.7}),
             rng.choice(RELATIONS), round(rng.uniform(-3, 6), 3))
-    m.set_objective(rng.choice(["max", "min"]), LinearExpression.build(
-        0.0, {n: round(rng.uniform(-2, 2), 3) for n in names}))
+    m.set_objective(rng.choice(["max", "min"]),
+                    {j: round(rng.uniform(-2, 2), 3) for j in range(len(names))})
     return m
 
 
@@ -277,8 +309,8 @@ def _linprog(model):
     """The model solved by scipy's linprog, given the `<=`/`>=` rows (the
     `>=` ones negated) as A_ub and the `=` rows as A_eq."""
     c = np.zeros(len(model.unknowns))
-    for name, coef in model.objective.terms:
-        c[model.index_of(name)] = coef if model.objective_sense == "min" else -coef
+    for column, coef in model.objective.items():
+        c[column] = coef if model.objective_sense == "min" else -coef
     matrix, relations, rhs = model.row_table()
     sign = np.where(relations == RELATIONS.index(">="), -1.0, 1.0)
     signed = (diags(sign) @ matrix).tocsr()
@@ -302,8 +334,7 @@ def test_solve_matches_linprog_bit_for_bit():
         expected = {0: "optimal", 2: "infeasible", 3: "unbounded"}[reference.status]
         assert ours.status == expected, seed
         if expected == "optimal":
-            x = np.array([ours.values[name] for name, _, _ in m.unknowns])
-            assert np.array_equal(x, reference.x), seed
+            assert np.array_equal(ours.x, reference.x), seed
         statuses.add(expected)
         no_rows += not m.rows
         free += any(math.isinf(lo) and math.isinf(hi) for _, lo, hi in m.unknowns)
@@ -311,11 +342,12 @@ def test_solve_matches_linprog_bit_for_bit():
 
 
 def _objectives(model, seed, count=8):
+    """Objectives by column; a coefficient rounded to 0 is dropped."""
     rng = random.Random(seed)
-    names = [name for name, _, _ in model.unknowns]
-    return [(rng.choice(["max", "min"]), LinearExpression.build(
-        0.0, {n: round(rng.uniform(-2, 2), 3) for n in names if rng.random() < 0.8}))
-        for _ in range(count)]
+    return [(rng.choice(["max", "min"]),
+             {j: round(rng.uniform(-2, 2), 3) for j in range(len(model.unknowns))
+              if rng.random() < 0.8})
+            for _ in range(count)]
 
 
 def _assert_same_result(warm, cold):
@@ -350,12 +382,12 @@ def test_warm_resolve_through_unbounded():
     warm = model()
     results = []
     for objective in (term("x"), -term("x"), term("x") + 2 * term("y"), 2 * term("y")):
-        warm.set_objective("max", objective)
+        warm.set_objective("max", warm.column_terms(objective))
         session = warm._session
         result = solve(warm)
         assert session is None or warm._session is session
         cold = model()
-        cold.set_objective("max", objective)
+        cold.set_objective("max", cold.column_terms(objective))
         _assert_same_result(result, solve(cold))
         results.append((result.status, result.objective_value))
     assert results == [("optimal", 2.5), ("unbounded", None), ("optimal", 4.0),
@@ -366,7 +398,7 @@ def test_structure_change_after_solve_is_honoured():
     m = LpModel()
     m.add_unknown("x", 0.0, 10.0)
     m.add_row(term("x"), "<=", 3)
-    m.set_objective("max", term("x"))
+    m.set_objective("max", m.column_terms(term("x")))
     assert solve(m).objective_value == 3.0
     m.add_row(term("x"), "<=", 1, "tighter")
     assert m._session is None
@@ -375,11 +407,11 @@ def test_structure_change_after_solve_is_honoured():
     assert solve(m).status == "infeasible"
     m = LpModel()
     m.add_unknown("x", 0.0, 10.0)
-    m.set_objective("max", term("x"))
+    m.set_objective("max", m.column_terms(term("x")))
     assert solve(m).objective_value == 10.0
     m.add_unknown("y", 0.0, 2.0)
     m.add_row(term("x") + term("y"), "<=", 4)
-    m.set_objective("max", term("x") + 3 * term("y"))
+    m.set_objective("max", m.column_terms(term("x") + 3 * term("y")))
     solution = solve(m)
     assert solution.values == {"x": 2.0, "y": 2.0} and solution.objective_value == 8.0
 
@@ -390,9 +422,9 @@ def _compare_models(task, ts, state):
     models = []
     for dim in (1, 2):
         fs = generate_features(task, dim)
-        built = direct2d.build_direct2d_lp(task, fs)
-        built.model.set_objective("max", direct2d.state_objective(fs, built.weight_vars, state))
-        models.append(built.model)
+        model = direct2d.build_direct2d_lp(task, fs)
+        model.set_objective("max", direct2d.state_objective(fs, state))
+        models.append(model)
     for build in (costpart.build_ocp_lp, costpart.build_tcp_lp):
         models.append(build(ts, patterns, state).model)
     return models
@@ -447,7 +479,7 @@ def test_external_solver_adapter(tmp_path, monkeypatch):
     m.add_unknown("the_y")
     m.add_row(term("x") + term("the_y"), "<=", 4)
     m.add_row(term("the_y"), "<=", 1)
-    m.set_objective("max", term("x") + 2 * term("the_y"))
+    m.set_objective("max", m.column_terms(term("x") + 2 * term("the_y")))
     sol = solve(m)
     assert sol.status == "optimal"
     assert sol.objective_value == pytest.approx(5.0)
@@ -455,7 +487,7 @@ def test_external_solver_adapter(tmp_path, monkeypatch):
 
     unbounded = LpModel()
     unbounded.add_unknown("x")
-    unbounded.set_objective("max", term("x"))
+    unbounded.set_objective("max", unbounded.column_terms(term("x")))
     assert solve(unbounded).status == "unbounded"
 
 
@@ -463,6 +495,6 @@ def test_external_solver_failure(tmp_path, monkeypatch):
     monkeypatch.setenv(SOLVER_ENV_VAR, "false")
     m = LpModel()
     m.add_unknown("x", 0, 1)
-    m.set_objective("max", term("x"))
+    m.set_objective("max", m.column_terms(term("x")))
     with pytest.raises(SolverFailureError):
         solve(m)

@@ -116,7 +116,7 @@ def test_exhaustive_model_matches_reference(name):
     feature_sets = [generate_features(task, 1), generate_features(task, 2),
                     random_features(task, 8, 3, 0), FeatureSet(())]
     for fs in feature_sets:
-        assert_same_model(build_exhaustive_lp(task, fs, ts).model,
+        assert_same_model(build_exhaustive_lp(task, fs, ts),
                           reference_exhaustive_model(task, fs, ts))
 
 
@@ -148,8 +148,8 @@ def test_direct2d_model_matches_reference(name, dimension):
     task = POTENTIAL_TASKS[name]()
     fs = generate_features(task, dimension)
     reference = reference_direct2d_model(task, fs)
-    assert_same_model(build_direct2d_lp(task, fs).model, reference)
-    assert_same_model(build_general_lp(task, fs).model, reference)
+    assert_same_model(build_direct2d_lp(task, fs), reference)
+    assert_same_model(build_general_lp(task, fs), reference)
 
 
 def test_potential_instances_cover_no_op_operators():
@@ -186,9 +186,9 @@ def test_general_model_matches_reference(name):
     min-fill orders and with each of them reversed.  The reference is the
     symbolic eliminator over linear expressions."""
     task, fs = GENERAL_CASES[name]()
-    assert_same_model(build_general_lp(task, fs).model, reference_general_model(task, fs))
+    assert_same_model(build_general_lp(task, fs), reference_general_model(task, fs))
     orders = reversed_min_fill_orders(task, fs)
-    assert_same_model(build_general_lp(task, fs, orders).model,
+    assert_same_model(build_general_lp(task, fs, orders),
                       reference_general_model(task, fs, orders))
 
 
@@ -204,6 +204,6 @@ def test_general_instances_cover_context_edges():
         with_edges += any(context_dependency_graph(task, fs, k).edges
                           for k in range(len(task.operators)))
         orders = reversed_min_fill_orders(task, fs)
-        changed += export_lp(build_general_lp(task, fs).model) != \
-            export_lp(build_general_lp(task, fs, orders).model)
+        changed += export_lp(build_general_lp(task, fs)) != \
+            export_lp(build_general_lp(task, fs, orders))
     assert with_edges > len(GENERAL_CASES) // 2 and changed > len(GENERAL_CASES) // 2

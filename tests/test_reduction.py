@@ -118,7 +118,7 @@ def test_consistency_iff_not_colorable(index, graph):
     assert report.consistent == (not is_3colorable(graph))
     if not report.consistent:
         # the counterexample is a genuine violation: a switch into a coloring
-        state, op_id = report.counterexample
+        state, op_id = report.counterexample, report.operator
         op = red.task.operators[op_id]
         from potplan.task import successor
         after = successor(state, op)

@@ -67,23 +67,20 @@ def test_potential_lp_round_trip(n_vars, max_dom, n_ops, seed, dimension, sample
         fs = generate_features(task, dimension)
     else:
         fs = random_features(task, 8, 3, seed)
-    built = build_general_lp(task, fs)
+    model = build_general_lp(task, fs)
     if samples:
-        objective = state_objective(fs, built.weight_vars,
-                                    *sample_states(task, samples, seed))
+        objective = state_objective(fs, *sample_states(task, samples, seed))
     else:
-        objective = state_objective(fs, built.weight_vars, task.initial_state)
-    built.model.set_objective("max", objective)
-    assert_lp_round_trip(built.model)
+        objective = state_objective(fs, task.initial_state)
+    model.set_objective("max", objective)
+    assert_lp_round_trip(model)
 
 
 def test_potential_lp_round_trip_with_assignment_suffixes():
     """Width 3 (the reduction's switch operator): elimination unknowns and
     rows carry the assignment to the remaining scope in their names."""
     red = reduce_3col(complete_graph(4))
-    built = build_general_lp(red.task, red.features)
-    built.model.set_objective("max", state_objective(red.features, built.weight_vars,
-                                                     red.task.initial_state))
-    assert any("__v" in name for name, _, _ in built.model.unknowns
-               if name.startswith("z_"))
-    assert_lp_round_trip(built.model)
+    model = build_general_lp(red.task, red.features)
+    model.set_objective("max", state_objective(red.features, red.task.initial_state))
+    assert any("__v" in name for name, _, _ in model.unknowns if name.startswith("z_"))
+    assert_lp_round_trip(model)

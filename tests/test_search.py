@@ -61,7 +61,7 @@ def test_validate_k3_reduction():
     red = reduce_3col(complete_graph(3))
     report = validate(red.task, lambda s: phi_of_state(red, s))
     assert not report.consistent
-    state, op_id = report.counterexample
+    state, op_id = report.counterexample, report.operator
     after = tuple(red.task.operators[op_id].eff.get(v, state[v])
                   for v in range(len(state)))
     # the violating transition switches into a proper coloring

@@ -20,9 +20,12 @@ exhaustive` prints for each random task, which `validate` reads back.
 `random_task(4, 4, 8, seed)` for seeds 0, 15 and 34 (96 to 192 states) adds
 `compare --state random:3`.  A three-variable task with a domain-1 variable,
 two features and an `--order` file under which that variable's unknown
-becomes an alias adds a bucket `lp` and `solve`.  Each extra TASK.sas is run
-through the potential-LP calls as well; a TASK.features file beside it adds
-the bucket calls over those features.
+becomes an alias adds a bucket `lp` and `solve`.  `random_task(10, 2, 24, 2)`
+adds direct2d and bucket `solve --dim 2` and `lp`: its optimum leaves weights
+at the 1e8 bound that cancel in the objective, so its printed objective
+depends on the order in which the objective's terms are summed.  Each extra
+TASK.sas is run through the potential-LP calls as well; a TASK.features file
+beside it adds the bucket calls over those features.
 Exit code 0 when every call matches, 1 otherwise.
 """
 
@@ -42,6 +45,7 @@ import numpy as np
 GEN_SEEDS = range(12)
 RANDOM_SEEDS = range(6)
 COMPARE_SEEDS = (0, 15, 34)  # 96, 128 and 192 states
+CANCELLING_TASK = (10, 2, 24, 2)  # random_task arguments; prints objective 36.0
 
 
 def _import_potplan(tree: str):
@@ -133,6 +137,9 @@ def prepare(tree: str, workdir: str, extra: list[str]) -> None:
     base = ["--method", "bucket", "--dim", "3", "--features", features,
             "--order", "alias_order.json", sas]
     calls += [["lp", *base], ["solve", *base]]
+    sas = _write("cancelling.sas", serialize_sas(random_task(*CANCELLING_TASK)))
+    calls += [["solve", "--method", m, "--dim", "2", sas] for m in ("direct2d", "bucket")]
+    calls.append(["lp", "--dim", "2", sas])
     for sas in extra:
         features = os.path.splitext(sas)[0] + ".features"
         calls += _task_calls(sas, features if os.path.exists(features) else None)
