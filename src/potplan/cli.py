@@ -10,6 +10,7 @@ printed on request.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -331,6 +332,7 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built once per process: building it takes longer than a small solve
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="potplan",

@@ -13,7 +13,13 @@ one scoped function per feature touching the operator, followed by the
 elimination rows.  Elimination reads weights as columns 0..|F|-1, declares
 its own unknowns on the model and hands back column-indexed rows, which go
 into the model in one `add_rows` call.  Operators touched by no
-context-dependent feature get the cost row alone.
+context-dependent feature (every operator of a dimension-1 model) get the
+cost row alone, summed from their functions without elimination's set-up.
+
+Some weights are pinned to 0 (`features.pinned_features`): their
+indicators are combinations of the others', so the model expresses the same
+potentials, but weights can no longer shift against each other without
+changing any potential, which let HiGHS park them at the ±1e8 bound.
 
 For features of dimension at most 2 every context-dependency graph has no
 edges (width 0), and elimination yields the binary model of Pommerening,
@@ -26,15 +32,17 @@ remaining scope, `z_o{op}_v{var}__v{u}.{value}_...`.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from .elimination import (bucket_eliminate, dependency_graph, induced_width,
-                          min_fill_order, scoped_functions_for_operator)
-from .features import Feature, FeatureSet, WeightFunction, evaluate_potential, truth_matrix
-from .lp import LpModel, LpSolution, solve
+                          min_fill_order, scoped_functions_for_operator, sum_empty_scope)
+from .features import (Feature, FeatureSet, WeightFunction, evaluate_potential,
+                       pinned_features, truth_matrix)
+from .lp import OPTIMALITY_TOL, LpModel, LpSolution, solve
 from .task import (DEFAULT_STATE_CAP, State, SuccessorGenerator, Task,
                    TransitionSystem, build_transition_system)
 from .tnf import is_tnf
@@ -69,12 +77,15 @@ def _goal_state(task: Task) -> State:
 
 
 def _weights_and_goal_row(task: Task, fs: FeatureSet) -> LpModel:
-    """A model with one bounded weight unknown per feature (columns
-    0..|F|-1) and the goal row: the goal state's potential is at most 0."""
+    """A model with one weight unknown per feature (columns 0..|F|-1),
+    bounded by ±1e8 or, for `pinned_features`, fixed to 0, and the goal
+    row: the goal state's potential is at most 0."""
     _require_tnf(task)
     model = LpModel()
-    for f in fs.features:
-        model.add_unknown(weight_var_name(f), WEIGHT_LOWER, WEIGHT_UPPER)
+    pinned = set(pinned_features(fs, task.domain_sizes))
+    for i, f in enumerate(fs.features):
+        lower, upper = (0.0, 0.0) if i in pinned else (WEIGHT_LOWER, WEIGHT_UPPER)
+        model.add_unknown(weight_var_name(f), lower, upper)
     goal = state_objective(fs, _goal_state(task))
     model.add_rows([0, len(goal)], list(goal), list(goal.values()), "<=", 0.0, ["goal"])
     return model
@@ -98,13 +109,16 @@ def build_general_lp(task: Task, fs: FeatureSet,
     for op_index, op in enumerate(task.operators):
         functions = scoped_functions_for_operator(task, fs, op_index)
         order = orderings.get(op_index) if orderings else None
-        if order is not None or any(fn.scope for fn in functions):
+        if order is None and not any(fn.scope for fn in functions):
+            # Elimination would only sum the functions: skip its set-up.
+            result, rows = sum_empty_scope(functions), []
+        else:
             graph = dependency_graph(functions, vertices)
             if order is None:
                 order = min_fill_order(graph)
             induced_width(graph, list(order))  # raises unless every variable is listed once
-        result, rows = bucket_eliminate(model, functions, domains, list(order or ()),
-                                        prefix=f"z_o{op_index}")
+            result, rows = bucket_eliminate(model, functions, domains, list(order),
+                                            prefix=f"z_o{op_index}")
         for name, terms in [(f"op{op_index}", result), *rows]:
             columns.extend(terms)
             coefficients.extend(terms.values())
@@ -178,9 +192,30 @@ def _maximize(task: Task, fs: FeatureSet, model: LpModel,
     return extract_result(fs, task, solve(model).require_optimal())
 
 
+def all_states_objective(fs: FeatureSet, domain_sizes) -> dict[int, float]:
+    """Mean potential over all syntactic states, as {column: coefficient}:
+    feature f holds in the share 1 / Π_{V in vars(f)} |D_V| of them."""
+    return {i: 1.0 / math.prod(domain_sizes[v] for v in f.variables)
+            for i, f in enumerate(fs.features)}
+
+
 def solve_for_state(task: Task, fs: FeatureSet, state: State) -> PotentialSolveResult:
-    """Maximize the potential of one state over the dimension-2 model."""
-    return _maximize(task, fs, build_direct2d_lp(task, fs), state)
+    """Maximize the potential of one state over the dimension-2 model, then
+    break the tie among its optimal weights: a second, warm solve keeps the
+    state's potential within OPTIMALITY_TOL of that optimum and maximizes
+    the mean potential over all syntactic states (Seipp, Pommerening &
+    Helmert, ICAPS 2015), so that the weights inform a search heuristic away
+    from the state too.  The reported value is the first solve's optimum."""
+    model = build_direct2d_lp(task, fs)
+    objective = state_objective(fs, state)
+    model.set_objective("max", objective)
+    optimum = solve(model).require_optimal().objective_value
+    model.add_rows([0, len(objective)], list(objective), list(objective.values()), ">=",
+                   optimum - OPTIMALITY_TOL * max(1.0, abs(optimum)), ["tie_break"])
+    model.set_objective("max", all_states_objective(fs, task.domain_sizes))
+    result = extract_result(fs, task, solve(model).require_optimal())
+    result.value = optimum
+    return result
 
 
 def solve_general_for_state(task: Task, fs: FeatureSet, state: State,

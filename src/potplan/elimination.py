@@ -249,11 +249,16 @@ def bucket_eliminate(model: LpModel, functions: list[ScopedFunction], domains,
             table[values] = {column: 1.0}
         if table:
             place(ScopedFunction(scope, table))
+    return sum_empty_scope(ground), rows
+
+
+def sum_empty_scope(functions: list[ScopedFunction]) -> dict[int, float]:
+    """The entries of functions with the empty scope, summed in order."""
     result: dict[int, float] = {}
-    for fn in ground:
+    for fn in functions:
         for column, coefficient in fn.table.get((), NO_TERMS).items():
             result[column] = result.get(column, 0.0) + coefficient
-    return result, rows
+    return result
 
 
 def brute_force_max(functions: list[ScopedFunction], domains, values) -> float:

@@ -136,7 +136,38 @@ def generate_features(task: Task, dimension: int,
 
 
 def evaluate_potential(fs: FeatureSet, w: WeightFunction, state: State) -> float:
-    return sum(w[i] for i in np.flatnonzero(truth_matrix(fs, [state])[0]).tolist())
+    return sum((w[i] for i in np.flatnonzero(truth_matrix(fs, [state])[0]).tolist()), 0.0)
+
+
+def pinned_features(fs: FeatureSet, domain_sizes) -> list[int]:
+    """Indices, in increasing order, of the features whose indicator is a
+    linear combination of the others' and whose weight can therefore be
+    fixed to 0 without changing any potential the set can express.
+
+    Every variable's reference value is 0, and the anchor is the lowest-id
+    variable whose atoms are all in the set.  Feature f is pinned when it has
+    a fact (V, 0) such that g = f - (V, 0) is in the set (or g is empty and
+    V is not the anchor) and every g + (V, u), u != 0, is in the set: then
+    [f] = [g] - sum_u [g + (V, u)], where an empty g stands for the constant
+    1, the sum of the anchor's atoms.  Each g + (V, u) has fewer value-0
+    facts than f and g fewer facts, so by induction every pinned indicator
+    is a combination of kept ones.
+    """
+    present = {f.facts for f in fs.features}
+    anchor = next((v for v, size in enumerate(domain_sizes)
+                   if all(((v, x),) in present for x in range(size))), None)
+    pinned = []
+    for i, f in enumerate(fs.features):
+        for k, (var, val) in enumerate(f.facts):
+            if val != 0:
+                continue
+            g = f.facts[:k] + f.facts[k + 1:]
+            if (g in present if g else anchor not in (None, var)) and all(
+                    tuple(sorted(g + ((var, u),))) in present
+                    for u in range(1, domain_sizes[var])):
+                pinned.append(i)
+                break
+    return pinned
 
 
 def truth_matrix(fs: FeatureSet, states) -> np.ndarray:

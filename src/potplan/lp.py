@@ -2,9 +2,10 @@
 solve contract backed by the HiGHS that scipy bundles, and CPLEX-LP-format
 text export.
 
-A model keeps its HiGHS object between solves as long as only its objective
-changes, so that re-solving it for another objective starts from the last
-optimal basis; adding a row or a column drops that session.
+A model keeps its HiGHS object between solves as long as no column is added,
+so that re-solving it for another objective starts from the last optimal
+basis; rows appended after a solve are handed to that HiGHS object, and
+adding a column drops it.
 
 An optional external solver can be plugged in through the environment
 variable POTPLAN_LP_SOLVER_CMD; the configured command is invoked with two
@@ -230,8 +231,8 @@ class LpModel:
         `coefficients`.  `relations` and `rhs` are one value for every row or
         one per row; `names` is one per row, or None for unnamed rows.  As in
         LinearExpression, a column repeated within a row is summed and zero
-        coefficients are dropped."""
-        self._mutating()
+        coefficients are dropped.  A live solver session gets the rows too."""
+        self._mutating(keeps_session=True)
         indptr = np.asarray(indptr, dtype=np.int64)
         columns = np.asarray(columns, dtype=np.int64)
         coefficients = np.asarray(coefficients, dtype=float)
@@ -259,12 +260,15 @@ class LpModel:
                            shape=(count, len(self.unknowns)))
         block.sum_duplicates()
         block.eliminate_zeros()
+        codes, rhs = np.broadcast_to(codes, count), np.broadcast_to(rhs, count)
         _append(self._row_ends, block.indptr[1:].astype(np.int64) + len(self._columns))
         _append(self._columns, block.indices)
         _append(self._coefficients, block.data)
-        _append(self._relations, np.broadcast_to(codes, count))
-        _append(self._rhs, np.broadcast_to(rhs, count))
+        _append(self._relations, codes)
+        _append(self._rhs, rhs)
         self._row_names.extend(names)
+        if self._session is not None:
+            self._session.add_rows(self, block, codes, rhs)
 
     def row_table(self) -> tuple[csr_matrix, np.ndarray, np.ndarray]:
         """All rows as a CSR matrix over the columns, with per-row relation
@@ -359,16 +363,16 @@ def solve(model: LpModel) -> LpSolution:
 
 
 class _Session:
-    """What the solves of one model share until a row or column changes:
-    its HiGHS object, which keeps the last basis, and the row table and
-    column bounds of the re-check."""
+    """What the solves of one model share until a column is added: its HiGHS
+    object, which keeps the last basis, and the row table and column bounds
+    of the re-check."""
 
     def __init__(self, model: LpModel):
         self.table = model.row_table()
         self.lower, self.upper = _bounds(model)
         self.highs = highs_core._Highs()
         for option, value in (("output_flag", False), ("log_to_console", False),
-                              ("presolve", "on"), ("simplex_strategy", 1)):  # dual simplex
+                              ("presolve", "on")):
             self.highs.setOptionValue(option, value)
 
     def highs_lp(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, csr_matrix]:
@@ -385,6 +389,17 @@ class _Session:
         lower = np.where(equality[order], upper, -np.inf)
         return self.lower, self.upper, lower, upper, signed[order].tocsc()
 
+    def add_rows(self, model: LpModel, block: csr_matrix, relations: np.ndarray,
+                 rhs: np.ndarray) -> None:
+        """Hand rows just appended to the model to HiGHS, which keeps its
+        basis (the new rows' slacks become basic), and re-read the re-check
+        table."""
+        self.table = model.row_table()
+        lower = np.where(relations == RELATIONS.index("<="), -np.inf, rhs)
+        upper = np.where(relations == RELATIONS.index(">="), np.inf, rhs)
+        self.highs.addRows(len(rhs), lower, upper, block.nnz, block.indptr.astype(np.int32),
+                           block.indices.astype(np.int32), block.data)
+
 
 _DECIDED = (highs_core.HighsModelStatus.kOptimal, highs_core.HighsModelStatus.kInfeasible,
             highs_core.HighsModelStatus.kUnbounded)
@@ -394,7 +409,11 @@ def _run_highs(highs, cost: np.ndarray, lp: tuple | None = None):
     """Hand HiGHS a model to minimize, run it and return its model status.
     `lp` is `_Session.highs_lp()` for a new model, or None to re-solve the
     model HiGHS holds with only the cost vector changed, starting from its
-    last basis."""
+    last basis.  A new model is solved by dual simplex, as linprog solves
+    it; a re-solve by primal simplex, because the last optimal basis stays
+    primal feasible when only the cost changes (and after appended rows
+    that the last optimum satisfies, such as `direct2d`'s tie-break row)."""
+    highs.setOptionValue("simplex_strategy", 4 if lp is None else 1)
     if lp is None:
         highs.changeColsCost(len(cost), np.arange(len(cost), dtype=np.int32), cost)
     else:
@@ -419,7 +438,16 @@ def _run_highs(highs, cost: np.ndarray, lp: tuple | None = None):
         # A warm start can end undecided (HiGHS reports "Unknown" when it
         # starts from the basis an unbounded objective left): run again
         # without that basis, as a solve of a fresh copy would.
+        highs.setOptionValue("simplex_strategy", 1)
         highs.clearSolver()
+        highs.run()
+        status = highs.getModelStatus()
+    elif lp is None and status == highs_core.HighsModelStatus.kOptimal:
+        # The values a warm start ends with are carried through its basis
+        # updates and can differ in the last bit from those of a fresh
+        # factorization of the same basis, which a cold solve reports (seen
+        # at 2.7e8 on a dead-end state): run again from that basis.
+        highs.setBasis(highs.getBasis())
         highs.run()
         status = highs.getModelStatus()
     return status
@@ -462,6 +490,8 @@ def _finish(model: LpModel, x: np.ndarray, table: tuple[csr_matrix, np.ndarray, 
     violations = _violations(model, table, x, lower, upper, FEASIBILITY_TOL)
     if violations:
         raise SolverFailureError(f"solution violates rows: {', '.join(violations[:5])}")
+    fixed = lower == upper
+    x[fixed] = lower[fixed]  # a fixed column's value is its bound, never -0.0 for 0.0
     unknowns, objective = model.unknowns, model.objective
     # Summed term by term in unknown-name order, as `evaluate` sums a
     # LinearExpression, not in column order and not with `sum()` (which
@@ -471,8 +501,10 @@ def _finish(model: LpModel, x: np.ndarray, table: tuple[csr_matrix, np.ndarray, 
     value = 0.0
     for j in sorted(objective, key=lambda j: unknowns[j][0]):
         value += objective[j] * float(x[j])
-    active = ((~np.isinf(lower) & (np.abs(x - lower) <= FEASIBILITY_TOL))
-              | (~np.isinf(upper) & (np.abs(x - upper) <= FEASIBILITY_TOL)))
+    # a fixed column is at its bounds by definition and is not listed
+    active = ~fixed & (
+        (~np.isinf(lower) & (np.abs(x - lower) <= FEASIBILITY_TOL))
+        | (~np.isinf(upper) & (np.abs(x - upper) <= FEASIBILITY_TOL)))
     return LpSolution("optimal", x, value,
                       tuple(unknowns[j][0] for j in np.flatnonzero(active)), unknowns)
 

@@ -17,7 +17,9 @@ search references test every operator in every state with `is_applicable`
 and `successor`; the indexed successor generator has to reproduce them.
 The TCP model with one cost unknown per (abstraction, transition) is no
 builder's reference but the oracle of the eliminated one: same optimum, and
-the solution lifted into it is feasible.
+the solution lifted into it is feasible.  Likewise the potential models
+built with `pin=False`, where no weight is fixed to 0, are the oracle of
+the pinned ones: same optimum.
 """
 
 import heapq
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 from potplan.direct2d import WEIGHT_LOWER, WEIGHT_UPPER, sample_states, weight_var_name
 from potplan.elimination import DependencyGraph, OrderingError, ScopedFunction, min_fill_order
-from potplan.features import Feature, FeatureError
+from potplan.features import Feature, FeatureError, pinned_features
 from potplan.lp import ZERO, LinearExpression, LpModel, Row
 from potplan.search import NoPlanError, SearchResult, tiebreak_key
 from potplan.task import is_applicable, iter_states, state_index, successor
@@ -205,10 +207,15 @@ def reference_ocp_model(ts, patterns, state):
     return _finish(model, projections, state)
 
 
-def _reference_weights(model, fs):
+def _reference_weights(model, task, fs, pin=True):
+    """One weight unknown per feature, bounded by ±1e8, or, with `pin`,
+    fixed to 0 if `pinned_features` names it (that rule is checked on its
+    own, against the rank of the truth matrix)."""
+    pinned = set(pinned_features(fs, task.domain_sizes)) if pin else set()
     weight_vars = {}
     for i, f in enumerate(fs.features):
-        weight_vars[i] = model.add_unknown(weight_var_name(f), WEIGHT_LOWER, WEIGHT_UPPER)
+        bounds = (0.0, 0.0) if i in pinned else (WEIGHT_LOWER, WEIGHT_UPPER)
+        weight_vars[i] = model.add_unknown(weight_var_name(f), *bounds)
     return weight_vars
 
 
@@ -217,9 +224,9 @@ def _reference_goal_row(model, task, fs, weight_vars):
     model.add_row(_reference_state_objective(fs, weight_vars, goal_state), "<=", 0.0, "goal")
 
 
-def reference_exhaustive_model(task, fs, ts):
+def reference_exhaustive_model(task, fs, ts, pin=True):
     model = LpModel()
-    weight_vars = _reference_weights(model, fs)
+    weight_vars = _reference_weights(model, task, fs, pin)
     _reference_goal_row(model, task, fs, weight_vars)
     for ti, (src, op_id, dst) in enumerate(ts.transitions):
         s, t = ts.states[src], ts.states[dst]
@@ -271,7 +278,7 @@ def _reference_operator_rows(task, fs, weight_vars, op_index):
 def reference_direct2d_model(task, fs):
     assert fs.dimension <= 2
     model = LpModel()
-    weight_vars = _reference_weights(model, fs)
+    weight_vars = _reference_weights(model, task, fs)
     _reference_goal_row(model, task, fs, weight_vars)
     for op_index in range(len(task.operators)):
         main, z_names, z_rows = _reference_operator_rows(task, fs, weight_vars, op_index)
@@ -406,14 +413,14 @@ def _inline(expression, aliases):
     return result
 
 
-def reference_general_model(task, fs, orderings=None):
+def reference_general_model(task, fs, orderings=None, pin=True):
     """The compact model of any dimension as the classified construction
     writes it: per operator, the cost row holds the context-independent
     changes (`delta_independent`), and bucket elimination runs only over
     the scoped functions of the context-dependent features, its result
     merged into the cost row."""
     model = LpModel()
-    weight_vars = _reference_weights(model, fs)
+    weight_vars = _reference_weights(model, task, fs, pin)
     _reference_goal_row(model, task, fs, weight_vars)
     for op_index, op in enumerate(task.operators):
         partition = classify_features(fs, op)

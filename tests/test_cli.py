@@ -190,6 +190,49 @@ def test_solve_empty_feature_set(capsys, tmp_path, toy1_file, method):
         (0.0, "optimal", {})
 
 
+def test_solve_empty_feature_set_prints_float_goal_potential(capsys, tmp_path, toy1_file):
+    """No feature holds in the goal state: its potential is the float 0.0,
+    printed as such, not the int 0."""
+    features = tmp_path / "empty.features"
+    features.write_text("")
+    code, out, _ = run_cli(capsys, "solve", "--features", str(features), toy1_file)
+    assert code == 0
+    assert '"goal_potential": 0.0,' in out
+
+
+COMPACT_502_1 = os.path.join(os.path.dirname(__file__), "data", "compact_502_1.sas")
+
+
+@pytest.mark.parametrize("method", ["direct2d", "bucket"])
+def test_pinned_weights_solve_compact_502_1_exactly(capsys, method):
+    """A planted 10-variable task on which, with every weight bounded by
+    ±1e8 alone, both methods printed 11.000001013: weights parked at the
+    bound cancelled in the objective.  With pinned weights the optimum is
+    exact, no weight is near the bound and none is listed as bound-active."""
+    code, out, _ = run_cli(capsys, "solve", "--method", method, COMPACT_502_1)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["objective"] == 11.0 and payload["goal_potential"] == 0.0
+    assert max(abs(w) for w in payload["weights"].values()) == 8.0
+    assert payload["bound_active"] == []
+
+
+DEAD_ENDS_52 = os.path.join(os.path.dirname(__file__), "data", "dead_ends_52.sas")
+
+
+@pytest.mark.parametrize("method", ["exhaustive", "direct2d", "bucket"])
+def test_pinned_weights_pass_the_recheck_with_dead_ends(capsys, method):
+    """A planted 5-variable, domain-3 task with 20 two-variable operators and
+    154 dead ends among its 243 states.  With every weight bounded by ±1e8
+    alone, the exhaustive solve failed its own row re-check (rows read just
+    past their slack, with most weights near the bound) and the compact
+    models printed 12.00000003.  With pinned weights all three print the
+    optimum 12 exactly."""
+    code, out, err = run_cli(capsys, "solve", "--method", method, DEAD_ENDS_52)
+    assert code == 0, err
+    assert json.loads(out)["objective"] == 12.0
+
+
 def test_compare_csv(capsys, toy1_file):
     code, out, _ = run_cli(capsys, "compare", "--state", "init", toy1_file)
     assert code == 0

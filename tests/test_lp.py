@@ -368,6 +368,27 @@ def test_warm_resolves_match_cold_solves(seed):
         _assert_same_result(solve(warm), solve(cold))
 
 
+@pytest.mark.parametrize("seed", range(30))
+def test_rows_appended_after_a_solve_match_cold_solves(seed):
+    """Rows appended to a solved model go to its session; re-solving it
+    gives what a fresh copy with the same rows gives, and a solution that
+    violates an appended row is caught by the re-check."""
+    rng = random.Random(f"append:{seed}")
+    warm = _seeded_model(seed)
+    solve(warm)
+    rows = [(list(range(len(warm.unknowns))),
+             [round(rng.uniform(-2, 2), 3) for _ in warm.unknowns],
+             rng.choice(RELATIONS), round(rng.uniform(-1, 4), 3)) for _ in range(2)]
+    cold = _seeded_model(seed)
+    for model in (warm, cold):
+        for columns, coefficients, relation, rhs in rows:
+            model.add_rows([0, len(columns)], columns, coefficients, relation, rhs)
+    result = solve(warm)
+    _assert_same_result(result, solve(cold))
+    if result.status == "optimal":
+        assert check_solution(cold, result.values) == []
+
+
 def test_warm_resolve_through_unbounded():
     """Bounded, then unbounded, then bounded again on one model; the session
     is kept across objective changes."""
@@ -395,16 +416,20 @@ def test_warm_resolve_through_unbounded():
 
 
 def test_structure_change_after_solve_is_honoured():
+    """Rows appended after a solve go to the live session (which the row
+    re-check then covers too); a new column drops the session."""
     m = LpModel()
     m.add_unknown("x", 0.0, 10.0)
     m.add_row(term("x"), "<=", 3)
     m.set_objective("max", m.column_terms(term("x")))
     assert solve(m).objective_value == 3.0
+    session = m._session
     m.add_row(term("x"), "<=", 1, "tighter")
-    assert m._session is None
+    assert m._session is session and session.table[0].shape == (2, 1)
     assert solve(m).objective_value == 1.0
     m.add_rows([0, 1], [0], [1.0], ">=", 2.0)
     assert solve(m).status == "infeasible"
+    assert m._session is session
     m = LpModel()
     m.add_unknown("x", 0.0, 10.0)
     m.set_objective("max", m.column_terms(term("x")))
