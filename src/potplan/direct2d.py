@@ -8,13 +8,9 @@ unknown per feature (feature i is column i) and the goal-awareness row
 over given states as a map {column: coefficient}, also gives the `init` and
 `samples:N` objectives.  One assembler, `build_general_lp`, writes every
 compact model: then per operator a cost row, the bound on the operator's
-change in potential that bucket elimination (`elimination`) computes over
-one scoped function per feature touching the operator, followed by the
-elimination rows.  Elimination reads weights as columns 0..|F|-1, declares
-its own unknowns on the model and hands back column-indexed rows, which go
-into the model in one `add_rows` call.  Operators touched by no
-context-dependent feature (every operator of a dimension-1 model) get the
-cost row alone, summed from their functions without elimination's set-up.
+change in potential that bucket elimination (`elimination`) computes,
+followed by the elimination rows.  Elimination declares its unknowns on the
+model and hands back column-indexed rows.
 
 Some weights are pinned to 0 (`features.pinned_features`): their
 indicators are combinations of the others', so the model expresses the same
@@ -25,21 +21,25 @@ For features of dimension at most 2 every context-dependency graph has no
 edges (width 0), and elimination yields the binary model of Pommerening,
 Helmert & Bonet (AAAI 2017): one unknown `z_o{op}_v{var}` per context
 variable paired with the operator by some feature, with one row
-`z_o{op}_v{var}.{value}` per value of that variable.  `build_direct2d_lp` is
-that case.  At higher dimension the unknowns carry the assignment to the
-remaining scope, `z_o{op}_v{var}__v{u}.{value}_...`.
+`z_o{op}_v{var}.{value}` per value of that variable.  Elimination writes
+these for all such operators in one array pass (`eliminate_width0`);
+`build_direct2d_lp` is that case.  At higher dimension the operators whose
+graphs have edges go through `bucket_eliminate` one by one, and their
+unknowns carry the assignment to the remaining scope,
+`z_o{op}_v{var}__v{u}.{value}_...`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from .elimination import (bucket_eliminate, dependency_graph, induced_width,
-                          min_fill_order, scoped_functions_for_operator, sum_empty_scope)
+from .elimination import (bucket_eliminate, check_order, classify, dependency_graph,
+                          eliminate_width0, min_fill_order, operator_functions)
 from .features import (Feature, FeatureSet, WeightFunction, evaluate_potential,
                        pinned_features, truth_matrix)
 from .lp import OPTIMALITY_TOL, LpModel, LpSolution, solve
@@ -83,9 +83,9 @@ def _weights_and_goal_row(task: Task, fs: FeatureSet) -> LpModel:
     _require_tnf(task)
     model = LpModel()
     pinned = set(pinned_features(fs, task.domain_sizes))
-    for i, f in enumerate(fs.features):
-        lower, upper = (0.0, 0.0) if i in pinned else (WEIGHT_LOWER, WEIGHT_UPPER)
-        model.add_unknown(weight_var_name(f), lower, upper)
+    model.add_unknowns([weight_var_name(f) for f in fs.features],
+                       [0.0 if i in pinned else WEIGHT_LOWER for i in range(len(fs))],
+                       [0.0 if i in pinned else WEIGHT_UPPER for i in range(len(fs))])
     goal = state_objective(fs, _goal_state(task))
     model.add_rows([0, len(goal)], list(goal), list(goal.values()), "<=", 0.0, ["goal"])
     return model
@@ -97,36 +97,42 @@ def build_general_lp(task: Task, fs: FeatureSet,
 
     Row order is deterministic: the goal row, then per operator its cost row
     (the elimination result) followed by its elimination rows in the order
-    elimination writes them.  Orderings default to min-fill on each
+    elimination writes them, and the elimination unknowns follow the weights
+    in the same operator order.  Orderings default to min-fill on each
     context-dependency graph, which at width 0 eliminates the context
-    variables by increasing id.  Elimination declares its unknowns as it
-    goes; every operator's rows are then appended in one `add_rows` call.
+    variables by increasing id: each run of consecutive such operators that
+    `orderings` does not name is eliminated in one `eliminate_width0` pass,
+    every other operator by `bucket_eliminate`.  Each run's rows are
+    appended in one `add_rows` call.
     """
     model = _weights_and_goal_row(task, fs)
+    orderings = orderings or {}
     vertices = tuple(v.id for v in task.variables)
-    domains = task.domain_sizes
-    indptr, columns, coefficients, relations, rhs, names = [0], [], [], [], [], []
-    for op_index, op in enumerate(task.operators):
-        functions = scoped_functions_for_operator(task, fs, op_index)
-        order = orderings.get(op_index) if orderings else None
-        if order is None and not any(fn.scope for fn in functions):
-            # Elimination would only sum the functions: skip its set-up.
-            result, rows = sum_empty_scope(functions), []
-        else:
-            graph = dependency_graph(functions, vertices)
+    classes = classify(task, fs)
+    batched = [width0 and k not in orderings for k, width0 in enumerate(classes.width0())]
+    for width0, run in itertools.groupby(range(len(task.operators)), batched.__getitem__):
+        run = list(run)
+        if width0:
+            model.add_rows(*eliminate_width0(model, task, fs, classes, run[0], run[-1] + 1))
+            continue
+        indptr, columns, coefficients, relations, rhs, names = [0], [], [], [], [], []
+        for op_index, functions in zip(run, operator_functions(fs, classes, run[0],
+                                                                run[-1] + 1)):
+            order = orderings.get(op_index)
             if order is None:
-                order = min_fill_order(graph)
-            induced_width(graph, list(order))  # raises unless every variable is listed once
-            result, rows = bucket_eliminate(model, functions, domains, list(order),
+                order = min_fill_order(dependency_graph(functions, vertices))
+            else:
+                check_order(order, vertices)
+            result, rows = bucket_eliminate(model, functions, task.domain_sizes, list(order),
                                             prefix=f"z_o{op_index}")
-        for name, terms in [(f"op{op_index}", result), *rows]:
-            columns.extend(terms)
-            coefficients.extend(terms.values())
-            indptr.append(len(columns))
-            names.append(name)
-        relations += ["<="] + [">="] * len(rows)
-        rhs += [float(op.cost)] + [0.0] * len(rows)
-    model.add_rows(indptr, columns, coefficients, relations, rhs, names)
+            for name, terms in [(f"op{op_index}", result), *rows]:
+                columns.extend(terms)
+                coefficients.extend(terms.values())
+                indptr.append(len(columns))
+                names.append(name)
+            relations += ["<="] + [">="] * len(rows)
+            rhs += [float(task.operators[op_index].cost)] + [0.0] * len(rows)
+        model.add_rows(indptr, columns, coefficients, relations, rhs, names)
     return model
 
 

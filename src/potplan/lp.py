@@ -160,7 +160,6 @@ class LpModel:
         self.objective_sense = "max"
         self.objective: dict[int, float] = {}
         self._by_name: dict[str, int] = {}
-        self._frozen = False
         self._session: _Session | None = None
         self._columns = array("q")
         self._coefficients = array("d")
@@ -182,28 +181,30 @@ class LpModel:
             start = end
         return rows
 
-    def freeze(self) -> "LpModel":
-        self._frozen = True
-        return self
-
-    def _mutating(self, keeps_session: bool = False):
-        if self._frozen:
-            raise LpError("model is frozen")
-        if not keeps_session:
-            self._session = None
-
     def add_unknown(self, name: str, lower: float = -math.inf,
                     upper: float = math.inf) -> str:
-        self._mutating()
-        if not _NAME_RE.match(name) or name in ("free", "inf"):
-            raise LpError(f"unknown name '{name}' is not LP-file safe")
-        if name in self._by_name:
-            raise LpError(f"unknown '{name}' declared twice")
-        if lower > upper:
-            raise LpError(f"unknown '{name}': lower bound {lower} above upper {upper}")
-        self._by_name[name] = len(self.unknowns)
-        self.unknowns.append((name, lower, upper))
+        self.add_unknowns([name], [lower], [upper])
         return name
+
+    def add_unknowns(self, names: list[str], lower: list[float], upper: list[float]) -> None:
+        """Declare columns in order, one per name, with the matching bounds;
+        a model with a solver session drops it.  Nothing is declared when a
+        name is not LP-file safe or declared twice, or a lower bound lies
+        above its upper one."""
+        for name, lo, hi in zip(names, lower, upper, strict=True):
+            if not _NAME_RE.match(name) or name in ("free", "inf"):
+                raise LpError(f"unknown name '{name}' is not LP-file safe")
+            if lo > hi:
+                raise LpError(f"unknown '{name}': lower bound {lo} above upper {hi}")
+        start = len(self.unknowns)
+        self._by_name.update(zip(names, range(start, start + len(names))))
+        if len(self._by_name) < start + len(names):
+            self._by_name = {name: j for j, (name, _, _) in enumerate(self.unknowns)}
+            seen = set(self._by_name)
+            twice = next(name for name in names if name in seen or seen.add(name))
+            raise LpError(f"unknown '{twice}' declared twice")
+        self._session = None
+        self.unknowns.extend(zip(names, lower, upper))
 
     def has_unknown(self, name: str) -> bool:
         return name in self._by_name
@@ -232,13 +233,12 @@ class LpModel:
         one per row; `names` is one per row, or None for unnamed rows.  As in
         LinearExpression, a column repeated within a row is summed and zero
         coefficients are dropped.  A live solver session gets the rows too."""
-        self._mutating(keeps_session=True)
         indptr = np.asarray(indptr, dtype=np.int64)
         columns = np.asarray(columns, dtype=np.int64)
         coefficients = np.asarray(coefficients, dtype=float)
-        count = len(indptr) - 1
+        count, sizes = len(indptr) - 1, indptr[1:] - indptr[:-1]
         if count < 0 or indptr[0] != 0 or indptr[-1] != len(columns) \
-                or len(coefficients) != len(columns) or np.any(np.diff(indptr) < 0):
+                or len(coefficients) != len(columns) or np.any(sizes < 0):
             raise LpError("rows: indptr, columns and coefficients do not match")
         if columns.size and (columns.min() < 0 or columns.max() >= len(self.unknowns)):
             bad = columns[(columns < 0) | (columns >= len(self.unknowns))][0]
@@ -256,19 +256,24 @@ class LpModel:
                 raise LpError(f"rows: {size} {what} for {count} rows")
         if len(names) != count:
             raise LpError(f"rows: {len(names)} names for {count} rows")
-        block = csr_matrix((coefficients, columns, indptr),
-                           shape=(count, len(self.unknowns)))
-        block.sum_duplicates()
-        block.eliminate_zeros()
+        # Canonical already (columns increasing within each row, no zeros):
+        # skip scipy's canonicalization, whose fixed cost outweighs a small block.
+        row = np.repeat(np.arange(count), sizes)
+        if not (coefficients.all() and np.all((columns[1:] > columns[:-1]) | (row[1:] > row[:-1]))):
+            block = csr_matrix((coefficients, columns, indptr),
+                               shape=(count, len(self.unknowns)))
+            block.sum_duplicates()
+            block.eliminate_zeros()
+            indptr, columns, coefficients = block.indptr, block.indices, block.data
         codes, rhs = np.broadcast_to(codes, count), np.broadcast_to(rhs, count)
-        _append(self._row_ends, block.indptr[1:].astype(np.int64) + len(self._columns))
-        _append(self._columns, block.indices)
-        _append(self._coefficients, block.data)
+        _append(self._row_ends, indptr[1:].astype(np.int64) + len(self._columns))
+        _append(self._columns, columns)
+        _append(self._coefficients, coefficients)
         _append(self._relations, codes)
         _append(self._rhs, rhs)
         self._row_names.extend(names)
         if self._session is not None:
-            self._session.add_rows(self, block, codes, rhs)
+            self._session.add_rows(self, indptr, columns, coefficients, codes, rhs)
 
     def row_table(self) -> tuple[csr_matrix, np.ndarray, np.ndarray]:
         """All rows as a CSR matrix over the columns, with per-row relation
@@ -287,7 +292,6 @@ class LpModel:
     def set_objective(self, sense: str, terms: dict[int, float]) -> None:
         """Replace the objective, given as {column: coefficient} (zeros are
         dropped); the next solve warm-starts from the last."""
-        self._mutating(keeps_session=True)
         if sense not in ("max", "min"):
             raise LpError(f"bad objective sense '{sense}'")
         for column in terms:
@@ -389,16 +393,16 @@ class _Session:
         lower = np.where(equality[order], upper, -np.inf)
         return self.lower, self.upper, lower, upper, signed[order].tocsc()
 
-    def add_rows(self, model: LpModel, block: csr_matrix, relations: np.ndarray,
-                 rhs: np.ndarray) -> None:
-        """Hand rows just appended to the model to HiGHS, which keeps its
-        basis (the new rows' slacks become basic), and re-read the re-check
-        table."""
+    def add_rows(self, model: LpModel, indptr: np.ndarray, columns: np.ndarray,
+                 coefficients: np.ndarray, relations: np.ndarray, rhs: np.ndarray) -> None:
+        """Hand rows just appended to the model, in canonical CSR form, to
+        HiGHS, which keeps its basis (the new rows' slacks become basic), and
+        re-read the re-check table."""
         self.table = model.row_table()
         lower = np.where(relations == RELATIONS.index("<="), -np.inf, rhs)
         upper = np.where(relations == RELATIONS.index(">="), np.inf, rhs)
-        self.highs.addRows(len(rhs), lower, upper, block.nnz, block.indptr.astype(np.int32),
-                           block.indices.astype(np.int32), block.data)
+        self.highs.addRows(len(rhs), lower, upper, len(columns), indptr.astype(np.int32),
+                           columns.astype(np.int32), coefficients)
 
 
 _DECIDED = (highs_core.HighsModelStatus.kOptimal, highs_core.HighsModelStatus.kInfeasible,

@@ -346,15 +346,17 @@ def test_general_lp_graphs_and_functions_per_operator(monkeypatch):
     task = random_task(4, 3, 6, 0)
     fs = random_features(task, 10, 3, 0)
     graphs = []
-    width = direct2d.induced_width
-    monkeypatch.setattr(direct2d, "induced_width",
-                        lambda graph, order: graphs.append(graph) or width(graph, order))
+    min_fill = direct2d.min_fill_order
+    monkeypatch.setattr(direct2d, "min_fill_order",
+                        lambda graph: graphs.append(graph) or min_fill(graph))
     build_general_lp(task, fs)
     monkeypatch.undo()
-    # every operator is touched by a context-dependent feature here, so each
-    # has its graph built, and it is the operator's context-dependency graph
-    assert graphs == [context_dependency_graph(task, fs, op_index)
-                      for op_index in range(len(task.operators))]
+    # every operator whose context-dependency graph has edges (three of the
+    # six here) has that graph built; the others are eliminated at width 0
+    with_edges = [graph for graph in (context_dependency_graph(task, fs, op_index)
+                                      for op_index in range(len(task.operators)))
+                  if graph.edges]
+    assert graphs == with_edges and len(with_edges) == 3
     # one function per feature sharing a variable with the operator, no more
     for op_index, op in enumerate(task.operators):
         functions = scoped_functions_for_operator(task, fs, op_index)

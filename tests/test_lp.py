@@ -278,11 +278,53 @@ def test_model_validation():
     m.add_rows([0, 3, 4], [1, 0, 1, 2], [1.0, 2.0, -1.0, 0.0], ["<=", ">="], [1.0, 2.0])
     assert m.rows == [Row(LinearExpression.build(0.0, {"x": 2.0}), "<=", 1.0),
                       Row(LinearExpression(), ">=", 2.0)]
-    m.freeze()
-    with pytest.raises(LpError):
-        m.add_unknown("w")
-    with pytest.raises(LpError):
-        m.add_rows([0, 1], [0], [1.0], "<=", 0)
+
+
+def test_add_unknowns_checks_every_name():
+    m = LpModel()
+    m.add_unknowns(["a", "b"], [0.0, -math.inf], [1.0, math.inf])
+    for names, lower, upper, message in [
+            (["c", "a"], [0.0, 0.0], [1.0, 1.0], "'a' declared twice"),
+            (["c", "c"], [0.0, 0.0], [1.0, 1.0], "'c' declared twice"),
+            (["c", "2bad"], [0.0, 0.0], [1.0, 1.0], "not LP-file safe"),
+            (["c", "d"], [0.0, 2.0], [1.0, 1.0], "'d': lower bound 2.0 above upper 1.0")]:
+        with pytest.raises(LpError, match=message):
+            m.add_unknowns(names, lower, upper)
+        # nothing is declared when one name fails
+        assert m.unknowns == [("a", 0.0, 1.0), ("b", -math.inf, math.inf)]
+        assert [m.has_unknown(n) for n in ("a", "b", "c", "d")] == [True, True, False, False]
+    assert m.add_unknown("c") == "c" and m.unknowns[-1] == ("c", -math.inf, math.inf)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_add_rows_stores_canonical_rows(seed):
+    """Rows are stored with increasing columns, duplicates summed and zeros
+    dropped, whether the block comes in that form (odd seeds) or not; empty
+    rows anywhere included."""
+    rng = random.Random(seed)
+    width = 6
+    rows = [[(j, float(rng.choice([-2, -1, 0, 1, 3])))
+             for j in rng.choices(range(width), k=rng.choice([0, 1, 3, 5]))]
+            for _ in range(rng.randint(1, 6))]
+    if seed % 2:
+        rows = [sorted((j, c) for j, c in dict(row).items() if c) for row in rows]
+    m = LpModel()
+    m.add_unknowns([f"x{j}" for j in range(width)], [-1.0] * width, [1.0] * width)
+    # then two blocks whose columns do not decrease, one with a repeated
+    # column and one with a zero
+    for block in (rows, [[(1, 1.0), (1, 2.0)]], [[(0, 0.0), (2, 1.0)]]):
+        m.add_rows(np.cumsum([0] + [len(row) for row in block]),
+                   [j for row in block for j, _ in row], [c for row in block for _, c in row],
+                   "<=", 1.0)
+    rows += [[(1, 1.0), (1, 2.0)], [(0, 0.0), (2, 1.0)]]
+    matrix = m.row_table()[0]
+    for i, row in enumerate(rows):
+        summed = {}
+        for j, c in row:
+            summed[j] = summed.get(j, 0.0) + c
+        stored = slice(matrix.indptr[i], matrix.indptr[i + 1])
+        assert list(zip(matrix.indices[stored].tolist(), matrix.data[stored].tolist())) == \
+            sorted((j, c) for j, c in summed.items() if c)
 
 
 def _seeded_model(seed):

@@ -12,12 +12,13 @@ import pytest
 
 from potplan.costpart import all_patterns, build_ocp_lp, build_tcp_lp, project
 from potplan.direct2d import build_direct2d_lp, build_exhaustive_lp, build_general_lp
-from potplan.elimination import context_dependency_graph, min_fill_order
+from potplan.elimination import (classify, context_dependency_graph, min_fill_order,
+                                 scoped_functions_for_operator)
 from potplan.features import FeatureSet, generate_features
 from potplan.generator import random_features, random_task
 from potplan.lp import check_solution, export_lp, solve
 from potplan.reduction import complete_graph, reduce_3col
-from potplan.task import Operator, Task, build_transition_system, exact_goal_distances
+from potplan.task import Operator, Task, Variable, build_transition_system, exact_goal_distances
 
 from conftest import make_alias_task, make_toy1
 from reference_builders import (reference_direct2d_model, reference_exhaustive_model,
@@ -207,3 +208,97 @@ def test_general_instances_cover_context_edges():
         changed += export_lp(build_general_lp(task, fs)) != \
             export_lp(build_general_lp(task, fs, orders))
     assert with_edges > len(GENERAL_CASES) // 2 and changed > len(GENERAL_CASES) // 2
+
+
+def loop_orders(task, fs):
+    """Every operator's min-fill order: naming an operator in `orderings`
+    sends it through `bucket_eliminate` instead of the width-0 pass."""
+    return {op_index: min_fill_order(context_dependency_graph(task, fs, op_index))
+            for op_index in range(len(task.operators))}
+
+
+def domain1_task():
+    """Variable b has one value; operators change a or c with b in context."""
+    variables = [Variable(0, "a", 2, ("0", "1")), Variable(1, "b", 1, ("0",)),
+                 Variable(2, "c", 3, ("0", "1", "2"))]
+    operators = [Operator("a01", {0: 0}, {0: 1}, 1), Operator("c12", {2: 1}, {2: 2}, 2),
+                 Operator("ac", {0: 1, 2: 0}, {0: 0, 2: 1}, 1)]
+    task = Task(variables, operators, (0, 0, 0), {0: 1, 1: 0, 2: 2})
+    return task, generate_features(task, 2)
+
+
+def untouched_task():
+    """Features over variables 1 and 2 only: operators on variable 0 alone
+    touch no feature."""
+    task = random_task(4, 3, 6, 3)
+    return task, FeatureSet(tuple(f for f in generate_features(task, 2)
+                                  if set(f.variables) <= {1, 2}))
+
+
+def with_features(make_task, dimension):
+    task = make_task()
+    return task, generate_features(task, dimension)
+
+
+WIDTH0_CASES = {"toy1_self_loop": lambda: with_features(toy1_with_self_loop, 2),
+                "domain1": domain1_task, "untouched": untouched_task}
+WIDTH0_CASES.update({f"random{seed}_dim{dim}":
+                     (lambda seed=seed, dim=dim: with_features(POTENTIAL_TASKS[f"random{seed}"], dim))
+                     for seed in range(6) for dim in (1, 2)})
+WIDTH0_CASES.update({f"dim3_{name}": make for name, make in GENERAL_CASES.items()})
+
+
+@pytest.mark.parametrize("name", sorted(WIDTH0_CASES))
+def test_width0_pass_matches_bucket_loop(name):
+    """The one-pass width-0 elimination writes the model that eliminating
+    each operator in `bucket_eliminate` writes, byte for byte."""
+    task, fs = WIDTH0_CASES[name]()
+    assert_same_model(build_general_lp(task, fs), build_general_lp(task, fs, loop_orders(task, fs)))
+
+
+def test_width0_instances_cover_edge_cases():
+    """The suite above reaches domain-1 context variables, operators that
+    touch no feature, no-op operators, context variables whose changes are
+    all zero, and dimension-3 models that mix both paths."""
+    domain1 = untouched = no_ops = all_zero = mixed = 0
+    for make in WIDTH0_CASES.values():
+        task, fs = make()
+        width0 = classify(task, fs).width0()
+        no_ops += any(op.pre == op.eff for op in task.operators)
+        mixed += 0 < sum(width0) < len(width0)
+        for op_index, op in enumerate(task.operators):
+            functions = scoped_functions_for_operator(task, fs, op_index)
+            untouched += not functions
+            context = {v for fn in functions for v in fn.scope}
+            domain1 += any(task.domain_sizes[v] == 1 for v in context) and width0[op_index]
+            all_zero += any(all(not fn.table for fn in functions if v in fn.scope)
+                            for v in context) and width0[op_index]
+    assert domain1 and untouched and no_ops and all_zero and mixed > len(GENERAL_CASES) // 2
+
+
+def test_width0_operator_named_in_orderings_keeps_its_order():
+    """An operator named in `orderings` is eliminated in the order given,
+    also at width 0, where a non-default order changes its columns."""
+    task, fs = WIDTH0_CASES["random0_dim2"]()
+    op_index = next(k for k in range(len(task.operators))
+                    if len({v for fn in scoped_functions_for_operator(task, fs, k)
+                            for v in fn.scope}) > 1)
+    orders = {op_index: list(range(len(task.variables)))}  # context variables descending
+    model = build_general_lp(task, fs, orders)
+    assert_same_model(model, reference_general_model(task, fs, orders))
+    assert export_lp(model) != export_lp(build_general_lp(task, fs))
+
+
+def test_dimension2_build_runs_no_bucket_loop(monkeypatch):
+    """At dimension <= 2 every operator goes through the width-0 pass."""
+    import potplan.direct2d as direct2d
+    calls = []
+    eliminate = direct2d.bucket_eliminate
+    monkeypatch.setattr(direct2d, "bucket_eliminate",
+                        lambda *args, **kwargs: calls.append(args) or eliminate(*args, **kwargs))
+    for name in WIDTH0_CASES:
+        if "dim3" not in name:
+            build_direct2d_lp(*WIDTH0_CASES[name]())
+    assert calls == []
+    build_general_lp(*WIDTH0_CASES["dim3_random0"]())
+    assert calls

@@ -14,9 +14,11 @@ stdout and exit code only.
 The inputs are written once, with BEFORE_TREE, into a temporary directory:
 `gen --seed 0..11` (whose printed tasks are compared too), and
 `random_task(4, 3, 6, seed)` with `random_features(task, 10, dim, seed)` for
-seeds 0..5 and dimensions 1-3 as feature files, plus two `--order` files (one
-valid, one missing a variable) and the weights that `solve --method
-exhaustive` prints for each random task, which `validate` reads back.
+seeds 0..5 and dimensions 1-3 as feature files, plus three `--order` files (at
+dimension 3 one valid and one missing a variable; at dimension 2 one that
+gives an operator with two context variables an order other than min-fill's,
+so that the per-operator loop eliminates it) and the weights that `solve
+--method exhaustive` prints for each random task, which `validate` reads back.
 `random_task(4, 4, 8, seed)` for seeds 0, 15 and 34 (96 to 192 states) adds
 `compare --state random:3`.  A three-variable task with a domain-1 variable,
 two features and an `--order` file under which that variable's unknown
@@ -76,7 +78,8 @@ def _task_calls(sas: str, features: str | None) -> list[list[str]]:
 def prepare(tree: str, workdir: str, extra: list[str]) -> None:
     """Write the inputs and `calls.json`, the list of argument vectors."""
     potplan = _import_potplan(tree)
-    from potplan.elimination import context_dependency_graph, min_fill_order
+    from potplan.elimination import (context_dependency_graph, min_fill_order,
+                                     scoped_functions_for_operator)
     from potplan.features import Feature, FeatureSet, format_feature
     from potplan.generator import random_features, random_task
     from potplan.task import Operator, Task, Variable, serialize_sas
@@ -115,6 +118,16 @@ def prepare(tree: str, workdir: str, extra: list[str]) -> None:
                 calls += [["solve", *base], ["lp", *base],
                           ["solve", "--objective", "samples:5", *base]]
             calls.append(["width", "--features", features, "--format", "json", sas])
+            if seed == 0 and dim == 2:
+                # increasing ids, the reverse of min-fill's order, for an
+                # operator with two context variables
+                op = next(op for k, op in enumerate(task.operators) if len(
+                    {v for fn in scoped_functions_for_operator(task, fs, k) for v in fn.scope}) > 1)
+                _write("width0_order.json",
+                       json.dumps({op.name: [v.name for v in task.variables]}))
+                base = ["--method", "bucket", "--features", features,
+                        "--order", "width0_order.json", sas]
+                calls += [["solve", *base], ["lp", *base]]
             if seed == 0 and dim == 3:
                 names = [v.name for v in task.variables]
                 orders = {op.name: [names[v] for v in
