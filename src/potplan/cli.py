@@ -292,8 +292,9 @@ def cmd_width(args) -> int:
     fs = _feature_set(task, args.dim, args.features)
     rows = []
     overall = 0
-    for op_index, op in enumerate(task.operators):
-        graph = elimination.context_dependency_graph(task, fs, op_index)
+    graphs = elimination.dependency_graphs(task, fs, elimination.classify(task, fs), 0,
+                                           len(task.operators))
+    for op, graph in zip(task.operators, graphs):
         order = elimination.min_fill_order(graph)
         width = elimination.induced_width(graph, order)
         overall = max(overall, width)

@@ -24,9 +24,9 @@ variable paired with the operator by some feature, with one row
 `z_o{op}_v{var}.{value}` per value of that variable.  Elimination writes
 these for all such operators in one array pass (`eliminate_width0`);
 `build_direct2d_lp` is that case.  At higher dimension the operators whose
-graphs have edges go through `bucket_eliminate` one by one, and their
-unknowns carry the assignment to the remaining scope,
-`z_o{op}_v{var}__v{u}.{value}_...`.
+graphs have edges are eliminated together in a second array pass
+(`eliminate_buckets`), and their unknowns carry the assignment to the
+remaining scope, `z_o{op}_v{var}__v{u}.{value}_...`.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elimination import (bucket_eliminate, check_order, classify, dependency_graph,
-                          eliminate_width0, min_fill_order, operator_functions)
+from .elimination import (check_order, classify, dependency_graphs, eliminate_buckets,
+                          eliminate_width0, min_fill_order)
 from .features import (Feature, FeatureSet, WeightFunction, evaluate_potential,
                        pinned_features, truth_matrix)
 from .lp import OPTIMALITY_TOL, LpModel, LpSolution, solve
@@ -102,8 +102,8 @@ def build_general_lp(task: Task, fs: FeatureSet,
     context-dependency graph, which at width 0 eliminates the context
     variables by increasing id: each run of consecutive such operators that
     `orderings` does not name is eliminated in one `eliminate_width0` pass,
-    every other operator by `bucket_eliminate`.  Each run's rows are
-    appended in one `add_rows` call.
+    each run of the other operators in one `eliminate_buckets` pass.  Each
+    run's rows are appended in one `add_rows` call.
     """
     model = _weights_and_goal_row(task, fs)
     orderings = orderings or {}
@@ -111,28 +111,16 @@ def build_general_lp(task: Task, fs: FeatureSet,
     classes = classify(task, fs)
     batched = [width0 and k not in orderings for k, width0 in enumerate(classes.width0())]
     for width0, run in itertools.groupby(range(len(task.operators)), batched.__getitem__):
-        run = list(run)
+        start, stop = (run := list(run))[0], run[-1] + 1
         if width0:
-            model.add_rows(*eliminate_width0(model, task, fs, classes, run[0], run[-1] + 1))
+            model.add_rows(*eliminate_width0(model, task, fs, classes, start, stop))
             continue
-        indptr, columns, coefficients, relations, rhs, names = [0], [], [], [], [], []
-        for op_index, functions in zip(run, operator_functions(fs, classes, run[0],
-                                                                run[-1] + 1)):
-            order = orderings.get(op_index)
-            if order is None:
-                order = min_fill_order(dependency_graph(functions, vertices))
-            else:
-                check_order(order, vertices)
-            result, rows = bucket_eliminate(model, functions, task.domain_sizes, list(order),
-                                            prefix=f"z_o{op_index}")
-            for name, terms in [(f"op{op_index}", result), *rows]:
-                columns.extend(terms)
-                coefficients.extend(terms.values())
-                indptr.append(len(columns))
-                names.append(name)
-            relations += ["<="] + [">="] * len(rows)
-            rhs += [float(task.operators[op_index].cost)] + [0.0] * len(rows)
-        model.add_rows(indptr, columns, coefficients, relations, rhs, names)
+        orders = []
+        for k, graph in zip(run, dependency_graphs(task, fs, classes, start, stop)):
+            if k in orderings:
+                check_order(orderings[k], vertices)
+            orders.append(orderings[k] if k in orderings else min_fill_order(graph))
+        model.add_rows(*eliminate_buckets(model, task, fs, classes, start, stop, orders))
     return model
 
 

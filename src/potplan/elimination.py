@@ -18,14 +18,19 @@ elimination without changing their projection onto the weights, provided no
 such unknown enters the objective.  What elimination leaves is summed into
 the terms of the operator's cost row.
 
-Where a context-dependency graph has no edges (width 0: every feature has
-at most one variable outside the operator, as at dimension at most 2), each
-bucket holds one variable and its unknown has one row per value, a sum over
-the pairs with that outside fact.  `eliminate_width0` writes these rows, the
-compact binary model, for a run of such operators in one numpy pass, in the
-order and with the names `bucket_eliminate` would give them; every other
-operator goes through `bucket_eliminate`.  `direct2d` assembles the
-potential LP from these pieces.
+Two array passes write these unknowns and rows for a run of operators at
+once, in the order and with the names `bucket_eliminate` gives them one
+operator at a time.  Where a context-dependency graph has no edges (width
+0: every feature has at most one variable outside the operator, as at
+dimension at most 2), each bucket holds one variable and its unknown has
+one row per value, a sum over the pairs with that outside fact:
+`eliminate_width0` writes this compact binary model.  `eliminate_buckets`
+takes every other operator (and any operator given an order): it walks
+the operators' orders in lockstep, back to front, and condenses the
+buckets of all operators at one position together.  The graphs for the
+orders come from the same pairs (`dependency_graphs`).  `bucket_eliminate`
+stays as the reference that both passes are tested against.  `direct2d`
+assembles the potential LP from these pieces.
 """
 
 from __future__ import annotations
@@ -133,81 +138,217 @@ def classify(task: Task, fs: FeatureSet, operators: list[Operator] | None = None
                           feature, in_pre.astype(np.int64) - in_eff, ~inside & first)
 
 
-def operator_functions(fs: FeatureSet, classes: Classification, start: int,
-                       stop: int) -> list[list[ScopedFunction]]:
-    """For each of the operators start..stop-1, one function per feature
-    touching it: its scope is the feature's variables outside the operator
-    (empty for a context-independent feature, a term of the final sum), and
-    its single nonzero entry (if any) the feature's weight column scaled by
-    the change of the facts inside the operator."""
-    pairs = slice(classes.starts[start], classes.starts[stop])
+def scoped_functions_for_operator(task: Task, fs: FeatureSet,
+                                  op_index: int) -> list[ScopedFunction]:
+    """One function per feature touching the operator: its scope is the
+    feature's variables outside the operator (empty for a
+    context-independent feature, a term of the final sum), and its single
+    nonzero entry (if any) the feature's weight column scaled by the change
+    of the facts inside the operator."""
+    classes = classify(task, fs, [task.operators[op_index]])
     functions = []
-    for i, facts, outside, change in zip(classes.feature[pairs].tolist(),
-                                         fs._padded_facts[classes.feature[pairs]].tolist(),
-                                         classes.outside[pairs].tolist(),
-                                         classes.change[pairs].tolist()):
+    for i, facts, outside, change in zip(classes.feature.tolist(),
+                                         fs._padded_facts[classes.feature].tolist(),
+                                         classes.outside.tolist(), classes.change.tolist()):
         facts = [fact for fact, out in zip(facts, outside) if out]
         scope, values = tuple(v for v, _ in facts), tuple(x for _, x in facts)
         functions.append(ScopedFunction(scope, {values: {i: float(change)}} if change else {}))
-    bounds = (classes.starts[start:stop + 1] - classes.starts[start]).tolist()
-    return [functions[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
-def scoped_functions_for_operator(task: Task, fs: FeatureSet,
-                                  op_index: int) -> list[ScopedFunction]:
-    """`operator_functions` of one operator of the task."""
-    return operator_functions(fs, classify(task, fs, [task.operators[op_index]]), 0, 1)[0]
+    return functions
 
 
 def eliminate_width0(model: LpModel, task: Task, fs: FeatureSet, classes: Classification,
                      start: int, stop: int):
     """The rows, as `LpModel.add_rows` takes them, of the operators
-    start..stop-1, whose context-dependency graphs have no edges, in the
-    order and with the names that `bucket_eliminate` gives them under
-    min-fill: per operator the cost row `op{k}`, its context-independent
-    changes plus one unknown `z_o{k}_v{V}` (declared on the model) per
-    context variable V, `<= cost`; then per V and value x the row
-    `z_o{k}_v{V}.{x}`, z - sum of change * w over the features outside at
-    V = x >= 0, kept also when all those changes are zero."""
+    start..stop-1, whose context-dependency graphs have no edges, as
+    `bucket_eliminate` writes them under min-fill: per operator one unknown
+    `z_o{k}_v{V}` per context variable V, in its cost row, with a row
+    `z - sum of change * w over the features outside at V = x >= 0` per
+    value x, kept also when all those changes are zero."""
     pairs = slice(classes.starts[start], classes.starts[stop])
-    operator, feature = classes.operator[pairs], classes.feature[pairs]
+    operator, feature = classes.operator[pairs] - start, classes.feature[pairs]
     change, outside = classes.change[pairs], classes.outside[pairs]
     context = outside.any(axis=1)
     fact = fs._padded_facts[feature[context], np.nonzero(outside[context])[1]]
     n_vars, domains = len(task.variables), np.array(task.domain_sizes, dtype=np.int64)
     z_key, z_of = np.unique(operator[context] * n_vars + fact[:, 0], return_inverse=True)
     z_op, z_var = np.divmod(z_key, n_vars)
-    z_rows = domains[z_var]
-    # per operator its cost row, then each unknown's rows
-    z_start = np.searchsorted(z_op, np.arange(start, stop + 1))
-    rows_before = np.concatenate(([0], np.cumsum(z_rows)))
-    op_row = np.arange(stop - start) + rows_before[z_start[:-1]]
-    z_row = z_op - start + 1 + rows_before[:-1]
-    z_column = len(model.unknowns) + np.arange(len(z_key))
-    ground = ~context & (change != 0)
-    changed = change[context] != 0
-    value_row = np.repeat(z_row, z_rows)
-    value_row += np.arange(len(value_row)) - np.repeat(rows_before[:-1], z_rows)
-    # the cost rows' entries before the unknowns' rows' entries, each part
-    # by increasing column within a row, so a stable sort by row keeps them
-    # in column order
-    row = np.concatenate((op_row[operator[ground] - start], op_row[z_op - start],
-                          z_row[z_of[changed]] + fact[changed, 1], value_row))
-    order = np.argsort(row, kind="stable")
-    columns = np.concatenate((feature[ground], z_column, feature[context][changed],
-                              np.repeat(z_column, z_rows)))[order]
-    coefficients = np.concatenate((change[ground], np.ones(len(z_key)),
-                                   -change[context][changed], np.ones(len(value_row))))[order]
-    n_rows = stop - start + int(rows_before[-1])
+    ground, changed, first = ~context & (change != 0), change[context] != 0, len(model.unknowns)
+    result = [(operator[ground], feature[ground], change[ground].astype(float)),
+              (z_op, first + np.arange(len(z_key)), np.ones(len(z_key)))]
+    terms = [(z_of[changed], fact[changed, 1], feature[context][changed],
+              -change[context][changed].astype(float))]
+    names = [f"z_o{start + k}_v{v}" for k, v in zip(z_op.tolist(), z_var.tolist())]
+    return _block(model, task, start, stop, first, result, terms, [(z_op, domains[z_var], names)])
+
+
+def _strides(sizes: np.ndarray) -> np.ndarray:
+    """Per row of sizes, the mixed-radix strides with the last place fastest."""
+    strides = np.ones_like(sizes)
+    strides[:, :-1] = np.cumprod(sizes[:, :0:-1], axis=1)[:, ::-1]
+    return strides
+
+
+def _pad(scopes: np.ndarray, width: int) -> np.ndarray:
+    return np.pad(scopes, ((0, 0), (0, width - scopes.shape[1])), constant_values=-1)
+
+
+def eliminate_buckets(model: LpModel, task: Task, fs: FeatureSet, classes: Classification,
+                      start: int, stop: int, orders):
+    """The rows, as `LpModel.add_rows` takes them, of the operators
+    start..stop-1 eliminated along `orders` (per operator, every variable
+    once) as `bucket_eliminate` writes them.  The operators advance in
+    lockstep over the order positions, back to front, condensing the
+    buckets at each position all at once.  A function is a table of columns
+    (-1: absent) over the mixed-radix index of its sorted scope, last
+    variable fastest: a feature's function has one entry, at a stored
+    index, a generated one an entry per assignment.  Unknowns get
+    provisional columns in creation order; `_block` renumbers them."""
+    n_vars, domains = len(task.variables), np.array(task.domain_sizes, dtype=np.int64)
+    count, first = stop - start, len(model.unknowns)
+    order = np.array(orders, dtype=np.int64).reshape(count, n_vars)
+    position = np.empty_like(order)
+    position[np.arange(count)[:, None], order] = np.arange(n_vars)
+    pairs = slice(classes.starts[start], classes.starts[stop])
+    op, feature = classes.operator[pairs] - start, classes.feature[pairs]
+    change, outside = classes.change[pairs], classes.outside[pairs]
+    facts, scoped = fs._padded_facts[feature], outside.any(axis=1)
+    ground = ~scoped & (change != 0)
+    result = [(op[ground], feature[ground], change[ground].astype(float))]  # cost-row terms
+    # the functions: operator, scope (padded with -1), table start, entry
+    # index (-1 for a generated function) and coefficient
+    f_op, f_scope = op[scoped], np.where(outside, facts[:, :, 0], -1)[scoped]
+    f_base, f_coef = np.arange(len(f_op)), change[scoped].astype(float)
+    f_entry = (np.where(outside, facts[:, :, 1], 0)[scoped]
+               * _strides(np.where(f_scope >= 0, domains[f_scope], 1))).sum(axis=1)
+    table = np.where(change[scoped] != 0, feature[scoped], -1)
+
+    def bucket(f_op, scope):  # the latest position of a scope variable
+        return np.where(scope >= 0, position[f_op[:, None], scope], -1).max(axis=1, initial=-1)
+
+    f_bucket = bucket(f_op, f_scope)
+    fact_names = [[f"v{u}.{x}" for x in range(size)] for u, size in enumerate(task.domain_sizes)]
+    suffixes: dict[tuple, list[str]] = {}  # by scope, one per assignment
+    terms, unknowns, n_unknowns = [], [], 0
+    for p in range(n_vars - 1, -1, -1):
+        if not (pick := np.flatnonzero(f_bucket == p)).size:
+            continue
+        # one bucket per operator; its remaining scope as the sorted keys
+        # bucket * n_vars + variable
+        b_op, f_b = np.unique(f_op[pick], return_inverse=True)
+        b_var, scope = order[b_op, p], f_scope[pick]
+        valid, is_var = scope >= 0, scope == b_var[f_b][:, None]
+        key = np.unique((f_b[:, None] * n_vars + scope)[valid & ~is_var])
+        s_b, s_var = np.divmod(key, n_vars)
+        slot = np.arange(len(key)) - np.searchsorted(s_b, s_b)
+        b_scope = np.full((len(b_op), slot.max(initial=-1) + 1), -1)
+        b_scope[s_b, slot] = s_var
+        b_sizes = np.where(b_scope >= 0, domains[b_scope], 1)
+        b_strides, b_values = _strides(b_sizes), domains[b_var]
+        b_empty = (b_scope[:, :1] < 0).all(axis=1)
+        # the assignments a to each remaining scope, each with one candidate
+        # row a * |x| + x (in its bucket) per value x of the variable
+        a_start = np.concatenate(([0], np.cumsum(b_sizes.prod(axis=1))))
+        a_b = np.repeat(np.arange(len(b_op)), np.diff(a_start))
+        a_local, a_values = np.arange(len(a_b)) - a_start[a_b], b_values[a_b]
+        r_start = np.concatenate(([0], np.cumsum(a_values)))
+        row_a, b_rows = np.repeat(np.arange(len(a_b)), a_values), r_start[a_start]
+        # each function's table index at each row of its bucket, from the
+        # row's digits
+        f_values = b_values[f_b][:, None]
+        at = np.searchsorted(key, f_b[:, None] * n_vars + scope)
+        divisor = np.where(valid & ~is_var, np.append(b_strides[s_b, slot], 1)[at] * f_values, 1)
+        modulus = np.where(is_var, f_values, np.where(valid, domains[scope], 1))
+        f_rows = np.diff(b_rows)[f_b]
+        pf = np.repeat(np.arange(len(pick)), f_rows)
+        local = np.arange(len(pf)) - np.repeat(np.cumsum(f_rows) - f_rows, f_rows)
+        index = (local[:, None] // divisor[pf] % modulus[pf] * _strides(modulus)[pf]).sum(axis=1)
+        entry = f_entry[pick][pf]
+        at = f_base[pick][pf] + np.where(entry < 0, index, 0)
+        hit = np.flatnonzero((table[at] >= 0) & ((entry < 0) | (index == entry)))
+        # the candidates' terms by row, then column (no column repeats in a
+        # candidate: the functions' entries are distinct columns, none zero)
+        row, col = b_rows[f_b[pf[hit]]] + local[hit], table[at[hit]]
+        by = np.argsort(row * (first + n_unknowns) + col)
+        row, col, coef = row[by], col[by], f_coef[pick][pf[hit]][by]
+        t_a = row_a[row]
+        nonzero = np.bincount(t_a, minlength=len(a_b))
+        # the alias rule (one value whose candidate is one term 1.0 on an
+        # unknown), then the all-zero rule
+        lone = np.searchsorted(t_a, np.arange(len(a_b)))
+        alias = (a_values == 1) & (nonzero == 1)
+        alias[alias] = (coef[lone[alias]] == 1.0) & (col[lone[alias]] >= first)
+        kept = ~alias & ((nonzero > 0) | b_empty[a_b])
+        ids = n_unknowns + np.cumsum(kept) - 1
+        entries = np.where(kept, first + ids, -1)
+        entries[alias] = col[lone[alias]]
+        k_a = np.flatnonzero(kept)
+        names, bounds = [], np.searchsorted(a_b[k_a], np.arange(len(b_op) + 1)).tolist()
+        for k, var, vs, a, b in zip(b_op.tolist(), b_var.tolist(), b_scope.tolist(),
+                                    bounds, bounds[1:]):
+            if (vs := tuple(u for u in vs if u >= 0)) not in suffixes:
+                suffixes[vs] = ["__" + "_".join(assignment) if vs else "" for assignment
+                                in itertools.product(*(fact_names[u] for u in vs))]
+            names += [f"z_o{start + k}_v{var}{suffixes[vs][j]}"
+                      for j in a_local[k_a[a:b]].tolist()]
+        unknowns.append((b_op[a_b[k_a]], a_values[k_a], names))
+        n_unknowns += len(k_a)
+        on = kept[t_a]  # rows `unknown - candidate >= 0`: (unknown, x, column, coefficient)
+        terms.append((ids[t_a[on]], row[on] - r_start[t_a[on]], col[on], -coef[on]))
+        # each bucket's function, if it has an entry; with the empty scope
+        # it is a term of the cost row
+        filled = np.bincount(a_b, entries >= 0, minlength=len(b_op)) > 0
+        done, more = filled & b_empty, filled & ~b_empty
+        result.append((b_op[done], entries[a_start[:-1][done]], np.ones(int(done.sum()))))
+        width, new = max(f_scope.shape[1], b_scope.shape[1]), int(more.sum())
+        f_op = np.append(f_op, b_op[more])
+        f_base = np.append(f_base, a_start[:-1][more] + len(table))
+        f_scope = np.concatenate((_pad(f_scope, width), _pad(b_scope[more], width)))
+        f_entry, f_coef = np.append(f_entry, [-1] * new), np.append(f_coef, [1.0] * new)
+        f_bucket = np.append(f_bucket, bucket(b_op[more], b_scope[more]))
+        table = np.append(table, entries)
+    return _block(model, task, start, stop, first, result, terms, unknowns)
+
+
+def _block(model: LpModel, task: Task, start: int, stop: int, first: int,
+           result: list, terms: list, unknowns: list):
+    """Declare unknowns, given in creation order as parts (operator,
+    values, names), on the model by operator, then by creation, and lay
+    out the rows of the operators start..stop-1 as one canonical block:
+    per operator k the cost row `op{k}`, the terms (k - start, column,
+    coefficient) `<=` cost, then each unknown's rows `{unknown}.{x}`, the
+    unknown plus the terms (unknown, x, column, coefficient) `>= 0`.
+    Columns from `first` on are unknowns in creation order."""
+    u_op, values = (np.concatenate([u[i] for u in unknowns] + [np.zeros(0, np.int64)])
+                    for i in (0, 1))
+    by_op = np.argsort(u_op, kind="stable")
+    final = np.zeros(len(by_op) + 1, dtype=np.int64)  # provisional -> final, one spare
+    final[by_op] = np.arange(len(by_op))
+    names = [name for _, _, step in unknowns for name in step]
+    names = [names[j] for j in by_op.tolist()]
+    model.add_unknowns(names, [-math.inf] * len(names), [math.inf] * len(names))
+    u_op, values = u_op[by_op], values[by_op]
+    before = np.concatenate(([0], np.cumsum(values)))
+    count = stop - start
+    u_row, k_first = before[:-1] + u_op + 1, np.searchsorted(u_op, np.arange(count + 1))
+    cost_row = before[k_first[:-1]] + np.arange(count)
+    own = np.repeat(np.arange(len(values)), values)
+    row = np.concatenate([cost_row[k] for k, _, _ in result]
+                         + [u_row[final[u]] + x for u, x, _, _ in terms]
+                         + [u_row[own] + np.arange(len(own)) - before[own]])
+    col = np.concatenate([c for _, c, _ in result] + [c for _, _, c, _ in terms])
+    col = np.append(np.where(col >= first, first + final[np.maximum(col - first, 0)], col),
+                    first + own)
+    coef = np.concatenate([v for _, _, v in result] + [v for *_, v in terms] + [[1.0] * len(own)])
+    by, n_rows = np.argsort(row * (first + len(values)) + col), count + len(own)
     indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=n_rows))))
-    z_names = [f"z_o{k}_v{v}" for k, v in zip(z_op.tolist(), z_var.tolist())]
-    model.add_unknowns(z_names, [-math.inf] * len(z_names), [math.inf] * len(z_names))
-    z_rows, bounds, names = z_rows.tolist(), z_start.tolist(), []
-    for k, a, b in zip(range(start, stop), bounds, bounds[1:]):
-        names += [f"op{k}"] + [f"{z_names[z]}.{x}" for z in range(a, b) for x in range(z_rows[z])]
+    dots = [[f".{x}" for x in range(size)] for size in range(max(task.domain_sizes) + 1)]
+    row_names = []
+    for k, a, b in zip(range(start, stop), k_first[:-1].tolist(), k_first[1:].tolist()):
+        row_names += [f"op{k}"] + [name + dot for name, size in
+                                   zip(names[a:b], values[a:b].tolist()) for dot in dots[size]]
     relations, rhs = np.full(n_rows, ">="), np.zeros(n_rows)
-    relations[op_row], rhs[op_row] = "<=", [op.cost for op in task.operators[start:stop]]
-    return indptr, columns, coefficients, relations, rhs, names
+    relations[cost_row], rhs[cost_row] = "<=", [op.cost for op in task.operators[start:stop]]
+    return indptr, col[by], coef[by], relations, rhs, row_names
 
 
 def dependency_graph(functions: list[ScopedFunction], vertices) -> DependencyGraph:
@@ -218,11 +359,28 @@ def dependency_graph(functions: list[ScopedFunction], vertices) -> DependencyGra
     return DependencyGraph(tuple(vertices), frozenset(edges))
 
 
+def dependency_graphs(task: Task, fs: FeatureSet, classes: Classification, start: int,
+                      stop: int) -> list[DependencyGraph]:
+    """The context-dependency graph of each of the operators start..stop-1:
+    vertices are all task variables; an edge joins two variables outside the
+    operator in one feature touching it."""
+    pairs = slice(classes.starts[start], classes.starts[stop])
+    outside, facts = classes.outside[pairs], fs._padded_facts[classes.feature[pairs], :, 0]
+    n_vars, op = len(task.variables), classes.operator[pairs] - start
+    keys = [np.zeros(0, dtype=np.int64)]
+    for i, j in itertools.combinations(range(outside.shape[1]), 2):
+        both = outside[:, i] & outside[:, j]
+        keys.append(((op * n_vars + facts[:, i]) * n_vars + facts[:, j])[both])
+    op, u, v = np.unravel_index(np.unique(np.concatenate(keys)), (stop - start, n_vars, n_vars))
+    bounds = np.searchsorted(op, np.arange(stop - start + 1)).tolist()
+    vertices = tuple(var.id for var in task.variables)
+    edges = list(zip(u.tolist(), v.tolist()))
+    return [DependencyGraph(vertices, frozenset(edges[a:b])) for a, b in zip(bounds, bounds[1:])]
+
+
 def context_dependency_graph(task: Task, fs: FeatureSet, op_index: int) -> DependencyGraph:
-    """Vertices are all task variables; an edge joins two non-operator
-    variables that co-occur outside the operator in some feature touching it."""
-    return dependency_graph(scoped_functions_for_operator(task, fs, op_index),
-                            (v.id for v in task.variables))
+    """`dependency_graphs` of one operator of the task."""
+    return dependency_graphs(task, fs, classify(task, fs, [task.operators[op_index]]), 0, 1)[0]
 
 
 def min_fill_order(graph: DependencyGraph) -> list[int]:

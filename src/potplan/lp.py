@@ -243,12 +243,11 @@ class LpModel:
         if columns.size and (columns.min() < 0 or columns.max() >= len(self.unknowns)):
             bad = columns[(columns < 0) | (columns >= len(self.unknowns))][0]
             raise LpError(f"row references undeclared unknown column {bad}")
-        if isinstance(relations, str):
-            relations = [relations]
-        for relation in relations:
-            if relation not in RELATIONS:
-                raise LpError(f"bad relation '{relation}'")
-        codes = np.array([RELATIONS.index(r) for r in relations], dtype=np.int8)
+        relations = np.asarray(relations, dtype=str).reshape(-1, 1)
+        match = relations == np.array(RELATIONS)
+        if not match.any(axis=1).all():
+            raise LpError(f"bad relation '{relations[~match.any(axis=1), 0][0]}'")
+        codes = match.argmax(axis=1).astype(np.int8)
         rhs = np.asarray(rhs, dtype=float).reshape(-1)
         names = [""] * count if names is None else list(names)
         for what, size in (("relations", len(codes)), ("right-hand sides", len(rhs))):
@@ -256,15 +255,21 @@ class LpModel:
                 raise LpError(f"rows: {size} {what} for {count} rows")
         if len(names) != count:
             raise LpError(f"rows: {len(names)} names for {count} rows")
-        # Canonical already (columns increasing within each row, no zeros):
-        # skip scipy's canonicalization, whose fixed cost outweighs a small block.
+        # Canonical form: columns increasing within each row, no zeros.  A
+        # block that is not gets a stable sort by (row, column), and each
+        # run of one column is summed in input order.
         row = np.repeat(np.arange(count), sizes)
         if not (coefficients.all() and np.all((columns[1:] > columns[:-1]) | (row[1:] > row[:-1]))):
-            block = csr_matrix((coefficients, columns, indptr),
-                               shape=(count, len(self.unknowns)))
-            block.sum_duplicates()
-            block.eliminate_zeros()
-            indptr, columns, coefficients = block.indptr, block.indices, block.data
+            width = len(self.unknowns)
+            key = row * width + columns
+            by = np.argsort(key, kind="stable")
+            key = key[by]
+            new = np.ones(len(key), dtype=bool)
+            new[1:] = key[1:] != key[:-1]
+            coefficients = np.bincount(np.cumsum(new) - 1, coefficients[by])
+            key, coefficients = key[new][coefficients != 0], coefficients[coefficients != 0]
+            indptr = np.searchsorted(key, np.arange(count + 1) * width)
+            columns = key - np.repeat(np.arange(count) * width, np.diff(indptr))
         codes, rhs = np.broadcast_to(codes, count), np.broadcast_to(rhs, count)
         _append(self._row_ends, indptr[1:].astype(np.int64) + len(self._columns))
         _append(self._columns, columns)

@@ -13,6 +13,8 @@ one bound unknown per context variable with a row per value), which the
 bucket-elimination assembler has to match on edgeless context graphs; at
 higher dimension it has to match the construction that splits each
 operator's features with `classify_features` and `delta_independent`.  The
+loop reference eliminates every operator on its own with `bucket_eliminate`,
+which the array passes of `build_general_lp` have to match.  The
 search references test every operator in every state with `is_applicable`
 and `successor`; the indexed successor generator has to reproduce them.
 The TCP model with one cost unknown per (abstraction, transition) is no
@@ -27,8 +29,11 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from potplan.direct2d import WEIGHT_LOWER, WEIGHT_UPPER, sample_states, weight_var_name
-from potplan.elimination import DependencyGraph, OrderingError, ScopedFunction, min_fill_order
+from potplan.elimination import (DependencyGraph, OrderingError, ScopedFunction, bucket_eliminate,
+                                 dependency_graph, min_fill_order, scoped_functions_for_operator)
 from potplan.features import Feature, FeatureError, pinned_features
 from potplan.lp import ZERO, LinearExpression, LpModel, Row
 from potplan.search import NoPlanError, SearchResult, tiebreak_key
@@ -461,6 +466,30 @@ def reference_general_model(task, fs, orderings=None, pin=True):
                       f"op{op_index}")
         for row in rows:
             model.add_row(row.expression, row.relation, row.rhs, row.name)
+    return model
+
+
+def reference_loop_model(task, fs, orderings=None):
+    """The compact model as the per-operator loop writes it: for every
+    operator its functions (`scoped_functions_for_operator`), the order
+    `orderings` names or else min-fill's on their dependency graph,
+    `bucket_eliminate` along it, and the cost row followed by the
+    elimination rows in one `add_rows` call."""
+    model = LpModel()
+    _reference_goal_row(model, task, fs, _reference_weights(model, task, fs))
+    vertices = tuple(v.id for v in task.variables)
+    for op_index, op in enumerate(task.operators):
+        functions = scoped_functions_for_operator(task, fs, op_index)
+        order = (orderings or {}).get(op_index)
+        if order is None:
+            order = min_fill_order(dependency_graph(functions, vertices))
+        result, rows = bucket_eliminate(model, functions, task.domain_sizes, list(order),
+                                        prefix=f"z_o{op_index}")
+        terms = [result] + [row for _, row in rows]
+        model.add_rows(np.cumsum([0] + [len(t) for t in terms]), [c for t in terms for c in t],
+                       [v for t in terms for v in t.values()], ["<="] + [">="] * len(rows),
+                       [float(op.cost)] + [0.0] * len(rows),
+                       [f"op{op_index}"] + [name for name, _ in rows])
     return model
 
 

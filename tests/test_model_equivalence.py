@@ -6,14 +6,15 @@ coefficients.  The TCP model, whose cost unknowns are eliminated, is also
 solved against the full model with them."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
 from potplan.costpart import all_patterns, build_ocp_lp, build_tcp_lp, project
 from potplan.direct2d import build_direct2d_lp, build_exhaustive_lp, build_general_lp
-from potplan.elimination import (classify, context_dependency_graph, min_fill_order,
-                                 scoped_functions_for_operator)
+from potplan.elimination import (classify, context_dependency_graph, dependency_graphs,
+                                 induced_width, min_fill_order, scoped_functions_for_operator)
 from potplan.features import FeatureSet, generate_features
 from potplan.generator import random_features, random_task
 from potplan.lp import check_solution, export_lp, solve
@@ -22,7 +23,7 @@ from potplan.task import Operator, Task, Variable, build_transition_system, exac
 
 from conftest import make_alias_task, make_toy1
 from reference_builders import (reference_direct2d_model, reference_exhaustive_model,
-                                reference_general_model, reference_ocp_model,
+                                reference_general_model, reference_loop_model, reference_ocp_model,
                                 reference_projection, reference_tcp_eliminated_model,
                                 reference_tcp_model)
 
@@ -210,13 +211,6 @@ def test_general_instances_cover_context_edges():
     assert with_edges > len(GENERAL_CASES) // 2 and changed > len(GENERAL_CASES) // 2
 
 
-def loop_orders(task, fs):
-    """Every operator's min-fill order: naming an operator in `orderings`
-    sends it through `bucket_eliminate` instead of the width-0 pass."""
-    return {op_index: min_fill_order(context_dependency_graph(task, fs, op_index))
-            for op_index in range(len(task.operators))}
-
-
 def domain1_task():
     """Variable b has one value; operators change a or c with b in context."""
     variables = [Variable(0, "a", 2, ("0", "1")), Variable(1, "b", 1, ("0",)),
@@ -253,7 +247,7 @@ def test_width0_pass_matches_bucket_loop(name):
     """The one-pass width-0 elimination writes the model that eliminating
     each operator in `bucket_eliminate` writes, byte for byte."""
     task, fs = WIDTH0_CASES[name]()
-    assert_same_model(build_general_lp(task, fs), build_general_lp(task, fs, loop_orders(task, fs)))
+    assert_same_model(build_general_lp(task, fs), reference_loop_model(task, fs))
 
 
 def test_width0_instances_cover_edge_cases():
@@ -290,15 +284,93 @@ def test_width0_operator_named_in_orderings_keeps_its_order():
 
 
 def test_dimension2_build_runs_no_bucket_loop(monkeypatch):
-    """At dimension <= 2 every operator goes through the width-0 pass."""
-    import potplan.direct2d as direct2d
+    """No build, at dimension <= 2 or above, with or without `orderings`,
+    eliminates an operator on its own: the array passes write every
+    model."""
+    import potplan.elimination as elimination
     calls = []
-    eliminate = direct2d.bucket_eliminate
-    monkeypatch.setattr(direct2d, "bucket_eliminate",
-                        lambda *args, **kwargs: calls.append(args) or eliminate(*args, **kwargs))
-    for name in WIDTH0_CASES:
-        if "dim3" not in name:
-            build_direct2d_lp(*WIDTH0_CASES[name]())
+    monkeypatch.setattr(elimination, "bucket_eliminate",
+                        lambda *args, **kwargs: calls.append(args))
+    for make in [*WIDTH0_CASES.values(), *LOOP_CASES.values()]:
+        task, fs = make()
+        build_general_lp(task, fs)
+        build_general_lp(task, fs, random_orders(task, len(calls)))
     assert calls == []
-    build_general_lp(*WIDTH0_CASES["dim3_random0"]())
-    assert calls
+
+
+def random_dimension(seed, dimension):
+    task = random_task(6, 3, 8, seed)
+    return task, random_features(task, 14, dimension, seed)
+
+
+def untouched_dimension3():
+    """No feature mentions variable 4: the two operators on it alone touch
+    no feature."""
+    task, fs = random_dimension(3, 3)
+    return task, FeatureSet(tuple(f for f in fs if 4 not in f.variables))
+
+
+LOOP_CASES = {"k4_reduction": k4_reduction, "domain1_alias": make_alias_task,
+              "untouched_dim3": untouched_dimension3}
+LOOP_CASES.update({f"random{seed}_dim{dim}":
+                   (lambda seed=seed, dim=dim: random_dimension(seed, dim))
+                   for seed in range(6) for dim in (3, 4, 5)})
+
+
+def random_orders(task, seed):
+    """A random order of all variables for about half of the operators."""
+    rng = random.Random(f"orders:{seed}")
+    orders = {}
+    for op_index in range(len(task.operators)):
+        if rng.random() < 0.5:
+            orders[op_index] = rng.sample(range(len(task.variables)), len(task.variables))
+    return orders
+
+
+@pytest.mark.parametrize("name", sorted(LOOP_CASES))
+def test_bucket_pass_matches_loop_reference(name):
+    """Operators whose context-dependency graphs have edges, eliminated in
+    lockstep, give the model of eliminating each one in `bucket_eliminate`,
+    byte for byte: under min-fill orders, and with random orders named for
+    some operators (which then take the lockstep pass at any width)."""
+    task, fs = LOOP_CASES[name]()
+    assert_same_model(build_general_lp(task, fs), reference_loop_model(task, fs))
+    for seed in range(3):
+        orders = random_orders(task, f"{name}:{seed}")
+        assert_same_model(build_general_lp(task, fs, orders),
+                          reference_loop_model(task, fs, orders))
+
+
+def test_bucket_pass_alias_matches_loop_reference():
+    """Under the order [a, b, c] the domain-1 variable b's single candidate
+    is c's unknown, which b's function reuses instead of a new unknown."""
+    task, fs = make_alias_task()
+    orders = {0: [0, 1, 2]}
+    model = build_general_lp(task, fs, orders)
+    assert_same_model(model, reference_loop_model(task, fs, orders))
+    names = [name for name, _, _ in model.unknowns]
+    assert "z_o0_v2__v1.0" in names and not any(n.startswith("z_o0_v1") for n in names)
+
+
+def test_loop_instances_cover_edge_cases():
+    """The suites above reach dimensions 3 to 5 and widths up to 4, orders
+    other than min-fill's, operators that touch no feature among those
+    named in the orders, and no-op operators with edges, whose buckets hold
+    only functions with empty tables, some with a nonempty remaining
+    scope."""
+    widths, dimensions = set(), set()
+    reordered = untouched = empty_buckets = 0
+    for name, make in LOOP_CASES.items():
+        task, fs = make()
+        dimensions.add(fs.dimension)
+        graphs = dependency_graphs(task, fs, classify(task, fs), 0, len(task.operators))
+        widths.update(induced_width(graph, min_fill_order(graph)) for graph in graphs)
+        orders = random_orders(task, f"{name}:0")
+        reordered += sum(order != min_fill_order(graphs[k]) for k, order in orders.items())
+        for op_index, op in enumerate(task.operators):
+            functions = scoped_functions_for_operator(task, fs, op_index)
+            untouched += not functions and op_index in orders
+            empty_buckets += op.pre == op.eff and bool(graphs[op_index].edges)
+            assert all(not fn.table for fn in functions) or op.pre != op.eff
+    assert dimensions == {3, 4, 5} and max(widths) == 4
+    assert reordered > 50 and untouched and empty_buckets

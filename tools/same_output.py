@@ -14,10 +14,12 @@ stdout and exit code only.
 The inputs are written once, with BEFORE_TREE, into a temporary directory:
 `gen --seed 0..11` (whose printed tasks are compared too), and
 `random_task(4, 3, 6, seed)` with `random_features(task, 10, dim, seed)` for
-seeds 0..5 and dimensions 1-3 as feature files, plus three `--order` files (at
-dimension 3 one valid and one missing a variable; at dimension 2 one that
-gives an operator with two context variables an order other than min-fill's,
-so that the per-operator loop eliminates it) and the weights that `solve
+seeds 0..5 and dimensions 1-4 as feature files, plus four `--order` files (at
+dimension 3 one that reverses every operator's min-fill order, one that gives
+every other operator a seeded random order and leaves the rest to min-fill,
+and one missing a variable; at dimension 2 one that gives an operator with
+two context variables an order other than min-fill's, so that the lockstep
+pass eliminates it instead of the width-0 pass) and the weights that `solve
 --method exhaustive` prints for each random task, which `validate` reads back.
 `random_task(4, 4, 8, seed)` for seeds 0, 15 and 34 (96 to 192 states) adds
 `compare --state random:3`.  A three-variable task with a domain-1 variable,
@@ -39,6 +41,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -108,7 +111,7 @@ def prepare(tree: str, workdir: str, extra: list[str]) -> None:
                          json.dumps(json.loads(out.getvalue())["weights"]))
         calls += [["validate", sas, "--weights", weights], ["compare", sas],
                   ["search", sas, "--heuristic", "blind"]]
-        for dim in (1, 2, 3):
+        for dim in (1, 2, 3, 4):
             fs = random_features(task, 10, dim, seed)
             features = _write(f"random{seed}_dim{dim}.features",
                               "".join(format_feature(task, f) + "\n" for f in fs))
@@ -128,13 +131,19 @@ def prepare(tree: str, workdir: str, extra: list[str]) -> None:
                 base = ["--method", "bucket", "--features", features,
                         "--order", "width0_order.json", sas]
                 calls += [["solve", *base], ["lp", *base]]
-            if seed == 0 and dim == 3:
+            if seed in (0, 1) and dim == 3:
                 names = [v.name for v in task.variables]
-                orders = {op.name: [names[v] for v in
-                                    min_fill_order(context_dependency_graph(task, fs, k))[::-1]]
-                          for k, op in enumerate(task.operators)}
-                bad = {task.operators[0].name: names[:1]}
-                for name, order in (("order.json", orders), ("bad_order.json", bad)):
+                if seed == 0:
+                    orders = {op.name: [names[v] for v in
+                                        min_fill_order(context_dependency_graph(task, fs, k))[::-1]]
+                              for k, op in enumerate(task.operators)}
+                    bad = {task.operators[0].name: names[:1]}
+                    written = (("order.json", orders), ("bad_order.json", bad))
+                else:
+                    rng = random.Random("orders")
+                    written = (("mixed_order.json", {op.name: rng.sample(names, len(names))
+                                                     for op in task.operators[::2]}),)
+                for name, order in written:
                     _write(name, json.dumps(order))
                     base = ["--method", "bucket", "--features", features, "--order", name, sas]
                     calls += [["solve", *base], ["lp", *base]]
