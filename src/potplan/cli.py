@@ -97,6 +97,8 @@ def _parse_orderings(task: Task, path: str) -> dict[int, list[int]]:
 
 def _build_model(task: Task, fs, args) -> lp.LpModel:
     """The chosen potential model with its objective set."""
+    if args.order and args.method != "bucket":
+        raise CliUsageError(f"--order needs --method bucket, not {args.method}")
     if args.method == "direct2d":
         if fs.dimension > 2:
             raise CliUsageError("method direct2d needs features of dimension <= 2")
@@ -290,15 +292,11 @@ def cmd_compare(args) -> int:
 def cmd_width(args) -> int:
     task = _load_tnf_task(args.task)
     fs = _feature_set(task, args.dim, args.features)
-    rows = []
-    overall = 0
-    graphs = elimination.dependency_graphs(task, fs, elimination.classify(task, fs), 0,
-                                           len(task.operators))
-    for op, graph in zip(task.operators, graphs):
-        order = elimination.min_fill_order(graph)
-        width = elimination.induced_width(graph, order)
-        overall = max(overall, width)
-        rows.append({"operator": op.name, "edges": len(graph.edges), "width": width})
+    graphs = elimination.adjacency(task, fs, elimination.classify(task, fs))
+    _, widths = elimination.eliminate_graphs(graphs, [[-1] * len(task.variables)] * len(graphs))
+    rows = [{"operator": op.name, "edges": edges, "width": width} for op, edges, width in
+            zip(task.operators, (graphs.sum(axis=(1, 2)) // 2).tolist(), widths.tolist())]
+    overall = max(widths.tolist(), default=0)
     if args.format == "json":
         print(json.dumps({"operators": rows, "max_width": overall}))
     else:

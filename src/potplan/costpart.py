@@ -148,11 +148,13 @@ def build_tcp_lp(ts: TransitionSystem, patterns, state: State) -> CostPartitioni
     maps = [offset + proj.state_map for offset, proj in zip(offsets, projections)]
     state_columns = np.array(maps, dtype=np.int64).reshape(len(projections), len(ts.states)).T
     table = ts.transition_array()
-    # on abstract self-loops the h terms cancel and add_rows drops them
-    columns = np.hstack([state_columns[table[:, 0]], state_columns[table[:, 2]]])
+    # canonical rows: each abstraction's h columns as (min, max), none on self-loops
+    src, dst = state_columns[table[:, 0]], state_columns[table[:, 2]]
+    moved, sign = src != dst, np.where(src < dst, 1.0, -1.0)
     costs = np.array(ts.operator_costs, dtype=float)
-    model.add_rows(np.arange(len(table) + 1) * columns.shape[1], columns.ravel(),
-                   np.tile(np.repeat([1.0, -1.0], len(projections)), len(table)), "<=",
+    model.add_rows(np.concatenate(([0], np.cumsum(2 * moved.sum(axis=1)))),
+                   np.stack([np.minimum(src, dst), np.maximum(src, dst)], axis=2)[moved].ravel(),
+                   np.stack([sign, -sign], axis=2)[moved].ravel(), "<=",
                    costs[table[:, 1]], [f"part_t{ti}" for ti in range(len(table))])
     built = CostPartitioningLp(model, projections, offsets, state_columns,
                                per_transition=True)

@@ -24,9 +24,9 @@ variable paired with the operator by some feature, with one row
 `z_o{op}_v{var}.{value}` per value of that variable.  Elimination writes
 these for all such operators in one array pass (`eliminate_width0`);
 `build_direct2d_lp` is that case.  At higher dimension the operators whose
-graphs have edges are eliminated together in a second array pass
-(`eliminate_buckets`), and their unknowns carry the assignment to the
-remaining scope, `z_o{op}_v{var}__v{u}.{value}_...`.
+graphs have edges, ordered by one game (`eliminate_graphs`), are eliminated
+together in a second array pass (`eliminate_buckets`), and their unknowns
+carry the assignment to the remaining scope, `z_o{op}_v{var}__v{u}.{value}_...`.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elimination import (check_order, classify, dependency_graphs, eliminate_buckets,
-                          eliminate_width0, min_fill_order)
+from .elimination import (adjacency, check_order, classify, eliminate_buckets,
+                          eliminate_graphs, eliminate_width0)
 from .features import (Feature, FeatureSet, WeightFunction, evaluate_potential,
                        pinned_features, truth_matrix)
 from .lp import OPTIMALITY_TOL, LpModel, LpSolution, solve
@@ -100,27 +100,27 @@ def build_general_lp(task: Task, fs: FeatureSet,
     elimination writes them, and the elimination unknowns follow the weights
     in the same operator order.  Orderings default to min-fill on each
     context-dependency graph, which at width 0 eliminates the context
-    variables by increasing id: each run of consecutive such operators that
-    `orderings` does not name is eliminated in one `eliminate_width0` pass,
-    each run of the other operators in one `eliminate_buckets` pass.  Each
-    run's rows are appended in one `add_rows` call.
+    variables by increasing id.  One elimination game orders every operator
+    whose graph has edges or that `orderings` names, and each run of such
+    operators is eliminated in one `eliminate_buckets` pass, each run of the
+    others in one `eliminate_width0` pass, its rows in one `add_rows` call.
     """
     model = _weights_and_goal_row(task, fs)
-    orderings = orderings or {}
-    vertices = tuple(v.id for v in task.variables)
+    orders = np.full((len(task.operators), len(task.variables)), -1)  # -1: min-fill's
+    for k, order in (orderings or {}).items():
+        check_order(order, range(len(task.variables)))
+        orders[k] = order
     classes = classify(task, fs)
-    batched = [width0 and k not in orderings for k, width0 in enumerate(classes.width0())]
-    for width0, run in itertools.groupby(range(len(task.operators)), batched.__getitem__):
+    graphs = adjacency(task, fs, classes)
+    lockstep = graphs.any(axis=(1, 2)) | (orders >= 0).any(axis=1)
+    if lockstep.any():
+        orders[lockstep] = eliminate_graphs(graphs[lockstep], orders[lockstep])[0]
+    for batched, run in itertools.groupby(range(len(task.operators)), lockstep.__getitem__):
         start, stop = (run := list(run))[0], run[-1] + 1
-        if width0:
+        if not batched:
             model.add_rows(*eliminate_width0(model, task, fs, classes, start, stop))
             continue
-        orders = []
-        for k, graph in zip(run, dependency_graphs(task, fs, classes, start, stop)):
-            if k in orderings:
-                check_order(orderings[k], vertices)
-            orders.append(orderings[k] if k in orderings else min_fill_order(graph))
-        model.add_rows(*eliminate_buckets(model, task, fs, classes, start, stop, orders))
+        model.add_rows(*eliminate_buckets(model, task, fs, classes, start, stop, orders[start:stop]))
     return model
 
 

@@ -8,7 +8,9 @@ feature's function has the empty scope, a term of the final sum.  A table
 entry maps LP columns to coefficients; a feature's weight is the column
 numbered by the feature's index.  `classify` finds, for all operators at
 once, every pair of an operator and a feature touching it, with the
-feature's change inside the operator and its facts outside.
+feature's change inside the operator and its facts outside.  From these
+pairs come all context-dependency graphs as one array (`adjacency`), and
+one elimination game over them gives min-fill orders and induced widths.
 
 The eliminator condenses each bucket into fresh unknowns declared on the
 model, one per assignment to the bucket's remaining scope, each bounded
@@ -27,8 +29,7 @@ one row per value, a sum over the pairs with that outside fact:
 `eliminate_width0` writes this compact binary model.  `eliminate_buckets`
 takes every other operator (and any operator given an order): it walks
 the operators' orders in lockstep, back to front, and condenses the
-buckets of all operators at one position together.  The graphs for the
-orders come from the same pairs (`dependency_graphs`).  `bucket_eliminate`
+buckets of all operators at one position together.  `bucket_eliminate`
 stays as the reference that both passes are tested against.  `direct2d`
 assembles the potential LP from these pieces.
 """
@@ -76,13 +77,6 @@ class DependencyGraph:
             if u >= v or u not in seen or v not in seen:
                 raise OrderingError(f"bad edge ({u}, {v})")
 
-    def neighbors(self) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {v: set() for v in self.vertices}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
-
 
 def _require_tnf_operator(op: Operator) -> None:
     if op.pre.keys() != op.eff.keys():
@@ -102,12 +96,6 @@ class Classification:
     feature: np.ndarray
     change: np.ndarray
     outside: np.ndarray  # (pair, dimension) booleans
-
-    def width0(self) -> list[bool]:
-        """Per operator: no feature has two variables outside it, so its
-        context-dependency graph has no edges."""
-        wide = self.operator[self.outside.sum(axis=1) > 1]
-        return (np.bincount(wide, minlength=len(self.starts) - 1) == 0).tolist()
 
 
 def classify(task: Task, fs: FeatureSet, operators: list[Operator] | None = None
@@ -359,28 +347,67 @@ def dependency_graph(functions: list[ScopedFunction], vertices) -> DependencyGra
     return DependencyGraph(tuple(vertices), frozenset(edges))
 
 
-def dependency_graphs(task: Task, fs: FeatureSet, classes: Classification, start: int,
-                      stop: int) -> list[DependencyGraph]:
-    """The context-dependency graph of each of the operators start..stop-1:
-    vertices are all task variables; an edge joins two variables outside the
-    operator in one feature touching it."""
-    pairs = slice(classes.starts[start], classes.starts[stop])
-    outside, facts = classes.outside[pairs], fs._padded_facts[classes.feature[pairs], :, 0]
-    n_vars, op = len(task.variables), classes.operator[pairs] - start
-    keys = [np.zeros(0, dtype=np.int64)]
-    for i, j in itertools.combinations(range(outside.shape[1]), 2):
-        both = outside[:, i] & outside[:, j]
-        keys.append(((op * n_vars + facts[:, i]) * n_vars + facts[:, j])[both])
-    op, u, v = np.unravel_index(np.unique(np.concatenate(keys)), (stop - start, n_vars, n_vars))
-    bounds = np.searchsorted(op, np.arange(stop - start + 1)).tolist()
-    vertices = tuple(var.id for var in task.variables)
-    edges = list(zip(u.tolist(), v.tolist()))
-    return [DependencyGraph(vertices, frozenset(edges[a:b])) for a, b in zip(bounds, bounds[1:])]
+def adjacency(task: Task, fs: FeatureSet, classes: Classification) -> np.ndarray:
+    """Every operator's context-dependency graph as one symmetric boolean
+    array, operators × variables × variables: an edge joins two variables
+    outside the operator in one feature touching it."""
+    n_vars = len(task.variables)
+    graphs = np.zeros((len(classes.starts) - 1, n_vars, n_vars), dtype=bool)
+    for i, j in itertools.combinations(range(classes.outside.shape[1]), 2):
+        both = np.flatnonzero(classes.outside[:, i] & classes.outside[:, j])
+        variables = fs._padded_facts[classes.feature[both], :, 0]
+        graphs[classes.operator[both], variables[:, i], variables[:, j]] = True
+    return graphs | graphs.transpose(0, 2, 1)
+
+
+def eliminate_graphs(adjacency: np.ndarray, given) -> tuple[np.ndarray, np.ndarray]:
+    """The elimination game on every graph of `adjacency` (graphs × vertices
+    × vertices, symmetric, no loops) at once, positions back to front: each
+    graph eliminates the vertex its row of `given` names there or, for -1,
+    the min-fill vertex (fewest pairs of its neighbours not yet joined, ties
+    to the smallest index), then joins its neighbours.  Returns the orders
+    and the induced widths (the most neighbours an eliminated vertex had)."""
+    graphs = np.array(adjacency, dtype=bool)
+    count, n = graphs.shape[:2]
+    orders = np.array(given, dtype=np.int64).reshape(count, n)
+    widths = np.zeros(count, dtype=np.int64)
+    left = np.ones((count, n), dtype=bool)
+    every, apart = np.arange(count), ~np.eye(n, dtype=bool)
+    for p in range(n - 1, -1, -1):
+        if (free := np.flatnonzero(orders[:, p] < 0)).size:
+            # 2 * fill = degree * (degree - 1) - walks v-a-b-v; float32 is exact to 4096 vertices
+            g = graphs[free].astype(np.float32)
+            degree = g.sum(axis=2)
+            fill = degree * (degree - 1) - (g @ g * g).sum(axis=2)
+            orders[free, p] = np.where(left[free], fill, np.inf).argmin(axis=1)
+        vertex = orders[:, p]
+        neighbours = graphs[every, vertex]
+        widths = np.maximum(widths, neighbours.sum(axis=1))
+        left[every, vertex] = False
+        graphs |= neighbours[:, :, None] & neighbours[:, None, :] & apart
+        graphs &= left[:, :, None] & left[:, None, :]
+    return orders, widths
 
 
 def context_dependency_graph(task: Task, fs: FeatureSet, op_index: int) -> DependencyGraph:
-    """`dependency_graphs` of one operator of the task."""
-    return dependency_graphs(task, fs, classify(task, fs, [task.operators[op_index]]), 0, 1)[0]
+    """The `adjacency` of one operator of the task, over all its variables."""
+    graph = adjacency(task, fs, classify(task, fs, [task.operators[op_index]]))[0]
+    u, v = np.nonzero(np.triu(graph))
+    return DependencyGraph(tuple(var.id for var in task.variables),
+                           frozenset(zip(u.tolist(), v.tolist())))
+
+
+def _one_game(graph: DependencyGraph, order=None) -> tuple[list[int], int]:
+    """`eliminate_graphs` on one graph, its vertices indexed by increasing
+    id, along the order or (None) min-fill: the order and the width."""
+    ids = sorted(graph.vertices)
+    index = {v: i for i, v in enumerate(ids)}
+    matrix = np.zeros((1, len(ids), len(ids)), dtype=bool)
+    for u, v in graph.edges:
+        matrix[0, index[u], index[v]] = matrix[0, index[v], index[u]] = True
+    given = [-1] * len(ids) if order is None else [index[v] for v in order]
+    orders, widths = eliminate_graphs(matrix, [given])
+    return [ids[i] for i in orders[0].tolist()], int(widths[0])
 
 
 def min_fill_order(graph: DependencyGraph) -> list[int]:
@@ -390,25 +417,7 @@ def min_fill_order(graph: DependencyGraph) -> list[int]:
     induced-width procedure) consume it back to front, so the greedily chosen
     first victim sits at the end.
     """
-    adj = graph.neighbors()
-    eliminated = []
-    remaining = set(graph.vertices)
-    while remaining:
-        best, best_fill = None, None
-        for v in sorted(remaining):
-            neighbors = adj[v]
-            fill = sum(1 for a, b in itertools.combinations(sorted(neighbors), 2)
-                       if b not in adj[a])
-            if best_fill is None or fill < best_fill:
-                best, best_fill = v, fill
-        for a, b in itertools.combinations(sorted(adj[best]), 2):
-            adj[a].add(b)
-            adj[b].add(a)
-        for u in adj[best]:
-            adj[u].discard(best)
-        remaining.discard(best)
-        eliminated.append(best)
-    return list(reversed(eliminated))
+    return _one_game(graph)[0]
 
 
 def check_order(order, vertices) -> None:
@@ -420,16 +429,7 @@ def induced_width(graph: DependencyGraph, order: list[int]) -> int:
     """Maximum parent count in the induced graph along the order: process
     vertices back to front, connecting the earlier-ordered neighbors of each."""
     check_order(order, graph.vertices)
-    position = {v: i for i, v in enumerate(order)}
-    adj = graph.neighbors()
-    width = 0
-    for v in reversed(order):
-        parents = sorted(u for u in adj[v] if position[u] < position[v])
-        width = max(width, len(parents))
-        for a, b in itertools.combinations(parents, 2):
-            adj[a].add(b)
-            adj[b].add(a)
-    return width
+    return _one_game(graph, order)[1]
 
 
 def bucket_eliminate(model: LpModel, functions: list[ScopedFunction], domains,

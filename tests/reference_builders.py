@@ -15,6 +15,9 @@ higher dimension it has to match the construction that splits each
 operator's features with `classify_features` and `delta_independent`.  The
 loop reference eliminates every operator on its own with `bucket_eliminate`,
 which the array passes of `build_general_lp` have to match.  The
+elimination game played one vertex at a time over neighbour sets
+(`reference_min_fill_order`, `reference_induced_width`) is the reference
+for the one over adjacency arrays, `elimination.eliminate_graphs`.  The
 search references test every operator in every state with `is_applicable`
 and `successor`; the indexed successor generator has to reproduce them.
 The TCP model with one cost unknown per (abstraction, transition) is no
@@ -33,7 +36,7 @@ import numpy as np
 
 from potplan.direct2d import WEIGHT_LOWER, WEIGHT_UPPER, sample_states, weight_var_name
 from potplan.elimination import (DependencyGraph, OrderingError, ScopedFunction, bucket_eliminate,
-                                 dependency_graph, min_fill_order, scoped_functions_for_operator)
+                                 check_order, dependency_graph, scoped_functions_for_operator)
 from potplan.features import Feature, FeatureError, pinned_features
 from potplan.lp import ZERO, LinearExpression, LpModel, Row
 from potplan.search import NoPlanError, SearchResult, tiebreak_key
@@ -418,6 +421,56 @@ def _inline(expression, aliases):
     return result
 
 
+def _neighbours(graph):
+    adj = {v: set() for v in graph.vertices}
+    for u, v in graph.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+def reference_min_fill_order(graph):
+    """Greedy min-fill ordering, smallest-id tie-break, one vertex at a time:
+    at each step the fill of every remaining vertex is counted over the
+    pairs of its sorted neighbours.  Returned back to front, the first
+    victim last, as `elimination.min_fill_order` returns it."""
+    adj = _neighbours(graph)
+    eliminated = []
+    remaining = set(graph.vertices)
+    while remaining:
+        best, best_fill = None, None
+        for v in sorted(remaining):
+            neighbors = adj[v]
+            fill = sum(1 for a, b in itertools.combinations(sorted(neighbors), 2)
+                       if b not in adj[a])
+            if best_fill is None or fill < best_fill:
+                best, best_fill = v, fill
+        for a, b in itertools.combinations(sorted(adj[best]), 2):
+            adj[a].add(b)
+            adj[b].add(a)
+        for u in adj[best]:
+            adj[u].discard(best)
+        remaining.discard(best)
+        eliminated.append(best)
+    return list(reversed(eliminated))
+
+
+def reference_induced_width(graph, order):
+    """Maximum parent count in the induced graph along the order: process
+    vertices back to front, connecting the earlier-ordered neighbors of each."""
+    check_order(order, graph.vertices)
+    position = {v: i for i, v in enumerate(order)}
+    adj = _neighbours(graph)
+    width = 0
+    for v in reversed(order):
+        parents = sorted(u for u in adj[v] if position[u] < position[v])
+        width = max(width, len(parents))
+        for a, b in itertools.combinations(parents, 2):
+            adj[a].add(b)
+            adj[b].add(a)
+    return width
+
+
 def reference_general_model(task, fs, orderings=None, pin=True):
     """The compact model of any dimension as the classified construction
     writes it: per operator, the cost row holds the context-independent
@@ -453,7 +506,7 @@ def reference_general_model(task, fs, orderings=None, pin=True):
             domains = {v.id: v.domain_size for v in task.variables if v.id not in op_vars}
             order = orderings.get(op_index) if orderings else None
             if order is None:
-                order = min_fill_order(DependencyGraph(
+                order = reference_min_fill_order(DependencyGraph(
                     tuple(v.id for v in task.variables), frozenset(edges)))
             unknowns, rows, result = reference_lp_constraints(reference_bucket_eliminate(
                 domains, functions, list(order), prefix=f"z_o{op_index}"))
@@ -482,7 +535,7 @@ def reference_loop_model(task, fs, orderings=None):
         functions = scoped_functions_for_operator(task, fs, op_index)
         order = (orderings or {}).get(op_index)
         if order is None:
-            order = min_fill_order(dependency_graph(functions, vertices))
+            order = reference_min_fill_order(dependency_graph(functions, vertices))
         result, rows = bucket_eliminate(model, functions, task.domain_sizes, list(order),
                                         prefix=f"z_o{op_index}")
         terms = [result] + [row for _, row in rows]

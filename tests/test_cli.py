@@ -361,6 +361,22 @@ def test_malformed_order_file_is_usage_error(capsys, tmp_path, three_var_file, o
     assert code == 2 and out == "" and err.startswith("usage error: order file")
 
 
+@pytest.mark.parametrize("command", ["lp", "solve"])
+@pytest.mark.parametrize("method", ["direct2d", "exhaustive"])
+def test_order_file_needs_bucket_method(capsys, tmp_path, three_var_file, command, method):
+    """Only bucket elimination reads `--order`; with another method the
+    file, here one whose order misses variables, is a usage error rather
+    than silently ignored."""
+    order_path = tmp_path / "order.json"
+    order_path.write_text(json.dumps({"oA": ["A"]}))
+    code, out, err = run_cli(capsys, command, "--method", method, "--order", str(order_path),
+                             three_var_file)
+    assert code == 2 and out == "" and err.startswith("usage error: --order needs --method bucket")
+    code, _, err = run_cli(capsys, command, "--method", "bucket", "--order", str(order_path),
+                           three_var_file)
+    assert code == 1 and "order must list every vertex exactly once" in err
+
+
 @pytest.mark.parametrize("command", ["validate", "search"])
 @pytest.mark.parametrize("weights", [[["X=0", 1.0]], {"X=0": "abc"}, {"X=0": None}],
                          ids=["list", "text", "null"])

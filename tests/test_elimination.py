@@ -1,5 +1,7 @@
 import itertools
+import random
 
+import numpy as np
 import pytest
 
 from potplan.direct2d import (build_general_lp, solve_exhaustive_for_state,
@@ -8,7 +10,7 @@ from potplan.direct2d import (build_general_lp, solve_exhaustive_for_state,
 from potplan.elimination import (DependencyGraph, OrderingError, ScopedFunction,
                                  brute_force_max, bucket_eliminate,
                                  context_dependency_graph, dependency_graph,
-                                 induced_width, min_fill_order,
+                                 eliminate_graphs, induced_width, min_fill_order,
                                  scoped_functions_for_operator)
 from potplan.features import Feature, FeatureSet, generate_features
 from potplan.generator import random_features, random_scoped_set, random_task
@@ -18,7 +20,8 @@ from potplan.task import Operator, Task, Variable
 
 from conftest import (PAPER_BE_DOMAINS, base_model, bottom_up_values, candidates,
                       eliminate, make_alias_task)
-from reference_builders import delta_independent
+from reference_builders import (delta_independent, reference_induced_width,
+                                reference_min_fill_order)
 
 
 def test_scoped_functions_toy1(toy1):
@@ -103,6 +106,46 @@ def test_induced_width_examples():
     assert induced_width(path, [1, 0, 2]) == 1  # order B, A, C
     with pytest.raises(OrderingError):
         induced_width(path, [0, 1])
+
+
+def random_graphs(seed, count):
+    """`count` seeded graphs over the same seed % 21 vertices, with ids that
+    are not contiguous and listed in no particular order, at edge densities
+    rising from empty to complete."""
+    rng = random.Random(f"graphs:{seed}")
+    ids = sorted(rng.sample(range(3 * 20), seed % 21))
+    return [DependencyGraph(tuple(rng.sample(ids, len(ids))),
+                            frozenset(pair for pair in itertools.combinations(ids, 2)
+                                      if rng.random() < i / (count - 1)))
+            for i in range(count)]
+
+
+@pytest.mark.parametrize("seed", range(21))
+def test_elimination_game_matches_reference_loops(seed):
+    """The array game gives the min-fill orders and induced widths of the
+    game played one vertex at a time, graph by graph and with all graphs in
+    one call, under min-fill and under random given orders."""
+    graphs = random_graphs(seed, 24)
+    rng = random.Random(f"orders:{seed}")
+    given = [rng.sample(graph.vertices, len(graph.vertices)) for graph in graphs]
+    expected = [reference_min_fill_order(graph) for graph in graphs]
+    for graph, order, min_fill in zip(graphs, given, expected):
+        assert min_fill_order(graph) == min_fill
+        assert induced_width(graph, min_fill) == reference_induced_width(graph, min_fill)
+        assert induced_width(graph, order) == reference_induced_width(graph, order)
+    ids = sorted(graphs[0].vertices)
+    index = {v: i for i, v in enumerate(ids)}
+    adjacency = np.zeros((len(graphs), len(ids), len(ids)), dtype=bool)
+    for k, graph in enumerate(graphs):
+        for u, v in graph.edges:
+            adjacency[k, index[u], index[v]] = adjacency[k, index[v], index[u]] = True
+    named = [[index[v] for v in order] if k % 2 else [-1] * len(ids)
+             for k, order in enumerate(given)]
+    orders, widths = eliminate_graphs(adjacency, named)
+    for k, graph in enumerate(graphs):
+        order = given[k] if k % 2 else expected[k]
+        assert [ids[i] for i in orders[k].tolist()] == order
+        assert widths[k] == reference_induced_width(graph, order)
 
 
 def paper_model(functions, order):
@@ -345,18 +388,28 @@ def test_general_lp_graphs_and_functions_per_operator(monkeypatch):
     import potplan.direct2d as direct2d
     task = random_task(4, 3, 6, 0)
     fs = random_features(task, 10, 3, 0)
-    graphs = []
-    min_fill = direct2d.min_fill_order
-    monkeypatch.setattr(direct2d, "min_fill_order",
-                        lambda graph: graphs.append(graph) or min_fill(graph))
-    build_general_lp(task, fs)
-    monkeypatch.undo()
-    # every operator whose context-dependency graph has edges (three of the
-    # six here) has that graph built; the others are eliminated at width 0
-    with_edges = [graph for graph in (context_dependency_graph(task, fs, op_index)
-                                      for op_index in range(len(task.operators)))
-                  if graph.edges]
-    assert graphs == with_edges and len(with_edges) == 3
+    graphs = [context_dependency_graph(task, fs, k) for k in range(len(task.operators))]
+    with_edges = [k for k, graph in enumerate(graphs) if graph.edges]
+    assert len(with_edges) == 3
+    width0 = next(k for k in range(len(graphs)) if k not in with_edges)
+    named = {width0: list(range(len(task.variables)))}
+    game = direct2d.eliminate_graphs
+    # one build plays the elimination game once, over the operators whose
+    # context-dependency graph has edges and those named in `orderings`,
+    # min-fill (-1) for all but the named; the others are eliminated at width 0
+    for orderings, played in ((None, with_edges), (named, sorted(with_edges + [width0]))):
+        calls = []
+        monkeypatch.setattr(direct2d, "eliminate_graphs",
+                            lambda adjacency, given: calls.append((adjacency, given))
+                            or game(adjacency, given))
+        build_general_lp(task, fs, orderings)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        adjacency, given = calls[0]
+        assert [frozenset(zip(*(u.tolist() for u in np.nonzero(np.triu(graph)))))
+                for graph in adjacency] == [graphs[k].edges for k in played]
+        assert given.tolist() == [(orderings or {}).get(k, [-1] * len(task.variables))
+                                  for k in played]
     # one function per feature sharing a variable with the operator, no more
     for op_index, op in enumerate(task.operators):
         functions = scoped_functions_for_operator(task, fs, op_index)

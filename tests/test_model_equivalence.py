@@ -13,8 +13,8 @@ import pytest
 
 from potplan.costpart import all_patterns, build_ocp_lp, build_tcp_lp, project
 from potplan.direct2d import build_direct2d_lp, build_exhaustive_lp, build_general_lp
-from potplan.elimination import (classify, context_dependency_graph, dependency_graphs,
-                                 induced_width, min_fill_order, scoped_functions_for_operator)
+from potplan.elimination import (adjacency, classify, context_dependency_graph,
+                                 eliminate_graphs, min_fill_order, scoped_functions_for_operator)
 from potplan.features import FeatureSet, generate_features
 from potplan.generator import random_features, random_task
 from potplan.lp import check_solution, export_lp, solve
@@ -257,7 +257,7 @@ def test_width0_instances_cover_edge_cases():
     domain1 = untouched = no_ops = all_zero = mixed = 0
     for make in WIDTH0_CASES.values():
         task, fs = make()
-        width0 = classify(task, fs).width0()
+        width0 = (~adjacency(task, fs, classify(task, fs)).any(axis=(1, 2))).tolist()
         no_ops += any(op.pre == op.eff for op in task.operators)
         mixed += 0 < sum(width0) < len(width0)
         for op_index, op in enumerate(task.operators):
@@ -363,14 +363,15 @@ def test_loop_instances_cover_edge_cases():
     for name, make in LOOP_CASES.items():
         task, fs = make()
         dimensions.add(fs.dimension)
-        graphs = dependency_graphs(task, fs, classify(task, fs), 0, len(task.operators))
-        widths.update(induced_width(graph, min_fill_order(graph)) for graph in graphs)
+        graphs = adjacency(task, fs, classify(task, fs))
+        min_fill, op_widths = eliminate_graphs(graphs, np.full(graphs.shape[:2], -1))
+        widths.update(op_widths.tolist())
         orders = random_orders(task, f"{name}:0")
-        reordered += sum(order != min_fill_order(graphs[k]) for k, order in orders.items())
+        reordered += sum(order != min_fill[k].tolist() for k, order in orders.items())
         for op_index, op in enumerate(task.operators):
             functions = scoped_functions_for_operator(task, fs, op_index)
             untouched += not functions and op_index in orders
-            empty_buckets += op.pre == op.eff and bool(graphs[op_index].edges)
+            empty_buckets += op.pre == op.eff and graphs[op_index].any()
             assert all(not fn.table for fn in functions) or op.pre != op.eff
     assert dimensions == {3, 4, 5} and max(widths) == 4
     assert reordered > 50 and untouched and empty_buckets
