@@ -224,15 +224,15 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _compare_states(task: Task, ts, distances: list[float], args):
+def _compare_states(task: Task, ts, distances, args):
     if args.state == "init":
         return [("init", task.initial_state)]
     if args.state.startswith("random:"):
         count = _count(args.state)
-        finite = [i for i, d in enumerate(distances) if d < math.inf]
+        finite = [i for i, d in enumerate(distances.tolist()) if d < math.inf]
         rng = random.Random(args.seed)
         picks = [finite[rng.randrange(len(finite))] for _ in range(count)]
-        return [(f"s{idx}", ts.states[idx]) for idx in picks]
+        return [(f"s{idx}", tuple(ts.states[idx].tolist())) for idx in picks]
     raise CliUsageError(f"unknown state spec '{args.state}'")
 
 
@@ -274,7 +274,7 @@ def cmd_compare(args) -> int:
     }
     rows = []
     for i, (label, state) in enumerate(picks):
-        h_star = distances[state_index(state, ts.domain_sizes)]
+        h_star = distances[state_index(state, ts.domain_sizes)].tolist()
         rows.append({
             "state": label,
             **{column: round(values[i], 6) for column, values in columns.items()},
@@ -325,6 +325,10 @@ def cmd_reduce3col(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if args.vars < 1:
+        raise CliUsageError(f"--vars needs a positive count, not {args.vars}")
+    if args.ops < 0:
+        raise CliUsageError(f"--ops must not be negative, not {args.ops}")
     task = generator.random_task(args.vars, args.dom, args.ops, args.seed,
                                  tnf=not args.general, solvable=not args.allow_unsolvable)
     _write_output(serialize_sas(task), args.out)

@@ -9,14 +9,14 @@ scale as oracles for the equivalence with state-maximized potential heuristics.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .features import Feature, FeatureSet, WeightFunction
 from .lp import FEASIBILITY_TOL, LpModel, LpSolution
-from .task import (State, TransitionSystem, goal_distances, iter_states, state_index,
-                   strides)
+from .task import State, TransitionSystem, goal_distances, iter_states, state_index, strides
 
 
 class AbstractionError(ValueError):
@@ -29,7 +29,7 @@ class Projection:
 
     pattern: tuple[int, ...]
     domain_sizes: tuple[int, ...]
-    abstract_states: tuple[tuple[int, ...], ...]
+    size: int  # number of abstract states
     initial: int
     goal: int
     # abstract state of every concrete state, by concrete state index
@@ -37,33 +37,33 @@ class Projection:
     ts: TransitionSystem = field(compare=False, repr=False)
 
     @property
-    def abstract_transitions(self) -> list[tuple[int, int, int]]:
-        """One abstract transition per concrete transition (aligned with
-        `ts.transitions`), built on access: neither LP builder reads them."""
-        amap = self.state_map.tolist()
-        return [(amap[src], op, amap[dst]) for src, op, dst in self.ts.transitions]
+    def abstract_transitions(self) -> np.ndarray:
+        """One (abstract source, operator, abstract target) row per concrete
+        transition, aligned with `ts.transitions`; built on access: neither
+        LP builder reads them."""
+        table = self.ts.transitions.copy()
+        table[:, ::2] = self.state_map[table[:, ::2]]
+        return table
 
     def map_state(self, state: State) -> int:
         return state_index(tuple(state[var] for var in self.pattern), self.domain_sizes)
 
-    def goal_distances(self, costs: list[float]) -> list[float]:
+    def goal_distances(self, costs) -> np.ndarray:
         """Abstract goal distances under signed per-concrete-transition costs."""
-        return goal_distances(len(self.abstract_states), self.abstract_transitions,
-                              {self.goal}, costs)
+        return goal_distances(self.size, self.abstract_transitions, [self.goal], costs)
 
 
 def project(ts: TransitionSystem, pattern) -> Projection:
     """Project the explicit system onto a (possibly empty) variable pattern."""
     pattern = tuple(sorted(pattern))
     doms = tuple(ts.domain_sizes[v] for v in pattern)
-    abstract_states = tuple(iter_states(doms))
     # the index of each concrete state's restriction, as in Projection.map_state
-    state_map = ts.state_array()[:, list(pattern)] @ np.array(strides(doms), dtype=np.int64)
-    goals = set(state_map[sorted(ts.goals)].tolist())
+    state_map = ts.states[:, list(pattern)] @ np.array(strides(doms), dtype=np.int64)
+    goals = set(state_map[ts.goals].tolist())
     if len(goals) != 1:
         raise AbstractionError("projection needs a single abstract goal state "
                                "(task must be in transition normal form)")
-    return Projection(pattern, doms, abstract_states, int(state_map[ts.initial]),
+    return Projection(pattern, doms, math.prod(doms), int(state_map[ts.initial]),
                       goals.pop(), state_map, ts)
 
 
@@ -84,15 +84,15 @@ class CostPartitioningLp:
                                          for offset, proj in zip(self.offsets, self.projections)})
 
     def extract_cost_functions(self, ts: TransitionSystem,
-                               solution: LpSolution) -> list[list[float]]:
-        """Per abstraction, one cost per concrete transition: the value of
-        its operator's cost unknown, or in the transition variant the least
+                               solution: LpSolution) -> np.ndarray:
+        """(abstraction, concrete transition) costs: the value of the
+        operator's cost unknown, or in the transition variant the least
         feasible cost h(abstract source) - h(abstract target)."""
         x = solution.x
-        table = ts.transition_array()
+        src, op, dst = ts.transitions.T
         if self.per_transition:
-            return (x[self.columns[table[:, 0]]] - x[self.columns[table[:, 2]]]).T.tolist()
-        return x[self.columns[table[:, 1]]].T.tolist()
+            return (x[self.columns[src]] - x[self.columns[dst]]).T
+        return x[self.columns[op]].T
 
 
 def _add_h_unknowns(model: LpModel, projections: list[Projection]) -> list[int]:
@@ -101,7 +101,7 @@ def _add_h_unknowns(model: LpModel, projections: list[Projection]) -> list[int]:
     offsets = []
     for ai, proj in enumerate(projections):
         offsets.append(len(model.unknowns))
-        for si in range(len(proj.abstract_states)):
+        for si in range(proj.size):
             model.add_unknown(f"h_a{ai}_s{si}")
     return offsets
 
@@ -147,15 +147,14 @@ def build_tcp_lp(ts: TransitionSystem, patterns, state: State) -> CostPartitioni
     _add_goal_rows(model, projections, offsets)
     maps = [offset + proj.state_map for offset, proj in zip(offsets, projections)]
     state_columns = np.array(maps, dtype=np.int64).reshape(len(projections), len(ts.states)).T
-    table = ts.transition_array()
+    table = ts.transitions
     # canonical rows: each abstraction's h columns as (min, max), none on self-loops
     src, dst = state_columns[table[:, 0]], state_columns[table[:, 2]]
     moved, sign = src != dst, np.where(src < dst, 1.0, -1.0)
-    costs = np.array(ts.operator_costs, dtype=float)
     model.add_rows(np.concatenate(([0], np.cumsum(2 * moved.sum(axis=1)))),
                    np.stack([np.minimum(src, dst), np.maximum(src, dst)], axis=2)[moved].ravel(),
                    np.stack([sign, -sign], axis=2)[moved].ravel(), "<=",
-                   costs[table[:, 1]], [f"part_t{ti}" for ti in range(len(table))])
+                   ts.operator_costs[table[:, 1]], [f"part_t{ti}" for ti in range(len(table))])
     built = CostPartitioningLp(model, projections, offsets, state_columns,
                                per_transition=True)
     built.set_state(state)
@@ -178,13 +177,12 @@ def build_ocp_lp(ts: TransitionSystem, patterns, state: State) -> CostPartitioni
     # cost column of (abstraction ai, operator op), one row per operator
     cost_columns = first_cost + np.arange(len(projections)) * n_ops + np.arange(n_ops)[:, None]
     _add_goal_rows(model, projections, offsets)
-    table = ts.transition_array()
+    table = ts.transitions
     ops = table[:, 1]
     for ai, proj in enumerate(projections):
         asrc, adst = proj.state_map[table[:, 0]], proj.state_map[table[:, 2]]
         # first occurrence of each distinct (asrc, op, adst), in transition order
-        n_abstract = len(proj.abstract_states)
-        key = (asrc * n_ops + ops) * n_abstract + adst
+        key = (asrc * n_ops + ops) * proj.size + adst
         first = np.sort(np.unique(key, return_index=True)[1])
         asrc, op_ids, adst = asrc[first], ops[first], adst[first]
         _add_consistency_rows(
@@ -199,18 +197,18 @@ def build_ocp_lp(ts: TransitionSystem, patterns, state: State) -> CostPartitioni
     return built
 
 
-def validate_partition(ts: TransitionSystem, cost_functions: list[list[float]]
-                       ) -> tuple[bool, int | None]:
-    """Check the partitioning inequality on every transition; returns the
-    first violating transition index, if any."""
+def validate_partition(ts: TransitionSystem, cost_functions) -> tuple[bool, int | None]:
+    """Check the partitioning inequality on every transition, given one cost
+    per transition for each abstraction; returns the first violating
+    transition index, if any."""
+    total = np.zeros(len(ts.transitions))
     for fn in cost_functions:
         if len(fn) != len(ts.transitions):
             raise AbstractionError("cost function does not cover every transition")
-    for ti, (_, op, _) in enumerate(ts.transitions):
-        total = sum(fn[ti] for fn in cost_functions)
-        if total > ts.operator_costs[op] + FEASIBILITY_TOL:
-            return False, ti
-    return True, None
+        total += fn
+    violations = np.flatnonzero(
+        total > ts.operator_costs[ts.transitions[:, 1]] + FEASIBILITY_TOL)
+    return (False, int(violations[0])) if len(violations) else (True, None)
 
 
 def all_patterns(n_variables: int, max_size: int = 2) -> list[tuple[int, ...]]:
@@ -246,7 +244,7 @@ def shift_weights_to_goal(ts: TransitionSystem, patterns, fs: FeatureSet,
     """Subtract, from each feature's weight, the weight of its pattern's
     goal-state feature; the shifted potential dominates the original one and
     stays feasible."""
-    goal_state = ts.states[next(iter(ts.goals))]
+    goal_state = ts.states[ts.goals[0]].tolist()
     goal_weight: dict[tuple[int, ...], float] = {}
     for pattern in patterns:
         pattern = tuple(sorted(pattern))

@@ -232,13 +232,12 @@ def build_exhaustive_lp(task: Task, fs: FeatureSet,
         ts = build_transition_system(task, state_cap)
     # Row of transition s -> t: truth(s) - truth(t) over the features, whose
     # weight unknowns are columns 0..|F|-1.
-    truth = truth_matrix(fs, ts.state_array())
-    table = ts.transition_array()
+    truth = truth_matrix(fs, ts.states)
+    table = ts.transitions
     change = truth[table[:, 0]] - truth[table[:, 2]]
     rows, columns = np.nonzero(change)
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(table)))))
-    costs = np.array([op.cost for op in task.operators], dtype=float)
-    model.add_rows(indptr, columns, change[rows, columns], "<=", costs[table[:, 1]],
+    model.add_rows(indptr, columns, change[rows, columns], "<=", ts.operator_costs[table[:, 1]],
                    [f"t{ti}" for ti in range(len(table))])
     return model
 

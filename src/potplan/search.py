@@ -10,6 +10,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .features import FeatureSet, WeightFunction
 from .task import (DEFAULT_STATE_CAP, State, SuccessorGenerator, Task,
                    build_transition_system, exact_goal_distances)
@@ -139,33 +141,25 @@ def validate(task: Task, heuristic: Callable[[State], float],
     """Exhaustively check goal-awareness, consistency, and admissibility of a
     heuristic over the full state space, within a 1e-6 tolerance."""
     ts = build_transition_system(task, state_cap)
-    values = [heuristic(s) for s in ts.states]
-
-    goal_aware, ga_witness = True, None
-    for gi in sorted(ts.goals):
-        if values[gi] > VALIDATION_TOL:
-            goal_aware, ga_witness = False, ts.states[gi]
-            break
-
-    consistent, cons_witness = True, None
-    for src, op_id, dst in ts.transitions:
-        if values[src] > ts.operator_costs[op_id] + values[dst] + VALIDATION_TOL:
-            consistent, cons_witness = False, (ts.states[src], op_id)
-            break
-
-    distances = exact_goal_distances(ts)
-    admissible, adm_witness = True, None
-    for si, d in enumerate(distances):
-        if values[si] > d + VALIDATION_TOL:
-            admissible, adm_witness = False, ts.states[si]
-            break
+    states = list(map(tuple, ts.states.tolist()))
+    values = np.array([heuristic(s) for s in states], dtype=float)
+    # each scan's witness is its first violation, in goal and transition order
+    src, op, dst = ts.transitions.T
+    goal_violations = ts.goals[values[ts.goals] > VALIDATION_TOL]
+    consistency_violations = np.flatnonzero(
+        values[src] > ts.operator_costs[op] + values[dst] + VALIDATION_TOL)
+    admissibility_violations = np.flatnonzero(
+        values > exact_goal_distances(ts) + VALIDATION_TOL)
+    goal_aware, consistent, admissible = (
+        not len(v) for v in (goal_violations, consistency_violations, admissibility_violations))
 
     # a consistency violation names a transition and is the most useful witness
     counterexample, operator = None, None
     if not consistent:
-        counterexample, operator = cons_witness
+        ti = consistency_violations[0]
+        counterexample, operator = states[src[ti]], int(op[ti])
     elif not goal_aware:
-        counterexample = ga_witness
+        counterexample = states[goal_violations[0]]
     elif not admissible:
-        counterexample = adm_witness
+        counterexample = states[admissibility_violations[0]]
     return ValidationReport(goal_aware, consistent, admissible, counterexample, operator)

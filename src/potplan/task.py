@@ -1,18 +1,20 @@
 """SAS+ planning tasks: representation, parsing, state semantics, and exact oracles.
 
 States are plain tuples of value indices (one per variable) and partial
-assignments are dicts mapping variable id to value index.  All objects are
+assignments are dicts mapping variable id to value index; the explicit
+transition system holds all states as the rows of one array.  All objects are
 treated as immutable after construction and can be shared freely.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 State = tuple[int, ...]
 PartialAssignment = dict[int, int]
@@ -124,31 +126,21 @@ class Task:
 
 @dataclass
 class TransitionSystem:
-    """Explicit weighted transition system over ALL states of a task.
+    """Explicit weighted transition system over ALL states of a task, as arrays.
 
     Enumerates the full product state space, not only reachable states,
     because consistency of a heuristic quantifies over every applicable
     (state, operator) pair.
     """
 
-    states: tuple[State, ...]
-    transitions: list[tuple[int, int, int]]  # (source index, operator id, target index)
+    # (state, variable) value indices, in `iter_states` order
+    states: np.ndarray
+    # (transition, 3) rows (source, operator, target), by source, then operator
+    transitions: np.ndarray
     initial: int
-    goals: frozenset[int]
-    operator_costs: tuple[int, ...]
+    goals: np.ndarray  # indices of the goal states, increasing
+    operator_costs: np.ndarray  # float cost of each operator
     domain_sizes: tuple[int, ...]
-
-    def default_costs(self) -> list[float]:
-        return [float(self.operator_costs[op]) for _, op, _ in self.transitions]
-
-    def state_array(self) -> np.ndarray:
-        """States as a (state, variable) matrix of value indices."""
-        return np.array(self.states, dtype=np.int64).reshape(
-            len(self.states), len(self.domain_sizes))
-
-    def transition_array(self) -> np.ndarray:
-        """Transitions as a (transition, 3) matrix of (source, operator, target)."""
-        return np.array(self.transitions, dtype=np.int64).reshape(len(self.transitions), 3)
 
 
 def is_applicable(op: Operator, state: State) -> bool:
@@ -227,37 +219,46 @@ def strides(domain_sizes: tuple[int, ...]) -> list[int]:
     return [math.prod(domain_sizes[var + 1:]) for var in range(len(domain_sizes))]
 
 
+def _matching(states: np.ndarray, assignment: PartialAssignment) -> np.ndarray:
+    """Mask of the states that agree with the partial assignment."""
+    mask = np.ones(len(states), dtype=bool)
+    for var, val in assignment.items():
+        mask &= states[:, var] == val
+    return mask
+
+
 def build_transition_system(task: Task, state_cap: int = DEFAULT_STATE_CAP) -> TransitionSystem:
     """Materialize the explicit transition system over all states of the task."""
     count = task.state_count()
     if count > state_cap:
         raise StateSpaceTooLargeError(count, state_cap)
     doms = task.domain_sizes
-    states = tuple(iter_states(doms))
-    successors = SuccessorGenerator(task)
-    # successor index = source index + sum of (eff - value) * stride over the effects
+    # (count, not -1: a task without variables has one empty state)
+    states = np.indices(doms, dtype=np.int64).reshape(len(doms), count).T
     place = strides(doms)
-    shifts = [tuple((var, val, place[var]) for var, val in op.eff.items())
-              for op in task.operators]
-    transitions = []
-    for si, s in enumerate(states):
-        for oi, _, _ in successors(s):
-            ti = si
-            for var, val, stride in shifts[oi]:
-                ti += (val - s[var]) * stride
-            transitions.append((si, oi, ti))
-    goals = frozenset(si for si, s in enumerate(states) if task.is_goal_state(s))
+    rows = [np.zeros((0, 3), dtype=np.int64)]
+    for op_id, op in enumerate(task.operators):
+        src = np.flatnonzero(_matching(states, op.pre))
+        # target index = source index + sum of (eff - value) * stride over the effects
+        dst = src.copy()
+        for var, val in op.eff.items():
+            dst += (val - states[src, var]) * place[var]
+        rows.append(np.stack([src, np.full_like(src, op_id), dst], axis=1))
+    transitions = np.concatenate(rows)
+    # per operator the sources increase, so a stable sort by source orders
+    # the rows by source, then operator
+    transitions = transitions[np.argsort(transitions[:, 0], kind="stable")]
     return TransitionSystem(
         states=states,
         transitions=transitions,
         initial=state_index(task.initial_state, doms),
-        goals=goals,
-        operator_costs=tuple(op.cost for op in task.operators),
+        goals=np.flatnonzero(_matching(states, task.goal)),
+        operator_costs=np.array([op.cost for op in task.operators], dtype=float),
         domain_sizes=doms,
     )
 
 
-def exact_goal_distances(ts: TransitionSystem, costs=None) -> list[float]:
+def exact_goal_distances(ts: TransitionSystem, costs=None) -> np.ndarray:
     """Distance from every state to the nearest goal under the given costs.
 
     `costs` is one real per transition (defaults to operator costs).  With
@@ -267,75 +268,49 @@ def exact_goal_distances(ts: TransitionSystem, costs=None) -> list[float]:
     a goal is reachable map to -inf.
     """
     if costs is None:
-        costs = ts.default_costs()
+        costs = ts.operator_costs[ts.transitions[:, 1]]
     if len(costs) != len(ts.transitions):
         raise TaskError(f"expected {len(ts.transitions)} transition costs, got {len(costs)}")
     return goal_distances(len(ts.states), ts.transitions, ts.goals, costs)
 
 
-def goal_distances(n: int, transitions, goals, costs) -> list[float]:
+def goal_distances(n: int, transitions: np.ndarray, goals, costs) -> np.ndarray:
     """Distances to the nearest goal over states 0..n-1, given (source, label,
-    target) transitions and one cost each: Dijkstra when no cost is negative,
-    Bellman-Ford otherwise (see `exact_goal_distances`)."""
-    if all(c >= 0 for c in costs):
-        return _dijkstra_to_goal(n, transitions, goals, costs)
-    return _bellman_ford_to_goal(n, transitions, goals, costs)
+    target) transition rows and one cost each: Dijkstra on the reversed graph
+    when no cost is negative, Bellman-Ford otherwise (see
+    `exact_goal_distances`)."""
+    costs = np.asarray(costs, dtype=float)
+    goals = np.asarray(goals, dtype=np.int64)
+    if np.any(costs < 0):
+        return _bellman_ford_to_goal(n, transitions, goals, costs)
+    # Reversed edges target -> source, the cheapest of each parallel group
+    # first; building the CSR matrix directly keeps that one (a COO matrix
+    # would sum parallel edges) and keeps explicit zero costs as edges.
+    key = transitions[:, 2] * n + transitions[:, 0]
+    order = np.lexsort((costs, key))
+    first = order[np.unique(key[order], return_index=True)[1]]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(transitions[first, 2], minlength=n))))
+    graph = csr_matrix((costs[first], transitions[first, 0], indptr), shape=(n, n))
+    return dijkstra(graph, indices=goals, min_only=True)
 
 
-def _dijkstra_to_goal(n, transitions, goals, costs) -> list[float]:
-    reverse: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for (src, _, dst), c in zip(transitions, costs):
-        reverse[dst].append((src, c))
-    dist = [math.inf] * n
-    heap = []
-    for g in goals:
-        dist[g] = 0.0
-        heap.append((0.0, g))
-    heapq.heapify(heap)
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist[u]:
-            continue
-        for v, c in reverse[u]:
-            nd = d + c
-            if nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return dist
-
-
-def _bellman_ford_to_goal(n, transitions, goals, costs) -> list[float]:
-    dist = [math.inf] * n
-    for g in goals:
-        dist[g] = 0.0
-    edges = [(src, dst, c) for (src, _, dst), c in zip(transitions, costs)]
+def _bellman_ford_to_goal(n, transitions, goals, costs) -> np.ndarray:
+    src, dst = transitions[:, 0], transitions[:, 2]
+    dist = np.full(n, math.inf)
+    dist[goals] = 0.0
     for _ in range(max(n - 1, 1)):
-        changed = False
-        for src, dst, c in edges:
-            if dist[dst] < math.inf and c + dist[dst] < dist[src] - RELAX_EPS:
-                dist[src] = c + dist[dst]
-                changed = True
-        if not changed:
+        through = costs + dist[dst]
+        better = through < dist[src] - RELAX_EPS
+        if not better.any():
             break
+        np.minimum.at(dist, src[better], through[better])
     # Any edge still improving feeds off a negative cycle that reaches a goal;
     # everything that can reach such an edge diverges to -inf.
-    tainted = set()
-    for src, dst, c in edges:
-        if dist[dst] < math.inf and c + dist[dst] < dist[src] - RELAX_EPS:
-            tainted.add(src)
-    if tainted:
-        reverse: list[list[int]] = [[] for _ in range(n)]
-        for src, dst, _ in edges:
-            reverse[dst].append(src)
-        stack = list(tainted)
-        while stack:
-            u = stack.pop()
-            for v in reverse[u]:
-                if v not in tainted:
-                    tainted.add(v)
-                    stack.append(v)
-        for u in tainted:
-            dist[u] = -math.inf
+    tainted = np.zeros(n, dtype=bool)
+    tainted[src[costs + dist[dst] < dist[src] - RELAX_EPS]] = True
+    while (grow := tainted[dst] & ~tainted[src]).any():
+        tainted[src[grow]] = True
+    dist[tainted] = -math.inf
     return dist
 
 

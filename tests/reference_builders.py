@@ -40,7 +40,7 @@ from potplan.elimination import (DependencyGraph, OrderingError, ScopedFunction,
 from potplan.features import Feature, FeatureError, pinned_features
 from potplan.lp import ZERO, LinearExpression, LpModel, Row
 from potplan.search import NoPlanError, SearchResult, tiebreak_key
-from potplan.task import is_applicable, iter_states, state_index, successor
+from potplan.task import RELAX_EPS, is_applicable, iter_states, state_index, successor
 
 
 @dataclass
@@ -119,16 +119,17 @@ def reference_projection(ts, pattern):
     pattern = tuple(sorted(pattern))
     doms = tuple(ts.domain_sizes[v] for v in pattern)
     abstract_states = tuple(itertools.product(*(range(d) for d in doms)))
+    states = ts.states.tolist()
 
     def amap(state_index):
-        state = ts.states[state_index]
+        state = states[state_index]
         index = 0
         for var, dom in zip(pattern, doms):
             index = index * dom + state[var]
         return index
 
-    transitions = [(amap(src), op, amap(dst)) for src, op, dst in ts.transitions]
-    goals = {amap(g) for g in ts.goals}
+    transitions = [(amap(src), op, amap(dst)) for src, op, dst in ts.transitions.tolist()]
+    goals = {amap(g) for g in ts.goals.tolist()}
     assert len(goals) == 1
     return pattern, doms, abstract_states, transitions, amap(ts.initial), goals.pop()
 
@@ -551,6 +552,34 @@ def reference_successors(task, state):
     operator order."""
     return [(op_id, successor(state, op), op.cost)
             for op_id, op in enumerate(task.operators) if is_applicable(op, state)]
+
+
+def reference_goal_distances(n, transitions, goals, costs):
+    """Bellman-Ford over (source, label, target) transitions, relaxing one
+    transition at a time, then -inf for every state that reaches a
+    transition still improving (a negative cycle that reaches a goal)."""
+    dist = [math.inf] * n
+    for g in goals:
+        dist[g] = 0.0
+    edges = [(src, dst, c) for (src, _, dst), c in zip(transitions, costs)]
+    for _ in range(max(n - 1, 1)):
+        changed = False
+        for src, dst, c in edges:
+            if dist[dst] < math.inf and c + dist[dst] < dist[src] - RELAX_EPS:
+                dist[src] = c + dist[dst]
+                changed = True
+        if not changed:
+            break
+    tainted = {src for src, dst, c in edges
+               if dist[dst] < math.inf and c + dist[dst] < dist[src] - RELAX_EPS}
+    stack = list(tainted)
+    while stack:
+        u = stack.pop()
+        for src, dst, _ in edges:
+            if dst == u and src not in tainted:
+                tainted.add(src)
+                stack.append(src)
+    return [-math.inf if u in tainted else d for u, d in enumerate(dist)]
 
 
 def reference_transitions(task):

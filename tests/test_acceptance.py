@@ -146,7 +146,7 @@ def test_criterion_6_tcp_equivalence_and_dominance():
             finite = [i for i, d in enumerate(distances) if d < math.inf]
             rng = random.Random(f"criterion6:{seed}")
             states = [task.initial_state] + [
-                ts.states[finite[rng.randrange(len(finite))]] for _ in range(3)]
+                tuple(ts.states[finite[rng.randrange(len(finite))]].tolist()) for _ in range(3)]
             for state in states:
                 pot = solve_for_state(task, fs, state).value
                 tcp = solve(build_tcp_lp(ts, patterns, state).model) \

@@ -7,7 +7,7 @@ import pytest
 
 import potplan
 from potplan.cli import main
-from potplan.task import parse_sas
+from potplan.task import Task, parse_sas, serialize_sas
 from potplan.tnf import is_tnf
 
 from test_task import TOY1_SAS
@@ -400,6 +400,34 @@ def test_gen_round_trip(capsys, tmp_path):
     task = parse_sas(out_path.read_text())
     assert len(task.variables) == 3 and len(task.operators) == 5
     assert is_tnf(task)
+
+
+@pytest.mark.parametrize("argv", [("--vars", "0"), ("--vars", "-2"), ("--ops", "-1")])
+def test_gen_rejects_bad_counts(capsys, argv):
+    code, out, err = run_cli(capsys, "gen", *argv)
+    assert code == 2 and out == "" and err.startswith(f"usage error: {argv[0]}")
+
+
+def test_gen_without_operators(capsys):
+    code, out, _ = run_cli(capsys, "gen", "--ops", "0", "--allow-unsolvable")
+    assert code == 0 and parse_sas(out).operators == []
+
+
+def test_task_without_variables(capsys, tmp_path):
+    """One state, the empty one, which is the goal: every heuristic value and
+    optimum is 0."""
+    sas = tmp_path / "empty.sas"
+    sas.write_text(serialize_sas(Task([], [], (), {})))
+    weights = tmp_path / "empty.json"
+    weights.write_text("{}")
+    code, out, _ = run_cli(capsys, "validate", str(sas), "--weights", str(weights))
+    assert code == 0 and json.loads(out) == {"goal_aware": True, "consistent": True,
+                                             "admissible": True, "counterexample": None}
+    code, out, _ = run_cli(capsys, "compare", str(sas))
+    assert code == 0
+    assert out == "state,h_pot1,h_pot2,h_ocp2,h_tcp2,h_star\ninit,0.0,0.0,0.0,0.0,0.0\n"
+    code, out, _ = run_cli(capsys, "solve", "--method", "exhaustive", str(sas))
+    assert code == 0 and json.loads(out)["objective"] == 0.0
 
 
 def test_gen_deterministic(capsys):

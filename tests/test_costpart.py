@@ -17,9 +17,9 @@ from potplan.task import build_transition_system, exact_goal_distances
 def test_project_single_variable(toy1):
     ts = build_transition_system(toy1)
     proj = project(ts, (0,))
-    assert len(proj.abstract_states) == 2
+    assert proj.size == 2
     # one abstract transition per concrete transition, in the same order
-    labels = [(src, op, dst) for src, op, dst in proj.abstract_transitions]
+    labels = [(src, op, dst) for src, op, dst in proj.abstract_transitions.tolist()]
     x_moves = [(s, o, d) for s, o, d in labels if o == 0]
     y_moves = [(s, o, d) for s, o, d in labels if o == 1]
     assert x_moves == [(0, 0, 1), (0, 0, 1)]  # two concrete sources collapse
@@ -29,45 +29,45 @@ def test_project_single_variable(toy1):
 def test_project_full_pattern_is_isomorphic(toy1):
     ts = build_transition_system(toy1)
     proj = project(ts, (0, 1))
-    assert len(proj.abstract_states) == len(ts.states)
-    assert proj.abstract_transitions == ts.transitions
+    assert proj.size == len(ts.states)
+    assert proj.abstract_transitions.tolist() == ts.transitions.tolist()
     assert proj.goal in {i for i in range(4)} and proj.initial == ts.initial
 
 
 def test_project_empty_pattern(toy1):
     ts = build_transition_system(toy1)
     proj = project(ts, ())
-    assert len(proj.abstract_states) == 1
-    assert all(s == d == 0 for s, _, d in proj.abstract_transitions)
+    assert proj.size == 1
+    assert all(s == d == 0 for s, _, d in proj.abstract_transitions.tolist())
 
 
 def test_tcp_all_small_projections(toy1):
     ts = build_transition_system(toy1)
-    built = build_tcp_lp(ts, all_patterns(2, 2), ts.states[ts.initial])
+    built = build_tcp_lp(ts, all_patterns(2, 2), tuple(ts.states[ts.initial].tolist()))
     assert solve(built.model).require_optimal().objective_value == pytest.approx(2.0)
 
 
 def test_tcp_single_projection(toy1):
     ts = build_transition_system(toy1)
-    built = build_tcp_lp(ts, [(0,)], ts.states[ts.initial])
+    built = build_tcp_lp(ts, [(0,)], tuple(ts.states[ts.initial].tolist()))
     assert solve(built.model).require_optimal().objective_value == pytest.approx(1.0)
 
 
 def test_tcp_at_goal_state(toy1):
     ts = build_transition_system(toy1)
-    goal_state = ts.states[next(iter(ts.goals))]
+    goal_state = tuple(ts.states[ts.goals[0]].tolist())
     built = build_tcp_lp(ts, all_patterns(2, 2), goal_state)
     assert solve(built.model).require_optimal().objective_value == pytest.approx(0.0)
 
 
 def test_ocp_values(toy1):
     ts = build_transition_system(toy1)
-    s0 = ts.states[ts.initial]
+    s0 = tuple(ts.states[ts.initial].tolist())
     assert solve(build_ocp_lp(ts, all_patterns(2, 2), s0).model) \
         .require_optimal().objective_value == pytest.approx(2.0)
     assert solve(build_ocp_lp(ts, [(0,), (1,)], s0).model) \
         .require_optimal().objective_value == pytest.approx(2.0)
-    goal_state = ts.states[next(iter(ts.goals))]
+    goal_state = tuple(ts.states[ts.goals[0]].tolist())
     assert solve(build_ocp_lp(ts, all_patterns(2, 2), goal_state).model) \
         .require_optimal().objective_value == pytest.approx(0.0)
 
@@ -76,14 +76,14 @@ def test_validate_partition(toy1):
     ts = build_transition_system(toy1)
     zero = [0.0] * len(ts.transitions)
     assert validate_partition(ts, [zero]) == (True, None)
-    full = [float(ts.operator_costs[op]) for _, op, _ in ts.transitions]
+    full = ts.operator_costs[ts.transitions[:, 1]].tolist()
     ok, first = validate_partition(ts, [full, full])
     assert not ok and first == 0
 
 
 def test_validate_partition_of_solved_tcp(toy1):
     ts = build_transition_system(toy1)
-    built = build_tcp_lp(ts, all_patterns(2, 2), ts.states[ts.initial])
+    built = build_tcp_lp(ts, all_patterns(2, 2), tuple(ts.states[ts.initial].tolist()))
     solution = solve(built.model).require_optimal()
     cost_functions = built.extract_cost_functions(ts, solution)
     ok, _ = validate_partition(ts, cost_functions)
@@ -104,8 +104,8 @@ def test_extract_cost_functions(seed, build, cost):
     built = build(ts, patterns, task.initial_state)
     solution = solve(built.model).require_optimal()
     cost_functions = built.extract_cost_functions(ts, solution)
-    assert cost_functions == [
-        [cost(solution.values, ai, *move) for move in proj.abstract_transitions]
+    assert cost_functions.tolist() == [
+        [cost(solution.values, ai, *move) for move in proj.abstract_transitions.tolist()]
         for ai, proj in enumerate(built.projections)]
     assert validate_partition(ts, cost_functions) == (True, None)
 
@@ -124,7 +124,7 @@ def random_finite_states(ts, count, seed):
     distances = exact_goal_distances(ts)
     finite = [i for i, d in enumerate(distances) if d < math.inf]
     rng = random.Random(f"states:{seed}")
-    return [ts.states[finite[rng.randrange(len(finite))]] for _ in range(count)]
+    return [tuple(ts.states[finite[rng.randrange(len(finite))]].tolist()) for _ in range(count)]
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -196,5 +196,5 @@ def test_shift_normalization(seed):
     before = evaluate_potential(fs, result.weights, task.initial_state)
     after = evaluate_potential(fs, shifted, task.initial_state)
     assert after >= before - 1e-9
-    goal_state = ts.states[next(iter(ts.goals))]
+    goal_state = tuple(ts.states[ts.goals[0]].tolist())
     assert evaluate_potential(fs, shifted, goal_state) == pytest.approx(0.0, abs=1e-9)

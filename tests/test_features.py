@@ -149,8 +149,9 @@ def test_irrelevant_features_never_change(seed):
     fs = random_features(task, 10, 2, seed)
     ts = build_transition_system(task)
     partitions = [classify_features(fs, op) for op in task.operators]
-    for src, op_id, _ in ts.transitions:
-        state = ts.states[src]
+    states = list(map(tuple, ts.states.tolist()))
+    for src, op_id, _ in ts.transitions.tolist():
+        state = states[src]
         for i in partitions[op_id].irrelevant:
             assert delta(task.operators[op_id], fs.features[i], state) == 0
 
@@ -164,7 +165,7 @@ def test_context_independent_delta_is_constant(seed):
         part = classify_features(fs, op)
         for i in part.context_independent:
             expected = delta_independent(op, fs.features[i])
-            for s in ts.states:
+            for s in map(tuple, ts.states.tolist()):
                 if is_applicable(op, s):
                     assert delta(op, fs.features[i], s) == expected
 
@@ -177,9 +178,10 @@ def test_potential_difference_is_weighted_delta_sum(seed):
     rng = rnd.Random(seed)
     w = WeightFunction([round(rng.uniform(-5, 5), 3) for _ in range(len(fs))])
     ts = build_transition_system(task)
-    for src, op_id, dst in ts.transitions:
+    states = list(map(tuple, ts.states.tolist()))
+    for src, op_id, dst in ts.transitions.tolist():
         op = task.operators[op_id]
-        s, t = ts.states[src], ts.states[dst]
+        s, t = states[src], states[dst]
         lhs = evaluate_potential(fs, w, s) - evaluate_potential(fs, w, t)
         rhs = sum(w[i] * delta(op, f, s) for i, f in enumerate(fs.features))
         assert lhs == pytest.approx(rhs, abs=1e-9)

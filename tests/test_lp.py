@@ -503,9 +503,10 @@ def test_compare_models_warm_equal_cold(name):
     ends included, has the status and optimum of a fresh build per state."""
     task = TASKS[name]()
     ts = build_transition_system(task)
-    warm = _compare_models(task, ts, ts.states[0])
+    states = list(map(tuple, ts.states.tolist()))
+    warm = _compare_models(task, ts, states[0])
     statuses = set()
-    for state in ts.states:
+    for state in states:
         cold = _compare_models(task, ts, state)
         for model, fresh in zip(warm, cold):
             model.set_objective(fresh.objective_sense, fresh.objective)

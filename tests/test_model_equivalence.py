@@ -57,7 +57,7 @@ def pattern_sets(task):
 
 
 def states_of(ts):
-    return [ts.states[ts.initial], ts.states[len(ts.states) // 2]]
+    return [tuple(ts.states[i].tolist()) for i in (ts.initial, len(ts.states) // 2)]
 
 
 @pytest.mark.parametrize("name", sorted(TASKS))
@@ -65,11 +65,11 @@ def test_projection_matches_reference(name):
     ts = build_transition_system(TASKS[name]())
     for pattern in pattern_sets(TASKS[name]())[0] + [()]:
         proj = project(ts, pattern)
-        assert (proj.pattern, proj.domain_sizes, proj.abstract_states,
-                proj.abstract_transitions, proj.initial, proj.goal) == \
-            reference_projection(ts, pattern)
-        assert [proj.state_map[i] for i in range(len(ts.states))] == \
-            [proj.map_state(s) for s in ts.states]
+        expected = reference_projection(ts, pattern)
+        assert (proj.pattern, proj.domain_sizes, proj.size,
+                list(map(tuple, proj.abstract_transitions.tolist())), proj.initial, proj.goal) \
+            == (*expected[:2], len(expected[2]), *expected[3:])
+        assert proj.state_map.tolist() == [proj.map_state(s) for s in ts.states.tolist()]
 
 
 @pytest.mark.parametrize("name", sorted(TASKS))
@@ -93,7 +93,8 @@ def test_eliminated_tcp_matches_full_model(name):
     pattern, which sees the dead end, unbounded."""
     task = TASKS[name]()
     ts = build_transition_system(task)
-    dead_ends = [ts.states[i] for i, d in enumerate(exact_goal_distances(ts)) if d == math.inf]
+    dead_ends = [tuple(s) for s, d in zip(ts.states.tolist(), exact_goal_distances(ts).tolist())
+                 if d == math.inf]
     for patterns in pattern_sets(task):
         for state in states_of(ts) + dead_ends[:1]:
             built = build_tcp_lp(ts, patterns, state)
@@ -130,10 +131,10 @@ def test_instances_cover_self_loops_and_duplicates():
     abstract_loops = repeated = concrete_loops = dead_ends = 0
     for make in TASKS.values():
         ts = build_transition_system(make())
-        concrete_loops += sum(src == dst for src, _, dst in ts.transitions)
+        concrete_loops += sum(src == dst for src, _, dst in ts.transitions.tolist())
         dead_ends += math.inf in exact_goal_distances(ts)
         for pattern in all_patterns(len(ts.domain_sizes), 2):
-            moves = project(ts, pattern).abstract_transitions
+            moves = list(map(tuple, project(ts, pattern).abstract_transitions.tolist()))
             abstract_loops += sum(s == d for s, _, d in moves)
             repeated += len(moves) - len(set(moves))
     assert abstract_loops and repeated and concrete_loops and dead_ends

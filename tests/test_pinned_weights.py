@@ -111,7 +111,7 @@ def objectives(task, fs, ts):
     through the state list.  At a dead end the optimum is set by the ±1e8
     bound, which pinning changes, not by the task."""
     distances = exact_goal_distances(ts)
-    solvable = [s for s, d in zip(ts.states, distances) if d < math.inf]
+    solvable = [tuple(s) for s, d in zip(ts.states.tolist(), distances) if d < math.inf]
     return [state_objective(fs, task.initial_state),
             state_objective(fs, solvable[len(solvable) // 2])]
 

@@ -58,7 +58,7 @@ def test_reduction_single_vertex():
     red = reduce_3col(empty_graph(1))
     assert red.weights[red.master_feature] == -1.0
     ts = build_transition_system(red.task)
-    for s in ts.states:
+    for s in map(tuple, ts.states.tolist()):
         if s[red.master_var] == 1:
             assert phi_of_state(red, s) == -1.0
     # vacuously colorable, so the potential must be inconsistent
@@ -69,7 +69,7 @@ def test_reduction_single_vertex():
 def test_phi_trichotomy_k4():
     red = reduce_3col(complete_graph(4))
     ts = build_transition_system(red.task)
-    for s in ts.states:
+    for s in map(tuple, ts.states.tolist()):
         value = phi_of_state(red, s)
         if s[red.master_var] == 0:
             assert value == 0.0
@@ -94,7 +94,7 @@ def test_proper_coloring_value_k3():
 def test_nothing_applicable_after_switch():
     red = reduce_3col(complete_graph(3))
     ts = build_transition_system(red.task)
-    for s in ts.states:
+    for s in map(tuple, ts.states.tolist()):
         if s[red.master_var] == 1:
             assert not any(is_applicable(op, s) for op in red.task.operators)
 

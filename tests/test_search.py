@@ -87,7 +87,7 @@ def test_potential_heuristic_indexing(toy1):
     from potplan.features import evaluate_potential
     fast = PotentialHeuristic(toy1, fs, weights)
     ts = build_transition_system(toy1)
-    for s in ts.states:
+    for s in map(tuple, ts.states.tolist()):
         assert fast(s) == pytest.approx(evaluate_potential(fs, weights, s), abs=1e-12)
 
 

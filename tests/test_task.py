@@ -1,15 +1,17 @@
 import math
 
+import numpy as np
 import pytest
 
 from potplan.generator import random_task
 from potplan.task import (NotApplicableError, SasParseError, StateSpaceTooLargeError,
-                          SuccessorGenerator, UnsupportedFeatureError,
-                          build_transition_system, exact_goal_distances, is_applicable,
-                          iter_states, parse_sas, serialize_sas, successor)
+                          SuccessorGenerator, Task, UnsupportedFeatureError,
+                          build_transition_system, exact_goal_distances, goal_distances,
+                          is_applicable, iter_states, parse_sas, serialize_sas, successor)
 
 from conftest import make_mixed_preconditions, make_toy1
-from reference_builders import reference_successors, reference_transitions
+from reference_builders import (reference_goal_distances, reference_successors,
+                                reference_transitions)
 
 TOY1_SAS = """\
 begin_version
@@ -124,16 +126,16 @@ def test_successor(toy1):
 def test_transition_system_toy1(toy1):
     ts = build_transition_system(toy1, 10 ** 6)
     assert len(ts.states) == 4
-    by_state = {s: i for i, s in enumerate(ts.states)}
+    by_state = {tuple(s): i for i, s in enumerate(ts.states.tolist())}
     expected = {
         (by_state[(0, 0)], 0, by_state[(1, 0)]),
         (by_state[(0, 0)], 1, by_state[(0, 1)]),
         (by_state[(0, 1)], 0, by_state[(1, 1)]),
         (by_state[(1, 0)], 1, by_state[(1, 1)]),
     }
-    assert set(ts.transitions) == expected
+    assert set(map(tuple, ts.transitions.tolist())) == expected
     assert len(ts.transitions) == 4
-    assert ts.goals == {by_state[(1, 1)]}
+    assert ts.goals.tolist() == [by_state[(1, 1)]]
 
 
 def test_transition_system_cap(toy1):
@@ -153,14 +155,15 @@ def test_transition_system_k4_reduction_size():
 def test_transition_soundness(seed):
     task = random_task(3, 3, 5, seed, solvable=False)
     ts = build_transition_system(task)
-    for src, op_id, dst in ts.transitions:
+    states = list(map(tuple, ts.states.tolist()))
+    for src, op_id, dst in ts.transitions.tolist():
         op = task.operators[op_id]
-        assert is_applicable(op, ts.states[src])
-        assert successor(ts.states[src], op) == ts.states[dst]
+        assert is_applicable(op, states[src])
+        assert successor(states[src], op) == states[dst]
     # every applicable pair appears exactly once
-    count = sum(1 for s in ts.states for op in task.operators if is_applicable(op, s))
+    count = sum(1 for s in states for op in task.operators if is_applicable(op, s))
     assert count == len(ts.transitions) == len(set(
-        (src, op) for src, op, _ in ts.transitions))
+        (src, op) for src, op, _ in ts.transitions.tolist()))
 
 
 GENERATOR_TASKS = {
@@ -179,13 +182,23 @@ def test_successor_generator_matches_operator_scan(name):
     successors = SuccessorGenerator(task)
     for state in iter_states(task.domain_sizes):
         assert successors(state) == reference_successors(task, state)
-    assert build_transition_system(task).transitions == reference_transitions(task)
+    transitions = build_transition_system(task).transitions.tolist()
+    assert list(map(tuple, transitions)) == reference_transitions(task)
+
+
+def test_transition_system_without_variables():
+    """A task without variables has one state, the empty one, and it is a goal."""
+    ts = build_transition_system(Task([], [], (), {}))
+    assert ts.states.shape == (1, 0)
+    assert ts.transitions.shape == (0, 3)
+    assert ts.goals.tolist() == [0] and ts.initial == 0
+    assert exact_goal_distances(ts).tolist() == [0.0]
 
 
 def test_goal_distances_toy1(toy1):
     ts = build_transition_system(toy1)
     dist = exact_goal_distances(ts)
-    by_state = {s: i for i, s in enumerate(ts.states)}
+    by_state = {tuple(s): i for i, s in enumerate(ts.states.tolist())}
     assert dist[by_state[(0, 0)]] == 2
     assert dist[by_state[(1, 0)]] == 1
     assert dist[by_state[(0, 1)]] == 1
@@ -198,17 +211,44 @@ def test_goal_distances_zero_costs(toy1):
     assert all(d == 0.0 for d in dist)
 
 
+def test_goal_distances_parallel_and_zero_cost_transitions():
+    """Of parallel transitions only the cheapest counts (they are not summed)
+    and zero-cost transitions are edges like any other."""
+    transitions = np.array([[0, 0, 1], [0, 1, 1], [0, 2, 1], [1, 0, 2], [1, 2, 3],
+                            [2, 0, 2], [2, 1, 3], [4, 0, 4]])
+    costs = np.array([5.0, 2.0, 7.0, 0.0, 4.0, 0.0, 0.0, 1.0])
+    expected = [2.0, 0.0, 0.0, 0.0, math.inf]
+    assert goal_distances(5, transitions, [3], costs).tolist() == expected
+    assert reference_goal_distances(5, transitions.tolist(), [3], costs.tolist()) == expected
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("tnf", [True, False])
+def test_goal_distances_match_reference(seed, tnf):
+    """Dijkstra under the operator costs, Bellman-Ford under integer costs
+    from -1 to 3 (negative cycles included).  Costs 0..2 make zero-cost
+    transitions common; outside TNF, operators with the same effect give
+    parallel transitions of different cost."""
+    task = random_task(4, 3, 8, seed, tnf=tnf, solvable=False, max_cost=2)
+    ts = build_transition_system(task)
+    rows = ts.transitions.tolist()
+    for costs in (ts.operator_costs[ts.transitions[:, 1]],
+                  np.random.default_rng(seed).integers(-1, 4, len(rows)).astype(float)):
+        assert exact_goal_distances(ts, costs).tolist() == reference_goal_distances(
+            len(ts.states), rows, ts.goals.tolist(), costs.tolist())
+
+
 def test_goal_distances_negative_cycle(toy1):
     # reuse the 4-state system: make the two oX/oY transitions out of (0,0)
     # and back impossible; instead craft costs with a negative 2-cycle by
     # rewiring through a dedicated tiny system
     from potplan.task import TransitionSystem
     ts = TransitionSystem(
-        states=((0,), (1,)),
-        transitions=[(0, 0, 1), (1, 0, 0), (1, 1, 1)],  # a->b, b->a, b->goal loop
+        states=np.array([[0], [1]]),
+        transitions=np.array([[0, 0, 1], [1, 0, 0], [1, 1, 1]]),  # a->b, b->a, b->goal loop
         initial=0,
-        goals=frozenset({1}),
-        operator_costs=(0, 0),
+        goals=np.array([1]),
+        operator_costs=np.array([0.0, 0.0]),
         domain_sizes=(2,),
     )
     dist = exact_goal_distances(ts, [-1.0, -1.0, 0.0])
@@ -218,15 +258,15 @@ def test_goal_distances_negative_cycle(toy1):
 def test_goal_distances_unreachable():
     from potplan.task import TransitionSystem
     ts = TransitionSystem(
-        states=((0,), (1,), (2,)),
-        transitions=[(0, 0, 1)],
+        states=np.array([[0], [1], [2]]),
+        transitions=np.array([[0, 0, 1]]),
         initial=0,
-        goals=frozenset({1}),
-        operator_costs=(1,),
+        goals=np.array([1]),
+        operator_costs=np.array([1.0]),
         domain_sizes=(3,),
     )
     dist = exact_goal_distances(ts)
-    assert dist == [1.0, 0.0, math.inf]
+    assert dist.tolist() == [1.0, 0.0, math.inf]
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -235,8 +275,8 @@ def test_bellman_condition(seed):
     ts = build_transition_system(task)
     dist = exact_goal_distances(ts)
     outgoing = {}
-    for (src, op_id, dst), c in zip(ts.transitions, ts.default_costs()):
-        outgoing.setdefault(src, []).append(c + dist[dst])
+    for src, op_id, dst in ts.transitions.tolist():
+        outgoing.setdefault(src, []).append(ts.operator_costs[op_id] + dist[dst])
     for si, d in enumerate(dist):
         if si in ts.goals:
             assert d == 0.0

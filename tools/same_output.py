@@ -12,7 +12,9 @@ direct HiGHS sessions) records no digests; its calls are then compared by
 stdout and exit code only.
 
 The inputs are written once, with BEFORE_TREE, into a temporary directory:
-`gen --seed 0..11` (whose printed tasks are compared too), and
+`gen --seed 0..11` (whose printed tasks are compared too, as are those of
+`gen --general --seed 0..5`, whose solvability check builds transition
+systems outside transition normal form), and
 `random_task(4, 3, 6, seed)` with `random_features(task, 10, dim, seed)` for
 seeds 0..5 and dimensions 1-4 as feature files, plus four `--order` files (at
 dimension 3 one that reverses every operator's min-fill order, one that gives
@@ -20,7 +22,12 @@ every other operator a seeded random order and leaves the rest to min-fill,
 and one missing a variable; at dimension 2 one that gives an operator with
 two context variables an order other than min-fill's, so that the lockstep
 pass eliminates it instead of the width-0 pass) and the weights that `solve
---method exhaustive` prints for each random task, which `validate` reads back.
+--method exhaustive` prints for each random task, which `validate` reads back
+as they are, raised by 1 in every state (consistent, not goal-aware) and
+tripled (inconsistent, so the witness names an operator).  A unit-cost
+chain whose weights overshoot the goal distances by a little more at each
+step, within the 1e-6 tolerance per transition but not over the chain, adds
+a `validate` whose only failure, and witness, is admissibility.
 `random_task(4, 4, 8, seed)` for seeds 0, 15 and 34 (96 to 192 states) adds
 `compare --state random:3`.  A three-variable task with a domain-1 variable,
 two features and an `--order` file under which that variable's unknown
@@ -49,6 +56,7 @@ import tempfile
 import numpy as np
 
 GEN_SEEDS = range(12)
+GENERAL_SEEDS = range(6)  # also `gen --general`
 RANDOM_SEEDS = range(6)
 COMPARE_SEEDS = (0, 15, 34)  # 96, 128 and 192 states
 CANCELLING_TASK = (6, 2, 16, 26)  # random_task arguments; prints objective 25.0
@@ -93,6 +101,8 @@ def prepare(tree: str, workdir: str, extra: list[str]) -> None:
         with contextlib.redirect_stdout(io.StringIO()):
             potplan.cli.main(["gen", "--seed", str(seed), "-o", sas])
         calls.append(["gen", "--seed", str(seed)])
+        if seed in GENERAL_SEEDS:
+            calls.append(["gen", "--general", "--seed", str(seed)])
         calls += [["search", sas, "--heuristic", h] for h in ("pot1", "pot2")]
         calls.append(["compare", sas, "--state", "random:2", "--format", "json"])
         calls += [["solve", "--method", m, "--dim", d, sas]
@@ -107,10 +117,18 @@ def prepare(tree: str, workdir: str, extra: list[str]) -> None:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             potplan.cli.main(exhaustive[0])
-        weights = _write(f"random{seed}.weights.json",
-                         json.dumps(json.loads(out.getvalue())["weights"]))
-        calls += [["validate", sas, "--weights", weights], ["compare", sas],
-                  ["search", sas, "--heuristic", "blind"]]
+        solved = json.loads(out.getvalue())["weights"]
+        weights = _write(f"random{seed}.weights.json", json.dumps(solved))
+        # +1 on every value of the first variable: +1 in every state
+        raised = dict(solved)
+        for val in range(task.variables[0].domain_size):
+            atom = format_feature(task, Feature(((0, val),)))
+            raised[atom] = raised.get(atom, 0.0) + 1.0
+        tripled = {text: 3 * weight for text, weight in solved.items()}
+        calls += [["validate", sas, "--weights", path] for path in (
+            weights, _write(f"random{seed}.raised.json", json.dumps(raised)),
+            _write(f"random{seed}.tripled.json", json.dumps(tripled)))]
+        calls += [["compare", sas], ["search", sas, "--heuristic", "blind"]]
         for dim in (1, 2, 3, 4):
             fs = random_features(task, 10, dim, seed)
             features = _write(f"random{seed}_dim{dim}.features",
@@ -160,6 +178,15 @@ def prepare(tree: str, workdir: str, extra: list[str]) -> None:
     base = ["--method", "bucket", "--dim", "3", "--features", features,
             "--order", "alias_order.json", sas]
     calls += [["lp", *base], ["solve", *base]]
+    # h* = 3, 2, 1, 0 along a unit-cost chain; each weight overshoots h* by
+    # 0.5e-6 more than the next, within the 1e-6 tolerance per transition
+    # and at the goal, but not over the whole chain
+    chain = Task([Variable(0, "x", 4, ("0", "1", "2", "3"))],
+                 [Operator(f"inc{k}", {0: k}, {0: k + 1}, 1) for k in range(3)], (0,), {0: 3})
+    sas = _write("chain.sas", serialize_sas(chain))
+    weights = _write("chain.weights.json", json.dumps(
+        {f"x={k}": 3 - k + (4 - k) * 0.5e-6 for k in range(4)}))
+    calls.append(["validate", sas, "--weights", weights])
     sas = _write("cancelling.sas", serialize_sas(random_task(*CANCELLING_TASK)))
     calls += [["solve", "--method", m, "--dim", "2", sas] for m in ("direct2d", "bucket")]
     calls.append(["lp", "--dim", "2", sas])
