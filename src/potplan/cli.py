@@ -327,6 +327,8 @@ def cmd_reduce3col(args) -> int:
 def cmd_gen(args) -> int:
     if args.vars < 1:
         raise CliUsageError(f"--vars needs a positive count, not {args.vars}")
+    if args.dom < 2:
+        raise CliUsageError(f"--dom needs at least 2 values, not {args.dom}")
     if args.ops < 0:
         raise CliUsageError(f"--ops must not be negative, not {args.ops}")
     task = generator.random_task(args.vars, args.dom, args.ops, args.seed,

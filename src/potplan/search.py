@@ -14,7 +14,7 @@ import numpy as np
 
 from .features import FeatureSet, WeightFunction
 from .task import (DEFAULT_STATE_CAP, State, SuccessorGenerator, Task,
-                   build_transition_system, exact_goal_distances)
+                   build_transition_system, exact_goal_distances, state_index)
 
 VALIDATION_TOL = 1e-6
 
@@ -87,50 +87,59 @@ def blind(_state: State) -> float:
 def astar(task: Task, heuristic: Callable[[State], float]) -> SearchResult:
     """A* with duplicate detection and reopening.  With an admissible
     heuristic the returned cost is optimal.  Expansions whose f value equals
-    the final plan cost form the last f-layer and are counted separately."""
+    the final plan cost form the last f-layer and are counted separately.
+
+    States are keyed by their `state_index`; a successor's index is the
+    expanded state's plus the operator's shift, so its values are built,
+    and its heuristic value computed, only when it is first generated."""
     start = time.perf_counter()
     counter = itertools.count()
-    h_cache: dict[State, float] = {}
     successors = SuccessorGenerator(task)
-
-    def h(state: State) -> float:
-        value = h_cache.get(state)
-        if value is None:
-            value = h_cache[state] = heuristic(state)
-        return value
-
     s0 = task.initial_state
-    g_best: dict[State, float] = {s0: 0.0}
-    open_list: list[tuple[float, float, int, State]] = []
-    h0 = h(s0)
-    heapq.heappush(open_list, (*tiebreak_key(h0, h0, next(counter)), s0))
-    parent: dict[State, tuple[State, int]] = {}
+    i0, h0 = state_index(s0, task.domain_sizes), heuristic(s0)
+    # index -> values and heuristic value of every generated state
+    states: dict[int, State] = {i0: s0}
+    h_values: dict[int, float] = {i0: h0}
+    g_best: dict[int, float] = {i0: 0.0}
+    parent: dict[int, tuple[int, int]] = {}
+    open_list: list[tuple[float, float, int, int]] = []
+    heapq.heappush(open_list, (*tiebreak_key(h0, h0, next(counter)), i0))
     expansions = 0
     expansion_f: list[float] = []
+    inf = math.inf
 
     while open_list:
-        f, h_state, _, state = heapq.heappop(open_list)
-        g = g_best[state]
+        f, h_state, _, index = heapq.heappop(open_list)
+        g = g_best[index]
         if f - h_state > g + 1e-12:
             continue  # stale entry, a better path has been found since
+        state = states[index]
         if task.is_goal_state(state):
             plan: list[int] = []
-            cursor = state
-            while cursor in parent:
-                cursor, op_id = parent[cursor]
+            while index in parent:
+                index, op_id = parent[index]
                 plan.append(op_id)
             plan.reverse()
             before_last = sum(1 for fv in expansion_f if fv < g - 1e-9)
             return SearchResult(plan, g, expansions, before_last,
-                                len(h_cache), time.perf_counter() - start)
+                                len(h_values), time.perf_counter() - start)
         expansions += 1
         expansion_f.append(f)
-        for op_id, succ, cost in successors(state):
+        for op_id, shift, free, eff, cost in successors.applicable(state):
+            succ = index + shift
+            for var, val, stride in free:
+                succ += (val - state[var]) * stride
             g2 = g + cost
-            if g2 < g_best.get(succ, math.inf) - 1e-12:
+            if g2 < g_best.get(succ, inf) - 1e-12:
                 g_best[succ] = g2
-                parent[succ] = (state, op_id)
-                h_succ = h(succ)
+                parent[succ] = (index, op_id)
+                h_succ = h_values.get(succ)
+                if h_succ is None:  # first generated
+                    values = list(state)
+                    for var, val in eff:
+                        values[var] = val
+                    states[succ] = values = tuple(values)
+                    h_succ = h_values[succ] = heuristic(values)
                 heapq.heappush(open_list,
                                (*tiebreak_key(g2 + h_succ, h_succ, next(counter)), succ))
     raise NoPlanError("goal is unreachable from the initial state")

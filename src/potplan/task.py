@@ -121,7 +121,10 @@ class Task:
         return math.prod(self.domain_sizes)
 
     def is_goal_state(self, state: State) -> bool:
-        return all(state[var] == val for var, val in self.goal.items())
+        for var, val in self.goal.items():
+            if state[var] != val:
+                return False
+        return True
 
 
 @dataclass
@@ -165,39 +168,66 @@ class SuccessorGenerator:
     A state therefore looks only at the operators filed under one of its own
     facts and checks just the rest of their preconditions, instead of testing
     every operator.  Built once per task; the task must not change after.
+
+    Each operator also carries its index shift, how far it moves
+    `state_index`: Σ (eff − pre)·stride over the effect variables with a
+    precondition, a constant, plus (val − state[var])·stride for each effect
+    variable without one (none in transition normal form).
     """
 
     def __init__(self, task: Task):
-        # one entry per operator: (id, remaining precondition, effect, cost)
+        # Per fact, the operators filed under it: the entries of those whose
+        # precondition has no other fact, which need no check, and (rest of
+        # the precondition, entry) for the others.  An entry is (id, shift,
+        # (variable, value, stride) of the effects without precondition,
+        # effect, cost).
         self._unconditional: list[tuple] = []
-        self._by_fact: list[list[list[tuple]]] = [
-            [[] for _ in range(var.domain_size)] for var in task.variables]
+        self._by_fact: list[list[tuple[list, list]]] = [
+            [([], []) for _ in range(var.domain_size)] for var in task.variables]
+        place = strides(task.domain_sizes)
         for op_id, op in enumerate(task.operators):
+            shift = sum((val - op.pre[var]) * place[var]
+                        for var, val in op.eff.items() if var in op.pre)
+            free = tuple((var, val, place[var])
+                         for var, val in op.eff.items() if var not in op.pre)
+            entry = (op_id, shift, free, tuple(op.eff.items()), op.cost)
             pre = sorted(op.pre.items())
-            entry = (op_id, tuple(pre[1:]), tuple(op.eff.items()), op.cost)
-            if pre:
-                var, val = pre[0]
-                self._by_fact[var][val].append(entry)
-            else:
+            if not pre:
                 self._unconditional.append(entry)
+                continue
+            (var, val), rest = pre[0], tuple(pre[1:])
+            unchecked, checked = self._by_fact[var][val]
+            if rest:
+                checked.append((rest, entry))
+            else:
+                unchecked.append(entry)
+
+    def applicable(self, state: State) -> list[tuple]:
+        """(operator id, shift, (variable, value, stride) of the effects
+        without precondition, effect, cost) of every operator applicable in
+        state, in increasing operator id."""
+        result = list(self._unconditional)
+        for by_value, value in zip(self._by_fact, state):
+            unchecked, checked = by_value[value]
+            result += unchecked
+            for rest, entry in checked:
+                for var, val in rest:
+                    if state[var] != val:
+                        break
+                else:
+                    result.append(entry)
+        result.sort()  # operator ids are distinct: only they are compared
+        return result
 
     def __call__(self, state: State) -> list[tuple[int, State, int]]:
         """(operator id, successor, cost) of every operator applicable in
         state, in increasing operator id."""
-        candidates = list(self._unconditional)
-        for by_value, val in zip(self._by_fact, state):
-            candidates += by_value[val]
         result = []
-        for op_id, rest, eff, cost in candidates:
-            for var, val in rest:
-                if state[var] != val:
-                    break
-            else:
-                succ = list(state)
-                for var, val in eff:
-                    succ[var] = val
-                result.append((op_id, tuple(succ), cost))
-        result.sort()  # operator ids are distinct: only they are compared
+        for op_id, _, _, eff, cost in self.applicable(state):
+            succ = list(state)
+            for var, val in eff:
+                succ[var] = val
+            result.append((op_id, tuple(succ), cost))
         return result
 
 

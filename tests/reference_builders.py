@@ -591,9 +591,10 @@ def reference_transitions(task):
             for op_id, t, _ in reference_successors(task, s)]
 
 
-def reference_astar(task, heuristic):
+def reference_astar(task, heuristic, reopened=None):
     """A* that scans every operator of the task at each expansion; the
-    wall time of the result is 0."""
+    wall time of the result is 0.  If `reopened` is a list, every state whose
+    g improves after it was first generated is appended to it."""
     counter = itertools.count()
     h_cache = {}
 
@@ -632,6 +633,8 @@ def reference_astar(task, heuristic):
             succ = successor(state, op)
             g2 = g + op.cost
             if g2 < g_best.get(succ, math.inf) - 1e-12:
+                if reopened is not None and succ in g_best:
+                    reopened.append(succ)
                 g_best[succ] = g2
                 parent[succ] = (state, op_id)
                 heapq.heappush(open_list,

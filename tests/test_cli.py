@@ -402,7 +402,8 @@ def test_gen_round_trip(capsys, tmp_path):
     assert is_tnf(task)
 
 
-@pytest.mark.parametrize("argv", [("--vars", "0"), ("--vars", "-2"), ("--ops", "-1")])
+@pytest.mark.parametrize("argv", [("--vars", "0"), ("--vars", "-2"), ("--ops", "-1"),
+                                  ("--dom", "1"), ("--dom", "-5")])
 def test_gen_rejects_bad_counts(capsys, argv):
     code, out, err = run_cli(capsys, "gen", *argv)
     assert code == 2 and out == "" and err.startswith(f"usage error: {argv[0]}")

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from potplan.direct2d import solve_for_state
@@ -143,3 +145,47 @@ def test_astar_matches_operator_scan_mixed_preconditions():
     for heuristic in (blind, goal_count):
         assert _search_summary(astar(task, heuristic)) == \
             _search_summary(reference_astar(task, heuristic))
+
+
+def _same_search(task, heuristic, reopened=None):
+    """astar and reference_astar agree on the whole summary, or both find
+    no plan."""
+    try:
+        expected = _search_summary(reference_astar(task, heuristic, reopened))
+    except NoPlanError:
+        with pytest.raises(NoPlanError):
+            astar(task, heuristic)
+        return
+    assert _search_summary(astar(task, heuristic)) == expected
+
+
+@pytest.mark.parametrize("seed", [0, 3, 4, 5, 6, 7])
+def test_astar_matches_operator_scan_when_reopening(seed):
+    """A seeded random heuristic, inconsistent, under which some state's g
+    improves after it was generated (its values and h already known)."""
+    task = random_task(6, 3, 20, seed)
+
+    def noisy(state):
+        return random.Random(f"{seed}:{state}").uniform(0, 30)
+
+    reopened = []
+    _same_search(task, noisy, reopened)
+    assert reopened
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_astar_matches_operator_scan_outside_tnf(seed):
+    task = random_task(4, 3, 6, seed, tnf=False, solvable=False)
+
+    def goal_count(state):
+        return float(sum(state[var] != val for var, val in task.goal.items()))
+
+    for heuristic in (blind, goal_count):
+        _same_search(task, heuristic)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_blind_astar_matches_operator_scan_on_long_searches(seed):
+    """712 to 5,843 expansions; with h = 0 every tie in g is broken
+    first-in first-out, so the order of generation decides the expansions."""
+    _same_search(random_task(9, 4, 60, seed), blind)

@@ -7,7 +7,8 @@ from potplan.generator import random_task
 from potplan.task import (NotApplicableError, SasParseError, StateSpaceTooLargeError,
                           SuccessorGenerator, Task, UnsupportedFeatureError,
                           build_transition_system, exact_goal_distances, goal_distances,
-                          is_applicable, iter_states, parse_sas, serialize_sas, successor)
+                          is_applicable, iter_states, parse_sas, serialize_sas, state_index,
+                          successor)
 
 from conftest import make_mixed_preconditions, make_toy1
 from reference_builders import (reference_goal_distances, reference_successors,
@@ -179,9 +180,19 @@ GENERATOR_TASKS = {
 @pytest.mark.parametrize("name", sorted(GENERATOR_TASKS))
 def test_successor_generator_matches_operator_scan(name):
     task = GENERATOR_TASKS[name]()
+    doms = task.domain_sizes
     successors = SuccessorGenerator(task)
-    for state in iter_states(task.domain_sizes):
+    state_dependent = 0
+    for state in iter_states(doms):
         assert successors(state) == reference_successors(task, state)
+        # a successor's index is the state's plus the operator's shift
+        index = state_index(state, doms)
+        for op_id, shift, free, _, _ in successors.applicable(state):
+            moved = index + shift + sum((val - state[var]) * stride for var, val, stride in free)
+            assert moved == state_index(successor(state, task.operators[op_id]), doms)
+            state_dependent += len(free)
+    # outside transition normal form some effects have no precondition
+    assert (state_dependent > 0) == (name.startswith("non_tnf") or name == "mixed_preconditions")
     transitions = build_transition_system(task).transitions.tolist()
     assert list(map(tuple, transitions)) == reference_transitions(task)
 

@@ -29,15 +29,18 @@ chain whose weights overshoot the goal distances by a little more at each
 step, within the 1e-6 tolerance per transition but not over the chain, adds
 a `validate` whose only failure, and witness, is admissibility.
 `random_task(4, 4, 8, seed)` for seeds 0, 15 and 34 (96 to 192 states) adds
-`compare --state random:3`.  A three-variable task with a domain-1 variable,
-two features and an `--order` file under which that variable's unknown
-becomes an alias adds a bucket `lp` and `solve`.  `random_task(6, 2, 16, 26)`
-adds direct2d and bucket `solve --dim 2` and `lp`: 50 of its 64 states are
-dead ends, and its optimum leaves weights at the 1e8 bound that cancel in the
-objective even with pinned weights, so its printed objective depends on the
-order in which the objective's terms are summed.  Each extra
-TASK.sas is run through the potential-LP calls as well; a TASK.features file
-beside it adds the bucket calls over those features.
+`compare --state random:3`.  `gen --vars 9 --dom 4 --ops 60 --seed 0..3`
+(9,216 to 15,552 states) adds a blind `search` each, of 712 to 5,843
+expansions, so that a long search whose ties in g are broken first-in
+first-out is compared too.  A three-variable task with a domain-1
+variable, two features and an `--order` file under which that variable's
+unknown becomes an alias adds a bucket `lp` and `solve`.
+`random_task(6, 2, 16, 26)` adds direct2d and bucket `solve --dim 2` and
+`lp`: 50 of its 64 states are dead ends, and its optimum leaves weights at
+the 1e8 bound that cancel in the objective even with pinned weights, so its
+printed objective depends on the order in which the objective's terms are
+summed.  Each extra TASK.sas is run through the potential-LP calls as well;
+a TASK.features file beside it adds the bucket calls over those features.
 Exit code 0 when every call matches, 1 otherwise.
 """
 
@@ -59,6 +62,7 @@ GEN_SEEDS = range(12)
 GENERAL_SEEDS = range(6)  # also `gen --general`
 RANDOM_SEEDS = range(6)
 COMPARE_SEEDS = (0, 15, 34)  # 96, 128 and 192 states
+LONG_SEARCH_SEEDS = range(4)  # `gen --vars 9 --dom 4 --ops 60`, blind search
 CANCELLING_TASK = (6, 2, 16, 26)  # random_task arguments; prints objective 25.0
 
 
@@ -168,6 +172,12 @@ def prepare(tree: str, workdir: str, extra: list[str]) -> None:
     for seed in COMPARE_SEEDS:
         sas = _write(f"compare{seed}.sas", serialize_sas(random_task(4, 4, 8, seed)))
         calls.append(["compare", sas, "--state", "random:3", "--format", "json"])
+    for seed in LONG_SEARCH_SEEDS:
+        sas = f"long{seed}.sas"
+        with contextlib.redirect_stdout(io.StringIO()):
+            potplan.cli.main(["gen", "--vars", "9", "--dom", "4", "--ops", "60",
+                              "--seed", str(seed), "-o", sas])
+        calls.append(["search", sas, "--heuristic", "blind"])
     alias = Task([Variable(0, "a", 2, ("0", "1")), Variable(1, "b", 1, ("0",)),
                   Variable(2, "c", 2, ("0", "1"))],
                  [Operator("o", {0: 0}, {0: 1}, 1)], (0, 0, 0), {0: 1, 1: 0, 2: 0})
