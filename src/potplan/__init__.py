@@ -10,9 +10,6 @@ from .features import (Feature, FeatureSet, WeightFunction, generate_features,
 from .lp import LinearExpression, LpModel, LpSolution, evaluate, solve, export_lp, parse_lp
 from .direct2d import (build_general_lp, build_direct2d_lp, build_exhaustive_lp,
                        solve_for_state, solve_general_for_state, solve_exhaustive_for_state)
-from .elimination import (ScopedFunction, DependencyGraph, scoped_functions_for_operator,
-                          context_dependency_graph, min_fill_order, induced_width,
-                          bucket_eliminate, brute_force_max)
 from .costpart import (Projection, project, build_tcp_lp, build_ocp_lp,
                        validate_partition, features_of_abstractions, all_patterns)
 from .reduction import Graph, reduce_3col, is_3colorable, phi_of_state

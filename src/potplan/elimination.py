@@ -1,18 +1,18 @@
 """Bucket elimination that writes the potential LP's elimination unknowns
-and rows, and the scoped functions, context-dependency graphs, min-fill
-orders and induced widths it runs on.
+and rows, and the context-dependency graphs, min-fill orders and induced
+widths it runs on.
 
 An operator's change in potential sums one function per feature touching it,
 over the feature's variables outside the operator; a context-independent
-feature's function has the empty scope, a term of the final sum.  A table
-entry maps LP columns to coefficients; a feature's weight is the column
-numbered by the feature's index.  `classify` finds, for all operators at
-once, every pair of an operator and a feature touching it, with the
-feature's change inside the operator and its facts outside.  From these
-pairs come all context-dependency graphs as one array (`adjacency`), and
-one elimination game over them gives min-fill orders and induced widths.
+feature's function has the empty scope, a term of the final sum.  `classify`
+finds, for all operators at once, every pair of an operator and a feature
+touching it, with the feature's change inside the operator and its facts
+outside; a feature's weight is the column numbered by the feature's index.
+From these pairs come all context-dependency graphs as one array
+(`adjacency`), and one elimination game over them gives min-fill orders and
+induced widths.
 
-The eliminator condenses each bucket into fresh unknowns declared on the
+Elimination condenses each bucket into fresh unknowns declared on the
 model, one per assignment to the bucket's remaining scope, each bounded
 below by one row `unknown - candidate >= 0` per value of the eliminated
 variable.  These one-sided rows relax the max-equations of bucket
@@ -21,17 +21,17 @@ such unknown enters the objective.  What elimination leaves is summed into
 the terms of the operator's cost row.
 
 Two array passes write these unknowns and rows for a run of operators at
-once, in the order and with the names `bucket_eliminate` gives them one
-operator at a time.  Where a context-dependency graph has no edges (width
-0: every feature has at most one variable outside the operator, as at
-dimension at most 2), each bucket holds one variable and its unknown has
-one row per value, a sum over the pairs with that outside fact:
-`eliminate_width0` writes this compact binary model.  `eliminate_buckets`
-takes every other operator (and any operator given an order): it walks
-the operators' orders in lockstep, back to front, and condenses the
-buckets of all operators at one position together.  `bucket_eliminate`
-stays as the reference that both passes are tested against.  `direct2d`
-assembles the potential LP from these pieces.
+once, in the order and with the names that the symbolic eliminator of the
+test suite gives them one operator at a time
+(`tests/reference_builders.reference_general_model`).  Where a
+context-dependency graph has no edges (width 0: every feature has at most
+one variable outside the operator, as at dimension at most 2), each bucket
+holds one variable and its unknown has one row per value, a sum over the
+pairs with that outside fact: `eliminate_width0` writes this compact binary
+model.  `eliminate_buckets` takes every other operator (and any operator
+given an order): it walks the operators' orders in lockstep, back to front,
+and condenses the buckets of all operators at one position together.
+`direct2d` assembles the potential LP from these pieces.
 """
 
 from __future__ import annotations
@@ -44,43 +44,11 @@ import numpy as np
 
 from .features import FeatureError, FeatureSet
 from .lp import LpModel
-from .task import Operator, Task
-
-NO_TERMS: dict[int, float] = {}
+from .task import Task
 
 
 class OrderingError(ValueError):
     pass
-
-
-@dataclass
-class ScopedFunction:
-    """Table over assignments to the scope, each entry a {column:
-    coefficient} map; absent entries mean zero."""
-
-    scope: tuple[int, ...]  # sorted variable ids
-    table: dict[tuple[int, ...], dict[int, float]]
-
-    def __post_init__(self):
-        if tuple(sorted(self.scope)) != self.scope:
-            raise OrderingError(f"scope must be sorted, got {self.scope}")
-
-
-@dataclass(frozen=True)
-class DependencyGraph:
-    vertices: tuple[int, ...]
-    edges: frozenset[tuple[int, int]]  # pairs (u, v) with u < v
-
-    def __post_init__(self):
-        seen = set(self.vertices)
-        for u, v in self.edges:
-            if u >= v or u not in seen or v not in seen:
-                raise OrderingError(f"bad edge ({u}, {v})")
-
-
-def _require_tnf_operator(op: Operator) -> None:
-    if op.pre.keys() != op.eff.keys():
-        raise FeatureError(f"operator {op.name} is not in transition normal form")
 
 
 @dataclass
@@ -98,13 +66,13 @@ class Classification:
     outside: np.ndarray  # (pair, dimension) booleans
 
 
-def classify(task: Task, fs: FeatureSet, operators: list[Operator] | None = None
-             ) -> Classification:
-    """The pairs of the operators (default: the task's) and the features
-    touching them; memory grows with the number of pairs."""
-    operators = task.operators if operators is None else operators
+def classify(task: Task, fs: FeatureSet) -> Classification:
+    """The pairs of the task's operators and the features touching them;
+    memory grows with the number of pairs."""
+    operators = task.operators
     for op in operators:
-        _require_tnf_operator(op)
+        if op.pre.keys() != op.eff.keys():
+            raise FeatureError(f"operator {op.name} is not in transition normal form")
     touching = [fs.touching(op.eff) for op in operators]
     sizes = [len(features) for features in touching]
     feature = np.fromiter(itertools.chain.from_iterable(touching), np.int64, sum(sizes))
@@ -126,29 +94,11 @@ def classify(task: Task, fs: FeatureSet, operators: list[Operator] | None = None
                           feature, in_pre.astype(np.int64) - in_eff, ~inside & first)
 
 
-def scoped_functions_for_operator(task: Task, fs: FeatureSet,
-                                  op_index: int) -> list[ScopedFunction]:
-    """One function per feature touching the operator: its scope is the
-    feature's variables outside the operator (empty for a
-    context-independent feature, a term of the final sum), and its single
-    nonzero entry (if any) the feature's weight column scaled by the change
-    of the facts inside the operator."""
-    classes = classify(task, fs, [task.operators[op_index]])
-    functions = []
-    for i, facts, outside, change in zip(classes.feature.tolist(),
-                                         fs._padded_facts[classes.feature].tolist(),
-                                         classes.outside.tolist(), classes.change.tolist()):
-        facts = [fact for fact, out in zip(facts, outside) if out]
-        scope, values = tuple(v for v, _ in facts), tuple(x for _, x in facts)
-        functions.append(ScopedFunction(scope, {values: {i: float(change)}} if change else {}))
-    return functions
-
-
 def eliminate_width0(model: LpModel, task: Task, fs: FeatureSet, classes: Classification,
                      start: int, stop: int):
     """The rows, as `LpModel.add_rows` takes them, of the operators
     start..stop-1, whose context-dependency graphs have no edges, as
-    `bucket_eliminate` writes them under min-fill: per operator one unknown
+    elimination under min-fill writes them: per operator one unknown
     `z_o{k}_v{V}` per context variable V, in its cost row, with a row
     `z - sum of change * w over the features outside at V = x >= 0` per
     value x, kept also when all those changes are zero."""
@@ -184,7 +134,7 @@ def eliminate_buckets(model: LpModel, task: Task, fs: FeatureSet, classes: Class
                       start: int, stop: int, orders):
     """The rows, as `LpModel.add_rows` takes them, of the operators
     start..stop-1 eliminated along `orders` (per operator, every variable
-    once) as `bucket_eliminate` writes them.  The operators advance in
+    once).  The operators advance in
     lockstep over the order positions, back to front, condensing the
     buckets at each position all at once.  A function is a table of columns
     (-1: absent) over the mixed-radix index of its sorted scope, last
@@ -339,14 +289,6 @@ def _block(model: LpModel, task: Task, start: int, stop: int, first: int,
     return indptr, col[by], coef[by], relations, rhs, row_names
 
 
-def dependency_graph(functions: list[ScopedFunction], vertices) -> DependencyGraph:
-    """Graph over the vertices joining any two variables sharing a scope."""
-    edges = set()
-    for fn in functions:
-        edges.update(itertools.combinations(fn.scope, 2))
-    return DependencyGraph(tuple(vertices), frozenset(edges))
-
-
 def adjacency(task: Task, fs: FeatureSet, classes: Classification) -> np.ndarray:
     """Every operator's context-dependency graph as one symmetric boolean
     array, operators × variables × variables: an edge joins two variables
@@ -389,148 +331,6 @@ def eliminate_graphs(adjacency: np.ndarray, given) -> tuple[np.ndarray, np.ndarr
     return orders, widths
 
 
-def context_dependency_graph(task: Task, fs: FeatureSet, op_index: int) -> DependencyGraph:
-    """The `adjacency` of one operator of the task, over all its variables."""
-    graph = adjacency(task, fs, classify(task, fs, [task.operators[op_index]]))[0]
-    u, v = np.nonzero(np.triu(graph))
-    return DependencyGraph(tuple(var.id for var in task.variables),
-                           frozenset(zip(u.tolist(), v.tolist())))
-
-
-def _one_game(graph: DependencyGraph, order=None) -> tuple[list[int], int]:
-    """`eliminate_graphs` on one graph, its vertices indexed by increasing
-    id, along the order or (None) min-fill: the order and the width."""
-    ids = sorted(graph.vertices)
-    index = {v: i for i, v in enumerate(ids)}
-    matrix = np.zeros((1, len(ids), len(ids)), dtype=bool)
-    for u, v in graph.edges:
-        matrix[0, index[u], index[v]] = matrix[0, index[v], index[u]] = True
-    given = [-1] * len(ids) if order is None else [index[v] for v in order]
-    orders, widths = eliminate_graphs(matrix, [given])
-    return [ids[i] for i in orders[0].tolist()], int(widths[0])
-
-
-def min_fill_order(graph: DependencyGraph) -> list[int]:
-    """Greedy min-fill ordering, smallest-id tie-break.
-
-    The returned order is elimination-compatible: bucket elimination (and the
-    induced-width procedure) consume it back to front, so the greedily chosen
-    first victim sits at the end.
-    """
-    return _one_game(graph)[0]
-
-
 def check_order(order, vertices) -> None:
     if set(order) != set(vertices) or len(order) != len(vertices):
         raise OrderingError("order must list every vertex exactly once")
-
-
-def induced_width(graph: DependencyGraph, order: list[int]) -> int:
-    """Maximum parent count in the induced graph along the order: process
-    vertices back to front, connecting the earlier-ordered neighbors of each."""
-    check_order(order, graph.vertices)
-    return _one_game(graph, order)[1]
-
-
-def bucket_eliminate(model: LpModel, functions: list[ScopedFunction], domains,
-                     order: list[int], prefix: str = "z"
-                     ) -> tuple[dict[int, float], list[tuple[str, dict[int, float]]]]:
-    """Eliminate the order's variables from the summed functions, whose
-    entries refer to columns of `model`, and return the terms that stand for
-    the maximum of that sum over all assignments, with the rows that bound
-    the unknowns this adds: `(name, terms)` for the row `terms >= 0`.
-    Variable v ranges over `range(domains[v])`.
-
-    Processes the order back to front.  Each processed variable's bucket
-    holds every function whose scope has that variable as its latest; the
-    bucket is condensed into one unknown per assignment to the remaining
-    scope, declared on `model` as `{prefix}_v{var}` plus `__{assignment}`
-    when that scope is not empty, with the row `{unknown}.{j}`, unknown -
-    candidate >= 0, for each value j of the variable.  Over a non-empty
-    remaining scope, assignments whose candidates are all zero get no
-    unknown (a function left without entries is dropped); over an empty one
-    the unknown is kept even then, so at width 0 every variable paired with
-    the operator has its `unknown >= 0` rows, as in the binary model.  A
-    single candidate that is one earlier unknown of this call (the variable
-    has one value) becomes that unknown, with no new column or row.
-    Variables with empty buckets are skipped.  The result sums the functions
-    left with the empty scope.
-    """
-    scope_vars = {v for fn in functions for v in fn.scope}
-    undeclared = {v for v in scope_vars if not 0 <= v < len(domains)}
-    if undeclared:
-        raise OrderingError(f"scope variables without domains: {sorted(undeclared)}")
-    missing = scope_vars - set(order)
-    if missing:
-        raise OrderingError(f"ordering misses scope variables {sorted(missing)}")
-    position = {v: i for i, v in enumerate(order)}
-    buckets: dict[int, list[ScopedFunction]] = {v: [] for v in order}
-    result: dict[int, float] = {}  # the sum of the functions with the empty scope
-
-    def place(fn: ScopedFunction) -> None:
-        if fn.scope:
-            buckets[max(fn.scope, key=position.__getitem__)].append(fn)
-        else:
-            for column, coefficient in fn.table.get((), NO_TERMS).items():
-                result[column] = result.get(column, 0.0) + coefficient
-
-    for fn in functions:
-        place(fn)
-    first = len(model.unknowns)  # the unknowns of this call are the columns from here
-    declared, rows = [], []
-    for var in reversed(order):
-        bucket = buckets[var]
-        if not bucket:
-            continue
-        scope = tuple(sorted({u for fn in bucket for u in fn.scope} - {var}))
-        # a function's key is the whole assignment to the sorted scope and
-        # var if its scope is all of them, else picked out of it
-        at = {u: i for i, u in enumerate(sorted(scope + (var,)))}
-        k = at[var]
-        keyed = [(fn.table, None if len(fn.scope) == len(at) else [at[u] for u in fn.scope])
-                 for fn in bucket]
-        table = {}
-        for values in itertools.product(*(range(domains[u]) for u in scope)):
-            candidates = []
-            for x in range(domains[var]):
-                full = values[:k] + (x,) + values[k:]
-                total: dict[int, float] = {}
-                for entries, picks in keyed:
-                    key = full if picks is None else tuple([full[i] for i in picks])
-                    for column, coefficient in entries.get(key, NO_TERMS).items():
-                        total[column] = total.get(column, 0.0) + coefficient
-                candidates.append(total)
-            if scope and not any(any(c.values()) for c in candidates):
-                continue  # table entry stays absent (zero)
-            if len(candidates) == 1:
-                terms = [(c, v) for c, v in candidates[0].items() if v]
-                if len(terms) == 1 and terms[0][1] == 1.0 and terms[0][0] >= first:
-                    table[values] = {terms[0][0]: 1.0}  # an alias of that unknown
-                    continue
-            name = f"{prefix}_v{var}"
-            if scope:
-                name += "__" + "_".join(f"v{u}.{val}" for u, val in zip(scope, values))
-            column = first + len(declared)
-            declared.append(name)
-            rows.extend((f"{name}.{j}", {column: 1.0, **{c: -v for c, v in candidate.items()}})
-                        for j, candidate in enumerate(candidates))
-            table[values] = {column: 1.0}
-        if table:
-            place(ScopedFunction(scope, table))
-    model.add_unknowns(declared, [-math.inf] * len(declared), [math.inf] * len(declared))
-    return result, rows
-
-
-def brute_force_max(functions: list[ScopedFunction], domains, values) -> float:
-    """Oracle: enumerate every assignment to the variables 0..len(domains)-1
-    and maximize the summed function values, with column j at `values[j]`."""
-    best = None
-    # product() over zero domains yields the single empty assignment
-    for assignment in itertools.product(*(range(d) for d in domains)):
-        total = 0.0
-        for fn in functions:
-            entry = fn.table.get(tuple(assignment[v] for v in fn.scope), NO_TERMS)
-            total += sum(coefficient * values[column] for column, coefficient in entry.items())
-        if best is None or total > best:
-            best = total
-    return best

@@ -7,6 +7,7 @@ potential of a state is the sum of the weights of all features true in it.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -228,7 +229,10 @@ def weights_from_strings(task: Task, mapping: dict[str, float]) -> tuple[Feature
     for text, weight in mapping.items():
         features.append(parse_feature(task, text))
         try:
-            values.append(float(weight))
+            value = float(weight)
         except (TypeError, ValueError):
-            raise FeatureError(f"weight of '{text}' is not a number: {weight!r}") from None
+            value = math.nan
+        if math.isnan(value):
+            raise FeatureError(f"weight of '{text}' is not a number: {weight!r}")
+        values.append(value)
     return FeatureSet(tuple(features)), WeightFunction(values)

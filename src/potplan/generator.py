@@ -1,15 +1,13 @@
-"""Seeded random instances: planning tasks, feature sets, and scoped-function
-sets.  These are the substrate for the property and acceptance suites, so
-everything here is deterministic in the seed."""
+"""Seeded random instances: planning tasks and feature sets.  These are the
+substrate for the property and acceptance suites, so everything here is
+deterministic in the seed."""
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 
 from .features import Feature, FeatureSet
-from .elimination import ScopedFunction
 from .task import Operator, Task, Variable, build_transition_system, exact_goal_distances
 
 GENERATOR_STATE_CAP = 200_000
@@ -91,26 +89,3 @@ def random_features(task: Task, count: int, max_size: int, seed: int,
                 features.append(Feature(facts))
                 break
     return FeatureSet(tuple(features))
-
-
-def random_scoped_set(n_vars: int, max_dom: int, n_functions: int, seed: int,
-                      max_scope: int = 3, value_range: float = 10.0
-                      ) -> tuple[tuple[int, ...], list[ScopedFunction]]:
-    """Domain sizes of variables 0..n_vars-1 and constant-valued scoped
-    functions over random subsets of them, used to exercise the eliminator
-    against the brute-force maximum.  Each constant is the coefficient of
-    column 0, which the caller fixes at 1."""
-    rng = random.Random(f"scoped:{seed}")
-    domains = tuple(rng.randint(2, max_dom) if max_dom > 2 else 2 for _ in range(n_vars))
-    functions = []
-    for _ in range(n_functions):
-        scope = tuple(sorted(rng.sample(range(n_vars),
-                                        rng.randint(1, min(n_vars, max_scope)))))
-        table = {}
-        for key in itertools.product(*(range(domains[v]) for v in scope)):
-            if rng.random() < 0.8:  # leave some entries at (sparse) zero
-                value = round(rng.uniform(-value_range, value_range), 3)
-                if value:
-                    table[key] = {0: value}
-        functions.append(ScopedFunction(scope, table))
-    return domains, functions

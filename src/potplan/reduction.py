@@ -55,6 +55,13 @@ def empty_graph(n: int) -> Graph:
     return Graph.of(n, ())
 
 
+def _integers(line_no: int, tokens: list[str]) -> list[int]:
+    try:
+        return [int(token) for token in tokens]
+    except ValueError:
+        raise GraphError(f"line {line_no}: expected integers, got '{' '.join(tokens)}'") from None
+
+
 def parse_dimacs(text: str) -> Graph:
     """DIMACS edge-list format: `p edge n m` then `e u v` lines (1-based)."""
     vertex_count = None
@@ -67,13 +74,13 @@ def parse_dimacs(text: str) -> Graph:
         if parts[0] == "p":
             if len(parts) != 4 or parts[1] != "edge":
                 raise GraphError(f"line {line_no}: expected 'p edge n m'")
-            vertex_count = int(parts[2])
+            vertex_count = _integers(line_no, parts[2:3])[0]
         elif parts[0] == "e":
             if vertex_count is None:
                 raise GraphError(f"line {line_no}: edge before problem line")
             if len(parts) != 3:
                 raise GraphError(f"line {line_no}: expected 'e u v'")
-            u, v = int(parts[1]) - 1, int(parts[2]) - 1
+            u, v = (end - 1 for end in _integers(line_no, parts[1:]))
             if u == v:
                 raise GraphError(f"line {line_no}: self loop")
             edges.append((u, v))

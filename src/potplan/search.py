@@ -152,13 +152,14 @@ def validate(task: Task, heuristic: Callable[[State], float],
     ts = build_transition_system(task, state_cap)
     states = list(map(tuple, ts.states.tolist()))
     values = np.array([heuristic(s) for s in states], dtype=float)
-    # each scan's witness is its first violation, in goal and transition order
+    # each scan's witness is its first violation, in goal and transition
+    # order; written as "not ok" so that a NaN value counts as a violation
     src, op, dst = ts.transitions.T
-    goal_violations = ts.goals[values[ts.goals] > VALIDATION_TOL]
+    goal_violations = ts.goals[~(values[ts.goals] <= VALIDATION_TOL)]
     consistency_violations = np.flatnonzero(
-        values[src] > ts.operator_costs[op] + values[dst] + VALIDATION_TOL)
+        ~(values[src] <= ts.operator_costs[op] + values[dst] + VALIDATION_TOL))
     admissibility_violations = np.flatnonzero(
-        values > exact_goal_distances(ts) + VALIDATION_TOL)
+        ~(values <= exact_goal_distances(ts) + VALIDATION_TOL))
     goal_aware, consistent, admissible = (
         not len(v) for v in (goal_violations, consistency_violations, admissibility_violations))
 

@@ -2,7 +2,6 @@ import math
 import os
 import sys
 
-import numpy as np
 import pytest
 
 try:
@@ -10,10 +9,12 @@ try:
 except ImportError:  # running from a source checkout without installing
     sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
-from potplan.elimination import ScopedFunction, bucket_eliminate
 from potplan.features import Feature, FeatureSet
-from potplan.lp import LpModel
+from potplan.lp import LinearExpression, LpModel
 from potplan.task import Operator, Task, Variable
+
+from reference_builders import (ScopedFunction, reference_bucket_eliminate,
+                                reference_lp_constraints)
 
 
 def make_toy1() -> Task:
@@ -68,17 +69,17 @@ def make_alias_task() -> tuple[Task, FeatureSet]:
                              Feature.of(((0, 0), (2, 1)))))
 
 
-def ab(a: float = 0.0, b: float = 0.0) -> dict[int, float]:
-    """Coefficients of the base columns a (0) and b (1), zeros left out."""
-    return {column: float(c) for column, c in ((0, a), (1, b)) if c}
+def ab(a: float = 0.0, b: float = 0.0) -> LinearExpression:
+    """a times the base unknown `a` plus b times `b`."""
+    return LinearExpression.build(0.0, {"a": a, "b": b})
 
 
-PAPER_BE_DOMAINS = (2, 2)
+PAPER_BE_DOMAINS = {0: 2, 1: 2}
 
 
 def make_paper_be() -> list[ScopedFunction]:
     """Two scoped functions over binary variables whose entries combine two
-    base columns, a and b; the standing worked example for the eliminator
+    base unknowns, a and b; the standing worked example for the eliminator
     (variable domains `PAPER_BE_DOMAINS`)."""
     f = ScopedFunction((0,), {(0,): ab(a=3, b=-2), (1,): ab(a=4, b=2)})
     g = ScopedFunction((0, 1), {(0, 0): ab(a=8), (0, 1): ab(b=7), (1, 0): ab(b=-3)})
@@ -99,15 +100,16 @@ def base_model(*names: str, lower: float = -math.inf, upper: float = math.inf) -
 
 
 def eliminate(model: LpModel, functions, domains, order, prefix: str = "z") -> dict[str, float]:
-    """Run `bucket_eliminate` on the model, append its rows and return the
-    result terms by unknown name."""
-    result, rows = bucket_eliminate(model, functions, domains, list(order), prefix)
-    terms = [t for _, t in rows]
-    model.add_rows(np.cumsum([0] + [len(t) for t in terms]),
-                   [c for t in terms for c in t], [v for t in terms for v in t.values()],
-                   ">=", 0.0, [name for name, _ in rows])
-    names = [name for name, _, _ in model.unknowns]
-    return {names[column]: coefficient for column, coefficient in result.items()}
+    """Run the symbolic eliminator (`domains` a {variable: size} map), declare
+    its unknowns on the model, append its rows and return the result terms by
+    unknown name."""
+    unknowns, rows, result = reference_lp_constraints(
+        reference_bucket_eliminate(domains, functions, list(order), prefix))
+    for name in unknowns:
+        model.add_unknown(name)
+    for row in rows:
+        model.add_row(row.expression, row.relation, row.rhs, row.name)
+    return result.coefficients()
 
 
 def candidates(model: LpModel) -> list[tuple[str, list[tuple[float, dict[str, float]]]]]:

@@ -11,13 +11,14 @@ exactly: same columns, same rows, same order.  The dimension-2 reference is
 the binary model written out directly (goal row; per operator a cost row and
 one bound unknown per context variable with a row per value), which the
 bucket-elimination assembler has to match on edgeless context graphs; at
-higher dimension it has to match the construction that splits each
-operator's features with `classify_features` and `delta_independent`.  The
-loop reference eliminates every operator on its own with `bucket_eliminate`,
-which the array passes of `build_general_lp` have to match.  The
-elimination game played one vertex at a time over neighbour sets
-(`reference_min_fill_order`, `reference_induced_width`) is the reference
-for the one over adjacency arrays, `elimination.eliminate_graphs`.  The
+any dimension it has to match the construction that splits each
+operator's features with `classify_features` and `delta_independent` and
+eliminates each operator on its own, which the array passes of
+`build_general_lp` reproduce.  The elimination game played one vertex at a
+time over neighbour sets (`reference_min_fill_order`,
+`reference_induced_width`) is the reference for the one over adjacency
+arrays, `elimination.eliminate_graphs`, and enumerating every assignment
+(`brute_force_max`) is the oracle of the symbolic eliminator.  The
 search references test every operator in every state with `is_applicable`
 and `successor`; the indexed successor generator has to reproduce them.
 The TCP model with one cost unknown per (abstraction, transition) is no
@@ -30,17 +31,32 @@ the pinned ones: same optimum.
 import heapq
 import itertools
 import math
+import random
 from dataclasses import dataclass
-
-import numpy as np
+from typing import NamedTuple
 
 from potplan.direct2d import WEIGHT_LOWER, WEIGHT_UPPER, sample_states, weight_var_name
-from potplan.elimination import (DependencyGraph, OrderingError, ScopedFunction, bucket_eliminate,
-                                 check_order, dependency_graph, scoped_functions_for_operator)
+from potplan.elimination import OrderingError, check_order
 from potplan.features import Feature, FeatureError, pinned_features
-from potplan.lp import ZERO, LinearExpression, LpModel, Row
+from potplan.lp import ZERO, LinearExpression, LpModel, Row, evaluate
 from potplan.search import NoPlanError, SearchResult, tiebreak_key
 from potplan.task import RELAX_EPS, is_applicable, iter_states, state_index, successor
+
+
+class ScopedFunction(NamedTuple):
+    scope: tuple  # sorted variable ids
+    table: dict  # assignment to the scope -> LinearExpression; absent means zero
+
+
+class DependencyGraph(NamedTuple):
+    vertices: tuple
+    edges: frozenset  # pairs (u, v) with u < v
+
+
+def dependency_graph(functions, vertices):
+    """Graph over the vertices joining any two variables sharing a scope."""
+    return DependencyGraph(tuple(vertices), frozenset(
+        pair for fn in functions for pair in itertools.combinations(fn.scope, 2)))
 
 
 @dataclass
@@ -309,10 +325,17 @@ def _assignment_key(scope, assignment):
 def reference_bucket_eliminate(domains, functions, order, prefix="z"):
     """The symbolic eliminator: scoped functions whose entries are
     LinearExpressions become max-equations `(name, candidates)` over fresh
-    auxiliary names, processed back to front as `bucket_eliminate` does
-    (same names, same all-zero rule); the last equation, `{prefix}_result`,
-    has the sum of the scope-free functions as its one candidate.
-    `domains` maps every variable a scope may hold to its size."""
+    auxiliary names.  The order is processed back to front; each variable's
+    bucket holds every function whose scope has that variable as its
+    latest, and is condensed into one equation `{prefix}_v{var}` (plus
+    `__{assignment}` over a non-empty remaining scope) per assignment to
+    the remaining scope, with one candidate per value of the variable.
+    Over a non-empty remaining scope an assignment whose candidates are all
+    zero gets no equation (a function left without entries is dropped);
+    over an empty one it is kept.  Variables with empty buckets are
+    skipped.  The last equation, `{prefix}_result`, has the sum of the
+    scope-free functions as its one candidate.  `domains` maps every
+    variable a scope may hold to its size."""
     scope_vars = set()
     for fn in functions:
         scope_vars.update(fn.scope)
@@ -434,7 +457,7 @@ def reference_min_fill_order(graph):
     """Greedy min-fill ordering, smallest-id tie-break, one vertex at a time:
     at each step the fill of every remaining vertex is counted over the
     pairs of its sorted neighbours.  Returned back to front, the first
-    victim last, as `elimination.min_fill_order` returns it."""
+    victim last, as `elimination.eliminate_graphs` returns orders."""
     adj = _neighbours(graph)
     eliminated = []
     remaining = set(graph.vertices)
@@ -472,6 +495,42 @@ def reference_induced_width(graph, order):
     return width
 
 
+def brute_force_max(functions, domains, values):
+    """Oracle: enumerate every assignment to the variables of `domains` (a
+    {variable: size} map) and maximize the summed function values, each
+    unknown at its value in `values`."""
+    variables = sorted(domains)
+    best = None
+    # product() over no variables yields the single empty assignment
+    for assignment in itertools.product(*(range(domains[v]) for v in variables)):
+        assignment = dict(zip(variables, assignment))
+        total = sum(evaluate(_value(fn, assignment), values) for fn in functions)
+        if best is None or total > best:
+            best = total
+    return best
+
+
+def random_scoped_set(n_vars, max_dom, n_functions, seed, max_scope=3, value_range=10.0):
+    """Domain sizes of variables 0..n_vars-1, as a {variable: size} map, and
+    constant-valued scoped functions over random subsets of them, used to
+    exercise the eliminator against the brute-force maximum.  Each constant
+    is the coefficient of the unknown `one`, which the caller fixes at 1."""
+    rng = random.Random(f"scoped:{seed}")
+    domains = {v: rng.randint(2, max_dom) if max_dom > 2 else 2 for v in range(n_vars)}
+    functions = []
+    for _ in range(n_functions):
+        scope = tuple(sorted(rng.sample(range(n_vars),
+                                        rng.randint(1, min(n_vars, max_scope)))))
+        table = {}
+        for key in itertools.product(*(range(domains[v]) for v in scope)):
+            if rng.random() < 0.8:  # leave some entries at (sparse) zero
+                value = round(rng.uniform(-value_range, value_range), 3)
+                if value:
+                    table[key] = LinearExpression.term("one", value)
+        functions.append(ScopedFunction(scope, table))
+    return domains, functions
+
+
 def reference_general_model(task, fs, orderings=None, pin=True):
     """The compact model of any dimension as the classified construction
     writes it: per operator, the cost row holds the context-independent
@@ -491,13 +550,12 @@ def reference_general_model(task, fs, orderings=None, pin=True):
                 cost[weight_vars[i]] = float(change)
         constant, rows = 0.0, []
         if partition.context_dependent:
-            functions, edges = [], set()
+            functions = []
             for i in partition.context_dependent:
                 f = fs.features[i]
                 inside = tuple(fact for fact in f.facts if fact[0] in op_vars)
                 outside = tuple(fact for fact in f.facts if fact[0] not in op_vars)
                 scope = tuple(var for var, _ in outside)
-                edges.update(itertools.combinations(scope, 2))
                 change = delta_independent(op, Feature(inside))
                 table = {}
                 if change:
@@ -507,8 +565,8 @@ def reference_general_model(task, fs, orderings=None, pin=True):
             domains = {v.id: v.domain_size for v in task.variables if v.id not in op_vars}
             order = orderings.get(op_index) if orderings else None
             if order is None:
-                order = reference_min_fill_order(DependencyGraph(
-                    tuple(v.id for v in task.variables), frozenset(edges)))
+                order = reference_min_fill_order(
+                    dependency_graph(functions, (v.id for v in task.variables)))
             unknowns, rows, result = reference_lp_constraints(reference_bucket_eliminate(
                 domains, functions, list(order), prefix=f"z_o{op_index}"))
             for name in unknowns:
@@ -520,30 +578,6 @@ def reference_general_model(task, fs, orderings=None, pin=True):
                       f"op{op_index}")
         for row in rows:
             model.add_row(row.expression, row.relation, row.rhs, row.name)
-    return model
-
-
-def reference_loop_model(task, fs, orderings=None):
-    """The compact model as the per-operator loop writes it: for every
-    operator its functions (`scoped_functions_for_operator`), the order
-    `orderings` names or else min-fill's on their dependency graph,
-    `bucket_eliminate` along it, and the cost row followed by the
-    elimination rows in one `add_rows` call."""
-    model = LpModel()
-    _reference_goal_row(model, task, fs, _reference_weights(model, task, fs))
-    vertices = tuple(v.id for v in task.variables)
-    for op_index, op in enumerate(task.operators):
-        functions = scoped_functions_for_operator(task, fs, op_index)
-        order = (orderings or {}).get(op_index)
-        if order is None:
-            order = reference_min_fill_order(dependency_graph(functions, vertices))
-        result, rows = bucket_eliminate(model, functions, task.domain_sizes, list(order),
-                                        prefix=f"z_o{op_index}")
-        terms = [result] + [row for _, row in rows]
-        model.add_rows(np.cumsum([0] + [len(t) for t in terms]), [c for t in terms for c in t],
-                       [v for t in terms for v in t.values()], ["<="] + [">="] * len(rows),
-                       [float(op.cost)] + [0.0] * len(rows),
-                       [f"op{op_index}"] + [name for name, _ in rows])
     return model
 
 

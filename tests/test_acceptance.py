@@ -15,10 +15,9 @@ import pytest
 from potplan.costpart import all_patterns, build_ocp_lp, build_tcp_lp
 from potplan.direct2d import (build_direct2d_lp, solve_exhaustive_for_state,
                               solve_for_state, solve_general_for_state)
-from potplan.elimination import (brute_force_max, context_dependency_graph,
-                                 dependency_graph, induced_width, min_fill_order)
+from potplan.elimination import adjacency, classify, eliminate_graphs
 from potplan.features import generate_features
-from potplan.generator import random_features, random_scoped_set, random_task
+from potplan.generator import random_features, random_task
 from potplan.lp import LinearExpression, evaluate, solve
 from potplan.reduction import (Graph, complete_graph, cycle_graph, empty_graph,
                                is_3colorable, phi_of_state, reduce_3col)
@@ -27,7 +26,9 @@ from potplan.task import build_transition_system, exact_goal_distances
 
 from conftest import (PAPER_BE_DOMAINS, base_model, bottom_up_values, candidates,
                       eliminate, make_paper_be)
-from reference_builders import classify_features
+from reference_builders import (brute_force_max, classify_features, dependency_graph,
+                                random_scoped_set, reference_induced_width,
+                                reference_min_fill_order)
 
 
 @contextmanager
@@ -89,10 +90,10 @@ def test_criterion_3_bucket_matches_direct2d():
             direct = solve_for_state(task, fs, task.initial_state)
             general = solve_general_for_state(task, fs, task.initial_state)
             assert general.value == pytest.approx(direct.value, abs=1e-6), seed
-            for op_index in range(len(task.operators)):
-                graph = context_dependency_graph(task, fs, op_index)
-                assert graph.edges == frozenset(), seed
-                assert induced_width(graph, min_fill_order(graph)) == 0
+            graphs = adjacency(task, fs, classify(task, fs))
+            assert not graphs.any(), seed
+            widths = eliminate_graphs(graphs, [[-1] * len(task.variables)] * len(graphs))[1]
+            assert not widths.any()
 
 
 def test_criterion_4_numeric_max_oracle():
@@ -101,22 +102,22 @@ def test_criterion_4_numeric_max_oracle():
             n_vars = 2 + seed % 3
             n_functions = 2 + seed % 4
             domains, functions = random_scoped_set(n_vars, 3, n_functions, seed)
-            graph = dependency_graph(functions, range(n_vars))
-            order = min_fill_order(graph)
-            width = induced_width(graph, order)
+            graph = dependency_graph(functions, domains)
+            order = reference_min_fill_order(graph)
+            width = reference_induced_width(graph, order)
             # the constants sit on column 0, fixed at 1
             model = base_model("one", lower=1.0, upper=1.0)
             result = LinearExpression.build(0.0, eliminate(model, functions, domains, order))
             model.set_objective("min", model.column_terms(result))
             solution = solve(model).require_optimal()
-            expected = brute_force_max(functions, domains, [1.0])
+            expected = brute_force_max(functions, domains, {"one": 1.0})
             assert solution.objective_value == pytest.approx(expected, abs=1e-9), seed
             bottom_up = evaluate(result, bottom_up_values(model, {"one": 1.0}))
             assert bottom_up == pytest.approx(expected, abs=1e-9), seed
 
             # width-parameterized size budget; the final sum adds no unknown
             # and no row
-            d = max(domains)
+            d = max(domains.values())
             aux_budget = n_vars * d ** width
             row_budget = n_vars * d ** (width + 1)
             assert len(model.unknowns) - 1 <= aux_budget, seed

@@ -290,6 +290,14 @@ def test_reduce3col_check(capsys, tmp_path):
     assert "3-colorable: yes" in out
 
 
+@pytest.mark.parametrize("text, line", [("p edge x 3\n", 1), ("p edge 3 1\ne 1 z\n", 2)])
+def test_reduce3col_malformed_number_is_domain_error(capsys, tmp_path, text, line):
+    graph = tmp_path / "bad.col"
+    graph.write_text(text)
+    code, out, err = run_cli(capsys, "reduce3col", str(graph), "-o", str(tmp_path / "bad.sas"))
+    assert code == 1 and out == "" and err.startswith(f"error: line {line}: ")
+
+
 THREE_VAR_FEATURES = """\
 # one triple plus two atoms
 A=0 & B=0 & C=0
@@ -378,8 +386,9 @@ def test_order_file_needs_bucket_method(capsys, tmp_path, three_var_file, comman
 
 
 @pytest.mark.parametrize("command", ["validate", "search"])
-@pytest.mark.parametrize("weights", [[["X=0", 1.0]], {"X=0": "abc"}, {"X=0": None}],
-                         ids=["list", "text", "null"])
+@pytest.mark.parametrize("weights", [[["X=0", 1.0]], {"X=0": "abc"}, {"X=0": None},
+                                     {"X=0": float("nan")}],
+                         ids=["list", "text", "null", "nan"])
 def test_malformed_weights_file_is_domain_error(capsys, tmp_path, toy1_file, command,
                                                 weights):
     path = tmp_path / "w.json"

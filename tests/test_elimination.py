@@ -7,61 +7,76 @@ import pytest
 from potplan.direct2d import (build_general_lp, solve_exhaustive_for_state,
                               solve_for_state, solve_general_for_state,
                               weight_var_name)
-from potplan.elimination import (DependencyGraph, OrderingError, ScopedFunction,
-                                 brute_force_max, bucket_eliminate,
-                                 context_dependency_graph, dependency_graph,
-                                 eliminate_graphs, induced_width, min_fill_order,
-                                 scoped_functions_for_operator)
+from potplan.elimination import (OrderingError, adjacency, check_order, classify,
+                                 eliminate_graphs)
 from potplan.features import Feature, FeatureSet, generate_features
-from potplan.generator import random_features, random_scoped_set, random_task
+from potplan.generator import random_features, random_task
 from potplan.lp import LinearExpression, evaluate, export_lp, solve
 from potplan.reduction import complete_graph, reduce_3col
 from potplan.task import Operator, Task, Variable
 
 from conftest import (PAPER_BE_DOMAINS, base_model, bottom_up_values, candidates,
                       eliminate, make_alias_task)
-from reference_builders import (delta_independent, reference_induced_width,
+from reference_builders import (DependencyGraph, ScopedFunction, brute_force_max,
+                                delta_independent, dependency_graph, random_scoped_set,
+                                reference_bucket_eliminate, reference_induced_width,
                                 reference_min_fill_order)
+
+
+def operator_pairs(task, fs, op_index):
+    """The operator's pairs from `classify`: (feature, its facts outside the
+    operator, its change inside)."""
+    classes = classify(task, fs)
+    facts = fs._padded_facts[classes.feature]
+    return [(int(classes.feature[p]), tuple(map(tuple, facts[p][classes.outside[p]].tolist())),
+             int(classes.change[p]))
+            for p in range(classes.starts[op_index], classes.starts[op_index + 1])]
+
+
+def graph_edges(task, fs):
+    """Every operator's context-dependency graph as its set of edges (u, v),
+    u < v."""
+    return [frozenset(zip(*(u.tolist() for u in np.nonzero(np.triu(graph)))))
+            for graph in adjacency(task, fs, classify(task, fs))]
+
+
+def min_fill_widths(task, fs):
+    graphs = adjacency(task, fs, classify(task, fs))
+    return eliminate_graphs(graphs, np.full(graphs.shape[:2], -1))[1].tolist()
 
 
 def test_scoped_functions_toy1(toy1):
     fs = generate_features(toy1, 2)
-    functions = scoped_functions_for_operator(toy1, fs, 0)
-    dependent = [fn for fn in functions if fn.scope]
-    entries = []
-    for fn in dependent:
-        assert fn.scope == (1,)
-        entries += list(fn.table.items())
+    pairs = operator_pairs(toy1, fs, 0)
+    dependent = [pair for pair in pairs if pair[1]]
+    assert all(len(facts) == 1 and facts[0][0] == 1 for _, facts, _ in dependent)
     # X=0&Y=0 contributes +w at Y=0; X=1&Y=1 contributes -w at Y=1
     plus = fs.index_of(Feature.of(((0, 0), (1, 0))))
     minus = fs.index_of(Feature.of(((0, 1), (1, 1))))
-    assert ((0,), {plus: 1.0}) in entries
-    assert ((1,), {minus: -1.0}) in entries
+    assert (plus, ((1, 0),), 1) in dependent
+    assert (minus, ((1, 1),), -1) in dependent
     assert len(dependent) == 4  # one per context feature
-    # X=0 and X=1 change by a constant: functions of the empty scope
-    independent = [fn.table for fn in functions if not fn.scope]
-    assert independent == [{(): {fs.index_of(Feature.of(((0, 0),))): 1.0}},
-                           {(): {fs.index_of(Feature.of(((0, 1),))): -1.0}}]
+    # X=0 and X=1 change by a constant: no facts outside
+    independent = [(i, change) for i, facts, change in pairs if not facts]
+    assert independent == [(fs.index_of(Feature.of(((0, 0),))), 1),
+                           (fs.index_of(Feature.of(((0, 1),))), -1)]
 
 
 def test_scoped_functions_independent_have_empty_scope(toy1):
     fs = generate_features(toy1, 1)
     op = toy1.operators[0]
-    functions = scoped_functions_for_operator(toy1, fs, 0)
+    pairs = operator_pairs(toy1, fs, 0)
     expected = [i for i, f in enumerate(fs.features) if set(f.variables) <= set(op.eff)]
-    assert len(functions) == len(expected) == 2
-    for i, fn in zip(expected, functions):
-        assert fn.scope == ()
-        change = delta_independent(op, fs.features[i])
-        assert fn.table.get((), {}) == ({i: float(change)} if change else {})
+    assert [i for i, _, _ in pairs] == expected and len(expected) == 2
+    for i, facts, change in pairs:
+        assert facts == ()
+        assert change == delta_independent(op, fs.features[i])
 
 
 def test_context_graph_dim2_is_edge_free(toy1):
     fs = generate_features(toy1, 2)
-    for op_index in range(len(toy1.operators)):
-        graph = context_dependency_graph(toy1, fs, op_index)
-        assert graph.edges == frozenset()
-        assert induced_width(graph, min_fill_order(graph)) == 0
+    assert graph_edges(toy1, fs) == [frozenset()] * len(toy1.operators)
+    assert min_fill_widths(toy1, fs) == [0] * len(toy1.operators)
 
 
 def three_var_task():
@@ -74,38 +89,56 @@ def three_var_task():
 def test_context_graph_triple_feature():
     task = three_var_task()
     fs = FeatureSet((Feature.of(((0, 0), (1, 0), (2, 0))),))
-    graph_a = context_dependency_graph(task, fs, 0)
-    assert graph_a.edges == frozenset({(1, 2)})
-    graph_ab = context_dependency_graph(task, fs, 1)
-    assert graph_ab.edges == frozenset()
+    assert graph_edges(task, fs) == [frozenset({(1, 2)}), frozenset()]
+
+
+def stacked(graphs):
+    """Graphs over the same vertices as one adjacency array, the vertices
+    indexed by increasing id, and those ids."""
+    ids = sorted(graphs[0].vertices)
+    index = {v: i for i, v in enumerate(ids)}
+    matrix = np.zeros((len(graphs), len(ids), len(ids)), dtype=bool)
+    for k, graph in enumerate(graphs):
+        for u, v in graph.edges:
+            matrix[k, index[u], index[v]] = matrix[k, index[v], index[u]] = True
+    return matrix, ids
+
+
+def game(graph, order=None):
+    """`eliminate_graphs` on the one graph along the order or (None)
+    min-fill: the order and the induced width."""
+    matrix, ids = stacked([graph])
+    given = [-1] * len(ids) if order is None else [ids.index(v) for v in order]
+    orders, widths = eliminate_graphs(matrix, [given])
+    return [ids[i] for i in orders[0].tolist()], int(widths[0])
 
 
 def test_min_fill_path():
     graph = DependencyGraph((0, 1, 2), frozenset({(0, 1), (1, 2)}))
-    order = min_fill_order(graph)
+    order, width = game(graph)
     assert sorted(order) == [0, 1, 2]
-    assert induced_width(graph, order) == 1
+    assert width == 1
 
 
 def test_min_fill_star():
     center, leaves = 0, (1, 2, 3)
     graph = DependencyGraph((0, 1, 2, 3),
                             frozenset((center, leaf) for leaf in leaves))
-    order = min_fill_order(graph)
-    assert induced_width(graph, order) == 1
+    order, width = game(graph)
+    assert width == 1
     # elimination runs back to front: the first victims are leaves
     assert order[-1] in leaves and order[-2] in leaves
 
 
 def test_induced_width_examples():
     edge_free = DependencyGraph((0, 1, 2), frozenset())
-    assert induced_width(edge_free, [0, 1, 2]) == 0
+    assert game(edge_free, [0, 1, 2])[1] == 0
     triangle = DependencyGraph((0, 1, 2), frozenset({(0, 1), (0, 2), (1, 2)}))
-    assert induced_width(triangle, [2, 0, 1]) == 2
+    assert game(triangle, [2, 0, 1])[1] == 2
     path = DependencyGraph((0, 1, 2), frozenset({(0, 1), (1, 2)}))
-    assert induced_width(path, [1, 0, 2]) == 1  # order B, A, C
+    assert game(path, [1, 0, 2])[1] == 1  # order B, A, C
     with pytest.raises(OrderingError):
-        induced_width(path, [0, 1])
+        check_order([0, 1], path.vertices)
 
 
 def random_graphs(seed, count):
@@ -130,16 +163,10 @@ def test_elimination_game_matches_reference_loops(seed):
     given = [rng.sample(graph.vertices, len(graph.vertices)) for graph in graphs]
     expected = [reference_min_fill_order(graph) for graph in graphs]
     for graph, order, min_fill in zip(graphs, given, expected):
-        assert min_fill_order(graph) == min_fill
-        assert induced_width(graph, min_fill) == reference_induced_width(graph, min_fill)
-        assert induced_width(graph, order) == reference_induced_width(graph, order)
-    ids = sorted(graphs[0].vertices)
-    index = {v: i for i, v in enumerate(ids)}
-    adjacency = np.zeros((len(graphs), len(ids), len(ids)), dtype=bool)
-    for k, graph in enumerate(graphs):
-        for u, v in graph.edges:
-            adjacency[k, index[u], index[v]] = adjacency[k, index[v], index[u]] = True
-    named = [[index[v] for v in order] if k % 2 else [-1] * len(ids)
+        assert game(graph) == (min_fill, reference_induced_width(graph, min_fill))
+        assert game(graph, order) == (order, reference_induced_width(graph, order))
+    adjacency, ids = stacked(graphs)
+    named = [[ids.index(v) for v in order] if k % 2 else [-1] * len(ids)
              for k, order in enumerate(given)]
     orders, widths = eliminate_graphs(adjacency, named)
     for k, graph in enumerate(graphs):
@@ -174,20 +201,20 @@ def test_worked_example_evaluation(paper_be):
     assert [values[name] for name, _, _ in model.unknowns[2:]] == [8.0, 0.0, 9.0]
     assert evaluate(LinearExpression.build(0.0, result), values) == 9.0
     # cross-check against enumeration of the four assignments
-    assert brute_force_max(paper_be, PAPER_BE_DOMAINS, [1.0, 1.0]) == 9.0
+    assert brute_force_max(paper_be, PAPER_BE_DOMAINS, {"a": 1.0, "b": 1.0}) == 9.0
 
 
 def test_zero_entries_kept_only_over_empty_scope():
     """An all-zero entry gets an unknown only when elimination leaves no
     scope; over a non-empty scope it stays absent and its function is
     dropped."""
-    a = {0: 1.0}
+    a = LinearExpression.term("a")
     model = base_model("a")
-    assert eliminate(model, [ScopedFunction((0, 1), {})], (2, 2), [0, 1]) == {}
+    assert eliminate(model, [ScopedFunction((0, 1), {})], {0: 2, 1: 2}, [0, 1]) == {}
     assert [name for name, _, _ in model.unknowns] == ["a"] and not model.rows
     model = base_model("a")
     result = eliminate(model, [ScopedFunction((0,), {}), ScopedFunction((1,), {(1,): a})],
-                       (2, 2), [0, 1])
+                       {0: 2, 1: 2}, [0, 1])
     assert candidates(model) == [("z_v1", [(0.0, {}), (0.0, {"a": 1.0})]),
                                  ("z_v0", [(0.0, {}), (0.0, {})])]
     assert result == {"z_v1": 1.0, "z_v0": 1.0}
@@ -205,7 +232,8 @@ def test_single_constant_equation_keeps_row():
     """A single candidate that is a constant (on a unit column) is no alias:
     its unknown and row stay."""
     model = base_model("one", lower=1.0, upper=1.0)
-    result = eliminate(model, [ScopedFunction((0,), {(0,): {0: 5.0}})], (1,), [0])
+    result = eliminate(model, [ScopedFunction((0,), {(0,): LinearExpression.term("one", 5.0)})],
+                       {0: 1}, [0])
     assert [name for name, _, _ in model.unknowns] == ["one", "z_v0"]
     assert result == {"z_v0": 1.0}
     (row,) = model.rows
@@ -215,19 +243,19 @@ def test_single_constant_equation_keeps_row():
 
 def test_empty_system_has_no_rows():
     model = base_model()
-    assert bucket_eliminate(model, [], (), []) == ({}, [])
-    assert not model.unknowns
+    assert eliminate(model, [], {}, []) == {}
+    assert not model.unknowns and not model.rows
 
 
 def test_empty_psi_gives_zero():
     model = base_model()
-    result = eliminate(model, [], (), [])
+    result = eliminate(model, [], {}, [])
     assert evaluate(LinearExpression.build(0.0, result), bottom_up_values(model, {})) == 0.0
 
 
 def test_incomplete_ordering_rejected(paper_be):
     with pytest.raises(OrderingError):
-        bucket_eliminate(base_model("a", "b"), paper_be, PAPER_BE_DOMAINS, [0])
+        reference_bucket_eliminate(PAPER_BE_DOMAINS, paper_be, [0])
 
 
 def test_alias_adds_no_unknown():
@@ -239,12 +267,15 @@ def test_alias_adds_no_unknown():
     assert " op0: z_o0_v2__v1.0 <= 1.0\n" in text
     assert "z_o0_v1" not in text
     model = base_model("w0", "w1")
-    functions = scoped_functions_for_operator(task, fs, 0)
-    result, rows = bucket_eliminate(model, functions, task.domain_sizes, [0, 1, 2], "z_o0")
+    functions = [ScopedFunction(tuple(v for v, _ in facts),
+                                {tuple(x for _, x in facts): LinearExpression.term(f"w{i}", change)})
+                 for i, facts, change in operator_pairs(task, fs, 0)]
+    result = eliminate(model, functions, dict(enumerate(task.domain_sizes)), [0, 1, 2], "z_o0")
     assert [name for name, _, _ in model.unknowns] == ["w0", "w1", "z_o0_v2__v1.0"]
-    assert result == {2: 1.0}
-    assert rows == [("z_o0_v2__v1.0.0", {2: 1.0, 0: -1.0}),
-                    ("z_o0_v2__v1.0.1", {2: 1.0, 1: -1.0})]
+    assert result == {"z_o0_v2__v1.0": 1.0}
+    assert [(row.name, row.expression.coefficients()) for row in model.rows] == [
+        ("z_o0_v2__v1.0.0", {"z_o0_v2__v1.0": 1.0, "w0": -1.0}),
+        ("z_o0_v2__v1.0.1", {"z_o0_v2__v1.0": 1.0, "w1": -1.0})]
 
 
 def lp_minimum_of_result(functions, domains, order):
@@ -264,10 +295,9 @@ def bottom_up_result(model, result):
 @pytest.mark.parametrize("seed", range(40))
 def test_numeric_max_oracle(seed):
     domains, functions = random_scoped_set(4, 3, 5, seed)
-    graph = dependency_graph(functions, range(len(domains)))
-    order = min_fill_order(graph)
+    order = reference_min_fill_order(dependency_graph(functions, domains))
     solution, model, result = lp_minimum_of_result(functions, domains, order)
-    expected = brute_force_max(functions, domains, [1.0])
+    expected = brute_force_max(functions, domains, {"one": 1.0})
     assert solution.objective_value == pytest.approx(expected, abs=1e-9)
     bottom_up, _ = bottom_up_result(model, result)
     assert bottom_up == pytest.approx(expected, abs=1e-12)
@@ -277,7 +307,7 @@ def test_numeric_max_oracle(seed):
 def test_equation_solutions_satisfy_lp(seed):
     """Bottom-up values of the max-equations satisfy every one-sided row."""
     domains, functions = random_scoped_set(4, 3, 4, seed)
-    order = min_fill_order(dependency_graph(functions, range(len(domains))))
+    order = reference_min_fill_order(dependency_graph(functions, domains))
     model = base_model("one", lower=1.0, upper=1.0)
     eliminate(model, functions, domains, order)
     aux_values = bottom_up_values(model, {"one": 1.0})
@@ -289,7 +319,7 @@ def test_equation_solutions_satisfy_lp(seed):
 @pytest.mark.parametrize("seed", range(10))
 def test_minimizing_aux_recovers_equation_solution(seed):
     domains, functions = random_scoped_set(3, 3, 4, seed)
-    order = min_fill_order(dependency_graph(functions, range(len(domains))))
+    order = reference_min_fill_order(dependency_graph(functions, domains))
     model = base_model("one", lower=1.0, upper=1.0)
     eliminate(model, functions, domains, order)
     aux = [name for name, _, _ in model.unknowns[1:]]
@@ -305,12 +335,12 @@ def test_size_bounds(seed):
     """Aux and row counts stay within the width-parameterized budget; the
     final sum adds no unknown and no row."""
     domains, functions = random_scoped_set(4, 3, 5, seed)
-    graph = dependency_graph(functions, range(len(domains)))
-    order = min_fill_order(graph)
-    width = induced_width(graph, order)
+    graph = dependency_graph(functions, domains)
+    order = reference_min_fill_order(graph)
+    width = reference_induced_width(graph, order)
     _, model, _ = lp_minimum_of_result(functions, domains, order)
     n_vars = len(domains)
-    d = max(domains)
+    d = max(domains.values())
     aux_budget = n_vars * d ** width
     row_budget = n_vars * d ** (width + 1)
     assert len(model.unknowns) - 1 <= aux_budget
@@ -324,9 +354,7 @@ def test_dim2_general_matches_direct(seed):
     general = solve_general_for_state(task, fs, task.initial_state)
     direct = solve_for_state(task, fs, task.initial_state)
     assert general.value == pytest.approx(direct.value, abs=1e-6)
-    for op_index in range(len(task.operators)):
-        graph = context_dependency_graph(task, fs, op_index)
-        assert graph.edges == frozenset()
+    assert graph_edges(task, fs) == [frozenset()] * len(task.operators)
 
 
 def test_general_lp_dim1_reduces_to_plain_rows(toy1):
@@ -367,11 +395,7 @@ def test_k4_reduction_weights_satisfy_consistency_rows():
     red = reduce_3col(complete_graph(4))
     task, fs = red.task, red.features
     model = build_general_lp(task, fs)
-    widths = []
-    for op_index in range(len(task.operators)):
-        graph = context_dependency_graph(task, fs, op_index)
-        widths.append(induced_width(graph, min_fill_order(graph)))
-    assert max(widths) == 3  # the switch operator sees the whole graph
+    assert max(min_fill_widths(task, fs)) == 3  # the switch operator sees the whole graph
     assignment = bottom_up_values(model, {weight_var_name(f): red.weights[i]
                                                 for i, f in enumerate(fs.features)})
     for row in model.rows:
@@ -388,8 +412,8 @@ def test_general_lp_graphs_and_functions_per_operator(monkeypatch):
     import potplan.direct2d as direct2d
     task = random_task(4, 3, 6, 0)
     fs = random_features(task, 10, 3, 0)
-    graphs = [context_dependency_graph(task, fs, k) for k in range(len(task.operators))]
-    with_edges = [k for k, graph in enumerate(graphs) if graph.edges]
+    graphs = graph_edges(task, fs)
+    with_edges = [k for k, edges in enumerate(graphs) if edges]
     assert len(with_edges) == 3
     width0 = next(k for k in range(len(graphs)) if k not in with_edges)
     named = {width0: list(range(len(task.variables)))}
@@ -407,11 +431,10 @@ def test_general_lp_graphs_and_functions_per_operator(monkeypatch):
         assert len(calls) == 1
         adjacency, given = calls[0]
         assert [frozenset(zip(*(u.tolist() for u in np.nonzero(np.triu(graph)))))
-                for graph in adjacency] == [graphs[k].edges for k in played]
+                for graph in adjacency] == [graphs[k] for k in played]
         assert given.tolist() == [(orderings or {}).get(k, [-1] * len(task.variables))
                                   for k in played]
     # one function per feature sharing a variable with the operator, no more
     for op_index, op in enumerate(task.operators):
-        functions = scoped_functions_for_operator(task, fs, op_index)
-        assert len(functions) == sum(1 for f in fs.features
-                                     if set(f.variables) & set(op.eff))
+        assert len(operator_pairs(task, fs, op_index)) == sum(
+            1 for f in fs.features if set(f.variables) & set(op.eff))

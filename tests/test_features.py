@@ -4,7 +4,8 @@ import pytest
 
 from potplan.features import (Feature, FeatureError, FeatureSet, WeightFunction,
                               evaluate_potential, format_feature, generate_features,
-                              parse_feature, parse_feature_file, truth_matrix)
+                              parse_feature, parse_feature_file, truth_matrix,
+                              weights_from_strings)
 from potplan.generator import random_features, random_task
 from potplan.task import build_transition_system, is_applicable, iter_states
 
@@ -197,3 +198,11 @@ def test_feature_file_round_trip(toy1):
         parse_feature(toy1, "X=5")
     with pytest.raises(FeatureError):
         parse_feature(toy1, "Z=0")
+
+
+def test_weights_from_strings_rejects_nan(toy1):
+    """JSON reads NaN as a number; as a weight it is rejected all the same."""
+    fs, weights = weights_from_strings(toy1, {"X=0": 1, "Y=1": -2.5})
+    assert [f.facts for f in fs] == [((0, 0),), ((1, 1),)] and weights.values == [1.0, -2.5]
+    with pytest.raises(FeatureError, match="not a number"):
+        weights_from_strings(toy1, {"X=0": 1.0, "Y=1": float("nan")})

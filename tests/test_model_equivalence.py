@@ -13,8 +13,7 @@ import pytest
 
 from potplan.costpart import all_patterns, build_ocp_lp, build_tcp_lp, project
 from potplan.direct2d import build_direct2d_lp, build_exhaustive_lp, build_general_lp
-from potplan.elimination import (adjacency, classify, context_dependency_graph,
-                                 eliminate_graphs, min_fill_order, scoped_functions_for_operator)
+from potplan.elimination import adjacency, classify, eliminate_graphs
 from potplan.features import FeatureSet, generate_features
 from potplan.generator import random_features, random_task
 from potplan.lp import check_solution, export_lp, solve
@@ -23,7 +22,7 @@ from potplan.task import Operator, Task, Variable, build_transition_system, exac
 
 from conftest import make_alias_task, make_toy1
 from reference_builders import (reference_direct2d_model, reference_exhaustive_model,
-                                reference_general_model, reference_loop_model, reference_ocp_model,
+                                reference_general_model, reference_ocp_model,
                                 reference_projection, reference_tcp_eliminated_model,
                                 reference_tcp_model)
 
@@ -178,9 +177,23 @@ GENERAL_CASES.update({f"random{seed}": (lambda seed=seed: random_dimension3(seed
                       for seed in range(12)})
 
 
+def min_fill_orders(task, fs):
+    """Every operator's min-fill order, and its context-dependency graph."""
+    graphs = adjacency(task, fs, classify(task, fs))
+    return eliminate_graphs(graphs, np.full(graphs.shape[:2], -1))[0], graphs
+
+
 def reversed_min_fill_orders(task, fs):
-    return {op_index: min_fill_order(context_dependency_graph(task, fs, op_index))[::-1]
-            for op_index in range(len(task.operators))}
+    return {op_index: order[::-1] for op_index, order
+            in enumerate(min_fill_orders(task, fs)[0].tolist())}
+
+
+def context_variables(task, fs):
+    """Per operator, the variables outside it of the features touching it."""
+    classes = classify(task, fs)
+    variables = fs._padded_facts[classes.feature, :, 0]
+    return [set(variables[start:stop][classes.outside[start:stop]].tolist())
+            for start, stop in zip(classes.starts[:-1], classes.starts[1:])]
 
 
 @pytest.mark.parametrize("name", sorted(GENERAL_CASES))
@@ -204,8 +217,7 @@ def test_general_instances_cover_context_edges():
     for make in GENERAL_CASES.values():
         task, fs = make()
         assert fs.dimension == 3
-        with_edges += any(context_dependency_graph(task, fs, k).edges
-                          for k in range(len(task.operators)))
+        with_edges += bool(min_fill_orders(task, fs)[1].any())
         orders = reversed_min_fill_orders(task, fs)
         changed += export_lp(build_general_lp(task, fs)) != \
             export_lp(build_general_lp(task, fs, orders))
@@ -246,9 +258,10 @@ WIDTH0_CASES.update({f"dim3_{name}": make for name, make in GENERAL_CASES.items(
 @pytest.mark.parametrize("name", sorted(WIDTH0_CASES))
 def test_width0_pass_matches_bucket_loop(name):
     """The one-pass width-0 elimination writes the model that eliminating
-    each operator in `bucket_eliminate` writes, byte for byte."""
+    each operator on its own in the symbolic eliminator writes, byte for
+    byte."""
     task, fs = WIDTH0_CASES[name]()
-    assert_same_model(build_general_lp(task, fs), reference_loop_model(task, fs))
+    assert_same_model(build_general_lp(task, fs), reference_general_model(task, fs))
 
 
 def test_width0_instances_cover_edge_cases():
@@ -258,16 +271,18 @@ def test_width0_instances_cover_edge_cases():
     domain1 = untouched = no_ops = all_zero = mixed = 0
     for make in WIDTH0_CASES.values():
         task, fs = make()
-        width0 = (~adjacency(task, fs, classify(task, fs)).any(axis=(1, 2))).tolist()
+        classes = classify(task, fs)
+        width0 = (~adjacency(task, fs, classes).any(axis=(1, 2))).tolist()
         no_ops += any(op.pre == op.eff for op in task.operators)
         mixed += 0 < sum(width0) < len(width0)
-        for op_index, op in enumerate(task.operators):
-            functions = scoped_functions_for_operator(task, fs, op_index)
-            untouched += not functions
-            context = {v for fn in functions for v in fn.scope}
+        variables = fs._padded_facts[classes.feature, :, 0]
+        for op_index, context in enumerate(context_variables(task, fs)):
+            pairs = range(classes.starts[op_index], classes.starts[op_index + 1])
+            untouched += not pairs
             domain1 += any(task.domain_sizes[v] == 1 for v in context) and width0[op_index]
-            all_zero += any(all(not fn.table for fn in functions if v in fn.scope)
-                            for v in context) and width0[op_index]
+            changed = {v for p in pairs if classes.change[p]
+                       for v in variables[p][classes.outside[p]].tolist()}
+            all_zero += bool(context - changed) and width0[op_index]
     assert domain1 and untouched and no_ops and all_zero and mixed > len(GENERAL_CASES) // 2
 
 
@@ -275,28 +290,12 @@ def test_width0_operator_named_in_orderings_keeps_its_order():
     """An operator named in `orderings` is eliminated in the order given,
     also at width 0, where a non-default order changes its columns."""
     task, fs = WIDTH0_CASES["random0_dim2"]()
-    op_index = next(k for k in range(len(task.operators))
-                    if len({v for fn in scoped_functions_for_operator(task, fs, k)
-                            for v in fn.scope}) > 1)
+    op_index = next(k for k, context in enumerate(context_variables(task, fs))
+                    if len(context) > 1)
     orders = {op_index: list(range(len(task.variables)))}  # context variables descending
     model = build_general_lp(task, fs, orders)
     assert_same_model(model, reference_general_model(task, fs, orders))
     assert export_lp(model) != export_lp(build_general_lp(task, fs))
-
-
-def test_dimension2_build_runs_no_bucket_loop(monkeypatch):
-    """No build, at dimension <= 2 or above, with or without `orderings`,
-    eliminates an operator on its own: the array passes write every
-    model."""
-    import potplan.elimination as elimination
-    calls = []
-    monkeypatch.setattr(elimination, "bucket_eliminate",
-                        lambda *args, **kwargs: calls.append(args))
-    for make in [*WIDTH0_CASES.values(), *LOOP_CASES.values()]:
-        task, fs = make()
-        build_general_lp(task, fs)
-        build_general_lp(task, fs, random_orders(task, len(calls)))
-    assert calls == []
 
 
 def random_dimension(seed, dimension):
@@ -331,15 +330,16 @@ def random_orders(task, seed):
 @pytest.mark.parametrize("name", sorted(LOOP_CASES))
 def test_bucket_pass_matches_loop_reference(name):
     """Operators whose context-dependency graphs have edges, eliminated in
-    lockstep, give the model of eliminating each one in `bucket_eliminate`,
-    byte for byte: under min-fill orders, and with random orders named for
-    some operators (which then take the lockstep pass at any width)."""
+    lockstep, give the model of eliminating each one on its own in the
+    symbolic eliminator, byte for byte: under min-fill orders, and with
+    random orders named for some operators (which then take the lockstep
+    pass at any width)."""
     task, fs = LOOP_CASES[name]()
-    assert_same_model(build_general_lp(task, fs), reference_loop_model(task, fs))
+    assert_same_model(build_general_lp(task, fs), reference_general_model(task, fs))
     for seed in range(3):
         orders = random_orders(task, f"{name}:{seed}")
         assert_same_model(build_general_lp(task, fs, orders),
-                          reference_loop_model(task, fs, orders))
+                          reference_general_model(task, fs, orders))
 
 
 def test_bucket_pass_alias_matches_loop_reference():
@@ -348,7 +348,7 @@ def test_bucket_pass_alias_matches_loop_reference():
     task, fs = make_alias_task()
     orders = {0: [0, 1, 2]}
     model = build_general_lp(task, fs, orders)
-    assert_same_model(model, reference_loop_model(task, fs, orders))
+    assert_same_model(model, reference_general_model(task, fs, orders))
     names = [name for name, _, _ in model.unknowns]
     assert "z_o0_v2__v1.0" in names and not any(n.startswith("z_o0_v1") for n in names)
 
@@ -369,10 +369,11 @@ def test_loop_instances_cover_edge_cases():
         widths.update(op_widths.tolist())
         orders = random_orders(task, f"{name}:0")
         reordered += sum(order != min_fill[k].tolist() for k, order in orders.items())
+        classes = classify(task, fs)
         for op_index, op in enumerate(task.operators):
-            functions = scoped_functions_for_operator(task, fs, op_index)
-            untouched += not functions and op_index in orders
+            pairs = slice(classes.starts[op_index], classes.starts[op_index + 1])
+            untouched += pairs.start == pairs.stop and op_index in orders
             empty_buckets += op.pre == op.eff and graphs[op_index].any()
-            assert all(not fn.table for fn in functions) or op.pre != op.eff
+            assert not classes.change[pairs].any() or op.pre != op.eff
     assert dimensions == {3, 4, 5} and max(widths) == 4
     assert reordered > 50 and untouched and empty_buckets

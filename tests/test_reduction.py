@@ -35,6 +35,10 @@ def test_parse_dimacs():
         parse_dimacs("e 1 2\n")
     with pytest.raises(GraphError):
         parse_dimacs("p edge 2 1\ne 1 1\n")
+    with pytest.raises(GraphError, match="^line 1: expected integers"):
+        parse_dimacs("p edge x 3\n")
+    with pytest.raises(GraphError, match="^line 2: expected integers"):
+        parse_dimacs("p edge 3 1\ne 1 z\n")
 
 
 def test_reduction_k3_shape():

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -81,6 +82,12 @@ def test_validate_inadmissible():
     task = random_task(3, 2, 4, 1)
     report = validate(task, lambda s: 100.0)
     assert not report.admissible
+
+
+def test_validate_counts_nan_as_violation():
+    """A NaN heuristic value fails every check it enters."""
+    report = validate(random_task(3, 2, 4, 1), lambda s: math.nan)
+    assert not (report.goal_aware or report.consistent or report.admissible)
 
 
 def test_potential_heuristic_indexing(toy1):

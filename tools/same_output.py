@@ -93,8 +93,7 @@ def _task_calls(sas: str, features: str | None) -> list[list[str]]:
 def prepare(tree: str, workdir: str, extra: list[str]) -> None:
     """Write the inputs and `calls.json`, the list of argument vectors."""
     potplan = _import_potplan(tree)
-    from potplan.elimination import (context_dependency_graph, min_fill_order,
-                                     scoped_functions_for_operator)
+    from potplan.elimination import adjacency, classify, eliminate_graphs
     from potplan.features import Feature, FeatureSet, format_feature
     from potplan.generator import random_features, random_task
     from potplan.task import Operator, Task, Variable, serialize_sas
@@ -146,8 +145,11 @@ def prepare(tree: str, workdir: str, extra: list[str]) -> None:
             if seed == 0 and dim == 2:
                 # increasing ids, the reverse of min-fill's order, for an
                 # operator with two context variables
-                op = next(op for k, op in enumerate(task.operators) if len(
-                    {v for fn in scoped_functions_for_operator(task, fs, k) for v in fn.scope}) > 1)
+                classes = classify(task, fs)
+                context = fs._padded_facts[classes.feature, :, 0][classes.outside]
+                pair_op = np.repeat(classes.operator, classes.outside.sum(axis=1))
+                op = next(op for k, op in enumerate(task.operators)
+                          if len(set(context[pair_op == k].tolist())) > 1)
                 _write("width0_order.json",
                        json.dumps({op.name: [v.name for v in task.variables]}))
                 base = ["--method", "bucket", "--features", features,
@@ -156,8 +158,9 @@ def prepare(tree: str, workdir: str, extra: list[str]) -> None:
             if seed in (0, 1) and dim == 3:
                 names = [v.name for v in task.variables]
                 if seed == 0:
-                    orders = {op.name: [names[v] for v in
-                                        min_fill_order(context_dependency_graph(task, fs, k))[::-1]]
+                    graphs = adjacency(task, fs, classify(task, fs))
+                    min_fill = eliminate_graphs(graphs, np.full(graphs.shape[:2], -1))[0]
+                    orders = {op.name: [names[v] for v in min_fill[k, ::-1].tolist()]
                               for k, op in enumerate(task.operators)}
                     bad = {task.operators[0].name: names[:1]}
                     written = (("order.json", orders), ("bad_order.json", bad))
