@@ -98,12 +98,10 @@ class CostPartitioningLp:
 def _add_h_unknowns(model: LpModel, projections: list[Projection]) -> list[int]:
     """Declare every abstract state's h unknown; returns the column of each
     projection's abstract state 0."""
-    offsets = []
-    for ai, proj in enumerate(projections):
-        offsets.append(len(model.unknowns))
-        for si in range(proj.size):
-            model.add_unknown(f"h_a{ai}_s{si}")
-    return offsets
+    offsets = np.cumsum([len(model.unknowns)] + [proj.size for proj in projections])
+    names = [f"h_a{ai}_s{si}" for ai, proj in enumerate(projections) for si in range(proj.size)]
+    model.add_unknowns(names, [-math.inf] * len(names), [math.inf] * len(names))
+    return offsets[:-1].tolist()
 
 
 def _add_goal_rows(model: LpModel, projections: list[Projection],
@@ -171,9 +169,8 @@ def build_ocp_lp(ts: TransitionSystem, patterns, state: State) -> CostPartitioni
     model = LpModel()
     offsets = _add_h_unknowns(model, projections)
     first_cost = len(model.unknowns)
-    for ai in range(len(projections)):
-        for op in range(n_ops):
-            model.add_unknown(f"c_a{ai}_o{op}")
+    names = [f"c_a{ai}_o{op}" for ai in range(len(projections)) for op in range(n_ops)]
+    model.add_unknowns(names, [-math.inf] * len(names), [math.inf] * len(names))
     # cost column of (abstraction ai, operator op), one row per operator
     cost_columns = first_cost + np.arange(len(projections)) * n_ops + np.arange(n_ops)[:, None]
     _add_goal_rows(model, projections, offsets)

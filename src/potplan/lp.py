@@ -1,6 +1,7 @@
-"""Solver-agnostic linear programs: expression algebra, model assembly, a
-solve contract backed by the HiGHS that scipy bundles, and CPLEX-LP-format
-text export.
+"""Solver-agnostic linear programs: a model built and read by column, a
+solve contract backed by the HiGHS that scipy bundles, CPLEX-LP-format text
+export and a reader for exactly that text, and the name-level expression
+algebra (LinearExpression, evaluate) of the tests' reference builders.
 
 A model keeps its HiGHS object between solves as long as no column is added,
 so that re-solving it for another objective starts from the last optimal
@@ -22,7 +23,7 @@ import shlex
 import subprocess
 import tempfile
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 # Not called: perfbench/tracing.py wraps `potplan.lp.linprog` when a traced
@@ -130,29 +131,20 @@ def evaluate(expression: LinearExpression, assignment: dict[str, float]) -> floa
     return total
 
 
-@dataclass
-class Row:
-    expression: LinearExpression  # constant folded into rhs, see LpModel.add_row
-    relation: str
-    rhs: float
-    name: str = ""
-
-
 def _append(buffer: array, values) -> None:
     """Append a numpy-convertible sequence to a typed array in one copy."""
     buffer.frombytes(np.ascontiguousarray(values, dtype=buffer.typecode).tobytes())
 
 
 class LpModel:
-    """Columns with bounds, an objective, and the rows as one sparse table.
+    """Columns with bounds, an objective, and the rows as one sparse table,
+    all by column index: columns come in through `add_unknowns`, rows through
+    `add_rows` and the objective through `set_objective`; the rows come out
+    through `row_table()` and a solution as `LpSolution.x`.
 
     Row i holds the terms `_columns[s:e]` / `_coefficients[s:e]` with s the
     previous row's end and e `_row_ends[i]`, plus a relation code (an index
-    into RELATIONS), a right-hand side and a name ("" for unnamed).  The
-    objective is a map {column: coefficient}.  Names of unknowns are resolved
-    to columns only where a name-level LinearExpression comes in (`add_row`,
-    `column_terms`); `rows` rebuilds name-based Row objects only for callers
-    that ask for them.
+    into RELATIONS), a right-hand side and a name ("" for unnamed).
     """
 
     def __init__(self):
@@ -167,24 +159,6 @@ class LpModel:
         self._relations = array("b")
         self._rhs = array("d")
         self._row_names: list[str] = []
-
-    @property
-    def rows(self) -> list[Row]:
-        """The rows as name-based Row objects, built anew on every access."""
-        names = [name for name, _, _ in self.unknowns]
-        rows, start = [], 0
-        for end, code, rhs, name in zip(self._row_ends, self._relations, self._rhs,
-                                        self._row_names):
-            terms = {names[j]: c for j, c in zip(self._columns[start:end],
-                                                 self._coefficients[start:end])}
-            rows.append(Row(LinearExpression.build(0.0, terms), RELATIONS[code], rhs, name))
-            start = end
-        return rows
-
-    def add_unknown(self, name: str, lower: float = -math.inf,
-                    upper: float = math.inf) -> str:
-        self.add_unknowns([name], [lower], [upper])
-        return name
 
     def add_unknowns(self, names: list[str], lower: list[float], upper: list[float]) -> None:
         """Declare columns in order, one per name, with the matching bounds;
@@ -205,25 +179,6 @@ class LpModel:
             raise LpError(f"unknown '{twice}' declared twice")
         self._session = None
         self.unknowns.extend(zip(names, lower, upper))
-
-    def has_unknown(self, name: str) -> bool:
-        return name in self._by_name
-
-    def column_terms(self, expression: LinearExpression) -> dict[int, float]:
-        """The expression's terms as {column: coefficient}, in its (name)
-        order; its constant is left out."""
-        try:
-            return {self._by_name[name]: coef for name, coef in expression.terms}
-        except KeyError as e:
-            raise LpError(f"expression references undeclared unknown {e}") from None
-
-    def add_row(self, expression: LinearExpression, relation: str, rhs: float,
-                name: str = "") -> None:
-        """Append one row; the expression's constant is folded into the
-        right-hand side."""
-        terms = self.column_terms(expression)
-        self.add_rows([0, len(terms)], list(terms), list(terms.values()), relation,
-                      float(rhs) - expression.constant, [name])
 
     def add_rows(self, indptr, columns, coefficients, relations, rhs,
                  names=None) -> None:
@@ -312,15 +267,6 @@ class LpSolution:
     x: np.ndarray | None = None  # the unknowns' values in column order
     objective_value: float | None = None
     bound_active: tuple[str, ...] = ()
-    # the model's (name, lower, upper) list, read only by `values`
-    unknowns: list[tuple[str, float, float]] = field(default_factory=list, repr=False)
-
-    @property
-    def values(self) -> dict[str, float] | None:
-        """The unknowns' values by name, built on every access."""
-        if self.x is None:
-            return None
-        return dict(zip((name for name, _, _ in self.unknowns), self.x.tolist()))
 
     def require_optimal(self) -> "LpSolution":
         if self.status != "optimal":
@@ -515,7 +461,7 @@ def _finish(model: LpModel, x: np.ndarray, table: tuple[csr_matrix, np.ndarray, 
         (~np.isinf(lower) & (np.abs(x - lower) <= FEASIBILITY_TOL))
         | (~np.isinf(upper) & (np.abs(x - upper) <= FEASIBILITY_TOL)))
     return LpSolution("optimal", x, value,
-                      tuple(unknowns[j][0] for j in np.flatnonzero(active)), unknowns)
+                      tuple(unknowns[j][0] for j in np.flatnonzero(active)))
 
 
 def _solve_external(model: LpModel, command: str) -> LpSolution:
@@ -541,20 +487,15 @@ def _solve_external(model: LpModel, command: str) -> LpSolution:
         if len(parts) != 2:
             raise SolverFailureError(f"bad solution line '{line}'")
         name, value = parts
-        if not model.has_unknown(name):
+        if name not in model._by_name:
             raise SolverFailureError(f"solution names unknown column '{name}'")
         x[model._by_name[name]] = float(value)
     return _finish(model, x, model.row_table(), *_bounds(model))
 
 
 def _format_coefficient(coef: float) -> str:
-    if coef == 1.0:
-        return "+ "
-    if coef == -1.0:
-        return "- "
-    if coef < 0:
-        return f"- {-coef!r} "
-    return f"+ {coef!r} "
+    sign = "- " if coef < 0 else "+ "
+    return sign if abs(coef) == 1.0 else f"{sign}{abs(coef)!r} "
 
 
 def _format_terms(names: list[str], terms) -> str:
@@ -596,140 +537,84 @@ def export_lp(model: LpModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-_TOKEN_RE = re.compile(r"(<=|>=|=|\+|-|:|[A-Za-z_][A-Za-z0-9_.()]*"
-                       r"|[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?|inf)")
-
-
-def _parse_expression(tokens: list[str]) -> LinearExpression:
-    expr = ZERO
-    sign = 1.0
-    pending: float | None = None
-    for token in tokens:
-        if token in ("+", "-"):
-            if pending is not None:
-                expr = expr + sign * pending
-                pending = None
-            sign = 1.0 if token == "+" else -1.0
-        elif re.match(r"^[0-9.]|^inf$", token):
-            if pending is not None:
-                expr = expr + sign * pending
-                sign = 1.0
-            pending = float(token)
-        else:
-            coef = sign * (pending if pending is not None else 1.0)
-            expr = expr + LinearExpression.term(token, coef)
-            pending = None
-            sign = 1.0
-    if pending is not None:
-        expr = expr + sign * pending
-    return expr
+_HEADERS = ("Maximize|Minimize", "obj:.*", "Subject To", "Bounds", "End")
+_BOUND_RE = re.compile(r"(?:(\S+) <= )?(\S+) (?:free|>= (\S+)|<= (\S+))")
+_ROW_RE = re.compile(r"(\S+): ?(.*) (<=|=|>=) (\S+)")
+_TERMS_RE = re.compile(r"(?:[+-] (?:\d\S* )?\S+(?: |$))*")
+_TERM_RE = re.compile(r"([+-]) (?:(\d\S*) )?(\S+)")
 
 
 def parse_lp(text: str) -> LpModel:
-    """Parse the LP subset written by export_lp back into a model."""
-    section = None
-    sense = "max"
-    objective_tokens: list[str] = []
-    row_specs: list[tuple[str, list[str]]] = []
-    bound_lines: list[list[str]] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("\\"):
-            continue
-        lowered = line.lower()
-        if lowered in ("maximize", "minimize"):
-            section = "objective"
-            sense = "max" if lowered == "maximize" else "min"
-            continue
-        if lowered == "subject to":
-            section = "rows"
-            continue
-        if lowered == "bounds":
-            section = "bounds"
-            continue
-        if lowered == "end":
-            break
-        tokens = _TOKEN_RE.findall(line)
-        if section == "objective":
-            if ":" in tokens:
-                tokens = tokens[tokens.index(":") + 1:]
-            objective_tokens.extend(tokens)
-        elif section == "rows":
-            name = ""
-            if ":" in tokens:
-                name = tokens[tokens.index(":") - 1]
-                tokens = tokens[tokens.index(":") + 1:]
-            row_specs.append((name, tokens))
-        elif section == "bounds":
-            bound_lines.append(tokens)
+    """Read back exactly what export_lp writes: `Maximize` or `Minimize`, one
+    ` obj: terms` line, `Subject To` with one ` name: terms relation rhs` line
+    per row, `Bounds` with one line per unknown in column order, and `End`.
+    Any other line raises an LpError that names it."""
+    headers, blocks = [], [[]]  # the lines before the first header and after each
+    for number, line in enumerate(text.splitlines(), 1):
+        if len(headers) < len(_HEADERS) and re.fullmatch(_HEADERS[len(headers)], line.strip()):
+            headers.append((number, line.strip()))
+            blocks.append([])
         else:
-            raise LpError(f"unexpected line outside any section: '{line}'")
-
-    model = LpModel()
-    for tokens in bound_lines:
-        if len(tokens) == 2 and tokens[-1] == "free":
-            model.add_unknown(tokens[0])
-            continue
-        segments: list[list[str]] = [[]]
-        relations = []
-        for token in tokens:
-            if token in ("<=", ">="):
-                relations.append(token)
-                segments.append([])
-            else:
-                segments[-1].append(token)
-        if len(segments) == 3 and relations == ["<=", "<="]:
-            model.add_unknown(segments[1][0], _parse_bound(segments[0]),
-                              _parse_bound(segments[2]))
-        elif len(segments) == 2 and _NAME_RE.match(segments[0][0]):
-            name, value = segments[0][0], _parse_bound(segments[1])
-            if relations == ["<="]:
-                model.add_unknown(name, upper=value)
-            else:
-                model.add_unknown(name, lower=value)
-        elif len(segments) == 2:
-            name, value = segments[1][0], _parse_bound(segments[0])
-            if relations == ["<="]:
-                model.add_unknown(name, lower=value)
-            else:
-                model.add_unknown(name, upper=value)
-        else:
-            raise LpError(f"cannot parse bound line {tokens}")
-    for name, tokens in row_specs:
-        split = None
-        for rel in RELATIONS:
-            if rel in tokens:
-                split = tokens.index(rel)
-                relation = rel
-        if split is None:
-            raise LpError(f"row without relation: {tokens}")
-        lhs = _parse_expression(tokens[:split])
-        rhs = _parse_expression(tokens[split + 1:])
-        if rhs.terms:
-            raise LpError("unknowns on the right-hand side are not supported")
-        for unk, _ in lhs.terms:
-            if not model.has_unknown(unk):
-                model.add_unknown(unk)
-        model.add_row(lhs, relation, rhs.constant, name)
-    objective = _parse_expression(objective_tokens)
-    if objective.constant:
-        raise LpError("constants in the objective are not supported")
-    for unk, _ in objective.terms:
-        if not model.has_unknown(unk):
-            model.add_unknown(unk)
-    model.set_objective(sense, model.column_terms(objective))
+            blocks[-1].append((number, line.strip()))
+    if len(headers) < len(_HEADERS):
+        raise LpError(f"no line matching '{_HEADERS[len(headers)]}'")
+    _read(blocks[0] + blocks[1] + blocks[2] + blocks[5], None)
+    model, declared = LpModel(), _read(blocks[4], _parse_bound)
+    if declared:
+        model.add_unknowns(*zip(*declared))
+    parsed = _read(blocks[3], _parse_row, model._by_name)
+    if parsed:
+        names, terms, relations, rhs = zip(*parsed)
+        model.add_rows(np.cumsum([0] + [len(row) for row in terms]), [j for row in terms for j in row],
+                       [c for row in terms for c in row.values()], relations, rhs, names)
+    (objective,) = _read(headers[1:2], lambda line, columns: _parse_terms(
+        line[4:].strip(), columns, "the objective"), model._by_name)
+    model.set_objective("max" if headers[0][1] == "Maximize" else "min", objective)
     return model
 
 
-def _parse_bound(tokens: list[str]) -> float:
-    # a possibly signed number, e.g. ['-', '3.0'] or ['3.0']
-    value = None
-    sign = 1.0
-    for token in tokens:
-        if token == "-":
-            sign = -1.0
-        elif token != "+":
-            value = math.inf if token == "inf" else float(token)
-    if value is None:
-        raise LpError(f"cannot parse bound from {tokens}")
-    return sign * value
+def _read(lines: list[tuple[int, str]], parse, *args) -> list:
+    """`parse(line, *args)` per (number, line); a line that fails, or any
+    line if parse is None, raises an LpError that names it."""
+    parsed = []
+    for number, line in lines:
+        try:
+            if parse is None:
+                raise LpError("not a line export_lp writes here")
+            parsed.append(parse(line, *args))
+        except ValueError as e:  # LpError included
+            raise LpError(f"line {number} '{line}': {e}") from None
+    return parsed
+
+
+def _parse_bound(line: str) -> tuple[str, float, float]:
+    """`x free`, `x >= lo`, `x <= hi` or `lo <= x <= hi`."""
+    match = _BOUND_RE.fullmatch(line)
+    if match is None or match[1] and not match[4]:
+        raise LpError("not a bound `x free`, `x >= lo`, `x <= hi` or `lo <= x <= hi`")
+    lower, name, at_least, upper = match.groups()
+    return name, float(lower or at_least or "-inf"), float(upper or "inf")
+
+
+def _parse_row(line: str, columns: dict[str, int]) -> tuple[str, dict[int, float], str, float]:
+    match = _ROW_RE.fullmatch(line)
+    if match is None:
+        raise LpError("not a row `name: terms relation rhs`")
+    name, terms, relation, rhs = match.groups()
+    return name, _parse_terms(terms, columns, "a row's left-hand side"), relation, float(rhs)
+
+
+def _parse_terms(text: str, columns: dict[str, int], where: str) -> dict[int, float]:
+    """{column: coefficient} of terms as `_format_terms` writes them: a sign
+    (left out before a first positive term), a coefficient unless it is 1,
+    and the name of an unknown declared in Bounds."""
+    text = "+ " + text if text and not text.startswith("- ") else text
+    if not _TERMS_RE.fullmatch(text):
+        raise LpError(f"'{text}' is not a sum of terms `+|- [coefficient] name`")
+    parsed = {}
+    for sign, coefficient, name in _TERM_RE.findall(text):
+        if name not in columns or columns[name] in parsed:
+            raise LpError(f"constants in {where} are not supported" if name[0].isdigit()
+                          else f"unknown '{name}' is missing from Bounds or repeated")
+        parsed[columns[name]] = float(sign + (coefficient or "1"))
+    return parsed

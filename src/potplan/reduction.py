@@ -74,20 +74,24 @@ def parse_dimacs(text: str) -> Graph:
         if parts[0] == "p":
             if len(parts) != 4 or parts[1] != "edge":
                 raise GraphError(f"line {line_no}: expected 'p edge n m'")
-            vertex_count = _integers(line_no, parts[2:3])[0]
+            vertex_count, edge_count = _integers(line_no, parts[2:])
         elif parts[0] == "e":
             if vertex_count is None:
                 raise GraphError(f"line {line_no}: edge before problem line")
             if len(parts) != 3:
                 raise GraphError(f"line {line_no}: expected 'e u v'")
-            u, v = (end - 1 for end in _integers(line_no, parts[1:]))
+            u, v = _integers(line_no, parts[1:])
+            if not (1 <= u <= vertex_count and 1 <= v <= vertex_count):
+                raise GraphError(f"line {line_no}: edge {u} {v} leaves vertices 1..{vertex_count}")
             if u == v:
                 raise GraphError(f"line {line_no}: self loop")
-            edges.append((u, v))
+            edges.append((u - 1, v - 1))
         else:
             raise GraphError(f"line {line_no}: unknown record '{parts[0]}'")
     if vertex_count is None:
         raise GraphError("missing problem line")
+    if len(edges) != edge_count:
+        raise GraphError(f"problem line declares {edge_count} edges, found {len(edges)}")
     return Graph.of(vertex_count, edges)
 
 

@@ -13,8 +13,8 @@ from potplan.features import Feature, FeatureSet
 from potplan.lp import LinearExpression, LpModel
 from potplan.task import Operator, Task, Variable
 
-from reference_builders import (ScopedFunction, reference_bucket_eliminate,
-                                reference_lp_constraints)
+from reference_builders import (ScopedFunction, add_row, add_unknown, model_rows,
+                                reference_bucket_eliminate, reference_lp_constraints)
 
 
 def make_toy1() -> Task:
@@ -95,7 +95,7 @@ def base_model(*names: str, lower: float = -math.inf, upper: float = math.inf) -
     """A model whose columns are the given base unknowns."""
     model = LpModel()
     for name in names:
-        model.add_unknown(name, lower, upper)
+        add_unknown(model, name, lower, upper)
     return model
 
 
@@ -106,9 +106,9 @@ def eliminate(model: LpModel, functions, domains, order, prefix: str = "z") -> d
     unknowns, rows, result = reference_lp_constraints(
         reference_bucket_eliminate(domains, functions, list(order), prefix))
     for name in unknowns:
-        model.add_unknown(name)
+        add_unknown(model, name)
     for row in rows:
-        model.add_row(row.expression, row.relation, row.rhs, row.name)
+        add_row(model, row.expression, row.relation, row.rhs, row.name)
     return result.coefficients()
 
 
@@ -117,9 +117,10 @@ def candidates(model: LpModel) -> list[tuple[str, list[tuple[float, dict[str, fl
     read off its rows `{unknown}.{j}` (unknown - candidate >= constant) as
     (constant, {name: coefficient})."""
     out: dict[str, list] = {}
-    for row in model.rows:
+    declared = {name for name, _, _ in model.unknowns}
+    for row in model_rows(model):
         aux = row.name.rpartition(".")[0]
-        if model.has_unknown(aux):
+        if aux in declared:
             out.setdefault(aux, []).append(
                 (row.rhs, {n: -c for n, c in row.expression.terms if n != aux}))
     return list(out.items())  # rows follow their unknown's declaration
@@ -130,7 +131,7 @@ def bottom_up_values(model: LpModel, base: dict[str, float]) -> dict[str, float]
     other one, in declaration order, the max over its rows `{unknown}.{j}`
     of the candidate's value (the least value those rows allow)."""
     rows: dict[str, list] = {}
-    for row in model.rows:
+    for row in model_rows(model):
         rows.setdefault(row.name.rpartition(".")[0], []).append(row)
     values = dict(base)
     for name, _, _ in model.unknowns:

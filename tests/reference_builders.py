@@ -38,9 +38,61 @@ from typing import NamedTuple
 from potplan.direct2d import WEIGHT_LOWER, WEIGHT_UPPER, sample_states, weight_var_name
 from potplan.elimination import OrderingError, check_order
 from potplan.features import Feature, FeatureError, pinned_features
-from potplan.lp import ZERO, LinearExpression, LpModel, Row, evaluate
+from potplan.lp import RELATIONS, ZERO, LinearExpression, LpError, LpModel, evaluate
 from potplan.search import NoPlanError, SearchResult, tiebreak_key
 from potplan.task import RELAX_EPS, is_applicable, iter_states, state_index, successor
+
+
+class Row(NamedTuple):
+    """A model row by unknown names: `expression relation rhs`."""
+    expression: LinearExpression
+    relation: str
+    rhs: float
+    name: str
+
+
+def add_unknown(model, name, lower=-math.inf, upper=math.inf):
+    """Declare one column through `add_unknowns`; returns its name."""
+    model.add_unknowns([name], [lower], [upper])
+    return name
+
+
+def column_terms(model, expression):
+    """The expression's terms as {column: coefficient}; its constant is left
+    out."""
+    columns = {name: j for j, (name, _, _) in enumerate(model.unknowns)}
+    try:
+        return {columns[name]: coef for name, coef in expression.terms}
+    except KeyError as e:
+        raise LpError(f"expression references undeclared unknown {e}") from None
+
+
+def add_row(model, expression, relation, rhs, name=""):
+    """Append one row through `add_rows`; the expression's constant is folded
+    into the right-hand side."""
+    terms = column_terms(model, expression)
+    model.add_rows([0, len(terms)], list(terms), list(terms.values()), relation,
+                   float(rhs) - expression.constant, [name])
+
+
+def model_rows(model):
+    """The model's rows by unknown names, read off `row_table()`; an unnamed
+    row has the name `row_name` gives it."""
+    names = [name for name, _, _ in model.unknowns]
+    matrix, relations, rhs = model.row_table()
+    return [Row(LinearExpression.build(0.0, {names[j]: c for j, c in zip(
+                    matrix.indices[start:end].tolist(), matrix.data[start:end].tolist())}),
+                RELATIONS[code], value, model.row_name(i))
+            for i, (start, end, code, value) in enumerate(zip(
+                matrix.indptr[:-1].tolist(), matrix.indptr[1:].tolist(), relations.tolist(),
+                rhs.tolist()))]
+
+
+def solution_values(model, solution):
+    """The solution's values by unknown name, or None if it has none."""
+    if solution.x is None:
+        return None
+    return dict(zip((name for name, _, _ in model.unknowns), solution.x.tolist()))
 
 
 class ScopedFunction(NamedTuple):
@@ -159,7 +211,7 @@ def _start(ts, patterns, state):
     model = LpModel()
     for ai, proj in enumerate(projections):
         for si in range(len(proj[2])):
-            model.add_unknown(f"h_a{ai}_s{si}")
+            add_unknown(model, f"h_a{ai}_s{si}")
     return projections, model
 
 
@@ -171,7 +223,7 @@ def _finish(model, projections, state):
             index = index * dom + state[var]
         name = f"h_a{ai}_s{index}"
         terms[name] = terms.get(name, 0.0) + 1.0
-    model.set_objective("max", model.column_terms(LinearExpression.build(0.0, terms)))
+    model.set_objective("max", column_terms(model, LinearExpression.build(0.0, terms)))
     return model
 
 
@@ -179,17 +231,17 @@ def reference_tcp_model(ts, patterns, state):
     projections, model = _start(ts, patterns, state)
     for ai in range(len(projections)):
         for ti in range(len(ts.transitions)):
-            model.add_unknown(f"c_a{ai}_t{ti}")
+            add_unknown(model, f"c_a{ai}_t{ti}")
     for ai, proj in enumerate(projections):
-        model.add_row(_h(ai, proj[5]), "=", 0.0, f"goal_a{ai}")
+        add_row(model, _h(ai, proj[5]), "=", 0.0, f"goal_a{ai}")
     for ai, proj in enumerate(projections):
         for ti, (asrc, _, adst) in enumerate(proj[3]):
             expr = _h(ai, asrc) - _h(ai, adst) - LinearExpression.term(f"c_a{ai}_t{ti}")
-            model.add_row(expr, "<=", 0.0, f"cons_a{ai}_t{ti}")
+            add_row(model, expr, "<=", 0.0, f"cons_a{ai}_t{ti}")
     for ti, (_, op, _) in enumerate(ts.transitions):
         terms = {f"c_a{ai}_t{ti}": 1.0 for ai in range(len(projections))}
-        model.add_row(LinearExpression.build(0.0, terms), "<=",
-                      float(ts.operator_costs[op]), f"part_t{ti}")
+        add_row(model, LinearExpression.build(0.0, terms), "<=",
+                float(ts.operator_costs[op]), f"part_t{ti}")
     return _finish(model, projections, state)
 
 
@@ -199,13 +251,13 @@ def reference_tcp_eliminated_model(ts, patterns, state):
     partition row, named `part_t{ti}`."""
     projections, model = _start(ts, patterns, state)
     for ai, proj in enumerate(projections):
-        model.add_row(_h(ai, proj[5]), "=", 0.0, f"goal_a{ai}")
+        add_row(model, _h(ai, proj[5]), "=", 0.0, f"goal_a{ai}")
     for ti, (_, op, _) in enumerate(ts.transitions):
         expr = LinearExpression()
         for ai, proj in enumerate(projections):
             asrc, _, adst = proj[3][ti]
             expr = expr + _h(ai, asrc) - _h(ai, adst)
-        model.add_row(expr, "<=", float(ts.operator_costs[op]), f"part_t{ti}")
+        add_row(model, expr, "<=", float(ts.operator_costs[op]), f"part_t{ti}")
     return _finish(model, projections, state)
 
 
@@ -214,9 +266,9 @@ def reference_ocp_model(ts, patterns, state):
     n_ops = len(ts.operator_costs)
     for ai in range(len(projections)):
         for op in range(n_ops):
-            model.add_unknown(f"c_a{ai}_o{op}")
+            add_unknown(model, f"c_a{ai}_o{op}")
     for ai, proj in enumerate(projections):
-        model.add_row(_h(ai, proj[5]), "=", 0.0, f"goal_a{ai}")
+        add_row(model, _h(ai, proj[5]), "=", 0.0, f"goal_a{ai}")
     for ai, proj in enumerate(projections):
         seen = set()
         for asrc, op, adst in proj[3]:
@@ -224,11 +276,11 @@ def reference_ocp_model(ts, patterns, state):
                 continue
             seen.add((asrc, op, adst))
             expr = _h(ai, asrc) - _h(ai, adst) - LinearExpression.term(f"c_a{ai}_o{op}")
-            model.add_row(expr, "<=", 0.0, f"cons_a{ai}_s{asrc}_o{op}_s{adst}")
+            add_row(model, expr, "<=", 0.0, f"cons_a{ai}_s{asrc}_o{op}_s{adst}")
     for op in range(n_ops):
         terms = {f"c_a{ai}_o{op}": 1.0 for ai in range(len(projections))}
-        model.add_row(LinearExpression.build(0.0, terms), "<=",
-                      float(ts.operator_costs[op]), f"part_o{op}")
+        add_row(model, LinearExpression.build(0.0, terms), "<=",
+                float(ts.operator_costs[op]), f"part_o{op}")
     return _finish(model, projections, state)
 
 
@@ -240,13 +292,13 @@ def _reference_weights(model, task, fs, pin=True):
     weight_vars = {}
     for i, f in enumerate(fs.features):
         bounds = (0.0, 0.0) if i in pinned else (WEIGHT_LOWER, WEIGHT_UPPER)
-        weight_vars[i] = model.add_unknown(weight_var_name(f), *bounds)
+        weight_vars[i] = add_unknown(model, weight_var_name(f), *bounds)
     return weight_vars
 
 
 def _reference_goal_row(model, task, fs, weight_vars):
     goal_state = tuple(task.goal[v] for v in range(len(task.variables)))
-    model.add_row(_reference_state_objective(fs, weight_vars, goal_state), "<=", 0.0, "goal")
+    add_row(model, _reference_state_objective(fs, weight_vars, goal_state), "<=", 0.0, "goal")
 
 
 def reference_exhaustive_model(task, fs, ts, pin=True):
@@ -260,8 +312,8 @@ def reference_exhaustive_model(task, fs, ts, pin=True):
             change = int(true_in(f, s)) - int(true_in(f, t))
             if change:
                 terms[weight_vars[i]] = terms.get(weight_vars[i], 0.0) + change
-        model.add_row(LinearExpression.build(0.0, terms), "<=",
-                      float(task.operators[op_id].cost), f"t{ti}")
+        add_row(model, LinearExpression.build(0.0, terms), "<=",
+                float(task.operators[op_id].cost), f"t{ti}")
     return model
 
 
@@ -308,9 +360,9 @@ def reference_direct2d_model(task, fs):
     for op_index in range(len(task.operators)):
         main, z_names, z_rows = _reference_operator_rows(task, fs, weight_vars, op_index)
         for name in z_names:
-            model.add_unknown(name)
+            add_unknown(model, name)
         for row in [main] + z_rows:
-            model.add_row(*row)
+            add_row(model, *row)
     return model
 
 
@@ -570,14 +622,14 @@ def reference_general_model(task, fs, orderings=None, pin=True):
             unknowns, rows, result = reference_lp_constraints(reference_bucket_eliminate(
                 domains, functions, list(order), prefix=f"z_o{op_index}"))
             for name in unknowns:
-                model.add_unknown(name)
+                add_unknown(model, name)
             for name, coef in result.terms:
                 cost[name] = cost.get(name, 0.0) + coef
             constant = result.constant
-        model.add_row(LinearExpression.build(constant, cost), "<=", float(op.cost),
-                      f"op{op_index}")
+        add_row(model, LinearExpression.build(constant, cost), "<=", float(op.cost),
+                f"op{op_index}")
         for row in rows:
-            model.add_row(row.expression, row.relation, row.rhs, row.name)
+            add_row(model, row.expression, row.relation, row.rhs, row.name)
     return model
 
 

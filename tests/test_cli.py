@@ -1,3 +1,4 @@
+import glob
 import json
 import os
 import subprocess
@@ -6,10 +7,13 @@ import sys
 import pytest
 
 import potplan
+from potplan import direct2d
 from potplan.cli import main
+from potplan.lp import export_lp, parse_lp
 from potplan.task import Task, parse_sas, serialize_sas
 from potplan.tnf import is_tnf
 
+from test_lp import REJECTED_LP
 from test_task import TOY1_SAS
 
 K4_DIMACS = "p edge 4 6\ne 1 2\ne 1 3\ne 1 4\ne 2 3\ne 2 4\ne 3 4\n"
@@ -113,8 +117,29 @@ def test_lp_export(capsys, tmp_path, toy1_file):
     assert code == 0
     text = out_path.read_text()
     assert text.startswith("Maximize") and text.rstrip().endswith("End")
-    from potplan.lp import parse_lp
-    assert len(parse_lp(text).rows) == 3
+    assert parse_lp(text).row_table()[0].shape[0] == 3
+    assert export_lp(parse_lp(text)) == text
+
+
+@pytest.mark.parametrize("dim", ["1", "2"])
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(os.path.dirname(__file__),
+                                                               "data", "*.sas"))),
+                         ids=os.path.basename)
+def test_lp_export_reads_back(capsys, tmp_path, path, dim):
+    """What `potplan lp` writes, parsed and written again, is the same text."""
+    out_path = tmp_path / "model.lp"
+    code, _, _ = run_cli(capsys, "lp", "--dim", dim, path, "--out", str(out_path))
+    text = out_path.read_text()
+    assert code == 0 and export_lp(parse_lp(text)) == text
+
+
+@pytest.mark.parametrize("name, text, message", REJECTED_LP, ids=[n for n, _, _ in REJECTED_LP])
+def test_rejected_lp_text_is_domain_error(capsys, monkeypatch, toy1_file, name, text, message):
+    """An LP text that parse_lp rejects, read where the CLI builds its model,
+    ends as `error: ...` and exit 1, not a traceback."""
+    monkeypatch.setattr(direct2d, "build_direct2d_lp", lambda task, fs: parse_lp(text))
+    code, out, err = run_cli(capsys, "lp", toy1_file)
+    assert code == 1 and out == "" and err.startswith("error: ") and message in err
 
 
 def test_search_subcommand(capsys, toy1_file):
@@ -296,6 +321,21 @@ def test_reduce3col_malformed_number_is_domain_error(capsys, tmp_path, text, lin
     graph.write_text(text)
     code, out, err = run_cli(capsys, "reduce3col", str(graph), "-o", str(tmp_path / "bad.sas"))
     assert code == 1 and out == "" and err.startswith(f"error: line {line}: ")
+
+
+@pytest.mark.parametrize("text, error", [
+    ("p edge 3 x\ne 1 2\n", "error: line 1: expected integers, got '3 x'"),
+    ("p edge 3 5\ne 1 2\n", "error: problem line declares 5 edges, found 1"),
+    ("p edge 3 1\ne 0 1\n", "error: line 2: edge 0 1 leaves vertices 1..3"),
+    ("p edge 3 1\ne 1 4\n", "error: line 2: edge 1 4 leaves vertices 1..3")],
+    ids=["edge-count-not-integer", "edge-count-mismatch", "vertex-0", "vertex-above-n"])
+def test_reduce3col_bad_problem_line_or_edge_is_domain_error(capsys, tmp_path, text, error):
+    """The edge count of `p edge n m` is an integer that matches the `e`
+    lines, and every endpoint lies in 1..n, checked on the edge's line."""
+    graph = tmp_path / "bad.col"
+    graph.write_text(text)
+    code, out, err = run_cli(capsys, "reduce3col", str(graph), "-o", str(tmp_path / "bad.sas"))
+    assert (code, out, err) == (1, "", error + "\n")
 
 
 THREE_VAR_FEATURES = """\

@@ -13,6 +13,8 @@ from potplan.lp import solve
 from potplan.search import PotentialHeuristic, validate
 from potplan.task import build_transition_system, exact_goal_distances
 
+from reference_builders import solution_values
+
 
 def test_project_single_variable(toy1):
     ts = build_transition_system(toy1)
@@ -104,8 +106,9 @@ def test_extract_cost_functions(seed, build, cost):
     built = build(ts, patterns, task.initial_state)
     solution = solve(built.model).require_optimal()
     cost_functions = built.extract_cost_functions(ts, solution)
+    values = solution_values(built.model, solution)
     assert cost_functions.tolist() == [
-        [cost(solution.values, ai, *move) for move in proj.abstract_transitions.tolist()]
+        [cost(values, ai, *move) for move in proj.abstract_transitions.tolist()]
         for ai, proj in enumerate(built.projections)]
     assert validate_partition(ts, cost_functions) == (True, None)
 

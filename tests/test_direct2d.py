@@ -9,12 +9,12 @@ from potplan.lp import LinearExpression, evaluate, solve
 from potplan.search import PotentialHeuristic, validate
 from potplan.task import Task, successor
 
-from reference_builders import (classify_features, delta_independent,
-                                reference_samples_objective)
+from reference_builders import (classify_features, column_terms, delta_independent,
+                                model_rows, reference_samples_objective, solution_values)
 
 
 def rows_by_name(model):
-    return {row.name: row for row in model.rows}
+    return {row.name: row for row in model_rows(model)}
 
 
 def z_unknowns(model, op_index):
@@ -23,20 +23,20 @@ def z_unknowns(model, op_index):
 
 
 def test_goal_row_dim1(toy1):
-    row = build_direct2d_lp(toy1, generate_features(toy1, 1)).rows[0]
+    row = model_rows(build_direct2d_lp(toy1, generate_features(toy1, 1)))[0]
     assert row.name == "goal" and row.relation == "<=" and row.rhs == 0.0
     assert row.expression.coefficients() == {"w_v0.1": 1.0, "w_v1.1": 1.0}
 
 
 def test_goal_row_dim2(toy1):
-    row = build_direct2d_lp(toy1, generate_features(toy1, 2)).rows[0]
+    row = model_rows(build_direct2d_lp(toy1, generate_features(toy1, 2)))[0]
     assert row.name == "goal"
     assert row.expression.coefficients() == {
         "w_v0.1": 1.0, "w_v1.1": 1.0, "w_v0.1__v1.1": 1.0}
 
 
 def test_goal_row_empty_feature_set(toy1):
-    row = build_direct2d_lp(toy1, FeatureSet(())).rows[0]
+    row = model_rows(build_direct2d_lp(toy1, FeatureSet(())))[0]
     assert row.name == "goal"
     assert row.expression.is_zero() and row.rhs == 0.0
 
@@ -81,7 +81,7 @@ def test_operator_touching_all_variables(toy1):
     task = Task(toy1.variables, [op], toy1.initial_state, toy1.goal)
     model = build_direct2d_lp(task, generate_features(task, 2))
     assert z_unknowns(model, 0) == []
-    assert [row.name for row in model.rows] == ["goal", "op0"]
+    assert [row.name for row in model_rows(model)] == ["goal", "op0"]
 
 
 def test_dimension_cap(toy1):
@@ -176,7 +176,7 @@ def test_row_count_formula(seed):
         context_vars = {var for i in classify_features(fs, op).context_dependent
                         for var in fs.features[i].variables if var not in op.eff}
         expected += sum(task.variables[v].domain_size for v in context_vars)
-    assert len(model.rows) == expected
+    assert len(model_rows(model)) == expected
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -219,7 +219,7 @@ def test_state_objective_equals_repeated_addition(seed, dimension, count):
         fs = random_features(task, 10, 3, seed)
     model = build_general_lp(task, fs)
     objective = state_objective(fs, *sample_states(task, count, seed))
-    assert objective == model.column_terms(reference_samples_objective(task, fs, count, seed))
+    assert objective == column_terms(model, reference_samples_objective(task, fs, count, seed))
 
 
 def test_goal_potential_reported(toy1):
@@ -243,7 +243,8 @@ def test_objective_is_summed_in_unknown_name_order():
     names = [name for name, _, _ in model.unknowns]
     by_name = LinearExpression.build(0.0, {names[j]: c for j, c in model.objective.items()})
     value = solve_for_state(task, fs, task.initial_state).value
-    assert value == solution.objective_value == evaluate(by_name, solution.values) == 25.0
+    values = solution_values(model, solution)
+    assert value == solution.objective_value == evaluate(by_name, values) == 25.0
     assert max(abs(w) for w in solution.x[:len(fs)]) == 1e8
     by_column = 0.0
     for column, coefficient in sorted(model.objective.items()):

@@ -18,9 +18,10 @@ from potplan.task import Operator, Task, Variable
 from conftest import (PAPER_BE_DOMAINS, base_model, bottom_up_values, candidates,
                       eliminate, make_alias_task)
 from reference_builders import (DependencyGraph, ScopedFunction, brute_force_max,
-                                delta_independent, dependency_graph, random_scoped_set,
-                                reference_bucket_eliminate, reference_induced_width,
-                                reference_min_fill_order)
+                                column_terms, delta_independent, dependency_graph,
+                                model_rows, random_scoped_set, reference_bucket_eliminate,
+                                reference_induced_width, reference_min_fill_order,
+                                solution_values)
 
 
 def operator_pairs(task, fs, op_index):
@@ -211,7 +212,7 @@ def test_zero_entries_kept_only_over_empty_scope():
     a = LinearExpression.term("a")
     model = base_model("a")
     assert eliminate(model, [ScopedFunction((0, 1), {})], {0: 2, 1: 2}, [0, 1]) == {}
-    assert [name for name, _, _ in model.unknowns] == ["a"] and not model.rows
+    assert [name for name, _, _ in model.unknowns] == ["a"] and not model_rows(model)
     model = base_model("a")
     result = eliminate(model, [ScopedFunction((0,), {}), ScopedFunction((1,), {(1,): a})],
                        {0: 2, 1: 2}, [0, 1])
@@ -222,7 +223,7 @@ def test_zero_entries_kept_only_over_empty_scope():
 
 def test_worked_example_lp_rows(paper_be):
     model, result = paper_model(paper_be, [0, 1])
-    assert len(model.rows) == 6
+    assert len(model_rows(model)) == 6
     aux = [name for name, _, _ in model.unknowns[2:]]
     assert len(aux) == 3  # the final sum adds no unknown
     assert result == {aux[2]: 1.0}
@@ -236,7 +237,7 @@ def test_single_constant_equation_keeps_row():
                        {0: 1}, [0])
     assert [name for name, _, _ in model.unknowns] == ["one", "z_v0"]
     assert result == {"z_v0": 1.0}
-    (row,) = model.rows
+    (row,) = model_rows(model)
     assert row.expression.coefficients() == {"z_v0": 1.0, "one": -5.0}
     assert row.relation == ">=" and row.rhs == 0.0
 
@@ -244,7 +245,7 @@ def test_single_constant_equation_keeps_row():
 def test_empty_system_has_no_rows():
     model = base_model()
     assert eliminate(model, [], {}, []) == {}
-    assert not model.unknowns and not model.rows
+    assert not model.unknowns and not model_rows(model)
 
 
 def test_empty_psi_gives_zero():
@@ -273,7 +274,7 @@ def test_alias_adds_no_unknown():
     result = eliminate(model, functions, dict(enumerate(task.domain_sizes)), [0, 1, 2], "z_o0")
     assert [name for name, _, _ in model.unknowns] == ["w0", "w1", "z_o0_v2__v1.0"]
     assert result == {"z_o0_v2__v1.0": 1.0}
-    assert [(row.name, row.expression.coefficients()) for row in model.rows] == [
+    assert [(row.name, row.expression.coefficients()) for row in model_rows(model)] == [
         ("z_o0_v2__v1.0.0", {"z_o0_v2__v1.0": 1.0, "w0": -1.0}),
         ("z_o0_v2__v1.0.1", {"z_o0_v2__v1.0": 1.0, "w1": -1.0})]
 
@@ -283,7 +284,7 @@ def lp_minimum_of_result(functions, domains, order):
     column 0 fixed at 1."""
     model = base_model("one", lower=1.0, upper=1.0)
     result = eliminate(model, functions, domains, order)
-    model.set_objective("min", model.column_terms(LinearExpression.build(0.0, result)))
+    model.set_objective("min", column_terms(model, LinearExpression.build(0.0, result)))
     return solve(model).require_optimal(), model, result
 
 
@@ -311,7 +312,7 @@ def test_equation_solutions_satisfy_lp(seed):
     model = base_model("one", lower=1.0, upper=1.0)
     eliminate(model, functions, domains, order)
     aux_values = bottom_up_values(model, {"one": 1.0})
-    for row in model.rows:
+    for row in model_rows(model):
         lhs = evaluate(row.expression, aux_values)
         assert lhs >= row.rhs - 1e-9
 
@@ -326,8 +327,9 @@ def test_minimizing_aux_recovers_equation_solution(seed):
     model.set_objective("min", dict.fromkeys(range(1, len(model.unknowns)), 1.0))
     solution = solve(model).require_optimal()
     aux_values = bottom_up_values(model, {"one": 1.0})
+    values = solution_values(model, solution)
     for name in aux:
-        assert solution.values[name] == pytest.approx(aux_values[name], abs=1e-7)
+        assert values[name] == pytest.approx(aux_values[name], abs=1e-7)
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -344,7 +346,7 @@ def test_size_bounds(seed):
     aux_budget = n_vars * d ** width
     row_budget = n_vars * d ** (width + 1)
     assert len(model.unknowns) - 1 <= aux_budget
-    assert len(model.rows) <= row_budget
+    assert len(model_rows(model)) <= row_budget
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -360,7 +362,7 @@ def test_dim2_general_matches_direct(seed):
 def test_general_lp_dim1_reduces_to_plain_rows(toy1):
     fs = generate_features(toy1, 1)
     model = build_general_lp(toy1, fs)
-    assert len(model.rows) == 3  # goal + one per operator
+    assert len(model_rows(model)) == 3  # goal + one per operator
     assert len(model.unknowns) == len(fs)  # no elimination unknowns
     assert solve_general_for_state(toy1, fs, toy1.initial_state).value == \
         pytest.approx(2.0)
@@ -398,7 +400,7 @@ def test_k4_reduction_weights_satisfy_consistency_rows():
     assert max(min_fill_widths(task, fs)) == 3  # the switch operator sees the whole graph
     assignment = bottom_up_values(model, {weight_var_name(f): red.weights[i]
                                                 for i, f in enumerate(fs.features)})
-    for row in model.rows:
+    for row in model_rows(model):
         lhs = evaluate(row.expression, assignment)
         if row.name == "goal":
             assert lhs > 0  # the reduction potential is not goal-aware

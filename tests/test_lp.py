@@ -11,10 +11,13 @@ from scipy.sparse import diags
 
 from potplan import costpart, direct2d
 from potplan.features import generate_features
-from potplan.lp import (LinearExpression, LpError, LpModel, RELATIONS, Row,
+from potplan.lp import (LinearExpression, LpError, LpModel, RELATIONS,
                         MissingAssignmentError, SOLVER_ENV_VAR, SolverFailureError,
                         check_solution, evaluate, export_lp, parse_lp, solve)
 from potplan.task import build_transition_system, exact_goal_distances
+
+from reference_builders import (Row, add_row, add_unknown, column_terms, model_rows,
+                                solution_values)
 
 from test_model_equivalence import TASKS
 
@@ -61,46 +64,46 @@ def test_linearity(seed):
 
 def test_solve_bounded():
     m = LpModel()
-    m.add_unknown("x")
-    m.add_row(term("x"), "<=", 3)
-    m.set_objective("max", m.column_terms(term("x")))
+    add_unknown(m, "x")
+    add_row(m, term("x"), "<=", 3)
+    m.set_objective("max", column_terms(m, term("x")))
     sol = solve(m)
     assert sol.status == "optimal"
-    assert sol.values["x"] == pytest.approx(3.0)
+    assert solution_values(m, sol)["x"] == pytest.approx(3.0)
     assert sol.objective_value == pytest.approx(3.0)
 
 
 def test_solve_unbounded():
     m = LpModel()
-    m.add_unknown("x")
-    m.set_objective("max", m.column_terms(term("x")))
+    add_unknown(m, "x")
+    m.set_objective("max", column_terms(m, term("x")))
     assert solve(m).status == "unbounded"
 
 
 def test_solve_infeasible():
     m = LpModel()
-    m.add_unknown("x")
-    m.add_row(term("x"), "<=", 0)
-    m.add_row(term("x"), ">=", 1)
-    m.set_objective("max", m.column_terms(term("x")))
+    add_unknown(m, "x")
+    add_row(m, term("x"), "<=", 0)
+    add_row(m, term("x"), ">=", 1)
+    m.set_objective("max", column_terms(m, term("x")))
     assert solve(m).status == "infeasible"
 
 
 def test_solution_recheck():
     m = LpModel()
-    m.add_unknown("x", 0, 10)
-    m.add_row(term("x"), "<=", 3)
-    m.set_objective("max", m.column_terms(term("x")))
+    add_unknown(m, "x", 0, 10)
+    add_row(m, term("x"), "<=", 3)
+    m.set_objective("max", column_terms(m, term("x")))
     sol = solve(m)
-    assert check_solution(m, sol.values) == []
+    assert check_solution(m, solution_values(m, sol)) == []
     assert check_solution(m, {"x": 5.0}) == ["c1"]
 
     m = LpModel()
-    m.add_unknown("x", 0, 10)
-    m.add_unknown("y")
-    m.add_row(term("x") + term("y"), ">=", 2, "low")
-    m.add_row(term("x") - term("y"), "=", 1, "tie")
-    m.add_row(term("x"), "<=", 3)
+    add_unknown(m, "x", 0, 10)
+    add_unknown(m, "y")
+    add_row(m, term("x") + term("y"), ">=", 2, "low")
+    add_row(m, term("x") - term("y"), "=", 1, "tie")
+    add_row(m, term("x"), "<=", 3)
     m.add_rows([0, 1, 3], [1, 0, 1], [1.0, 2.0, 1.0], [">=", "="], [-1.0, 3.5],
                ["bulk_low", "bulk_tie"])
     assert check_solution(m, {"x": 1.5, "y": 0.5}) == []
@@ -123,7 +126,8 @@ def test_model_without_columns_is_decided_by_its_rows():
     rhs`, optimal with objective 0 when all hold and infeasible otherwise."""
     m = LpModel()
     solution = solve(m)
-    assert (solution.status, solution.objective_value, solution.values) == ("optimal", 0.0, {})
+    assert (solution.status, solution.objective_value, solution_values(m, solution)) == \
+        ("optimal", 0.0, {})
     m.add_rows([0, 0, 0], [], [], ["<=", "="], [1.0, 0.0], ["low", "tie"])
     m.set_objective("min", {})
     solution = solve(m)
@@ -135,8 +139,8 @@ def test_model_without_columns_is_decided_by_its_rows():
 
 def test_objective_by_column():
     m = LpModel()
-    m.add_unknown("x", 0.0, 2.0)
-    m.add_unknown("y", 0.0, 1.0)
+    add_unknown(m, "x", 0.0, 2.0)
+    add_unknown(m, "y", 0.0, 1.0)
     m.set_objective("max", {1: 3.0, 0: 0.0})  # the zero is dropped
     assert m.objective == {1: 3.0}
     solution = solve(m)
@@ -144,27 +148,25 @@ def test_objective_by_column():
     assert export_lp(m).splitlines()[1] == " obj: 3.0 y"
     with pytest.raises(LpError, match="undeclared unknown column 2"):
         m.set_objective("max", {2: 1.0})
-    with pytest.raises(LpError, match="undeclared unknown 'z'"):
-        m.column_terms(term("z"))
     with pytest.raises(LpError, match="constants in the objective"):
         parse_lp("Maximize\n obj: x + 2.0\nSubject To\nBounds\n x free\nEnd\n")
 
 
 def test_bound_active_flag():
     m = LpModel()
-    m.add_unknown("x", -1.0, 1.0)
-    m.add_unknown("y")
-    m.add_row(term("y") - term("x"), "<=", 0)
-    m.set_objective("max", m.column_terms(term("y")))
+    add_unknown(m, "x", -1.0, 1.0)
+    add_unknown(m, "y")
+    add_row(m, term("y") - term("x"), "<=", 0)
+    m.set_objective("max", column_terms(m, term("y")))
     sol = solve(m)
     assert "x" in sol.bound_active and "y" not in sol.bound_active
 
 
 def test_export_format():
     m = LpModel()
-    m.add_unknown("x")
-    m.add_row(term("x"), "<=", 3)
-    m.set_objective("max", m.column_terms(term("x")))
+    add_unknown(m, "x")
+    add_row(m, term("x"), "<=", 3)
+    m.set_objective("max", column_terms(m, term("x")))
     doc = export_lp(m)
     lines = doc.splitlines()
     assert lines[0] == "Maximize"
@@ -181,7 +183,7 @@ def test_export_empty_model_skeleton():
     for section in ("Maximize", "Subject To", "End"):
         assert section in doc.splitlines()
     parsed = parse_lp(doc)
-    assert parsed.unknowns == [] and parsed.rows == []
+    assert parsed.unknowns == [] and model_rows(parsed) == []
 
 
 def test_export_toy1_dim1_shape(toy1):
@@ -190,10 +192,48 @@ def test_export_toy1_dim1_shape(toy1):
     model = build_direct2d_lp(toy1, generate_features(toy1, 1))
     doc = export_lp(model)
     assert len(model.unknowns) == 4
-    assert len(model.rows) == 3
+    assert len(model_rows(model)) == 3
     lines = doc.splitlines()
     rows = lines[lines.index("Subject To") + 1:lines.index("Bounds")]
     assert len(rows) == 3 and all("<=" in r for r in rows)
+
+
+VALID_LP = "Maximize\n obj: x\nSubject To\n c1: x <= 3.0\nBounds\n x free\nEnd\n"
+# (name, text, what the error says) for shapes export_lp never writes, each
+# one change to VALID_LP
+REJECTED_LP = [(name, VALID_LP.replace(old, new), message) for name, old, new, message in [
+    ("no-subject-to", "Subject To\n", "", "no line matching 'Subject To'"),
+    ("no-bounds", "Bounds\n", "", "no line matching 'Bounds'"),
+    ("no-end", "End\n", "", "no line matching 'End'"),
+    ("no-objective", " obj: x\n", "", "no line matching 'obj:.*'"),
+    ("reversed-bound", " x free", " 3.0 <= x", "line 6 '3.0 <= x'"),
+    ("equality-bound", " x free", " x = 1.0", "line 6 'x = 1.0': not a bound"),
+    ("mixed-bound", " x free", " 0.0 <= x >= 1.0", "line 6 '0.0 <= x >= 1.0': not a bound"),
+    ("row-without-relation", " c1: x <= 3.0", " c1: x 3.0", "line 4 'c1: x 3.0': not a row"),
+    ("row-unknown-not-in-bounds", " c1: x <= 3.0", " c1: x + y <= 3.0",
+     "unknown 'y' is missing from Bounds"),
+    ("objective-unknown-not-in-bounds", " obj: x", " obj: x - y",
+     "line 2 'obj: x - y': unknown 'y' is missing from Bounds"),
+    ("row-constant", " c1: x <= 3.0", " c1: x + 2.0 <= 3.0",
+     "constants in a row's left-hand side"),
+    ("objective-constant", " obj: x", " obj: x + 2.0",
+     "constants in the objective are not supported"),
+    ("repeated-unknown", " c1: x <= 3.0", " c1: x + x <= 3.0",
+     "unknown 'x' is missing from Bounds or repeated"),
+    ("comment", "Maximize\n", "\\ a comment\nMaximize\n", "line 1 '\\ a comment': not a line"),
+    ("objective-continued", " obj: x\n", " obj: x\n + 2.0 x\n", "line 3 '+ 2.0 x': not a line"),
+    ("line-after-end", "End\n", "End\n x free\n", "line 8 'x free': not a line")]]
+
+
+def test_parse_lp_reads_only_what_export_lp_writes():
+    """Every rejected shape is an LpError that names its line (or the
+    missing one); the text they all change parses."""
+    model = parse_lp(VALID_LP)
+    assert model.unknowns == [("x", -math.inf, math.inf)] and export_lp(model) == VALID_LP
+    for _, text, message in REJECTED_LP:
+        with pytest.raises(LpError) as error:
+            parse_lp(text)
+        assert message in str(error.value), text
 
 
 def _random_model(seed):
@@ -203,11 +243,11 @@ def _random_model(seed):
     for n in names:
         lo = rng.choice([-math.inf, round(rng.uniform(-5, 0), 3)])
         hi = rng.choice([math.inf, round(rng.uniform(0, 5), 3)])
-        m.add_unknown(n, lo, hi)
+        add_unknown(m, n, lo, hi)
     for _ in range(rng.randint(1, 5)):
         expr = LinearExpression.build(
             0.0, {n: round(rng.uniform(-4, 4), 3) for n in names if rng.random() < 0.8})
-        m.add_row(expr, rng.choice(["<=", ">=", "="]), round(rng.uniform(-3, 6), 3))
+        add_row(m, expr, rng.choice(["<=", ">=", "="]), round(rng.uniform(-3, 6), 3))
     m.set_objective(rng.choice(["max", "min"]),
                     {j: round(rng.uniform(-2, 2), 3) for j in range(len(names))})
     return m
@@ -220,8 +260,8 @@ def test_parse_export_round_trip(seed):
     assert back.unknowns == m.unknowns
     assert back.objective_sense == m.objective_sense
     assert back.objective == m.objective
-    original = {(r.expression, r.relation, r.rhs) for r in m.rows}
-    parsed = {(r.expression, r.relation, r.rhs) for r in back.rows}
+    original = {(r.expression, r.relation, r.rhs) for r in model_rows(m)}
+    parsed = {(r.expression, r.relation, r.rhs) for r in model_rows(back)}
     assert parsed == original
 
 
@@ -234,11 +274,11 @@ def test_row_permutation_invariance(seed):
     rng = random.Random(seed + 1)
     shuffled = LpModel()
     for name, lo, hi in m.unknowns:
-        shuffled.add_unknown(name, lo, hi)
-    rows = list(m.rows)
+        add_unknown(shuffled, name, lo, hi)
+    rows = list(model_rows(m))
     rng.shuffle(rows)
     for row in rows:
-        shuffled.add_row(row.expression, row.relation, row.rhs, row.name)
+        add_row(shuffled, row.expression, row.relation, row.rhs, row.name)
     shuffled.set_objective(m.objective_sense, m.objective)
     second = solve(shuffled)
     assert second.status == "optimal"
@@ -248,19 +288,19 @@ def test_row_permutation_invariance(seed):
 
 def test_model_validation():
     m = LpModel()
-    m.add_unknown("x")
+    add_unknown(m, "x")
     with pytest.raises(LpError):
-        m.add_unknown("x")
+        add_unknown(m, "x")
     with pytest.raises(LpError):
-        m.add_unknown("2bad")
+        add_unknown(m, "2bad")
     with pytest.raises(LpError):
-        m.add_unknown("y", 1.0, 0.0)
+        add_unknown(m, "y", 1.0, 0.0)
     with pytest.raises(LpError):
-        m.add_row(term("ghost"), "<=", 0)
+        add_row(m, term("ghost"), "<=", 0)
     with pytest.raises(LpError):
-        m.add_row(term("x"), "<<", 0)
-    m.add_unknown("y", 0.0, 1.0)
-    m.add_unknown("z", 0.0, 1.0)
+        add_row(m, term("x"), "<<", 0)
+    add_unknown(m, "y", 0.0, 1.0)
+    add_unknown(m, "z", 0.0, 1.0)
     with pytest.raises(LpError, match="undeclared unknown column 3"):
         m.add_rows([0, 2], [0, 3], [1.0, 1.0], "<=", 0)
     with pytest.raises(LpError, match="undeclared"):
@@ -273,11 +313,11 @@ def test_model_validation():
         m.add_rows([0, 1, 2], [0, 1], [1.0, 1.0], "<=", [0.0, 1.0, 2.0])
     with pytest.raises(LpError):
         m.add_rows([0, 1], [0], [1.0], "<=", 0, ["a", "b"])
-    assert len(m.rows) == 0  # nothing half-added
+    assert len(model_rows(m)) == 0  # nothing half-added
     # repeated columns are summed and zeros dropped, as LinearExpression does
     m.add_rows([0, 3, 4], [1, 0, 1, 2], [1.0, 2.0, -1.0, 0.0], ["<=", ">="], [1.0, 2.0])
-    assert m.rows == [Row(LinearExpression.build(0.0, {"x": 2.0}), "<=", 1.0),
-                      Row(LinearExpression(), ">=", 2.0)]
+    assert model_rows(m) == [Row(LinearExpression.build(0.0, {"x": 2.0}), "<=", 1.0, "c1"),
+                             Row(LinearExpression(), ">=", 2.0, "c2")]
 
 
 def test_add_unknowns_checks_every_name():
@@ -292,8 +332,9 @@ def test_add_unknowns_checks_every_name():
             m.add_unknowns(names, lower, upper)
         # nothing is declared when one name fails
         assert m.unknowns == [("a", 0.0, 1.0), ("b", -math.inf, math.inf)]
-        assert [m.has_unknown(n) for n in ("a", "b", "c", "d")] == [True, True, False, False]
-    assert m.add_unknown("c") == "c" and m.unknowns[-1] == ("c", -math.inf, math.inf)
+        assert [n in m._by_name for n in ("a", "b", "c", "d")] == [True, True, False, False]
+    m.add_unknowns(["c"], [-math.inf], [math.inf])
+    assert m.unknowns[-1] == ("c", -math.inf, math.inf) and m._by_name["c"] == 2
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -337,9 +378,9 @@ def _seeded_model(seed):
         kind = rng.randrange(4)
         lo = round(rng.uniform(-5, 0), 3) if kind in (1, 3) else -math.inf
         hi = round(rng.uniform(0, 5), 3) if kind in (2, 3) else math.inf
-        m.add_unknown(n, lo, hi)
+        add_unknown(m, n, lo, hi)
     for _ in range(rng.choice([0, 1, 2, 3, 4, 6])):
-        m.add_row(LinearExpression.build(
+        add_row(m, LinearExpression.build(
             0.0, {n: round(rng.uniform(-4, 4), 3) for n in names if rng.random() < 0.7}),
             rng.choice(RELATIONS), round(rng.uniform(-3, 6), 3))
     m.set_objective(rng.choice(["max", "min"]),
@@ -378,7 +419,7 @@ def test_solve_matches_linprog_bit_for_bit():
         if expected == "optimal":
             assert np.array_equal(ours.x, reference.x), seed
         statuses.add(expected)
-        no_rows += not m.rows
+        no_rows += not model_rows(m)
         free += any(math.isinf(lo) and math.isinf(hi) for _, lo, hi in m.unknowns)
     assert statuses == {"optimal", "infeasible", "unbounded"} and no_rows and free
 
@@ -428,7 +469,7 @@ def test_rows_appended_after_a_solve_match_cold_solves(seed):
     result = solve(warm)
     _assert_same_result(result, solve(cold))
     if result.status == "optimal":
-        assert check_solution(cold, result.values) == []
+        assert check_solution(cold, solution_values(warm, result)) == []
 
 
 def test_warm_resolve_through_unbounded():
@@ -436,21 +477,21 @@ def test_warm_resolve_through_unbounded():
     is kept across objective changes."""
     def model():
         m = LpModel()
-        m.add_unknown("x")
-        m.add_unknown("y", 0.0, 1.0)
-        m.add_row(term("x") + term("y"), "<=", 3)
-        m.add_row(term("y"), ">=", 0.5)
+        add_unknown(m, "x")
+        add_unknown(m, "y", 0.0, 1.0)
+        add_row(m, term("x") + term("y"), "<=", 3)
+        add_row(m, term("y"), ">=", 0.5)
         return m
 
     warm = model()
     results = []
     for objective in (term("x"), -term("x"), term("x") + 2 * term("y"), 2 * term("y")):
-        warm.set_objective("max", warm.column_terms(objective))
+        warm.set_objective("max", column_terms(warm, objective))
         session = warm._session
         result = solve(warm)
         assert session is None or warm._session is session
         cold = model()
-        cold.set_objective("max", cold.column_terms(objective))
+        cold.set_objective("max", column_terms(cold, objective))
         _assert_same_result(result, solve(cold))
         results.append((result.status, result.objective_value))
     assert results == [("optimal", 2.5), ("unbounded", None), ("optimal", 4.0),
@@ -461,26 +502,27 @@ def test_structure_change_after_solve_is_honoured():
     """Rows appended after a solve go to the live session (which the row
     re-check then covers too); a new column drops the session."""
     m = LpModel()
-    m.add_unknown("x", 0.0, 10.0)
-    m.add_row(term("x"), "<=", 3)
-    m.set_objective("max", m.column_terms(term("x")))
+    add_unknown(m, "x", 0.0, 10.0)
+    add_row(m, term("x"), "<=", 3)
+    m.set_objective("max", column_terms(m, term("x")))
     assert solve(m).objective_value == 3.0
     session = m._session
-    m.add_row(term("x"), "<=", 1, "tighter")
+    add_row(m, term("x"), "<=", 1, "tighter")
     assert m._session is session and session.table[0].shape == (2, 1)
     assert solve(m).objective_value == 1.0
     m.add_rows([0, 1], [0], [1.0], ">=", 2.0)
     assert solve(m).status == "infeasible"
     assert m._session is session
     m = LpModel()
-    m.add_unknown("x", 0.0, 10.0)
-    m.set_objective("max", m.column_terms(term("x")))
+    add_unknown(m, "x", 0.0, 10.0)
+    m.set_objective("max", column_terms(m, term("x")))
     assert solve(m).objective_value == 10.0
-    m.add_unknown("y", 0.0, 2.0)
-    m.add_row(term("x") + term("y"), "<=", 4)
-    m.set_objective("max", m.column_terms(term("x") + 3 * term("y")))
+    add_unknown(m, "y", 0.0, 2.0)
+    add_row(m, term("x") + term("y"), "<=", 4)
+    m.set_objective("max", column_terms(m, term("x") + 3 * term("y")))
     solution = solve(m)
-    assert solution.values == {"x": 2.0, "y": 2.0} and solution.objective_value == 8.0
+    assert solution_values(m, solution) == {"x": 2.0, "y": 2.0}
+    assert solution.objective_value == 8.0
 
 
 def _compare_models(task, ts, state):
@@ -529,7 +571,7 @@ with open(sys.argv[2], "w") as out:
     if solution.status != "optimal":
         out.write(solution.status + "\\n")
     else:
-        for name, value in solution.values.items():
+        for (name, _, _), value in zip(model.unknowns, solution.x.tolist()):
             out.write(f"{{name}} {{value!r}}\\n")
 """
 
@@ -543,26 +585,26 @@ def test_external_solver_adapter(tmp_path, monkeypatch):
     monkeypatch.setenv(SOLVER_ENV_VAR, f"{sys.executable} {script}")
 
     m = LpModel()
-    m.add_unknown("x", -1e8, 1e8)
-    m.add_unknown("the_y")
-    m.add_row(term("x") + term("the_y"), "<=", 4)
-    m.add_row(term("the_y"), "<=", 1)
-    m.set_objective("max", m.column_terms(term("x") + 2 * term("the_y")))
+    add_unknown(m, "x", -1e8, 1e8)
+    add_unknown(m, "the_y")
+    add_row(m, term("x") + term("the_y"), "<=", 4)
+    add_row(m, term("the_y"), "<=", 1)
+    m.set_objective("max", column_terms(m, term("x") + 2 * term("the_y")))
     sol = solve(m)
     assert sol.status == "optimal"
     assert sol.objective_value == pytest.approx(5.0)
-    assert sol.values["x"] == pytest.approx(3.0)
+    assert solution_values(m, sol)["x"] == pytest.approx(3.0)
 
     unbounded = LpModel()
-    unbounded.add_unknown("x")
-    unbounded.set_objective("max", unbounded.column_terms(term("x")))
+    add_unknown(unbounded, "x")
+    unbounded.set_objective("max", column_terms(unbounded, term("x")))
     assert solve(unbounded).status == "unbounded"
 
 
 def test_external_solver_failure(tmp_path, monkeypatch):
     monkeypatch.setenv(SOLVER_ENV_VAR, "false")
     m = LpModel()
-    m.add_unknown("x", 0, 1)
-    m.set_objective("max", m.column_terms(term("x")))
+    add_unknown(m, "x", 0, 1)
+    m.set_objective("max", column_terms(m, term("x")))
     with pytest.raises(SolverFailureError):
         solve(m)

@@ -24,7 +24,7 @@ from conftest import make_alias_task, make_toy1
 from reference_builders import (reference_direct2d_model, reference_exhaustive_model,
                                 reference_general_model, reference_ocp_model,
                                 reference_projection, reference_tcp_eliminated_model,
-                                reference_tcp_model)
+                                reference_tcp_model, solution_values)
 
 
 def toy1_with_self_loop() -> Task:
@@ -105,7 +105,7 @@ def test_eliminated_tcp_matches_full_model(name):
             if eliminated.status != "optimal":
                 continue
             assert abs(eliminated.objective_value - reference.objective_value) <= 1e-9
-            lifted = dict(eliminated.values)
+            lifted = solution_values(built.model, eliminated)
             for ai, costs in enumerate(built.extract_cost_functions(ts, eliminated)):
                 lifted.update((f"c_a{ai}_t{ti}", cost) for ti, cost in enumerate(costs))
             assert check_solution(full, lifted) == []

@@ -10,6 +10,8 @@ from potplan.lp import export_lp, parse_lp
 from potplan.reduction import complete_graph, reduce_3col
 from potplan.task import Operator, Task, Variable, parse_sas, serialize_sas
 
+from reference_builders import model_rows
+
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 # One line of a SAS document: no line breaks, and nothing the parser strips.
@@ -52,7 +54,7 @@ def assert_lp_round_trip(model):
     text = export_lp(model)
     parsed = parse_lp(text)
     assert parsed.unknowns == model.unknowns
-    assert list(parsed.rows) == list(model.rows)
+    assert model_rows(parsed) == model_rows(model)
     assert (parsed.objective_sense, parsed.objective) == \
         (model.objective_sense, model.objective)
     assert export_lp(parsed) == text
