@@ -145,17 +145,15 @@ def state_objective(fs: FeatureSet, *states: State) -> dict[int, float]:
     return dict(zip(held.tolist(), coefficients.tolist()))
 
 
-def sample_states(task: Task, count: int, seed: int,
-                  max_walk: int | None = None) -> list[State]:
-    """End states of seeded random walks from the initial state."""
+def sample_states(task: Task, count: int, seed: int) -> list[State]:
+    """End states of seeded random walks of up to 4 steps per variable from
+    the initial state."""
     rng = random.Random(seed)
-    if max_walk is None:
-        max_walk = 4 * len(task.variables)
     successors = SuccessorGenerator(task)
     states = []
     for _ in range(count):
         state = task.initial_state
-        for _ in range(rng.randint(0, max_walk)):
+        for _ in range(rng.randint(0, 4 * len(task.variables))):
             applicable = successors(state)
             if not applicable:
                 break

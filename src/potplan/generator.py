@@ -31,11 +31,10 @@ def _random_state(rng: random.Random, variables: list[Variable]) -> tuple[int, .
 
 
 def random_task(n_vars: int, max_dom: int, n_ops: int, seed: int,
-                tnf: bool = True, solvable: bool = True, max_cost: int = 10,
-                max_attempts: int = 200) -> Task:
+                tnf: bool = True, solvable: bool = True, max_cost: int = 10) -> Task:
     """A random task; by default in transition normal form with a reachable
-    goal (resampled deterministically until one is found)."""
-    for attempt in range(max_attempts):
+    goal (resampled deterministically, up to 200 times, until one is found)."""
+    for attempt in range(200):
         rng = random.Random(f"task:{seed}:{attempt}")
         variables = _random_variables(rng, n_vars, max_dom)
         if math.prod(v.domain_size for v in variables) > GENERATOR_STATE_CAP:
@@ -64,20 +63,19 @@ def random_task(n_vars: int, max_dom: int, n_ops: int, seed: int,
         ts = build_transition_system(task, GENERATOR_STATE_CAP)
         if exact_goal_distances(ts)[ts.initial] < math.inf:
             return task
-    raise GenerationError(f"no solvable task found in {max_attempts} attempts (seed {seed})")
+    raise GenerationError(f"no solvable task found in 200 attempts (seed {seed})")
 
 
-def random_features(task: Task, count: int, max_size: int, seed: int,
-                    require_max_size: bool = True) -> FeatureSet:
-    """Distinct random conjunctions of up to max_size facts; when requested,
-    at least one feature of the maximal size is guaranteed."""
+def random_features(task: Task, count: int, max_size: int, seed: int) -> FeatureSet:
+    """Distinct random conjunctions of up to max_size facts, at least one of
+    the maximal size."""
     rng = random.Random(f"features:{seed}")
     n_vars = len(task.variables)
     max_size = min(max_size, n_vars)
     features: list[Feature] = []
     seen = set()
     sizes = [rng.randint(1, max_size) for _ in range(count)]
-    if require_max_size and max_size not in sizes and sizes:
+    if max_size not in sizes and sizes:
         sizes[0] = max_size
     for size in sizes:
         for _ in range(50):

@@ -39,7 +39,9 @@ SOLVER_ENV_VAR = "POTPLAN_LP_SOLVER_CMD"
 
 RELATIONS = ("<=", "=", ">=")
 
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.()]*$")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.()]*")
+# Row names, each then "\n": "" or a safe name other than c<digits>, unnamed rows' name.
+_ROW_NAMES_RE = re.compile(rf"(?:(?:(?!c\d+\n){_NAME_RE.pattern})?\n)*")
 
 
 class LpError(ValueError):
@@ -163,13 +165,19 @@ class LpModel:
     def add_unknowns(self, names: list[str], lower: list[float], upper: list[float]) -> None:
         """Declare columns in order, one per name, with the matching bounds;
         a model with a solver session drops it.  Nothing is declared when a
-        name is not LP-file safe or declared twice, or a lower bound lies
-        above its upper one."""
-        for name, lo, hi in zip(names, lower, upper, strict=True):
-            if not _NAME_RE.match(name) or name in ("free", "inf"):
+        name is not LP-file safe or declared twice, or a column's bounds hold
+        no number (NaN, lower above upper, lower +inf or upper -inf)."""
+        for name, _, _ in zip(names, lower, upper, strict=True):
+            if not _NAME_RE.fullmatch(name) or name in ("free", "inf"):
                 raise LpError(f"unknown name '{name}' is not LP-file safe")
-            if lo > hi:
-                raise LpError(f"unknown '{name}': lower bound {lo} above upper {hi}")
+        lo, hi = np.array(lower, dtype=float), np.array(upper, dtype=float)
+        # Written as "not ok" so that a NaN bound counts as empty.
+        empty = np.flatnonzero(~((lo <= hi) & (lo < math.inf) & (hi > -math.inf)))
+        if empty.size:
+            j = empty[0]
+            raise LpError(f"unknown '{names[j]}': " + (
+                f"lower bound {lo[j]} above upper {hi[j]}" if lo[j] > hi[j]
+                else f"bounds [{lo[j]}, {hi[j]}] hold no number"))
         start = len(self.unknowns)
         self._by_name.update(zip(names, range(start, start + len(names))))
         if len(self._by_name) < start + len(names):
@@ -187,7 +195,9 @@ class LpModel:
         `coefficients`.  `relations` and `rhs` are one value for every row or
         one per row; `names` is one per row, or None for unnamed rows.  As in
         LinearExpression, a column repeated within a row is summed and zero
-        coefficients are dropped.  A live solver session gets the rows too."""
+        coefficients are dropped.  Coefficients must be finite, right-hand
+        sides not NaN, and names LP-file safe and not of the form `c<digits>`.
+        A live solver session gets the rows first."""
         indptr = np.asarray(indptr, dtype=np.int64)
         columns = np.asarray(columns, dtype=np.int64)
         coefficients = np.asarray(coefficients, dtype=float)
@@ -210,6 +220,12 @@ class LpModel:
                 raise LpError(f"rows: {size} {what} for {count} rows")
         if len(names) != count:
             raise LpError(f"rows: {len(names)} names for {count} rows")
+        if not np.isfinite(coefficients).all() or np.isnan(rhs).any():
+            raise LpError("rows: a coefficient is not finite or a right-hand side is NaN")
+        text = "\n".join([*names, ""])
+        if text.count("\n") != count or not _ROW_NAMES_RE.fullmatch(text):
+            bad = next(n for n in names if "\n" in n or not _ROW_NAMES_RE.fullmatch(n + "\n"))
+            raise LpError(f"row name '{bad}' is not LP-file safe or is that of an unnamed row")
         # Canonical form: columns increasing within each row, no zeros.  A
         # block that is not gets a stable sort by (row, column), and each
         # run of one column is summed in input order.
@@ -226,14 +242,14 @@ class LpModel:
             indptr = np.searchsorted(key, np.arange(count + 1) * width)
             columns = key - np.repeat(np.arange(count) * width, np.diff(indptr))
         codes, rhs = np.broadcast_to(codes, count), np.broadcast_to(rhs, count)
+        if self._session is not None:
+            self._session.add_rows(indptr, columns, coefficients, codes, rhs)
         _append(self._row_ends, indptr[1:].astype(np.int64) + len(self._columns))
         _append(self._columns, columns)
         _append(self._coefficients, coefficients)
         _append(self._relations, codes)
         _append(self._rhs, rhs)
         self._row_names.extend(names)
-        if self._session is not None:
-            self._session.add_rows(self, indptr, columns, coefficients, codes, rhs)
 
     def row_table(self) -> tuple[csr_matrix, np.ndarray, np.ndarray]:
         """All rows as a CSR matrix over the columns, with per-row relation
@@ -257,6 +273,8 @@ class LpModel:
         for column in terms:
             if not 0 <= column < len(self.unknowns):
                 raise LpError(f"objective references undeclared unknown column {column}")
+        if not np.isfinite(np.array(list(terms.values()), dtype=float)).all():
+            raise LpError("objective: a coefficient is not finite")
         self.objective_sense = sense
         self.objective = {int(j): float(c) for j, c in terms.items() if c != 0.0}
 
@@ -274,31 +292,21 @@ class LpSolution:
         return self
 
 
-def check_solution(model: LpModel, values: dict[str, float],
-                   tolerance: float = FEASIBILITY_TOL) -> list[str]:
-    """Names of rows/bounds the assignment violates beyond the tolerance:
-    rows first, in row order, then bounds in column order."""
-    try:
-        x = np.array([values[name] for name, _, _ in model.unknowns], dtype=float)
-    except KeyError as e:
-        raise MissingAssignmentError(f"no value for unknown {e}") from None
-    return _violations(model, model.row_table(), x, *_bounds(model), tolerance)
-
-
-def _violations(model: LpModel, table: tuple[csr_matrix, np.ndarray, np.ndarray],
-                x: np.ndarray, lower: np.ndarray, upper: np.ndarray,
-                tolerance: float) -> list[str]:
-    """`check_solution` for the model's row table, a vector in column order
-    and the column bounds."""
-    matrix, relations, rhs = table
+def check_solution(model: LpModel, x: np.ndarray) -> list[str]:
+    """Names of the rows and bounds that the solution vector `x` (in column
+    order) violates beyond FEASIBILITY_TOL: rows first, in row order, then
+    bounds in column order."""
+    matrix, relations, rhs = model.row_table()
+    lower, upper = _bounds(model)
     lhs = matrix @ x
-    slack = tolerance * np.maximum(1.0, np.abs(rhs))
+    # an infinite right-hand side gets slack 1e-6, so no finite left-hand side equals it
+    slack = FEASIBILITY_TOL * np.maximum(1.0, np.abs(np.nan_to_num(rhs, posinf=0.0, neginf=0.0)))
     # Written as "not ok" so that a NaN left-hand side counts as a violation.
     ok = np.where(relations == RELATIONS.index("<="), lhs <= rhs + slack,
                   np.where(relations == RELATIONS.index(">="), lhs >= rhs - slack,
                            np.abs(lhs - rhs) <= slack))
     violations = [model.row_name(i) for i in np.flatnonzero(~ok)]
-    out_of_bounds = (x < lower - tolerance) | (x > upper + tolerance)
+    out_of_bounds = (x < lower - FEASIBILITY_TOL) | (x > upper + FEASIBILITY_TOL)
     violations.extend(f"bound:{model.unknowns[j][0]}" for j in np.flatnonzero(out_of_bounds))
     return violations
 
@@ -318,133 +326,93 @@ def solve(model: LpModel) -> LpSolution:
 
 
 class _Session:
-    """What the solves of one model share until a column is added: its HiGHS
-    object, which keeps the last basis, and the row table and column bounds
-    of the re-check."""
+    """A model's HiGHS object, kept until a column is added: it holds the
+    model's columns and rows, in model order, and the last basis."""
 
     def __init__(self, model: LpModel):
-        self.table = model.row_table()
-        self.lower, self.upper = _bounds(model)
         self.highs = highs_core._Highs()
+        self.solved = False
         for option, value in (("output_flag", False), ("log_to_console", False),
                               ("presolve", "on")):
             self.highs.setOptionValue(option, value)
+        lower, upper = _bounds(model)
+        if self.highs.addVars(len(lower), lower, upper) == highs_core.HighsStatus.kError:
+            raise SolverFailureError("HiGHS refused the columns")
+        matrix, relations, rhs = model.row_table()
+        self.add_rows(matrix.indptr, matrix.indices, matrix.data, relations, rhs)
 
-    def highs_lp(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, csr_matrix]:
-        """Column bounds, row bounds and the column-wise matrix as linprog
-        hands them to HiGHS: the `<=` and `>=` rows first, with the `>=`
-        rows negated, then the `=` rows."""
-        matrix, relations, rhs = self.table
-        sign = np.where(relations == RELATIONS.index(">="), -1.0, 1.0)
-        equality = relations == RELATIONS.index("=")
-        order = np.concatenate((np.flatnonzero(~equality), np.flatnonzero(equality)))
-        signed = csr_matrix((matrix.data * np.repeat(sign, np.diff(matrix.indptr)),
-                             matrix.indices, matrix.indptr), shape=matrix.shape)
-        upper = (sign * rhs)[order]
-        lower = np.where(equality[order], upper, -np.inf)
-        return self.lower, self.upper, lower, upper, signed[order].tocsc()
-
-    def add_rows(self, model: LpModel, indptr: np.ndarray, columns: np.ndarray,
-                 coefficients: np.ndarray, relations: np.ndarray, rhs: np.ndarray) -> None:
-        """Hand rows just appended to the model, in canonical CSR form, to
-        HiGHS, which keeps its basis (the new rows' slacks become basic), and
-        re-read the re-check table."""
-        self.table = model.row_table()
+    def add_rows(self, indptr: np.ndarray, columns: np.ndarray, coefficients: np.ndarray,
+                 relations: np.ndarray, rhs: np.ndarray) -> None:
+        """Hand rows in canonical CSR form to HiGHS as `lower <= row <=
+        upper`, after the rows it holds; after a solve HiGHS keeps its basis
+        (the new rows' slacks become basic)."""
         lower = np.where(relations == RELATIONS.index("<="), -np.inf, rhs)
         upper = np.where(relations == RELATIONS.index(">="), np.inf, rhs)
-        self.highs.addRows(len(rhs), lower, upper, len(columns), indptr.astype(np.int32),
-                           columns.astype(np.int32), coefficients)
+        status = self.highs.addRows(len(rhs), lower, upper, len(columns),
+                                    indptr.astype(np.int32), columns.astype(np.int32), coefficients)
+        if status == highs_core.HighsStatus.kError:
+            raise SolverFailureError("HiGHS refused the rows")
 
-
-_DECIDED = (highs_core.HighsModelStatus.kOptimal, highs_core.HighsModelStatus.kInfeasible,
-            highs_core.HighsModelStatus.kUnbounded)
-
-
-def _run_highs(highs, cost: np.ndarray, lp: tuple | None = None):
-    """Hand HiGHS a model to minimize, run it and return its model status.
-    `lp` is `_Session.highs_lp()` for a new model, or None to re-solve the
-    model HiGHS holds with only the cost vector changed, starting from its
-    last basis.  A new model is solved by dual simplex, as linprog solves
-    it; a re-solve by primal simplex, because the last optimal basis stays
-    primal feasible when only the cost changes (and after appended rows
-    that the last optimum satisfies, such as `direct2d`'s tie-break row)."""
-    highs.setOptionValue("simplex_strategy", 4 if lp is None else 1)
-    if lp is None:
+    def run(self, cost: np.ndarray):
+        """Minimize the cost vector and return HiGHS's model status.  The
+        first run is dual simplex; later ones start from the last basis by
+        primal simplex, which stays primal feasible when only the cost changes
+        (and after appended rows that the last optimum satisfies, such as
+        `direct2d`'s tie-break row)."""
+        highs, warm, statuses = self.highs, self.solved, highs_core.HighsModelStatus
+        highs.setOptionValue("simplex_strategy", 4 if warm else 1)
         highs.changeColsCost(len(cost), np.arange(len(cost), dtype=np.int32), cost)
-    else:
-        col_lower, col_upper, row_lower, row_upper, matrix = lp
-        model = highs_core.HighsLp()
-        model.num_col_ = model.a_matrix_.num_col_ = matrix.shape[1]
-        model.num_row_ = model.a_matrix_.num_row_ = matrix.shape[0]
-        model.a_matrix_.format_ = highs_core.MatrixFormat.kColwise
-        model.a_matrix_.start_ = matrix.indptr
-        model.a_matrix_.index_ = matrix.indices
-        model.a_matrix_.value_ = matrix.data
-        model.col_cost_ = cost
-        model.col_lower_ = col_lower
-        model.col_upper_ = col_upper
-        model.row_lower_ = row_lower
-        model.row_upper_ = row_upper
-        if highs.passModel(model) == highs_core.HighsStatus.kError:
-            return highs_core.HighsModelStatus.kModelError  # as linprog reports it
-    highs.run()
-    status = highs.getModelStatus()
-    if lp is None and status not in _DECIDED:
-        # A warm start can end undecided (HiGHS reports "Unknown" when it
-        # starts from the basis an unbounded objective left): run again
-        # without that basis, as a solve of a fresh copy would.
-        highs.setOptionValue("simplex_strategy", 1)
-        highs.clearSolver()
         highs.run()
+        self.solved = True
         status = highs.getModelStatus()
-    elif lp is None and status == highs_core.HighsModelStatus.kOptimal:
-        # The values a warm start ends with are carried through its basis
-        # updates and can differ in the last bit from those of a fresh
-        # factorization of the same basis, which a cold solve reports (seen
-        # at 2.7e8 on a dead-end state): run again from that basis.
-        highs.setBasis(highs.getBasis())
-        highs.run()
-        status = highs.getModelStatus()
-    return status
+        if warm and status not in (statuses.kInfeasible, statuses.kUnbounded):
+            if status == statuses.kOptimal:
+                # The values a warm start ends with are carried through its
+                # basis updates and can differ in the last bit from those of a
+                # fresh factorization of the same basis, which a cold solve
+                # reports (seen at 2.7e8 on a dead-end state): run again from
+                # that basis.
+                highs.setBasis(highs.getBasis())
+            else:
+                # A warm start can end undecided (HiGHS reports "Unknown" when
+                # it starts from the basis an unbounded objective left): run
+                # again without that basis, as a solve of a fresh copy would.
+                highs.setOptionValue("simplex_strategy", 1)
+                highs.clearSolver()
+            highs.run()
+            status = highs.getModelStatus()
+        return status
 
 
 def _solve_scipy(model: LpModel) -> LpSolution:
     if not model.unknowns:
-        # HiGHS rejects a model without columns.  Its rows read
-        # `0 <relation> rhs`, so the row re-check alone decides it.
-        table, empty = model.row_table(), np.zeros(0)
-        if _violations(model, table, empty, empty, empty, FEASIBILITY_TOL):
-            return LpSolution("infeasible")
-        return _finish(model, empty, table, empty, empty)
+        # HiGHS reports "Empty" without columns, even for a row `1 <= 0`; the
+        # rows read `0 <relation> rhs`, so the row re-check alone decides.
+        x = np.zeros(0)
+        return LpSolution("infeasible") if check_solution(model, x) else _finish(model, x)
     sense = 1.0 if model.objective_sense == "min" else -1.0
     c = np.zeros(len(model.unknowns))
     c[list(model.objective)] = sense * np.array(list(model.objective.values()))
-
+    if model._session is None:
+        model._session = _Session(model)
     session = model._session
-    if session is None:
-        session = model._session = _Session(model)
-        status = _run_highs(session.highs, c, session.highs_lp())
-    else:
-        status = _run_highs(session.highs, c)
+    status = session.run(c)
     statuses = highs_core.HighsModelStatus
-    if status == statuses.kModelError:
-        model._session = None  # HiGHS holds no model to re-solve
-    if status in (statuses.kInfeasible, statuses.kModelError):
+    if status == statuses.kInfeasible:
         return LpSolution("infeasible")
     if status == statuses.kUnbounded:
         return LpSolution("unbounded")
     if status != statuses.kOptimal:
         raise SolverFailureError(f"HiGHS failed: {session.highs.modelStatusToString(status)}")
-    x = np.array(session.highs.getSolution().col_value)
-    return _finish(model, x, session.table, session.lower, session.upper)
+    return _finish(model, np.array(session.highs.getSolution().col_value))
 
 
-def _finish(model: LpModel, x: np.ndarray, table: tuple[csr_matrix, np.ndarray, np.ndarray],
-            lower: np.ndarray, upper: np.ndarray) -> LpSolution:
+def _finish(model: LpModel, x: np.ndarray) -> LpSolution:
     """The optimal solution `x` (in column order) after the row re-check."""
-    violations = _violations(model, table, x, lower, upper, FEASIBILITY_TOL)
+    violations = check_solution(model, x)
     if violations:
         raise SolverFailureError(f"solution violates rows: {', '.join(violations[:5])}")
+    lower, upper = _bounds(model)
     fixed = lower == upper
     x[fixed] = lower[fixed]  # a fixed column's value is its bound, never -0.0 for 0.0
     unknowns, objective = model.unknowns, model.objective
@@ -490,7 +458,7 @@ def _solve_external(model: LpModel, command: str) -> LpSolution:
         if name not in model._by_name:
             raise SolverFailureError(f"solution names unknown column '{name}'")
         x[model._by_name[name]] = float(value)
-    return _finish(model, x, model.row_table(), *_bounds(model))
+    return _finish(model, x)
 
 
 def _format_coefficient(coef: float) -> str:
@@ -565,6 +533,8 @@ def parse_lp(text: str) -> LpModel:
     parsed = _read(blocks[3], _parse_row, model._by_name)
     if parsed:
         names, terms, relations, rhs = zip(*parsed)
+        # export_lp writes unnamed row i as c{i+1}
+        names = ["" if name == f"c{i + 1}" else name for i, name in enumerate(names)]
         model.add_rows(np.cumsum([0] + [len(row) for row in terms]), [j for row in terms for j in row],
                        [c for row in terms for c in row.values()], relations, rhs, names)
     (objective,) = _read(headers[1:2], lambda line, columns: _parse_terms(

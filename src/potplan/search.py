@@ -61,7 +61,6 @@ class PotentialHeuristic:
     touches only features whose first fact holds instead of scanning all."""
 
     def __init__(self, task: Task, fs: FeatureSet, w: WeightFunction):
-        self.offset = 0.0
         self._index: dict[tuple[int, int], list[tuple[tuple[tuple[int, int], ...], float]]] = {}
         for i, f in enumerate(fs.features):
             weight = w[i]
@@ -72,7 +71,7 @@ class PotentialHeuristic:
         self._n_variables = len(task.variables)
 
     def __call__(self, state: State) -> float:
-        total = self.offset
+        total = 0.0
         for var in range(self._n_variables):
             for rest, weight in self._index.get((var, state[var]), ()):
                 if all(state[v] == val for v, val in rest):

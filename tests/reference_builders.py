@@ -35,10 +35,13 @@ import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from potplan.direct2d import WEIGHT_LOWER, WEIGHT_UPPER, sample_states, weight_var_name
 from potplan.elimination import OrderingError, check_order
 from potplan.features import Feature, FeatureError, pinned_features
-from potplan.lp import RELATIONS, ZERO, LinearExpression, LpError, LpModel, evaluate
+from potplan.lp import (RELATIONS, ZERO, LinearExpression, LpError, LpModel,
+                        MissingAssignmentError, check_solution, evaluate)
 from potplan.search import NoPlanError, SearchResult, tiebreak_key
 from potplan.task import RELAX_EPS, is_applicable, iter_states, state_index, successor
 
@@ -93,6 +96,15 @@ def solution_values(model, solution):
     if solution.x is None:
         return None
     return dict(zip((name for name, _, _ in model.unknowns), solution.x.tolist()))
+
+
+def check_values(model, values):
+    """`check_solution` for values by unknown name."""
+    try:
+        x = [values[name] for name, _, _ in model.unknowns]
+    except KeyError as e:
+        raise MissingAssignmentError(f"no value for unknown {e}") from None
+    return check_solution(model, np.array(x, dtype=float))
 
 
 class ScopedFunction(NamedTuple):

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 from scipy.optimize import linprog
-from scipy.sparse import diags
+from scipy.sparse import csc_matrix, diags
 
 from potplan import costpart, direct2d
 from potplan.features import generate_features
@@ -16,8 +16,8 @@ from potplan.lp import (LinearExpression, LpError, LpModel, RELATIONS,
                         check_solution, evaluate, export_lp, parse_lp, solve)
 from potplan.task import build_transition_system, exact_goal_distances
 
-from reference_builders import (Row, add_row, add_unknown, column_terms, model_rows,
-                                solution_values)
+from reference_builders import (Row, add_row, add_unknown, check_values, column_terms,
+                                model_rows, solution_values)
 
 from test_model_equivalence import TASKS
 
@@ -95,8 +95,8 @@ def test_solution_recheck():
     add_row(m, term("x"), "<=", 3)
     m.set_objective("max", column_terms(m, term("x")))
     sol = solve(m)
-    assert check_solution(m, solution_values(m, sol)) == []
-    assert check_solution(m, {"x": 5.0}) == ["c1"]
+    assert check_solution(m, sol.x) == []
+    assert check_values(m, {"x": 5.0}) == ["c1"]
 
     m = LpModel()
     add_unknown(m, "x", 0, 10)
@@ -106,19 +106,19 @@ def test_solution_recheck():
     add_row(m, term("x"), "<=", 3)
     m.add_rows([0, 1, 3], [1, 0, 1], [1.0, 2.0, 1.0], [">=", "="], [-1.0, 3.5],
                ["bulk_low", "bulk_tie"])
-    assert check_solution(m, {"x": 1.5, "y": 0.5}) == []
+    assert check_values(m, {"x": 1.5, "y": 0.5}) == []
     # violated rows in row order, then violated bounds
-    assert check_solution(m, {"x": -4.0, "y": -5.0}) == [
+    assert check_values(m, {"x": -4.0, "y": -5.0}) == [
         "low", "bulk_low", "bulk_tie", "bound:x"]
-    assert check_solution(m, {"x": 11.0, "y": 0.0}) == [
+    assert check_values(m, {"x": 11.0, "y": 0.0}) == [
         "tie", "c3", "bulk_tie", "bound:x"]
     # slack is 1e-6 * max(1, |rhs|): 3e-6 off passes the "= 3.5" row but not "= 1"
-    assert check_solution(m, {"x": 1.5, "y": 0.5 + 3e-6}) == ["tie"]
-    assert check_solution(m, {"x": 1.5, "y": 0.5 + 4e-6}) == ["tie", "bulk_tie"]
-    assert check_solution(m, {"x": float("nan"), "y": 0.5}) == [
+    assert check_values(m, {"x": 1.5, "y": 0.5 + 3e-6}) == ["tie"]
+    assert check_values(m, {"x": 1.5, "y": 0.5 + 4e-6}) == ["tie", "bulk_tie"]
+    assert check_values(m, {"x": float("nan"), "y": 0.5}) == [
         "low", "tie", "c3", "bulk_tie"]
     with pytest.raises(MissingAssignmentError):
-        check_solution(m, {"x": 1.0})
+        check_values(m, {"x": 1.0})
 
 
 def test_model_without_columns_is_decided_by_its_rows():
@@ -278,7 +278,7 @@ def test_row_permutation_invariance(seed):
     rows = list(model_rows(m))
     rng.shuffle(rows)
     for row in rows:
-        add_row(shuffled, row.expression, row.relation, row.rhs, row.name)
+        add_row(shuffled, row.expression, row.relation, row.rhs)
     shuffled.set_objective(m.objective_sense, m.objective)
     second = solve(shuffled)
     assert second.status == "optimal"
@@ -327,6 +327,7 @@ def test_add_unknowns_checks_every_name():
             (["c", "a"], [0.0, 0.0], [1.0, 1.0], "'a' declared twice"),
             (["c", "c"], [0.0, 0.0], [1.0, 1.0], "'c' declared twice"),
             (["c", "2bad"], [0.0, 0.0], [1.0, 1.0], "not LP-file safe"),
+            (["c", "x\n"], [0.0, 0.0], [1.0, 1.0], "not LP-file safe"),
             (["c", "d"], [0.0, 2.0], [1.0, 1.0], "'d': lower bound 2.0 above upper 1.0")]:
         with pytest.raises(LpError, match=message):
             m.add_unknowns(names, lower, upper)
@@ -335,6 +336,84 @@ def test_add_unknowns_checks_every_name():
         assert [n in m._by_name for n in ("a", "b", "c", "d")] == [True, True, False, False]
     m.add_unknowns(["c"], [-math.inf], [math.inf])
     assert m.unknowns[-1] == ("c", -math.inf, math.inf) and m._by_name["c"] == 2
+
+
+def test_input_that_holds_no_number_is_refused_where_it_enters():
+    """A column whose bounds hold no number, a coefficient that is not
+    finite, a NaN right-hand side and a row name that `export_lp` cannot
+    write back as that row's own are LpErrors, and nothing is added."""
+    m = LpModel()
+    m.add_unknowns(["x"], [0.0], [10.0])
+    for lower, upper, message in [(math.nan, 1.0, r"'y': bounds \[nan, 1.0\]"),
+                                  (0.0, math.nan, "'y': bounds"),
+                                  (math.inf, math.inf, r"'y': bounds \[inf, inf\] hold no number"),
+                                  (-math.inf, -math.inf, "'y': bounds")]:
+        with pytest.raises(LpError, match=message):
+            m.add_unknowns(["a", "y"], [0.0, lower], [1.0, upper])
+    for coefficients, rhs, names, message in [
+            ([math.nan, 1.0], 1.0, None, "not finite"),
+            ([1.0, math.inf], 1.0, None, "not finite"),
+            ([-math.inf, 1.0], 1.0, None, "not finite"),
+            ([1.0, 1.0], [1.0, math.nan], None, "NaN"),
+            ([1.0, 1.0], 1.0, ["ok", "my row"], "'my row' is not LP-file safe"),
+            ([1.0, 1.0], 1.0, ["ok", "a:b"], "'a:b'"),
+            ([1.0, 1.0], 1.0, ["", "c1"], "'c1' is not LP-file safe or is that of an unnamed"),
+            ([1.0, 1.0], 1.0, ["c2", ""], "'c2'"),
+            ([1.0, 1.0], 1.0, ["a\nb", "c"], "'a\nb'")]:
+        with pytest.raises(LpError, match=message):
+            m.add_rows([0, 1, 2], [0, 0], coefficients, "<=", rhs, names)
+    for coefficient in (math.inf, -math.inf, math.nan):
+        with pytest.raises(LpError, match="objective: a coefficient is not finite"):
+            m.set_objective("max", {0: coefficient})
+    assert m.unknowns == [("x", 0.0, 10.0)] and model_rows(m) == [] and m.objective == {}
+    # an infinite right-hand side is a number: `x <= inf` holds everywhere
+    m.add_rows([0, 1, 2], [0, 0], [1.0, 1.0], "<=", [math.inf, 3.0], ["loose", "c11x"])
+    m.set_objective("max", {0: 1.0})
+    assert solve(m).objective_value == 3.0
+    # without columns the re-check decides: no finite left-hand side equals inf
+    for relation, rhs, status in (("<=", math.inf, "optimal"), ("=", math.inf, "infeasible"),
+                                  (">=", math.inf, "infeasible"), ("<=", -math.inf, "infeasible")):
+        empty = LpModel()
+        empty.add_rows([0, 0], [], [], relation, rhs)
+        assert solve(empty).status == status, (relation, rhs)
+
+
+def test_rows_highs_refuses_are_a_solver_failure():
+    """HiGHS refuses a coefficient of 1e16 (finite, so the model takes it):
+    a new model's solve raises, and on a live session `add_rows` raises and
+    adds the row to neither."""
+    m = LpModel()
+    m.add_unknowns(["x"], [0.0], [1.0])
+    m.add_rows([0, 1], [0], [1e16], "<=", 1.0)
+    m.set_objective("max", {0: 1.0})
+    with pytest.raises(SolverFailureError, match="HiGHS refused the rows"):
+        solve(m)
+    m = LpModel()
+    m.add_unknowns(["x"], [0.0], [1.0])
+    m.set_objective("max", {0: 1.0})
+    assert solve(m).objective_value == 1.0
+    with pytest.raises(SolverFailureError, match="HiGHS refused the rows"):
+        m.add_rows([0, 1], [0], [1e16], "<=", 1.0)
+    assert model_rows(m) == [] and m._session.highs.getLp().num_row_ == 0
+    m.add_rows([0, 1], [0], [2.0], "<=", 1.0)
+    assert solve(m).objective_value == 0.5
+
+
+def test_unnamed_rows_read_back_unnamed():
+    """`parse_lp` reads row i written as `c{i+1}` back as unnamed, so export
+    and parse are inverse on any model; a `c<digits>` name elsewhere is an
+    LpError."""
+    m = LpModel()
+    m.add_unknowns(["x"], [0.0], [1.0])
+    m.add_rows([0, 1, 2, 3, 4], [0, 0, 0, 0], [1.0, 2.0, 3.0, 4.0], "<=", 1.0,
+               ["", "named", "", "c7x"])
+    text = export_lp(m)
+    assert [line.split(":")[0] for line in text.splitlines()[3:7]] == [
+        " c1", " named", " c3", " c7x"]
+    back = parse_lp(text)
+    assert back._row_names == m._row_names and export_lp(back) == text
+    with pytest.raises(LpError, match="'c3'"):
+        parse_lp(text.replace(" c1:", " c3:"))
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -407,9 +486,10 @@ def _linprog(model):
                    method="highs", **kwargs)
 
 
-def test_solve_matches_linprog_bit_for_bit():
+def test_solve_matches_linprog():
     """Same status as linprog on the same arrays, and on optimal models the
-    same vertex to the last bit."""
+    same vertex within 1e-12 relative (HiGHS gets the rows in model order,
+    not in linprog's order, so the last bits may differ)."""
     statuses, no_rows, free = set(), 0, 0
     for seed in range(120):
         m = _seeded_model(seed)
@@ -417,7 +497,7 @@ def test_solve_matches_linprog_bit_for_bit():
         expected = {0: "optimal", 2: "infeasible", 3: "unbounded"}[reference.status]
         assert ours.status == expected, seed
         if expected == "optimal":
-            assert np.array_equal(ours.x, reference.x), seed
+            np.testing.assert_allclose(ours.x, reference.x, rtol=1e-12, atol=0, err_msg=seed)
         statuses.add(expected)
         no_rows += not model_rows(m)
         free += any(math.isinf(lo) and math.isinf(hi) for _, lo, hi in m.unknowns)
@@ -469,7 +549,7 @@ def test_rows_appended_after_a_solve_match_cold_solves(seed):
     result = solve(warm)
     _assert_same_result(result, solve(cold))
     if result.status == "optimal":
-        assert check_solution(cold, solution_values(warm, result)) == []
+        assert check_solution(cold, result.x) == []
 
 
 def test_warm_resolve_through_unbounded():
@@ -498,6 +578,41 @@ def test_warm_resolve_through_unbounded():
                        ("optimal", 2.0)]
 
 
+def test_session_holds_the_rows_in_model_order():
+    """HiGHS holds row i of the model as its row i, with native `[lower,
+    upper]` bounds, after the first solve and after appended rows, and its
+    row values are the model's matrix times the solution."""
+    statuses, relations_seen = set(), set()
+    for seed in range(30):
+        rng = random.Random(f"held:{seed}")
+        m = _seeded_model(seed)
+        for appended in (False, True):
+            if appended:
+                width = len(m.unknowns)
+                m.add_rows([0, width, 2 * width], list(range(width)) * 2,
+                           [round(rng.uniform(-2, 2), 3) for _ in range(2 * width)],
+                           [rng.choice(RELATIONS) for _ in range(2)],
+                           [round(rng.uniform(-1, 4), 3) for _ in range(2)])
+            solution = solve(m)
+            held = m._session.highs.getLp()
+            a = held.a_matrix_
+            assert a.format_ == a.format_.kColwise
+            matrix, relations, rhs = m.row_table()
+            assert (held.num_row_, held.num_col_) == matrix.shape
+            assert (csc_matrix((a.value_, a.index_, a.start_), shape=matrix.shape)
+                    != matrix).nnz == 0, seed
+            assert np.array_equal(held.row_lower_, np.where(
+                relations == RELATIONS.index("<="), -np.inf, rhs)), seed
+            assert np.array_equal(held.row_upper_, np.where(
+                relations == RELATIONS.index(">="), np.inf, rhs)), seed
+            if solution.status == "optimal":
+                np.testing.assert_allclose(m._session.highs.getSolution().row_value,
+                                           matrix @ solution.x, rtol=1e-12, atol=1e-12)
+            statuses.add(solution.status)
+            relations_seen.update(relations.tolist())
+    assert "optimal" in statuses and relations_seen == {0, 1, 2}
+
+
 def test_structure_change_after_solve_is_honoured():
     """Rows appended after a solve go to the live session (which the row
     re-check then covers too); a new column drops the session."""
@@ -508,7 +623,7 @@ def test_structure_change_after_solve_is_honoured():
     assert solve(m).objective_value == 3.0
     session = m._session
     add_row(m, term("x"), "<=", 1, "tighter")
-    assert m._session is session and session.table[0].shape == (2, 1)
+    assert m._session is session and session.highs.getLp().num_row_ == 2
     assert solve(m).objective_value == 1.0
     m.add_rows([0, 1], [0], [1.0], ">=", 2.0)
     assert solve(m).status == "infeasible"

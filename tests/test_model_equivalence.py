@@ -16,12 +16,12 @@ from potplan.direct2d import build_direct2d_lp, build_exhaustive_lp, build_gener
 from potplan.elimination import adjacency, classify, eliminate_graphs
 from potplan.features import FeatureSet, generate_features
 from potplan.generator import random_features, random_task
-from potplan.lp import check_solution, export_lp, solve
+from potplan.lp import export_lp, solve
 from potplan.reduction import complete_graph, reduce_3col
 from potplan.task import Operator, Task, Variable, build_transition_system, exact_goal_distances
 
 from conftest import make_alias_task, make_toy1
-from reference_builders import (reference_direct2d_model, reference_exhaustive_model,
+from reference_builders import (check_values, reference_direct2d_model, reference_exhaustive_model,
                                 reference_general_model, reference_ocp_model,
                                 reference_projection, reference_tcp_eliminated_model,
                                 reference_tcp_model, solution_values)
@@ -108,7 +108,7 @@ def test_eliminated_tcp_matches_full_model(name):
             lifted = solution_values(built.model, eliminated)
             for ai, costs in enumerate(built.extract_cost_functions(ts, eliminated)):
                 lifted.update((f"c_a{ai}_t{ti}", cost) for ti, cost in enumerate(costs))
-            assert check_solution(full, lifted) == []
+            assert check_values(full, lifted) == []
 
 
 @pytest.mark.parametrize("name", sorted(TASKS))

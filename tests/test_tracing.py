@@ -39,3 +39,5 @@ def test_traced_solve_prints_what_an_untraced_one_prints(capsys):
     assert capsys.readouterr().out == untraced
     metrics = tracer.metrics(1, 1.0, 1.0)
     assert metrics["lp.solves"] == 1 and metrics["trace.spans"] > 0
+    # every solve re-checks its rows through the public check_solution
+    assert metrics["lp.check_solution_s"] > 0

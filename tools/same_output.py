@@ -4,12 +4,11 @@
 
 Runs one fixed list of `potplan.cli.main` calls in process under each tree
 (one subprocess per tree, importing `potplan` from TREE/src) and compares,
-call by call, stdout, the exit code and a digest of every LP handed to
-HiGHS through `potplan.lp._run_highs`: for a new model the cost vector, the
-column and row bounds and the column-wise matrix, for a re-solve of the same
-model the new cost vector alone.  A tree without `_run_highs` (older than the
-direct HiGHS sessions) records no digests; its calls are then compared by
-stdout and exit code only.
+call by call, stdout, the exit code and a digest of every `potplan.lp.solve`
+call: whether the model has a solver session, its objective sense and
+coefficients and its column bounds, and for a model without a session (one
+not solved since its last column was added) its whole row table too.  So
+trees that hand rows to HiGHS differently are still compared LP by LP.
 
 The inputs are written once, with BEFORE_TREE, into a temporary directory:
 `gen --seed 0..11` (whose printed tasks are compared too, as are those of
@@ -209,13 +208,19 @@ def prepare(tree: str, workdir: str, extra: list[str]) -> None:
     _write("calls.json", json.dumps(calls))
 
 
-def _digest(cost, lp) -> str:
-    """Digest of one hand-off: the cost vector, then for a new model its
-    column bounds, row bounds and CSC matrix (shape, indptr, indices, data)."""
-    parts = [cost]
-    if lp is not None:
-        *bounds, matrix = lp
-        parts += [*bounds, np.array(matrix.shape), matrix.indptr, matrix.indices, matrix.data]
+def _digest(model) -> str:
+    """Digest of one solve: whether the model has a session, its sense, its
+    objective's columns and coefficients and its column bounds, then for a
+    model without a session its row table (shape, indptr, indices, data,
+    relation codes, right-hand sides)."""
+    objective = sorted(model.objective.items())
+    parts = [np.array([model._session is not None, model.objective_sense == "max"]),
+             np.array([j for j, _ in objective]), np.array([c for _, c in objective]),
+             np.array([(lo, hi) for _, lo, hi in model.unknowns])]
+    if model._session is None:
+        matrix, relations, rhs = model.row_table()
+        parts += [np.array(matrix.shape), matrix.indptr, matrix.indices, matrix.data,
+                  relations, rhs]
     h = hashlib.sha256()
     for part in parts:
         part = np.asarray(part)
@@ -227,19 +232,22 @@ def _digest(cost, lp) -> str:
 
 def run(tree: str, workdir: str) -> None:
     """Print one JSON record per call: stdout digest, exit code, and the
-    digests of the LPs handed to HiGHS (null if the tree cannot show them)."""
+    digests of its solves."""
     potplan = _import_potplan(tree)
     os.chdir(workdir)
     with open("calls.json", encoding="utf-8") as f:
         calls = json.load(f)
     digests: list[str] = []
-    hand_off = getattr(potplan.lp, "_run_highs", None)
-    if hand_off is not None:
-        def recording(highs, cost, lp=None):
-            digests.append(_digest(cost, lp))
-            return hand_off(highs, cost, lp)
+    solve = potplan.lp.solve
 
-        potplan.lp._run_highs = recording
+    def recording(model):
+        digests.append(_digest(model))
+        return solve(model)
+
+    # wherever `solve` is bound: `potplan.lp` and the modules that import it
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "potplan" and getattr(module, "solve", None) is solve:
+            module.solve = recording
     records = []
     for argv in calls:
         digests.clear()
@@ -250,7 +258,7 @@ def run(tree: str, workdir: str) -> None:
             except SystemExit as e:
                 code = e.code
         records.append({"stdout": hashlib.sha256(out.getvalue().encode()).hexdigest(),
-                        "exit": code, "highs": list(digests) if hand_off else None})
+                        "exit": code, "solves": list(digests)})
     json.dump(records, sys.stdout)
 
 
@@ -276,18 +284,12 @@ def main(argv: list[str]) -> int:
         with open(os.path.join(workdir, "calls.json"), encoding="utf-8") as f:
             calls = json.load(f)
         results = [json.loads(_worker("run", tree, workdir, [])) for tree in (before, after)]
-    digested = all(r[0]["highs"] is not None for r in results if r)
-    if not digested:
-        print("a tree has no lp._run_highs: comparing stdout and exit codes only")
-        for records in results:
-            for record in records:
-                del record["highs"]
     differ = [(argv, a, b) for argv, a, b in zip(calls, *results) if a != b]
     for argv, a, b in differ:
         fields = ", ".join(key for key in a if a[key] != b[key])
         print(f"differs in {fields}: {' '.join(argv)}")
-    hand_offs = sum(len(r["highs"]) for r in results[0]) if digested else 0
-    print(f"{len(calls)} calls, {hand_offs} HiGHS hand-offs: "
+    solves = sum(len(r["solves"]) for r in results[0])
+    print(f"{len(calls)} calls, {solves} solves: "
           + ("identical" if not differ else f"{len(differ)} differ"))
     return 1 if differ else 0
 
