@@ -262,7 +262,7 @@ def cmd_compare(args) -> int:
     task = _load_tnf_task(args.task)
     ts = build_transition_system(task, args.state_cap)
     distances = exact_goal_distances(ts)
-    patterns = costpart.all_patterns(len(task.variables), 2)
+    patterns = costpart.all_patterns(len(task.variables))
     picks = _compare_states(task, ts, distances, args)
     states = [state for _, state in picks]
     # Models outside, states inside: one model and its solver session at a time.

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .features import Feature, FeatureSet, WeightFunction
+from .features import Feature, FeatureSet
 from .lp import FEASIBILITY_TOL, LpModel, LpSolution
-from .task import State, TransitionSystem, goal_distances, iter_states, state_index, strides
+from .task import State, TransitionSystem, iter_states, state_index, strides
 
 
 class AbstractionError(ValueError):
@@ -45,19 +45,12 @@ class Projection:
         table[:, ::2] = self.state_map[table[:, ::2]]
         return table
 
-    def map_state(self, state: State) -> int:
-        return state_index(tuple(state[var] for var in self.pattern), self.domain_sizes)
-
-    def goal_distances(self, costs) -> np.ndarray:
-        """Abstract goal distances under signed per-concrete-transition costs."""
-        return goal_distances(self.size, self.abstract_transitions, [self.goal], costs)
-
 
 def project(ts: TransitionSystem, pattern) -> Projection:
     """Project the explicit system onto a (possibly empty) variable pattern."""
     pattern = tuple(sorted(pattern))
     doms = tuple(ts.domain_sizes[v] for v in pattern)
-    # the index of each concrete state's restriction, as in Projection.map_state
+    # the index of each concrete state's restriction, numbered as by `state_index`
     state_map = ts.states[:, list(pattern)] @ np.array(strides(doms), dtype=np.int64)
     goals = set(state_map[ts.goals].tolist())
     if len(goals) != 1:
@@ -71,64 +64,44 @@ def project(ts: TransitionSystem, pattern) -> Projection:
 class CostPartitioningLp:
     model: LpModel
     projections: list[Projection]
-    offsets: list[int]  # column of each projection's abstract state 0
-    # operator variant: column of the cost unknown of (operator, abstraction);
-    # transition variant, which has no cost unknowns: h column of the
-    # abstract state of (concrete state, abstraction)
-    columns: np.ndarray
-    per_transition: bool
+    domain_sizes: tuple[int, ...]
+    # h column of the abstract state of (concrete state, abstraction)
+    state_columns: np.ndarray
+    # column of the cost unknown of (operator, abstraction); None in the
+    # transition variant, which has no cost unknowns
+    cost_columns: np.ndarray | None
 
     def set_state(self, state: State) -> None:
         """Make the objective the total abstract value of the given state."""
-        self.model.set_objective("max", {offset + proj.map_state(state): 1.0
-                                         for offset, proj in zip(self.offsets, self.projections)})
+        row = self.state_columns[state_index(state, self.domain_sizes)]
+        self.model.set_objective("max", dict.fromkeys(row.tolist(), 1.0))
 
     def extract_cost_functions(self, ts: TransitionSystem,
                                solution: LpSolution) -> np.ndarray:
         """(abstraction, concrete transition) costs: the value of the
-        operator's cost unknown, or in the transition variant the least
-        feasible cost h(abstract source) - h(abstract target)."""
+        operator's cost unknown, or without cost unknowns the least feasible
+        cost h(abstract source) - h(abstract target)."""
         x = solution.x
         src, op, dst = ts.transitions.T
-        if self.per_transition:
-            return (x[self.columns[src]] - x[self.columns[dst]]).T
-        return x[self.columns[op]].T
+        if self.cost_columns is None:
+            return (x[self.state_columns[src]] - x[self.state_columns[dst]]).T
+        return x[self.cost_columns[op]].T
 
 
-def _add_h_unknowns(model: LpModel, projections: list[Projection]) -> list[int]:
-    """Declare every abstract state's h unknown; returns the column of each
-    projection's abstract state 0."""
+def _add_h_unknowns(model: LpModel, ts: TransitionSystem,
+                    projections: list[Projection]) -> np.ndarray:
+    """Declare every abstract state's h unknown and a row fixing h of each
+    abstract goal state to 0; returns the (states x abstractions) table of
+    the h column of each concrete state's abstract state."""
     offsets = np.cumsum([len(model.unknowns)] + [proj.size for proj in projections])
     names = [f"h_a{ai}_s{si}" for ai, proj in enumerate(projections) for si in range(proj.size)]
     model.add_unknowns(names, [-math.inf] * len(names), [math.inf] * len(names))
-    return offsets[:-1].tolist()
-
-
-def _add_goal_rows(model: LpModel, projections: list[Projection],
-                   offsets: list[int]) -> None:
-    """h of each abstract goal state is 0."""
-    model.add_rows(np.arange(len(projections) + 1),
-                   [offset + proj.goal for offset, proj in zip(offsets, projections)],
+    maps = [offset + proj.state_map for offset, proj in zip(offsets, projections)]
+    state_columns = np.array(maps, dtype=np.int64).reshape(len(projections), len(ts.states)).T
+    model.add_rows(np.arange(len(projections) + 1), state_columns[ts.goals[0]],
                    np.ones(len(projections)), "=", 0.0,
                    [f"goal_a{ai}" for ai in range(len(projections))])
-
-
-def _add_consistency_rows(model: LpModel, asrc: np.ndarray, adst: np.ndarray,
-                          cost_columns: np.ndarray, names: list[str]) -> None:
-    """h(asrc) - h(adst) - cost <= 0 per (column-indexed) abstract transition;
-    on self-loops the h terms cancel and only -cost remains."""
-    columns = np.stack([asrc, adst, cost_columns], axis=1).ravel()
-    coefficients = np.tile([1.0, -1.0, -1.0], len(asrc))
-    model.add_rows(np.arange(len(asrc) + 1) * 3, columns, coefficients, "<=", 0.0, names)
-
-
-def _add_partition_rows(model: LpModel, cost_columns: np.ndarray, limits,
-                        names: list[str]) -> None:
-    """Per row of `cost_columns` (one column per abstraction), the summed
-    cost unknowns stay below the limit."""
-    count, width = cost_columns.shape
-    model.add_rows(np.arange(count + 1) * width, cost_columns.ravel(),
-                   np.ones(cost_columns.size), "<=", np.asarray(limits, dtype=float), names)
+    return state_columns
 
 
 def build_tcp_lp(ts: TransitionSystem, patterns, state: State) -> CostPartitioningLp:
@@ -141,10 +114,7 @@ def build_tcp_lp(ts: TransitionSystem, patterns, state: State) -> CostPartitioni
     the given state."""
     projections = [project(ts, p) for p in patterns]
     model = LpModel()
-    offsets = _add_h_unknowns(model, projections)
-    _add_goal_rows(model, projections, offsets)
-    maps = [offset + proj.state_map for offset, proj in zip(offsets, projections)]
-    state_columns = np.array(maps, dtype=np.int64).reshape(len(projections), len(ts.states)).T
+    state_columns = _add_h_unknowns(model, ts, projections)
     table = ts.transitions
     # canonical rows: each abstraction's h columns as (min, max), none on self-loops
     src, dst = state_columns[table[:, 0]], state_columns[table[:, 2]]
@@ -153,43 +123,45 @@ def build_tcp_lp(ts: TransitionSystem, patterns, state: State) -> CostPartitioni
                    np.stack([np.minimum(src, dst), np.maximum(src, dst)], axis=2)[moved].ravel(),
                    np.stack([sign, -sign], axis=2)[moved].ravel(), "<=",
                    ts.operator_costs[table[:, 1]], [f"part_t{ti}" for ti in range(len(table))])
-    built = CostPartitioningLp(model, projections, offsets, state_columns,
-                               per_transition=True)
+    built = CostPartitioningLp(model, projections, ts.domain_sizes, state_columns, None)
     built.set_state(state)
     return built
 
 
 def build_ocp_lp(ts: TransitionSystem, patterns, state: State) -> CostPartitioningLp:
     """Operator cost partitioning: goal rows as in the transition variant,
-    one cost unknown per (abstraction, operator), a consistency row per
-    distinct abstract transition (parallel ones collapse) and per operator a
-    row keeping its summed cost unknowns below its cost."""
+    one cost unknown per (abstraction, operator), a consistency row
+    h(asrc) - h(adst) - cost <= 0 per distinct abstract transition (parallel
+    ones collapse; on self-loops only -cost remains) and per operator a row
+    keeping its summed cost unknowns below its cost."""
     projections = [project(ts, p) for p in patterns]
-    n_ops = len(ts.operator_costs)
+    n_ops, table = len(ts.operator_costs), ts.transitions
     model = LpModel()
-    offsets = _add_h_unknowns(model, projections)
+    state_columns = _add_h_unknowns(model, ts, projections)
     first_cost = len(model.unknowns)
     names = [f"c_a{ai}_o{op}" for ai in range(len(projections)) for op in range(n_ops)]
     model.add_unknowns(names, [-math.inf] * len(names), [math.inf] * len(names))
     # cost column of (abstraction ai, operator op), one row per operator
     cost_columns = first_cost + np.arange(len(projections)) * n_ops + np.arange(n_ops)[:, None]
-    _add_goal_rows(model, projections, offsets)
-    table = ts.transitions
-    ops = table[:, 1]
-    for ai, proj in enumerate(projections):
-        asrc, adst = proj.state_map[table[:, 0]], proj.state_map[table[:, 2]]
-        # first occurrence of each distinct (asrc, op, adst), in transition order
-        key = (asrc * n_ops + ops) * proj.size + adst
-        first = np.sort(np.unique(key, return_index=True)[1])
-        asrc, op_ids, adst = asrc[first], ops[first], adst[first]
-        _add_consistency_rows(
-            model, offsets[ai] + asrc, offsets[ai] + adst, cost_columns[op_ids, ai],
-            [f"cons_a{ai}_s{s}_o{o}_s{d}"
-             for s, o, d in zip(asrc.tolist(), op_ids.tolist(), adst.tolist())])
-    _add_partition_rows(model, cost_columns, ts.operator_costs,
-                        [f"part_o{op}" for op in range(n_ops)])
-    built = CostPartitioningLp(model, projections, offsets, cost_columns,
-                               per_transition=False)
+    # (abstraction, transition) arrays, abstraction-major; an h column names
+    # its abstraction, so keys of different abstractions never meet
+    src, dst = state_columns[table[:, 0]].T, state_columns[table[:, 2]].T
+    key = (src * n_ops + table[:, 1]) * first_cost + dst
+    # first occurrence of each distinct (abstraction, asrc, op, adst), in transition order
+    first = np.sort(np.unique(key, return_index=True)[1])
+    ai, ti = np.divmod(first, len(table))
+    src, op, dst = src.ravel()[first], table[ti, 1], dst.ravel()[first]
+    # concrete state 0 (every value 0) lies in each projection's abstract state 0
+    base = state_columns[0][ai]
+    model.add_rows(np.arange(len(first) + 1) * 3,
+                   np.stack([src, dst, cost_columns[op, ai]], axis=1).ravel(),
+                   np.tile([1.0, -1.0, -1.0], len(first)), "<=", 0.0,
+                   [f"cons_a{a}_s{s}_o{o}_s{d}" for a, s, o, d in
+                    zip(ai.tolist(), (src - base).tolist(), op.tolist(), (dst - base).tolist())])
+    model.add_rows(np.arange(n_ops + 1) * len(projections), cost_columns.ravel(),
+                   np.ones(cost_columns.size), "<=", ts.operator_costs,
+                   [f"part_o{op}" for op in range(n_ops)])
+    built = CostPartitioningLp(model, projections, ts.domain_sizes, state_columns, cost_columns)
     built.set_state(state)
     return built
 
@@ -208,12 +180,10 @@ def validate_partition(ts: TransitionSystem, cost_functions) -> tuple[bool, int 
     return (False, int(violations[0])) if len(violations) else (True, None)
 
 
-def all_patterns(n_variables: int, max_size: int = 2) -> list[tuple[int, ...]]:
-    """All variable patterns of size 1..max_size, in lexicographic order."""
-    out = []
-    for size in range(1, max_size + 1):
-        out.extend(itertools.combinations(range(n_variables), size))
-    return out
+def all_patterns(n_variables: int) -> list[tuple[int, ...]]:
+    """All variable patterns of size 1 and 2, in lexicographic order."""
+    return [*itertools.combinations(range(n_variables), 1),
+            *itertools.combinations(range(n_variables), 2)]
 
 
 def features_of_abstractions(ts: TransitionSystem, patterns) -> FeatureSet:
@@ -235,19 +205,3 @@ def features_of_abstractions(ts: TransitionSystem, patterns) -> FeatureSet:
                 features.append(f)
     return FeatureSet(tuple(features))
 
-
-def shift_weights_to_goal(ts: TransitionSystem, patterns, fs: FeatureSet,
-                          w: WeightFunction) -> WeightFunction:
-    """Subtract, from each feature's weight, the weight of its pattern's
-    goal-state feature; the shifted potential dominates the original one and
-    stays feasible."""
-    goal_state = ts.states[ts.goals[0]].tolist()
-    goal_weight: dict[tuple[int, ...], float] = {}
-    for pattern in patterns:
-        pattern = tuple(sorted(pattern))
-        goal_feature = Feature(tuple((v, goal_state[v]) for v in pattern))
-        goal_weight[pattern] = w[fs.index_of(goal_feature)]
-    shifted = []
-    for i, f in enumerate(fs.features):
-        shifted.append(w[i] - goal_weight[f.variables])
-    return WeightFunction(shifted)

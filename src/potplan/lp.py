@@ -348,6 +348,11 @@ class _Session:
         (the new rows' slacks become basic)."""
         lower = np.where(relations == RELATIONS.index("<="), -np.inf, rhs)
         upper = np.where(relations == RELATIONS.index(">="), np.inf, rhs)
+        # HiGHS refuses a bound of +inf below or -inf above (`>= inf`,
+        # `<= -inf`, `= ±inf`); no finite row meets one, and the empty
+        # interval 1 <= row <= 0 that replaces it makes the model infeasible.
+        empty = (lower == np.inf) | (upper == -np.inf)
+        lower, upper = np.where(empty, 1.0, lower), np.where(empty, 0.0, upper)
         status = self.highs.addRows(len(rhs), lower, upper, len(columns),
                                     indptr.astype(np.int32), columns.astype(np.int32), coefficients)
         if status == highs_core.HighsStatus.kError:

@@ -43,18 +43,6 @@ class Graph:
         return cls(vertex_count, normalized)
 
 
-def complete_graph(n: int) -> Graph:
-    return Graph.of(n, itertools.combinations(range(n), 2))
-
-
-def cycle_graph(n: int) -> Graph:
-    return Graph.of(n, ((i, (i + 1) % n) for i in range(n)))
-
-
-def empty_graph(n: int) -> Graph:
-    return Graph.of(n, ())
-
-
 def _integers(line_no: int, tokens: list[str]) -> list[int]:
     try:
         return [int(token) for token in tokens]

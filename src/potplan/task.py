@@ -21,10 +21,6 @@ PartialAssignment = dict[int, int]
 
 DEFAULT_STATE_CAP = 2_000_000
 
-# Minimum improvement for a Bellman-Ford relaxation; guards against declaring
-# a negative cycle from float noise in LP-extracted cost functions.
-RELAX_EPS = 1e-9
-
 
 class TaskError(ValueError):
     """Base class for task-level errors."""
@@ -288,31 +284,11 @@ def build_transition_system(task: Task, state_cap: int = DEFAULT_STATE_CAP) -> T
     )
 
 
-def exact_goal_distances(ts: TransitionSystem, costs=None) -> np.ndarray:
-    """Distance from every state to the nearest goal under the given costs.
-
-    `costs` is one real per transition (defaults to operator costs).  With
-    non-negative costs this is a reverse Dijkstra; with negative costs a
-    Bellman-Ford run with negative-cycle detection.  States that cannot reach
-    a goal map to +inf; states that can reach a negative-cost cycle from which
-    a goal is reachable map to -inf.
-    """
-    if costs is None:
-        costs = ts.operator_costs[ts.transitions[:, 1]]
-    if len(costs) != len(ts.transitions):
-        raise TaskError(f"expected {len(ts.transitions)} transition costs, got {len(costs)}")
-    return goal_distances(len(ts.states), ts.transitions, ts.goals, costs)
-
-
-def goal_distances(n: int, transitions: np.ndarray, goals, costs) -> np.ndarray:
-    """Distances to the nearest goal over states 0..n-1, given (source, label,
-    target) transition rows and one cost each: Dijkstra on the reversed graph
-    when no cost is negative, Bellman-Ford otherwise (see
-    `exact_goal_distances`)."""
-    costs = np.asarray(costs, dtype=float)
-    goals = np.asarray(goals, dtype=np.int64)
-    if np.any(costs < 0):
-        return _bellman_ford_to_goal(n, transitions, goals, costs)
+def exact_goal_distances(ts: TransitionSystem) -> np.ndarray:
+    """Distance under the operator costs from every state to the nearest
+    goal, +inf where no goal is reachable: Dijkstra on the reversed graph."""
+    n, transitions = len(ts.states), ts.transitions
+    costs = ts.operator_costs[transitions[:, 1]]
     # Reversed edges target -> source, the cheapest of each parallel group
     # first; building the CSR matrix directly keeps that one (a COO matrix
     # would sum parallel edges) and keeps explicit zero costs as edges.
@@ -321,27 +297,7 @@ def goal_distances(n: int, transitions: np.ndarray, goals, costs) -> np.ndarray:
     first = order[np.unique(key[order], return_index=True)[1]]
     indptr = np.concatenate(([0], np.cumsum(np.bincount(transitions[first, 2], minlength=n))))
     graph = csr_matrix((costs[first], transitions[first, 0], indptr), shape=(n, n))
-    return dijkstra(graph, indices=goals, min_only=True)
-
-
-def _bellman_ford_to_goal(n, transitions, goals, costs) -> np.ndarray:
-    src, dst = transitions[:, 0], transitions[:, 2]
-    dist = np.full(n, math.inf)
-    dist[goals] = 0.0
-    for _ in range(max(n - 1, 1)):
-        through = costs + dist[dst]
-        better = through < dist[src] - RELAX_EPS
-        if not better.any():
-            break
-        np.minimum.at(dist, src[better], through[better])
-    # Any edge still improving feeds off a negative cycle that reaches a goal;
-    # everything that can reach such an edge diverges to -inf.
-    tainted = np.zeros(n, dtype=bool)
-    tainted[src[costs + dist[dst] < dist[src] - RELAX_EPS]] = True
-    while (grow := tainted[dst] & ~tainted[src]).any():
-        tainted[src[grow]] = True
-    dist[tainted] = -math.inf
-    return dist
+    return dijkstra(graph, indices=ts.goals, min_only=True)
 
 
 class _Cursor:

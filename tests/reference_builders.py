@@ -25,7 +25,11 @@ The TCP model with one cost unknown per (abstraction, transition) is no
 builder's reference but the oracle of the eliminated one: same optimum, and
 the solution lifted into it is feasible.  Likewise the potential models
 built with `pin=False`, where no weight is fixed to 0, are the oracle of
-the pinned ones: same optimum.
+the pinned ones: same optimum.  The signed-cost Bellman-Ford
+(`reference_goal_distances`) checks the goal distances of extracted cost
+functions, and the helpers that only tests call live here too:
+`shift_weights_to_goal` and the graphs `complete_graph`, `cycle_graph` and
+`empty_graph`.
 """
 
 import heapq
@@ -39,11 +43,16 @@ import numpy as np
 
 from potplan.direct2d import WEIGHT_LOWER, WEIGHT_UPPER, sample_states, weight_var_name
 from potplan.elimination import OrderingError, check_order
-from potplan.features import Feature, FeatureError, pinned_features
+from potplan.features import Feature, FeatureError, WeightFunction, pinned_features
 from potplan.lp import (RELATIONS, ZERO, LinearExpression, LpError, LpModel,
                         MissingAssignmentError, check_solution, evaluate)
 from potplan.search import NoPlanError, SearchResult, tiebreak_key
-from potplan.task import RELAX_EPS, is_applicable, iter_states, state_index, successor
+from potplan.reduction import Graph
+from potplan.task import is_applicable, iter_states, state_index, successor
+
+# Minimum improvement for a Bellman-Ford relaxation; guards against declaring
+# a negative cycle from float noise in LP-extracted cost functions.
+RELAX_EPS = 1e-9
 
 
 class Row(NamedTuple):
@@ -294,6 +303,19 @@ def reference_ocp_model(ts, patterns, state):
         add_row(model, LinearExpression.build(0.0, terms), "<=",
                 float(ts.operator_costs[op]), f"part_o{op}")
     return _finish(model, projections, state)
+
+
+def shift_weights_to_goal(ts, patterns, fs, w):
+    """Subtract, from each feature's weight, the weight of its pattern's
+    goal-state feature; the shifted potential dominates the original one and
+    stays feasible."""
+    goal_state = ts.states[ts.goals[0]].tolist()
+    goal_weight = {}
+    for pattern in patterns:
+        pattern = tuple(sorted(pattern))
+        goal_feature = Feature(tuple((v, goal_state[v]) for v in pattern))
+        goal_weight[pattern] = w[fs.index_of(goal_feature)]
+    return WeightFunction([w[i] - goal_weight[f.variables] for i, f in enumerate(fs.features)])
 
 
 def _reference_weights(model, task, fs, pin=True):
@@ -557,6 +579,18 @@ def reference_induced_width(graph, order):
             adj[a].add(b)
             adj[b].add(a)
     return width
+
+
+def complete_graph(n):
+    return Graph.of(n, itertools.combinations(range(n), 2))
+
+
+def cycle_graph(n):
+    return Graph.of(n, ((i, (i + 1) % n) for i in range(n)))
+
+
+def empty_graph(n):
+    return Graph.of(n, ())
 
 
 def brute_force_max(functions, domains, values):

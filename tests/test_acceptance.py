@@ -19,16 +19,16 @@ from potplan.elimination import adjacency, classify, eliminate_graphs
 from potplan.features import generate_features
 from potplan.generator import random_features, random_task
 from potplan.lp import LinearExpression, evaluate, solve
-from potplan.reduction import (Graph, complete_graph, cycle_graph, empty_graph,
-                               is_3colorable, phi_of_state, reduce_3col)
+from potplan.reduction import Graph, is_3colorable, phi_of_state, reduce_3col
 from potplan.search import PotentialHeuristic, astar, blind, validate
 from potplan.task import build_transition_system, exact_goal_distances
 
 from conftest import (PAPER_BE_DOMAINS, base_model, bottom_up_values, candidates,
                       eliminate, make_paper_be)
 from reference_builders import (brute_force_max, classify_features, column_terms,
-                                dependency_graph, model_rows, random_scoped_set,
-                                reference_induced_width, reference_min_fill_order)
+                                complete_graph, cycle_graph, dependency_graph, empty_graph,
+                                model_rows, random_scoped_set, reference_induced_width,
+                                reference_min_fill_order)
 
 
 @contextmanager
@@ -141,7 +141,7 @@ def test_criterion_6_tcp_equivalence_and_dominance():
         for seed in range(30):
             task = random_task(3, 3, 5, 2000 + seed)
             ts = build_transition_system(task)
-            patterns = all_patterns(len(task.variables), 2)
+            patterns = all_patterns(len(task.variables))
             fs = features_of_abstractions(ts, patterns)
             distances = exact_goal_distances(ts)
             finite = [i for i, d in enumerate(distances) if d < math.inf]

@@ -5,15 +5,15 @@ import pytest
 
 from potplan.costpart import (AbstractionError, all_patterns, build_ocp_lp,
                               build_tcp_lp, features_of_abstractions, project,
-                              shift_weights_to_goal, validate_partition)
+                              validate_partition)
 from potplan.direct2d import solve_for_state
 from potplan.features import evaluate_potential
 from potplan.generator import random_task
 from potplan.lp import solve
 from potplan.search import PotentialHeuristic, validate
-from potplan.task import build_transition_system, exact_goal_distances
+from potplan.task import build_transition_system, exact_goal_distances, state_index
 
-from reference_builders import solution_values
+from reference_builders import reference_goal_distances, shift_weights_to_goal, solution_values
 
 
 def test_project_single_variable(toy1):
@@ -45,7 +45,7 @@ def test_project_empty_pattern(toy1):
 
 def test_tcp_all_small_projections(toy1):
     ts = build_transition_system(toy1)
-    built = build_tcp_lp(ts, all_patterns(2, 2), tuple(ts.states[ts.initial].tolist()))
+    built = build_tcp_lp(ts, all_patterns(2), tuple(ts.states[ts.initial].tolist()))
     assert solve(built.model).require_optimal().objective_value == pytest.approx(2.0)
 
 
@@ -58,19 +58,19 @@ def test_tcp_single_projection(toy1):
 def test_tcp_at_goal_state(toy1):
     ts = build_transition_system(toy1)
     goal_state = tuple(ts.states[ts.goals[0]].tolist())
-    built = build_tcp_lp(ts, all_patterns(2, 2), goal_state)
+    built = build_tcp_lp(ts, all_patterns(2), goal_state)
     assert solve(built.model).require_optimal().objective_value == pytest.approx(0.0)
 
 
 def test_ocp_values(toy1):
     ts = build_transition_system(toy1)
     s0 = tuple(ts.states[ts.initial].tolist())
-    assert solve(build_ocp_lp(ts, all_patterns(2, 2), s0).model) \
+    assert solve(build_ocp_lp(ts, all_patterns(2), s0).model) \
         .require_optimal().objective_value == pytest.approx(2.0)
     assert solve(build_ocp_lp(ts, [(0,), (1,)], s0).model) \
         .require_optimal().objective_value == pytest.approx(2.0)
     goal_state = tuple(ts.states[ts.goals[0]].tolist())
-    assert solve(build_ocp_lp(ts, all_patterns(2, 2), goal_state).model) \
+    assert solve(build_ocp_lp(ts, all_patterns(2), goal_state).model) \
         .require_optimal().objective_value == pytest.approx(0.0)
 
 
@@ -85,7 +85,7 @@ def test_validate_partition(toy1):
 
 def test_validate_partition_of_solved_tcp(toy1):
     ts = build_transition_system(toy1)
-    built = build_tcp_lp(ts, all_patterns(2, 2), tuple(ts.states[ts.initial].tolist()))
+    built = build_tcp_lp(ts, all_patterns(2), tuple(ts.states[ts.initial].tolist()))
     solution = solve(built.model).require_optimal()
     cost_functions = built.extract_cost_functions(ts, solution)
     ok, _ = validate_partition(ts, cost_functions)
@@ -102,7 +102,7 @@ def test_extract_cost_functions(seed, build, cost):
     unknowns), or the value of its operator's cost unknown (OCP)."""
     task = random_task(3, 3, 5, seed)
     ts = build_transition_system(task)
-    patterns = all_patterns(len(task.variables), 2)
+    patterns = all_patterns(len(task.variables))
     built = build(ts, patterns, task.initial_state)
     solution = solve(built.model).require_optimal()
     cost_functions = built.extract_cost_functions(ts, solution)
@@ -136,7 +136,7 @@ def test_potential_equals_tcp(seed):
     transition partitioning value, state by state."""
     task = random_task(3, 3, 5, seed)
     ts = build_transition_system(task)
-    patterns = all_patterns(len(task.variables), 2)
+    patterns = all_patterns(len(task.variables))
     fs = features_of_abstractions(ts, patterns)
     for state in [task.initial_state] + random_finite_states(ts, 2, seed):
         pot = solve_for_state(task, fs, state).value
@@ -149,7 +149,7 @@ def test_potential_equals_tcp(seed):
 def test_tcp_dominates_ocp(seed):
     task = random_task(3, 3, 5, seed)
     ts = build_transition_system(task)
-    patterns = all_patterns(len(task.variables), 2)
+    patterns = all_patterns(len(task.variables))
     for state in [task.initial_state] + random_finite_states(ts, 2, seed):
         tcp = solve(build_tcp_lp(ts, patterns, state).model) \
             .require_optimal().objective_value
@@ -165,7 +165,7 @@ def test_partitioned_sum_is_admissible(seed):
     state."""
     task = random_task(3, 3, 5, seed)
     ts = build_transition_system(task)
-    patterns = all_patterns(len(task.variables), 2)
+    patterns = all_patterns(len(task.variables))
     state = task.initial_state
     built = build_tcp_lp(ts, patterns, state)
     solution = solve(built.model).require_optimal()
@@ -174,13 +174,13 @@ def test_partitioned_sum_is_admissible(seed):
 
     per_state_sums = [0.0] * len(ts.states)
     for proj, costs in zip(built.projections, cost_functions):
-        abstract = proj.goal_distances(costs)
+        abstract = reference_goal_distances(proj.size, proj.abstract_transitions.tolist(),
+                                            [proj.goal], costs.tolist())
         assert all(d > -math.inf for d in abstract)
         for si in range(len(ts.states)):
-            per_state_sums[si] += abstract[proj.map_state(ts.states[si])]
+            per_state_sums[si] += abstract[proj.state_map[si]]
     for si, total in enumerate(per_state_sums):
         assert total <= distances[si] + 1e-6
-    from potplan.task import state_index
     at_solved = per_state_sums[state_index(state, ts.domain_sizes)]
     assert at_solved >= solution.objective_value - 1e-6
 
@@ -189,7 +189,7 @@ def test_partitioned_sum_is_admissible(seed):
 def test_shift_normalization(seed):
     task = random_task(3, 3, 5, seed)
     ts = build_transition_system(task)
-    patterns = all_patterns(len(task.variables), 2)
+    patterns = all_patterns(len(task.variables))
     fs = features_of_abstractions(ts, patterns)
     result = solve_for_state(task, fs, task.initial_state)
     shifted = shift_weights_to_goal(ts, patterns, fs, result.weights)

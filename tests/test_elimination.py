@@ -12,14 +12,15 @@ from potplan.elimination import (OrderingError, adjacency, check_order, classify
 from potplan.features import Feature, FeatureSet, generate_features
 from potplan.generator import random_features, random_task
 from potplan.lp import LinearExpression, evaluate, export_lp, solve
-from potplan.reduction import complete_graph, reduce_3col
+from potplan.reduction import reduce_3col
 from potplan.task import Operator, Task, Variable
 
 from conftest import (PAPER_BE_DOMAINS, base_model, bottom_up_values, candidates,
                       eliminate, make_alias_task)
 from reference_builders import (DependencyGraph, ScopedFunction, brute_force_max,
-                                column_terms, delta_independent, dependency_graph,
-                                model_rows, random_scoped_set, reference_bucket_eliminate,
+                                column_terms, complete_graph, delta_independent,
+                                dependency_graph, model_rows, random_scoped_set,
+                                reference_bucket_eliminate,
                                 reference_induced_width, reference_min_fill_order,
                                 solution_values)
 

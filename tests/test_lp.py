@@ -378,6 +378,24 @@ def test_input_that_holds_no_number_is_refused_where_it_enters():
         assert solve(empty).status == status, (relation, rhs)
 
 
+@pytest.mark.parametrize("relation, rhs", [(">=", math.inf), ("=", math.inf),
+                                           ("=", -math.inf), ("<=", -math.inf)],
+                         ids=["ge_inf", "eq_inf", "eq_minus_inf", "le_minus_inf"])
+def test_row_no_finite_value_meets_is_infeasible(relation, rhs):
+    """A row whose infinite right-hand side no finite left-hand side meets
+    makes the model infeasible, as the column-less re-check answers: in a
+    new model and appended to a live session."""
+    for warm in (False, True):
+        m = LpModel()
+        m.add_unknowns(["x"], [0.0], [1.0])
+        m.set_objective("max", {0: 1.0})
+        if warm:
+            assert solve(m).objective_value == 1.0
+        m.add_rows([0, 1], [0], [1.0], relation, rhs)
+        assert solve(m).status == "infeasible", warm
+        assert check_solution(m, np.zeros(1)) == ["c1"]
+
+
 def test_rows_highs_refuses_are_a_solver_failure():
     """HiGHS refuses a coefficient of 1e16 (finite, so the model takes it):
     a new model's solve raises, and on a live session `add_rows` raises and
@@ -642,7 +660,7 @@ def test_structure_change_after_solve_is_honoured():
 
 def _compare_models(task, ts, state):
     """The four `compare` models, maximizing at the given state."""
-    patterns = costpart.all_patterns(len(task.variables), 2)
+    patterns = costpart.all_patterns(len(task.variables))
     models = []
     for dim in (1, 2):
         fs = generate_features(task, dim)

@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from potplan.reduction import (Graph, GraphError, TooLargeError, complete_graph,
-                               cycle_graph, empty_graph, is_3colorable,
+from potplan.reduction import (Graph, GraphError, TooLargeError, is_3colorable,
                                parse_dimacs, phi_of_state, reduce_3col)
 from potplan.search import validate
 from potplan.task import build_transition_system, is_applicable
 from potplan.tnf import is_tnf
+
+from reference_builders import complete_graph, cycle_graph, empty_graph
 
 
 def test_graph_validation():

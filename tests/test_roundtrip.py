@@ -7,10 +7,10 @@ from potplan.direct2d import build_general_lp, sample_states, state_objective
 from potplan.features import generate_features
 from potplan.generator import random_features, random_task
 from potplan.lp import export_lp, parse_lp
-from potplan.reduction import complete_graph, reduce_3col
+from potplan.reduction import reduce_3col
 from potplan.task import Operator, Task, Variable, parse_sas, serialize_sas
 
-from reference_builders import model_rows
+from reference_builders import complete_graph, model_rows
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 

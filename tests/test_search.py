@@ -6,13 +6,13 @@ import pytest
 from potplan.direct2d import solve_for_state
 from potplan.features import generate_features
 from potplan.generator import random_task
-from potplan.reduction import complete_graph, phi_of_state, reduce_3col
+from potplan.reduction import phi_of_state, reduce_3col
 from potplan.search import (NoPlanError, PotentialHeuristic, TIEBREAK_POLICY,
                             astar, blind, tiebreak_key, validate)
 from potplan.task import Task, build_transition_system, exact_goal_distances
 
 from conftest import make_mixed_preconditions, make_toy1
-from reference_builders import reference_astar
+from reference_builders import complete_graph, reference_astar
 
 
 def optimal_heuristic(task, dim):

@@ -1,18 +1,19 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from potplan.generator import random_task
 from potplan.task import (NotApplicableError, SasParseError, StateSpaceTooLargeError,
-                          SuccessorGenerator, Task, UnsupportedFeatureError,
-                          build_transition_system, exact_goal_distances, goal_distances,
+                          SuccessorGenerator, Task, TransitionSystem, UnsupportedFeatureError,
+                          build_transition_system, exact_goal_distances,
                           is_applicable, iter_states, parse_sas, serialize_sas, state_index,
                           successor)
 
 from conftest import make_mixed_preconditions, make_toy1
-from reference_builders import (reference_goal_distances, reference_successors,
-                                reference_transitions)
+from reference_builders import (complete_graph, reference_goal_distances,
+                                reference_successors, reference_transitions)
 
 TOY1_SAS = """\
 begin_version
@@ -146,7 +147,7 @@ def test_transition_system_cap(toy1):
 
 
 def test_transition_system_k4_reduction_size():
-    from potplan.reduction import complete_graph, reduce_3col
+    from potplan.reduction import reduce_3col
     task = reduce_3col(complete_graph(4)).task
     ts = build_transition_system(task, 10 ** 6)
     assert len(ts.states) == 3 ** 4 * 2 == 162
@@ -218,56 +219,46 @@ def test_goal_distances_toy1(toy1):
 
 def test_goal_distances_zero_costs(toy1):
     ts = build_transition_system(toy1)
-    dist = exact_goal_distances(ts, [0.0] * len(ts.transitions))
+    dist = exact_goal_distances(replace(ts, operator_costs=np.zeros_like(ts.operator_costs)))
     assert all(d == 0.0 for d in dist)
 
 
 def test_goal_distances_parallel_and_zero_cost_transitions():
     """Of parallel transitions only the cheapest counts (they are not summed)
     and zero-cost transitions are edges like any other."""
-    transitions = np.array([[0, 0, 1], [0, 1, 1], [0, 2, 1], [1, 0, 2], [1, 2, 3],
-                            [2, 0, 2], [2, 1, 3], [4, 0, 4]])
-    costs = np.array([5.0, 2.0, 7.0, 0.0, 4.0, 0.0, 0.0, 1.0])
+    transitions = np.array([[0, 0, 1], [0, 1, 1], [0, 2, 1], [1, 3, 2], [1, 4, 3],
+                            [2, 3, 2], [2, 3, 3], [4, 5, 4]])
+    operator_costs = np.array([5.0, 2.0, 7.0, 0.0, 4.0, 1.0])
+    ts = TransitionSystem(np.arange(5)[:, None], transitions, 0, np.array([3]),
+                          operator_costs, (5,))
     expected = [2.0, 0.0, 0.0, 0.0, math.inf]
-    assert goal_distances(5, transitions, [3], costs).tolist() == expected
-    assert reference_goal_distances(5, transitions.tolist(), [3], costs.tolist()) == expected
+    assert exact_goal_distances(ts).tolist() == expected
+    costs = operator_costs[transitions[:, 1]].tolist()
+    assert reference_goal_distances(5, transitions.tolist(), [3], costs) == expected
 
 
 @pytest.mark.parametrize("seed", range(10))
 @pytest.mark.parametrize("tnf", [True, False])
 def test_goal_distances_match_reference(seed, tnf):
-    """Dijkstra under the operator costs, Bellman-Ford under integer costs
-    from -1 to 3 (negative cycles included).  Costs 0..2 make zero-cost
+    """Dijkstra under the operator costs.  Costs 0..2 make zero-cost
     transitions common; outside TNF, operators with the same effect give
     parallel transitions of different cost."""
     task = random_task(4, 3, 8, seed, tnf=tnf, solvable=False, max_cost=2)
     ts = build_transition_system(task)
-    rows = ts.transitions.tolist()
-    for costs in (ts.operator_costs[ts.transitions[:, 1]],
-                  np.random.default_rng(seed).integers(-1, 4, len(rows)).astype(float)):
-        assert exact_goal_distances(ts, costs).tolist() == reference_goal_distances(
-            len(ts.states), rows, ts.goals.tolist(), costs.tolist())
+    costs = ts.operator_costs[ts.transitions[:, 1]]
+    assert exact_goal_distances(ts).tolist() == reference_goal_distances(
+        len(ts.states), ts.transitions.tolist(), ts.goals.tolist(), costs.tolist())
 
 
-def test_goal_distances_negative_cycle(toy1):
-    # reuse the 4-state system: make the two oX/oY transitions out of (0,0)
-    # and back impossible; instead craft costs with a negative 2-cycle by
-    # rewiring through a dedicated tiny system
-    from potplan.task import TransitionSystem
-    ts = TransitionSystem(
-        states=np.array([[0], [1]]),
-        transitions=np.array([[0, 0, 1], [1, 0, 0], [1, 1, 1]]),  # a->b, b->a, b->goal loop
-        initial=0,
-        goals=np.array([1]),
-        operator_costs=np.array([0.0, 0.0]),
-        domain_sizes=(2,),
-    )
-    dist = exact_goal_distances(ts, [-1.0, -1.0, 0.0])
+def test_goal_distances_negative_cycle():
+    """The reference that checks extracted cost functions maps every state
+    that reaches a negative cycle from which a goal is reachable to -inf."""
+    transitions = [[0, 0, 1], [1, 0, 0], [1, 1, 1]]  # a->b, b->a, b->goal loop
+    dist = reference_goal_distances(2, transitions, [1], [-1.0, -1.0, 0.0])
     assert dist[0] == -math.inf and dist[1] == -math.inf
 
 
 def test_goal_distances_unreachable():
-    from potplan.task import TransitionSystem
     ts = TransitionSystem(
         states=np.array([[0], [1], [2]]),
         transitions=np.array([[0, 0, 1]]),

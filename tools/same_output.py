@@ -13,7 +13,9 @@ trees that hand rows to HiGHS differently are still compared LP by LP.
 The inputs are written once, with BEFORE_TREE, into a temporary directory:
 `gen --seed 0..11` (whose printed tasks are compared too, as are those of
 `gen --general --seed 0..5`, whose solvability check builds transition
-systems outside transition normal form), and
+systems outside transition normal form; each task also gets two `compare`
+calls, with `--state random:2` and `random:3`, so that the OCP and TCP
+models of 24 more state sets are compared LP by LP), and
 `random_task(4, 3, 6, seed)` with `random_features(task, 10, dim, seed)` for
 seeds 0..5 and dimensions 1-4 as feature files, plus four `--order` files (at
 dimension 3 one that reverses every operator's min-fill order, one that gives
@@ -106,7 +108,7 @@ def prepare(tree: str, workdir: str, extra: list[str]) -> None:
         if seed in GENERAL_SEEDS:
             calls.append(["gen", "--general", "--seed", str(seed)])
         calls += [["search", sas, "--heuristic", h] for h in ("pot1", "pot2")]
-        calls.append(["compare", sas, "--state", "random:2", "--format", "json"])
+        calls += [["compare", sas, "--state", f"random:{k}", "--format", "json"] for k in (2, 3)]
         calls += [["solve", "--method", m, "--dim", d, sas]
                   for m in ("direct2d", "bucket") for d in ("1", "2")]
         calls += [["lp", sas], ["width", sas]]
