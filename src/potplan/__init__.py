@@ -9,7 +9,7 @@ from .features import (Feature, FeatureSet, WeightFunction, generate_features,
                        evaluate_potential)
 from .lp import LinearExpression, LpModel, LpSolution, evaluate, solve, export_lp, parse_lp
 from .direct2d import (build_general_lp, build_direct2d_lp, build_exhaustive_lp,
-                       solve_for_state, solve_general_for_state, solve_exhaustive_for_state)
+                       solve_for_state)
 from .costpart import (Projection, project, build_tcp_lp, build_ocp_lp,
                        validate_partition, features_of_abstractions, all_patterns)
 from .reduction import Graph, reduce_3col, is_3colorable, phi_of_state

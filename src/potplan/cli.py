@@ -60,6 +60,8 @@ def _load_tnf_task(path: str) -> Task:
 def _feature_set(task: Task, dim: int, features_path: str | None):
     if features_path:
         return features.parse_feature_file(task, _read(features_path))
+    if dim < 1:
+        raise CliUsageError(f"--dim must be positive, got {dim}")
     if dim > 2:
         raise CliUsageError("--dim above 2 requires --features")
     return features.generate_features(task, dim)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .features import Feature, FeatureSet
-from .lp import FEASIBILITY_TOL, LpModel, LpSolution
+from .lp import FEASIBILITY_TOL, LpModel
 from .task import State, TransitionSystem, iter_states, state_index, strides
 
 
@@ -35,15 +35,6 @@ class Projection:
     # abstract state of every concrete state, by concrete state index
     state_map: np.ndarray = field(compare=False, repr=False)
     ts: TransitionSystem = field(compare=False, repr=False)
-
-    @property
-    def abstract_transitions(self) -> np.ndarray:
-        """One (abstract source, operator, abstract target) row per concrete
-        transition, aligned with `ts.transitions`; built on access: neither
-        LP builder reads them."""
-        table = self.ts.transitions.copy()
-        table[:, ::2] = self.state_map[table[:, ::2]]
-        return table
 
 
 def project(ts: TransitionSystem, pattern) -> Projection:
@@ -75,17 +66,6 @@ class CostPartitioningLp:
         """Make the objective the total abstract value of the given state."""
         row = self.state_columns[state_index(state, self.domain_sizes)]
         self.model.set_objective("max", dict.fromkeys(row.tolist(), 1.0))
-
-    def extract_cost_functions(self, ts: TransitionSystem,
-                               solution: LpSolution) -> np.ndarray:
-        """(abstraction, concrete transition) costs: the value of the
-        operator's cost unknown, or without cost unknowns the least feasible
-        cost h(abstract source) - h(abstract target)."""
-        x = solution.x
-        src, op, dst = ts.transitions.T
-        if self.cost_columns is None:
-            return (x[self.state_columns[src]] - x[self.state_columns[dst]]).T
-        return x[self.cost_columns[op]].T
 
 
 def _add_h_unknowns(model: LpModel, ts: TransitionSystem,

@@ -175,15 +175,6 @@ def extract_result(fs: FeatureSet, task: Task, solution: LpSolution) -> Potentia
     )
 
 
-def _maximize(task: Task, fs: FeatureSet, model: LpModel,
-              state: State) -> PotentialSolveResult:
-    """Maximize the potential of one state over a built model.  Auxiliary
-    unknowns never enter the objective (their one-sided slack would otherwise
-    distort it)."""
-    model.set_objective("max", state_objective(fs, state))
-    return extract_result(fs, task, solve(model).require_optimal())
-
-
 def all_states_objective(fs: FeatureSet, domain_sizes) -> dict[int, float]:
     """Mean potential over all syntactic states, as {column: coefficient}:
     feature f holds in the share 1 / Π_{V in vars(f)} |D_V| of them."""
@@ -210,13 +201,6 @@ def solve_for_state(task: Task, fs: FeatureSet, state: State) -> PotentialSolveR
     return result
 
 
-def solve_general_for_state(task: Task, fs: FeatureSet, state: State,
-                            orderings: dict[int, list[int]] | None = None
-                            ) -> PotentialSolveResult:
-    """Maximize the potential of one state over the model of any dimension."""
-    return _maximize(task, fs, build_general_lp(task, fs, orderings), state)
-
-
 def build_exhaustive_lp(task: Task, fs: FeatureSet,
                         ts: TransitionSystem | None = None,
                         state_cap: int = DEFAULT_STATE_CAP) -> LpModel:
@@ -238,8 +222,3 @@ def build_exhaustive_lp(task: Task, fs: FeatureSet,
     model.add_rows(indptr, columns, change[rows, columns], "<=", ts.operator_costs[table[:, 1]],
                    [f"t{ti}" for ti in range(len(table))])
     return model
-
-
-def solve_exhaustive_for_state(task: Task, fs: FeatureSet, state: State,
-                               ts: TransitionSystem | None = None) -> PotentialSolveResult:
-    return _maximize(task, fs, build_exhaustive_lp(task, fs, ts), state)

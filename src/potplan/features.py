@@ -107,23 +107,13 @@ class WeightFunction:
         return self.values[index]
 
 
-def generate_features(task: Task, dimension: int,
-                      conjunctions: list[Feature] | None = None) -> FeatureSet:
-    """All facts (dimension 1), facts plus cross-variable pairs (dimension 2),
-    or exactly an explicit validated list (higher dimensions)."""
-    if conjunctions is not None:
-        for f in conjunctions:
-            for var, val in f.facts:
-                if not 0 <= var < len(task.variables):
-                    raise FeatureError(f"feature mentions unknown variable {var}")
-                if not 0 <= val < task.variables[var].domain_size:
-                    raise FeatureError(f"feature value {val} out of range for "
-                                       f"variable {task.variables[var].name}")
-        return FeatureSet(tuple(conjunctions))
+def generate_features(task: Task, dimension: int) -> FeatureSet:
+    """All facts (dimension 1), or facts plus cross-variable pairs (dimension
+    2); higher dimensions take a feature file (`parse_feature_file`)."""
     if dimension < 1:
         raise FeatureError(f"dimension must be positive, got {dimension}")
     if dimension > 2:
-        raise FeatureError("dimensions above 2 need an explicit conjunction list")
+        raise FeatureError("dimensions above 2 need a feature file")
     atoms = [Feature(((var.id, val),))
              for var in task.variables for val in range(var.domain_size)]
     if dimension == 1:

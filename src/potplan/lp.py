@@ -7,21 +7,12 @@ A model keeps its HiGHS object between solves as long as no column is added,
 so that re-solving it for another objective starts from the last optimal
 basis; rows appended after a solve are handed to that HiGHS object, and
 adding a column drops it.
-
-An optional external solver can be plugged in through the environment
-variable POTPLAN_LP_SOLVER_CMD; the configured command is invoked with two
-arguments (LP file path, solution file path) and must write the solution as
-`<name> <value>` lines, or a single line `infeasible` / `unbounded`.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import re
-import shlex
-import subprocess
-import tempfile
 from array import array
 from dataclasses import dataclass
 
@@ -35,7 +26,6 @@ from scipy.sparse import csr_matrix
 
 FEASIBILITY_TOL = 1e-6   # absolute, for row re-checks
 OPTIMALITY_TOL = 1e-6    # relative, for optimum comparisons
-SOLVER_ENV_VAR = "POTPLAN_LP_SOLVER_CMD"
 
 RELATIONS = ("<=", "=", ">=")
 
@@ -317,14 +307,6 @@ def _bounds(model: LpModel) -> tuple[np.ndarray, np.ndarray]:
     return lower, upper
 
 
-def solve(model: LpModel) -> LpSolution:
-    """Solve the model; dispatches to an external solver when configured."""
-    command = os.environ.get(SOLVER_ENV_VAR)
-    if command:
-        return _solve_external(model, command)
-    return _solve_scipy(model)
-
-
 class _Session:
     """A model's HiGHS object, kept until a column is added: it holds the
     model's columns and rows, in model order, and the last basis."""
@@ -389,7 +371,8 @@ class _Session:
         return status
 
 
-def _solve_scipy(model: LpModel) -> LpSolution:
+def solve(model: LpModel) -> LpSolution:
+    """Solve the model in its HiGHS session (created on the first solve)."""
     if not model.unknowns:
         # HiGHS reports "Empty" without columns, even for a row `1 <= 0`; the
         # rows read `0 <relation> rhs`, so the row re-check alone decides.
@@ -435,35 +418,6 @@ def _finish(model: LpModel, x: np.ndarray) -> LpSolution:
         | (~np.isinf(upper) & (np.abs(x - upper) <= FEASIBILITY_TOL)))
     return LpSolution("optimal", x, value,
                       tuple(unknowns[j][0] for j in np.flatnonzero(active)))
-
-
-def _solve_external(model: LpModel, command: str) -> LpSolution:
-    with tempfile.TemporaryDirectory(prefix="potplan-lp-") as tmp:
-        lp_path = os.path.join(tmp, "model.lp")
-        sol_path = os.path.join(tmp, "solution.txt")
-        with open(lp_path, "w", encoding="utf-8") as f:
-            f.write(export_lp(model))
-        argv = shlex.split(command) + [lp_path, sol_path]
-        proc = subprocess.run(argv, capture_output=True, text=True)
-        if proc.returncode != 0:
-            raise SolverFailureError(
-                f"external solver exited with {proc.returncode}: {proc.stderr.strip()}")
-        if not os.path.exists(sol_path):
-            raise SolverFailureError("external solver wrote no solution file")
-        with open(sol_path, encoding="utf-8") as f:
-            lines = [line.strip() for line in f if line.strip()]
-    if lines and lines[0] in ("infeasible", "unbounded"):
-        return LpSolution(lines[0])
-    x = np.zeros(len(model.unknowns))
-    for line in lines:
-        parts = line.split()
-        if len(parts) != 2:
-            raise SolverFailureError(f"bad solution line '{line}'")
-        name, value = parts
-        if name not in model._by_name:
-            raise SolverFailureError(f"solution names unknown column '{name}'")
-        x[model._by_name[name]] = float(value)
-    return _finish(model, x)
 
 
 def _format_coefficient(coef: float) -> str:

@@ -28,8 +28,11 @@ built with `pin=False`, where no weight is fixed to 0, are the oracle of
 the pinned ones: same optimum.  The signed-cost Bellman-Ford
 (`reference_goal_distances`) checks the goal distances of extracted cost
 functions, and the helpers that only tests call live here too:
-`shift_weights_to_goal` and the graphs `complete_graph`, `cycle_graph` and
-`empty_graph`.
+`shift_weights_to_goal`, `abstract_transitions` and
+`extract_cost_functions` over the cost-partitioning models,
+`solve_general_for_state` and `solve_exhaustive_for_state` (one state's
+maximum potential over the compact and the exhaustive model), and the
+graphs `complete_graph`, `cycle_graph` and `empty_graph`.
 """
 
 import heapq
@@ -41,11 +44,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from potplan.direct2d import WEIGHT_LOWER, WEIGHT_UPPER, sample_states, weight_var_name
+from potplan.direct2d import (WEIGHT_LOWER, WEIGHT_UPPER, build_exhaustive_lp,
+                              build_general_lp, extract_result, sample_states,
+                              state_objective, weight_var_name)
 from potplan.elimination import OrderingError, check_order
 from potplan.features import Feature, FeatureError, WeightFunction, pinned_features
 from potplan.lp import (RELATIONS, ZERO, LinearExpression, LpError, LpModel,
-                        MissingAssignmentError, check_solution, evaluate)
+                        MissingAssignmentError, check_solution, evaluate, solve)
 from potplan.search import NoPlanError, SearchResult, tiebreak_key
 from potplan.reduction import Graph
 from potplan.task import is_applicable, iter_states, state_index, successor
@@ -316,6 +321,26 @@ def shift_weights_to_goal(ts, patterns, fs, w):
         goal_feature = Feature(tuple((v, goal_state[v]) for v in pattern))
         goal_weight[pattern] = w[fs.index_of(goal_feature)]
     return WeightFunction([w[i] - goal_weight[f.variables] for i, f in enumerate(fs.features)])
+
+
+def abstract_transitions(proj):
+    """One (abstract source, operator, abstract target) row per concrete
+    transition of a `Projection`, aligned with `proj.ts.transitions`."""
+    table = proj.ts.transitions.copy()
+    table[:, ::2] = proj.state_map[table[:, ::2]]
+    return table
+
+
+def extract_cost_functions(built, ts, solution):
+    """(abstraction, concrete transition) costs of a solved
+    `CostPartitioningLp`: the value of the operator's cost unknown, or
+    without cost unknowns the least feasible cost h(abstract source) -
+    h(abstract target)."""
+    x = solution.x
+    src, op, dst = ts.transitions.T
+    if built.cost_columns is None:
+        return (x[built.state_columns[src]] - x[built.state_columns[dst]]).T
+    return x[built.cost_columns[op]].T
 
 
 def _reference_weights(model, task, fs, pin=True):
@@ -677,6 +702,24 @@ def reference_general_model(task, fs, orderings=None, pin=True):
         for row in rows:
             add_row(model, row.expression, row.relation, row.rhs, row.name)
     return model
+
+
+def _maximize(task, fs, model, state):
+    """Maximize the potential of one state over a built model.  Auxiliary
+    unknowns never enter the objective (their one-sided slack would otherwise
+    distort it)."""
+    model.set_objective("max", state_objective(fs, state))
+    return extract_result(fs, task, solve(model).require_optimal())
+
+
+def solve_general_for_state(task, fs, state, orderings=None):
+    """Maximize the potential of one state over the model of any dimension."""
+    return _maximize(task, fs, build_general_lp(task, fs, orderings), state)
+
+
+def solve_exhaustive_for_state(task, fs, state):
+    """Maximize the potential of one state over the exhaustive model."""
+    return _maximize(task, fs, build_exhaustive_lp(task, fs), state)
 
 
 def reference_successors(task, state):

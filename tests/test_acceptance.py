@@ -13,8 +13,7 @@ from contextlib import contextmanager
 import pytest
 
 from potplan.costpart import all_patterns, build_ocp_lp, build_tcp_lp
-from potplan.direct2d import (build_direct2d_lp, solve_exhaustive_for_state,
-                              solve_for_state, solve_general_for_state)
+from potplan.direct2d import build_direct2d_lp, solve_for_state
 from potplan.elimination import adjacency, classify, eliminate_graphs
 from potplan.features import generate_features
 from potplan.generator import random_features, random_task
@@ -28,7 +27,8 @@ from conftest import (PAPER_BE_DOMAINS, base_model, bottom_up_values, candidates
 from reference_builders import (brute_force_max, classify_features, column_terms,
                                 complete_graph, cycle_graph, dependency_graph, empty_graph,
                                 model_rows, random_scoped_set, reference_induced_width,
-                                reference_min_fill_order)
+                                reference_min_fill_order, solve_exhaustive_for_state,
+                                solve_general_for_state)
 
 
 @contextmanager

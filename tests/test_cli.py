@@ -280,7 +280,9 @@ def test_compare_random_states_json(capsys, toy1_file):
 
 @pytest.mark.parametrize("argv", [
     ["compare", "--state", "random:abc"], ["compare", "--state", "random:-2"],
-    ["solve", "--objective", "samples:abc"], ["solve", "--objective", "samples:0"]])
+    ["solve", "--objective", "samples:abc"], ["solve", "--objective", "samples:0"],
+    ["solve", "--dim", "0"], ["solve", "--dim", "-1"], ["lp", "--dim", "0"],
+    ["width", "--dim", "0"]])
 def test_count_must_be_positive_integer(capsys, toy1_file, argv):
     code, out, err = run_cli(capsys, *argv, toy1_file)
     assert code == 2 and "usage error" in err and out == ""

@@ -13,7 +13,8 @@ from potplan.lp import solve
 from potplan.search import PotentialHeuristic, validate
 from potplan.task import build_transition_system, exact_goal_distances, state_index
 
-from reference_builders import reference_goal_distances, shift_weights_to_goal, solution_values
+from reference_builders import (abstract_transitions, extract_cost_functions,
+                                reference_goal_distances, shift_weights_to_goal, solution_values)
 
 
 def test_project_single_variable(toy1):
@@ -21,7 +22,7 @@ def test_project_single_variable(toy1):
     proj = project(ts, (0,))
     assert proj.size == 2
     # one abstract transition per concrete transition, in the same order
-    labels = [(src, op, dst) for src, op, dst in proj.abstract_transitions.tolist()]
+    labels = [(src, op, dst) for src, op, dst in abstract_transitions(proj).tolist()]
     x_moves = [(s, o, d) for s, o, d in labels if o == 0]
     y_moves = [(s, o, d) for s, o, d in labels if o == 1]
     assert x_moves == [(0, 0, 1), (0, 0, 1)]  # two concrete sources collapse
@@ -32,7 +33,7 @@ def test_project_full_pattern_is_isomorphic(toy1):
     ts = build_transition_system(toy1)
     proj = project(ts, (0, 1))
     assert proj.size == len(ts.states)
-    assert proj.abstract_transitions.tolist() == ts.transitions.tolist()
+    assert abstract_transitions(proj).tolist() == ts.transitions.tolist()
     assert proj.goal in {i for i in range(4)} and proj.initial == ts.initial
 
 
@@ -40,7 +41,7 @@ def test_project_empty_pattern(toy1):
     ts = build_transition_system(toy1)
     proj = project(ts, ())
     assert proj.size == 1
-    assert all(s == d == 0 for s, _, d in proj.abstract_transitions.tolist())
+    assert all(s == d == 0 for s, _, d in abstract_transitions(proj).tolist())
 
 
 def test_tcp_all_small_projections(toy1):
@@ -87,7 +88,7 @@ def test_validate_partition_of_solved_tcp(toy1):
     ts = build_transition_system(toy1)
     built = build_tcp_lp(ts, all_patterns(2), tuple(ts.states[ts.initial].tolist()))
     solution = solve(built.model).require_optimal()
-    cost_functions = built.extract_cost_functions(ts, solution)
+    cost_functions = extract_cost_functions(built, ts, solution)
     ok, _ = validate_partition(ts, cost_functions)
     assert ok
 
@@ -105,10 +106,10 @@ def test_extract_cost_functions(seed, build, cost):
     patterns = all_patterns(len(task.variables))
     built = build(ts, patterns, task.initial_state)
     solution = solve(built.model).require_optimal()
-    cost_functions = built.extract_cost_functions(ts, solution)
+    cost_functions = extract_cost_functions(built, ts, solution)
     values = solution_values(built.model, solution)
     assert cost_functions.tolist() == [
-        [cost(values, ai, *move) for move in proj.abstract_transitions.tolist()]
+        [cost(values, ai, *move) for move in abstract_transitions(proj).tolist()]
         for ai, proj in enumerate(built.projections)]
     assert validate_partition(ts, cost_functions) == (True, None)
 
@@ -169,12 +170,12 @@ def test_partitioned_sum_is_admissible(seed):
     state = task.initial_state
     built = build_tcp_lp(ts, patterns, state)
     solution = solve(built.model).require_optimal()
-    cost_functions = built.extract_cost_functions(ts, solution)
+    cost_functions = extract_cost_functions(built, ts, solution)
     distances = exact_goal_distances(ts)
 
     per_state_sums = [0.0] * len(ts.states)
     for proj, costs in zip(built.projections, cost_functions):
-        abstract = reference_goal_distances(proj.size, proj.abstract_transitions.tolist(),
+        abstract = reference_goal_distances(proj.size, abstract_transitions(proj).tolist(),
                                             [proj.goal], costs.tolist())
         assert all(d > -math.inf for d in abstract)
         for si in range(len(ts.states)):

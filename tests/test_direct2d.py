@@ -1,8 +1,7 @@
 import pytest
 
 from potplan.direct2d import (PotentialLpError, build_direct2d_lp, build_general_lp,
-                              sample_states, solve_exhaustive_for_state, solve_for_state,
-                              state_objective)
+                              sample_states, solve_for_state, state_objective)
 from potplan.features import Feature, FeatureSet, evaluate_potential, generate_features
 from potplan.generator import random_features, random_task
 from potplan.lp import LinearExpression, evaluate, solve
@@ -10,7 +9,8 @@ from potplan.search import PotentialHeuristic, validate
 from potplan.task import Task, successor
 
 from reference_builders import (classify_features, column_terms, delta_independent,
-                                model_rows, reference_samples_objective, solution_values)
+                                model_rows, reference_samples_objective, solution_values,
+                                solve_exhaustive_for_state)
 
 
 def rows_by_name(model):

@@ -4,9 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from potplan.direct2d import (build_general_lp, solve_exhaustive_for_state,
-                              solve_for_state, solve_general_for_state,
-                              weight_var_name)
+from potplan.direct2d import build_general_lp, solve_for_state, weight_var_name
 from potplan.elimination import (OrderingError, adjacency, check_order, classify,
                                  eliminate_graphs)
 from potplan.features import Feature, FeatureSet, generate_features
@@ -22,7 +20,8 @@ from reference_builders import (DependencyGraph, ScopedFunction, brute_force_max
                                 dependency_graph, model_rows, random_scoped_set,
                                 reference_bucket_eliminate,
                                 reference_induced_width, reference_min_fill_order,
-                                solution_values)
+                                solution_values, solve_exhaustive_for_state,
+                                solve_general_for_state)
 
 
 def operator_pairs(task, fs, op_index):

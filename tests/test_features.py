@@ -47,10 +47,6 @@ def test_cached_variables_leave_equality_order_and_hash_alone():
 
 
 def test_explicit_list_validated(toy1):
-    fs = generate_features(toy1, 2, [Feature.of(((0, 1), (1, 0)))])
-    assert len(fs) == 1
-    with pytest.raises(FeatureError):
-        generate_features(toy1, 2, [Feature.of(((0, 5),))])
     with pytest.raises(FeatureError):
         FeatureSet((Feature.of(((0, 1),)), Feature.of(((0, 1),))))
 

@@ -21,7 +21,8 @@ from potplan.reduction import reduce_3col
 from potplan.task import Operator, Task, Variable, build_transition_system, exact_goal_distances
 
 from conftest import make_alias_task, make_toy1
-from reference_builders import (check_values, complete_graph, reference_direct2d_model,
+from reference_builders import (abstract_transitions, check_values, complete_graph,
+                                extract_cost_functions, reference_direct2d_model,
                                 reference_exhaustive_model, reference_general_model,
                                 reference_ocp_model, reference_projection,
                                 reference_tcp_eliminated_model, reference_tcp_model,
@@ -67,7 +68,7 @@ def test_projection_matches_reference(name):
         proj = project(ts, pattern)
         expected = reference_projection(ts, pattern)
         assert (proj.pattern, proj.domain_sizes, proj.size,
-                list(map(tuple, proj.abstract_transitions.tolist())), proj.initial, proj.goal) \
+                list(map(tuple, abstract_transitions(proj).tolist())), proj.initial, proj.goal) \
             == (*expected[:2], len(expected[2]), *expected[3:])
 
 
@@ -106,7 +107,7 @@ def test_eliminated_tcp_matches_full_model(name):
                 continue
             assert abs(eliminated.objective_value - reference.objective_value) <= 1e-9
             lifted = solution_values(built.model, eliminated)
-            for ai, costs in enumerate(built.extract_cost_functions(ts, eliminated)):
+            for ai, costs in enumerate(extract_cost_functions(built, ts, eliminated)):
                 lifted.update((f"c_a{ai}_t{ti}", cost) for ti, cost in enumerate(costs))
             assert check_values(full, lifted) == []
 
@@ -133,7 +134,7 @@ def test_instances_cover_self_loops_and_duplicates():
         concrete_loops += sum(src == dst for src, _, dst in ts.transitions.tolist())
         dead_ends += math.inf in exact_goal_distances(ts)
         for pattern in all_patterns(len(ts.domain_sizes)):
-            moves = list(map(tuple, project(ts, pattern).abstract_transitions.tolist()))
+            moves = list(map(tuple, abstract_transitions(project(ts, pattern)).tolist()))
             abstract_loops += sum(s == d for s, _, d in moves)
             repeated += len(moves) - len(set(moves))
     assert abstract_loops and repeated and concrete_loops and dead_ends

@@ -9,6 +9,10 @@ call: whether the model has a solver session, its objective sense and
 coefficients and its column bounds, and for a model without a session (one
 not solved since its last column was added) its whole row table too.  So
 trees that hand rows to HiGHS differently are still compared LP by LP.
+Every worker subprocess (`prepare` and each `run`) starts with
+POTPLAN_LP_SOLVER_CMD removed from its environment, so that a tree from
+before the external-solver adapter was deleted is compared on its HiGHS
+path too.
 
 The inputs are written once, with BEFORE_TREE, into a temporary directory:
 `gen --seed 0..11` (whose printed tasks are compared too, as are those of
@@ -266,7 +270,8 @@ def run(tree: str, workdir: str) -> None:
 
 def _worker(mode: str, tree: str, workdir: str, extra: list[str]) -> str:
     argv = [sys.executable, os.path.abspath(__file__), "--worker", mode, tree, workdir, *extra]
-    return subprocess.run(argv, check=True, stdout=subprocess.PIPE, text=True).stdout
+    env = {k: v for k, v in os.environ.items() if k != "POTPLAN_LP_SOLVER_CMD"}
+    return subprocess.run(argv, check=True, stdout=subprocess.PIPE, text=True, env=env).stdout
 
 
 def main(argv: list[str]) -> int:
