@@ -5,8 +5,7 @@ from .task import (Task, Variable, Operator, TransitionSystem, State,
                    parse_sas, serialize_sas, successor, SuccessorGenerator,
                    build_transition_system, exact_goal_distances)
 from .tnf import is_tnf, to_tnf
-from .features import (Feature, FeatureSet, WeightFunction, generate_features,
-                       evaluate_potential)
+from .features import Feature, FeatureSet, generate_features, evaluate_potential
 from .lp import LinearExpression, LpModel, LpSolution, evaluate, solve, export_lp, parse_lp
 from .direct2d import (build_general_lp, build_direct2d_lp, build_exhaustive_lp,
                        solve_for_state)

@@ -34,7 +34,6 @@ class Projection:
     goal: int
     # abstract state of every concrete state, by concrete state index
     state_map: np.ndarray = field(compare=False, repr=False)
-    ts: TransitionSystem = field(compare=False, repr=False)
 
 
 def project(ts: TransitionSystem, pattern) -> Projection:
@@ -48,19 +47,15 @@ def project(ts: TransitionSystem, pattern) -> Projection:
         raise AbstractionError("projection needs a single abstract goal state "
                                "(task must be in transition normal form)")
     return Projection(pattern, doms, math.prod(doms), int(state_map[ts.initial]),
-                      goals.pop(), state_map, ts)
+                      goals.pop(), state_map)
 
 
 @dataclass
 class CostPartitioningLp:
     model: LpModel
-    projections: list[Projection]
     domain_sizes: tuple[int, ...]
     # h column of the abstract state of (concrete state, abstraction)
     state_columns: np.ndarray
-    # column of the cost unknown of (operator, abstraction); None in the
-    # transition variant, which has no cost unknowns
-    cost_columns: np.ndarray | None
 
     def set_state(self, state: State) -> None:
         """Make the objective the total abstract value of the given state."""
@@ -103,7 +98,7 @@ def build_tcp_lp(ts: TransitionSystem, patterns, state: State) -> CostPartitioni
                    np.stack([np.minimum(src, dst), np.maximum(src, dst)], axis=2)[moved].ravel(),
                    np.stack([sign, -sign], axis=2)[moved].ravel(), "<=",
                    ts.operator_costs[table[:, 1]], [f"part_t{ti}" for ti in range(len(table))])
-    built = CostPartitioningLp(model, projections, ts.domain_sizes, state_columns, None)
+    built = CostPartitioningLp(model, ts.domain_sizes, state_columns)
     built.set_state(state)
     return built
 
@@ -141,7 +136,7 @@ def build_ocp_lp(ts: TransitionSystem, patterns, state: State) -> CostPartitioni
     model.add_rows(np.arange(n_ops + 1) * len(projections), cost_columns.ravel(),
                    np.ones(cost_columns.size), "<=", ts.operator_costs,
                    [f"part_o{op}" for op in range(n_ops)])
-    built = CostPartitioningLp(model, projections, ts.domain_sizes, state_columns, cost_columns)
+    built = CostPartitioningLp(model, ts.domain_sizes, state_columns)
     built.set_state(state)
     return built
 

@@ -40,11 +40,10 @@ import numpy as np
 
 from .elimination import (adjacency, check_order, classify, eliminate_buckets,
                           eliminate_graphs, eliminate_width0)
-from .features import (Feature, FeatureSet, WeightFunction, evaluate_potential,
-                       pinned_features, truth_matrix)
+from .features import Feature, FeatureSet, evaluate_potential, pinned_features, truth_matrix
 from .lp import OPTIMALITY_TOL, LpModel, LpSolution, solve
 from .task import (DEFAULT_STATE_CAP, State, SuccessorGenerator, Task,
-                   TransitionSystem, build_transition_system)
+                   TransitionSystem, build_transition_system, successor)
 from .tnf import is_tnf
 
 WEIGHT_LOWER = -1e8
@@ -61,7 +60,7 @@ def weight_var_name(feature: Feature) -> str:
 
 @dataclass
 class PotentialSolveResult:
-    weights: WeightFunction
+    weights: list[float]
     value: float
     goal_potential: float
     bound_active: tuple[str, ...]
@@ -154,10 +153,9 @@ def sample_states(task: Task, count: int, seed: int) -> list[State]:
     for _ in range(count):
         state = task.initial_state
         for _ in range(rng.randint(0, 4 * len(task.variables))):
-            applicable = successors(state)
-            if not applicable:
+            if not (applicable := successors.applicable(state)):
                 break
-            state = rng.choice(applicable)[1]
+            state = successor(state, task.operators[rng.choice(applicable)[0]])
         states.append(state)
     return states
 
@@ -166,7 +164,7 @@ def extract_result(fs: FeatureSet, task: Task, solution: LpSolution) -> Potentia
     """Weights by feature index (columns 0..|F|-1), the objective value, the
     goal state's potential and the weights at a bound, from an optimal
     solution."""
-    weights = WeightFunction(solution.x[:len(fs)].tolist())
+    weights = solution.x[:len(fs)].tolist()
     return PotentialSolveResult(
         weights=weights,
         value=solution.objective_value,

@@ -41,6 +41,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .features import FeatureError, FeatureSet
 from .lp import LpModel
@@ -57,7 +58,7 @@ class Classification:
     by operator, then feature (operator k's are `starts[k]:starts[k + 1]`):
     the change [inside <= pre] - [inside <= eff] of the feature's facts
     inside the operator, and which of its padded facts
-    (`FeatureSet._padded_facts`) lie outside it, each fact once."""
+    (`FeatureSet.fact_table`) lie outside it, each fact once."""
 
     starts: np.ndarray
     operator: np.ndarray
@@ -67,22 +68,27 @@ class Classification:
 
 
 def classify(task: Task, fs: FeatureSet) -> Classification:
-    """The pairs of the task's operators and the features touching them;
-    memory grows with the number of pairs."""
+    """The pairs of the task's operators and the features touching them,
+    from one sparse product; memory grows with the number of pairs."""
     operators = task.operators
     for op in operators:
         if op.pre.keys() != op.eff.keys():
             raise FeatureError(f"operator {op.name} is not in transition normal form")
-    touching = [fs.touching(op.eff) for op in operators]
-    sizes = [len(features) for features in touching]
-    feature = np.fromiter(itertools.chain.from_iterable(touching), np.int64, sum(sizes))
-    operator = np.repeat(np.arange(len(operators)), sizes)
-    # each padded fact of a pair, looked up among the operator's facts
     # (operator, variable, pre, eff), sorted by operator, then variable
     op_of, var, pre, eff = np.array(
         [(k, v, op.pre[v], op.eff[v]) for k, op in enumerate(operators) for v in sorted(op.eff)],
         dtype=np.int64).reshape(-1, 4).T
-    n_vars, facts = len(task.variables), fs._padded_facts[feature]
+    # the pairs: operator × variable times variable × feature incidence
+    n_vars, variables = len(task.variables), fs.fact_table[:, :, 0]
+    by_variable = csr_matrix((np.ones(variables.size), (variables.ravel(), np.repeat(
+        np.arange(len(fs)), fs.dimension))), shape=(n_vars, len(fs)))
+    pairs = csr_matrix((np.ones(len(var)), (op_of, var)),
+                       shape=(len(operators), n_vars)) @ by_variable
+    pairs.sort_indices()
+    starts, feature = pairs.indptr.astype(np.int64), pairs.indices.astype(np.int64)
+    operator = np.repeat(np.arange(len(operators)), np.diff(starts))
+    # each fact of a pair, looked up among the operator's facts
+    facts = fs.fact_table[feature]
     key, keys = operator[:, None] * n_vars + facts[:, :, 0], op_of * n_vars + var
     at = np.minimum(np.searchsorted(keys, key), max(len(keys) - 1, 0))
     inside = keys[at] == key
@@ -90,8 +96,8 @@ def classify(task: Task, fs: FeatureSet) -> Classification:
     in_eff = np.all(~inside | (eff[at] == facts[:, :, 1]), axis=1)
     first = np.ones(facts.shape[:2], dtype=bool)  # padding repeats a feature's last fact
     first[:, 1:] = facts[:, 1:, 0] != facts[:, :-1, 0]
-    return Classification(np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))), operator,
-                          feature, in_pre.astype(np.int64) - in_eff, ~inside & first)
+    return Classification(starts, operator, feature, in_pre.astype(np.int64) - in_eff,
+                          ~inside & first)
 
 
 def eliminate_width0(model: LpModel, task: Task, fs: FeatureSet, classes: Classification,
@@ -106,7 +112,7 @@ def eliminate_width0(model: LpModel, task: Task, fs: FeatureSet, classes: Classi
     operator, feature = classes.operator[pairs] - start, classes.feature[pairs]
     change, outside = classes.change[pairs], classes.outside[pairs]
     context = outside.any(axis=1)
-    fact = fs._padded_facts[feature[context], np.nonzero(outside[context])[1]]
+    fact = fs.fact_table[feature[context], np.nonzero(outside[context])[1]]
     n_vars, domains = len(task.variables), np.array(task.domain_sizes, dtype=np.int64)
     z_key, z_of = np.unique(operator[context] * n_vars + fact[:, 0], return_inverse=True)
     z_op, z_var = np.divmod(z_key, n_vars)
@@ -149,7 +155,7 @@ def eliminate_buckets(model: LpModel, task: Task, fs: FeatureSet, classes: Class
     pairs = slice(classes.starts[start], classes.starts[stop])
     op, feature = classes.operator[pairs] - start, classes.feature[pairs]
     change, outside = classes.change[pairs], classes.outside[pairs]
-    facts, scoped = fs._padded_facts[feature], outside.any(axis=1)
+    facts, scoped = fs.fact_table[feature], outside.any(axis=1)
     ground = ~scoped & (change != 0)
     result = [(op[ground], feature[ground], change[ground].astype(float))]  # cost-row terms
     # the functions: operator, scope (padded with -1), table start, entry
@@ -297,7 +303,7 @@ def adjacency(task: Task, fs: FeatureSet, classes: Classification) -> np.ndarray
     graphs = np.zeros((len(classes.starts) - 1, n_vars, n_vars), dtype=bool)
     for i, j in itertools.combinations(range(classes.outside.shape[1]), 2):
         both = np.flatnonzero(classes.outside[:, i] & classes.outside[:, j])
-        variables = fs._padded_facts[classes.feature[both], :, 0]
+        variables = fs.fact_table[classes.feature[both], :, 0]
         graphs[classes.operator[both], variables[:, i], variables[:, j]] = True
     return graphs | graphs.transpose(0, 2, 1)
 

@@ -1,5 +1,6 @@
-"""Fact-conjunction features, feature sets, weight functions, and the truth
-table of features over states.
+"""Fact-conjunction features, feature sets with their fact table, and the
+truth table of features over states.  Weights are a list of floats, one per
+feature in the set's order.
 
 A feature is a conjunction of facts over pairwise distinct variables.  The
 potential of a state is the sum of the weights of all features true in it.
@@ -8,7 +9,6 @@ potential of a state is the sum of the weights of all features true in it.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -53,58 +53,26 @@ class Feature:
 
 @dataclass
 class FeatureSet:
+    """Distinct features, with their `dimension` (the largest size) and
+    `fact_table`, both built once: the facts as a (feature, fact, (variable,
+    value)) int64 array, each feature's last fact repeated up to the
+    dimension, which leaves the conjunction unchanged."""
+
     features: tuple[Feature, ...]
 
     def __post_init__(self):
         if len(set(self.features)) != len(self.features):
             raise FeatureError("duplicate features")
-        self._index = {f: i for i, f in enumerate(self.features)}
-        self._by_variable = defaultdict(list)  # variable -> feature indices
-        for i, f in enumerate(self.features):
-            for var, _ in f.facts:
-                self._by_variable[var].append(i)
+        self.dimension = width = max((f.size for f in self.features), default=0)
+        self.fact_table = np.array(
+            [x for f in self.features for fact in f.facts + f.facts[-1:] * (width - f.size)
+             for x in fact], dtype=np.int64).reshape(len(self.features), width, 2)
 
     def __len__(self) -> int:
         return len(self.features)
 
     def __iter__(self):
         return iter(self.features)
-
-    def index_of(self, feature: Feature) -> int:
-        return self._index[feature]
-
-    def touching(self, variables) -> list[int]:
-        """Indices of the features that mention one of the variables, in
-        increasing order."""
-        return sorted(set().union(*(self._by_variable.get(var, ()) for var in variables)))
-
-    @property
-    def dimension(self) -> int:
-        return max((f.size for f in self.features), default=0)
-
-    @cached_property
-    def _padded_facts(self) -> np.ndarray:
-        """The facts as a (feature, fact, (variable, value)) array, each
-        feature's last fact repeated up to the dimension, which leaves the
-        conjunction unchanged."""
-        width = self.dimension
-        return np.array([x for f in self.features
-                         for fact in f.facts + f.facts[-1:] * (width - f.size) for x in fact],
-                        dtype=np.int64).reshape(len(self.features), width, 2)
-
-
-@dataclass
-class WeightFunction:
-    """One real weight per feature, aligned with a FeatureSet's indexing."""
-
-    values: list[float]
-
-    @classmethod
-    def zeros(cls, fs: FeatureSet) -> "WeightFunction":
-        return cls([0.0] * len(fs))
-
-    def __getitem__(self, index: int) -> float:
-        return self.values[index]
 
 
 def generate_features(task: Task, dimension: int) -> FeatureSet:
@@ -126,7 +94,7 @@ def generate_features(task: Task, dimension: int) -> FeatureSet:
     return FeatureSet(tuple(atoms + pairs))
 
 
-def evaluate_potential(fs: FeatureSet, w: WeightFunction, state: State) -> float:
+def evaluate_potential(fs: FeatureSet, w: list[float], state: State) -> float:
     return sum((w[i] for i in np.flatnonzero(truth_matrix(fs, [state])[0]).tolist()), 0.0)
 
 
@@ -165,7 +133,7 @@ def truth_matrix(fs: FeatureSet, states) -> np.ndarray:
     """(state, feature) matrix holding 1 where the feature is true in the
     state; `states` is a (state, variable) array of value indices, or a
     sequence of states."""
-    facts = fs._padded_facts
+    facts = fs.fact_table
     states = np.asarray(states, dtype=np.int64)
     return np.all(states[:, facts[:, :, 0]] == facts[:, :, 1], axis=2).view(np.int8)
 
@@ -208,21 +176,20 @@ def parse_feature_file(task: Task, text: str) -> FeatureSet:
     return FeatureSet(tuple(features))
 
 
-def weights_to_strings(task: Task, fs: FeatureSet, w: WeightFunction) -> dict[str, float]:
+def weights_to_strings(task: Task, fs: FeatureSet, w: list[float]) -> dict[str, float]:
     return {format_feature(task, f): w[i] for i, f in enumerate(fs.features)}
 
 
-def weights_from_strings(task: Task, mapping: dict[str, float]) -> tuple[FeatureSet, WeightFunction]:
+def weights_from_strings(task: Task, mapping: dict[str, float]) -> tuple[FeatureSet, list[float]]:
+    """The features and weights of a mapping read from JSON; a weight must
+    be a JSON number (not a boolean or a string) other than NaN."""
     if not isinstance(mapping, dict):
         raise FeatureError("weights must map feature strings to numbers")
     features, values = [], []
     for text, weight in mapping.items():
         features.append(parse_feature(task, text))
-        try:
-            value = float(weight)
-        except (TypeError, ValueError):
-            value = math.nan
-        if math.isnan(value):
+        if isinstance(weight, bool) or not isinstance(weight, (int, float)) \
+                or math.isnan(weight):
             raise FeatureError(f"weight of '{text}' is not a number: {weight!r}")
-        values.append(value)
-    return FeatureSet(tuple(features)), WeightFunction(values)
+        values.append(float(weight))
+    return FeatureSet(tuple(features)), values

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .features import Feature, FeatureSet, WeightFunction, evaluate_potential
+from .features import Feature, FeatureSet, evaluate_potential
 from .task import Operator, State, Task, Variable
 
 COLORS = ("red", "green", "blue")
@@ -98,7 +98,7 @@ class Reduction:
     graph: Graph
     task: Task
     features: FeatureSet
-    weights: WeightFunction
+    weights: list[float]
     master_var: int
     master_feature: int  # index of the switch-on feature
 
@@ -142,8 +142,7 @@ def reduce_3col(graph: Graph) -> Reduction:
                 for cv in range(3):
                     features.append(Feature.of(((u, cu), (v, cv), (master, m))))
                     values.append(-1.0 if m == 1 and cu != cv else 0.0)
-    return Reduction(graph, task, FeatureSet(tuple(features)),
-                     WeightFunction(values), master, 0)
+    return Reduction(graph, task, FeatureSet(tuple(features)), values, master, 0)
 
 
 def phi_of_state(reduction: Reduction, state: State) -> float:

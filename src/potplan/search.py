@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .features import FeatureSet, WeightFunction
+from .features import FeatureSet
 from .task import (DEFAULT_STATE_CAP, State, SuccessorGenerator, Task,
                    build_transition_system, exact_goal_distances, state_index)
 
@@ -60,7 +60,7 @@ class PotentialHeuristic:
     """Potential evaluation indexed by each feature's first fact, so a lookup
     touches only features whose first fact holds instead of scanning all."""
 
-    def __init__(self, task: Task, fs: FeatureSet, w: WeightFunction):
+    def __init__(self, task: Task, fs: FeatureSet, w: list[float]):
         self._index: dict[tuple[int, int], list[tuple[tuple[tuple[int, int], ...], float]]] = {}
         for i, f in enumerate(fs.features):
             weight = w[i]

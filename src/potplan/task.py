@@ -215,17 +215,6 @@ class SuccessorGenerator:
         result.sort()  # operator ids are distinct: only they are compared
         return result
 
-    def __call__(self, state: State) -> list[tuple[int, State, int]]:
-        """(operator id, successor, cost) of every operator applicable in
-        state, in increasing operator id."""
-        result = []
-        for op_id, _, _, eff, cost in self.applicable(state):
-            succ = list(state)
-            for var, val in eff:
-                succ[var] = val
-            result.append((op_id, tuple(succ), cost))
-        return result
-
 
 def iter_states(domain_sizes: tuple[int, ...]):
     """All states in lexicographic order (variable 0 most significant)."""

@@ -48,7 +48,7 @@ from potplan.direct2d import (WEIGHT_LOWER, WEIGHT_UPPER, build_exhaustive_lp,
                               build_general_lp, extract_result, sample_states,
                               state_objective, weight_var_name)
 from potplan.elimination import OrderingError, check_order
-from potplan.features import Feature, FeatureError, WeightFunction, pinned_features
+from potplan.features import Feature, FeatureError, pinned_features
 from potplan.lp import (RELATIONS, ZERO, LinearExpression, LpError, LpModel,
                         MissingAssignmentError, check_solution, evaluate, solve)
 from potplan.search import NoPlanError, SearchResult, tiebreak_key
@@ -319,14 +319,15 @@ def shift_weights_to_goal(ts, patterns, fs, w):
     for pattern in patterns:
         pattern = tuple(sorted(pattern))
         goal_feature = Feature(tuple((v, goal_state[v]) for v in pattern))
-        goal_weight[pattern] = w[fs.index_of(goal_feature)]
-    return WeightFunction([w[i] - goal_weight[f.variables] for i, f in enumerate(fs.features)])
+        goal_weight[pattern] = w[fs.features.index(goal_feature)]
+    return [w[i] - goal_weight[f.variables] for i, f in enumerate(fs.features)]
 
 
-def abstract_transitions(proj):
+def abstract_transitions(proj, ts):
     """One (abstract source, operator, abstract target) row per concrete
-    transition of a `Projection`, aligned with `proj.ts.transitions`."""
-    table = proj.ts.transitions.copy()
+    transition of `ts` under its `Projection` proj, aligned with
+    `ts.transitions`."""
+    table = ts.transitions.copy()
     table[:, ::2] = proj.state_map[table[:, ::2]]
     return table
 
@@ -335,12 +336,17 @@ def extract_cost_functions(built, ts, solution):
     """(abstraction, concrete transition) costs of a solved
     `CostPartitioningLp`: the value of the operator's cost unknown, or
     without cost unknowns the least feasible cost h(abstract source) -
-    h(abstract target)."""
+    h(abstract target).  The OCP cost unknowns are found by their names
+    `c_a{a}_o{o}`."""
     x = solution.x
     src, op, dst = ts.transitions.T
-    if built.cost_columns is None:
+    column = {name: j for j, (name, _, _) in enumerate(built.model.unknowns)}
+    if "c_a0_o0" not in column:  # TCP, or nothing to partition
         return (x[built.state_columns[src]] - x[built.state_columns[dst]]).T
-    return x[built.cost_columns[op]].T
+    n_abstractions = built.state_columns.shape[1]
+    cost_columns = np.array([[column[f"c_a{ai}_o{o}"] for ai in range(n_abstractions)]
+                             for o in range(len(ts.operator_costs))])
+    return x[cost_columns[op]].T
 
 
 def _reference_weights(model, task, fs, pin=True):

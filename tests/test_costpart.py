@@ -22,7 +22,7 @@ def test_project_single_variable(toy1):
     proj = project(ts, (0,))
     assert proj.size == 2
     # one abstract transition per concrete transition, in the same order
-    labels = [(src, op, dst) for src, op, dst in abstract_transitions(proj).tolist()]
+    labels = [(src, op, dst) for src, op, dst in abstract_transitions(proj, ts).tolist()]
     x_moves = [(s, o, d) for s, o, d in labels if o == 0]
     y_moves = [(s, o, d) for s, o, d in labels if o == 1]
     assert x_moves == [(0, 0, 1), (0, 0, 1)]  # two concrete sources collapse
@@ -33,7 +33,7 @@ def test_project_full_pattern_is_isomorphic(toy1):
     ts = build_transition_system(toy1)
     proj = project(ts, (0, 1))
     assert proj.size == len(ts.states)
-    assert abstract_transitions(proj).tolist() == ts.transitions.tolist()
+    assert abstract_transitions(proj, ts).tolist() == ts.transitions.tolist()
     assert proj.goal in {i for i in range(4)} and proj.initial == ts.initial
 
 
@@ -41,7 +41,7 @@ def test_project_empty_pattern(toy1):
     ts = build_transition_system(toy1)
     proj = project(ts, ())
     assert proj.size == 1
-    assert all(s == d == 0 for s, _, d in abstract_transitions(proj).tolist())
+    assert all(s == d == 0 for s, _, d in abstract_transitions(proj, ts).tolist())
 
 
 def test_tcp_all_small_projections(toy1):
@@ -109,8 +109,8 @@ def test_extract_cost_functions(seed, build, cost):
     cost_functions = extract_cost_functions(built, ts, solution)
     values = solution_values(built.model, solution)
     assert cost_functions.tolist() == [
-        [cost(values, ai, *move) for move in abstract_transitions(proj).tolist()]
-        for ai, proj in enumerate(built.projections)]
+        [cost(values, ai, *move) for move in abstract_transitions(project(ts, p), ts).tolist()]
+        for ai, p in enumerate(patterns)]
     assert validate_partition(ts, cost_functions) == (True, None)
 
 
@@ -174,8 +174,8 @@ def test_partitioned_sum_is_admissible(seed):
     distances = exact_goal_distances(ts)
 
     per_state_sums = [0.0] * len(ts.states)
-    for proj, costs in zip(built.projections, cost_functions):
-        abstract = reference_goal_distances(proj.size, abstract_transitions(proj).tolist(),
+    for proj, costs in zip([project(ts, p) for p in patterns], cost_functions):
+        abstract = reference_goal_distances(proj.size, abstract_transitions(proj, ts).tolist(),
                                             [proj.goal], costs.tolist())
         assert all(d > -math.inf for d in abstract)
         for si in range(len(ts.states)):

@@ -28,7 +28,7 @@ def operator_pairs(task, fs, op_index):
     """The operator's pairs from `classify`: (feature, its facts outside the
     operator, its change inside)."""
     classes = classify(task, fs)
-    facts = fs._padded_facts[classes.feature]
+    facts = fs.fact_table[classes.feature]
     return [(int(classes.feature[p]), tuple(map(tuple, facts[p][classes.outside[p]].tolist())),
              int(classes.change[p]))
             for p in range(classes.starts[op_index], classes.starts[op_index + 1])]
@@ -52,15 +52,15 @@ def test_scoped_functions_toy1(toy1):
     dependent = [pair for pair in pairs if pair[1]]
     assert all(len(facts) == 1 and facts[0][0] == 1 for _, facts, _ in dependent)
     # X=0&Y=0 contributes +w at Y=0; X=1&Y=1 contributes -w at Y=1
-    plus = fs.index_of(Feature.of(((0, 0), (1, 0))))
-    minus = fs.index_of(Feature.of(((0, 1), (1, 1))))
+    plus = fs.features.index(Feature.of(((0, 0), (1, 0))))
+    minus = fs.features.index(Feature.of(((0, 1), (1, 1))))
     assert (plus, ((1, 0),), 1) in dependent
     assert (minus, ((1, 1),), -1) in dependent
     assert len(dependent) == 4  # one per context feature
     # X=0 and X=1 change by a constant: no facts outside
     independent = [(i, change) for i, facts, change in pairs if not facts]
-    assert independent == [(fs.index_of(Feature.of(((0, 0),))), 1),
-                           (fs.index_of(Feature.of(((0, 1),))), -1)]
+    assert independent == [(fs.features.index(Feature.of(((0, 0),))), 1),
+                           (fs.features.index(Feature.of(((0, 1),))), -1)]
 
 
 def test_scoped_functions_independent_have_empty_scope(toy1):

@@ -1,11 +1,9 @@
-import itertools
-
 import pytest
 
-from potplan.features import (Feature, FeatureError, FeatureSet, WeightFunction,
-                              evaluate_potential, format_feature, generate_features,
-                              parse_feature, parse_feature_file, truth_matrix,
-                              weights_from_strings)
+from potplan.elimination import classify
+from potplan.features import (Feature, FeatureError, FeatureSet, evaluate_potential,
+                              format_feature, generate_features, parse_feature,
+                              parse_feature_file, truth_matrix, weights_from_strings)
 from potplan.generator import random_features, random_task
 from potplan.task import build_transition_system, is_applicable, iter_states
 
@@ -15,8 +13,8 @@ from reference_builders import classify_features, delta, delta_independent, true
 def w_for(fs, mapping):
     values = [0.0] * len(fs)
     for facts, weight in mapping.items():
-        values[fs.index_of(Feature.of(facts))] = weight
-    return WeightFunction(values)
+        values[fs.features.index(Feature.of(facts))] = weight
+    return values
 
 
 def test_generate_dim1(toy1):
@@ -55,7 +53,7 @@ def test_evaluate_potential(toy1):
     fs = generate_features(toy1, 1)
     w = w_for(fs, {((0, 0),): 1.0, ((1, 0),): 1.0})
     assert evaluate_potential(fs, w, toy1.initial_state) == 2.0
-    assert evaluate_potential(fs, WeightFunction.zeros(fs), (1, 0)) == 0.0
+    assert evaluate_potential(fs, [0.0] * len(fs), (1, 0)) == 0.0
 
 
 def test_evaluate_potential_false_feature(toy1):
@@ -126,18 +124,18 @@ def test_partition_is_complete(seed):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_touching_matches_feature_scan(seed):
+    """`classify` pairs each operator, in order, with the features sharing a
+    variable with it, in increasing index."""
     task = random_task(4, 3, 5, seed, solvable=False)
     fs = random_features(task, 12, 3, seed)
-    n = len(task.variables)
-    for size in range(n + 1):
-        for variables in itertools.combinations(range(n), size):
-            expected = [i for i, f in enumerate(fs.features)
-                        if set(f.variables) & set(variables)]
-            assert fs.touching(variables) == expected
-    for op in task.operators:
+    classes = classify(task, fs)
+    assert classes.operator.tolist() == sorted(classes.operator.tolist())
+    for k, op in enumerate(task.operators):
+        touching = classes.feature[classes.starts[k]:classes.starts[k + 1]].tolist()
+        expected = [i for i, f in enumerate(fs.features) if set(f.variables) & set(op.eff)]
+        assert touching == expected
         part = classify_features(fs, op)
-        assert fs.touching(op.eff) == sorted(part.context_independent +
-                                             part.context_dependent)
+        assert touching == sorted(part.context_independent + part.context_dependent)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -173,7 +171,7 @@ def test_potential_difference_is_weighted_delta_sum(seed):
     fs = random_features(task, 8, 3, seed)
     import random as rnd
     rng = rnd.Random(seed)
-    w = WeightFunction([round(rng.uniform(-5, 5), 3) for _ in range(len(fs))])
+    w = [round(rng.uniform(-5, 5), 3) for _ in range(len(fs))]
     ts = build_transition_system(task)
     states = list(map(tuple, ts.states.tolist()))
     for src, op_id, dst in ts.transitions.tolist():
@@ -199,6 +197,6 @@ def test_feature_file_round_trip(toy1):
 def test_weights_from_strings_rejects_nan(toy1):
     """JSON reads NaN as a number; as a weight it is rejected all the same."""
     fs, weights = weights_from_strings(toy1, {"X=0": 1, "Y=1": -2.5})
-    assert [f.facts for f in fs] == [((0, 0),), ((1, 1),)] and weights.values == [1.0, -2.5]
+    assert [f.facts for f in fs] == [((0, 0),), ((1, 1),)] and weights == [1.0, -2.5]
     with pytest.raises(FeatureError, match="not a number"):
         weights_from_strings(toy1, {"X=0": 1.0, "Y=1": float("nan")})

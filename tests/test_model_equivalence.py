@@ -68,8 +68,8 @@ def test_projection_matches_reference(name):
         proj = project(ts, pattern)
         expected = reference_projection(ts, pattern)
         assert (proj.pattern, proj.domain_sizes, proj.size,
-                list(map(tuple, abstract_transitions(proj).tolist())), proj.initial, proj.goal) \
-            == (*expected[:2], len(expected[2]), *expected[3:])
+                list(map(tuple, abstract_transitions(proj, ts).tolist())),
+                proj.initial, proj.goal) == (*expected[:2], len(expected[2]), *expected[3:])
 
 
 @pytest.mark.parametrize("name", sorted(TASKS))
@@ -134,7 +134,7 @@ def test_instances_cover_self_loops_and_duplicates():
         concrete_loops += sum(src == dst for src, _, dst in ts.transitions.tolist())
         dead_ends += math.inf in exact_goal_distances(ts)
         for pattern in all_patterns(len(ts.domain_sizes)):
-            moves = list(map(tuple, abstract_transitions(project(ts, pattern)).tolist()))
+            moves = list(map(tuple, abstract_transitions(project(ts, pattern), ts).tolist()))
             abstract_loops += sum(s == d for s, _, d in moves)
             repeated += len(moves) - len(set(moves))
     assert abstract_loops and repeated and concrete_loops and dead_ends
@@ -192,7 +192,7 @@ def reversed_min_fill_orders(task, fs):
 def context_variables(task, fs):
     """Per operator, the variables outside it of the features touching it."""
     classes = classify(task, fs)
-    variables = fs._padded_facts[classes.feature, :, 0]
+    variables = fs.fact_table[classes.feature, :, 0]
     return [set(variables[start:stop][classes.outside[start:stop]].tolist())
             for start, stop in zip(classes.starts[:-1], classes.starts[1:])]
 
@@ -276,7 +276,7 @@ def test_width0_instances_cover_edge_cases():
         width0 = (~adjacency(task, fs, classes).any(axis=(1, 2))).tolist()
         no_ops += any(op.pre == op.eff for op in task.operators)
         mixed += 0 < sum(width0) < len(width0)
-        variables = fs._padded_facts[classes.feature, :, 0]
+        variables = fs.fact_table[classes.feature, :, 0]
         for op_index, context in enumerate(context_variables(task, fs)):
             pairs = range(classes.starts[op_index], classes.starts[op_index + 1])
             untouched += not pairs

@@ -49,7 +49,7 @@ def test_reduction_k3_shape():
     assert is_tnf(red.task)
     triples = [f for f in red.features if f.size == 3]
     assert len(triples) == 3 * 2 * 9 == 54
-    assert sum(1 for v in red.weights.values if v == -1.0) == 3 * 6 == 18
+    assert sum(1 for v in red.weights if v == -1.0) == 3 * 6 == 18
     assert red.weights[red.master_feature] == 2.0  # edges minus one
 
 

@@ -185,7 +185,9 @@ def test_successor_generator_matches_operator_scan(name):
     successors = SuccessorGenerator(task)
     state_dependent = 0
     for state in iter_states(doms):
-        assert successors(state) == reference_successors(task, state)
+        applied = [(op_id, tuple(dict(eff).get(var, val) for var, val in enumerate(state)), cost)
+                   for op_id, _, _, eff, cost in successors.applicable(state)]
+        assert applied == reference_successors(task, state)
         # a successor's index is the state's plus the operator's shift
         index = state_index(state, doms)
         for op_id, shift, free, _, _ in successors.applicable(state):

@@ -151,10 +151,9 @@ def prepare(tree: str, workdir: str, extra: list[str]) -> None:
                 # increasing ids, the reverse of min-fill's order, for an
                 # operator with two context variables
                 classes = classify(task, fs)
-                context = fs._padded_facts[classes.feature, :, 0][classes.outside]
-                pair_op = np.repeat(classes.operator, classes.outside.sum(axis=1))
                 op = next(op for k, op in enumerate(task.operators)
-                          if len(set(context[pair_op == k].tolist())) > 1)
+                          if len({v for i in classes.feature[classes.operator == k].tolist()
+                                  for v in fs.features[i].variables} - op.eff.keys()) > 1)
                 _write("width0_order.json",
                        json.dumps({op.name: [v.name for v in task.variables]}))
                 base = ["--method", "bucket", "--features", features,
