@@ -182,14 +182,19 @@ def weights_to_strings(task: Task, fs: FeatureSet, w: list[float]) -> dict[str, 
 
 def weights_from_strings(task: Task, mapping: dict[str, float]) -> tuple[FeatureSet, list[float]]:
     """The features and weights of a mapping read from JSON; a weight must
-    be a JSON number (not a boolean or a string) other than NaN."""
+    be a JSON number (not a boolean or a string) other than NaN, and an
+    integer must fit a float (JSON reads `1e400` as inf, which passes)."""
     if not isinstance(mapping, dict):
         raise FeatureError("weights must map feature strings to numbers")
     features, values = [], []
     for text, weight in mapping.items():
         features.append(parse_feature(task, text))
-        if isinstance(weight, bool) or not isinstance(weight, (int, float)) \
-                or math.isnan(weight):
+        try:
+            number = not isinstance(weight, bool) and isinstance(weight, (int, float)) \
+                and not math.isnan(weight)
+        except OverflowError:  # an int beyond float range
+            number = False
+        if not number:
             raise FeatureError(f"weight of '{text}' is not a number: {weight!r}")
         values.append(float(weight))
     return FeatureSet(tuple(features)), values

@@ -309,7 +309,16 @@ def _bounds(model: LpModel) -> tuple[np.ndarray, np.ndarray]:
 
 class _Session:
     """A model's HiGHS object, kept until a column is added: it holds the
-    model's columns and rows, in model order, and the last basis."""
+    model's columns and rows, in model order, and the last basis.
+
+    `origin_feasible` says whether x = 0 is a feasible basic point: every
+    column is free or has 0 as a bound, and every row holds at 0.  HiGHS's
+    slack basis, from which a run without a basis starts, is then primal
+    feasible, so primal simplex skips its phase 1, while dual simplex would
+    first repair the dual infeasibility of the free columns (the cost
+    partitioning models, whose columns are all free).  A boxed column, such
+    as a potential weight at ±1e8, sits non-basic at a bound, not at 0, so
+    models with one keep the dual start."""
 
     def __init__(self, model: LpModel):
         self.highs = highs_core._Highs()
@@ -318,6 +327,8 @@ class _Session:
                               ("presolve", "on")):
             self.highs.setOptionValue(option, value)
         lower, upper = _bounds(model)
+        free = (lower == -np.inf) & (upper == np.inf)
+        self.origin_feasible = bool(np.all(free | (lower == 0) | (upper == 0)))
         if self.highs.addVars(len(lower), lower, upper) == highs_core.HighsStatus.kError:
             raise SolverFailureError("HiGHS refused the columns")
         matrix, relations, rhs = model.row_table()
@@ -335,19 +346,22 @@ class _Session:
         # interval 1 <= row <= 0 that replaces it makes the model infeasible.
         empty = (lower == np.inf) | (upper == -np.inf)
         lower, upper = np.where(empty, 1.0, lower), np.where(empty, 0.0, upper)
+        self.origin_feasible &= bool(np.all((lower <= 0) & (upper >= 0)))
         status = self.highs.addRows(len(rhs), lower, upper, len(columns),
                                     indptr.astype(np.int32), columns.astype(np.int32), coefficients)
         if status == highs_core.HighsStatus.kError:
             raise SolverFailureError("HiGHS refused the rows")
 
     def run(self, cost: np.ndarray):
-        """Minimize the cost vector and return HiGHS's model status.  The
-        first run is dual simplex; later ones start from the last basis by
-        primal simplex, which stays primal feasible when only the cost changes
-        (and after appended rows that the last optimum satisfies, such as
-        `direct2d`'s tie-break row)."""
+        """Minimize the cost vector and return HiGHS's model status.  A run
+        without a basis (the first) is primal simplex when the origin is
+        feasible and dual simplex otherwise; later ones start from the last
+        basis by primal simplex, which stays primal feasible when only the
+        cost changes (and after appended rows that the last optimum
+        satisfies, such as `direct2d`'s tie-break row)."""
         highs, warm, statuses = self.highs, self.solved, highs_core.HighsModelStatus
-        highs.setOptionValue("simplex_strategy", 4 if warm else 1)
+        cold_strategy = 4 if self.origin_feasible else 1
+        highs.setOptionValue("simplex_strategy", 4 if warm else cold_strategy)
         highs.changeColsCost(len(cost), np.arange(len(cost), dtype=np.int32), cost)
         highs.run()
         self.solved = True
@@ -364,7 +378,7 @@ class _Session:
                 # A warm start can end undecided (HiGHS reports "Unknown" when
                 # it starts from the basis an unbounded objective left): run
                 # again without that basis, as a solve of a fresh copy would.
-                highs.setOptionValue("simplex_strategy", 1)
+                highs.setOptionValue("simplex_strategy", cold_strategy)
                 highs.clearSolver()
             highs.run()
             status = highs.getModelStatus()

@@ -429,8 +429,10 @@ def test_order_file_needs_bucket_method(capsys, tmp_path, three_var_file, comman
 
 @pytest.mark.parametrize("command", ["validate", "search"])
 @pytest.mark.parametrize("weights", [[["X=0", 1.0]], {"X=0": "abc"}, {"X=0": None},
-                                     {"X=0": float("nan")}, {"X=0": True}, {"X=0": "2.5"}],
-                         ids=["list", "text", "null", "nan", "true", "numeric-text"])
+                                     {"X=0": float("nan")}, {"X=0": True}, {"X=0": "2.5"},
+                                     {"X=0": 10 ** 400}],
+                         ids=["list", "text", "null", "nan", "true", "numeric-text",
+                              "int-beyond-float"])
 def test_malformed_weights_file_is_domain_error(capsys, tmp_path, toy1_file, command,
                                                 weights):
     path = tmp_path / "w.json"

@@ -14,7 +14,8 @@ from potplan.search import PotentialHeuristic, validate
 from potplan.task import build_transition_system, exact_goal_distances, state_index
 
 from reference_builders import (abstract_transitions, extract_cost_functions,
-                                reference_goal_distances, shift_weights_to_goal, solution_values)
+                                reference_goal_distances, shift_weights_to_goal,
+                                solution_values, solve_exhaustive_for_state)
 
 
 def test_project_single_variable(toy1):
@@ -202,3 +203,23 @@ def test_shift_normalization(seed):
     assert after >= before - 1e-9
     goal_state = tuple(ts.states[ts.goals[0]].tolist())
     assert evaluate_potential(fs, shifted, goal_state) == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tcp_equals_potential_and_dominates_ocp_on_larger_tasks(seed):
+    """On tasks of 144 to 2,304 states, the TCP optimum (whose first run is
+    primal simplex from the origin) equals the maximal potential over
+    abstraction features in the dimension-2 and the exhaustive model (both
+    dual first runs), and OCP stays below it, state by state."""
+    task = random_task(6, 4, 16, seed)
+    ts = build_transition_system(task)
+    patterns = all_patterns(len(task.variables))
+    fs = features_of_abstractions(ts, patterns)
+    for state in [task.initial_state] + random_finite_states(ts, 2, seed):
+        model = build_tcp_lp(ts, patterns, state).model
+        tcp = solve(model).require_optimal().objective_value
+        assert model._session.highs.getOptionValue("simplex_strategy")[1] == 4  # primal
+        ocp = solve(build_ocp_lp(ts, patterns, state).model).require_optimal().objective_value
+        assert solve_for_state(task, fs, state).value == pytest.approx(tcp, abs=1e-6)
+        assert solve_exhaustive_for_state(task, fs, state).value == pytest.approx(tcp, abs=1e-6)
+        assert ocp <= tcp + 1e-6

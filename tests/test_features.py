@@ -200,3 +200,10 @@ def test_weights_from_strings_rejects_nan(toy1):
     assert [f.facts for f in fs] == [((0, 0),), ((1, 1),)] and weights == [1.0, -2.5]
     with pytest.raises(FeatureError, match="not a number"):
         weights_from_strings(toy1, {"X=0": 1.0, "Y=1": float("nan")})
+
+
+def test_weights_from_strings_rejects_int_beyond_float(toy1):
+    """A JSON integer too large for a float is a domain error, not an
+    OverflowError from the NaN check."""
+    with pytest.raises(FeatureError, match="weight of 'Y=1' is not a number"):
+        weights_from_strings(toy1, {"X=0": 1, "Y=1": 10 ** 400})

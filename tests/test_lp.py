@@ -8,6 +8,7 @@ from scipy.sparse import csc_matrix, diags
 
 from potplan import costpart, direct2d
 from potplan.features import generate_features
+from potplan.generator import random_features
 from potplan.lp import (LinearExpression, LpError, LpModel, RELATIONS,
                         MissingAssignmentError, SolverFailureError,
                         check_solution, evaluate, export_lp, parse_lp, solve)
@@ -482,7 +483,7 @@ def _seeded_model(seed):
     return m
 
 
-def _linprog(model):
+def _linprog(model, method="highs"):
     """The model solved by scipy's linprog, given the `<=`/`>=` rows (the
     `>=` ones negated) as A_ub and the `=` rows as A_eq."""
     c = np.zeros(len(model.unknowns))
@@ -498,7 +499,7 @@ def _linprog(model):
     if equality.any():
         kwargs.update(A_eq=signed[equality], b_eq=rhs[equality])
     return linprog(c, bounds=[(lo, hi) for _, lo, hi in model.unknowns],
-                   method="highs", **kwargs)
+                   method=method, **kwargs)
 
 
 def test_solve_matches_linprog():
@@ -517,6 +518,103 @@ def test_solve_matches_linprog():
         no_rows += not model_rows(m)
         free += any(math.isinf(lo) and math.isinf(hi) for _, lo, hi in m.unknowns)
     assert statuses == {"optimal", "infeasible", "unbounded"} and no_rows and free
+
+
+PRIMAL, DUAL = 4, 1  # HiGHS's simplex_strategy values
+
+
+def _cold_strategy(model):
+    """The simplex strategy of the model's first run, read after it."""
+    return model._session.highs.getOptionValue("simplex_strategy")[1]
+
+
+def _origin_feasible_model(seed):
+    """Up to 6 columns, each free or with 0 as a bound, and 1 to 8 rows that
+    hold at x = 0: `<=` with rhs >= 0, `>=` with rhs <= 0, `=` with rhs 0."""
+    rng = random.Random(f"origin:{seed}")
+    m = LpModel()
+    width = rng.randint(1, 6)
+    bounds = [rng.choice([(-math.inf, math.inf)] * 3 + [
+        (0.0, math.inf), (-math.inf, 0.0), (0.0, round(rng.uniform(0.5, 5), 3)),
+        (round(rng.uniform(-5, -0.5), 3), 0.0)]) for _ in range(width)]
+    m.add_unknowns([f"x{j}" for j in range(width)], *zip(*bounds))
+    for _ in range(rng.randint(1, 8)):
+        relation = rng.choice(RELATIONS)
+        rhs = {"<=": round(rng.uniform(0, 6), 3), ">=": round(rng.uniform(-6, 0), 3),
+               "=": 0.0}[relation]
+        columns = [j for j in range(width) if rng.random() < 0.7]
+        m.add_rows([0, len(columns)], columns,
+                   [round(rng.uniform(-4, 4), 3) for _ in columns], relation, rhs)
+    m.set_objective(rng.choice(["max", "min"]),
+                    {j: round(rng.uniform(-2, 2), 3) for j in range(width)})
+    return m
+
+
+def test_origin_feasible_models_start_primal_and_match_dual_simplex():
+    """A model whose origin is feasible gets a primal first run, with the
+    status and optimum (within 1e-9 relative) of scipy's dual simplex."""
+    statuses = set()
+    for seed in range(80):
+        m = _origin_feasible_model(seed)
+        ours, reference = solve(m), _linprog(m, "highs-ds")
+        assert _cold_strategy(m) == PRIMAL, seed
+        expected = {0: "optimal", 3: "unbounded"}[reference.status]
+        assert ours.status == expected, seed
+        if expected == "optimal":
+            optimum = -reference.fun if m.objective_sense == "max" else reference.fun
+            assert ours.objective_value == pytest.approx(optimum, rel=1e-9, abs=1e-9), seed
+        statuses.add(expected)
+    assert statuses == {"optimal", "unbounded"}
+
+
+@pytest.mark.parametrize("bounds, relation, rhs", [
+    ((-math.inf, math.inf), ">=", 1.0), ((-math.inf, math.inf), "<=", -1.0),
+    ((-math.inf, math.inf), "=", 2.0), ((1.0, 5.0), "<=", 10.0),
+    ((-math.inf, 5.0), "<=", 10.0), ((-3.0, 3.0), ">=", -10.0)],
+    ids=["row-ge", "row-le", "row-eq", "lower-1", "upper-5", "boxed"])
+def test_origin_infeasible_models_start_dual(bounds, relation, rhs):
+    """A row that fails at x = 0, or a column whose bounds leave out 0 or
+    do not include 0 as a bound, keeps the dual first run."""
+    m = LpModel()
+    m.add_unknowns(["x"], [bounds[0]], [bounds[1]])
+    m.add_rows([0, 1], [0], [1.0], relation, rhs)
+    m.set_objective("max" if relation == "<=" else "min", {0: 1.0})
+    assert solve(m).status == "optimal" and _cold_strategy(m) == DUAL
+
+
+def test_rows_appended_to_an_origin_feasible_model_update_the_rule():
+    """A row appended after a solve that fails at x = 0 makes the next run
+    without a basis dual; the model's answer is unchanged by it."""
+    m = LpModel()
+    m.add_unknowns(["x"], [-math.inf], [math.inf])
+    m.add_rows([0, 1], [0], [1.0], "<=", 4.0)
+    m.set_objective("max", {0: 1.0})
+    assert solve(m).objective_value == 4.0 and m._session.origin_feasible
+    m.add_rows([0, 1], [0], [1.0], ">=", 1.0)
+    assert not m._session.origin_feasible
+    assert solve(m).objective_value == 4.0
+
+
+def test_potential_models_start_dual_and_cost_partitioning_models_primal():
+    """The direct2d, bucket and exhaustive models box their weights at
+    +-1e8 and keep the dual first run; TCP and OCP, whose columns are all
+    free and whose rows hold at 0, start primal."""
+    task = TASKS["random0"]()
+    ts = build_transition_system(task)
+    state = task.initial_state
+    fs2, fs3 = generate_features(task, 2), random_features(task, 10, 3, 0)
+    potential = [(direct2d.build_direct2d_lp(task, fs2), fs2),
+                 (direct2d.build_general_lp(task, fs3), fs3),
+                 (direct2d.build_exhaustive_lp(task, fs2, ts), fs2)]
+    for model, fs in potential:
+        model.set_objective("max", direct2d.state_objective(fs, state))
+        solve(model).require_optimal()
+        assert _cold_strategy(model) == DUAL
+    patterns = costpart.all_patterns(len(task.variables))
+    for build in (costpart.build_tcp_lp, costpart.build_ocp_lp):
+        model = build(ts, patterns, state).model
+        solve(model).require_optimal()
+        assert _cold_strategy(model) == PRIMAL
 
 
 def _objectives(model, seed, count=8):

@@ -34,7 +34,10 @@ chain whose weights overshoot the goal distances by a little more at each
 step, within the 1e-6 tolerance per transition but not over the chain, adds
 a `validate` whose only failure, and witness, is admissibility.
 `random_task(4, 4, 8, seed)` for seeds 0, 15 and 34 (96 to 192 states) adds
-`compare --state random:3`.  `gen --vars 9 --dom 4 --ops 60 --seed 0..3`
+`compare --state random:3`, as does `gen --vars 8 --dom 4 --ops 20 --seed 0`
+(3,072 states), so that the cost partitioning models, whose first run
+starts primal simplex at the origin, are compared LP by LP on a task of
+several thousand states too.  `gen --vars 9 --dom 4 --ops 60 --seed 0..3`
 (9,216 to 15,552 states) adds a blind `search` each, of 712 to 5,843
 expansions, so that a long search whose ties in g are broken first-in
 first-out is compared too.  A three-variable task with a domain-1
@@ -67,6 +70,7 @@ GEN_SEEDS = range(12)
 GENERAL_SEEDS = range(6)  # also `gen --general`
 RANDOM_SEEDS = range(6)
 COMPARE_SEEDS = (0, 15, 34)  # 96, 128 and 192 states
+LARGE_COMPARE = ["--vars", "8", "--dom", "4", "--ops", "20", "--seed", "0"]  # 3,072 states
 LONG_SEARCH_SEEDS = range(4)  # `gen --vars 9 --dom 4 --ops 60`, blind search
 CANCELLING_TASK = (6, 2, 16, 26)  # random_task arguments; prints objective 25.0
 
@@ -179,6 +183,9 @@ def prepare(tree: str, workdir: str, extra: list[str]) -> None:
     for seed in COMPARE_SEEDS:
         sas = _write(f"compare{seed}.sas", serialize_sas(random_task(4, 4, 8, seed)))
         calls.append(["compare", sas, "--state", "random:3", "--format", "json"])
+    with contextlib.redirect_stdout(io.StringIO()):
+        potplan.cli.main(["gen", *LARGE_COMPARE, "-o", "large_compare.sas"])
+    calls.append(["compare", "large_compare.sas", "--state", "random:3", "--format", "json"])
     for seed in LONG_SEARCH_SEEDS:
         sas = f"long{seed}.sas"
         with contextlib.redirect_stdout(io.StringIO()):
