@@ -410,7 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", default=None)
     p.add_argument("--weights-out", default=None)
     p.add_argument("--check", action="store_true",
-                   help="run the exhaustive consistency/colorability check")
+                   help="print whether the graph is 3-colorable, by brute force; the "
+                        "written weights are consistent exactly when it prints 'no' "
+                        "(check them with `potplan validate`)")
     p.set_defaults(func=cmd_reduce3col)
 
     p = sub.add_parser("gen", help="generate a seeded random task")

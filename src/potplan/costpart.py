@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .features import Feature, FeatureSet
-from .lp import FEASIBILITY_TOL, LpModel
-from .task import State, TransitionSystem, iter_states, state_index, strides
+from .lp import LpModel
+from .task import State, TransitionSystem, state_index, strides
 
 
 class AbstractionError(ValueError):
@@ -141,42 +140,7 @@ def build_ocp_lp(ts: TransitionSystem, patterns, state: State) -> CostPartitioni
     return built
 
 
-def validate_partition(ts: TransitionSystem, cost_functions) -> tuple[bool, int | None]:
-    """Check the partitioning inequality on every transition, given one cost
-    per transition for each abstraction; returns the first violating
-    transition index, if any."""
-    total = np.zeros(len(ts.transitions))
-    for fn in cost_functions:
-        if len(fn) != len(ts.transitions):
-            raise AbstractionError("cost function does not cover every transition")
-        total += fn
-    violations = np.flatnonzero(
-        total > ts.operator_costs[ts.transitions[:, 1]] + FEASIBILITY_TOL)
-    return (False, int(violations[0])) if len(violations) else (True, None)
-
-
 def all_patterns(n_variables: int) -> list[tuple[int, ...]]:
     """All variable patterns of size 1 and 2, in lexicographic order."""
     return [*itertools.combinations(range(n_variables), 1),
             *itertools.combinations(range(n_variables), 2)]
-
-
-def features_of_abstractions(ts: TransitionSystem, patterns) -> FeatureSet:
-    """One conjunction feature per abstract state of each projection.
-
-    The empty pattern is rejected: its only abstract state is the always-true
-    conjunction, which features cannot express.
-    """
-    features = []
-    seen = set()
-    for pattern in patterns:
-        pattern = tuple(sorted(pattern))
-        if not pattern:
-            raise AbstractionError("empty patterns have no feature representation")
-        for values in iter_states(tuple(ts.domain_sizes[v] for v in pattern)):
-            f = Feature(tuple(zip(pattern, values)))
-            if f not in seen:
-                seen.add(f)
-                features.append(f)
-    return FeatureSet(tuple(features))
-

@@ -1,13 +1,11 @@
-"""Seeded random instances: planning tasks and feature sets.  These are the
-substrate for the property and acceptance suites, so everything here is
-deterministic in the seed."""
+"""Seeded random planning tasks.  These are the substrate for the property
+and acceptance suites, so everything here is deterministic in the seed."""
 
 from __future__ import annotations
 
 import math
 import random
 
-from .features import Feature, FeatureSet
 from .task import Operator, Task, Variable, build_transition_system, exact_goal_distances
 
 GENERATOR_STATE_CAP = 200_000
@@ -33,11 +31,13 @@ def _random_state(rng: random.Random, variables: list[Variable]) -> tuple[int, .
 def random_task(n_vars: int, max_dom: int, n_ops: int, seed: int,
                 tnf: bool = True, solvable: bool = True, max_cost: int = 10) -> Task:
     """A random task; by default in transition normal form with a reachable
-    goal (resampled deterministically, up to 200 times, until one is found)."""
+    goal (resampled deterministically, up to 200 times, until one is found).
+    Only the reachability check builds the state space, so only a solvable
+    task is held to GENERATOR_STATE_CAP states."""
     for attempt in range(200):
         rng = random.Random(f"task:{seed}:{attempt}")
         variables = _random_variables(rng, n_vars, max_dom)
-        if math.prod(v.domain_size for v in variables) > GENERATOR_STATE_CAP:
+        if solvable and math.prod(v.domain_size for v in variables) > GENERATOR_STATE_CAP:
             raise GenerationError("requested task is too large for explicit oracles")
         operators = []
         for i in range(n_ops):
@@ -64,26 +64,3 @@ def random_task(n_vars: int, max_dom: int, n_ops: int, seed: int,
         if exact_goal_distances(ts)[ts.initial] < math.inf:
             return task
     raise GenerationError(f"no solvable task found in 200 attempts (seed {seed})")
-
-
-def random_features(task: Task, count: int, max_size: int, seed: int) -> FeatureSet:
-    """Distinct random conjunctions of up to max_size facts, at least one of
-    the maximal size."""
-    rng = random.Random(f"features:{seed}")
-    n_vars = len(task.variables)
-    max_size = min(max_size, n_vars)
-    features: list[Feature] = []
-    seen = set()
-    sizes = [rng.randint(1, max_size) for _ in range(count)]
-    if max_size not in sizes and sizes:
-        sizes[0] = max_size
-    for size in sizes:
-        for _ in range(50):
-            scope = sorted(rng.sample(range(n_vars), size))
-            facts = tuple((v, rng.randrange(task.variables[v].domain_size))
-                          for v in scope)
-            if facts not in seen:
-                seen.add(facts)
-                features.append(Feature(facts))
-                break
-    return FeatureSet(tuple(features))

@@ -1,7 +1,7 @@
 """Solver-agnostic linear programs: a model built and read by column, a
 solve contract backed by the HiGHS that scipy bundles, CPLEX-LP-format text
-export and a reader for exactly that text, and the name-level expression
-algebra (LinearExpression, evaluate) of the tests' reference builders.
+export, and the name-level expression algebra (LinearExpression, evaluate)
+of the tests' reference builders.
 
 A model keeps its HiGHS object between solves as long as no column is added,
 so that re-solving it for another objective starts from the last optimal
@@ -450,8 +450,9 @@ def export_lp(model: LpModel) -> str:
     """CPLEX LP text: Maximize/Minimize, Subject To, Bounds, End.
 
     Terms are written in column order.  Every unknown gets a Bounds line, so
-    parse_lp can recover the column list (with its order) even for columns
-    that appear in no row.
+    a reader can recover the column list (with its order) even for columns
+    that appear in no row; an unnamed row i is written as c{i+1}, a name no
+    named row may have.
     """
     names = [name for name, _, _ in model.unknowns]
     lines = ["Maximize" if model.objective_sense == "max" else "Minimize"]
@@ -476,88 +477,3 @@ def export_lp(model: LpModel) -> str:
             lines.append(f" {lower!r} <= {name} <= {upper!r}")
     lines.append("End")
     return "\n".join(lines) + "\n"
-
-
-_HEADERS = ("Maximize|Minimize", "obj:.*", "Subject To", "Bounds", "End")
-_BOUND_RE = re.compile(r"(?:(\S+) <= )?(\S+) (?:free|>= (\S+)|<= (\S+))")
-_ROW_RE = re.compile(r"(\S+): ?(.*) (<=|=|>=) (\S+)")
-_TERMS_RE = re.compile(r"(?:[+-] (?:\d\S* )?\S+(?: |$))*")
-_TERM_RE = re.compile(r"([+-]) (?:(\d\S*) )?(\S+)")
-
-
-def parse_lp(text: str) -> LpModel:
-    """Read back exactly what export_lp writes: `Maximize` or `Minimize`, one
-    ` obj: terms` line, `Subject To` with one ` name: terms relation rhs` line
-    per row, `Bounds` with one line per unknown in column order, and `End`.
-    Any other line raises an LpError that names it."""
-    headers, blocks = [], [[]]  # the lines before the first header and after each
-    for number, line in enumerate(text.splitlines(), 1):
-        if len(headers) < len(_HEADERS) and re.fullmatch(_HEADERS[len(headers)], line.strip()):
-            headers.append((number, line.strip()))
-            blocks.append([])
-        else:
-            blocks[-1].append((number, line.strip()))
-    if len(headers) < len(_HEADERS):
-        raise LpError(f"no line matching '{_HEADERS[len(headers)]}'")
-    _read(blocks[0] + blocks[1] + blocks[2] + blocks[5], None)
-    model, declared = LpModel(), _read(blocks[4], _parse_bound)
-    if declared:
-        model.add_unknowns(*zip(*declared))
-    parsed = _read(blocks[3], _parse_row, model._by_name)
-    if parsed:
-        names, terms, relations, rhs = zip(*parsed)
-        # export_lp writes unnamed row i as c{i+1}
-        names = ["" if name == f"c{i + 1}" else name for i, name in enumerate(names)]
-        model.add_rows(np.cumsum([0] + [len(row) for row in terms]), [j for row in terms for j in row],
-                       [c for row in terms for c in row.values()], relations, rhs, names)
-    (objective,) = _read(headers[1:2], lambda line, columns: _parse_terms(
-        line[4:].strip(), columns, "the objective"), model._by_name)
-    model.set_objective("max" if headers[0][1] == "Maximize" else "min", objective)
-    return model
-
-
-def _read(lines: list[tuple[int, str]], parse, *args) -> list:
-    """`parse(line, *args)` per (number, line); a line that fails, or any
-    line if parse is None, raises an LpError that names it."""
-    parsed = []
-    for number, line in lines:
-        try:
-            if parse is None:
-                raise LpError("not a line export_lp writes here")
-            parsed.append(parse(line, *args))
-        except ValueError as e:  # LpError included
-            raise LpError(f"line {number} '{line}': {e}") from None
-    return parsed
-
-
-def _parse_bound(line: str) -> tuple[str, float, float]:
-    """`x free`, `x >= lo`, `x <= hi` or `lo <= x <= hi`."""
-    match = _BOUND_RE.fullmatch(line)
-    if match is None or match[1] and not match[4]:
-        raise LpError("not a bound `x free`, `x >= lo`, `x <= hi` or `lo <= x <= hi`")
-    lower, name, at_least, upper = match.groups()
-    return name, float(lower or at_least or "-inf"), float(upper or "inf")
-
-
-def _parse_row(line: str, columns: dict[str, int]) -> tuple[str, dict[int, float], str, float]:
-    match = _ROW_RE.fullmatch(line)
-    if match is None:
-        raise LpError("not a row `name: terms relation rhs`")
-    name, terms, relation, rhs = match.groups()
-    return name, _parse_terms(terms, columns, "a row's left-hand side"), relation, float(rhs)
-
-
-def _parse_terms(text: str, columns: dict[str, int], where: str) -> dict[int, float]:
-    """{column: coefficient} of terms as `_format_terms` writes them: a sign
-    (left out before a first positive term), a coefficient unless it is 1,
-    and the name of an unknown declared in Bounds."""
-    text = "+ " + text if text and not text.startswith("- ") else text
-    if not _TERMS_RE.fullmatch(text):
-        raise LpError(f"'{text}' is not a sum of terms `+|- [coefficient] name`")
-    parsed = {}
-    for sign, coefficient, name in _TERM_RE.findall(text):
-        if name not in columns or columns[name] in parsed:
-            raise LpError(f"constants in {where} are not supported" if name[0].isdigit()
-                          else f"unknown '{name}' is missing from Bounds or repeated")
-        parsed[columns[name]] = float(sign + (coefficient or "1"))
-    return parsed

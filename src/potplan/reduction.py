@@ -11,8 +11,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .features import Feature, FeatureSet, evaluate_potential
-from .task import Operator, State, Task, Variable
+from .features import Feature, FeatureSet
+from .task import Operator, Task, Variable
 
 COLORS = ("red", "green", "blue")
 
@@ -143,7 +143,3 @@ def reduce_3col(graph: Graph) -> Reduction:
                     features.append(Feature.of(((u, cu), (v, cv), (master, m))))
                     values.append(-1.0 if m == 1 and cu != cv else 0.0)
     return Reduction(graph, task, FeatureSet(tuple(features)), values, master, 0)
-
-
-def phi_of_state(reduction: Reduction, state: State) -> float:
-    return evaluate_potential(reduction.features, reduction.weights, state)

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -18,15 +17,13 @@ from .task import (DEFAULT_STATE_CAP, State, SuccessorGenerator, Task,
 
 VALIDATION_TOL = 1e-6
 
-# Open list order: lowest f, then lowest h, then first-in first-out.  Fixed so
-# that expansion counts are reproducible across runs and machines.
-TIEBREAK_POLICY = ("f", "h", "fifo")
-
 
 class NoPlanError(ValueError):
     pass
 
 
+# Open list order: lowest f, then lowest h, then first-in first-out.  Fixed so
+# that expansion counts are reproducible across runs and machines.
 def tiebreak_key(f: float, h: float, counter: int) -> tuple[float, float, int]:
     return (f, h, counter)
 
@@ -50,10 +47,6 @@ class ValidationReport:
     # the violating transition, whose operator id is `operator`
     counterexample: State | None = None
     operator: int | None = None
-
-    @property
-    def all_ok(self) -> bool:
-        return self.goal_aware and self.consistent and self.admissible
 
 
 class PotentialHeuristic:
@@ -96,32 +89,27 @@ def astar(task: Task, heuristic: Callable[[State], float]) -> SearchResult:
     successors = SuccessorGenerator(task)
     s0 = task.initial_state
     i0, h0 = state_index(s0, task.domain_sizes), heuristic(s0)
-    # index -> values and heuristic value of every generated state
-    states: dict[int, State] = {i0: s0}
-    h_values: dict[int, float] = {i0: h0}
-    g_best: dict[int, float] = {i0: 0.0}
-    parent: dict[int, tuple[int, int]] = {}
+    # index -> [g, h, values, parent index, operator] of every generated state
+    nodes: dict[int, list] = {i0: [0.0, h0, s0, None, None]}
     open_list: list[tuple[float, float, int, int]] = []
     heapq.heappush(open_list, (*tiebreak_key(h0, h0, next(counter)), i0))
     expansions = 0
     expansion_f: list[float] = []
-    inf = math.inf
 
     while open_list:
         f, h_state, _, index = heapq.heappop(open_list)
-        g = g_best[index]
+        g, _, state, _, _ = nodes[index]
         if f - h_state > g + 1e-12:
             continue  # stale entry, a better path has been found since
-        state = states[index]
         if task.is_goal_state(state):
             plan: list[int] = []
-            while index in parent:
-                index, op_id = parent[index]
+            while nodes[index][3] is not None:
+                index, op_id = nodes[index][3:]
                 plan.append(op_id)
             plan.reverse()
             before_last = sum(1 for fv in expansion_f if fv < g - 1e-9)
             return SearchResult(plan, g, expansions, before_last,
-                                len(h_values), time.perf_counter() - start)
+                                len(nodes), time.perf_counter() - start)
         expansions += 1
         expansion_f.append(f)
         for op_id, shift, free, eff, cost in successors.applicable(state):
@@ -129,18 +117,19 @@ def astar(task: Task, heuristic: Callable[[State], float]) -> SearchResult:
             for var, val, stride in free:
                 succ += (val - state[var]) * stride
             g2 = g + cost
-            if g2 < g_best.get(succ, inf) - 1e-12:
-                g_best[succ] = g2
-                parent[succ] = (index, op_id)
-                h_succ = h_values.get(succ)
-                if h_succ is None:  # first generated
-                    values = list(state)
-                    for var, val in eff:
-                        values[var] = val
-                    states[succ] = values = tuple(values)
-                    h_succ = h_values[succ] = heuristic(values)
-                heapq.heappush(open_list,
-                               (*tiebreak_key(g2 + h_succ, h_succ, next(counter)), succ))
+            node = nodes.get(succ)
+            if node is None:  # first generated
+                values = list(state)
+                for var, val in eff:
+                    values[var] = val
+                values = tuple(values)
+                node = nodes[succ] = [g2, heuristic(values), values, index, op_id]
+            elif g2 < node[0] - 1e-12:
+                node[0], node[3], node[4] = g2, index, op_id
+            else:
+                continue
+            heapq.heappush(open_list,
+                           (*tiebreak_key(g2 + node[1], node[1], next(counter)), succ))
     raise NoPlanError("goal is unreachable from the initial state")
 
 

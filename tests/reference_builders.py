@@ -27,30 +27,35 @@ the solution lifted into it is feasible.  Likewise the potential models
 built with `pin=False`, where no weight is fixed to 0, are the oracle of
 the pinned ones: same optimum.  The signed-cost Bellman-Ford
 (`reference_goal_distances`) checks the goal distances of extracted cost
-functions, and the helpers that only tests call live here too:
-`shift_weights_to_goal`, `abstract_transitions` and
-`extract_cost_functions` over the cost-partitioning models,
+functions.  `parse_lp` reads back exactly the text `export_lp` writes, the
+oracle of the export round trip.  The helpers that only tests call live
+here too: `shift_weights_to_goal`, `abstract_transitions`,
+`extract_cost_functions`, `validate_partition` and
+`features_of_abstractions` over the cost-partitioning models,
 `solve_general_for_state` and `solve_exhaustive_for_state` (one state's
-maximum potential over the compact and the exhaustive model), and the
-graphs `complete_graph`, `cycle_graph` and `empty_graph`.
+maximum potential over the compact and the exhaustive model), the seeded
+`random_features`, and the graphs `complete_graph`, `cycle_graph` and
+`empty_graph`.
 """
 
 import heapq
 import itertools
 import math
 import random
+import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from potplan.costpart import AbstractionError
 from potplan.direct2d import (WEIGHT_LOWER, WEIGHT_UPPER, build_exhaustive_lp,
                               build_general_lp, extract_result, sample_states,
                               state_objective, weight_var_name)
 from potplan.elimination import OrderingError, check_order
-from potplan.features import Feature, FeatureError, pinned_features
-from potplan.lp import (RELATIONS, ZERO, LinearExpression, LpError, LpModel,
-                        MissingAssignmentError, check_solution, evaluate, solve)
+from potplan.features import Feature, FeatureError, FeatureSet, pinned_features
+from potplan.lp import (FEASIBILITY_TOL, RELATIONS, ZERO, LinearExpression, LpError,
+                        LpModel, MissingAssignmentError, check_solution, evaluate, solve)
 from potplan.search import NoPlanError, SearchResult, tiebreak_key
 from potplan.reduction import Graph
 from potplan.task import is_applicable, iter_states, state_index, successor
@@ -119,6 +124,92 @@ def check_values(model, values):
     except KeyError as e:
         raise MissingAssignmentError(f"no value for unknown {e}") from None
     return check_solution(model, np.array(x, dtype=float))
+
+
+_HEADERS = ("Maximize|Minimize", "obj:.*", "Subject To", "Bounds", "End")
+_BOUND_RE = re.compile(r"(?:(\S+) <= )?(\S+) (?:free|>= (\S+)|<= (\S+))")
+_ROW_RE = re.compile(r"(\S+): ?(.*) (<=|=|>=) (\S+)")
+_TERMS_RE = re.compile(r"(?:[+-] (?:\d\S* )?\S+(?: |$))*")
+_TERM_RE = re.compile(r"([+-]) (?:(\d\S*) )?(\S+)")
+
+
+def parse_lp(text):
+    """Read back exactly what export_lp writes: `Maximize` or `Minimize`, one
+    ` obj: terms` line, `Subject To` with one ` name: terms relation rhs` line
+    per row, `Bounds` with one line per unknown in column order, and `End`.
+    Any other line raises an LpError that names it."""
+    headers, blocks = [], [[]]  # the lines before the first header and after each
+    for number, line in enumerate(text.splitlines(), 1):
+        if len(headers) < len(_HEADERS) and re.fullmatch(_HEADERS[len(headers)], line.strip()):
+            headers.append((number, line.strip()))
+            blocks.append([])
+        else:
+            blocks[-1].append((number, line.strip()))
+    if len(headers) < len(_HEADERS):
+        raise LpError(f"no line matching '{_HEADERS[len(headers)]}'")
+    _read(blocks[0] + blocks[1] + blocks[2] + blocks[5], None)
+    model, declared = LpModel(), _read(blocks[4], _parse_bound)
+    if declared:
+        model.add_unknowns(*zip(*declared))
+    columns = {name: j for j, (name, _, _) in enumerate(model.unknowns)}
+    parsed = _read(blocks[3], _parse_row, columns)
+    if parsed:
+        names, terms, relations, rhs = zip(*parsed)
+        # export_lp writes unnamed row i as c{i+1}
+        names = ["" if name == f"c{i + 1}" else name for i, name in enumerate(names)]
+        model.add_rows(np.cumsum([0] + [len(row) for row in terms]), [j for row in terms for j in row],
+                       [c for row in terms for c in row.values()], relations, rhs, names)
+    (objective,) = _read(headers[1:2], lambda line: _parse_terms(
+        line[4:].strip(), columns, "the objective"))
+    model.set_objective("max" if headers[0][1] == "Maximize" else "min", objective)
+    return model
+
+
+def _read(lines: list[tuple[int, str]], parse, *args) -> list:
+    """`parse(line, *args)` per (number, line); a line that fails, or any
+    line if parse is None, raises an LpError that names it."""
+    parsed = []
+    for number, line in lines:
+        try:
+            if parse is None:
+                raise LpError("not a line export_lp writes here")
+            parsed.append(parse(line, *args))
+        except ValueError as e:  # LpError included
+            raise LpError(f"line {number} '{line}': {e}") from None
+    return parsed
+
+
+def _parse_bound(line: str) -> tuple[str, float, float]:
+    """`x free`, `x >= lo`, `x <= hi` or `lo <= x <= hi`."""
+    match = _BOUND_RE.fullmatch(line)
+    if match is None or match[1] and not match[4]:
+        raise LpError("not a bound `x free`, `x >= lo`, `x <= hi` or `lo <= x <= hi`")
+    lower, name, at_least, upper = match.groups()
+    return name, float(lower or at_least or "-inf"), float(upper or "inf")
+
+
+def _parse_row(line: str, columns: dict[str, int]) -> tuple[str, dict[int, float], str, float]:
+    match = _ROW_RE.fullmatch(line)
+    if match is None:
+        raise LpError("not a row `name: terms relation rhs`")
+    name, terms, relation, rhs = match.groups()
+    return name, _parse_terms(terms, columns, "a row's left-hand side"), relation, float(rhs)
+
+
+def _parse_terms(text: str, columns: dict[str, int], where: str) -> dict[int, float]:
+    """{column: coefficient} of terms as `_format_terms` writes them: a sign
+    (left out before a first positive term), a coefficient unless it is 1,
+    and the name of an unknown declared in Bounds."""
+    text = "+ " + text if text and not text.startswith("- ") else text
+    if not _TERMS_RE.fullmatch(text):
+        raise LpError(f"'{text}' is not a sum of terms `+|- [coefficient] name`")
+    parsed = {}
+    for sign, coefficient, name in _TERM_RE.findall(text):
+        if name not in columns or columns[name] in parsed:
+            raise LpError(f"constants in {where} are not supported" if name[0].isdigit()
+                          else f"unknown '{name}' is missing from Bounds or repeated")
+        parsed[columns[name]] = float(sign + (coefficient or "1"))
+    return parsed
 
 
 class ScopedFunction(NamedTuple):
@@ -347,6 +438,40 @@ def extract_cost_functions(built, ts, solution):
     cost_columns = np.array([[column[f"c_a{ai}_o{o}"] for ai in range(n_abstractions)]
                              for o in range(len(ts.operator_costs))])
     return x[cost_columns[op]].T
+
+
+def validate_partition(ts, cost_functions):
+    """Check the partitioning inequality on every transition, given one cost
+    per transition for each abstraction; returns the first violating
+    transition index, if any."""
+    total = np.zeros(len(ts.transitions))
+    for fn in cost_functions:
+        if len(fn) != len(ts.transitions):
+            raise AbstractionError("cost function does not cover every transition")
+        total += fn
+    violations = np.flatnonzero(
+        total > ts.operator_costs[ts.transitions[:, 1]] + FEASIBILITY_TOL)
+    return (False, int(violations[0])) if len(violations) else (True, None)
+
+
+def features_of_abstractions(ts, patterns):
+    """One conjunction feature per abstract state of each projection.
+
+    The empty pattern is rejected: its only abstract state is the always-true
+    conjunction, which features cannot express.
+    """
+    features = []
+    seen = set()
+    for pattern in patterns:
+        pattern = tuple(sorted(pattern))
+        if not pattern:
+            raise AbstractionError("empty patterns have no feature representation")
+        for values in iter_states(tuple(ts.domain_sizes[v] for v in pattern)):
+            f = Feature(tuple(zip(pattern, values)))
+            if f not in seen:
+                seen.add(f)
+                features.append(f)
+    return FeatureSet(tuple(features))
 
 
 def _reference_weights(model, task, fs, pin=True):
@@ -658,6 +783,29 @@ def random_scoped_set(n_vars, max_dom, n_functions, seed, max_scope=3, value_ran
                     table[key] = LinearExpression.term("one", value)
         functions.append(ScopedFunction(scope, table))
     return domains, functions
+
+
+def random_features(task, count, max_size, seed):
+    """Distinct random conjunctions of up to max_size facts, at least one of
+    the maximal size."""
+    rng = random.Random(f"features:{seed}")
+    n_vars = len(task.variables)
+    max_size = min(max_size, n_vars)
+    features = []
+    seen = set()
+    sizes = [rng.randint(1, max_size) for _ in range(count)]
+    if max_size not in sizes and sizes:
+        sizes[0] = max_size
+    for size in sizes:
+        for _ in range(50):
+            scope = sorted(rng.sample(range(n_vars), size))
+            facts = tuple((v, rng.randrange(task.variables[v].domain_size))
+                          for v in scope)
+            if facts not in seen:
+                seen.add(facts)
+                features.append(Feature(facts))
+                break
+    return FeatureSet(tuple(features))
 
 
 def reference_general_model(task, fs, orderings=None, pin=True):

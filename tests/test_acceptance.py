@@ -15,10 +15,10 @@ import pytest
 from potplan.costpart import all_patterns, build_ocp_lp, build_tcp_lp
 from potplan.direct2d import build_direct2d_lp, solve_for_state
 from potplan.elimination import adjacency, classify, eliminate_graphs
-from potplan.features import generate_features
-from potplan.generator import random_features, random_task
+from potplan.features import evaluate_potential, generate_features
+from potplan.generator import random_task
 from potplan.lp import LinearExpression, evaluate, solve
-from potplan.reduction import Graph, is_3colorable, phi_of_state, reduce_3col
+from potplan.reduction import Graph, is_3colorable, reduce_3col
 from potplan.search import PotentialHeuristic, astar, blind, validate
 from potplan.task import build_transition_system, exact_goal_distances
 
@@ -26,7 +26,8 @@ from conftest import (PAPER_BE_DOMAINS, base_model, bottom_up_values, candidates
                       eliminate, make_paper_be)
 from reference_builders import (brute_force_max, classify_features, column_terms,
                                 complete_graph, cycle_graph, dependency_graph, empty_graph,
-                                model_rows, random_scoped_set, reference_induced_width,
+                                features_of_abstractions, model_rows, random_features,
+                                random_scoped_set, reference_induced_width,
                                 reference_min_fill_order, solve_exhaustive_for_state,
                                 solve_general_for_state)
 
@@ -79,7 +80,8 @@ def test_criterion_2_direct2d_equals_exhaustive():
             reference = solve_exhaustive_for_state(task, fs, task.initial_state)
             assert compact.value == pytest.approx(reference.value, abs=1e-6), seed
             report = validate(task, PotentialHeuristic(task, fs, compact.weights))
-            assert report.all_ok, (seed, report)
+            assert report.goal_aware and report.consistent and report.admissible, \
+                (seed, report)
 
 
 def test_criterion_3_bucket_matches_direct2d():
@@ -137,7 +139,6 @@ def test_criterion_5_dimension3_equivalence():
 
 def test_criterion_6_tcp_equivalence_and_dominance():
     with criterion(6, "tcp-equivalence-dominance", 600.0):
-        from potplan.costpart import features_of_abstractions
         for seed in range(30):
             task = random_task(3, 3, 5, 2000 + seed)
             ts = build_transition_system(task)
@@ -170,7 +171,7 @@ def test_criterion_7_hardness_reduction():
             graphs.append(Graph.of(n, edges))
         for index, graph in enumerate(graphs):
             red = reduce_3col(graph)
-            report = validate(red.task, lambda s: phi_of_state(red, s))
+            report = validate(red.task, lambda s: evaluate_potential(red.features, red.weights, s))
             assert report.consistent == (not is_3colorable(graph)), index
 
 

@@ -9,10 +9,12 @@ import pytest
 import potplan
 from potplan import direct2d
 from potplan.cli import main
-from potplan.lp import export_lp, parse_lp
+from potplan.generator import GENERATOR_STATE_CAP, GenerationError, random_task
+from potplan.lp import export_lp
 from potplan.task import Task, parse_sas, serialize_sas
 from potplan.tnf import is_tnf
 
+from reference_builders import parse_lp
 from test_lp import REJECTED_LP
 from test_task import TOY1_SAS
 
@@ -465,6 +467,20 @@ def test_gen_rejects_bad_counts(capsys, argv):
 def test_gen_without_operators(capsys):
     code, out, _ = run_cli(capsys, "gen", "--ops", "0", "--allow-unsolvable")
     assert code == 0 and parse_sas(out).operators == []
+
+
+def test_gen_unsolvable_task_beyond_the_state_cap(capsys):
+    """Only the solvability check builds the state space, so only a solvable
+    task is held to the explicit oracles' state cap."""
+    argv = ["gen", "--vars", "16", "--dom", "4", "--ops", "10"]
+    code, out, _ = run_cli(capsys, *argv, "--allow-unsolvable")
+    task = parse_sas(out)
+    assert code == 0 and len(task.variables) == 16 and len(task.operators) == 10
+    assert task.state_count() > GENERATOR_STATE_CAP
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == "" and "too large for explicit oracles" in err
+    with pytest.raises(GenerationError, match="too large for explicit oracles"):
+        random_task(16, 4, 10, 0, solvable=True)
 
 
 def test_task_without_variables(capsys, tmp_path):

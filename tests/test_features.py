@@ -4,10 +4,11 @@ from potplan.elimination import classify
 from potplan.features import (Feature, FeatureError, FeatureSet, evaluate_potential,
                               format_feature, generate_features, parse_feature,
                               parse_feature_file, truth_matrix, weights_from_strings)
-from potplan.generator import random_features, random_task
+from potplan.generator import random_task
 from potplan.task import build_transition_system, is_applicable, iter_states
 
-from reference_builders import classify_features, delta, delta_independent, true_in
+from reference_builders import (classify_features, delta, delta_independent, random_features,
+                                true_in)
 
 
 def w_for(fs, mapping):

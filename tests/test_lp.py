@@ -8,14 +8,13 @@ from scipy.sparse import csc_matrix, diags
 
 from potplan import costpart, direct2d
 from potplan.features import generate_features
-from potplan.generator import random_features
 from potplan.lp import (LinearExpression, LpError, LpModel, RELATIONS,
                         MissingAssignmentError, SolverFailureError,
-                        check_solution, evaluate, export_lp, parse_lp, solve)
+                        check_solution, evaluate, export_lp, solve)
 from potplan.task import build_transition_system, exact_goal_distances
 
 from reference_builders import (Row, add_row, add_unknown, check_values, column_terms,
-                                model_rows, solution_values)
+                                model_rows, parse_lp, random_features, solution_values)
 
 from test_model_equivalence import TASKS
 

@@ -15,18 +15,18 @@ from potplan.costpart import all_patterns, build_ocp_lp, build_tcp_lp, project
 from potplan.direct2d import build_direct2d_lp, build_exhaustive_lp, build_general_lp
 from potplan.elimination import adjacency, classify, eliminate_graphs
 from potplan.features import FeatureSet, generate_features
-from potplan.generator import random_features, random_task
+from potplan.generator import random_task
 from potplan.lp import export_lp, solve
 from potplan.reduction import reduce_3col
 from potplan.task import Operator, Task, Variable, build_transition_system, exact_goal_distances
 
 from conftest import make_alias_task, make_toy1
 from reference_builders import (abstract_transitions, check_values, complete_graph,
-                                extract_cost_functions, reference_direct2d_model,
-                                reference_exhaustive_model, reference_general_model,
-                                reference_ocp_model, reference_projection,
-                                reference_tcp_eliminated_model, reference_tcp_model,
-                                solution_values)
+                                extract_cost_functions, random_features,
+                                reference_direct2d_model, reference_exhaustive_model,
+                                reference_general_model, reference_ocp_model,
+                                reference_projection, reference_tcp_eliminated_model,
+                                reference_tcp_model, solution_values)
 
 
 def toy1_with_self_loop() -> Task:

@@ -20,13 +20,14 @@ from potplan.direct2d import (all_states_objective, build_exhaustive_lp, build_g
                               solve_for_state, state_objective, weight_var_name)
 from potplan.features import (Feature, FeatureSet, generate_features, pinned_features,
                               truth_matrix)
-from potplan.generator import random_features, random_task
+from potplan.generator import random_task
 from potplan.lp import solve
 from potplan.search import PotentialHeuristic, validate
 from potplan.task import build_transition_system, exact_goal_distances, iter_states, parse_sas
 
 from conftest import make_alias_task, make_toy1
-from reference_builders import reference_exhaustive_model, reference_general_model
+from reference_builders import (random_features, reference_exhaustive_model,
+                                reference_general_model)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -152,7 +153,8 @@ def test_tie_broken_weights_are_valid(seed, dimension):
     fs = generate_features(task, dimension)
     result = solve_for_state(task, fs, task.initial_state)
     heuristic = PotentialHeuristic(task, fs, result.weights)
-    assert validate(task, heuristic).all_ok
+    report = validate(task, heuristic)
+    assert report.goal_aware and report.consistent and report.admissible
     model = build_general_lp(task, fs)
     model.set_objective("max", state_objective(fs, task.initial_state))
     optimum = solve(model).require_optimal().objective_value

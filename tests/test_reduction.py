@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from potplan.features import evaluate_potential
 from potplan.reduction import (Graph, GraphError, TooLargeError, is_3colorable,
-                               parse_dimacs, phi_of_state, reduce_3col)
+                               parse_dimacs, reduce_3col)
 from potplan.search import validate
 from potplan.task import build_transition_system, is_applicable
 from potplan.tnf import is_tnf
@@ -65,9 +66,9 @@ def test_reduction_single_vertex():
     ts = build_transition_system(red.task)
     for s in map(tuple, ts.states.tolist()):
         if s[red.master_var] == 1:
-            assert phi_of_state(red, s) == -1.0
+            assert evaluate_potential(red.features, red.weights, s) == -1.0
     # vacuously colorable, so the potential must be inconsistent
-    report = validate(red.task, lambda s: phi_of_state(red, s))
+    report = validate(red.task, lambda s: evaluate_potential(red.features, red.weights, s))
     assert not report.consistent
 
 
@@ -75,7 +76,7 @@ def test_phi_trichotomy_k4():
     red = reduce_3col(complete_graph(4))
     ts = build_transition_system(red.task)
     for s in map(tuple, ts.states.tolist()):
-        value = phi_of_state(red, s)
+        value = evaluate_potential(red.features, red.weights, s)
         if s[red.master_var] == 0:
             assert value == 0.0
         else:
@@ -87,13 +88,13 @@ def test_phi_trichotomy_k4():
 def test_all_red_switched_state_value_k4():
     red = reduce_3col(complete_graph(4))
     state = tuple([0] * 4 + [1])
-    assert phi_of_state(red, state) == 5.0
+    assert evaluate_potential(red.features, red.weights, state) == 5.0
 
 
 def test_proper_coloring_value_k3():
     red = reduce_3col(complete_graph(3))
     state = (0, 1, 2, 1)  # distinct colors, switch on
-    assert phi_of_state(red, state) == -1.0
+    assert evaluate_potential(red.features, red.weights, state) == -1.0
 
 
 def test_nothing_applicable_after_switch():
@@ -119,7 +120,7 @@ def graph_family():
 @pytest.mark.parametrize("index,graph", list(enumerate(graph_family())))
 def test_consistency_iff_not_colorable(index, graph):
     red = reduce_3col(graph)
-    report = validate(red.task, lambda s: phi_of_state(red, s))
+    report = validate(red.task, lambda s: evaluate_potential(red.features, red.weights, s))
     assert report.consistent == (not is_3colorable(graph))
     if not report.consistent:
         # the counterexample is a genuine violation: a switch into a coloring
@@ -127,4 +128,6 @@ def test_consistency_iff_not_colorable(index, graph):
         op = red.task.operators[op_id]
         from potplan.task import successor
         after = successor(state, op)
-        assert phi_of_state(red, state) > op.cost + phi_of_state(red, after)
+        phi_state, phi_after = (evaluate_potential(red.features, red.weights, s)
+                                for s in (state, after))
+        assert phi_state > op.cost + phi_after

@@ -5,12 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from potplan.direct2d import build_general_lp, sample_states, state_objective
 from potplan.features import generate_features
-from potplan.generator import random_features, random_task
-from potplan.lp import export_lp, parse_lp
+from potplan.generator import random_task
+from potplan.lp import export_lp
 from potplan.reduction import reduce_3col
 from potplan.task import Operator, Task, Variable, parse_sas, serialize_sas
 
-from reference_builders import complete_graph, model_rows
+from reference_builders import complete_graph, model_rows, parse_lp, random_features
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 

@@ -4,11 +4,11 @@ import random
 import pytest
 
 from potplan.direct2d import solve_for_state
-from potplan.features import generate_features
+from potplan.features import evaluate_potential, generate_features
 from potplan.generator import random_task
-from potplan.reduction import phi_of_state, reduce_3col
-from potplan.search import (NoPlanError, PotentialHeuristic, TIEBREAK_POLICY,
-                            astar, blind, tiebreak_key, validate)
+from potplan.reduction import reduce_3col
+from potplan.search import (NoPlanError, PotentialHeuristic, astar, blind, tiebreak_key,
+                            validate)
 from potplan.task import Task, build_transition_system, exact_goal_distances
 
 from conftest import make_mixed_preconditions, make_toy1
@@ -42,7 +42,7 @@ def test_astar_no_plan(toy1):
 
 
 def test_tiebreak_policy():
-    assert TIEBREAK_POLICY == ("f", "h", "fifo")
+    assert tiebreak_key(5.0, 1.0, 7) == (5.0, 1.0, 7)
     assert tiebreak_key(5.0, 1.0, 0) < tiebreak_key(5.0, 2.0, 1)
     assert tiebreak_key(5.0, 1.0, 0) < tiebreak_key(5.0, 1.0, 1)
     assert tiebreak_key(4.0, 9.0, 9) < tiebreak_key(5.0, 0.0, 0)
@@ -57,12 +57,13 @@ def test_astar_is_deterministic(toy1):
 
 def test_validate_optimal_weights(toy1):
     report = validate(toy1, optimal_heuristic(toy1, 1))
-    assert report.all_ok and report.counterexample is None
+    assert report.goal_aware and report.consistent and report.admissible
+    assert report.counterexample is None
 
 
 def test_validate_k3_reduction():
     red = reduce_3col(complete_graph(3))
-    report = validate(red.task, lambda s: phi_of_state(red, s))
+    report = validate(red.task, lambda s: evaluate_potential(red.features, red.weights, s))
     assert not report.consistent
     state, op_id = report.counterexample, report.operator
     after = tuple(red.task.operators[op_id].eff.get(v, state[v])
@@ -74,7 +75,7 @@ def test_validate_k3_reduction():
 
 def test_validate_k4_reduction():
     red = reduce_3col(complete_graph(4))
-    report = validate(red.task, lambda s: phi_of_state(red, s))
+    report = validate(red.task, lambda s: evaluate_potential(red.features, red.weights, s))
     assert report.consistent
 
 
@@ -115,7 +116,8 @@ def test_lp_weights_always_validate(seed):
     for dim in (1, 2):
         fs = generate_features(task, dim)
         weights = solve_for_state(task, fs, task.initial_state).weights
-        assert validate(task, PotentialHeuristic(task, fs, weights)).all_ok
+        report = validate(task, PotentialHeuristic(task, fs, weights))
+        assert report.goal_aware and report.consistent and report.admissible
 
 
 def test_expansion_trend_aggregate():

@@ -9,30 +9,29 @@ call: whether the model has a solver session, its objective sense and
 coefficients and its column bounds, and for a model without a session (one
 not solved since its last column was added) its whole row table too.  So
 trees that hand rows to HiGHS differently are still compared LP by LP.
-Every worker subprocess (`prepare` and each `run`) starts with
-POTPLAN_LP_SOLVER_CMD removed from its environment, so that a tree from
-before the external-solver adapter was deleted is compared on its HiGHS
-path too.
 
 The inputs are written once, with BEFORE_TREE, into a temporary directory:
 `gen --seed 0..11` (whose printed tasks are compared too, as are those of
 `gen --general --seed 0..5`, whose solvability check builds transition
-systems outside transition normal form; each task also gets two `compare`
-calls, with `--state random:2` and `random:3`, so that the OCP and TCP
-models of 24 more state sets are compared LP by LP), and
-`random_task(4, 3, 6, seed)` with `random_features(task, 10, dim, seed)` for
-seeds 0..5 and dimensions 1-4 as feature files, plus four `--order` files (at
-dimension 3 one that reverses every operator's min-fill order, one that gives
-every other operator a seeded random order and leaves the rest to min-fill,
-and one missing a variable; at dimension 2 one that gives an operator with
-two context variables an order other than min-fill's, so that the lockstep
-pass eliminates it instead of the width-0 pass) and the weights that `solve
---method exhaustive` prints for each random task, which `validate` reads back
-as they are, raised by 1 in every state (consistent, not goal-aware) and
-tripled (inconsistent, so the witness names an operator).  A unit-cost
-chain whose weights overshoot the goal distances by a little more at each
-step, within the 1e-6 tolerance per transition but not over the chain, adds
-a `validate` whose only failure, and witness, is admissibility.
+systems outside transition normal form, and which `tnf` and `validate-task`
+read back; each task also gets two `compare` calls, with `--state random:2`
+and `random:3`, so that the OCP and TCP models of 24 more state sets are
+compared LP by LP), and `random_task(4, 3, 6, seed)` with
+`random_features(task, 10, dim, seed)` for seeds 0..5 and dimensions 1-4 as
+feature files (`random_features` is taken from `tests/reference_builders.py`
+beside this tool, so either tree can be BEFORE_TREE and the files stay the
+same), plus four `--order` files (at dimension 3 one that reverses every
+operator's min-fill order, one that gives every other operator a seeded
+random order and leaves the rest to min-fill, and one missing a variable; at
+dimension 2 one that gives an operator with two context variables an order
+other than min-fill's, so that the lockstep pass eliminates it instead of
+the width-0 pass) and the weights that `solve --method exhaustive` prints
+for each random task, which `validate` reads back as they are, raised by 1
+in every state (consistent, not goal-aware) and tripled (inconsistent, so
+the witness names an operator).  A unit-cost chain whose weights overshoot
+the goal distances by a little more at each step, within the 1e-6
+tolerance per transition but not over the chain, adds a `validate` whose
+only failure, and witness, is admissibility.
 `random_task(4, 4, 8, seed)` for seeds 0, 15 and 34 (96 to 192 states) adds
 `compare --state random:3`, as does `gen --vars 8 --dom 4 --ops 20 --seed 0`
 (3,072 states), so that the cost partitioning models, whose first run
@@ -47,8 +46,10 @@ unknown becomes an alias adds a bucket `lp` and `solve`.
 `lp`: 50 of its 64 states are dead ends, and its optimum leaves weights at
 the 1e8 bound that cancel in the objective even with pinned weights, so its
 printed objective depends on the order in which the objective's terms are
-summed.  Each extra TASK.sas is run through the potential-LP calls as well;
-a TASK.features file beside it adds the bucket calls over those features.
+summed.  `reduce3col --check` runs on a triangle (3-colorable) and on K4
+(not), and `validate` on the task and weights it writes for each.  Each
+extra TASK.sas is run through the potential-LP calls as well; a
+TASK.features file beside it adds the bucket calls over those features.
 Exit code 0 when every call matches, 1 otherwise.
 """
 
@@ -73,6 +74,9 @@ COMPARE_SEEDS = (0, 15, 34)  # 96, 128 and 192 states
 LARGE_COMPARE = ["--vars", "8", "--dom", "4", "--ops", "20", "--seed", "0"]  # 3,072 states
 LONG_SEARCH_SEEDS = range(4)  # `gen --vars 9 --dom 4 --ops 60`, blind search
 CANCELLING_TASK = (6, 2, 16, 26)  # random_task arguments; prints objective 25.0
+# DIMACS graphs for `reduce3col --check`: 3-colorable and not
+GRAPHS = {"triangle": "p edge 3 3\ne 1 2\ne 1 3\ne 2 3\n",
+          "k4": "p edge 4 6\ne 1 2\ne 1 3\ne 1 4\ne 2 3\ne 2 4\ne 3 4\n"}
 
 
 def _import_potplan(tree: str):
@@ -104,8 +108,11 @@ def prepare(tree: str, workdir: str, extra: list[str]) -> None:
     potplan = _import_potplan(tree)
     from potplan.elimination import adjacency, classify, eliminate_graphs
     from potplan.features import Feature, FeatureSet, format_feature
-    from potplan.generator import random_features, random_task
+    from potplan.generator import random_task
     from potplan.task import Operator, Task, Variable, serialize_sas
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                    "tests"))
+    from reference_builders import random_features
     os.chdir(workdir)
     calls = []
     for seed in GEN_SEEDS:
@@ -114,7 +121,11 @@ def prepare(tree: str, workdir: str, extra: list[str]) -> None:
             potplan.cli.main(["gen", "--seed", str(seed), "-o", sas])
         calls.append(["gen", "--seed", str(seed)])
         if seed in GENERAL_SEEDS:
-            calls.append(["gen", "--general", "--seed", str(seed)])
+            general = f"general{seed}.sas"
+            with contextlib.redirect_stdout(io.StringIO()):
+                potplan.cli.main(["gen", "--general", "--seed", str(seed), "-o", general])
+            calls += [["gen", "--general", "--seed", str(seed)], ["tnf", general],
+                      ["validate-task", general]]
         calls += [["search", sas, "--heuristic", h] for h in ("pot1", "pot2")]
         calls += [["compare", sas, "--state", f"random:{k}", "--format", "json"] for k in (2, 3)]
         calls += [["solve", "--method", m, "--dim", d, sas]
@@ -214,6 +225,12 @@ def prepare(tree: str, workdir: str, extra: list[str]) -> None:
     sas = _write("cancelling.sas", serialize_sas(random_task(*CANCELLING_TASK)))
     calls += [["solve", "--method", m, "--dim", "2", sas] for m in ("direct2d", "bucket")]
     calls.append(["lp", "--dim", "2", sas])
+    for name, text in GRAPHS.items():
+        graph = _write(f"{name}.dimacs", text)
+        sas, weights = f"{name}.sas", f"{name}.weights.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            potplan.cli.main(["reduce3col", graph, "-o", sas, "--weights-out", weights])
+        calls += [["reduce3col", "--check", graph], ["validate", sas, "--weights", weights]]
     for sas in extra:
         features = os.path.splitext(sas)[0] + ".features"
         calls += _task_calls(sas, features if os.path.exists(features) else None)
@@ -276,8 +293,7 @@ def run(tree: str, workdir: str) -> None:
 
 def _worker(mode: str, tree: str, workdir: str, extra: list[str]) -> str:
     argv = [sys.executable, os.path.abspath(__file__), "--worker", mode, tree, workdir, *extra]
-    env = {k: v for k, v in os.environ.items() if k != "POTPLAN_LP_SOLVER_CMD"}
-    return subprocess.run(argv, check=True, stdout=subprocess.PIPE, text=True, env=env).stdout
+    return subprocess.run(argv, check=True, stdout=subprocess.PIPE, text=True).stdout
 
 
 def main(argv: list[str]) -> int:
