@@ -32,7 +32,6 @@ carry the assignment to the remaining scope, `z_o{op}_v{var}__v{u}.{value}_...`.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 
@@ -155,7 +154,7 @@ def sample_states(task: Task, count: int, seed: int) -> list[State]:
         for _ in range(rng.randint(0, 4 * len(task.variables))):
             if not (applicable := successors.applicable(state)):
                 break
-            state = successor(state, task.operators[rng.choice(applicable)[0]])
+            state = successor(state, task.operators[rng.choice(applicable)])
         states.append(state)
     return states
 
@@ -176,8 +175,9 @@ def extract_result(fs: FeatureSet, task: Task, solution: LpSolution) -> Potentia
 def all_states_objective(fs: FeatureSet, domain_sizes) -> dict[int, float]:
     """Mean potential over all syntactic states, as {column: coefficient}:
     feature f holds in the share 1 / Π_{V in vars(f)} |D_V| of them."""
-    return {i: 1.0 / math.prod(domain_sizes[v] for v in f.variables)
-            for i, f in enumerate(fs.features)}
+    sizes = np.asarray(domain_sizes, dtype=np.int64)[fs.fact_table[:, :, 0]]
+    shares = 1.0 / np.where(fs.distinct, sizes, 1).prod(axis=1)
+    return dict(enumerate(shares.tolist()))
 
 
 def solve_for_state(task: Task, fs: FeatureSet, state: State) -> PotentialSolveResult:

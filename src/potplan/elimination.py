@@ -94,10 +94,8 @@ def classify(task: Task, fs: FeatureSet) -> Classification:
     inside = keys[at] == key
     in_pre = np.all(~inside | (pre[at] == facts[:, :, 1]), axis=1)
     in_eff = np.all(~inside | (eff[at] == facts[:, :, 1]), axis=1)
-    first = np.ones(facts.shape[:2], dtype=bool)  # padding repeats a feature's last fact
-    first[:, 1:] = facts[:, 1:, 0] != facts[:, :-1, 0]
     return Classification(starts, operator, feature, in_pre.astype(np.int64) - in_eff,
-                          ~inside & first)
+                          ~inside & fs.distinct[feature])
 
 
 def eliminate_width0(model: LpModel, task: Task, fs: FeatureSet, classes: Classification,
@@ -133,7 +131,9 @@ def _strides(sizes: np.ndarray) -> np.ndarray:
 
 
 def _pad(scopes: np.ndarray, width: int) -> np.ndarray:
-    return np.pad(scopes, ((0, 0), (0, width - scopes.shape[1])), constant_values=-1)
+    padded = np.full((len(scopes), width), -1, dtype=scopes.dtype)
+    padded[:, :scopes.shape[1]] = scopes
+    return padded
 
 
 def eliminate_buckets(model: LpModel, task: Task, fs: FeatureSet, classes: Classification,

@@ -53,10 +53,11 @@ class Feature:
 
 @dataclass
 class FeatureSet:
-    """Distinct features, with their `dimension` (the largest size) and
-    `fact_table`, both built once: the facts as a (feature, fact, (variable,
-    value)) int64 array, each feature's last fact repeated up to the
-    dimension, which leaves the conjunction unchanged."""
+    """Distinct features, with their `dimension` (the largest size),
+    `fact_table` and `distinct`, all built once: the facts as a (feature,
+    fact, (variable, value)) int64 array, each feature's last fact repeated
+    up to the dimension, which leaves the conjunction unchanged, and the
+    (feature, fact) mask of the facts that are not such repeats."""
 
     features: tuple[Feature, ...]
 
@@ -67,6 +68,8 @@ class FeatureSet:
         self.fact_table = np.array(
             [x for f in self.features for fact in f.facts + f.facts[-1:] * (width - f.size)
              for x in fact], dtype=np.int64).reshape(len(self.features), width, 2)
+        self.distinct = np.ones((len(self.features), width), dtype=bool)
+        self.distinct[:, 1:] = self.fact_table[:, 1:, 0] != self.fact_table[:, :-1, 0]
 
     def __len__(self) -> int:
         return len(self.features)

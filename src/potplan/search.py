@@ -4,7 +4,6 @@ oracles throughout the test suite."""
 from __future__ import annotations
 
 import heapq
-import itertools
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -50,24 +49,28 @@ class ValidationReport:
 
 
 class PotentialHeuristic:
-    """Potential evaluation indexed by each feature's first fact, so a lookup
-    touches only features whose first fact holds instead of scanning all."""
+    """Potential evaluation indexed by the variable, then the value, of each
+    feature's first fact, so a lookup touches only features whose first fact
+    holds instead of scanning all; the sum runs by variable, then feature."""
 
     def __init__(self, task: Task, fs: FeatureSet, w: list[float]):
-        self._index: dict[tuple[int, int], list[tuple[tuple[tuple[int, int], ...], float]]] = {}
+        self._index: list[list[list[tuple[tuple[tuple[int, int], ...], float]]]] = [
+            [[] for _ in range(var.domain_size)] for var in task.variables]
         for i, f in enumerate(fs.features):
             weight = w[i]
             if weight == 0.0:
                 continue
-            first, rest = f.facts[0], f.facts[1:]
-            self._index.setdefault(first, []).append((rest, weight))
-        self._n_variables = len(task.variables)
+            (var, val), rest = f.facts[0], f.facts[1:]
+            self._index[var][val].append((rest, weight))
 
     def __call__(self, state: State) -> float:
         total = 0.0
-        for var in range(self._n_variables):
-            for rest, weight in self._index.get((var, state[var]), ()):
-                if all(state[v] == val for v, val in rest):
+        for by_value, value in zip(self._index, state):
+            for rest, weight in by_value[value]:
+                for var, val in rest:
+                    if state[var] != val:
+                        break
+                else:
                     total += weight
         return total
 
@@ -85,19 +88,24 @@ def astar(task: Task, heuristic: Callable[[State], float]) -> SearchResult:
     expanded state's plus the operator's shift, so its values are built,
     and its heuristic value computed, only when it is first generated."""
     start = time.perf_counter()
-    counter = itertools.count()
     successors = SuccessorGenerator(task)
+    applicable, shifts, frees = successors.applicable, successors.shift, successors.free
+    effects, costs = successors.effect, successors.cost
+    state_dependent = any(frees)  # no free effects in transition normal form
+    push, pop = heapq.heappush, heapq.heappop
     s0 = task.initial_state
     i0, h0 = state_index(s0, task.domain_sizes), heuristic(s0)
     # index -> [g, h, values, parent index, operator] of every generated state
     nodes: dict[int, list] = {i0: [0.0, h0, s0, None, None]}
+    get = nodes.get
     open_list: list[tuple[float, float, int, int]] = []
-    heapq.heappush(open_list, (*tiebreak_key(h0, h0, next(counter)), i0))
+    push(open_list, (*tiebreak_key(h0, h0, 0), i0))
+    pushes = 1
     expansions = 0
     expansion_f: list[float] = []
 
     while open_list:
-        f, h_state, _, index = heapq.heappop(open_list)
+        f, h_state, _, index = pop(open_list)
         g, _, state, _, _ = nodes[index]
         if f - h_state > g + 1e-12:
             continue  # stale entry, a better path has been found since
@@ -112,15 +120,16 @@ def astar(task: Task, heuristic: Callable[[State], float]) -> SearchResult:
                                 len(nodes), time.perf_counter() - start)
         expansions += 1
         expansion_f.append(f)
-        for op_id, shift, free, eff, cost in successors.applicable(state):
-            succ = index + shift
-            for var, val, stride in free:
-                succ += (val - state[var]) * stride
-            g2 = g + cost
-            node = nodes.get(succ)
+        for op_id in applicable(state):
+            succ = index + shifts[op_id]
+            if state_dependent:
+                for var, val, stride in frees[op_id]:
+                    succ += (val - state[var]) * stride
+            g2 = g + costs[op_id]
+            node = get(succ)
             if node is None:  # first generated
                 values = list(state)
-                for var, val in eff:
+                for var, val in effects[op_id]:
                     values[var] = val
                 values = tuple(values)
                 node = nodes[succ] = [g2, heuristic(values), values, index, op_id]
@@ -128,8 +137,8 @@ def astar(task: Task, heuristic: Callable[[State], float]) -> SearchResult:
                 node[0], node[3], node[4] = g2, index, op_id
             else:
                 continue
-            heapq.heappush(open_list,
-                           (*tiebreak_key(g2 + node[1], node[1], next(counter)), succ))
+            push(open_list, (*tiebreak_key(g2 + node[1], node[1], pushes), succ))
+            pushes += 1
     raise NoPlanError("goal is unreachable from the initial state")
 
 

@@ -159,60 +159,61 @@ def successor(state: State, op: Operator) -> State:
 class SuccessorGenerator:
     """The applicable operators of a task's states, indexed by precondition.
 
-    Each operator is filed under its first precondition fact (lowest
-    variable); operators without a precondition are applicable everywhere.
-    A state therefore looks only at the operators filed under one of its own
-    facts and checks just the rest of their preconditions, instead of testing
-    every operator.  Built once per task; the task must not change after.
+    Each operator id is filed under the operator's first precondition fact
+    (lowest variable); operators without a precondition are applicable
+    everywhere.  A state therefore looks only at the operators filed under
+    one of its own facts and checks just the rest of their preconditions,
+    instead of testing every operator.  Built once per task; the task must
+    not change after.
 
-    Each operator also carries its index shift, how far it moves
-    `state_index`: Σ (eff − pre)·stride over the effect variables with a
-    precondition, a constant, plus (val − state[var])·stride for each effect
-    variable without one (none in transition normal form).
+    Per operator id, `shift` is how far the operator moves `state_index`:
+    Σ (eff − pre)·stride over the effect variables with a precondition, a
+    constant, to which each (variable, value, stride) in `free`, one per
+    effect variable without a precondition (none in transition normal
+    form), adds (value − state[variable])·stride.  `effect` holds the
+    (variable, value) effects and `cost` the cost.
     """
 
     def __init__(self, task: Task):
-        # Per fact, the operators filed under it: the entries of those whose
+        # Per fact, the ids of the operators filed under it: those whose
         # precondition has no other fact, which need no check, and (rest of
-        # the precondition, entry) for the others.  An entry is (id, shift,
-        # (variable, value, stride) of the effects without precondition,
-        # effect, cost).
-        self._unconditional: list[tuple] = []
+        # the precondition, id) for the others.
+        self._unconditional: list[int] = []
         self._by_fact: list[list[tuple[list, list]]] = [
             [([], []) for _ in range(var.domain_size)] for var in task.variables]
+        self.shift, self.free, self.effect, self.cost = [], [], [], []
         place = strides(task.domain_sizes)
         for op_id, op in enumerate(task.operators):
-            shift = sum((val - op.pre[var]) * place[var]
-                        for var, val in op.eff.items() if var in op.pre)
-            free = tuple((var, val, place[var])
-                         for var, val in op.eff.items() if var not in op.pre)
-            entry = (op_id, shift, free, tuple(op.eff.items()), op.cost)
+            self.shift.append(sum((val - op.pre[var]) * place[var]
+                                  for var, val in op.eff.items() if var in op.pre))
+            self.free.append(tuple((var, val, place[var])
+                                   for var, val in op.eff.items() if var not in op.pre))
+            self.effect.append(tuple(op.eff.items()))
+            self.cost.append(op.cost)
             pre = sorted(op.pre.items())
             if not pre:
-                self._unconditional.append(entry)
+                self._unconditional.append(op_id)
                 continue
             (var, val), rest = pre[0], tuple(pre[1:])
             unchecked, checked = self._by_fact[var][val]
             if rest:
-                checked.append((rest, entry))
+                checked.append((rest, op_id))
             else:
-                unchecked.append(entry)
+                unchecked.append(op_id)
 
-    def applicable(self, state: State) -> list[tuple]:
-        """(operator id, shift, (variable, value, stride) of the effects
-        without precondition, effect, cost) of every operator applicable in
-        state, in increasing operator id."""
+    def applicable(self, state: State) -> list[int]:
+        """The ids of the operators applicable in state, increasing."""
         result = list(self._unconditional)
         for by_value, value in zip(self._by_fact, state):
             unchecked, checked = by_value[value]
             result += unchecked
-            for rest, entry in checked:
+            for rest, op_id in checked:
                 for var, val in rest:
                     if state[var] != val:
                         break
                 else:
-                    result.append(entry)
-        result.sort()  # operator ids are distinct: only they are compared
+                    result.append(op_id)
+        result.sort()
         return result
 
 

@@ -883,6 +883,22 @@ def reference_successors(task, state):
             for op_id, op in enumerate(task.operators) if is_applicable(op, state)]
 
 
+def reference_sample_states(task, count, seed):
+    """`sample_states` over `reference_successors`: the same walks, each
+    step drawn by `random.Random.choice` among the applicable operators in
+    operator order."""
+    rng = random.Random(seed)
+    states = []
+    for _ in range(count):
+        state = task.initial_state
+        for _ in range(rng.randint(0, 4 * len(task.variables))):
+            if not (options := reference_successors(task, state)):
+                break
+            state = rng.choice(options)[1]
+        states.append(state)
+    return states
+
+
 def reference_goal_distances(n, transitions, goals, costs):
     """Bellman-Ford over (source, label, target) transitions, relaxing one
     transition at a time, then -inf for every state that reaches a

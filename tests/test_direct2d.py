@@ -8,9 +8,11 @@ from potplan.lp import LinearExpression, evaluate, solve
 from potplan.search import PotentialHeuristic, validate
 from potplan.task import Task, successor
 
+from conftest import make_mixed_preconditions
 from reference_builders import (classify_features, column_terms, delta_independent,
-                                model_rows, random_features, reference_samples_objective,
-                                solution_values, solve_exhaustive_for_state)
+                                model_rows, random_features, reference_sample_states,
+                                reference_samples_objective, solution_values,
+                                solve_exhaustive_for_state)
 
 
 def rows_by_name(model):
@@ -206,6 +208,20 @@ def test_sampled_objective_is_deterministic(toy1):
     model.set_objective("max", obj1)
     solution = solve(model).require_optimal()
     assert solution.objective_value <= 2.0 + 1e-6  # mean potential below max h*
+
+
+@pytest.mark.parametrize("name", ["random0", "random1", "random2", "non_tnf0", "non_tnf1",
+                                  "non_tnf2", "mixed_preconditions"])
+def test_sample_states_match_operator_scan(name):
+    """The walks of `sample_states` draw the same operators as walks over
+    every operator of the task, also where effects have no precondition."""
+    if name == "mixed_preconditions":
+        task = make_mixed_preconditions()
+    else:
+        task = random_task(4, 3, 6, int(name[-1]), tnf=name.startswith("random"),
+                           solvable=name.startswith("random"))
+    for seed in range(3):
+        assert sample_states(task, 20, seed) == reference_sample_states(task, 20, seed)
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -170,6 +170,9 @@ def test_all_states_objective_is_the_mean_over_states():
     objective = all_states_objective(fs, task.domain_sizes)
     assert list(objective) == list(range(len(fs)))
     assert np.allclose(list(objective.values()), expected, rtol=0, atol=1e-15)
+    # feature f holds in the share 1 / Π_{V in vars(f)} |D_V| of the states
+    assert objective == {i: 1.0 / math.prod(task.domain_sizes[v] for v in f.variables)
+                         for i, f in enumerate(fs.features)}
 
 
 def test_pinned_weights_are_zero_and_not_bound_active():

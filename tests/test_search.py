@@ -198,3 +198,12 @@ def test_blind_astar_matches_operator_scan_on_long_searches(seed):
     """712 to 5,843 expansions; with h = 0 every tie in g is broken
     first-in first-out, so the order of generation decides the expansions."""
     _same_search(random_task(9, 4, 60, seed), blind)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_astar_matches_operator_scan_on_long_searches(seed):
+    """pot1 and pot2 on the tasks of the blind test above, whose f-ties
+    are broken by h, then first-in first-out."""
+    task = random_task(9, 4, 60, seed)
+    for dim in (1, 2):
+        _same_search(task, optimal_heuristic(task, dim))

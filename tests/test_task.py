@@ -185,13 +185,18 @@ def test_successor_generator_matches_operator_scan(name):
     successors = SuccessorGenerator(task)
     state_dependent = 0
     for state in iter_states(doms):
-        applied = [(op_id, tuple(dict(eff).get(var, val) for var, val in enumerate(state)), cost)
-                   for op_id, _, _, eff, cost in successors.applicable(state)]
+        applicable = successors.applicable(state)
+        applied = [(op_id, tuple(dict(successors.effect[op_id]).get(var, val)
+                                 for var, val in enumerate(state)), successors.cost[op_id])
+                   for op_id in applicable]
         assert applied == reference_successors(task, state)
-        # a successor's index is the state's plus the operator's shift
+        # a successor's index is the state's plus the operator's shift and
+        # the terms of its effects without precondition
         index = state_index(state, doms)
-        for op_id, shift, free, _, _ in successors.applicable(state):
-            moved = index + shift + sum((val - state[var]) * stride for var, val, stride in free)
+        for op_id in applicable:
+            free = successors.free[op_id]
+            moved = index + successors.shift[op_id] + sum(
+                (val - state[var]) * stride for var, val, stride in free)
             assert moved == state_index(successor(state, task.operators[op_id]), doms)
             state_dependent += len(free)
     # outside transition normal form some effects have no precondition

@@ -39,9 +39,11 @@ starts primal simplex at the origin, are compared LP by LP on a task of
 several thousand states too.  `gen --vars 9 --dom 4 --ops 60 --seed 0..3`
 (9,216 to 15,552 states) adds a blind `search` each, of 712 to 5,843
 expansions, so that a long search whose ties in g are broken first-in
-first-out is compared too.  A three-variable task with a domain-1
-variable, two features and an `--order` file under which that variable's
-unknown becomes an alias adds a bucket `lp` and `solve`.
+first-out is compared too, and a `search --heuristic pot1` and `pot2` each,
+of 17 to 1,398 expansions, so that potential-heuristic searches with many
+ties in f are compared call by call as well.  A three-variable task with a
+domain-1 variable, two features and an `--order` file under which that
+variable's unknown becomes an alias adds a bucket `lp` and `solve`.
 `random_task(6, 2, 16, 26)` adds direct2d and bucket `solve --dim 2` and
 `lp`: 50 of its 64 states are dead ends, and its optimum leaves weights at
 the 1e8 bound that cancel in the objective even with pinned weights, so its
@@ -72,7 +74,7 @@ GENERAL_SEEDS = range(6)  # also `gen --general`
 RANDOM_SEEDS = range(6)
 COMPARE_SEEDS = (0, 15, 34)  # 96, 128 and 192 states
 LARGE_COMPARE = ["--vars", "8", "--dom", "4", "--ops", "20", "--seed", "0"]  # 3,072 states
-LONG_SEARCH_SEEDS = range(4)  # `gen --vars 9 --dom 4 --ops 60`, blind search
+LONG_SEARCH_SEEDS = range(4)  # `gen --vars 9 --dom 4 --ops 60`, blind, pot1 and pot2 search
 CANCELLING_TASK = (6, 2, 16, 26)  # random_task arguments; prints objective 25.0
 # DIMACS graphs for `reduce3col --check`: 3-colorable and not
 GRAPHS = {"triangle": "p edge 3 3\ne 1 2\ne 1 3\ne 2 3\n",
@@ -202,7 +204,8 @@ def prepare(tree: str, workdir: str, extra: list[str]) -> None:
         with contextlib.redirect_stdout(io.StringIO()):
             potplan.cli.main(["gen", "--vars", "9", "--dom", "4", "--ops", "60",
                               "--seed", str(seed), "-o", sas])
-        calls.append(["search", sas, "--heuristic", "blind"])
+        calls += [["search", sas, "--heuristic", heuristic]
+                  for heuristic in ("blind", "pot1", "pot2")]
     alias = Task([Variable(0, "a", 2, ("0", "1")), Variable(1, "b", 1, ("0",)),
                   Variable(2, "c", 2, ("0", "1"))],
                  [Operator("o", {0: 0}, {0: 1}, 1)], (0, 0, 0), {0: 1, 1: 0, 2: 0})
