@@ -116,7 +116,7 @@ def _build_model(task: Task, fs, args) -> lp.LpModel:
         states = direct2d.sample_states(task, _count(args.objective), args.seed)
     else:
         raise CliUsageError(f"unknown objective '{args.objective}' (use init or samples:N)")
-    model.set_objective("max", direct2d.state_objective(fs, *states))
+    model.set_objective("max", direct2d.state_objective(task, fs, *states))
     return model
 
 
@@ -252,7 +252,7 @@ def _potential_optima(task: Task, dim: int, states) -> list[float]:
     fs = features.generate_features(task, dim)
     model = direct2d.build_direct2d_lp(task, fs)
     return _optima(model, states, lambda state: model.set_objective(
-        "max", direct2d.state_objective(fs, state)))
+        "max", direct2d.state_objective(task, fs, state)))
 
 
 def _partitioning_optima(build, ts, patterns, states) -> list[float]:

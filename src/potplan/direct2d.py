@@ -2,20 +2,25 @@
 feature sets of any dimension, plus the exhaustive per-transition LP used as
 its reference oracle.
 
-Both models, returned as the `LpModel` itself, start with one bounded weight
-unknown per feature (feature i is column i) and the goal-awareness row
-`state_objective(goal_state) <= 0`; `state_objective`, the mean potential
-over given states as a map {column: coefficient}, also gives the `init` and
-`samples:N` objectives.  One assembler, `build_general_lp`, writes every
-compact model: then per operator a cost row, the bound on the operator's
-change in potential that bucket elimination (`elimination`) computes,
-followed by the elimination rows.  Elimination declares its unknowns on the
-model and hands back column-indexed rows.
+Both models, returned as the `LpModel` itself, are built over the kept
+features of the given set (`features.kept_features`): they start with one
+weight unknown per kept feature, bounded by ±1e8 (kept feature i is column
+i), and the goal-awareness row `state_objective(goal_state) <= 0`.
+`state_objective`, the mean potential over given states as a map {column:
+coefficient}, also gives the `init` and `samples:N` objectives; it and
+`all_states_objective` take the given set and map its features to the
+kept columns, so callers never see the kept set.  One assembler,
+`build_general_lp`, writes every compact model: then per operator a cost
+row, the bound on the operator's change in potential that bucket
+elimination (`elimination`) computes, followed by the elimination rows.
+Elimination, given the kept set, declares its unknowns on the model and
+hands back column-indexed rows.
 
-Some weights are pinned to 0 (`features.pinned_features`): their
-indicators are combinations of the others', so the model expresses the same
-potentials, but weights can no longer shift against each other without
-changing any potential, which let HiGHS park them at the ±1e8 bound.
+The other weights are pinned to 0 and have no column: their indicators are
+combinations of the kept ones', so the model expresses the same potentials,
+but weights can no longer shift against each other without changing any
+potential, which let HiGHS park them at the ±1e8 bound.  `extract_result`
+puts them back as 0.0, so reported weights follow the given set.
 
 For features of dimension at most 2 every context-dependency graph has no
 edges (width 0), and elimination yields the binary model of Pommerening,
@@ -39,7 +44,7 @@ import numpy as np
 
 from .elimination import (adjacency, check_order, classify, eliminate_buckets,
                           eliminate_graphs, eliminate_width0)
-from .features import Feature, FeatureSet, evaluate_potential, pinned_features, truth_matrix
+from .features import Feature, FeatureSet, evaluate_potential, kept_features, truth_matrix
 from .lp import OPTIMALITY_TOL, LpModel, LpSolution, solve
 from .task import (DEFAULT_STATE_CAP, State, SuccessorGenerator, Task,
                    TransitionSystem, build_transition_system, successor)
@@ -74,24 +79,24 @@ def _goal_state(task: Task) -> State:
     return tuple(task.goal[v] for v in range(len(task.variables)))
 
 
-def _weights_and_goal_row(task: Task, fs: FeatureSet) -> LpModel:
-    """A model with one weight unknown per feature (columns 0..|F|-1),
-    bounded by ±1e8 or, for `pinned_features`, fixed to 0, and the goal
-    row: the goal state's potential is at most 0."""
+def _weights_and_goal_row(task: Task, fs: FeatureSet) -> tuple[LpModel, FeatureSet]:
+    """The kept features of `fs` and a model with one weight unknown per
+    kept feature (columns 0..|kept|-1), bounded by ±1e8, and the goal row:
+    the goal state's potential is at most 0."""
     _require_tnf(task)
+    kept = kept_features(fs, task.domain_sizes)[0]
     model = LpModel()
-    pinned = set(pinned_features(fs, task.domain_sizes))
-    model.add_unknowns([weight_var_name(f) for f in fs.features],
-                       [0.0 if i in pinned else WEIGHT_LOWER for i in range(len(fs))],
-                       [0.0 if i in pinned else WEIGHT_UPPER for i in range(len(fs))])
-    goal = state_objective(fs, _goal_state(task))
+    model.add_unknowns([weight_var_name(f) for f in kept.features],
+                       [WEIGHT_LOWER] * len(kept), [WEIGHT_UPPER] * len(kept))
+    goal = state_objective(task, fs, _goal_state(task))
     model.add_rows([0, len(goal)], list(goal), list(goal.values()), "<=", 0.0, ["goal"])
-    return model
+    return model, kept
 
 
 def build_general_lp(task: Task, fs: FeatureSet,
                      orderings: dict[int, list[int]] | None = None) -> LpModel:
-    """Assemble the compact model (no objective set yet).
+    """Assemble the compact model over the kept features of `fs` (no
+    objective set yet).
 
     Row order is deterministic: the goal row, then per operator its cost row
     (the elimination result) followed by its elimination rows in the order
@@ -103,22 +108,23 @@ def build_general_lp(task: Task, fs: FeatureSet,
     operators is eliminated in one `eliminate_buckets` pass, each run of the
     others in one `eliminate_width0` pass, its rows in one `add_rows` call.
     """
-    model = _weights_and_goal_row(task, fs)
+    model, kept = _weights_and_goal_row(task, fs)
     orders = np.full((len(task.operators), len(task.variables)), -1)  # -1: min-fill's
     for k, order in (orderings or {}).items():
         check_order(order, range(len(task.variables)))
         orders[k] = order
-    classes = classify(task, fs)
-    graphs = adjacency(task, fs, classes)
+    classes = classify(task, kept)
+    graphs = adjacency(task, kept, classes)
     lockstep = graphs.any(axis=(1, 2)) | (orders >= 0).any(axis=1)
     if lockstep.any():
         orders[lockstep] = eliminate_graphs(graphs[lockstep], orders[lockstep])[0]
     for batched, run in itertools.groupby(range(len(task.operators)), lockstep.__getitem__):
         start, stop = (run := list(run))[0], run[-1] + 1
         if not batched:
-            model.add_rows(*eliminate_width0(model, task, fs, classes, start, stop))
+            model.add_rows(*eliminate_width0(model, task, kept, classes, start, stop))
             continue
-        model.add_rows(*eliminate_buckets(model, task, fs, classes, start, stop, orders[start:stop]))
+        model.add_rows(*eliminate_buckets(model, task, kept, classes, start, stop,
+                                          orders[start:stop]))
     return model
 
 
@@ -131,11 +137,11 @@ def build_direct2d_lp(task: Task, fs: FeatureSet) -> LpModel:
     return build_general_lp(task, fs)
 
 
-def state_objective(fs: FeatureSet, *states: State) -> dict[int, float]:
-    """Mean potential over the given states, as {column: coefficient}: each
-    feature's weight column times the number of the states the feature is
-    true in, over their count."""
-    counts = truth_matrix(fs, states).sum(axis=0)
+def state_objective(task: Task, fs: FeatureSet, *states: State) -> dict[int, float]:
+    """Mean potential over the given states, as {column: coefficient} of a
+    model built over `fs`: each kept feature's weight column times the
+    number of the states the feature is true in, over their count."""
+    counts = truth_matrix(kept_features(fs, task.domain_sizes)[0], states).sum(axis=0)
     held = np.flatnonzero(counts)
     # count * (1 / n), not count / n: the float that adding 1.0 per state and
     # scaling the sum by 1 / n gives
@@ -160,10 +166,14 @@ def sample_states(task: Task, count: int, seed: int) -> list[State]:
 
 
 def extract_result(fs: FeatureSet, task: Task, solution: LpSolution) -> PotentialSolveResult:
-    """Weights by feature index (columns 0..|F|-1), the objective value, the
-    goal state's potential and the weights at a bound, from an optimal
-    solution."""
-    weights = solution.x[:len(fs)].tolist()
+    """Weights by index into `fs`, read from the kept features' columns and
+    0.0 for the pinned ones, the objective value, the goal state's potential
+    and the weights at a bound, from an optimal solution of a model built
+    over `fs`."""
+    kept, index = kept_features(fs, task.domain_sizes)
+    weights = np.zeros(len(fs))
+    weights[index] = solution.x[:len(kept)]
+    weights = weights.tolist()
     return PotentialSolveResult(
         weights=weights,
         value=solution.objective_value,
@@ -172,11 +182,13 @@ def extract_result(fs: FeatureSet, task: Task, solution: LpSolution) -> Potentia
     )
 
 
-def all_states_objective(fs: FeatureSet, domain_sizes) -> dict[int, float]:
-    """Mean potential over all syntactic states, as {column: coefficient}:
-    feature f holds in the share 1 / Π_{V in vars(f)} |D_V| of them."""
-    sizes = np.asarray(domain_sizes, dtype=np.int64)[fs.fact_table[:, :, 0]]
-    shares = 1.0 / np.where(fs.distinct, sizes, 1).prod(axis=1)
+def all_states_objective(task: Task, fs: FeatureSet) -> dict[int, float]:
+    """Mean potential over all syntactic states, as {column: coefficient}
+    of a model built over `fs`: kept feature f holds in the share
+    1 / Π_{V in vars(f)} |D_V| of them."""
+    kept = kept_features(fs, task.domain_sizes)[0]
+    sizes = np.asarray(task.domain_sizes, dtype=np.int64)[kept.fact_table[:, :, 0]]
+    shares = 1.0 / np.where(kept.distinct, sizes, 1).prod(axis=1)
     return dict(enumerate(shares.tolist()))
 
 
@@ -188,12 +200,12 @@ def solve_for_state(task: Task, fs: FeatureSet, state: State) -> PotentialSolveR
     Helmert, ICAPS 2015), so that the weights inform a search heuristic away
     from the state too.  The reported value is the first solve's optimum."""
     model = build_direct2d_lp(task, fs)
-    objective = state_objective(fs, state)
+    objective = state_objective(task, fs, state)
     model.set_objective("max", objective)
     optimum = solve(model).require_optimal().objective_value
     model.add_rows([0, len(objective)], list(objective), list(objective.values()), ">=",
                    optimum - OPTIMALITY_TOL * max(1.0, abs(optimum)), ["tie_break"])
-    model.set_objective("max", all_states_objective(fs, task.domain_sizes))
+    model.set_objective("max", all_states_objective(task, fs))
     result = extract_result(fs, task, solve(model).require_optimal())
     result.value = optimum
     return result
@@ -202,17 +214,18 @@ def solve_for_state(task: Task, fs: FeatureSet, state: State) -> PotentialSolveR
 def build_exhaustive_lp(task: Task, fs: FeatureSet,
                         ts: TransitionSystem | None = None,
                         state_cap: int = DEFAULT_STATE_CAP) -> LpModel:
-    """Reference model with one consistency row per explicit transition.
+    """Reference model with one consistency row per explicit transition,
+    over the kept features of `fs`.
 
     Exponentially large in general; usable only at desk scale, where it is
     the ground truth all compact constructions are compared against.
     """
-    model = _weights_and_goal_row(task, fs)
+    model, kept = _weights_and_goal_row(task, fs)
     if ts is None:
         ts = build_transition_system(task, state_cap)
-    # Row of transition s -> t: truth(s) - truth(t) over the features, whose
-    # weight unknowns are columns 0..|F|-1.
-    truth = truth_matrix(fs, ts.states)
+    # Row of transition s -> t: truth(s) - truth(t) over the kept features,
+    # whose weight unknowns are columns 0..|kept|-1.
+    truth = truth_matrix(kept, ts.states)
     table = ts.transitions
     change = truth[table[:, 0]] - truth[table[:, 2]]
     rows, columns = np.nonzero(change)

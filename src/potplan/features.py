@@ -1,4 +1,5 @@
-"""Fact-conjunction features, feature sets with their fact table, and the
+"""Fact-conjunction features, feature sets with their fact table, the
+features whose weights the potential models keep (`kept_features`), and the
 truth table of features over states.  Weights are a list of floats, one per
 feature in the set's order.
 
@@ -10,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -46,10 +46,6 @@ class Feature:
     def size(self) -> int:
         return len(self.facts)
 
-    @cached_property
-    def variables(self) -> tuple[int, ...]:
-        return tuple(var for var, _ in self.facts)
-
 
 @dataclass
 class FeatureSet:
@@ -57,7 +53,8 @@ class FeatureSet:
     `fact_table` and `distinct`, all built once: the facts as a (feature,
     fact, (variable, value)) int64 array, each feature's last fact repeated
     up to the dimension, which leaves the conjunction unchanged, and the
-    (feature, fact) mask of the facts that are not such repeats."""
+    (feature, fact) mask of the facts that are not such repeats.  The set
+    also keeps what `kept_features` found for it, by domain sizes."""
 
     features: tuple[Feature, ...]
 
@@ -70,6 +67,7 @@ class FeatureSet:
              for x in fact], dtype=np.int64).reshape(len(self.features), width, 2)
         self.distinct = np.ones((len(self.features), width), dtype=bool)
         self.distinct[:, 1:] = self.fact_table[:, 1:, 0] != self.fact_table[:, :-1, 0]
+        self._kept: dict[tuple[int, ...], tuple[FeatureSet, np.ndarray]] = {}
 
     def __len__(self) -> int:
         return len(self.features)
@@ -101,10 +99,13 @@ def evaluate_potential(fs: FeatureSet, w: list[float], state: State) -> float:
     return sum((w[i] for i in np.flatnonzero(truth_matrix(fs, [state])[0]).tolist()), 0.0)
 
 
-def pinned_features(fs: FeatureSet, domain_sizes) -> list[int]:
-    """Indices, in increasing order, of the features whose indicator is a
-    linear combination of the others' and whose weight can therefore be
-    fixed to 0 without changing any potential the set can express.
+def kept_features(fs: FeatureSet, domain_sizes) -> tuple[FeatureSet, np.ndarray]:
+    """The features whose weights the potential models keep, as a set in
+    `fs`'s order, and their indices into `fs` (increasing); computed once
+    per feature set and domain sizes.  The others are pinned: each one's
+    indicator is a linear combination of the kept ones', so the kept
+    features express every potential that `fs` can, and a pinned weight is
+    reported as 0.
 
     Every variable's reference value is 0, and the anchor is the lowest-id
     variable whose atoms are all in the set.  Feature f is pinned when it has
@@ -115,21 +116,29 @@ def pinned_features(fs: FeatureSet, domain_sizes) -> list[int]:
     facts than f and g fewer facts, so by induction every pinned indicator
     is a combination of kept ones.
     """
+    key = tuple(domain_sizes)
+    if key in fs._kept:
+        return fs._kept[key]
     present = {f.facts for f in fs.features}
     anchor = next((v for v, size in enumerate(domain_sizes)
                    if all(((v, x),) in present for x in range(size))), None)
-    pinned = []
+    index = []
     for i, f in enumerate(fs.features):
         for k, (var, val) in enumerate(f.facts):
             if val != 0:
                 continue
-            g = f.facts[:k] + f.facts[k + 1:]
-            if (g in present if g else anchor not in (None, var)) and all(
-                    tuple(sorted(g + ((var, u),))) in present
-                    for u in range(1, domain_sizes[var])):
-                pinned.append(i)
-                break
-    return pinned
+            # g = before + after, and g + (V, u) is f with u for 0
+            before, after = f.facts[:k], f.facts[k + 1:]
+            if ((before + after in present) if f.size > 1 else anchor not in (None, var)) \
+                    and all(before + ((var, u),) + after in present
+                            for u in range(1, domain_sizes[var])):
+                break  # pinned
+        else:
+            index.append(i)
+    index = np.array(index, dtype=np.int64)
+    kept = FeatureSet(tuple(fs.features[i] for i in index.tolist()))
+    fs._kept[key] = kept, index
+    return fs._kept[key]
 
 
 def truth_matrix(fs: FeatureSet, states) -> np.ndarray:

@@ -414,9 +414,6 @@ def _finish(model: LpModel, x: np.ndarray) -> LpSolution:
     violations = check_solution(model, x)
     if violations:
         raise SolverFailureError(f"solution violates rows: {', '.join(violations[:5])}")
-    lower, upper = _bounds(model)
-    fixed = lower == upper
-    x[fixed] = lower[fixed]  # a fixed column's value is its bound, never -0.0 for 0.0
     unknowns, objective = model.unknowns, model.objective
     # Summed term by term in unknown-name order, as `evaluate` sums a
     # LinearExpression, not in column order and not with `sum()` (which
@@ -426,10 +423,9 @@ def _finish(model: LpModel, x: np.ndarray) -> LpSolution:
     value = 0.0
     for j in sorted(objective, key=lambda j: unknowns[j][0]):
         value += objective[j] * float(x[j])
-    # a fixed column is at its bounds by definition and is not listed
-    active = ~fixed & (
-        (~np.isinf(lower) & (np.abs(x - lower) <= FEASIBILITY_TOL))
-        | (~np.isinf(upper) & (np.abs(x - upper) <= FEASIBILITY_TOL)))
+    lower, upper = _bounds(model)
+    active = ((~np.isinf(lower) & (np.abs(x - lower) <= FEASIBILITY_TOL))
+              | (~np.isinf(upper) & (np.abs(x - upper) <= FEASIBILITY_TOL)))
     return LpSolution("optimal", x, value,
                       tuple(unknowns[j][0] for j in np.flatnonzero(active)))
 

@@ -23,15 +23,18 @@ search references test every operator in every state with `is_applicable`
 and `successor`; the indexed successor generator has to reproduce them.
 The TCP model with one cost unknown per (abstraction, transition) is no
 builder's reference but the oracle of the eliminated one: same optimum, and
-the solution lifted into it is feasible.  Likewise the potential models
-built with `pin=False`, where no weight is fixed to 0, are the oracle of
-the pinned ones: same optimum.  The signed-cost Bellman-Ford
+the solution lifted into it is feasible.  The potential references have a
+weight unknown for every feature of the set they are given: over the kept
+features (`kept_features`) they are the builders' references, and over the
+whole set, pinned features included, the oracle of the builders: same
+optimum.  The signed-cost Bellman-Ford
 (`reference_goal_distances`) checks the goal distances of extracted cost
 functions.  `parse_lp` reads back exactly the text `export_lp` writes, the
 oracle of the export round trip.  The helpers that only tests call live
 here too: `shift_weights_to_goal`, `abstract_transitions`,
 `extract_cost_functions`, `validate_partition` and
 `features_of_abstractions` over the cost-partitioning models,
+`variables_of` (a feature's variables),
 `solve_general_for_state` and `solve_exhaustive_for_state` (one state's
 maximum potential over the compact and the exhaustive model), the seeded
 `random_features`, and the graphs `complete_graph`, `cycle_graph` and
@@ -53,7 +56,7 @@ from potplan.direct2d import (WEIGHT_LOWER, WEIGHT_UPPER, build_exhaustive_lp,
                               build_general_lp, extract_result, sample_states,
                               state_objective, weight_var_name)
 from potplan.elimination import OrderingError, check_order
-from potplan.features import Feature, FeatureError, FeatureSet, pinned_features
+from potplan.features import Feature, FeatureError, FeatureSet
 from potplan.lp import (FEASIBILITY_TOL, RELATIONS, ZERO, LinearExpression, LpError,
                         LpModel, MissingAssignmentError, check_solution, evaluate, solve)
 from potplan.search import NoPlanError, SearchResult, tiebreak_key
@@ -248,7 +251,7 @@ def classify_features(fs, op):
     op_vars = _require_tnf_operator(op)
     irrelevant, independent, dependent = [], [], []
     for i, f in enumerate(fs.features):
-        f_vars = set(f.variables)
+        f_vars = set(variables_of(f))
         if not f_vars & op_vars:
             irrelevant.append(i)
         elif f_vars <= op_vars:
@@ -256,6 +259,10 @@ def classify_features(fs, op):
         else:
             dependent.append(i)
     return OperatorPartition(tuple(irrelevant), tuple(independent), tuple(dependent))
+
+
+def variables_of(feature):
+    return tuple(var for var, _ in feature.facts)
 
 
 def true_in(feature, state):
@@ -275,7 +282,7 @@ def delta(op, feature, state):
 def delta_independent(op, feature):
     """State-independent delta of a context-independent feature."""
     op_vars = _require_tnf_operator(op)
-    if not set(feature.variables) <= op_vars:
+    if not set(variables_of(feature)) <= op_vars:
         raise FeatureError(f"feature {feature.facts} is not context-independent "
                            f"for operator {op.name}")
     return int(entailed_by(feature, op.pre)) - int(entailed_by(feature, op.eff))
@@ -411,7 +418,7 @@ def shift_weights_to_goal(ts, patterns, fs, w):
         pattern = tuple(sorted(pattern))
         goal_feature = Feature(tuple((v, goal_state[v]) for v in pattern))
         goal_weight[pattern] = w[fs.features.index(goal_feature)]
-    return [w[i] - goal_weight[f.variables] for i, f in enumerate(fs.features)]
+    return [w[i] - goal_weight[variables_of(f)] for i, f in enumerate(fs.features)]
 
 
 def abstract_transitions(proj, ts):
@@ -474,16 +481,10 @@ def features_of_abstractions(ts, patterns):
     return FeatureSet(tuple(features))
 
 
-def _reference_weights(model, task, fs, pin=True):
-    """One weight unknown per feature, bounded by ±1e8, or, with `pin`,
-    fixed to 0 if `pinned_features` names it (that rule is checked on its
-    own, against the rank of the truth matrix)."""
-    pinned = set(pinned_features(fs, task.domain_sizes)) if pin else set()
-    weight_vars = {}
-    for i, f in enumerate(fs.features):
-        bounds = (0.0, 0.0) if i in pinned else (WEIGHT_LOWER, WEIGHT_UPPER)
-        weight_vars[i] = add_unknown(model, weight_var_name(f), *bounds)
-    return weight_vars
+def _reference_weights(model, fs):
+    """One weight unknown per feature, bounded by ±1e8."""
+    return {i: add_unknown(model, weight_var_name(f), WEIGHT_LOWER, WEIGHT_UPPER)
+            for i, f in enumerate(fs.features)}
 
 
 def _reference_goal_row(model, task, fs, weight_vars):
@@ -491,9 +492,9 @@ def _reference_goal_row(model, task, fs, weight_vars):
     add_row(model, _reference_state_objective(fs, weight_vars, goal_state), "<=", 0.0, "goal")
 
 
-def reference_exhaustive_model(task, fs, ts, pin=True):
+def reference_exhaustive_model(task, fs, ts):
     model = LpModel()
-    weight_vars = _reference_weights(model, task, fs, pin)
+    weight_vars = _reference_weights(model, fs)
     _reference_goal_row(model, task, fs, weight_vars)
     for ti, (src, op_id, dst) in enumerate(ts.transitions):
         s, t = ts.states[src], ts.states[dst]
@@ -545,7 +546,7 @@ def _reference_operator_rows(task, fs, weight_vars, op_index):
 def reference_direct2d_model(task, fs):
     assert fs.dimension <= 2
     model = LpModel()
-    weight_vars = _reference_weights(model, task, fs)
+    weight_vars = _reference_weights(model, fs)
     _reference_goal_row(model, task, fs, weight_vars)
     for op_index in range(len(task.operators)):
         main, z_names, z_rows = _reference_operator_rows(task, fs, weight_vars, op_index)
@@ -808,14 +809,14 @@ def random_features(task, count, max_size, seed):
     return FeatureSet(tuple(features))
 
 
-def reference_general_model(task, fs, orderings=None, pin=True):
+def reference_general_model(task, fs, orderings=None):
     """The compact model of any dimension as the classified construction
     writes it: per operator, the cost row holds the context-independent
     changes (`delta_independent`), and bucket elimination runs only over
     the scoped functions of the context-dependent features, its result
     merged into the cost row."""
     model = LpModel()
-    weight_vars = _reference_weights(model, task, fs, pin)
+    weight_vars = _reference_weights(model, fs)
     _reference_goal_row(model, task, fs, weight_vars)
     for op_index, op in enumerate(task.operators):
         partition = classify_features(fs, op)
@@ -859,10 +860,10 @@ def reference_general_model(task, fs, orderings=None, pin=True):
 
 
 def _maximize(task, fs, model, state):
-    """Maximize the potential of one state over a built model.  Auxiliary
-    unknowns never enter the objective (their one-sided slack would otherwise
-    distort it)."""
-    model.set_objective("max", state_objective(fs, state))
+    """Maximize the potential of one state over a model built over `fs`.
+    Auxiliary unknowns never enter the objective (their one-sided slack
+    would otherwise distort it)."""
+    model.set_objective("max", state_objective(task, fs, state))
     return extract_result(fs, task, solve(model).require_optimal())
 
 

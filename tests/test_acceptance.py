@@ -204,7 +204,7 @@ def test_criterion_9_size_formula():
             for op in task.operators:
                 expected += 1
                 context_vars = {var for i in classify_features(fs, op).context_dependent
-                                for var in fs.features[i].variables if var not in op.eff}
+                                for var, _ in fs.features[i].facts if var not in op.eff}
                 expected += sum(task.variables[v].domain_size
                                 for v in context_vars)
             assert len(model_rows(model)) == expected, seed

@@ -2,7 +2,8 @@ import pytest
 
 from potplan.direct2d import (PotentialLpError, build_direct2d_lp, build_general_lp,
                               sample_states, solve_for_state, state_objective)
-from potplan.features import Feature, FeatureSet, evaluate_potential, generate_features
+from potplan.features import (Feature, FeatureSet, evaluate_potential, generate_features,
+                              kept_features)
 from potplan.generator import random_task
 from potplan.lp import LinearExpression, evaluate, solve
 from potplan.search import PotentialHeuristic, validate
@@ -66,10 +67,11 @@ def test_operator_rows_dim2(toy1):
     assert rows["op0"].expression.coefficients() == {
         "w_v0.0": 1.0, "w_v0.1": -1.0, z: 1.0}
     assert [name for name in rows if name.startswith("z_o0_")] == [f"{z}.0", f"{z}.1"]
-    # z >= w(X=0 & Y=v) - w(X=1 & Y=v) for v in {0, 1}
+    # z >= w(X=0 & Y=v) - w(X=1 & Y=v) for v in {0, 1}, where every pair with
+    # a value-0 fact is pinned and has no column
     expected = [
-        {z: 1.0, "w_v0.0__v1.0": -1.0, "w_v0.1__v1.0": 1.0},
-        {z: 1.0, "w_v0.0__v1.1": -1.0, "w_v0.1__v1.1": 1.0},
+        {z: 1.0},
+        {z: 1.0, "w_v0.1__v1.1": 1.0},
     ]
     for value, coeffs in enumerate(expected):
         row = rows[f"{z}.{value}"]
@@ -176,7 +178,7 @@ def test_row_count_formula(seed):
     for op in task.operators:
         expected += 1
         context_vars = {var for i in classify_features(fs, op).context_dependent
-                        for var in fs.features[i].variables if var not in op.eff}
+                        for var, _ in fs.features[i].facts if var not in op.eff}
         expected += sum(task.variables[v].domain_size for v in context_vars)
     assert len(model_rows(model)) == expected
 
@@ -201,8 +203,8 @@ def test_z_vars_keyed_by_context_pairs(seed):
 def test_sampled_objective_is_deterministic(toy1):
     fs = generate_features(toy1, 2)
     model = build_direct2d_lp(toy1, fs)
-    obj1 = state_objective(fs, *sample_states(toy1, 8, seed=3))
-    obj2 = state_objective(fs, *sample_states(toy1, 8, seed=3))
+    obj1 = state_objective(toy1, fs, *sample_states(toy1, 8, seed=3))
+    obj2 = state_objective(toy1, fs, *sample_states(toy1, 8, seed=3))
     assert obj1 == obj2
     assert sample_states(toy1, 5, seed=3) == sample_states(toy1, 5, seed=3)
     model.set_objective("max", obj1)
@@ -234,8 +236,9 @@ def test_state_objective_equals_repeated_addition(seed, dimension, count):
     else:
         fs = random_features(task, 10, 3, seed)
     model = build_general_lp(task, fs)
-    objective = state_objective(fs, *sample_states(task, count, seed))
-    assert objective == column_terms(model, reference_samples_objective(task, fs, count, seed))
+    kept = kept_features(fs, task.domain_sizes)[0]
+    objective = state_objective(task, fs, *sample_states(task, count, seed))
+    assert objective == column_terms(model, reference_samples_objective(task, kept, count, seed))
 
 
 def test_goal_potential_reported(toy1):
@@ -254,14 +257,15 @@ def test_objective_is_summed_in_unknown_name_order():
     task = random_task(6, 2, 16, 26)
     fs = generate_features(task, 2)
     model = build_direct2d_lp(task, fs)
-    model.set_objective("max", state_objective(fs, task.initial_state))
+    kept = kept_features(fs, task.domain_sizes)[0]
+    model.set_objective("max", state_objective(task, fs, task.initial_state))
     solution = solve(model).require_optimal()
     names = [name for name, _, _ in model.unknowns]
     by_name = LinearExpression.build(0.0, {names[j]: c for j, c in model.objective.items()})
     value = solve_for_state(task, fs, task.initial_state).value
     values = solution_values(model, solution)
     assert value == solution.objective_value == evaluate(by_name, values) == 25.0
-    assert max(abs(w) for w in solution.x[:len(fs)]) == 1e8
+    assert max(abs(w) for w in solution.x[:len(kept)]) == 1e8
     by_column = 0.0
     for column, coefficient in sorted(model.objective.items()):
         by_column += coefficient * float(solution.x[column])

@@ -7,7 +7,7 @@ import pytest
 from potplan.direct2d import build_general_lp, solve_for_state, weight_var_name
 from potplan.elimination import (OrderingError, adjacency, check_order, classify,
                                  eliminate_graphs)
-from potplan.features import Feature, FeatureSet, generate_features
+from potplan.features import Feature, FeatureSet, generate_features, kept_features
 from potplan.generator import random_task
 from potplan.lp import LinearExpression, evaluate, export_lp, solve
 from potplan.reduction import reduce_3col
@@ -21,7 +21,7 @@ from reference_builders import (DependencyGraph, ScopedFunction, brute_force_max
                                 random_scoped_set, reference_bucket_eliminate,
                                 reference_induced_width, reference_min_fill_order,
                                 solution_values, solve_exhaustive_for_state,
-                                solve_general_for_state)
+                                solve_general_for_state, variables_of)
 
 
 def operator_pairs(task, fs, op_index):
@@ -67,7 +67,7 @@ def test_scoped_functions_independent_have_empty_scope(toy1):
     fs = generate_features(toy1, 1)
     op = toy1.operators[0]
     pairs = operator_pairs(toy1, fs, 0)
-    expected = [i for i, f in enumerate(fs.features) if set(f.variables) <= set(op.eff)]
+    expected = [i for i, f in enumerate(fs.features) if set(variables_of(f)) <= set(op.eff)]
     assert [i for i, _, _ in pairs] == expected and len(expected) == 2
     for i, facts, change in pairs:
         assert facts == ()
@@ -363,7 +363,8 @@ def test_general_lp_dim1_reduces_to_plain_rows(toy1):
     fs = generate_features(toy1, 1)
     model = build_general_lp(toy1, fs)
     assert len(model_rows(model)) == 3  # goal + one per operator
-    assert len(model.unknowns) == len(fs)  # no elimination unknowns
+    # the kept weights (Y=0 is pinned), no elimination unknowns
+    assert len(model.unknowns) == len(kept_features(fs, toy1.domain_sizes)[0]) == 3
     assert solve_general_for_state(toy1, fs, toy1.initial_state).value == \
         pytest.approx(2.0)
 
@@ -439,4 +440,4 @@ def test_general_lp_graphs_and_functions_per_operator(monkeypatch):
     # one function per feature sharing a variable with the operator, no more
     for op_index, op in enumerate(task.operators):
         assert len(operator_pairs(task, fs, op_index)) == sum(
-            1 for f in fs.features if set(f.variables) & set(op.eff))
+            1 for f in fs.features if set(variables_of(f)) & set(op.eff))

@@ -8,7 +8,7 @@ from potplan.generator import random_task
 from potplan.task import build_transition_system, is_applicable, iter_states
 
 from reference_builders import (classify_features, delta, delta_independent, random_features,
-                                true_in)
+                                true_in, variables_of)
 
 
 def w_for(fs, mapping):
@@ -36,11 +36,10 @@ def test_same_variable_conjunction_rejected():
         Feature.of(((0, 0), (0, 1)))
 
 
-def test_cached_variables_leave_equality_order_and_hash_alone():
+def test_feature_equality_order_and_hash_follow_the_sorted_facts():
     a, b = Feature.of(((2, 1), (0, 0))), Feature.of(((0, 0), (2, 1)))
-    assert a.variables == (0, 2)
+    assert a.facts == ((0, 0), (2, 1))
     assert a == b and hash(a) == hash(b)
-    assert b.variables is b.variables
     assert Feature.of(((0, 0),)) < a < Feature.of(((0, 1),))
     assert sorted([Feature.of(((1, 0),)), a]) == [a, Feature.of(((1, 0),))]
 
@@ -133,7 +132,7 @@ def test_touching_matches_feature_scan(seed):
     assert classes.operator.tolist() == sorted(classes.operator.tolist())
     for k, op in enumerate(task.operators):
         touching = classes.feature[classes.starts[k]:classes.starts[k + 1]].tolist()
-        expected = [i for i, f in enumerate(fs.features) if set(f.variables) & set(op.eff)]
+        expected = [i for i, f in enumerate(fs.features) if set(variables_of(f)) & set(op.eff)]
         assert touching == expected
         part = classify_features(fs, op)
         assert touching == sorted(part.context_independent + part.context_dependent)

@@ -153,10 +153,13 @@ def test_bound_active_flag():
     m = LpModel()
     add_unknown(m, "x", -1.0, 1.0)
     add_unknown(m, "y")
+    add_unknown(m, "one", 1.0, 1.0)
     add_row(m, term("y") - term("x"), "<=", 0)
-    m.set_objective("max", column_terms(m, term("y")))
+    m.set_objective("max", column_terms(m, term("y") + term("one")))
     sol = solve(m)
     assert "x" in sol.bound_active and "y" not in sol.bound_active
+    # a fixed column is at its bound like any other, and is listed
+    assert "one" in sol.bound_active and sol.objective_value == 2.0
 
 
 def test_export_format():
@@ -188,7 +191,7 @@ def test_export_toy1_dim1_shape(toy1):
     from potplan.features import generate_features
     model = build_direct2d_lp(toy1, generate_features(toy1, 1))
     doc = export_lp(model)
-    assert len(model.unknowns) == 4
+    assert len(model.unknowns) == 3  # the atom Y=0 is pinned and has no column
     assert len(model_rows(model)) == 3
     lines = doc.splitlines()
     rows = lines[lines.index("Subject To") + 1:lines.index("Bounds")]
@@ -606,7 +609,7 @@ def test_potential_models_start_dual_and_cost_partitioning_models_primal():
                  (direct2d.build_general_lp(task, fs3), fs3),
                  (direct2d.build_exhaustive_lp(task, fs2, ts), fs2)]
     for model, fs in potential:
-        model.set_objective("max", direct2d.state_objective(fs, state))
+        model.set_objective("max", direct2d.state_objective(task, fs, state))
         solve(model).require_optimal()
         assert _cold_strategy(model) == DUAL
     patterns = costpart.all_patterns(len(task.variables))
@@ -759,7 +762,7 @@ def _compare_models(task, ts, state):
     for dim in (1, 2):
         fs = generate_features(task, dim)
         model = direct2d.build_direct2d_lp(task, fs)
-        model.set_objective("max", direct2d.state_objective(fs, state))
+        model.set_objective("max", direct2d.state_objective(task, fs, state))
         models.append(model)
     for build in (costpart.build_ocp_lp, costpart.build_tcp_lp):
         models.append(build(ts, patterns, state).model)

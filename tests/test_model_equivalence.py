@@ -2,7 +2,9 @@
 bucket-elimination assembler at any dimension, produce exactly the models of
 their references: export_lp of both is byte-identical and the
 stored matrices are equal, so HiGHS sees the same columns, rows and
-coefficients.  The TCP model, whose cost unknowns are eliminated, is also
+coefficients.  The potential builders write weight columns for the kept
+features only (`kept_features`), so their references are built over the
+kept set.  The TCP model, whose cost unknowns are eliminated, is also
 solved against the full model with them."""
 
 import math
@@ -14,7 +16,7 @@ import pytest
 from potplan.costpart import all_patterns, build_ocp_lp, build_tcp_lp, project
 from potplan.direct2d import build_direct2d_lp, build_exhaustive_lp, build_general_lp
 from potplan.elimination import adjacency, classify, eliminate_graphs
-from potplan.features import FeatureSet, generate_features
+from potplan.features import FeatureSet, generate_features, kept_features
 from potplan.generator import random_task
 from potplan.lp import export_lp, solve
 from potplan.reduction import reduce_3col
@@ -26,7 +28,7 @@ from reference_builders import (abstract_transitions, check_values, complete_gra
                                 reference_direct2d_model, reference_exhaustive_model,
                                 reference_general_model, reference_ocp_model,
                                 reference_projection, reference_tcp_eliminated_model,
-                                reference_tcp_model, solution_values)
+                                reference_tcp_model, solution_values, variables_of)
 
 
 def toy1_with_self_loop() -> Task:
@@ -39,6 +41,12 @@ def toy1_with_self_loop() -> Task:
 TASKS = {"toy1": make_toy1, "toy1_self_loop": toy1_with_self_loop}
 TASKS.update({f"random{seed}": (lambda seed=seed: random_task(3, 3, 6, seed))
               for seed in range(6)})
+
+
+def kept(task, fs):
+    """The features the potential builders write weight columns for; the
+    references take them as their whole set."""
+    return kept_features(fs, task.domain_sizes)[0]
 
 
 def assert_same_model(model, reference):
@@ -120,7 +128,7 @@ def test_exhaustive_model_matches_reference(name):
                     random_features(task, 8, 3, 0), FeatureSet(())]
     for fs in feature_sets:
         assert_same_model(build_exhaustive_lp(task, fs, ts),
-                          reference_exhaustive_model(task, fs, ts))
+                          reference_exhaustive_model(task, kept(task, fs), ts))
 
 
 def test_instances_cover_self_loops_and_duplicates():
@@ -150,7 +158,7 @@ POTENTIAL_TASKS.update({f"random{seed}": (lambda seed=seed: random_task(4, 3, 6,
 def test_direct2d_model_matches_reference(name, dimension):
     task = POTENTIAL_TASKS[name]()
     fs = generate_features(task, dimension)
-    reference = reference_direct2d_model(task, fs)
+    reference = reference_direct2d_model(task, kept(task, fs))
     assert_same_model(build_direct2d_lp(task, fs), reference)
     assert_same_model(build_general_lp(task, fs), reference)
 
@@ -203,10 +211,10 @@ def test_general_model_matches_reference(name):
     min-fill orders and with each of them reversed.  The reference is the
     symbolic eliminator over linear expressions."""
     task, fs = GENERAL_CASES[name]()
-    assert_same_model(build_general_lp(task, fs), reference_general_model(task, fs))
+    assert_same_model(build_general_lp(task, fs), reference_general_model(task, kept(task, fs)))
     orders = reversed_min_fill_orders(task, fs)
     assert_same_model(build_general_lp(task, fs, orders),
-                      reference_general_model(task, fs, orders))
+                      reference_general_model(task, kept(task, fs), orders))
 
 
 def test_general_instances_cover_context_edges():
@@ -240,7 +248,7 @@ def untouched_task():
     touch no feature."""
     task = random_task(4, 3, 6, 3)
     return task, FeatureSet(tuple(f for f in generate_features(task, 2)
-                                  if set(f.variables) <= {1, 2}))
+                                  if set(variables_of(f)) <= {1, 2}))
 
 
 def with_features(make_task, dimension):
@@ -262,7 +270,7 @@ def test_width0_pass_matches_bucket_loop(name):
     each operator on its own in the symbolic eliminator writes, byte for
     byte."""
     task, fs = WIDTH0_CASES[name]()
-    assert_same_model(build_general_lp(task, fs), reference_general_model(task, fs))
+    assert_same_model(build_general_lp(task, fs), reference_general_model(task, kept(task, fs)))
 
 
 def test_width0_instances_cover_edge_cases():
@@ -295,7 +303,7 @@ def test_width0_operator_named_in_orderings_keeps_its_order():
                     if len(context) > 1)
     orders = {op_index: list(range(len(task.variables)))}  # context variables descending
     model = build_general_lp(task, fs, orders)
-    assert_same_model(model, reference_general_model(task, fs, orders))
+    assert_same_model(model, reference_general_model(task, kept(task, fs), orders))
     assert export_lp(model) != export_lp(build_general_lp(task, fs))
 
 
@@ -308,7 +316,7 @@ def untouched_dimension3():
     """No feature mentions variable 4: the two operators on it alone touch
     no feature."""
     task, fs = random_dimension(3, 3)
-    return task, FeatureSet(tuple(f for f in fs if 4 not in f.variables))
+    return task, FeatureSet(tuple(f for f in fs if 4 not in variables_of(f)))
 
 
 LOOP_CASES = {"k4_reduction": k4_reduction, "domain1_alias": make_alias_task,
@@ -336,11 +344,11 @@ def test_bucket_pass_matches_loop_reference(name):
     random orders named for some operators (which then take the lockstep
     pass at any width)."""
     task, fs = LOOP_CASES[name]()
-    assert_same_model(build_general_lp(task, fs), reference_general_model(task, fs))
+    assert_same_model(build_general_lp(task, fs), reference_general_model(task, kept(task, fs)))
     for seed in range(3):
         orders = random_orders(task, f"{name}:{seed}")
         assert_same_model(build_general_lp(task, fs, orders),
-                          reference_general_model(task, fs, orders))
+                          reference_general_model(task, kept(task, fs), orders))
 
 
 def test_bucket_pass_alias_matches_loop_reference():
@@ -349,7 +357,7 @@ def test_bucket_pass_alias_matches_loop_reference():
     task, fs = make_alias_task()
     orders = {0: [0, 1, 2]}
     model = build_general_lp(task, fs, orders)
-    assert_same_model(model, reference_general_model(task, fs, orders))
+    assert_same_model(model, reference_general_model(task, kept(task, fs), orders))
     names = [name for name, _, _ in model.unknowns]
     assert "z_o0_v2__v1.0" in names and not any(n.startswith("z_o0_v1") for n in names)
 

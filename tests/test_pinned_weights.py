@@ -1,14 +1,17 @@
 """Pinned weights and the all-states tie-break.
 
-`pinned_features` fixes some weights to 0.  The rule is checked against its
-definition: over all syntactic states, the truth matrix of the kept features
-has the rank of the full one, so both express the same potentials.  Solved
-models are checked against the same models with no weight pinned (built by
-`reference_builders`), and the tie-broken weights that `solve_for_state`
+`kept_features` keeps the features whose weights the potential models have
+columns for; the others are pinned, reported as 0.  The rule is checked
+against its definition: over all syntactic states, the truth matrix of the
+kept features has the rank of the full one, so both express the same
+potentials.  Solved models are checked against the same models over every
+feature (built by `reference_builders`), the CLI's output and model against
+the full feature set, and the tie-broken weights that `solve_for_state`
 hands to search against the explicit-state validator.
 """
 
 import itertools
+import json
 import math
 import os
 import random
@@ -16,20 +19,34 @@ import random
 import numpy as np
 import pytest
 
-from potplan.direct2d import (all_states_objective, build_exhaustive_lp, build_general_lp,
-                              solve_for_state, state_objective, weight_var_name)
-from potplan.features import (Feature, FeatureSet, generate_features, pinned_features,
-                              truth_matrix)
+from potplan import direct2d
+from potplan.cli import main
+from potplan.direct2d import (all_states_objective, build_direct2d_lp, build_exhaustive_lp,
+                              build_general_lp, extract_result, solve_for_state,
+                              state_objective, weight_var_name)
+from potplan.features import (Feature, FeatureSet, format_feature, generate_features,
+                              kept_features, truth_matrix)
 from potplan.generator import random_task
-from potplan.lp import solve
+from potplan.lp import export_lp, solve
 from potplan.search import PotentialHeuristic, validate
 from potplan.task import build_transition_system, exact_goal_distances, iter_states, parse_sas
 
 from conftest import make_alias_task, make_toy1
-from reference_builders import (random_features, reference_exhaustive_model,
+from reference_builders import (parse_lp, random_features, reference_exhaustive_model,
                                 reference_general_model)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+COMPACT_502_1 = os.path.join(DATA, "compact_502_1.sas")
+
+
+def compact_502_1():
+    with open(COMPACT_502_1, encoding="utf-8") as f:
+        return parse_sas(f.read())
+
+
+def pinned(fs, domain_sizes):
+    """Indices of the features `kept_features` leaves out."""
+    return sorted(set(range(len(fs))) - set(kept_features(fs, domain_sizes)[1].tolist()))
 
 
 def conjunctions(task, dimension):
@@ -71,10 +88,9 @@ def test_kept_features_span_all_potentials(seed, dimension):
     task = random_task(4, 3, 6, seed)
     pinned_total = 0
     for fs in feature_sets(task, dimension, seed):
-        pinned = set(pinned_features(fs, task.domain_sizes))
-        kept = [i for i in range(len(fs)) if i not in pinned]
+        kept = kept_features(fs, task.domain_sizes)[1].tolist()
         assert rank(task, fs, kept) == rank(task, fs, list(range(len(fs))))
-        pinned_total += len(pinned)
+        pinned_total += len(fs) - len(kept)
     assert pinned_total > 0
 
 
@@ -82,17 +98,16 @@ def test_pin_counts_on_a_ten_variable_task():
     """Domain 3 everywhere: at dimension 2 every feature with a value-0 fact
     is pinned except the anchor's atom; over atoms plus triples only the
     value-0 atoms of the other variables."""
-    with open(os.path.join(DATA, "compact_502_1.sas"), encoding="utf-8") as f:
-        task = parse_sas(f.read())
+    task = compact_502_1()
     fs = generate_features(task, 2)
-    pinned = pinned_features(fs, task.domain_sizes)
-    assert (len(pinned), len(fs)) == (234, 435)
+    left_out = pinned(fs, task.domain_sizes)
+    assert (len(left_out), len(fs)) == (234, 435)
     assert [i for i, f in enumerate(fs.features)
-            if i not in pinned and any(val == 0 for _, val in f.facts)] == [0]
+            if i not in left_out and any(val == 0 for _, val in f.facts)] == [0]
     atoms = [f for f in fs.features if f.size == 1]
     triples = [Feature(((0, 0), (1, 0), (2, 0))), Feature(((3, 0), (5, 1), (9, 0)))]
     fs = FeatureSet(tuple(atoms + triples))
-    assert [fs.features[i].facts for i in pinned_features(fs, task.domain_sizes)] == \
+    assert [fs.features[i].facts for i in pinned(fs, task.domain_sizes)] == \
         [((v, 0),) for v in range(1, 10)]
 
 
@@ -102,25 +117,54 @@ def test_no_anchor_pins_no_atom():
     task = make_toy1()
     fs = FeatureSet((Feature(((0, 0),)), Feature(((1, 1),)), Feature(((0, 0), (1, 0))),
                      Feature(((0, 0), (1, 1)))))
-    assert pinned_features(fs, task.domain_sizes) == [2]
+    assert pinned(fs, task.domain_sizes) == [2]
     task, fs = make_alias_task()
-    assert pinned_features(fs, task.domain_sizes) == []
+    assert pinned(fs, task.domain_sizes) == []
 
 
-def objectives(task, fs, ts):
-    """The initial state's potential and that of the solvable state halfway
-    through the state list.  At a dead end the optimum is set by the ±1e8
-    bound, which pinning changes, not by the task."""
+def assert_computed_once(task, fs):
+    """The kept set has the features at its indices, in `fs`'s order;
+    asked again, the same objects."""
+    kept, index = kept_features(fs, task.domain_sizes)
+    assert index.tolist() == sorted(set(index.tolist()))
+    assert kept.features == tuple(fs.features[i] for i in index.tolist())
+    assert kept_features(fs, task.domain_sizes)[0] is kept
+    assert kept_features(fs, task.domain_sizes)[1] is index
+    return kept
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_kept_set_is_computed_once(dimension):
+    task = random_task(4, 3, 6, dimension)
+    for fs in feature_sets(task, dimension, dimension):
+        assert_computed_once(task, fs)
+
+
+def test_kept_set_below_the_dimension_of_its_set():
+    """The pair with the domain-1 variable b is pinned, so the kept set has
+    dimension 1 and tables one fact wide."""
+    task, _ = make_alias_task()
+    fs = FeatureSet((Feature(((0, 0),)), Feature(((0, 1),)), Feature(((0, 1), (1, 0)))))
+    kept = assert_computed_once(task, fs)
+    assert (fs.dimension, len(kept), kept.dimension, kept.fact_table.shape) == (2, 2, 1, (2, 1, 2))
+
+
+def objective_states(task, ts):
+    """The initial state and the solvable state halfway through the state
+    list.  At a dead end the optimum is set by the ±1e8 bound, which pinning
+    changes, not by the task."""
     distances = exact_goal_distances(ts)
     solvable = [tuple(s) for s, d in zip(ts.states.tolist(), distances) if d < math.inf]
-    return [state_objective(fs, task.initial_state),
-            state_objective(fs, solvable[len(solvable) // 2])]
+    return [task.initial_state, solvable[len(solvable) // 2]]
 
 
-def assert_same_optima(model, unpinned, terms):
-    for objective in terms:
-        model.set_objective("max", objective)
-        unpinned.set_objective("max", objective)
+def assert_same_optima(task, fs, model, unpinned, states):
+    """The model over the kept features of `fs` and the one over all of
+    them (feature i on column i) have the same optima at the states."""
+    for state in states:
+        model.set_objective("max", state_objective(task, fs, state))
+        unpinned.set_objective("max", {i: 1.0 for i in
+                                       np.flatnonzero(truth_matrix(fs, [state])[0]).tolist()})
         ours, reference = solve(model), solve(unpinned)
         assert ours.status == reference.status
         if ours.status == "optimal":
@@ -130,17 +174,17 @@ def assert_same_optima(model, unpinned, terms):
 @pytest.mark.parametrize("seed", range(8))
 @pytest.mark.parametrize("dimension", [1, 2, 3])
 def test_pinned_models_keep_the_optimum(seed, dimension):
-    """At solvable states the compact and exhaustive models with pinned
-    weights have the optima of the same models with every weight bounded by
-    ±1e8."""
+    """At solvable states the compact and exhaustive models over the kept
+    features have the optima of the same models over every feature, each
+    weight bounded by ±1e8."""
     task = random_task(4, 3, 6, seed)
     ts = build_transition_system(task)
+    states = objective_states(task, ts)
     for fs in feature_sets(task, dimension, seed):
-        terms = objectives(task, fs, ts)
-        assert_same_optima(build_general_lp(task, fs),
-                           reference_general_model(task, fs, pin=False), terms)
-        assert_same_optima(build_exhaustive_lp(task, fs, ts),
-                           reference_exhaustive_model(task, fs, ts, pin=False), terms)
+        assert_same_optima(task, fs, build_general_lp(task, fs),
+                           reference_general_model(task, fs), states)
+        assert_same_optima(task, fs, build_exhaustive_lp(task, fs, ts),
+                           reference_exhaustive_model(task, fs, ts), states)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -156,37 +200,100 @@ def test_tie_broken_weights_are_valid(seed, dimension):
     report = validate(task, heuristic)
     assert report.goal_aware and report.consistent and report.admissible
     model = build_general_lp(task, fs)
-    model.set_objective("max", state_objective(fs, task.initial_state))
+    model.set_objective("max", state_objective(task, fs, task.initial_state))
     optimum = solve(model).require_optimal().objective_value
     assert result.value == optimum
     assert heuristic(task.initial_state) >= optimum - 1e-6 * max(1.0, abs(optimum)) - 1e-9
 
 
 def test_all_states_objective_is_the_mean_over_states():
+    """Over the kept features' columns, each feature's share of all
+    syntactic states."""
     task = random_task(4, 3, 6, 1)
     fs = FeatureSet(tuple(conjunctions(task, 3)))
+    kept = kept_features(fs, task.domain_sizes)[0]
     states = list(iter_states(task.domain_sizes))
-    expected = truth_matrix(fs, states).sum(axis=0) / len(states)
-    objective = all_states_objective(fs, task.domain_sizes)
-    assert list(objective) == list(range(len(fs)))
+    expected = truth_matrix(kept, states).sum(axis=0) / len(states)
+    objective = all_states_objective(task, fs)
+    assert list(objective) == list(range(len(kept))) and len(kept) < len(fs)
     assert np.allclose(list(objective.values()), expected, rtol=0, atol=1e-15)
     # feature f holds in the share 1 / Π_{V in vars(f)} |D_V| of the states
-    assert objective == {i: 1.0 / math.prod(task.domain_sizes[v] for v in f.variables)
-                         for i, f in enumerate(fs.features)}
+    assert objective == {i: 1.0 / math.prod(task.domain_sizes[v] for v, _ in f.facts)
+                         for i, f in enumerate(kept.features)}
 
 
 def test_pinned_weights_are_zero_and_not_bound_active():
+    """Pinned weights have no column; the extracted and the tie-broken
+    weights report them as +0.0, and no bound list names them."""
     task = random_task(4, 3, 6, 2)
     fs = generate_features(task, 2)
-    pinned = pinned_features(fs, task.domain_sizes)
+    kept, index = kept_features(fs, task.domain_sizes)
+    left_out = pinned(fs, task.domain_sizes)
+    names = {weight_var_name(fs.features[i]) for i in left_out}
     model = build_general_lp(task, fs)
-    model.set_objective("max", state_objective(fs, task.initial_state))
+    assert [name for name, _, _ in model.unknowns[:len(kept)]] == \
+        [weight_var_name(f) for f in kept.features]
+    assert left_out and not names & {name for name, _, _ in model.unknowns}
+    model.set_objective("max", state_objective(task, fs, task.initial_state))
     solution = solve(model).require_optimal()
-    names = {weight_var_name(fs.features[i]) for i in pinned}
-    assert pinned and not names & set(solution.bound_active)
-    assert all(math.copysign(1.0, solution.x[i]) == 1.0 and solution.x[i] == 0.0
-               for i in pinned)
-    result = solve_for_state(task, fs, task.initial_state)
-    assert all(math.copysign(1.0, result.weights[i]) == 1.0 and result.weights[i] == 0.0
-               for i in pinned)
-    assert not names & set(result.bound_active)
+    result = extract_result(fs, task, solution)
+    assert [result.weights[i] for i in index.tolist()] == solution.x[:len(kept)].tolist()
+    for weights in (result.weights, solve_for_state(task, fs, task.initial_state).weights):
+        assert len(weights) == len(fs)
+        assert all(math.copysign(1.0, weights[i]) == 1.0 and weights[i] == 0.0
+                   for i in left_out)
+    assert not names & set(solution.bound_active)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_potential_models_have_no_fixed_column(seed):
+    """No potential model fixes a column: direct2d, bucket at dimension 3
+    and exhaustive."""
+    task = random_task(4, 3, 6, seed)
+    fs2, fs3 = generate_features(task, 2), random_features(task, 10, 3, seed)
+    models = [build_direct2d_lp(task, fs2), build_general_lp(task, fs3),
+              build_exhaustive_lp(task, fs2)]
+    for model in models:
+        assert all(lower < upper for _, lower, upper in model.unknowns)
+
+
+def test_solve_compact_502_1_reports_every_weight(capsys, monkeypatch):
+    """`solve` prints all 435 weights of the dimension-2 set, the 234 pinned
+    ones exactly 0.0, from a model with one weight column per kept feature
+    (201) and no column whose bounds meet."""
+    built = []
+
+    def recording(task, fs):
+        built.append(model := build_direct2d_lp(task, fs))
+        return model
+
+    monkeypatch.setattr(direct2d, "build_direct2d_lp", recording)
+    assert main(["solve", COMPACT_502_1]) == 0
+    weights = json.loads(capsys.readouterr().out)["weights"]
+    task = compact_502_1()
+    fs = generate_features(task, 2)
+    assert list(weights) == [format_feature(task, f) for f in fs.features]
+    left_out = pinned(fs, task.domain_sizes)
+    assert len(left_out) == 234
+    assert all(weights[format_feature(task, fs.features[i])] == 0.0 for i in left_out)
+    model, = built
+    columns = [name for name, _, _ in model.unknowns if name.startswith("w_")]
+    assert len(columns) == 201
+    assert all(lower < upper for _, lower, upper in model.unknowns)
+
+
+@pytest.mark.parametrize("method", ["direct2d", "bucket"])
+def test_lp_export_of_the_kept_model_reads_back(capsys, tmp_path, method):
+    """`lp --out` writes the model over the 201 kept weights of
+    compact_502_1, and `parse_lp` reads it back to the same text and
+    model."""
+    out = tmp_path / "model.lp"
+    assert main(["lp", "--method", method, COMPACT_502_1, "--out", str(out)]) == 0
+    text = out.read_text()
+    parsed = parse_lp(text)
+    assert export_lp(parsed) == text
+    weights = [name for name, _, _ in parsed.unknowns if name.startswith("w_")]
+    assert len(weights) == 201
+    task = compact_502_1()
+    kept = kept_features(generate_features(task, 2), task.domain_sizes)[0]
+    assert weights == [weight_var_name(f) for f in kept.features]

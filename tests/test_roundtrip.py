@@ -71,9 +71,9 @@ def test_potential_lp_round_trip(n_vars, max_dom, n_ops, seed, dimension, sample
         fs = random_features(task, 8, 3, seed)
     model = build_general_lp(task, fs)
     if samples:
-        objective = state_objective(fs, *sample_states(task, samples, seed))
+        objective = state_objective(task, fs, *sample_states(task, samples, seed))
     else:
-        objective = state_objective(fs, task.initial_state)
+        objective = state_objective(task, fs, task.initial_state)
     model.set_objective("max", objective)
     assert_lp_round_trip(model)
 
@@ -83,6 +83,6 @@ def test_potential_lp_round_trip_with_assignment_suffixes():
     rows carry the assignment to the remaining scope in their names."""
     red = reduce_3col(complete_graph(4))
     model = build_general_lp(red.task, red.features)
-    model.set_objective("max", state_objective(red.features, red.task.initial_state))
+    model.set_objective("max", state_objective(red.task, red.features, red.task.initial_state))
     assert any("__v" in name for name, _, _ in model.unknowns if name.startswith("z_"))
     assert_lp_round_trip(model)

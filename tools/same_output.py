@@ -20,7 +20,9 @@ compared LP by LP), and `random_task(4, 3, 6, seed)` with
 `random_features(task, 10, dim, seed)` for seeds 0..5 and dimensions 1-4 as
 feature files (`random_features` is taken from `tests/reference_builders.py`
 beside this tool, so either tree can be BEFORE_TREE and the files stay the
-same), plus four `--order` files (at dimension 3 one that reverses every
+same; that module is imported with BEFORE_TREE's `potplan`, so where it
+imports a name BEFORE_TREE lacks, run the copy of this tool in BEFORE_TREE),
+plus four `--order` files (at dimension 3 one that reverses every
 operator's min-fill order, one that gives every other operator a seeded
 random order and leaves the rest to min-fill, and one missing a variable; at
 dimension 2 one that gives an operator with two context variables an order
@@ -170,7 +172,7 @@ def prepare(tree: str, workdir: str, extra: list[str]) -> None:
                 classes = classify(task, fs)
                 op = next(op for k, op in enumerate(task.operators)
                           if len({v for i in classes.feature[classes.operator == k].tolist()
-                                  for v in fs.features[i].variables} - op.eff.keys()) > 1)
+                                  for v, _ in fs.features[i].facts} - op.eff.keys()) > 1)
                 _write("width0_order.json",
                        json.dumps({op.name: [v.name for v in task.variables]}))
                 base = ["--method", "bucket", "--features", features,
