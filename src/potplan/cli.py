@@ -165,7 +165,7 @@ def cmd_solve(args) -> int:
         "method": args.method,
         "dimension": fs.dimension,
         "goal_potential": round(result.goal_potential, 9),
-        "bound_active": sorted(solution.bound_active),
+        "bound_active": sorted(result.bound_active),
         "weights": {k: round(v, 9) for k, v in weights.items()},
     }, indent=None, sort_keys=False))
     return EXIT_OK

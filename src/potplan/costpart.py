@@ -67,7 +67,7 @@ def _add_h_unknowns(model: LpModel, ts: TransitionSystem,
     """Declare every abstract state's h unknown and a row fixing h of each
     abstract goal state to 0; returns the (states x abstractions) table of
     the h column of each concrete state's abstract state."""
-    offsets = np.cumsum([len(model.unknowns)] + [proj.size for proj in projections])
+    offsets = np.cumsum([len(model.names)] + [proj.size for proj in projections])
     names = [f"h_a{ai}_s{si}" for ai, proj in enumerate(projections) for si in range(proj.size)]
     model.add_unknowns(names, [-math.inf] * len(names), [math.inf] * len(names))
     maps = [offset + proj.state_map for offset, proj in zip(offsets, projections)]
@@ -107,12 +107,14 @@ def build_ocp_lp(ts: TransitionSystem, patterns, state: State) -> CostPartitioni
     one cost unknown per (abstraction, operator), a consistency row
     h(asrc) - h(adst) - cost <= 0 per distinct abstract transition (parallel
     ones collapse; on self-loops only -cost remains) and per operator a row
-    keeping its summed cost unknowns below its cost."""
+    keeping its summed cost unknowns below its cost.  Rows are written
+    canonical, as in the transition variant: the cost column follows every
+    h column."""
     projections = [project(ts, p) for p in patterns]
     n_ops, table = len(ts.operator_costs), ts.transitions
     model = LpModel()
     state_columns = _add_h_unknowns(model, ts, projections)
-    first_cost = len(model.unknowns)
+    first_cost = len(model.names)
     names = [f"c_a{ai}_o{op}" for ai in range(len(projections)) for op in range(n_ops)]
     model.add_unknowns(names, [-math.inf] * len(names), [math.inf] * len(names))
     # cost column of (abstraction ai, operator op), one row per operator
@@ -127,9 +129,13 @@ def build_ocp_lp(ts: TransitionSystem, patterns, state: State) -> CostPartitioni
     src, op, dst = src.ravel()[first], table[ti, 1], dst.ravel()[first]
     # concrete state 0 (every value 0) lies in each projection's abstract state 0
     base = state_columns[0][ai]
-    model.add_rows(np.arange(len(first) + 1) * 3,
-                   np.stack([src, dst, cost_columns[op, ai]], axis=1).ravel(),
-                   np.tile([1.0, -1.0, -1.0], len(first)), "<=", 0.0,
+    # canonical rows: the h columns as (min, max), none on self-loops, then the cost column
+    moved, sign = src != dst, np.where(src < dst, 1.0, -1.0)
+    written = np.stack([moved, moved, np.ones_like(moved)], axis=1)
+    model.add_rows(np.concatenate(([0], np.cumsum(1 + 2 * moved))),
+                   np.stack([np.minimum(src, dst), np.maximum(src, dst),
+                             cost_columns[op, ai]], axis=1)[written],
+                   np.stack([sign, -sign, np.full(len(first), -1.0)], axis=1)[written], "<=", 0.0,
                    [f"cons_a{a}_s{s}_o{o}_s{d}" for a, s, o, d in
                     zip(ai.tolist(), (src - base).tolist(), op.tolist(), (dst - base).tolist())])
     model.add_rows(np.arange(n_ops + 1) * len(projections), cost_columns.ravel(),

@@ -45,7 +45,7 @@ import numpy as np
 from .elimination import (adjacency, check_order, classify, eliminate_buckets,
                           eliminate_graphs, eliminate_width0)
 from .features import Feature, FeatureSet, evaluate_potential, kept_features, truth_matrix
-from .lp import OPTIMALITY_TOL, LpModel, LpSolution, solve
+from .lp import FEASIBILITY_TOL, OPTIMALITY_TOL, LpModel, LpSolution, solve
 from .task import (DEFAULT_STATE_CAP, State, SuccessorGenerator, Task,
                    TransitionSystem, build_transition_system, successor)
 from .tnf import is_tnf
@@ -168,17 +168,21 @@ def sample_states(task: Task, count: int, seed: int) -> list[State]:
 def extract_result(fs: FeatureSet, task: Task, solution: LpSolution) -> PotentialSolveResult:
     """Weights by index into `fs`, read from the kept features' columns and
     0.0 for the pinned ones, the objective value, the goal state's potential
-    and the weights at a bound, from an optimal solution of a model built
-    over `fs`."""
+    and the names of the kept weights within FEASIBILITY_TOL of the ±1e8
+    bound, in feature order, from an optimal solution of a model built over
+    `fs`."""
     kept, index = kept_features(fs, task.domain_sizes)
+    x = solution.x[:len(kept)]
     weights = np.zeros(len(fs))
-    weights[index] = solution.x[:len(kept)]
+    weights[index] = x
     weights = weights.tolist()
+    at_bound = ((np.abs(x - WEIGHT_LOWER) <= FEASIBILITY_TOL)
+                | (np.abs(x - WEIGHT_UPPER) <= FEASIBILITY_TOL))
     return PotentialSolveResult(
         weights=weights,
         value=solution.objective_value,
         goal_potential=evaluate_potential(fs, weights, _goal_state(task)),
-        bound_active=solution.bound_active,
+        bound_active=tuple(weight_var_name(kept.features[i]) for i in np.flatnonzero(at_bound)),
     )
 
 

@@ -114,7 +114,7 @@ def eliminate_width0(model: LpModel, task: Task, fs: FeatureSet, classes: Classi
     n_vars, domains = len(task.variables), np.array(task.domain_sizes, dtype=np.int64)
     z_key, z_of = np.unique(operator[context] * n_vars + fact[:, 0], return_inverse=True)
     z_op, z_var = np.divmod(z_key, n_vars)
-    ground, changed, first = ~context & (change != 0), change[context] != 0, len(model.unknowns)
+    ground, changed, first = ~context & (change != 0), change[context] != 0, len(model.names)
     result = [(operator[ground], feature[ground], change[ground].astype(float)),
               (z_op, first + np.arange(len(z_key)), np.ones(len(z_key)))]
     terms = [(z_of[changed], fact[changed, 1], feature[context][changed],
@@ -148,7 +148,7 @@ def eliminate_buckets(model: LpModel, task: Task, fs: FeatureSet, classes: Class
     index, a generated one an entry per assignment.  Unknowns get
     provisional columns in creation order; `_block` renumbers them."""
     n_vars, domains = len(task.variables), np.array(task.domain_sizes, dtype=np.int64)
-    count, first = stop - start, len(model.unknowns)
+    count, first = stop - start, len(model.names)
     order = np.array(orders, dtype=np.int64).reshape(count, n_vars)
     position = np.empty_like(order)
     position[np.arange(count)[:, None], order] = np.arange(n_vars)

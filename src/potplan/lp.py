@@ -3,10 +3,13 @@ solve contract backed by the HiGHS that scipy bundles, CPLEX-LP-format text
 export, and the name-level expression algebra (LinearExpression, evaluate)
 of the tests' reference builders.
 
-A model keeps its HiGHS object between solves as long as no column is added,
-so that re-solving it for another objective starts from the last optimal
-basis; rows appended after a solve are handed to that HiGHS object, and
-adding a column drops it.
+A model keeps what its builders give it, checked but not repaired: rows come
+in canonical form (columns increasing within each row, no zero coefficient)
+with finite right-hand sides, or the block is refused.  A model keeps its
+HiGHS object between solves as long as no column is added, so that
+re-solving it for another objective starts from the last optimal basis; rows
+appended after a solve are handed to that HiGHS object, and adding a column
+drops it.
 """
 
 from __future__ import annotations
@@ -130,7 +133,8 @@ def _append(buffer: array, values) -> None:
 
 class LpModel:
     """Columns with bounds, an objective, and the rows as one sparse table,
-    all by column index: columns come in through `add_unknowns`, rows through
+    all by column index: columns come in through `add_unknowns` and are kept
+    as `names` with the float arrays `lower` and `upper`, rows through
     `add_rows` and the objective through `set_objective`; the rows come out
     through `row_table()` and a solution as `LpSolution.x`.
 
@@ -140,10 +144,11 @@ class LpModel:
     """
 
     def __init__(self):
-        self.unknowns: list[tuple[str, float, float]] = []
+        self.names: list[str] = []
+        self.lower = np.zeros(0)
+        self.upper = np.zeros(0)
         self.objective_sense = "max"
         self.objective: dict[int, float] = {}
-        self._by_name: dict[str, int] = {}
         self._session: _Session | None = None
         self._columns = array("q")
         self._coefficients = array("d")
@@ -168,26 +173,25 @@ class LpModel:
             raise LpError(f"unknown '{names[j]}': " + (
                 f"lower bound {lo[j]} above upper {hi[j]}" if lo[j] > hi[j]
                 else f"bounds [{lo[j]}, {hi[j]}] hold no number"))
-        start = len(self.unknowns)
-        self._by_name.update(zip(names, range(start, start + len(names))))
-        if len(self._by_name) < start + len(names):
-            self._by_name = {name: j for j, (name, _, _) in enumerate(self.unknowns)}
-            seen = set(self._by_name)
-            twice = next(name for name in names if name in seen or seen.add(name))
+        seen = set(self.names)
+        twice = next((name for name in names if name in seen or seen.add(name)), None)
+        if twice is not None:
             raise LpError(f"unknown '{twice}' declared twice")
         self._session = None
-        self.unknowns.extend(zip(names, lower, upper))
+        self.names.extend(names)
+        self.lower, self.upper = np.append(self.lower, lo), np.append(self.upper, hi)
 
     def add_rows(self, indptr, columns, coefficients, relations, rhs,
                  names=None) -> None:
         """Append rows given in CSR form: row i has the terms
         `columns[indptr[i]:indptr[i + 1]]` (column indices) with the matching
         `coefficients`.  `relations` and `rhs` are one value for every row or
-        one per row; `names` is one per row, or None for unnamed rows.  As in
-        LinearExpression, a column repeated within a row is summed and zero
-        coefficients are dropped.  Coefficients must be finite, right-hand
-        sides not NaN, and names LP-file safe and not of the form `c<digits>`.
-        A live solver session gets the rows first."""
+        one per row; `names` is one per row, or None for unnamed rows.  Rows
+        must be canonical: columns increase within each row and every
+        coefficient is finite and not zero.  Right-hand sides must be finite,
+        and names LP-file safe and not of the form `c<digits>`.  A block that
+        breaks any of these adds nothing.  A live solver session gets the
+        rows first."""
         indptr = np.asarray(indptr, dtype=np.int64)
         columns = np.asarray(columns, dtype=np.int64)
         coefficients = np.asarray(coefficients, dtype=float)
@@ -195,8 +199,8 @@ class LpModel:
         if count < 0 or indptr[0] != 0 or indptr[-1] != len(columns) \
                 or len(coefficients) != len(columns) or np.any(sizes < 0):
             raise LpError("rows: indptr, columns and coefficients do not match")
-        if columns.size and (columns.min() < 0 or columns.max() >= len(self.unknowns)):
-            bad = columns[(columns < 0) | (columns >= len(self.unknowns))][0]
+        if columns.size and (columns.min() < 0 or columns.max() >= len(self.names)):
+            bad = columns[(columns < 0) | (columns >= len(self.names))][0]
             raise LpError(f"row references undeclared unknown column {bad}")
         relations = np.asarray(relations, dtype=str).reshape(-1, 1)
         match = relations == np.array(RELATIONS)
@@ -210,27 +214,17 @@ class LpModel:
                 raise LpError(f"rows: {size} {what} for {count} rows")
         if len(names) != count:
             raise LpError(f"rows: {len(names)} names for {count} rows")
-        if not np.isfinite(coefficients).all() or np.isnan(rhs).any():
-            raise LpError("rows: a coefficient is not finite or a right-hand side is NaN")
+        if not (np.isfinite(coefficients).all() and np.isfinite(rhs).all()):
+            raise LpError("rows: a coefficient or right-hand side is not finite")
+        if not coefficients.all():
+            raise LpError("rows: a coefficient is zero")
+        row = np.repeat(np.arange(count), sizes)
+        if not np.all((columns[1:] > columns[:-1]) | (row[1:] > row[:-1])):
+            raise LpError("rows: columns do not increase within a row")
         text = "\n".join([*names, ""])
         if text.count("\n") != count or not _ROW_NAMES_RE.fullmatch(text):
             bad = next(n for n in names if "\n" in n or not _ROW_NAMES_RE.fullmatch(n + "\n"))
             raise LpError(f"row name '{bad}' is not LP-file safe or is that of an unnamed row")
-        # Canonical form: columns increasing within each row, no zeros.  A
-        # block that is not gets a stable sort by (row, column), and each
-        # run of one column is summed in input order.
-        row = np.repeat(np.arange(count), sizes)
-        if not (coefficients.all() and np.all((columns[1:] > columns[:-1]) | (row[1:] > row[:-1]))):
-            width = len(self.unknowns)
-            key = row * width + columns
-            by = np.argsort(key, kind="stable")
-            key = key[by]
-            new = np.ones(len(key), dtype=bool)
-            new[1:] = key[1:] != key[:-1]
-            coefficients = np.bincount(np.cumsum(new) - 1, coefficients[by])
-            key, coefficients = key[new][coefficients != 0], coefficients[coefficients != 0]
-            indptr = np.searchsorted(key, np.arange(count + 1) * width)
-            columns = key - np.repeat(np.arange(count) * width, np.diff(indptr))
         codes, rhs = np.broadcast_to(codes, count), np.broadcast_to(rhs, count)
         if self._session is not None:
             self._session.add_rows(indptr, columns, coefficients, codes, rhs)
@@ -248,7 +242,7 @@ class LpModel:
         indptr = np.concatenate(([0], ends))
         matrix = csr_matrix((np.array(self._coefficients, dtype=float),
                              np.array(self._columns, dtype=np.int64), indptr),
-                            shape=(len(ends), len(self.unknowns)))
+                            shape=(len(ends), len(self.names)))
         return (matrix, np.array(self._relations, dtype=np.int8),
                 np.array(self._rhs, dtype=float))
 
@@ -261,7 +255,7 @@ class LpModel:
         if sense not in ("max", "min"):
             raise LpError(f"bad objective sense '{sense}'")
         for column in terms:
-            if not 0 <= column < len(self.unknowns):
+            if not 0 <= column < len(self.names):
                 raise LpError(f"objective references undeclared unknown column {column}")
         if not np.isfinite(np.array(list(terms.values()), dtype=float)).all():
             raise LpError("objective: a coefficient is not finite")
@@ -274,7 +268,6 @@ class LpSolution:
     status: str  # optimal | infeasible | unbounded
     x: np.ndarray | None = None  # the unknowns' values in column order
     objective_value: float | None = None
-    bound_active: tuple[str, ...] = ()
 
     def require_optimal(self) -> "LpSolution":
         if self.status != "optimal":
@@ -287,24 +280,16 @@ def check_solution(model: LpModel, x: np.ndarray) -> list[str]:
     order) violates beyond FEASIBILITY_TOL: rows first, in row order, then
     bounds in column order."""
     matrix, relations, rhs = model.row_table()
-    lower, upper = _bounds(model)
     lhs = matrix @ x
-    # an infinite right-hand side gets slack 1e-6, so no finite left-hand side equals it
-    slack = FEASIBILITY_TOL * np.maximum(1.0, np.abs(np.nan_to_num(rhs, posinf=0.0, neginf=0.0)))
+    slack = FEASIBILITY_TOL * np.maximum(1.0, np.abs(rhs))
     # Written as "not ok" so that a NaN left-hand side counts as a violation.
     ok = np.where(relations == RELATIONS.index("<="), lhs <= rhs + slack,
                   np.where(relations == RELATIONS.index(">="), lhs >= rhs - slack,
                            np.abs(lhs - rhs) <= slack))
     violations = [model.row_name(i) for i in np.flatnonzero(~ok)]
-    out_of_bounds = (x < lower - FEASIBILITY_TOL) | (x > upper + FEASIBILITY_TOL)
-    violations.extend(f"bound:{model.unknowns[j][0]}" for j in np.flatnonzero(out_of_bounds))
+    out_of_bounds = (x < model.lower - FEASIBILITY_TOL) | (x > model.upper + FEASIBILITY_TOL)
+    violations.extend(f"bound:{model.names[j]}" for j in np.flatnonzero(out_of_bounds))
     return violations
-
-
-def _bounds(model: LpModel) -> tuple[np.ndarray, np.ndarray]:
-    lower = np.array([lo for _, lo, _ in model.unknowns], dtype=float)
-    upper = np.array([hi for _, _, hi in model.unknowns], dtype=float)
-    return lower, upper
 
 
 class _Session:
@@ -326,7 +311,7 @@ class _Session:
         for option, value in (("output_flag", False), ("log_to_console", False),
                               ("presolve", "on")):
             self.highs.setOptionValue(option, value)
-        lower, upper = _bounds(model)
+        lower, upper = model.lower, model.upper
         free = (lower == -np.inf) & (upper == np.inf)
         self.origin_feasible = bool(np.all(free | (lower == 0) | (upper == 0)))
         if self.highs.addVars(len(lower), lower, upper) == highs_core.HighsStatus.kError:
@@ -341,11 +326,6 @@ class _Session:
         (the new rows' slacks become basic)."""
         lower = np.where(relations == RELATIONS.index("<="), -np.inf, rhs)
         upper = np.where(relations == RELATIONS.index(">="), np.inf, rhs)
-        # HiGHS refuses a bound of +inf below or -inf above (`>= inf`,
-        # `<= -inf`, `= ±inf`); no finite row meets one, and the empty
-        # interval 1 <= row <= 0 that replaces it makes the model infeasible.
-        empty = (lower == np.inf) | (upper == -np.inf)
-        lower, upper = np.where(empty, 1.0, lower), np.where(empty, 0.0, upper)
         self.origin_feasible &= bool(np.all((lower <= 0) & (upper >= 0)))
         status = self.highs.addRows(len(rhs), lower, upper, len(columns),
                                     indptr.astype(np.int32), columns.astype(np.int32), coefficients)
@@ -387,13 +367,13 @@ class _Session:
 
 def solve(model: LpModel) -> LpSolution:
     """Solve the model in its HiGHS session (created on the first solve)."""
-    if not model.unknowns:
+    if not model.names:
         # HiGHS reports "Empty" without columns, even for a row `1 <= 0`; the
         # rows read `0 <relation> rhs`, so the row re-check alone decides.
         x = np.zeros(0)
         return LpSolution("infeasible") if check_solution(model, x) else _finish(model, x)
     sense = 1.0 if model.objective_sense == "min" else -1.0
-    c = np.zeros(len(model.unknowns))
+    c = np.zeros(len(model.names))
     c[list(model.objective)] = sense * np.array(list(model.objective.values()))
     if model._session is None:
         model._session = _Session(model)
@@ -414,20 +394,16 @@ def _finish(model: LpModel, x: np.ndarray) -> LpSolution:
     violations = check_solution(model, x)
     if violations:
         raise SolverFailureError(f"solution violates rows: {', '.join(violations[:5])}")
-    unknowns, objective = model.unknowns, model.objective
+    names, objective = model.names, model.objective
     # Summed term by term in unknown-name order, as `evaluate` sums a
     # LinearExpression, not in column order and not with `sum()` (which
     # compensates from Python 3.12 on): with weights at the 1e8 bound the
     # terms cancel, and another order changes the printed objective (e.g.
     # 36.0 becomes 36.00000006 on a dimension-2 potential model).
     value = 0.0
-    for j in sorted(objective, key=lambda j: unknowns[j][0]):
+    for j in sorted(objective, key=names.__getitem__):
         value += objective[j] * float(x[j])
-    lower, upper = _bounds(model)
-    active = ((~np.isinf(lower) & (np.abs(x - lower) <= FEASIBILITY_TOL))
-              | (~np.isinf(upper) & (np.abs(x - upper) <= FEASIBILITY_TOL)))
-    return LpSolution("optimal", x, value,
-                      tuple(unknowns[j][0] for j in np.flatnonzero(active)))
+    return LpSolution("optimal", x, value)
 
 
 def _format_coefficient(coef: float) -> str:
@@ -450,19 +426,18 @@ def export_lp(model: LpModel) -> str:
     that appear in no row; an unnamed row i is written as c{i+1}, a name no
     named row may have.
     """
-    names = [name for name, _, _ in model.unknowns]
+    names = model.names
     lines = ["Maximize" if model.objective_sense == "max" else "Minimize"]
     lines.append(f" obj: {_format_terms(names, sorted(model.objective.items()))}".rstrip())
     lines.append("Subject To")
     matrix, relations, rhs = model.row_table()
-    matrix.sort_indices()
     indptr = matrix.indptr.tolist()
     terms = list(zip(matrix.indices.tolist(), matrix.data.tolist()))
     for i, (code, bound) in enumerate(zip(relations.tolist(), rhs.tolist())):
         row = _format_terms(names, terms[indptr[i]:indptr[i + 1]])
         lines.append(f" {model.row_name(i)}: {row} {RELATIONS[code]} {bound!r}")
     lines.append("Bounds")
-    for name, lower, upper in model.unknowns:
+    for name, lower, upper in zip(names, model.lower.tolist(), model.upper.tolist()):
         if math.isinf(lower) and math.isinf(upper):
             lines.append(f" {name} free")
         elif math.isinf(upper):

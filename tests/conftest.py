@@ -117,7 +117,7 @@ def candidates(model: LpModel) -> list[tuple[str, list[tuple[float, dict[str, fl
     read off its rows `{unknown}.{j}` (unknown - candidate >= constant) as
     (constant, {name: coefficient})."""
     out: dict[str, list] = {}
-    declared = {name for name, _, _ in model.unknowns}
+    declared = set(model.names)
     for row in model_rows(model):
         aux = row.name.rpartition(".")[0]
         if aux in declared:
@@ -134,7 +134,7 @@ def bottom_up_values(model: LpModel, base: dict[str, float]) -> dict[str, float]
     for row in model_rows(model):
         rows.setdefault(row.name.rpartition(".")[0], []).append(row)
     values = dict(base)
-    for name, _, _ in model.unknowns:
+    for name in model.names:
         if name not in values:
             values[name] = max(row.rhs - sum(c * values[n] for n, c in row.expression.terms
                                              if n != name)

@@ -82,12 +82,17 @@ def add_unknown(model, name, lower=-math.inf, upper=math.inf):
     return name
 
 
+def columns(model):
+    """The model's columns as (name, lower, upper), in column order."""
+    return list(zip(model.names, model.lower.tolist(), model.upper.tolist()))
+
+
 def column_terms(model, expression):
-    """The expression's terms as {column: coefficient}; its constant is left
-    out."""
-    columns = {name: j for j, (name, _, _) in enumerate(model.unknowns)}
+    """The expression's terms as {column: coefficient}, in column order as
+    `add_rows` takes a row; its constant is left out."""
+    columns = {name: j for j, name in enumerate(model.names)}
     try:
-        return {columns[name]: coef for name, coef in expression.terms}
+        return dict(sorted((columns[name], coef) for name, coef in expression.terms))
     except KeyError as e:
         raise LpError(f"expression references undeclared unknown {e}") from None
 
@@ -103,7 +108,7 @@ def add_row(model, expression, relation, rhs, name=""):
 def model_rows(model):
     """The model's rows by unknown names, read off `row_table()`; an unnamed
     row has the name `row_name` gives it."""
-    names = [name for name, _, _ in model.unknowns]
+    names = model.names
     matrix, relations, rhs = model.row_table()
     return [Row(LinearExpression.build(0.0, {names[j]: c for j, c in zip(
                     matrix.indices[start:end].tolist(), matrix.data[start:end].tolist())}),
@@ -117,13 +122,13 @@ def solution_values(model, solution):
     """The solution's values by unknown name, or None if it has none."""
     if solution.x is None:
         return None
-    return dict(zip((name for name, _, _ in model.unknowns), solution.x.tolist()))
+    return dict(zip(model.names, solution.x.tolist()))
 
 
 def check_values(model, values):
     """`check_solution` for values by unknown name."""
     try:
-        x = [values[name] for name, _, _ in model.unknowns]
+        x = [values[name] for name in model.names]
     except KeyError as e:
         raise MissingAssignmentError(f"no value for unknown {e}") from None
     return check_solution(model, np.array(x, dtype=float))
@@ -154,7 +159,7 @@ def parse_lp(text):
     model, declared = LpModel(), _read(blocks[4], _parse_bound)
     if declared:
         model.add_unknowns(*zip(*declared))
-    columns = {name: j for j, (name, _, _) in enumerate(model.unknowns)}
+    columns = {name: j for j, name in enumerate(model.names)}
     parsed = _read(blocks[3], _parse_row, columns)
     if parsed:
         names, terms, relations, rhs = zip(*parsed)
@@ -438,7 +443,7 @@ def extract_cost_functions(built, ts, solution):
     `c_a{a}_o{o}`."""
     x = solution.x
     src, op, dst = ts.transitions.T
-    column = {name: j for j, (name, _, _) in enumerate(built.model.unknowns)}
+    column = {name: j for j, name in enumerate(built.model.names)}
     if "c_a0_o0" not in column:  # TCP, or nothing to partition
         return (x[built.state_columns[src]] - x[built.state_columns[dst]]).T
     n_abstractions = built.state_columns.shape[1]

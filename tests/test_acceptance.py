@@ -122,7 +122,7 @@ def test_criterion_4_numeric_max_oracle():
             d = max(domains.values())
             aux_budget = n_vars * d ** width
             row_budget = n_vars * d ** (width + 1)
-            assert len(model.unknowns) - 1 <= aux_budget, seed
+            assert len(model.names) - 1 <= aux_budget, seed
             assert len(model_rows(model)) <= row_budget, seed
 
 

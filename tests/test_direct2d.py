@@ -22,7 +22,7 @@ def rows_by_name(model):
 
 def z_unknowns(model, op_index):
     prefix = f"z_o{op_index}_"
-    return [name for name, _, _ in model.unknowns if name.startswith(prefix)]
+    return [name for name in model.names if name.startswith(prefix)]
 
 
 def test_goal_row_dim1(toy1):
@@ -260,7 +260,7 @@ def test_objective_is_summed_in_unknown_name_order():
     kept = kept_features(fs, task.domain_sizes)[0]
     model.set_objective("max", state_objective(task, fs, task.initial_state))
     solution = solve(model).require_optimal()
-    names = [name for name, _, _ in model.unknowns]
+    names = model.names
     by_name = LinearExpression.build(0.0, {names[j]: c for j, c in model.objective.items()})
     value = solve_for_state(task, fs, task.initial_state).value
     values = solution_values(model, solution)

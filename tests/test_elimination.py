@@ -199,7 +199,7 @@ def test_worked_example_structure(paper_be):
 def test_worked_example_evaluation(paper_be):
     model, result = paper_model(paper_be, [0, 1])
     values = bottom_up_values(model, {"a": 1.0, "b": 1.0})
-    assert [values[name] for name, _, _ in model.unknowns[2:]] == [8.0, 0.0, 9.0]
+    assert [values[name] for name in model.names[2:]] == [8.0, 0.0, 9.0]
     assert evaluate(LinearExpression.build(0.0, result), values) == 9.0
     # cross-check against enumeration of the four assignments
     assert brute_force_max(paper_be, PAPER_BE_DOMAINS, {"a": 1.0, "b": 1.0}) == 9.0
@@ -212,7 +212,7 @@ def test_zero_entries_kept_only_over_empty_scope():
     a = LinearExpression.term("a")
     model = base_model("a")
     assert eliminate(model, [ScopedFunction((0, 1), {})], {0: 2, 1: 2}, [0, 1]) == {}
-    assert [name for name, _, _ in model.unknowns] == ["a"] and not model_rows(model)
+    assert model.names == ["a"] and not model_rows(model)
     model = base_model("a")
     result = eliminate(model, [ScopedFunction((0,), {}), ScopedFunction((1,), {(1,): a})],
                        {0: 2, 1: 2}, [0, 1])
@@ -224,7 +224,7 @@ def test_zero_entries_kept_only_over_empty_scope():
 def test_worked_example_lp_rows(paper_be):
     model, result = paper_model(paper_be, [0, 1])
     assert len(model_rows(model)) == 6
-    aux = [name for name, _, _ in model.unknowns[2:]]
+    aux = model.names[2:]
     assert len(aux) == 3  # the final sum adds no unknown
     assert result == {aux[2]: 1.0}
 
@@ -235,7 +235,7 @@ def test_single_constant_equation_keeps_row():
     model = base_model("one", lower=1.0, upper=1.0)
     result = eliminate(model, [ScopedFunction((0,), {(0,): LinearExpression.term("one", 5.0)})],
                        {0: 1}, [0])
-    assert [name for name, _, _ in model.unknowns] == ["one", "z_v0"]
+    assert model.names == ["one", "z_v0"]
     assert result == {"z_v0": 1.0}
     (row,) = model_rows(model)
     assert row.expression.coefficients() == {"z_v0": 1.0, "one": -5.0}
@@ -245,7 +245,7 @@ def test_single_constant_equation_keeps_row():
 def test_empty_system_has_no_rows():
     model = base_model()
     assert eliminate(model, [], {}, []) == {}
-    assert not model.unknowns and not model_rows(model)
+    assert not model.names and not model_rows(model)
 
 
 def test_empty_psi_gives_zero():
@@ -272,7 +272,7 @@ def test_alias_adds_no_unknown():
                                 {tuple(x for _, x in facts): LinearExpression.term(f"w{i}", change)})
                  for i, facts, change in operator_pairs(task, fs, 0)]
     result = eliminate(model, functions, dict(enumerate(task.domain_sizes)), [0, 1, 2], "z_o0")
-    assert [name for name, _, _ in model.unknowns] == ["w0", "w1", "z_o0_v2__v1.0"]
+    assert model.names == ["w0", "w1", "z_o0_v2__v1.0"]
     assert result == {"z_o0_v2__v1.0": 1.0}
     assert [(row.name, row.expression.coefficients()) for row in model_rows(model)] == [
         ("z_o0_v2__v1.0.0", {"z_o0_v2__v1.0": 1.0, "w0": -1.0}),
@@ -323,8 +323,8 @@ def test_minimizing_aux_recovers_equation_solution(seed):
     order = reference_min_fill_order(dependency_graph(functions, domains))
     model = base_model("one", lower=1.0, upper=1.0)
     eliminate(model, functions, domains, order)
-    aux = [name for name, _, _ in model.unknowns[1:]]
-    model.set_objective("min", dict.fromkeys(range(1, len(model.unknowns)), 1.0))
+    aux = model.names[1:]
+    model.set_objective("min", dict.fromkeys(range(1, len(model.names)), 1.0))
     solution = solve(model).require_optimal()
     aux_values = bottom_up_values(model, {"one": 1.0})
     values = solution_values(model, solution)
@@ -345,7 +345,7 @@ def test_size_bounds(seed):
     d = max(domains.values())
     aux_budget = n_vars * d ** width
     row_budget = n_vars * d ** (width + 1)
-    assert len(model.unknowns) - 1 <= aux_budget
+    assert len(model.names) - 1 <= aux_budget
     assert len(model_rows(model)) <= row_budget
 
 
@@ -364,7 +364,7 @@ def test_general_lp_dim1_reduces_to_plain_rows(toy1):
     model = build_general_lp(toy1, fs)
     assert len(model_rows(model)) == 3  # goal + one per operator
     # the kept weights (Y=0 is pinned), no elimination unknowns
-    assert len(model.unknowns) == len(kept_features(fs, toy1.domain_sizes)[0]) == 3
+    assert len(model.names) == len(kept_features(fs, toy1.domain_sizes)[0]) == 3
     assert solve_general_for_state(toy1, fs, toy1.initial_state).value == \
         pytest.approx(2.0)
 

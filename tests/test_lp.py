@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -7,13 +8,13 @@ from scipy.optimize import linprog
 from scipy.sparse import csc_matrix, diags
 
 from potplan import costpart, direct2d
-from potplan.features import generate_features
-from potplan.lp import (LinearExpression, LpError, LpModel, RELATIONS,
+from potplan.features import generate_features, kept_features
+from potplan.lp import (LinearExpression, LpError, LpModel, LpSolution, RELATIONS,
                         MissingAssignmentError, SolverFailureError,
                         check_solution, evaluate, export_lp, solve)
 from potplan.task import build_transition_system, exact_goal_distances
 
-from reference_builders import (Row, add_row, add_unknown, check_values, column_terms,
+from reference_builders import (Row, add_row, add_unknown, check_values, column_terms, columns,
                                 model_rows, parse_lp, random_features, solution_values)
 
 from test_model_equivalence import TASKS
@@ -128,8 +129,8 @@ def test_model_without_columns_is_decided_by_its_rows():
     m.add_rows([0, 0, 0], [], [], ["<=", "="], [1.0, 0.0], ["low", "tie"])
     m.set_objective("min", {})
     solution = solve(m)
-    assert (solution.status, solution.objective_value, solution.bound_active) == \
-        ("optimal", 0.0, ())
+    assert (solution.status, solution.objective_value, solution.x.tolist()) == \
+        ("optimal", 0.0, [])
     m.add_rows([0, 0], [], [], ">=", 1.0, ["high"])
     assert solve(m).status == "infeasible"
 
@@ -149,17 +150,19 @@ def test_objective_by_column():
         parse_lp("Maximize\n obj: x + 2.0\nSubject To\nBounds\n x free\nEnd\n")
 
 
-def test_bound_active_flag():
-    m = LpModel()
-    add_unknown(m, "x", -1.0, 1.0)
-    add_unknown(m, "y")
-    add_unknown(m, "one", 1.0, 1.0)
-    add_row(m, term("y") - term("x"), "<=", 0)
-    m.set_objective("max", column_terms(m, term("y") + term("one")))
-    sol = solve(m)
-    assert "x" in sol.bound_active and "y" not in sol.bound_active
-    # a fixed column is at its bound like any other, and is listed
-    assert "one" in sol.bound_active and sol.objective_value == 2.0
+def test_bound_active_flag(toy1):
+    """`extract_result` lists the kept weights within 1e-6 of the ±1e8
+    weight bound, by name in feature order; a column past the weights is
+    never listed."""
+    fs = generate_features(toy1, 1)
+    kept = kept_features(fs, toy1.domain_sizes)[0]
+    names = [direct2d.weight_var_name(f) for f in kept.features]
+    assert len(names) == 3
+    for x, listed in [([1e8 - 5e-7, 3.0, -1e8 + 2e-6, 1e8], names[:1]),
+                      ([-1e8, 1e8, 0.0, -1e8], [names[0], names[1]]),
+                      ([1e8 - 2e-6, -1e8 - 2e-6, 1.0, 1e8], [])]:
+        solution = LpSolution("optimal", np.array(x), 0.0)
+        assert direct2d.extract_result(fs, toy1, solution).bound_active == tuple(listed), x
 
 
 def test_export_format():
@@ -183,7 +186,7 @@ def test_export_empty_model_skeleton():
     for section in ("Maximize", "Subject To", "End"):
         assert section in doc.splitlines()
     parsed = parse_lp(doc)
-    assert parsed.unknowns == [] and model_rows(parsed) == []
+    assert parsed.names == [] and model_rows(parsed) == []
 
 
 def test_export_toy1_dim1_shape(toy1):
@@ -191,7 +194,7 @@ def test_export_toy1_dim1_shape(toy1):
     from potplan.features import generate_features
     model = build_direct2d_lp(toy1, generate_features(toy1, 1))
     doc = export_lp(model)
-    assert len(model.unknowns) == 3  # the atom Y=0 is pinned and has no column
+    assert len(model.names) == 3  # the atom Y=0 is pinned and has no column
     assert len(model_rows(model)) == 3
     lines = doc.splitlines()
     rows = lines[lines.index("Subject To") + 1:lines.index("Bounds")]
@@ -229,7 +232,7 @@ def test_parse_lp_reads_only_what_export_lp_writes():
     """Every rejected shape is an LpError that names its line (or the
     missing one); the text they all change parses."""
     model = parse_lp(VALID_LP)
-    assert model.unknowns == [("x", -math.inf, math.inf)] and export_lp(model) == VALID_LP
+    assert columns(model) == [("x", -math.inf, math.inf)] and export_lp(model) == VALID_LP
     for _, text, message in REJECTED_LP:
         with pytest.raises(LpError) as error:
             parse_lp(text)
@@ -257,7 +260,7 @@ def _random_model(seed):
 def test_parse_export_round_trip(seed):
     m = _random_model(seed)
     back = parse_lp(export_lp(m))
-    assert back.unknowns == m.unknowns
+    assert columns(back) == columns(m)
     assert back.objective_sense == m.objective_sense
     assert back.objective == m.objective
     original = {(r.expression, r.relation, r.rhs) for r in model_rows(m)}
@@ -273,7 +276,7 @@ def test_row_permutation_invariance(seed):
         return
     rng = random.Random(seed + 1)
     shuffled = LpModel()
-    for name, lo, hi in m.unknowns:
+    for name, lo, hi in columns(m):
         add_unknown(shuffled, name, lo, hi)
     rows = list(model_rows(m))
     rng.shuffle(rows)
@@ -313,9 +316,15 @@ def test_model_validation():
         m.add_rows([0, 1, 2], [0, 1], [1.0, 1.0], "<=", [0.0, 1.0, 2.0])
     with pytest.raises(LpError):
         m.add_rows([0, 1], [0], [1.0], "<=", 0, ["a", "b"])
+    # a repeated column, one out of order and a zero coefficient are refused
+    for indptr, cols, coefficients in [([0, 3, 4], [0, 1, 1, 2], [2.0, 1.0, -1.0, 1.0]),
+                                       ([0, 2, 3], [1, 0, 2], [1.0, 2.0, 1.0]),
+                                       ([0, 2, 3], [0, 1, 2], [2.0, 0.0, 1.0])]:
+        with pytest.raises(LpError, match="rows: "):
+            m.add_rows(indptr, cols, coefficients, ["<=", ">="], [1.0, 2.0])
     assert len(model_rows(m)) == 0  # nothing half-added
-    # repeated columns are summed and zeros dropped, as LinearExpression does
-    m.add_rows([0, 3, 4], [1, 0, 1, 2], [1.0, 2.0, -1.0, 0.0], ["<=", ">="], [1.0, 2.0])
+    # a canonical block is stored as given, empty rows included
+    m.add_rows([0, 1, 1], [0], [2.0], ["<=", ">="], [1.0, 2.0])
     assert model_rows(m) == [Row(LinearExpression.build(0.0, {"x": 2.0}), "<=", 1.0, "c1"),
                              Row(LinearExpression(), ">=", 2.0, "c2")]
 
@@ -332,16 +341,16 @@ def test_add_unknowns_checks_every_name():
         with pytest.raises(LpError, match=message):
             m.add_unknowns(names, lower, upper)
         # nothing is declared when one name fails
-        assert m.unknowns == [("a", 0.0, 1.0), ("b", -math.inf, math.inf)]
-        assert [n in m._by_name for n in ("a", "b", "c", "d")] == [True, True, False, False]
+        assert m.names == ["a", "b"]
+        assert m.lower.tolist() == [0.0, -math.inf] and m.upper.tolist() == [1.0, math.inf]
     m.add_unknowns(["c"], [-math.inf], [math.inf])
-    assert m.unknowns[-1] == ("c", -math.inf, math.inf) and m._by_name["c"] == 2
+    assert columns(m)[-1] == ("c", -math.inf, math.inf) and m.names.index("c") == 2
 
 
 def test_input_that_holds_no_number_is_refused_where_it_enters():
-    """A column whose bounds hold no number, a coefficient that is not
-    finite, a NaN right-hand side and a row name that `export_lp` cannot
-    write back as that row's own are LpErrors, and nothing is added."""
+    """A column whose bounds hold no number, a coefficient or right-hand
+    side that is not finite and a row name that `export_lp` cannot write
+    back as that row's own are LpErrors, and nothing is added."""
     m = LpModel()
     m.add_unknowns(["x"], [0.0], [10.0])
     for lower, upper, message in [(math.nan, 1.0, r"'y': bounds \[nan, 1.0\]"),
@@ -354,7 +363,9 @@ def test_input_that_holds_no_number_is_refused_where_it_enters():
             ([math.nan, 1.0], 1.0, None, "not finite"),
             ([1.0, math.inf], 1.0, None, "not finite"),
             ([-math.inf, 1.0], 1.0, None, "not finite"),
-            ([1.0, 1.0], [1.0, math.nan], None, "NaN"),
+            ([1.0, 1.0], [1.0, math.nan], None, "not finite"),
+            ([1.0, 1.0], [math.inf, 3.0], None, "not finite"),
+            ([1.0, 1.0], [1.0, -math.inf], None, "not finite"),
             ([1.0, 1.0], 1.0, ["ok", "my row"], "'my row' is not LP-file safe"),
             ([1.0, 1.0], 1.0, ["ok", "a:b"], "'a:b'"),
             ([1.0, 1.0], 1.0, ["", "c1"], "'c1' is not LP-file safe or is that of an unnamed"),
@@ -365,17 +376,13 @@ def test_input_that_holds_no_number_is_refused_where_it_enters():
     for coefficient in (math.inf, -math.inf, math.nan):
         with pytest.raises(LpError, match="objective: a coefficient is not finite"):
             m.set_objective("max", {0: coefficient})
-    assert m.unknowns == [("x", 0.0, 10.0)] and model_rows(m) == [] and m.objective == {}
-    # an infinite right-hand side is a number: `x <= inf` holds everywhere
-    m.add_rows([0, 1, 2], [0, 0], [1.0, 1.0], "<=", [math.inf, 3.0], ["loose", "c11x"])
-    m.set_objective("max", {0: 1.0})
-    assert solve(m).objective_value == 3.0
-    # without columns the re-check decides: no finite left-hand side equals inf
-    for relation, rhs, status in (("<=", math.inf, "optimal"), ("=", math.inf, "infeasible"),
-                                  (">=", math.inf, "infeasible"), ("<=", -math.inf, "infeasible")):
+    assert columns(m) == [("x", 0.0, 10.0)] and model_rows(m) == [] and m.objective == {}
+    # an infinite right-hand side is refused also where no column could meet it
+    for relation, rhs in itertools.product(RELATIONS, (math.inf, -math.inf)):
         empty = LpModel()
-        empty.add_rows([0, 0], [], [], relation, rhs)
-        assert solve(empty).status == status, (relation, rhs)
+        with pytest.raises(LpError, match="not finite"):
+            empty.add_rows([0, 0], [], [], relation, rhs)
+        assert model_rows(empty) == [], (relation, rhs)
 
 
 @pytest.mark.parametrize("relation, rhs", [(">=", math.inf), ("=", math.inf),
@@ -383,17 +390,38 @@ def test_input_that_holds_no_number_is_refused_where_it_enters():
                          ids=["ge_inf", "eq_inf", "eq_minus_inf", "le_minus_inf"])
 def test_row_no_finite_value_meets_is_infeasible(relation, rhs):
     """A row whose infinite right-hand side no finite left-hand side meets
-    makes the model infeasible, as the column-less re-check answers: in a
-    new model and appended to a live session."""
+    is refused where it enters, and the model keeps its optimum."""
+    _assert_refused([0, 1], [0], [1.0], relation, rhs)
+
+
+def _assert_refused(indptr, cols, coefficients, relation, rhs):
+    """The block is an LpError that adds nothing: to a new model, and to a
+    solved one, whose HiGHS session keeps its row count and optimum."""
     for warm in (False, True):
         m = LpModel()
-        m.add_unknowns(["x"], [0.0], [1.0])
-        m.set_objective("max", {0: 1.0})
+        m.add_unknowns(["x", "y"], [0.0, 0.0], [1.0, 1.0])
+        m.add_rows([0, 1], [1], [1.0], "<=", 0.5, ["held"])
+        m.set_objective("max", {0: 1.0, 1: 1.0})
         if warm:
-            assert solve(m).objective_value == 1.0
-        m.add_rows([0, 1], [0], [1.0], relation, rhs)
-        assert solve(m).status == "infeasible", warm
-        assert check_solution(m, np.zeros(1)) == ["c1"]
+            assert solve(m).objective_value == 1.5
+        with pytest.raises(LpError, match="rows: "):
+            m.add_rows(indptr, cols, coefficients, relation, rhs)
+        assert [row.name for row in model_rows(m)] == ["held"], warm
+        if warm:
+            assert m._session.highs.getLp().num_row_ == 1
+        assert solve(m).objective_value == 1.5, warm
+
+
+@pytest.mark.parametrize("indptr, cols, coefficients, relation, rhs", [
+    ([0, 2], [1, 0], [1.0, 1.0], "<=", 1.0), ([0, 2], [0, 0], [1.0, 1.0], "<=", 1.0),
+    ([0, 1, 3], [0, 0, 1], [1.0, 0.0, 1.0], "<=", 1.0),
+    ([0, 1], [0], [1.0], "<=", math.inf), ([0, 1], [0], [1.0], ">=", -math.inf)],
+    ids=["out-of-order", "repeated", "zero", "le_inf", "ge_minus_inf"])
+def test_refused_blocks_add_nothing(indptr, cols, coefficients, relation, rhs):
+    """A block with columns out of order or repeated within a row, a zero
+    coefficient or an infinite right-hand side that every row meets is
+    refused too: `add_rows` takes canonical finite rows only."""
+    _assert_refused(indptr, cols, coefficients, relation, rhs)
 
 
 def test_rows_highs_refuses_are_a_solver_failure():
@@ -436,33 +464,34 @@ def test_unnamed_rows_read_back_unnamed():
 
 @pytest.mark.parametrize("seed", range(20))
 def test_add_rows_stores_canonical_rows(seed):
-    """Rows are stored with increasing columns, duplicates summed and zeros
-    dropped, whether the block comes in that form (odd seeds) or not; empty
-    rows anywhere included."""
+    """A canonical block (columns increasing within each row, no zeros) is
+    stored as given, empty rows anywhere included; the same block with one
+    row's terms shuffled out of order is refused and adds nothing."""
     rng = random.Random(seed)
     width = 6
-    rows = [[(j, float(rng.choice([-2, -1, 0, 1, 3])))
-             for j in rng.choices(range(width), k=rng.choice([0, 1, 3, 5]))]
+    rows = [[(j, float(rng.choice([-2, -1, 1, 3])))
+             for j in sorted(rng.sample(range(width), rng.choice([0, 1, 3, 5])))]
             for _ in range(rng.randint(1, 6))]
-    if seed % 2:
-        rows = [sorted((j, c) for j, c in dict(row).items() if c) for row in rows]
     m = LpModel()
     m.add_unknowns([f"x{j}" for j in range(width)], [-1.0] * width, [1.0] * width)
-    # then two blocks whose columns do not decrease, one with a repeated
-    # column and one with a zero
-    for block in (rows, [[(1, 1.0), (1, 2.0)]], [[(0, 0.0), (2, 1.0)]]):
+
+    def add(block):
         m.add_rows(np.cumsum([0] + [len(row) for row in block]),
                    [j for row in block for j, _ in row], [c for row in block for _, c in row],
                    "<=", 1.0)
-    rows += [[(1, 1.0), (1, 2.0)], [(0, 0.0), (2, 1.0)]]
+
+    add(rows)
+    longest = max(range(len(rows)), key=lambda i: len(rows[i]))
+    if len(rows[longest]) > 1:
+        shuffled = list(rows)
+        shuffled[longest] = rows[longest][1:] + rows[longest][:1]
+        with pytest.raises(LpError, match="columns do not increase within a row"):
+            add(shuffled)
     matrix = m.row_table()[0]
+    assert matrix.shape[0] == len(rows)
     for i, row in enumerate(rows):
-        summed = {}
-        for j, c in row:
-            summed[j] = summed.get(j, 0.0) + c
         stored = slice(matrix.indptr[i], matrix.indptr[i + 1])
-        assert list(zip(matrix.indices[stored].tolist(), matrix.data[stored].tolist())) == \
-            sorted((j, c) for j, c in summed.items() if c)
+        assert list(zip(matrix.indices[stored].tolist(), matrix.data[stored].tolist())) == row
 
 
 def _seeded_model(seed):
@@ -488,7 +517,7 @@ def _seeded_model(seed):
 def _linprog(model, method="highs"):
     """The model solved by scipy's linprog, given the `<=`/`>=` rows (the
     `>=` ones negated) as A_ub and the `=` rows as A_eq."""
-    c = np.zeros(len(model.unknowns))
+    c = np.zeros(len(model.names))
     for column, coef in model.objective.items():
         c[column] = coef if model.objective_sense == "min" else -coef
     matrix, relations, rhs = model.row_table()
@@ -500,7 +529,7 @@ def _linprog(model, method="highs"):
         kwargs.update(A_ub=signed[~equality], b_ub=(sign * rhs)[~equality])
     if equality.any():
         kwargs.update(A_eq=signed[equality], b_eq=rhs[equality])
-    return linprog(c, bounds=[(lo, hi) for _, lo, hi in model.unknowns],
+    return linprog(c, bounds=list(zip(model.lower, model.upper)),
                    method=method, **kwargs)
 
 
@@ -518,7 +547,7 @@ def test_solve_matches_linprog():
             np.testing.assert_allclose(ours.x, reference.x, rtol=1e-12, atol=0, err_msg=seed)
         statuses.add(expected)
         no_rows += not model_rows(m)
-        free += any(math.isinf(lo) and math.isinf(hi) for _, lo, hi in m.unknowns)
+        free += bool(np.any(np.isinf(m.lower) & np.isinf(m.upper)))
     assert statuses == {"optimal", "infeasible", "unbounded"} and no_rows and free
 
 
@@ -623,7 +652,7 @@ def _objectives(model, seed, count=8):
     """Objectives by column; a coefficient rounded to 0 is dropped."""
     rng = random.Random(seed)
     return [(rng.choice(["max", "min"]),
-             {j: round(rng.uniform(-2, 2), 3) for j in range(len(model.unknowns))
+             {j: round(rng.uniform(-2, 2), 3) for j in range(len(model.names))
               if rng.random() < 0.8})
             for _ in range(count)]
 
@@ -654,8 +683,8 @@ def test_rows_appended_after_a_solve_match_cold_solves(seed):
     rng = random.Random(f"append:{seed}")
     warm = _seeded_model(seed)
     solve(warm)
-    rows = [(list(range(len(warm.unknowns))),
-             [round(rng.uniform(-2, 2), 3) for _ in warm.unknowns],
+    rows = [(list(range(len(warm.names))),
+             [round(rng.uniform(-2, 2), 3) for _ in warm.names],
              rng.choice(RELATIONS), round(rng.uniform(-1, 4), 3)) for _ in range(2)]
     cold = _seeded_model(seed)
     for model in (warm, cold):
@@ -703,7 +732,7 @@ def test_session_holds_the_rows_in_model_order():
         m = _seeded_model(seed)
         for appended in (False, True):
             if appended:
-                width = len(m.unknowns)
+                width = len(m.names)
                 m.add_rows([0, width, 2 * width], list(range(width)) * 2,
                            [round(rng.uniform(-2, 2), 3) for _ in range(2 * width)],
                            [rng.choice(RELATIONS) for _ in range(2)],

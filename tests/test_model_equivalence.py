@@ -358,7 +358,7 @@ def test_bucket_pass_alias_matches_loop_reference():
     orders = {0: [0, 1, 2]}
     model = build_general_lp(task, fs, orders)
     assert_same_model(model, reference_general_model(task, kept(task, fs), orders))
-    names = [name for name, _, _ in model.unknowns]
+    names = model.names
     assert "z_o0_v2__v1.0" in names and not any(n.startswith("z_o0_v1") for n in names)
 
 

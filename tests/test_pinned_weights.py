@@ -29,7 +29,8 @@ from potplan.features import (Feature, FeatureSet, format_feature, generate_feat
 from potplan.generator import random_task
 from potplan.lp import export_lp, solve
 from potplan.search import PotentialHeuristic, validate
-from potplan.task import build_transition_system, exact_goal_distances, iter_states, parse_sas
+from potplan.task import (build_transition_system, exact_goal_distances, iter_states, parse_sas,
+                          serialize_sas)
 
 from conftest import make_alias_task, make_toy1
 from reference_builders import (parse_lp, random_features, reference_exhaustive_model,
@@ -231,9 +232,8 @@ def test_pinned_weights_are_zero_and_not_bound_active():
     left_out = pinned(fs, task.domain_sizes)
     names = {weight_var_name(fs.features[i]) for i in left_out}
     model = build_general_lp(task, fs)
-    assert [name for name, _, _ in model.unknowns[:len(kept)]] == \
-        [weight_var_name(f) for f in kept.features]
-    assert left_out and not names & {name for name, _, _ in model.unknowns}
+    assert model.names[:len(kept)] == [weight_var_name(f) for f in kept.features]
+    assert left_out and not names & set(model.names)
     model.set_objective("max", state_objective(task, fs, task.initial_state))
     solution = solve(model).require_optimal()
     result = extract_result(fs, task, solution)
@@ -242,7 +242,9 @@ def test_pinned_weights_are_zero_and_not_bound_active():
         assert len(weights) == len(fs)
         assert all(math.copysign(1.0, weights[i]) == 1.0 and weights[i] == 0.0
                    for i in left_out)
-    assert not names & set(solution.bound_active)
+    at_bound = np.abs(np.abs(solution.x[:len(kept)]) - 1e8) <= 1e-6
+    assert result.bound_active == tuple(model.names[j] for j in np.flatnonzero(at_bound))
+    assert not names & set(result.bound_active)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -254,7 +256,7 @@ def test_potential_models_have_no_fixed_column(seed):
     models = [build_direct2d_lp(task, fs2), build_general_lp(task, fs3),
               build_exhaustive_lp(task, fs2)]
     for model in models:
-        assert all(lower < upper for _, lower, upper in model.unknowns)
+        assert (model.lower < model.upper).all()
 
 
 def test_solve_compact_502_1_reports_every_weight(capsys, monkeypatch):
@@ -277,9 +279,29 @@ def test_solve_compact_502_1_reports_every_weight(capsys, monkeypatch):
     assert len(left_out) == 234
     assert all(weights[format_feature(task, fs.features[i])] == 0.0 for i in left_out)
     model, = built
-    columns = [name for name, _, _ in model.unknowns if name.startswith("w_")]
+    columns = [name for name in model.names if name.startswith("w_")]
     assert len(columns) == 201
-    assert all(lower < upper for _, lower, upper in model.unknowns)
+    assert (model.lower < model.upper).all()
+
+
+@pytest.mark.parametrize("method", ["direct2d", "bucket", "exhaustive"])
+def test_bound_active_lists_the_printed_weights_at_the_bound(capsys, tmp_path, method):
+    """On `random_task(4, 3, 6, 0)`, whose dead ends leave weights at the
+    ±1e8 bound under the `samples:5` objective, `solve` lists as
+    bound-active exactly the printed weights within 1e-6 of the bound, by
+    weight name, and no pinned weight."""
+    task = random_task(4, 3, 6, 0)
+    sas = tmp_path / "task.sas"
+    sas.write_text(serialize_sas(task))
+    assert main(["solve", "--method", method, "--objective", "samples:5", str(sas)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    fs = generate_features(task, 2)
+    names = {format_feature(task, f): weight_var_name(f) for f in fs.features}
+    at_bound = sorted(names[text] for text, weight in payload["weights"].items()
+                      if abs(abs(weight) - 1e8) <= 1e-6)
+    assert at_bound and payload["bound_active"] == at_bound
+    left_out = {weight_var_name(fs.features[i]) for i in pinned(fs, task.domain_sizes)}
+    assert left_out and not left_out & set(at_bound)
 
 
 @pytest.mark.parametrize("method", ["direct2d", "bucket"])
@@ -292,7 +314,7 @@ def test_lp_export_of_the_kept_model_reads_back(capsys, tmp_path, method):
     text = out.read_text()
     parsed = parse_lp(text)
     assert export_lp(parsed) == text
-    weights = [name for name, _, _ in parsed.unknowns if name.startswith("w_")]
+    weights = [name for name in parsed.names if name.startswith("w_")]
     assert len(weights) == 201
     task = compact_502_1()
     kept = kept_features(generate_features(task, 2), task.domain_sizes)[0]

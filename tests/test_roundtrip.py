@@ -10,7 +10,7 @@ from potplan.lp import export_lp
 from potplan.reduction import reduce_3col
 from potplan.task import Operator, Task, Variable, parse_sas, serialize_sas
 
-from reference_builders import complete_graph, model_rows, parse_lp, random_features
+from reference_builders import columns, complete_graph, model_rows, parse_lp, random_features
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -53,7 +53,7 @@ def test_sas_round_trip(task):
 def assert_lp_round_trip(model):
     text = export_lp(model)
     parsed = parse_lp(text)
-    assert parsed.unknowns == model.unknowns
+    assert columns(parsed) == columns(model)
     assert model_rows(parsed) == model_rows(model)
     assert (parsed.objective_sense, parsed.objective) == \
         (model.objective_sense, model.objective)
@@ -84,5 +84,5 @@ def test_potential_lp_round_trip_with_assignment_suffixes():
     red = reduce_3col(complete_graph(4))
     model = build_general_lp(red.task, red.features)
     model.set_objective("max", state_objective(red.task, red.features, red.task.initial_state))
-    assert any("__v" in name for name, _, _ in model.unknowns if name.startswith("z_"))
+    assert any("__v" in name for name in model.names if name.startswith("z_"))
     assert_lp_round_trip(model)

@@ -10,7 +10,8 @@ coefficients and its column bounds, and for a model without a session (one
 not solved since its last column was added) its whole row table too.  So
 trees that hand rows to HiGHS differently are still compared LP by LP.
 
-The inputs are written once, with BEFORE_TREE, into a temporary directory:
+The inputs are written once into a temporary directory, with BEFORE_TREE
+but for the random feature files:
 `gen --seed 0..11` (whose printed tasks are compared too, as are those of
 `gen --general --seed 0..5`, whose solvability check builds transition
 systems outside transition normal form, and which `tnf` and `validate-task`
@@ -19,10 +20,9 @@ and `random:3`, so that the OCP and TCP models of 24 more state sets are
 compared LP by LP), and `random_task(4, 3, 6, seed)` with
 `random_features(task, 10, dim, seed)` for seeds 0..5 and dimensions 1-4 as
 feature files (`random_features` is taken from `tests/reference_builders.py`
-beside this tool, so either tree can be BEFORE_TREE and the files stay the
-same; that module is imported with BEFORE_TREE's `potplan`, so where it
-imports a name BEFORE_TREE lacks, run the copy of this tool in BEFORE_TREE),
-plus four `--order` files (at dimension 3 one that reverses every
+beside this tool, and a worker of its own writes these files with the tree
+this tool is in, so either tree can be BEFORE_TREE and the files stay the
+same), plus four `--order` files (at dimension 3 one that reverses every
 operator's min-fill order, one that gives every other operator a seeded
 random order and leaves the rest to min-fill, and one missing a variable; at
 dimension 2 one that gives an operator with two context variables an order
@@ -83,6 +83,9 @@ GRAPHS = {"triangle": "p edge 3 3\ne 1 2\ne 1 3\ne 2 3\n",
           "k4": "p edge 4 6\ne 1 2\ne 1 3\ne 1 4\ne 2 3\ne 2 4\ne 3 4\n"}
 
 
+TOOL_TREE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
 def _import_potplan(tree: str):
     sys.path.insert(0, os.path.join(os.path.abspath(tree), "src"))
     import potplan.cli
@@ -107,16 +110,34 @@ def _task_calls(sas: str, features: str | None) -> list[list[str]]:
     return calls
 
 
+def _features_path(seed: int, dim: int) -> str:
+    return f"random{seed}_dim{dim}.features"
+
+
+def write_features(tree: str, workdir: str) -> None:
+    """Write the random feature files with `tree`, the one this tool is in,
+    and the `random_features` of its tests."""
+    _import_potplan(tree)
+    from potplan.features import format_feature
+    from potplan.generator import random_task
+    sys.path.insert(0, os.path.join(TOOL_TREE, "tests"))
+    from reference_builders import random_features
+    os.chdir(workdir)
+    for seed in RANDOM_SEEDS:
+        task = random_task(4, 3, 6, seed)
+        for dim in (1, 2, 3, 4):
+            _write(_features_path(seed, dim), "".join(
+                format_feature(task, f) + "\n" for f in random_features(task, 10, dim, seed)))
+
+
 def prepare(tree: str, workdir: str, extra: list[str]) -> None:
-    """Write the inputs and `calls.json`, the list of argument vectors."""
+    """Write the inputs but the random feature files, and `calls.json`, the
+    list of argument vectors."""
     potplan = _import_potplan(tree)
     from potplan.elimination import adjacency, classify, eliminate_graphs
-    from potplan.features import Feature, FeatureSet, format_feature
+    from potplan.features import Feature, FeatureSet, format_feature, parse_feature_file
     from potplan.generator import random_task
     from potplan.task import Operator, Task, Variable, serialize_sas
-    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                                    "tests"))
-    from reference_builders import random_features
     os.chdir(workdir)
     calls = []
     for seed in GEN_SEEDS:
@@ -157,9 +178,9 @@ def prepare(tree: str, workdir: str, extra: list[str]) -> None:
             _write(f"random{seed}.tripled.json", json.dumps(tripled)))]
         calls += [["compare", sas], ["search", sas, "--heuristic", "blind"]]
         for dim in (1, 2, 3, 4):
-            fs = random_features(task, 10, dim, seed)
-            features = _write(f"random{seed}_dim{dim}.features",
-                              "".join(format_feature(task, f) + "\n" for f in fs))
+            features = _features_path(seed, dim)
+            with open(features, encoding="utf-8") as f:
+                fs = parse_feature_file(task, f.read())
             methods = ("direct2d", "bucket") if dim <= 2 else ("bucket",)
             for method in methods:
                 base = ["--method", method, "--features", features, sas]
@@ -242,6 +263,14 @@ def prepare(tree: str, workdir: str, extra: list[str]) -> None:
     _write("calls.json", json.dumps(calls))
 
 
+def _column_bounds(model) -> np.ndarray:
+    """The (lower, upper) pairs of the columns, read from `lower` and
+    `upper`, or from `unknowns` in older trees."""
+    if hasattr(model, "unknowns"):
+        return np.array([(lo, hi) for _, lo, hi in model.unknowns])
+    return np.array(list(zip(model.lower, model.upper)))
+
+
 def _digest(model) -> str:
     """Digest of one solve: whether the model has a session, its sense, its
     objective's columns and coefficients and its column bounds, then for a
@@ -250,7 +279,7 @@ def _digest(model) -> str:
     objective = sorted(model.objective.items())
     parts = [np.array([model._session is not None, model.objective_sense == "max"]),
              np.array([j for j, _ in objective]), np.array([c for _, c in objective]),
-             np.array([(lo, hi) for _, lo, hi in model.unknowns])]
+             _column_bounds(model)]
     if model._session is None:
         matrix, relations, rhs = model.row_table()
         parts += [np.array(matrix.shape), matrix.indptr, matrix.indices, matrix.data,
@@ -304,7 +333,9 @@ def _worker(mode: str, tree: str, workdir: str, extra: list[str]) -> str:
 def main(argv: list[str]) -> int:
     if argv[:1] == ["--worker"]:
         mode, tree, workdir, *extra = argv[1:]
-        if mode == "prepare":
+        if mode == "features":
+            write_features(tree, workdir)
+        elif mode == "prepare":
             prepare(tree, workdir, extra)
         else:
             run(tree, workdir)
@@ -314,6 +345,7 @@ def main(argv: list[str]) -> int:
         return 2
     before, after, *extra = argv
     with tempfile.TemporaryDirectory() as workdir:
+        _worker("features", TOOL_TREE, workdir, [])
         _worker("prepare", before, workdir, [os.path.abspath(p) for p in extra])
         with open(os.path.join(workdir, "calls.json"), encoding="utf-8") as f:
             calls = json.load(f)
