@@ -2,9 +2,9 @@
 
 Results go to stdout (JSON by default, CSV for tables), diagnostics to
 stderr.  Exit codes: 0 success, 1 domain errors (unsolvable task, infeasible
-model, oversized state space), 2 usage errors.  Identical invocations with
-the same seed produce byte-identical output; search timing is therefore only
-printed on request.
+model, unbounded model: an objective over dead ends, oversized state space),
+2 usage errors.  Identical invocations with the same seed produce
+byte-identical output; search timing is therefore only printed on request.
 """
 
 from __future__ import annotations
@@ -165,7 +165,6 @@ def cmd_solve(args) -> int:
         "method": args.method,
         "dimension": fs.dimension,
         "goal_potential": round(result.goal_potential, 9),
-        "bound_active": sorted(result.bound_active),
         "weights": {k: round(v, 9) for k, v in weights.items()},
     }, indent=None, sort_keys=False))
     return EXIT_OK

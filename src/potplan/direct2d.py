@@ -4,8 +4,11 @@ its reference oracle.
 
 Both models, returned as the `LpModel` itself, are built over the kept
 features of the given set (`features.kept_features`): they start with one
-weight unknown per kept feature, bounded by ±1e8 (kept feature i is column
-i), and the goal-awareness row `state_objective(goal_state) <= 0`.
+free weight unknown per kept feature (kept feature i is column i), and the
+goal-awareness row `state_objective(goal_state) <= 0`.  As in the paper,
+only rows constrain the weights, so HiGHS starts primal simplex at x = 0
+(`lp._Session`); an admissible potential is at most h*, so only an
+objective over dead-end states can be unbounded.
 `state_objective`, the mean potential over given states as a map {column:
 coefficient}, also gives the `init` and `samples:N` objectives; it and
 `all_states_objective` take the given set and map its features to the
@@ -19,8 +22,8 @@ hands back column-indexed rows.
 The other weights are pinned to 0 and have no column: their indicators are
 combinations of the kept ones', so the model expresses the same potentials,
 but weights can no longer shift against each other without changing any
-potential, which let HiGHS park them at the ±1e8 bound.  `extract_result`
-puts them back as 0.0, so reported weights follow the given set.
+potential.  `extract_result` puts them back as 0.0, so reported weights
+follow the given set.
 
 For features of dimension at most 2 every context-dependency graph has no
 edges (width 0), and elimination yields the binary model of Pommerening,
@@ -37,6 +40,7 @@ carry the assignment to the remaining scope, `z_o{op}_v{var}__v{u}.{value}_...`.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -45,11 +49,12 @@ import numpy as np
 from .elimination import (adjacency, check_order, classify, eliminate_buckets,
                           eliminate_graphs, eliminate_width0)
 from .features import Feature, FeatureSet, evaluate_potential, kept_features, truth_matrix
-from .lp import FEASIBILITY_TOL, OPTIMALITY_TOL, LpModel, LpSolution, solve
+from .lp import OPTIMALITY_TOL, LpModel, LpSolution, solve
 from .task import (DEFAULT_STATE_CAP, State, SuccessorGenerator, Task,
                    TransitionSystem, build_transition_system, successor)
 from .tnf import is_tnf
 
+# The weights' box in `solve_for_state`'s tie-break if it is unbounded.
 WEIGHT_LOWER = -1e8
 WEIGHT_UPPER = 1e8
 
@@ -67,7 +72,6 @@ class PotentialSolveResult:
     weights: list[float]
     value: float
     goal_potential: float
-    bound_active: tuple[str, ...]
 
 
 def _require_tnf(task: Task) -> None:
@@ -80,14 +84,14 @@ def _goal_state(task: Task) -> State:
 
 
 def _weights_and_goal_row(task: Task, fs: FeatureSet) -> tuple[LpModel, FeatureSet]:
-    """The kept features of `fs` and a model with one weight unknown per
-    kept feature (columns 0..|kept|-1), bounded by ±1e8, and the goal row:
-    the goal state's potential is at most 0."""
+    """The kept features of `fs` and a model with one free weight unknown
+    per kept feature (columns 0..|kept|-1) and the goal row: the goal
+    state's potential is at most 0."""
     _require_tnf(task)
     kept = kept_features(fs, task.domain_sizes)[0]
     model = LpModel()
     model.add_unknowns([weight_var_name(f) for f in kept.features],
-                       [WEIGHT_LOWER] * len(kept), [WEIGHT_UPPER] * len(kept))
+                       [-math.inf] * len(kept), [math.inf] * len(kept))
     goal = state_objective(task, fs, _goal_state(task))
     model.add_rows([0, len(goal)], list(goal), list(goal.values()), "<=", 0.0, ["goal"])
     return model, kept
@@ -167,22 +171,16 @@ def sample_states(task: Task, count: int, seed: int) -> list[State]:
 
 def extract_result(fs: FeatureSet, task: Task, solution: LpSolution) -> PotentialSolveResult:
     """Weights by index into `fs`, read from the kept features' columns and
-    0.0 for the pinned ones, the objective value, the goal state's potential
-    and the names of the kept weights within FEASIBILITY_TOL of the ±1e8
-    bound, in feature order, from an optimal solution of a model built over
-    `fs`."""
+    0.0 for the pinned ones, the objective value and the goal state's
+    potential, from an optimal solution of a model built over `fs`."""
     kept, index = kept_features(fs, task.domain_sizes)
-    x = solution.x[:len(kept)]
     weights = np.zeros(len(fs))
-    weights[index] = x
+    weights[index] = solution.x[:len(kept)]
     weights = weights.tolist()
-    at_bound = ((np.abs(x - WEIGHT_LOWER) <= FEASIBILITY_TOL)
-                | (np.abs(x - WEIGHT_UPPER) <= FEASIBILITY_TOL))
     return PotentialSolveResult(
         weights=weights,
         value=solution.objective_value,
         goal_potential=evaluate_potential(fs, weights, _goal_state(task)),
-        bound_active=tuple(weight_var_name(kept.features[i]) for i in np.flatnonzero(at_bound)),
     )
 
 
@@ -202,15 +200,21 @@ def solve_for_state(task: Task, fs: FeatureSet, state: State) -> PotentialSolveR
     state's potential within OPTIMALITY_TOL of that optimum and maximizes
     the mean potential over all syntactic states (Seipp, Pommerening &
     Helmert, ICAPS 2015), so that the weights inform a search heuristic away
-    from the state too.  The reported value is the first solve's optimum."""
+    from the state too; where that mean is unbounded (only with dead ends),
+    it is solved again with the weights boxed.  The value is the first
+    solve's optimum; if that is unbounded (a dead end), it raises LpStatusError."""
     model = build_direct2d_lp(task, fs)
     objective = state_objective(task, fs, state)
     model.set_objective("max", objective)
     optimum = solve(model).require_optimal().objective_value
     model.add_rows([0, len(objective)], list(objective), list(objective.values()), ">=",
                    optimum - OPTIMALITY_TOL * max(1.0, abs(optimum)), ["tie_break"])
-    model.set_objective("max", all_states_objective(task, fs))
-    result = extract_result(fs, task, solve(model).require_optimal())
+    model.set_objective("max", mean := all_states_objective(task, fs))
+    solution = solve(model)
+    if solution.status == "unbounded":
+        model.set_bounds(list(mean), [WEIGHT_LOWER] * len(mean), [WEIGHT_UPPER] * len(mean))
+        solution = solve(model)
+    result = extract_result(fs, task, solution.require_optimal())
     result.value = optimum
     return result
 

@@ -1,15 +1,15 @@
 """Solver-agnostic linear programs: a model built and read by column, a
 solve contract backed by the HiGHS that scipy bundles, CPLEX-LP-format text
-export, and the name-level expression algebra (LinearExpression, evaluate)
-of the tests' reference builders.
+export, and the name-level expression algebra (LinearExpression) of the
+tests' reference builders.
 
 A model keeps what its builders give it, checked but not repaired: rows come
 in canonical form (columns increasing within each row, no zero coefficient)
 with finite right-hand sides, or the block is refused.  A model keeps its
 HiGHS object between solves as long as no column is added, so that
 re-solving it for another objective starts from the last optimal basis; rows
-appended after a solve are handed to that HiGHS object, and adding a column
-drops it.
+appended and bounds changed after a solve are handed to that HiGHS object,
+and adding a column drops it.
 """
 
 from __future__ import annotations
@@ -38,10 +38,6 @@ _ROW_NAMES_RE = re.compile(rf"(?:(?:(?!c\d+\n){_NAME_RE.pattern})?\n)*")
 
 
 class LpError(ValueError):
-    pass
-
-
-class MissingAssignmentError(LpError):
     pass
 
 
@@ -113,19 +109,6 @@ class LinearExpression:
     __rmul__ = __mul__
 
 
-ZERO = LinearExpression()
-
-
-def evaluate(expression: LinearExpression, assignment: dict[str, float]) -> float:
-    """Value of the expression under a total assignment to its unknowns."""
-    total = expression.constant
-    for name, coef in expression.terms:
-        if name not in assignment:
-            raise MissingAssignmentError(f"no value for unknown '{name}'")
-        total += coef * assignment[name]
-    return total
-
-
 def _append(buffer: array, values) -> None:
     """Append a numpy-convertible sequence to a typed array in one copy."""
     buffer.frombytes(np.ascontiguousarray(values, dtype=buffer.typecode).tobytes())
@@ -162,7 +145,9 @@ class LpModel:
         a model with a solver session drops it.  Nothing is declared when a
         name is not LP-file safe or declared twice, or a column's bounds hold
         no number (NaN, lower above upper, lower +inf or upper -inf)."""
-        for name, _, _ in zip(names, lower, upper, strict=True):
+        if not len(names) == len(lower) == len(upper):
+            raise LpError("unknowns: not one lower and one upper bound per name")
+        for name in names:
             if not _NAME_RE.fullmatch(name) or name in ("free", "inf"):
                 raise LpError(f"unknown name '{name}' is not LP-file safe")
         lo, hi = np.array(lower, dtype=float), np.array(upper, dtype=float)
@@ -180,6 +165,18 @@ class LpModel:
         self._session = None
         self.names.extend(names)
         self.lower, self.upper = np.append(self.lower, lo), np.append(self.upper, hi)
+
+    def set_bounds(self, columns: list[int], lower: list[float], upper: list[float]) -> None:
+        """Replace the bounds of the given distinct columns, checked as
+        `add_unknowns` checks a declaration; nothing changes when a check
+        fails.  A live solver session gets them too and keeps its basis."""
+        if not all(0 <= j < len(self.names) for j in columns):
+            raise LpError(f"bounds of undeclared columns {list(columns)}")
+        alone = LpModel()
+        alone.add_unknowns([self.names[j] for j in columns], lower, upper)
+        if self._session is not None:
+            self._session.set_bounds(np.array(columns, dtype=np.int32), alone.lower, alone.upper)
+        self.lower[columns], self.upper[columns] = alone.lower, alone.upper
 
     def add_rows(self, indptr, columns, coefficients, relations, rhs,
                  names=None) -> None:
@@ -292,6 +289,13 @@ def check_solution(model: LpModel, x: np.ndarray) -> list[str]:
     return violations
 
 
+def _rest_at_zero(lower: np.ndarray, upper: np.ndarray) -> bool:
+    """Whether every column can sit non-basic at 0: it is free or has 0 as
+    a bound."""
+    free = (lower == -np.inf) & (upper == np.inf)
+    return bool(np.all(free | (lower == 0) | (upper == 0)))
+
+
 class _Session:
     """A model's HiGHS object, kept until a column is added: it holds the
     model's columns and rows, in model order, and the last basis.
@@ -300,10 +304,9 @@ class _Session:
     column is free or has 0 as a bound, and every row holds at 0.  HiGHS's
     slack basis, from which a run without a basis starts, is then primal
     feasible, so primal simplex skips its phase 1, while dual simplex would
-    first repair the dual infeasibility of the free columns (the cost
-    partitioning models, whose columns are all free).  A boxed column, such
-    as a potential weight at ±1e8, sits non-basic at a bound, not at 0, so
-    models with one keep the dual start."""
+    first repair the dual infeasibility of the free columns.  Every `src/`
+    model qualifies, since all their columns are free; a column boxed away
+    from 0 (`direct2d.solve_for_state`'s fallback) keeps the dual start."""
 
     def __init__(self, model: LpModel):
         self.highs = highs_core._Highs()
@@ -312,12 +315,16 @@ class _Session:
                               ("presolve", "on")):
             self.highs.setOptionValue(option, value)
         lower, upper = model.lower, model.upper
-        free = (lower == -np.inf) & (upper == np.inf)
-        self.origin_feasible = bool(np.all(free | (lower == 0) | (upper == 0)))
+        self.origin_feasible = _rest_at_zero(lower, upper)
         if self.highs.addVars(len(lower), lower, upper) == highs_core.HighsStatus.kError:
             raise SolverFailureError("HiGHS refused the columns")
         matrix, relations, rhs = model.row_table()
         self.add_rows(matrix.indptr, matrix.indices, matrix.data, relations, rhs)
+
+    def set_bounds(self, columns: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> None:
+        """Hand new column bounds to HiGHS, which keeps its basis."""
+        self.origin_feasible &= _rest_at_zero(lower, upper)
+        self.highs.changeColsBounds(len(columns), columns, lower, upper)
 
     def add_rows(self, indptr: np.ndarray, columns: np.ndarray, coefficients: np.ndarray,
                  relations: np.ndarray, rhs: np.ndarray) -> None:
@@ -338,7 +345,8 @@ class _Session:
         feasible and dual simplex otherwise; later ones start from the last
         basis by primal simplex, which stays primal feasible when only the
         cost changes (and after appended rows that the last optimum
-        satisfies, such as `direct2d`'s tie-break row)."""
+        satisfies, such as `direct2d`'s tie-break row); after new bounds
+        it may first have to regain feasibility."""
         highs, warm, statuses = self.highs, self.solved, highs_core.HighsModelStatus
         cold_strategy = 4 if self.origin_feasible else 1
         highs.setOptionValue("simplex_strategy", 4 if warm else cold_strategy)
@@ -346,20 +354,12 @@ class _Session:
         highs.run()
         self.solved = True
         status = highs.getModelStatus()
-        if warm and status not in (statuses.kInfeasible, statuses.kUnbounded):
-            if status == statuses.kOptimal:
-                # The values a warm start ends with are carried through its
-                # basis updates and can differ in the last bit from those of a
-                # fresh factorization of the same basis, which a cold solve
-                # reports (seen at 2.7e8 on a dead-end state): run again from
-                # that basis.
-                highs.setBasis(highs.getBasis())
-            else:
-                # A warm start can end undecided (HiGHS reports "Unknown" when
-                # it starts from the basis an unbounded objective left): run
-                # again without that basis, as a solve of a fresh copy would.
-                highs.setOptionValue("simplex_strategy", cold_strategy)
-                highs.clearSolver()
+        if warm and status not in (statuses.kOptimal, statuses.kInfeasible, statuses.kUnbounded):
+            # A warm start can end undecided (HiGHS reports "Unknown" when it
+            # starts from the basis an unbounded objective left): run again
+            # without that basis, as a solve of a fresh copy would.
+            highs.setOptionValue("simplex_strategy", cold_strategy)
+            highs.clearSolver()
             highs.run()
             status = highs.getModelStatus()
         return status
@@ -394,15 +394,12 @@ def _finish(model: LpModel, x: np.ndarray) -> LpSolution:
     violations = check_solution(model, x)
     if violations:
         raise SolverFailureError(f"solution violates rows: {', '.join(violations[:5])}")
-    names, objective = model.names, model.objective
-    # Summed term by term in unknown-name order, as `evaluate` sums a
-    # LinearExpression, not in column order and not with `sum()` (which
-    # compensates from Python 3.12 on): with weights at the 1e8 bound the
-    # terms cancel, and another order changes the printed objective (e.g.
-    # 36.0 becomes 36.00000006 on a dimension-2 potential model).
+    # Summed term by term in column order, not with `sum()`, which
+    # compensates from Python 3.12 on, so that the printed objective does
+    # not depend on the Python version.
     value = 0.0
-    for j in sorted(objective, key=names.__getitem__):
-        value += objective[j] * float(x[j])
+    for j in sorted(model.objective):
+        value += model.objective[j] * float(x[j])
     return LpSolution("optimal", x, value)
 
 

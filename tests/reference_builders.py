@@ -31,7 +31,8 @@ optimum.  The signed-cost Bellman-Ford
 (`reference_goal_distances`) checks the goal distances of extracted cost
 functions.  `parse_lp` reads back exactly the text `export_lp` writes, the
 oracle of the export round trip.  The helpers that only tests call live
-here too: `shift_weights_to_goal`, `abstract_transitions`,
+here too: `evaluate` (a LinearExpression's value under an assignment by
+unknown name), `shift_weights_to_goal`, `abstract_transitions`,
 `extract_cost_functions`, `validate_partition` and
 `features_of_abstractions` over the cost-partitioning models,
 `variables_of` (a feature's variables),
@@ -52,16 +53,32 @@ from typing import NamedTuple
 import numpy as np
 
 from potplan.costpart import AbstractionError
-from potplan.direct2d import (WEIGHT_LOWER, WEIGHT_UPPER, build_exhaustive_lp,
-                              build_general_lp, extract_result, sample_states,
-                              state_objective, weight_var_name)
+from potplan.direct2d import (build_exhaustive_lp, build_general_lp, extract_result,
+                              sample_states, state_objective, weight_var_name)
 from potplan.elimination import OrderingError, check_order
 from potplan.features import Feature, FeatureError, FeatureSet
-from potplan.lp import (FEASIBILITY_TOL, RELATIONS, ZERO, LinearExpression, LpError,
-                        LpModel, MissingAssignmentError, check_solution, evaluate, solve)
+from potplan.lp import (FEASIBILITY_TOL, RELATIONS, LinearExpression, LpError, LpModel,
+                        check_solution, solve)
 from potplan.search import NoPlanError, SearchResult, tiebreak_key
 from potplan.reduction import Graph
 from potplan.task import is_applicable, iter_states, state_index, successor
+
+ZERO = LinearExpression()
+
+
+class MissingAssignmentError(LpError):
+    pass
+
+
+def evaluate(expression: LinearExpression, assignment: dict[str, float]) -> float:
+    """Value of the expression under a total assignment to its unknowns."""
+    total = expression.constant
+    for name, coef in expression.terms:
+        if name not in assignment:
+            raise MissingAssignmentError(f"no value for unknown '{name}'")
+        total += coef * assignment[name]
+    return total
+
 
 # Minimum improvement for a Bellman-Ford relaxation; guards against declaring
 # a negative cycle from float noise in LP-extracted cost functions.
@@ -487,8 +504,8 @@ def features_of_abstractions(ts, patterns):
 
 
 def _reference_weights(model, fs):
-    """One weight unknown per feature, bounded by ±1e8."""
-    return {i: add_unknown(model, weight_var_name(f), WEIGHT_LOWER, WEIGHT_UPPER)
+    """One free weight unknown per feature."""
+    return {i: add_unknown(model, weight_var_name(f), -math.inf, math.inf)
             for i, f in enumerate(fs.features)}
 
 

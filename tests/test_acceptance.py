@@ -17,7 +17,7 @@ from potplan.direct2d import build_direct2d_lp, solve_for_state
 from potplan.elimination import adjacency, classify, eliminate_graphs
 from potplan.features import evaluate_potential, generate_features
 from potplan.generator import random_task
-from potplan.lp import LinearExpression, evaluate, solve
+from potplan.lp import LinearExpression, solve
 from potplan.reduction import Graph, is_3colorable, reduce_3col
 from potplan.search import PotentialHeuristic, astar, blind, validate
 from potplan.task import build_transition_system, exact_goal_distances
@@ -26,7 +26,7 @@ from conftest import (PAPER_BE_DOMAINS, base_model, bottom_up_values, candidates
                       eliminate, make_paper_be)
 from reference_builders import (brute_force_max, classify_features, column_terms,
                                 complete_graph, cycle_graph, dependency_graph, empty_graph,
-                                features_of_abstractions, model_rows, random_features,
+                                evaluate, features_of_abstractions, model_rows, random_features,
                                 random_scoped_set, reference_induced_width,
                                 reference_min_fill_order, solve_exhaustive_for_state,
                                 solve_general_for_state)

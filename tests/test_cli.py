@@ -231,17 +231,21 @@ COMPACT_502_1 = os.path.join(os.path.dirname(__file__), "data", "compact_502_1.s
 
 
 @pytest.mark.parametrize("method", ["direct2d", "bucket"])
-def test_pinned_weights_solve_compact_502_1_exactly(capsys, method):
+def test_pinned_weights_solve_compact_502_1_exactly(capsys, tmp_path, method):
     """A planted 10-variable task on which, with every weight bounded by
     ±1e8 alone, both methods printed 11.000001013: weights parked at the
-    bound cancelled in the objective.  With pinned weights the optimum is
-    exact, no weight is near the bound and none is listed as bound-active."""
+    bound cancelled in the objective.  With pinned, free weights the optimum
+    is exact and the printed weights are a valid potential heuristic."""
     code, out, _ = run_cli(capsys, "solve", "--method", method, COMPACT_502_1)
     assert code == 0
     payload = json.loads(out)
     assert payload["objective"] == 11.0 and payload["goal_potential"] == 0.0
-    assert max(abs(w) for w in payload["weights"].values()) == 8.0
-    assert payload["bound_active"] == []
+    weights = tmp_path / "weights.json"
+    weights.write_text(json.dumps(payload["weights"]))
+    code, out, _ = run_cli(capsys, "validate", "--weights", str(weights), COMPACT_502_1)
+    assert code == 0
+    assert json.loads(out) == {"goal_aware": True, "consistent": True, "admissible": True,
+                               "counterexample": None}
 
 
 DEAD_ENDS_52 = os.path.join(os.path.dirname(__file__), "data", "dead_ends_52.sas")

@@ -9,7 +9,7 @@ from potplan.elimination import (OrderingError, adjacency, check_order, classify
                                  eliminate_graphs)
 from potplan.features import Feature, FeatureSet, generate_features, kept_features
 from potplan.generator import random_task
-from potplan.lp import LinearExpression, evaluate, export_lp, solve
+from potplan.lp import LinearExpression, export_lp, solve
 from potplan.reduction import reduce_3col
 from potplan.task import Operator, Task, Variable
 
@@ -17,7 +17,7 @@ from conftest import (PAPER_BE_DOMAINS, base_model, bottom_up_values, candidates
                       eliminate, make_alias_task)
 from reference_builders import (DependencyGraph, ScopedFunction, brute_force_max,
                                 column_terms, complete_graph, delta_independent,
-                                dependency_graph, model_rows, random_features,
+                                dependency_graph, evaluate, model_rows, random_features,
                                 random_scoped_set, reference_bucket_eliminate,
                                 reference_induced_width, reference_min_fill_order,
                                 solution_values, solve_exhaustive_for_state,

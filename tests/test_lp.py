@@ -10,12 +10,12 @@ from scipy.sparse import csc_matrix, diags
 from potplan import costpart, direct2d
 from potplan.features import generate_features, kept_features
 from potplan.lp import (LinearExpression, LpError, LpModel, LpSolution, RELATIONS,
-                        MissingAssignmentError, SolverFailureError,
-                        check_solution, evaluate, export_lp, solve)
+                        SolverFailureError, check_solution, export_lp, solve)
 from potplan.task import build_transition_system, exact_goal_distances
 
-from reference_builders import (Row, add_row, add_unknown, check_values, column_terms, columns,
-                                model_rows, parse_lp, random_features, solution_values)
+from reference_builders import (MissingAssignmentError, Row, add_row, add_unknown, check_values,
+                                column_terms, columns, evaluate, model_rows, parse_lp,
+                                random_features, solution_values)
 
 from test_model_equivalence import TASKS
 
@@ -150,19 +150,18 @@ def test_objective_by_column():
         parse_lp("Maximize\n obj: x + 2.0\nSubject To\nBounds\n x free\nEnd\n")
 
 
-def test_bound_active_flag(toy1):
-    """`extract_result` lists the kept weights within 1e-6 of the ±1e8
-    weight bound, by name in feature order; a column past the weights is
-    never listed."""
+def test_extract_result_reads_the_kept_columns(toy1):
+    """`extract_result` reads each kept weight from its column, reports
+    every pinned weight as 0.0, and ignores the columns past the weights."""
     fs = generate_features(toy1, 1)
-    kept = kept_features(fs, toy1.domain_sizes)[0]
-    names = [direct2d.weight_var_name(f) for f in kept.features]
-    assert len(names) == 3
-    for x, listed in [([1e8 - 5e-7, 3.0, -1e8 + 2e-6, 1e8], names[:1]),
-                      ([-1e8, 1e8, 0.0, -1e8], [names[0], names[1]]),
-                      ([1e8 - 2e-6, -1e8 - 2e-6, 1.0, 1e8], [])]:
-        solution = LpSolution("optimal", np.array(x), 0.0)
-        assert direct2d.extract_result(fs, toy1, solution).bound_active == tuple(listed), x
+    kept, index = kept_features(fs, toy1.domain_sizes)
+    assert len(kept) == 3 < len(fs)
+    for x in ([1e8, 3.0, -2.5, 7.0], [0.0, -1.0, 0.5, -1e8]):
+        result = direct2d.extract_result(fs, toy1, LpSolution("optimal", np.array(x), 4.0))
+        expected = [0.0] * len(fs)
+        for column, i in enumerate(index):
+            expected[i] = x[column]
+        assert result.weights == expected and result.value == 4.0, x
 
 
 def test_export_format():
@@ -626,10 +625,10 @@ def test_rows_appended_to_an_origin_feasible_model_update_the_rule():
     assert solve(m).objective_value == 4.0
 
 
-def test_potential_models_start_dual_and_cost_partitioning_models_primal():
-    """The direct2d, bucket and exhaustive models box their weights at
-    +-1e8 and keep the dual first run; TCP and OCP, whose columns are all
-    free and whose rows hold at 0, start primal."""
+def test_every_model_starts_primal():
+    """The direct2d, bucket and exhaustive models, whose weights and
+    elimination unknowns are free, and TCP and OCP, whose columns are all
+    free, have rows that hold at 0: every first run is primal."""
     task = TASKS["random0"]()
     ts = build_transition_system(task)
     state = task.initial_state
@@ -638,9 +637,10 @@ def test_potential_models_start_dual_and_cost_partitioning_models_primal():
                  (direct2d.build_general_lp(task, fs3), fs3),
                  (direct2d.build_exhaustive_lp(task, fs2, ts), fs2)]
     for model, fs in potential:
+        assert np.all(model.lower == -math.inf) and np.all(model.upper == math.inf)
         model.set_objective("max", direct2d.state_objective(task, fs, state))
         solve(model).require_optimal()
-        assert _cold_strategy(model) == DUAL
+        assert _cold_strategy(model) == PRIMAL
     patterns = costpart.all_patterns(len(task.variables))
     for build in (costpart.build_tcp_lp, costpart.build_ocp_lp):
         model = build(ts, patterns, state).model
@@ -694,6 +694,78 @@ def test_rows_appended_after_a_solve_match_cold_solves(seed):
     _assert_same_result(result, solve(cold))
     if result.status == "optimal":
         assert check_solution(cold, result.x) == []
+
+
+def _new_bounds(rng, width):
+    """Bounds for a random subset of the columns: free, one-sided, a box
+    around 0, a box away from 0 or fixed."""
+    columns = [j for j in range(width) if rng.random() < 0.6]
+    choices = [(-math.inf, math.inf), (0.0, math.inf), (-math.inf, 1.5), (-2.0, 2.0),
+               (0.5, 3.0), (1.0, 1.0)]
+    lower, upper = zip(*(rng.choice(choices) for _ in columns)) if columns else ((), ())
+    return columns, list(lower), list(upper)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_bounds_set_after_a_solve_match_cold_solves(seed):
+    """Bounds set on a solved model go to its session; re-solving it gives
+    what a fresh copy given the same bounds before its first solve gives."""
+    warm = _seeded_model(seed)
+    solve(warm)
+    columns, lower, upper = _new_bounds(random.Random(f"bounds:{seed}"), len(warm.names))
+    cold = _seeded_model(seed)
+    for model in (warm, cold):
+        model.set_bounds(columns, lower, upper)
+    assert warm.lower.tolist() == cold.lower.tolist()
+    assert warm.upper.tolist() == cold.upper.tolist()
+    lp = warm._session.highs.getLp()
+    assert (list(lp.col_lower_), list(lp.col_upper_)) == (warm.lower.tolist(),
+                                                          warm.upper.tolist())
+    result = solve(warm)
+    _assert_same_result(result, solve(cold))
+    if result.status == "optimal":
+        assert check_solution(cold, result.x) == []
+
+
+@pytest.mark.parametrize("columns, lower, upper", [
+    ([0], [math.nan], [1.0]), ([1], [-1.0], [math.nan]), ([0, 1], [0.0, 2.0], [1.0, 1.0]),
+    ([0], [math.inf], [math.inf]), ([1], [-math.inf], [-math.inf]), ([2], [0.0], [1.0]),
+    ([-1], [0.0], [1.0]), ([0, 0], [0.0, 0.0], [1.0, 1.0]), ([0, 1], [0.0], [1.0])],
+    ids=["nan-lower", "nan-upper", "lower-above-upper", "inf-lower", "minus-inf-upper",
+         "undeclared", "negative", "repeated", "lengths"])
+def test_set_bounds_refuses_and_changes_nothing(columns, lower, upper):
+    """Bounds that hold no number, undeclared or repeated columns and a
+    count mismatch are refused, before and after a solve; neither the model
+    nor its session changes, and the optimum stays."""
+    for warm in (False, True):
+        m = LpModel()
+        m.add_unknowns(["x", "y"], [0.0, -math.inf], [4.0, math.inf])
+        m.add_rows([0, 2], [0, 1], [1.0, 1.0], "<=", 3.0)
+        m.set_objective("max", {0: 1.0})
+        if warm:
+            assert solve(m).objective_value == 4.0
+        with pytest.raises(LpError):
+            m.set_bounds(columns, lower, upper)
+        assert (m.lower.tolist(), m.upper.tolist()) == ([0.0, -math.inf], [4.0, math.inf])
+        if warm:
+            lp = m._session.highs.getLp()
+            assert (list(lp.col_lower_), list(lp.col_upper_)) == ([0.0, -math.inf],
+                                                                  [4.0, math.inf])
+        assert solve(m).objective_value == 4.0, warm
+
+
+def test_bounds_away_from_zero_keep_the_dual_start():
+    """A bound set away from 0 after a solve makes the next run without a
+    basis dual, as a column declared so would."""
+    m = LpModel()
+    m.add_unknowns(["x"], [-math.inf], [math.inf])
+    m.add_rows([0, 1], [0], [1.0], "<=", 4.0)
+    m.set_objective("max", {0: 1.0})
+    assert solve(m).objective_value == 4.0 and m._session.origin_feasible
+    m.set_bounds([0], [0.0], [2.0])
+    assert m._session.origin_feasible and solve(m).objective_value == 2.0
+    m.set_bounds([0], [1.0], [3.0])
+    assert not m._session.origin_feasible and solve(m).objective_value == 3.0
 
 
 def test_warm_resolve_through_unbounded():

@@ -27,10 +27,10 @@ from potplan.direct2d import (all_states_objective, build_direct2d_lp, build_exh
 from potplan.features import (Feature, FeatureSet, format_feature, generate_features,
                               kept_features, truth_matrix)
 from potplan.generator import random_task
-from potplan.lp import export_lp, solve
+from potplan.lp import LpModel, export_lp, solve
 from potplan.search import PotentialHeuristic, validate
 from potplan.task import (build_transition_system, exact_goal_distances, iter_states, parse_sas,
-                          serialize_sas)
+                          serialize_sas, state_index)
 
 from conftest import make_alias_task, make_toy1
 from reference_builders import (parse_lp, random_features, reference_exhaustive_model,
@@ -152,8 +152,7 @@ def test_kept_set_below_the_dimension_of_its_set():
 
 def objective_states(task, ts):
     """The initial state and the solvable state halfway through the state
-    list.  At a dead end the optimum is set by the ±1e8 bound, which pinning
-    changes, not by the task."""
+    list, where every optimum is bounded."""
     distances = exact_goal_distances(ts)
     solvable = [tuple(s) for s, d in zip(ts.states.tolist(), distances) if d < math.inf]
     return [task.initial_state, solvable[len(solvable) // 2]]
@@ -177,7 +176,7 @@ def assert_same_optima(task, fs, model, unpinned, states):
 def test_pinned_models_keep_the_optimum(seed, dimension):
     """At solvable states the compact and exhaustive models over the kept
     features have the optima of the same models over every feature, each
-    weight bounded by ±1e8."""
+    weight free."""
     task = random_task(4, 3, 6, seed)
     ts = build_transition_system(task)
     states = objective_states(task, ts)
@@ -223,9 +222,9 @@ def test_all_states_objective_is_the_mean_over_states():
                          for i, f in enumerate(kept.features)}
 
 
-def test_pinned_weights_are_zero_and_not_bound_active():
+def test_pinned_weights_are_zero():
     """Pinned weights have no column; the extracted and the tie-broken
-    weights report them as +0.0, and no bound list names them."""
+    weights report them as +0.0."""
     task = random_task(4, 3, 6, 2)
     fs = generate_features(task, 2)
     kept, index = kept_features(fs, task.domain_sizes)
@@ -242,9 +241,6 @@ def test_pinned_weights_are_zero_and_not_bound_active():
         assert len(weights) == len(fs)
         assert all(math.copysign(1.0, weights[i]) == 1.0 and weights[i] == 0.0
                    for i in left_out)
-    at_bound = np.abs(np.abs(solution.x[:len(kept)]) - 1e8) <= 1e-6
-    assert result.bound_active == tuple(model.names[j] for j in np.flatnonzero(at_bound))
-    assert not names & set(result.bound_active)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -285,23 +281,75 @@ def test_solve_compact_502_1_reports_every_weight(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("method", ["direct2d", "bucket", "exhaustive"])
-def test_bound_active_lists_the_printed_weights_at_the_bound(capsys, tmp_path, method):
-    """On `random_task(4, 3, 6, 0)`, whose dead ends leave weights at the
-    ±1e8 bound under the `samples:5` objective, `solve` lists as
-    bound-active exactly the printed weights within 1e-6 of the bound, by
-    weight name, and no pinned weight."""
+def test_dead_end_objective_is_unbounded(capsys, tmp_path, method):
+    """On `random_task(4, 3, 6, 0)` the `samples:5` objective has dead-end
+    states, so no weight bound holds it: `solve` exits 1 with the model
+    unbounded, where a box on the weights printed 300000006.00000006."""
     task = random_task(4, 3, 6, 0)
+    ts = build_transition_system(task)
+    distances = exact_goal_distances(ts)
+    samples = direct2d.sample_states(task, 5, 0)
+    assert any(distances[state_index(s, ts.domain_sizes)] == math.inf for s in samples)
+    sas = tmp_path / "task.sas"
+    sas.write_text(serialize_sas(task))
+    assert main(["solve", "--method", method, "--objective", "samples:5", str(sas)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: model is unbounded\n"
+
+
+@pytest.mark.parametrize("method", ["direct2d", "bucket", "exhaustive"])
+def test_solvable_samples_print_their_exact_mean(capsys, tmp_path, method):
+    """On `random_task(4, 3, 6, 4)` (8 of its 16 states are dead ends) the
+    `samples:5` states are solvable and their mean h* is 3.6, which each
+    method prints exactly; with boxed weights they printed 3.599999997 and
+    3.599999979."""
+    task = random_task(4, 3, 6, 4)
     sas = tmp_path / "task.sas"
     sas.write_text(serialize_sas(task))
     assert main(["solve", "--method", method, "--objective", "samples:5", str(sas)]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    fs = generate_features(task, 2)
-    names = {format_feature(task, f): weight_var_name(f) for f in fs.features}
-    at_bound = sorted(names[text] for text, weight in payload["weights"].items()
-                      if abs(abs(weight) - 1e8) <= 1e-6)
-    assert at_bound and payload["bound_active"] == at_bound
-    left_out = {weight_var_name(fs.features[i]) for i in pinned(fs, task.domain_sizes)}
-    assert left_out and not left_out & set(at_bound)
+    assert json.loads(capsys.readouterr().out)["objective"] == 3.6
+
+
+def test_init_optima_agree_across_methods():
+    """Wherever the initial state of `random_task(4, 3, 6, seed)` is
+    solvable (every one of these tasks has dead ends), the direct2d, bucket
+    and exhaustive optima at dimension 2 agree within 1e-9."""
+    compared = 0
+    for seed in range(40):
+        task = random_task(4, 3, 6, seed)
+        ts = build_transition_system(task)
+        if exact_goal_distances(ts)[state_index(task.initial_state, ts.domain_sizes)] == math.inf:
+            continue
+        fs = generate_features(task, 2)
+        optima = []
+        for model in (build_direct2d_lp(task, fs), build_general_lp(task, fs),
+                      build_exhaustive_lp(task, fs, ts)):
+            model.set_objective("max", state_objective(task, fs, task.initial_state))
+            optima.append(solve(model).require_optimal().objective_value)
+        assert max(optima) - min(optima) <= 1e-9, (seed, optima)
+        compared += 1
+    assert compared >= 20
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_tie_break_without_dead_ends_needs_no_box(monkeypatch, dimension):
+    """On tasks without dead ends every potential is at most h*, so the
+    all-states tie-break is bounded: `solve_for_state` never boxes the
+    weights, and no weight comes near WEIGHT_UPPER."""
+    def refuse(*_):
+        raise AssertionError("set_bounds called")
+
+    monkeypatch.setattr(LpModel, "set_bounds", refuse)
+    solved = 0
+    for seed in range(40):
+        task = random_task(4, 3, 16, seed)
+        if np.isinf(exact_goal_distances(build_transition_system(task))).any():
+            continue
+        fs = generate_features(task, dimension)
+        weights = solve_for_state(task, fs, task.initial_state).weights
+        assert max(map(abs, weights)) < 1e-3 * direct2d.WEIGHT_UPPER, seed
+        solved += 1
+    assert solved >= 10
 
 
 @pytest.mark.parametrize("method", ["direct2d", "bucket"])

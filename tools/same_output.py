@@ -47,10 +47,9 @@ ties in f are compared call by call as well.  A three-variable task with a
 domain-1 variable, two features and an `--order` file under which that
 variable's unknown becomes an alias adds a bucket `lp` and `solve`.
 `random_task(6, 2, 16, 26)` adds direct2d and bucket `solve --dim 2` and
-`lp`: 50 of its 64 states are dead ends, and its optimum leaves weights at
-the 1e8 bound that cancel in the objective even with pinned weights, so its
-printed objective depends on the order in which the objective's terms are
-summed.  `reduce3col --check` runs on a triangle (3-colorable) and on K4
+`lp`: 50 of its 64 states are dead ends, and its weights partly cancel in
+the objective, so the order in which the objective's terms are summed can
+move the printed objective (it did while the weights were boxed at ±1e8).  `reduce3col --check` runs on a triangle (3-colorable) and on K4
 (not), and `validate` on the task and weights it writes for each.  Each
 extra TASK.sas is run through the potential-LP calls as well; a
 TASK.features file beside it adds the bucket calls over those features.
