@@ -175,7 +175,14 @@ def _heuristic_from_spec(task: Task, spec: str):
         return search.blind
     if spec in ("pot1", "pot2"):
         fs = features.generate_features(task, 1 if spec == "pot1" else 2)
-        result = direct2d.solve_for_state(task, fs, task.initial_state)
+        try:
+            result = direct2d.solve_for_state(task, fs, task.initial_state)
+        except lp.LpStatusError as e:
+            if e.status != "unbounded":
+                raise
+            # An admissible potential is at most h*, so an unbounded optimum
+            # at the initial state certifies that h* is infinite there.
+            raise search.NoPlanError("goal is unreachable from the initial state") from e
         return search.PotentialHeuristic(task, fs, result.weights)
     if spec.startswith("weights:"):
         mapping = json.loads(_read(spec.split(":", 1)[1]))
@@ -186,9 +193,8 @@ def _heuristic_from_spec(task: Task, spec: str):
 
 def cmd_search(args) -> int:
     task = _load_tnf_task(args.task)
-    heuristic = _heuristic_from_spec(task, args.heuristic)
     try:
-        result = search.astar(task, heuristic)
+        result = search.astar(task, _heuristic_from_spec(task, args.heuristic))
     except search.NoPlanError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -9,7 +9,10 @@ with finite right-hand sides, or the block is refused.  A model keeps its
 HiGHS object between solves as long as no column is added, so that
 re-solving it for another objective starts from the last optimal basis; rows
 appended and bounds changed after a solve are handed to that HiGHS object,
-and adding a column drops it.
+and adding a column drops it.  A solve without a basis starts primal simplex
+from the slack basis of the model as built, with presolve off, when x = 0 is
+a feasible basic point (presolve would throw that feasible basis away), and
+dual simplex after presolve otherwise.
 """
 
 from __future__ import annotations
@@ -302,18 +305,20 @@ class _Session:
 
     `origin_feasible` says whether x = 0 is a feasible basic point: every
     column is free or has 0 as a bound, and every row holds at 0.  HiGHS's
-    slack basis, from which a run without a basis starts, is then primal
-    feasible, so primal simplex skips its phase 1, while dual simplex would
-    first repair the dual infeasibility of the free columns.  Every `src/`
-    model qualifies, since all their columns are free; a column boxed away
-    from 0 (`direct2d.solve_for_state`'s fallback) keeps the dual start."""
+    slack basis of the model as built is then primal feasible, so a run
+    without a basis is primal simplex with presolve off and skips phase 1:
+    presolve would hand the simplex a reduced model whose slack basis is
+    not feasible, and after postsolve HiGHS would solve the whole model
+    again.  Dual simplex would first repair the dual infeasibility of the
+    free columns.  Every `src/` model qualifies, since all their columns
+    are free; a column boxed away from 0 (`direct2d.solve_for_state`'s
+    fallback) keeps the dual start after presolve."""
 
     def __init__(self, model: LpModel):
         self.highs = highs_core._Highs()
         self.solved = False
-        for option, value in (("output_flag", False), ("log_to_console", False),
-                              ("presolve", "on")):
-            self.highs.setOptionValue(option, value)
+        for option in ("output_flag", "log_to_console"):
+            self.highs.setOptionValue(option, False)
         lower, upper = model.lower, model.upper
         self.origin_feasible = _rest_at_zero(lower, upper)
         if self.highs.addVars(len(lower), lower, upper) == highs_core.HighsStatus.kError:
@@ -339,17 +344,26 @@ class _Session:
         if status == highs_core.HighsStatus.kError:
             raise SolverFailureError("HiGHS refused the rows")
 
+    def _start_cold(self) -> None:
+        """Set the options of a run without a basis by `origin_feasible`."""
+        primal = self.origin_feasible
+        self.highs.setOptionValue("simplex_strategy", 4 if primal else 1)
+        self.highs.setOptionValue("presolve", "off" if primal else "on")
+
     def run(self, cost: np.ndarray):
         """Minimize the cost vector and return HiGHS's model status.  A run
-        without a basis (the first) is primal simplex when the origin is
-        feasible and dual simplex otherwise; later ones start from the last
-        basis by primal simplex, which stays primal feasible when only the
-        cost changes (and after appended rows that the last optimum
-        satisfies, such as `direct2d`'s tie-break row); after new bounds
-        it may first have to regain feasibility."""
+        without a basis (the first) is primal simplex on the model as built
+        when the origin is feasible and dual simplex after presolve
+        otherwise; later ones start from the last basis by primal simplex
+        (HiGHS uses no presolve with a basis), which stays primal feasible
+        when only the cost changes (and after appended rows that the last
+        optimum satisfies, such as `direct2d`'s tie-break row); after new
+        bounds it may first have to regain feasibility."""
         highs, warm, statuses = self.highs, self.solved, highs_core.HighsModelStatus
-        cold_strategy = 4 if self.origin_feasible else 1
-        highs.setOptionValue("simplex_strategy", 4 if warm else cold_strategy)
+        if warm:
+            highs.setOptionValue("simplex_strategy", 4)
+        else:
+            self._start_cold()
         highs.changeColsCost(len(cost), np.arange(len(cost), dtype=np.int32), cost)
         highs.run()
         self.solved = True
@@ -358,7 +372,7 @@ class _Session:
             # A warm start can end undecided (HiGHS reports "Unknown" when it
             # starts from the basis an unbounded objective left): run again
             # without that basis, as a solve of a fresh copy would.
-            highs.setOptionValue("simplex_strategy", cold_strategy)
+            self._start_cold()
             highs.clearSolver()
             highs.run()
             status = highs.getModelStatus()

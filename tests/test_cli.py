@@ -177,6 +177,20 @@ def test_search_no_plan(capsys, tmp_path):
     assert code == 1 and "unreachable" in err
 
 
+@pytest.mark.parametrize("seed", [0, 1, 3, 4, 5, 6, 7])
+def test_search_dead_end_initial_state(capsys, tmp_path, seed):
+    """On a task whose initial state the potential LP shows to be a dead end
+    (its optimum there is unbounded, and an admissible potential is at most
+    h*), `pot1` and `pot2` end as blind A* does."""
+    path = tmp_path / "dead.sas"
+    code, _, _ = run_cli(capsys, "gen", "--vars", "3", "--dom", "3", "--ops", "4",
+                         "--allow-unsolvable", "--seed", str(seed), "-o", str(path))
+    assert code == 0
+    for heuristic in ("blind", "pot1", "pot2"):
+        code, out, err = run_cli(capsys, "search", "--heuristic", heuristic, str(path))
+        assert (code, out, err) == (1, "", "error: goal is unreachable from the initial state\n")
+
+
 def test_validate_subcommand(capsys, tmp_path, toy1_file):
     _, out, _ = run_cli(capsys, "solve", "--dim", "2", toy1_file)
     weights_path = tmp_path / "w.json"

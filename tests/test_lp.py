@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highs_core
 from scipy.sparse import csc_matrix, diags
 
 from potplan import costpart, direct2d
@@ -550,12 +551,17 @@ def test_solve_matches_linprog():
     assert statuses == {"optimal", "infeasible", "unbounded"} and no_rows and free
 
 
-PRIMAL, DUAL = 4, 1  # HiGHS's simplex_strategy values
+# HiGHS's simplex_strategy and presolve values: primal simplex on the model
+# as built, dual simplex after presolve
+PRIMAL, DUAL = (4, "off"), (1, "on")
 
 
 def _cold_strategy(model):
-    """The simplex strategy of the model's first run, read after it."""
-    return model._session.highs.getOptionValue("simplex_strategy")[1]
+    """The simplex strategy and presolve option of the model's last run
+    without a basis (its first, unless a warm run was restarted), read
+    after it."""
+    highs = model._session.highs
+    return highs.getOptionValue("simplex_strategy")[1], highs.getOptionValue("presolve")[1]
 
 
 def _origin_feasible_model(seed):
@@ -581,8 +587,9 @@ def _origin_feasible_model(seed):
 
 
 def test_origin_feasible_models_start_primal_and_match_dual_simplex():
-    """A model whose origin is feasible gets a primal first run, with the
-    status and optimum (within 1e-9 relative) of scipy's dual simplex."""
+    """A model whose origin is feasible gets a primal first run without
+    presolve, with the status and optimum (within 1e-9 relative) of scipy's
+    dual simplex."""
     statuses = set()
     for seed in range(80):
         m = _origin_feasible_model(seed)
@@ -604,7 +611,7 @@ def test_origin_feasible_models_start_primal_and_match_dual_simplex():
     ids=["row-ge", "row-le", "row-eq", "lower-1", "upper-5", "boxed"])
 def test_origin_infeasible_models_start_dual(bounds, relation, rhs):
     """A row that fails at x = 0, or a column whose bounds leave out 0 or
-    do not include 0 as a bound, keeps the dual first run."""
+    do not include 0 as a bound, keeps the dual first run after presolve."""
     m = LpModel()
     m.add_unknowns(["x"], [bounds[0]], [bounds[1]])
     m.add_rows([0, 1], [0], [1.0], relation, rhs)
@@ -625,10 +632,47 @@ def test_rows_appended_to_an_origin_feasible_model_update_the_rule():
     assert solve(m).objective_value == 4.0
 
 
+class _UndecidedOnce:
+    """A HiGHS object whose next run reports "Unknown", as a warm start from
+    the basis an unbounded objective left can."""
+
+    def __init__(self, highs):
+        self._highs, self._undecided = highs, True
+
+    def __getattr__(self, name):
+        return getattr(self._highs, name)
+
+    def getModelStatus(self):
+        if self._undecided:
+            self._undecided = False
+            return highs_core.HighsModelStatus.kUnknown
+        return self._highs.getModelStatus()
+
+
+@pytest.mark.parametrize("rhs, expected", [(0.0, PRIMAL), (0.5, DUAL)],
+                         ids=["holds-at-0", "fails-at-0"])
+def test_undecided_warm_run_restarts_by_the_cold_rule(rhs, expected):
+    """A warm run that ends undecided runs again without a basis, by the
+    rule of a first run on the model as it is then: after a first primal
+    run without presolve, a row appended that fails at x = 0 makes the
+    restart dual simplex after presolve."""
+    m = LpModel()
+    m.add_unknowns(["x", "y"], [-math.inf, 0.0], [math.inf, 1.0])
+    m.add_rows([0, 2], [0, 1], [1.0, 1.0], "<=", 3.0)
+    m.set_objective("max", {0: 1.0})
+    assert solve(m).objective_value == 3.0 and _cold_strategy(m) == PRIMAL
+    m.add_rows([0, 1], [1], [1.0], ">=", rhs)
+    m.set_objective("max", {0: 1.0, 1: 2.0})
+    m._session.highs = _UndecidedOnce(m._session.highs)
+    assert solve(m).objective_value == 4.0 and not m._session.highs._undecided
+    assert _cold_strategy(m) == expected
+
+
 def test_every_model_starts_primal():
     """The direct2d, bucket and exhaustive models, whose weights and
     elimination unknowns are free, and TCP and OCP, whose columns are all
-    free, have rows that hold at 0: every first run is primal."""
+    free, have rows that hold at 0: every first run is primal simplex on
+    the model as built, with presolve off."""
     task = TASKS["random0"]()
     ts = build_transition_system(task)
     state = task.initial_state

@@ -9,6 +9,12 @@ call: whether the model has a solver session, its objective sense and
 coefficients and its column bounds, and for a model without a session (one
 not solved since its last column was added) its whole row table too.  So
 trees that hand rows to HiGHS differently are still compared LP by LP.
+Each differing call is printed with what differs; where stdout differs and
+is a JSON object under both trees, the top-level keys whose values differ
+are named too (say `stdout [weights]` for a `solve` at another optimal
+vertex, or `stdout [expansions, evaluated]` for a `search` that breaks ties
+otherwise), and a tally of the differing calls by command and by what
+differs ends the report.
 
 The inputs are written once into a temporary directory, with BEFORE_TREE
 but for the random feature files:
@@ -58,6 +64,7 @@ Exit code 0 when every call matches, 1 otherwise.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import hashlib
 import io
@@ -292,9 +299,40 @@ def _digest(model) -> str:
     return h.hexdigest()
 
 
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _key_digests(stdout: str) -> dict[str, str] | None:
+    """A digest of each top-level value when stdout is one JSON object,
+    else None."""
+    try:
+        payload = json.loads(stdout)
+    except ValueError:
+        return None
+    if not isinstance(payload, dict):
+        return None
+    return {key: _sha(json.dumps(value, sort_keys=True)) for key, value in payload.items()}
+
+
+def _what_differs(a: dict, b: dict) -> str:
+    """The record fields that differ between two runs of one call, with the
+    differing top-level JSON keys after `stdout`."""
+    fields = []
+    for field in ("stdout", "exit", "solves"):
+        if a[field] == b[field]:
+            continue
+        if field == "stdout" and a["keys"] is not None and b["keys"] is not None:
+            keys = [k for k in {**a["keys"], **b["keys"]} if a["keys"].get(k) != b["keys"].get(k)]
+            field += f" [{', '.join(keys)}]" if keys else ""
+        fields.append(field)
+    return ", ".join(fields)
+
+
 def run(tree: str, workdir: str) -> None:
-    """Print one JSON record per call: stdout digest, exit code, and the
-    digests of its solves."""
+    """Print one JSON record per call: stdout digest, exit code, the
+    digests of its solves, and the digests of stdout's top-level JSON keys
+    (None when stdout is no JSON object)."""
     potplan = _import_potplan(tree)
     os.chdir(workdir)
     with open("calls.json", encoding="utf-8") as f:
@@ -319,8 +357,8 @@ def run(tree: str, workdir: str) -> None:
                 code = potplan.cli.main(argv)
             except SystemExit as e:
                 code = e.code
-        records.append({"stdout": hashlib.sha256(out.getvalue().encode()).hexdigest(),
-                        "exit": code, "solves": list(digests)})
+        records.append({"stdout": _sha(out.getvalue()), "exit": code, "solves": list(digests),
+                        "keys": _key_digests(out.getvalue())})
     json.dump(records, sys.stdout)
 
 
@@ -349,10 +387,13 @@ def main(argv: list[str]) -> int:
         with open(os.path.join(workdir, "calls.json"), encoding="utf-8") as f:
             calls = json.load(f)
         results = [json.loads(_worker("run", tree, workdir, [])) for tree in (before, after)]
-    differ = [(argv, a, b) for argv, a, b in zip(calls, *results) if a != b]
-    for argv, a, b in differ:
-        fields = ", ".join(key for key in a if a[key] != b[key])
-        print(f"differs in {fields}: {' '.join(argv)}")
+    differ = [(argv, what) for argv, a, b in zip(calls, *results)
+              if (what := _what_differs(a, b))]
+    for argv, what in differ:
+        print(f"differs in {what}: {' '.join(argv)}")
+    tally = collections.Counter((argv[0], what) for argv, what in differ)
+    for (command, what), count in sorted(tally.items()):
+        print(f"{count:5d} {command}: {what}")
     solves = sum(len(r["solves"]) for r in results[0])
     print(f"{len(calls)} calls, {solves} solves: "
           + ("identical" if not differ else f"{len(differ)} differ"))
