@@ -54,9 +54,12 @@ from .task import (DEFAULT_STATE_CAP, State, SuccessorGenerator, Task,
                    TransitionSystem, build_transition_system, successor)
 from .tnf import is_tnf
 
-# The weights' box in `solve_for_state`'s tie-break if it is unbounded.
-WEIGHT_LOWER = -1e8
-WEIGHT_UPPER = 1e8
+# The weights' box in `solve_for_state`'s tie-break if it is unbounded.  A
+# potential sums weights near the box with rounding of a few ulp of it: 1e-10
+# at 1e6, below the 1e-9 to which potentials are printed and compared, where
+# 1e8 gave 1.5e-8 per ulp.
+WEIGHT_LOWER = -1e6
+WEIGHT_UPPER = 1e6
 
 
 class PotentialLpError(ValueError):

@@ -9,10 +9,13 @@ with finite right-hand sides, or the block is refused.  A model keeps its
 HiGHS object between solves as long as no column is added, so that
 re-solving it for another objective starts from the last optimal basis; rows
 appended and bounds changed after a solve are handed to that HiGHS object,
-and adding a column drops it.  A solve without a basis starts primal simplex
-from the slack basis of the model as built, with presolve off, when x = 0 is
-a feasible basic point (presolve would throw that feasible basis away), and
-dual simplex after presolve otherwise.
+and adding a column drops it.  HiGHS gets each sign row (one term,
+right-hand side 0) as a bound at 0 on its column and the other rows as rows,
+in model order; the model and its row re-check keep every row.  A solve
+without a basis starts primal simplex from the slack basis of the model as
+built, with presolve off, when x = 0 is a feasible basic point (presolve
+would throw that feasible basis away), and dual simplex after presolve
+otherwise.
 """
 
 from __future__ import annotations
@@ -227,7 +230,8 @@ class LpModel:
             raise LpError(f"row name '{bad}' is not LP-file safe or is that of an unnamed row")
         codes, rhs = np.broadcast_to(codes, count), np.broadcast_to(rhs, count)
         if self._session is not None:
-            self._session.add_rows(indptr, columns, coefficients, codes, rhs)
+            self._session.add_rows(indptr, columns, coefficients, codes, rhs,
+                                   self.lower, self.upper)
         _append(self._row_ends, indptr[1:].astype(np.int64) + len(self._columns))
         _append(self._columns, columns)
         _append(self._coefficients, coefficients)
@@ -235,16 +239,23 @@ class LpModel:
         _append(self._rhs, rhs)
         self._row_names.extend(names)
 
+    def _row_arrays(self) -> tuple[np.ndarray, ...]:
+        """All rows as the CSR arrays (indptr, columns, coefficients), with
+        per-row relation codes (indices into RELATIONS) and right-hand
+        sides."""
+        indptr = np.zeros(len(self._row_ends) + 1, dtype=np.int64)
+        indptr[1:] = self._row_ends
+        return (indptr, np.array(self._columns, dtype=np.int64),
+                np.array(self._coefficients, dtype=float),
+                np.array(self._relations, dtype=np.int8), np.array(self._rhs, dtype=float))
+
     def row_table(self) -> tuple[csr_matrix, np.ndarray, np.ndarray]:
         """All rows as a CSR matrix over the columns, with per-row relation
         codes (indices into RELATIONS) and right-hand sides."""
-        ends = np.array(self._row_ends, dtype=np.int64)
-        indptr = np.concatenate(([0], ends))
-        matrix = csr_matrix((np.array(self._coefficients, dtype=float),
-                             np.array(self._columns, dtype=np.int64), indptr),
-                            shape=(len(ends), len(self.names)))
-        return (matrix, np.array(self._relations, dtype=np.int8),
-                np.array(self._rhs, dtype=float))
+        indptr, columns, coefficients, relations, rhs = self._row_arrays()
+        matrix = csr_matrix((coefficients, columns, indptr),
+                            shape=(len(indptr) - 1, len(self.names)))
+        return matrix, relations, rhs
 
     def row_name(self, index: int) -> str:
         return self._row_names[index] or f"c{index + 1}"
@@ -292,19 +303,55 @@ def check_solution(model: LpModel, x: np.ndarray) -> list[str]:
     return violations
 
 
+def _sign_rows(indptr: np.ndarray, columns: np.ndarray, coefficients: np.ndarray,
+               relations: np.ndarray, rhs: np.ndarray):
+    """Split a block of canonical CSR rows into its sign rows (one term,
+    right-hand side 0) and the others.  Returns the other rows as (indptr,
+    columns, coefficients, relations, rhs), the block itself when it has no
+    sign row, and the columns that the sign rows bound at 0 from below and
+    from above, or None."""
+    sizes = indptr[1:] - indptr[:-1]
+    sign = (sizes == 1) & (rhs == 0)
+    if not sign.any():
+        return (indptr, columns, coefficients, relations, rhs), None
+    rows, kept = np.flatnonzero(sign), np.flatnonzero(~sign)
+    first = indptr[rows]
+    # The relation that a·x's row states of x: its own for a > 0, its mirror
+    # for a < 0 (RELATIONS is <=, =, >=, so 2 - code swaps <= and >=).
+    codes = np.where(coefficients[first] > 0, relations[rows], 2 - relations[rows])
+    at = columns[first]
+    terms = np.ones(len(columns), dtype=bool)
+    terms[first] = False
+    others = (np.concatenate(([0], np.cumsum(sizes[kept]))), columns[terms],
+              coefficients[terms], relations[kept], rhs[kept])
+    return others, (at[codes >= RELATIONS.index("=")], at[codes <= RELATIONS.index("=")])
+
+
 def _rest_at_zero(lower: np.ndarray, upper: np.ndarray) -> bool:
     """Whether every column can sit non-basic at 0: it is free or has 0 as
-    a bound."""
+    a bound, and its bounds hold 0."""
     free = (lower == -np.inf) & (upper == np.inf)
-    return bool(np.all(free | (lower == 0) | (upper == 0)))
+    return bool(np.all(free | ((lower == 0) & (upper >= 0)) | ((upper == 0) & (lower <= 0))))
 
 
 class _Session:
     """A model's HiGHS object, kept until a column is added: it holds the
-    model's columns and rows, in model order, and the last basis.
+    model's columns and its rows other than sign rows, in model order, and
+    the last basis.
+
+    A sign row is a row with one term and right-hand side 0: `a·x >= 0` is
+    `x >= 0` for a > 0 and `x <= 0` for a < 0, `a·x <= 0` the mirror case,
+    and `a·x = 0` fixes x at 0.  HiGHS gets it as that bound at 0 on its
+    column, intersected with the model's bounds, and not as a row: a free
+    column that a row keeps at one side of 0 would have to be pivoted into
+    the basis, while a bound at 0 leaves it non-basic there.  `sign_lower`
+    and `sign_upper` keep these bounds per column (None while there are
+    none).  The model and its row re-check keep every row; a sign row's
+    multiplier is its column's `col_dual` in HiGHS, not a `row_dual`.
 
     `origin_feasible` says whether x = 0 is a feasible basic point: every
-    column is free or has 0 as a bound, and every row holds at 0.  HiGHS's
+    column, with its sign bounds, is free or has 0 as a bound and holds 0,
+    and every row holds at 0.  HiGHS's
     slack basis of the model as built is then primal feasible, so a run
     without a basis is primal simplex with presolve off and skips phase 1:
     presolve would hand the simplex a reduced model whose slack basis is
@@ -317,25 +364,59 @@ class _Session:
     def __init__(self, model: LpModel):
         self.highs = highs_core._Highs()
         self.solved = False
+        self.sign_lower = self.sign_upper = None
         for option in ("output_flag", "log_to_console"):
             self.highs.setOptionValue(option, False)
+        rows, signs = _sign_rows(*model._row_arrays())
         lower, upper = model.lower, model.upper
+        if signs is not None:
+            self._keep_signs(len(lower), *signs)
+            lower, upper = self._bounds(slice(None), lower, upper)
         self.origin_feasible = _rest_at_zero(lower, upper)
         if self.highs.addVars(len(lower), lower, upper) == highs_core.HighsStatus.kError:
             raise SolverFailureError("HiGHS refused the columns")
-        matrix, relations, rhs = model.row_table()
-        self.add_rows(matrix.indptr, matrix.indices, matrix.data, relations, rhs)
+        self._add_rows(*rows)
+
+    def _keep_signs(self, width: int, below: np.ndarray, above: np.ndarray) -> None:
+        """Bound the columns `below` at 0 from below and `above` from above."""
+        if self.sign_lower is None:
+            self.sign_lower, self.sign_upper = np.full(width, -np.inf), np.full(width, np.inf)
+        self.sign_lower[below] = 0.0
+        self.sign_upper[above] = 0.0
+
+    def _bounds(self, columns, lower: np.ndarray, upper: np.ndarray):
+        """The model's bounds of the given columns intersected with their
+        sign bounds."""
+        if self.sign_lower is None:
+            return lower, upper
+        return (np.maximum(lower, self.sign_lower[columns]),
+                np.minimum(upper, self.sign_upper[columns]))
 
     def set_bounds(self, columns: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> None:
-        """Hand new column bounds to HiGHS, which keeps its basis."""
+        """Hand new column bounds, intersected with the sign bounds, to
+        HiGHS, which keeps its basis."""
+        lower, upper = self._bounds(columns, lower, upper)
         self.origin_feasible &= _rest_at_zero(lower, upper)
         self.highs.changeColsBounds(len(columns), columns, lower, upper)
 
     def add_rows(self, indptr: np.ndarray, columns: np.ndarray, coefficients: np.ndarray,
-                 relations: np.ndarray, rhs: np.ndarray) -> None:
+                 relations: np.ndarray, rhs: np.ndarray, lower: np.ndarray,
+                 upper: np.ndarray) -> None:
+        """Hand rows in canonical CSR form to HiGHS after a solve, given the
+        model's column bounds `lower` and `upper`: the sign rows as new
+        bounds of their columns and the others as rows; HiGHS keeps its
+        basis (the new rows' slacks become basic)."""
+        rows, signs = _sign_rows(indptr, columns, coefficients, relations, rhs)
+        self._add_rows(*rows)
+        if signs is not None:
+            self._keep_signs(len(lower), *signs)
+            touched = np.unique(np.concatenate(signs)).astype(np.int32)
+            self.set_bounds(touched, lower[touched], upper[touched])
+
+    def _add_rows(self, indptr: np.ndarray, columns: np.ndarray, coefficients: np.ndarray,
+                  relations: np.ndarray, rhs: np.ndarray) -> None:
         """Hand rows in canonical CSR form to HiGHS as `lower <= row <=
-        upper`, after the rows it holds; after a solve HiGHS keeps its basis
-        (the new rows' slacks become basic)."""
+        upper`, after the rows it holds."""
         lower = np.where(relations == RELATIONS.index("<="), -np.inf, rhs)
         upper = np.where(relations == RELATIONS.index(">="), np.inf, rhs)
         self.origin_feasible &= bool(np.all((lower <= 0) & (upper >= 0)))

@@ -672,7 +672,10 @@ def test_every_model_starts_primal():
     """The direct2d, bucket and exhaustive models, whose weights and
     elimination unknowns are free, and TCP and OCP, whose columns are all
     free, have rows that hold at 0: every first run is primal simplex on
-    the model as built, with presolve off."""
+    the model as built, with presolve off.  HiGHS holds one row fewer per
+    sign row and the model's bounds intersected with the sign rows' bounds
+    at 0, each of which still holds 0 as a bound or leaves the column
+    free."""
     task = TASKS["random0"]()
     ts = build_transition_system(task)
     state = task.initial_state
@@ -680,16 +683,260 @@ def test_every_model_starts_primal():
     potential = [(direct2d.build_direct2d_lp(task, fs2), fs2),
                  (direct2d.build_general_lp(task, fs3), fs3),
                  (direct2d.build_exhaustive_lp(task, fs2, ts), fs2)]
+    models = []
     for model, fs in potential:
         assert np.all(model.lower == -math.inf) and np.all(model.upper == math.inf)
         model.set_objective("max", direct2d.state_objective(task, fs, state))
         solve(model).require_optimal()
         assert _cold_strategy(model) == PRIMAL
+        models.append(model)
     patterns = costpart.all_patterns(len(task.variables))
     for build in (costpart.build_tcp_lp, costpart.build_ocp_lp):
         model = build(ts, patterns, state).model
         solve(model).require_optimal()
         assert _cold_strategy(model) == PRIMAL
+        models.append(model)
+    signs = []
+    for model in models:
+        lower, upper, count = _effective_bounds(model)
+        held = model._session.highs.getLp()
+        assert held.num_row_ == model.row_table()[0].shape[0] - count
+        assert (list(held.col_lower_), list(held.col_upper_)) == (lower.tolist(), upper.tolist())
+        free = (lower == -math.inf) & (upper == math.inf)
+        assert np.all(free | ((lower == 0) & (upper >= 0)) | ((upper == 0) & (lower <= 0)))
+        signs.append(count)
+    assert signs[0] and signs[-2] and signs[-1], signs  # direct2d, TCP, OCP
+
+
+def _effective_bounds(model):
+    """The model's column bounds intersected with the bounds at 0 of its
+    sign rows (one term, right-hand side 0), found row by row, and the
+    number of sign rows."""
+    matrix, relations, rhs = model.row_table()
+    lower, upper, count = model.lower.copy(), model.upper.copy(), 0
+    for i in range(matrix.shape[0]):
+        start, end = matrix.indptr[i], matrix.indptr[i + 1]
+        if end - start != 1 or rhs[i] != 0:
+            continue
+        count += 1
+        j, relation = matrix.indices[start], RELATIONS[relations[i]]
+        if matrix.data[start] < 0:
+            relation = {"<=": ">=", "=": "=", ">=": "<="}[relation]
+        if relation in (">=", "="):
+            lower[j] = max(lower[j], 0.0)
+        if relation in ("<=", "="):
+            upper[j] = min(upper[j], 0.0)
+    return lower, upper, count
+
+
+def test_sign_rows_of_a_direct2d_model_are_bounds():
+    """HiGHS holds one row fewer per sign row of a direct2d model, and
+    every elimination unknown `z >= 0` with an empty candidate gets the
+    lower bound 0 in its place; the model keeps every row."""
+    task = TASKS["random0"]()
+    fs = generate_features(task, 2)
+    model = direct2d.build_direct2d_lp(task, fs)
+    model.set_objective("max", direct2d.state_objective(task, fs, task.initial_state))
+    solve(model).require_optimal()
+    matrix, relations, rhs = model.row_table()
+    sizes = np.diff(matrix.indptr)
+    sign = np.flatnonzero((sizes == 1) & (rhs == 0))
+    at = matrix.indices[matrix.indptr[sign]]
+    assert sign.size and all(model.names[j].startswith("z") for j in at)
+    assert set(relations[sign].tolist()) == {RELATIONS.index(">=")}
+    assert np.all(matrix.data[matrix.indptr[sign]] > 0)
+    held = model._session.highs.getLp()
+    assert held.num_row_ == matrix.shape[0] - sign.size
+    lower = np.array(held.col_lower_)
+    assert np.all(lower[at] == 0) and np.all(np.array(held.col_upper_)[at] == math.inf)
+    assert np.all(np.delete(lower, at) == -math.inf)
+
+
+@pytest.mark.parametrize("relation, coefficient, bounds", [
+    (">=", 2.0, (0.0, math.inf)), (">=", -2.0, (-math.inf, 0.0)),
+    ("<=", 2.0, (-math.inf, 0.0)), ("<=", -2.0, (0.0, math.inf)),
+    ("=", 2.0, (0.0, 0.0)), ("=", -2.0, (0.0, 0.0))],
+    ids=["ge", "ge-negative", "le", "le-negative", "eq", "eq-negative"])
+def test_sign_row_is_a_bound_at_zero(relation, coefficient, bounds):
+    """`a·x >= 0`, `a·x <= 0` and `a·x = 0` reach HiGHS as the bound at 0
+    they state on x, mirrored for a < 0; the row with two terms stays a
+    row, and the optimum is that of scipy's linprog on the same rows."""
+    m = LpModel()
+    m.add_unknowns(["x", "y"], [-math.inf, -math.inf], [math.inf, math.inf])
+    m.add_rows([0, 2, 3], [0, 1, 0], [1.0, 1.0, coefficient], ["<=", relation], [4.0, 0.0])
+    m.add_rows([0, 1], [1], [1.0], "<=", 3.0)
+    m.set_objective("max", {0: 1.0, 1: 2.0} if bounds[1] == 0 else {0: -1.0, 1: 1.0})
+    result = solve(m)
+    held = m._session.highs.getLp()
+    assert held.num_row_ == 2
+    assert (held.col_lower_[0], held.col_upper_[0]) == bounds
+    assert (held.col_lower_[1], held.col_upper_[1]) == (-math.inf, math.inf)
+    reference = _linprog(m)
+    assert result.status == "optimal" and reference.status == 0
+    assert result.objective_value == pytest.approx(-reference.fun, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("rhs", [1.0, -1.0, 1e-9])
+def test_one_term_row_away_from_zero_stays_a_row(rhs):
+    """A one-term row whose right-hand side is not 0 stays a row: a bound
+    away from 0 would end the start at the origin."""
+    m = LpModel()
+    m.add_unknowns(["x"], [-math.inf], [math.inf])
+    m.add_rows([0, 1], [0], [2.0], "<=", rhs)
+    m.set_objective("max", {0: 1.0})
+    assert solve(m).objective_value == rhs / 2
+    held = m._session.highs.getLp()
+    assert held.num_row_ == 1
+    assert (held.col_lower_[0], held.col_upper_[0]) == (-math.inf, math.inf)
+
+
+@pytest.mark.parametrize("relation, coefficient", [("<=", 1.0), (">=", -3.0), ("=", 2.0)])
+def test_sign_row_against_a_model_bound_is_infeasible(relation, coefficient):
+    """x in [1, 2] with a sign row that keeps x at or below 0: HiGHS gets
+    the empty bounds [1, 0] and the model is infeasible, as with the row."""
+    m = LpModel()
+    m.add_unknowns(["x"], [1.0], [2.0])
+    m.add_rows([0, 1], [0], [coefficient], relation, 0.0)
+    m.set_objective("max", {0: 1.0})
+    assert solve(m).status == "infeasible"
+    held = m._session.highs.getLp()
+    assert (held.num_row_, held.col_lower_[0], held.col_upper_[0]) == (0, 1.0, 0.0)
+    assert not m._session.origin_feasible and _cold_strategy(m) == DUAL
+
+
+def _two_rows():
+    """max x + 2y over x + y <= 4 and y - x <= 2, both free: 7 at (1, 3)."""
+    m = LpModel()
+    m.add_unknowns(["x", "y"], [-math.inf, -math.inf], [math.inf, math.inf])
+    m.add_rows([0, 2, 4], [0, 1, 0, 1], [1.0, 1.0, -1.0, 1.0], "<=", [4.0, 2.0])
+    m.set_objective("max", {0: 1.0, 1: 2.0})
+    return m
+
+
+def test_sign_rows_appended_after_a_solve_are_warm_bounds():
+    """A sign row appended after a solve becomes a bound on the live
+    session, which keeps its basis: the next run is warm (no pivot when the
+    last optimum meets it) and ends at the optimum of a fresh copy with the
+    same rows, solved cold."""
+    warm = _two_rows()
+    assert solve(warm).objective_value == 7.0
+    session, appended = warm._session, []
+    for row, optimum, bounds in [((0, 1.0, ">="), 7.0, (0.0, math.inf)),
+                                 ((1, 3.0, "<="), 4.0, (-math.inf, 0.0))]:
+        column, coefficient, relation = row
+        warm.add_rows([0, 1], [column], [coefficient], relation, 0.0)
+        appended.append(row)
+        held = session.highs.getLp()
+        assert warm._session is session and session.highs.getBasis().valid
+        assert held.num_row_ == 2
+        assert (held.col_lower_[column], held.col_upper_[column]) == bounds
+        result = solve(warm)
+        assert result.objective_value == optimum
+        if optimum == 7.0:
+            assert session.highs.getInfo().simplex_iteration_count == 0
+        cold = _two_rows()
+        for column, coefficient, relation in appended:
+            cold.add_rows([0, 1], [column], [coefficient], relation, 0.0)
+        cold_result = solve(cold)
+        assert cold_result.objective_value == optimum
+        np.testing.assert_array_equal(result.x, cold_result.x)
+
+
+def test_set_bounds_after_sign_rows_hands_highs_the_intersection():
+    """New bounds on a column that a sign row bounds at 0 reach HiGHS
+    intersected with that bound, as a fresh copy's first solve would see
+    them; the model keeps the bounds it was given."""
+    m = _two_rows()
+    m.add_rows([0, 1], [0], [-1.0], "<=", 0.0)   # x >= 0
+    assert solve(m).objective_value == 7.0
+    held = m._session.highs
+    for lower, upper, expected, status in [
+            (-5.0, 3.0, (0.0, 3.0), "optimal"), (-1e6, 1e6, (0.0, 1e6), "optimal"),
+            (-5.0, -1.0, (0.0, -1.0), "infeasible"), (-5.0, 0.5, (0.0, 0.5), "optimal")]:
+        m.set_bounds([0], [lower], [upper])
+        assert (m.lower[0], m.upper[0]) == (lower, upper)
+        lp = held.getLp()
+        assert (lp.col_lower_[0], lp.col_upper_[0]) == expected
+        result = solve(m)
+        cold = _two_rows()
+        cold.add_rows([0, 1], [0], [-1.0], "<=", 0.0)
+        cold.set_bounds([0], [lower], [upper])
+        assert result.status == status == solve(cold).status
+        if status == "optimal":
+            assert result.objective_value == pytest.approx(solve(cold).objective_value, abs=1e-12)
+
+
+class _NegativeColumn:
+    """A HiGHS object whose solution reads one column as -1e-3."""
+
+    def __init__(self, highs, column):
+        self._highs, self._column = highs, column
+
+    def __getattr__(self, name):
+        return getattr(self._highs, name)
+
+    def getSolution(self):
+        solution = self._highs.getSolution()
+        values = np.array(solution.col_value)
+        values[self._column] = -1e-3
+        return type("Solution", (), {"col_value": values})()
+
+
+def test_row_recheck_names_a_violated_sign_row():
+    """A sign row is a bound in HiGHS but a row of the model, and the row
+    re-check still covers it: a solution with one `z` below 0 is a solver
+    failure that names that row."""
+    task = TASKS["random0"]()
+    fs = generate_features(task, 2)
+    model = direct2d.build_direct2d_lp(task, fs)
+    model.set_objective("max", direct2d.state_objective(task, fs, task.initial_state))
+    solution = solve(model).require_optimal()
+    matrix, _, rhs = model.row_table()
+    row = np.flatnonzero((np.diff(matrix.indptr) == 1) & (rhs == 0))[0]
+    column = matrix.indices[matrix.indptr[row]]
+    assert solution.x[column] >= 0
+    bad = solution.x.copy()
+    bad[column] = -1e-3
+    assert model.row_name(row) in check_solution(model, bad)
+    model._session.highs = _NegativeColumn(model._session.highs, column)
+    with pytest.raises(SolverFailureError, match=rf"\b{model.row_name(row)}\b"):
+        solve(model)
+
+
+def _signed_model(seed):
+    """`_seeded_model`'s columns and rows, plus 1 to 4 sign rows of every
+    relation and coefficient sign, some on one column twice and some
+    against a column's bounds."""
+    rng = random.Random(f"signed:{seed}")
+    m = _seeded_model(seed)
+    width = len(m.names)
+    count = rng.randint(1, 4)
+    m.add_rows(np.arange(count + 1), [rng.randrange(width) for _ in range(count)],
+               [rng.choice([-2.0, -1.0, 0.5, 3.0]) for _ in range(count)],
+               [rng.choice(RELATIONS) for _ in range(count)], 0.0)
+    return m
+
+
+def test_models_with_sign_rows_match_linprog():
+    """Models with sign rows, solved with those rows as bounds, have
+    linprog's status and optimum (within 1e-9), and HiGHS holds the model's
+    bounds intersected with the sign rows' bounds at 0."""
+    statuses = set()
+    for seed in range(120):
+        m = _signed_model(seed)
+        ours, reference = solve(m), _linprog(m)
+        expected = {0: "optimal", 2: "infeasible", 3: "unbounded"}[reference.status]
+        assert ours.status == expected, seed
+        if expected == "optimal":
+            optimum = -reference.fun if m.objective_sense == "max" else reference.fun
+            assert ours.objective_value == pytest.approx(optimum, rel=1e-9, abs=1e-9), seed
+        lower, upper, count = _effective_bounds(m)
+        held = m._session.highs.getLp()
+        assert held.num_row_ == m.row_table()[0].shape[0] - count, seed
+        assert (list(held.col_lower_), list(held.col_upper_)) == (lower.tolist(),
+                                                                  upper.tolist()), seed
+        statuses.add(expected)
+    assert statuses == {"optimal", "infeasible", "unbounded"}
 
 
 def _objectives(model, seed, count=8):

@@ -14,7 +14,12 @@ is a JSON object under both trees, the top-level keys whose values differ
 are named too (say `stdout [weights]` for a `solve` at another optimal
 vertex, or `stdout [expansions, evaluated]` for a `search` that breaks ties
 otherwise), and a tally of the differing calls by command and by what
-differs ends the report.
+differs follows.  Two checks end the report: every `solve` call whose
+printed weights differ, but for those that differ only in the sign of a
+zero (counted apart), has each tree's weights run through that tree's own
+`validate` (goal-aware, consistent and admissible), with the number that
+pass under each, and every differing `search` call is counted by whether
+its plan cost is the same under both trees.
 
 The inputs are written once into a temporary directory, with BEFORE_TREE
 but for the random feature files:
@@ -329,10 +334,31 @@ def _what_differs(a: dict, b: dict) -> str:
     return ", ".join(fields)
 
 
+def _call(potplan, argv: list[str]) -> tuple[int, str]:
+    """Exit code and stdout of one in-process CLI call."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = potplan.cli.main(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue()
+
+
+def _printed(argv: list[str], stdout: str):
+    """What a later check reads of a call's stdout: a `solve`'s weights and
+    a `search`'s plan cost, else None."""
+    key = {"solve": "weights", "search": "cost"}.get(argv[0])
+    try:
+        return json.loads(stdout).get(key) if key else None
+    except (ValueError, AttributeError):
+        return None
+
+
 def run(tree: str, workdir: str) -> None:
     """Print one JSON record per call: stdout digest, exit code, the
-    digests of its solves, and the digests of stdout's top-level JSON keys
-    (None when stdout is no JSON object)."""
+    digests of its solves, the digests of stdout's top-level JSON keys
+    (None when stdout is no JSON object) and what `_printed` reads."""
     potplan = _import_potplan(tree)
     os.chdir(workdir)
     with open("calls.json", encoding="utf-8") as f:
@@ -351,15 +377,60 @@ def run(tree: str, workdir: str) -> None:
     records = []
     for argv in calls:
         digests.clear()
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            try:
-                code = potplan.cli.main(argv)
-            except SystemExit as e:
-                code = e.code
-        records.append({"stdout": _sha(out.getvalue()), "exit": code, "solves": list(digests),
-                        "keys": _key_digests(out.getvalue())})
+        code, stdout = _call(potplan, argv)
+        records.append({"stdout": _sha(stdout), "exit": code, "solves": list(digests),
+                        "keys": _key_digests(stdout), "printed": _printed(argv, stdout)})
     json.dump(records, sys.stdout)
+
+
+def validate(tree: str, workdir: str, pairs: str) -> None:
+    """Print, for each (task, weights file) pair in the JSON file `pairs`,
+    whether `validate` under `tree` finds the weights goal-aware,
+    consistent and admissible."""
+    potplan = _import_potplan(tree)
+    os.chdir(workdir)
+    with open(pairs, encoding="utf-8") as f:
+        checks = json.load(f)
+    verdicts = []
+    for sas, weights in checks:
+        code, stdout = _call(potplan, ["validate", sas, "--weights", weights])
+        report = json.loads(stdout) if code == 0 else {}
+        verdicts.append(all(report.get(k) for k in ("goal_aware", "consistent", "admissible")))
+    json.dump(verdicts, sys.stdout)
+
+
+def check_differing(calls: list, results: list, trees: tuple[str, str], workdir: str) -> list[str]:
+    """Report lines on the calls that differ: how many `solve` calls print
+    weights that differ only in the sign of a zero, how many of the others
+    print weights that pass each tree's own `validate`, and how many
+    differing `search` calls keep the plan cost."""
+    solves, zeros, searches = [], 0, []
+    for n, (argv, a, b) in enumerate(zip(calls, *results)):
+        if argv[0] == "solve" and a["printed"] is not None and b["printed"] is not None \
+                and a["keys"]["weights"] != b["keys"]["weights"]:
+            if a["printed"] == b["printed"]:  # equal as numbers, as 0.0 and -0.0 are
+                zeros += 1
+                continue
+            sas = next(arg for arg in reversed(argv) if arg.endswith(".sas"))
+            solves.append([[sas, _write(os.path.join(workdir, f"differing{n}.{side}.json"),
+                                        json.dumps(record["printed"]))]
+                           for side, record in enumerate((a, b))])
+        elif argv[0] == "search" and _what_differs(a, b):
+            searches.append(a["printed"] is not None and a["printed"] == b["printed"])
+    lines = []
+    if solves or zeros:
+        passed = []
+        for side, tree in enumerate(trees):
+            pairs = _write(os.path.join(workdir, f"validate{side}.json"),
+                           json.dumps([pair[side] for pair in solves]))
+            passed.append(sum(json.loads(_worker("validate", tree, workdir, [pairs]))))
+        lines.append(f"{len(solves) + zeros} solve calls print other weights, {zeros} of them "
+                     f"only a zero of the other sign; `validate` passes {passed[0]} of the "
+                     f"other {len(solves)} before and {passed[1]} after")
+    if searches:
+        lines.append(f"{len(searches)} search calls differ; the plan cost is equal in "
+                     f"{sum(searches)}")
+    return lines
 
 
 def _worker(mode: str, tree: str, workdir: str, extra: list[str]) -> str:
@@ -374,6 +445,8 @@ def main(argv: list[str]) -> int:
             write_features(tree, workdir)
         elif mode == "prepare":
             prepare(tree, workdir, extra)
+        elif mode == "validate":
+            validate(tree, workdir, *extra)
         else:
             run(tree, workdir)
         return 0
@@ -387,6 +460,7 @@ def main(argv: list[str]) -> int:
         with open(os.path.join(workdir, "calls.json"), encoding="utf-8") as f:
             calls = json.load(f)
         results = [json.loads(_worker("run", tree, workdir, [])) for tree in (before, after)]
+        checks = check_differing(calls, results, (before, after), workdir)
     differ = [(argv, what) for argv, a, b in zip(calls, *results)
               if (what := _what_differs(a, b))]
     for argv, what in differ:
@@ -394,6 +468,8 @@ def main(argv: list[str]) -> int:
     tally = collections.Counter((argv[0], what) for argv, what in differ)
     for (command, what), count in sorted(tally.items()):
         print(f"{count:5d} {command}: {what}")
+    for line in checks:
+        print(line)
     solves = sum(len(r["solves"]) for r in results[0])
     print(f"{len(calls)} calls, {solves} solves: "
           + ("identical" if not differ else f"{len(differ)} differ"))
