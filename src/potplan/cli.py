@@ -159,13 +159,19 @@ def cmd_solve(args) -> int:
         return EXIT_DOMAIN
     result = direct2d.extract_result(fs, task, solution)
     weights = features.weights_to_strings(task, fs, result.weights)
+
+    def printed(value: float) -> float:
+        # Adding 0.0 turns -0.0 into 0.0: round() keeps the sign of a zero,
+        # which HiGHS leaves either way.
+        return round(value, 9) + 0.0
+
     print(json.dumps({
-        "objective": round(solution.objective_value, 9),
+        "objective": printed(solution.objective_value),
         "status": solution.status,
         "method": args.method,
         "dimension": fs.dimension,
-        "goal_potential": round(result.goal_potential, 9),
-        "weights": {k: round(v, 9) for k, v in weights.items()},
+        "goal_potential": printed(result.goal_potential),
+        "weights": {k: printed(v) for k, v in weights.items()},
     }, indent=None, sort_keys=False))
     return EXIT_OK
 

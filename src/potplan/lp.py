@@ -5,17 +5,18 @@ tests' reference builders.
 
 A model keeps what its builders give it, checked but not repaired: rows come
 in canonical form (columns increasing within each row, no zero coefficient)
-with finite right-hand sides, or the block is refused.  A model keeps its
-HiGHS object between solves as long as no column is added, so that
-re-solving it for another objective starts from the last optimal basis; rows
-appended and bounds changed after a solve are handed to that HiGHS object,
-and adding a column drops it.  HiGHS gets each sign row (one term,
-right-hand side 0) as a bound at 0 on its column and the other rows as rows,
-in model order; the model and its row re-check keep every row.  A solve
-without a basis starts primal simplex from the slack basis of the model as
-built, with presolve off, when x = 0 is a feasible basic point (presolve
-would throw that feasible basis away), and dual simplex after presolve
-otherwise.
+with finite right-hand sides, or the block is refused.  A model keeps the
+HiGHS session built at its first solve as long as no column is added, so
+that re-solving it for another objective starts from the last optimal
+basis; rows appended and bounds changed after a solve are handed to that
+session, and adding a column drops it.  A session gets each sign row (one
+term, right-hand side 0) of the model as built as a bound at 0 on its
+column, and the other rows and every row appended later as rows, in model
+order; the model and its row re-check keep every row.  A session's first
+run starts primal simplex from the slack basis, with presolve off, when
+x = 0 is a feasible basic point (presolve would throw that feasible basis
+away), and dual simplex after presolve otherwise.  A warm run that ends
+undecided is solved again on a fresh session.
 """
 
 from __future__ import annotations
@@ -180,9 +181,9 @@ class LpModel:
             raise LpError(f"bounds of undeclared columns {list(columns)}")
         alone = LpModel()
         alone.add_unknowns([self.names[j] for j in columns], lower, upper)
-        if self._session is not None:
-            self._session.set_bounds(np.array(columns, dtype=np.int32), alone.lower, alone.upper)
         self.lower[columns], self.upper[columns] = alone.lower, alone.upper
+        if self._session is not None:
+            self._session.set_bounds(np.array(columns, dtype=np.int32), self.lower, self.upper)
 
     def add_rows(self, indptr, columns, coefficients, relations, rhs,
                  names=None) -> None:
@@ -230,8 +231,7 @@ class LpModel:
             raise LpError(f"row name '{bad}' is not LP-file safe or is that of an unnamed row")
         codes, rhs = np.broadcast_to(codes, count), np.broadcast_to(rhs, count)
         if self._session is not None:
-            self._session.add_rows(indptr, columns, coefficients, codes, rhs,
-                                   self.lower, self.upper)
+            self._session.add_rows(indptr, columns, coefficients, codes, rhs)
         _append(self._row_ends, indptr[1:].astype(np.int64) + len(self._columns))
         _append(self._columns, columns)
         _append(self._coefficients, coefficients)
@@ -305,15 +305,15 @@ def check_solution(model: LpModel, x: np.ndarray) -> list[str]:
 
 def _sign_rows(indptr: np.ndarray, columns: np.ndarray, coefficients: np.ndarray,
                relations: np.ndarray, rhs: np.ndarray):
-    """Split a block of canonical CSR rows into its sign rows (one term,
-    right-hand side 0) and the others.  Returns the other rows as (indptr,
-    columns, coefficients, relations, rhs), the block itself when it has no
-    sign row, and the columns that the sign rows bound at 0 from below and
-    from above, or None."""
+    """Split canonical CSR rows into their sign rows (one term, right-hand
+    side 0) and the others.  Returns the other rows as (indptr, columns,
+    coefficients, relations, rhs), the rows themselves when none is a sign
+    row, and the columns that the sign rows bound at 0 from below and from
+    above."""
     sizes = indptr[1:] - indptr[:-1]
     sign = (sizes == 1) & (rhs == 0)
     if not sign.any():
-        return (indptr, columns, coefficients, relations, rhs), None
+        return (indptr, columns, coefficients, relations, rhs), (columns[:0], columns[:0])
     rows, kept = np.flatnonzero(sign), np.flatnonzero(~sign)
     first = indptr[rows]
     # The relation that a·x's row states of x: its own for a > 0, its mirror
@@ -327,137 +327,101 @@ def _sign_rows(indptr: np.ndarray, columns: np.ndarray, coefficients: np.ndarray
     return others, (at[codes >= RELATIONS.index("=")], at[codes <= RELATIONS.index("=")])
 
 
-def _rest_at_zero(lower: np.ndarray, upper: np.ndarray) -> bool:
-    """Whether every column can sit non-basic at 0: it is free or has 0 as
-    a bound, and its bounds hold 0."""
+def _origin_feasible(lower: np.ndarray, upper: np.ndarray, relations: np.ndarray,
+                     rhs: np.ndarray) -> bool:
+    """Whether x = 0 is a feasible basic point: every column is free or has
+    0 as a bound, and its bounds hold 0, and every row holds at 0."""
     free = (lower == -np.inf) & (upper == np.inf)
-    return bool(np.all(free | ((lower == 0) & (upper >= 0)) | ((upper == 0) & (lower <= 0))))
+    rest = free | ((lower == 0) & (upper >= 0)) | ((upper == 0) & (lower <= 0))
+    holds = np.where(relations == RELATIONS.index("<="), rhs >= 0,
+                     np.where(relations == RELATIONS.index(">="), rhs <= 0, rhs == 0))
+    return bool(rest.all() and holds.all())
 
 
 class _Session:
-    """A model's HiGHS object, kept until a column is added: it holds the
-    model's columns and its rows other than sign rows, in model order, and
-    the last basis.
+    """A model's HiGHS object, built from the model as it is at its first
+    solve and kept until a column is added: it holds the model's columns,
+    the rows of the model as built other than its sign rows, in model
+    order, then the rows appended since, and the last basis.
 
     A sign row is a row with one term and right-hand side 0: `a·x >= 0` is
     `x >= 0` for a > 0 and `x <= 0` for a < 0, `a·x <= 0` the mirror case,
-    and `a·x = 0` fixes x at 0.  HiGHS gets it as that bound at 0 on its
-    column, intersected with the model's bounds, and not as a row: a free
-    column that a row keeps at one side of 0 would have to be pivoted into
-    the basis, while a bound at 0 leaves it non-basic there.  `sign_lower`
-    and `sign_upper` keep these bounds per column (None while there are
-    none).  The model and its row re-check keep every row; a sign row's
-    multiplier is its column's `col_dual` in HiGHS, not a `row_dual`.
+    and `a·x = 0` fixes x at 0.  HiGHS gets each sign row of the model as
+    built as that bound at 0 on its column, intersected with the model's
+    bounds, and not as a row: a free column that a row keeps at one side of
+    0 would have to be pivoted into the basis, while a bound at 0 leaves it
+    non-basic there.  `below` and `above` are the columns that these rows
+    bound at 0 from below and from above; bounds set later are intersected
+    with them too.  Rows appended after a solve are rows.  The model and its
+    row re-check keep every row; a sign row's multiplier is its column's
+    `col_dual` in HiGHS, not a `row_dual`.
 
-    `origin_feasible` says whether x = 0 is a feasible basic point: every
-    column, with its sign bounds, is free or has 0 as a bound and holds 0,
-    and every row holds at 0.  HiGHS's
-    slack basis of the model as built is then primal feasible, so a run
-    without a basis is primal simplex with presolve off and skips phase 1:
-    presolve would hand the simplex a reduced model whose slack basis is
-    not feasible, and after postsolve HiGHS would solve the whole model
-    again.  Dual simplex would first repair the dual infeasibility of the
-    free columns.  Every `src/` model qualifies, since all their columns
-    are free; a column boxed away from 0 (`direct2d.solve_for_state`'s
-    fallback) keeps the dual start after presolve."""
+    `origin_feasible` says whether x = 0 is a feasible basic point of the
+    model as built, with the sign rows' bounds.  HiGHS's slack basis is then
+    primal feasible, so the first run is primal simplex with presolve off
+    and skips phase 1: presolve would hand the simplex a reduced model whose
+    slack basis is not feasible, and after postsolve HiGHS would solve the
+    whole model again.  Dual simplex would first repair the dual
+    infeasibility of the free columns.  Every `src/` model qualifies, since
+    all their columns are free; a model with a column boxed away from 0 (a
+    fresh session after `direct2d.solve_for_state`'s fallback) gets dual
+    simplex after presolve."""
 
     def __init__(self, model: LpModel):
         self.highs = highs_core._Highs()
         self.solved = False
-        self.sign_lower = self.sign_upper = None
         for option in ("output_flag", "log_to_console"):
             self.highs.setOptionValue(option, False)
-        rows, signs = _sign_rows(*model._row_arrays())
-        lower, upper = model.lower, model.upper
-        if signs is not None:
-            self._keep_signs(len(lower), *signs)
-            lower, upper = self._bounds(slice(None), lower, upper)
-        self.origin_feasible = _rest_at_zero(lower, upper)
+        rows, (self.below, self.above) = _sign_rows(*model._row_arrays())
+        lower, upper = self._clamped(model.lower, model.upper)
+        self.origin_feasible = _origin_feasible(lower, upper, *rows[3:])
+        self.highs.setOptionValue("simplex_strategy", 4 if self.origin_feasible else 1)
+        self.highs.setOptionValue("presolve", "off" if self.origin_feasible else "on")
         if self.highs.addVars(len(lower), lower, upper) == highs_core.HighsStatus.kError:
             raise SolverFailureError("HiGHS refused the columns")
-        self._add_rows(*rows)
+        self.add_rows(*rows)
 
-    def _keep_signs(self, width: int, below: np.ndarray, above: np.ndarray) -> None:
-        """Bound the columns `below` at 0 from below and `above` from above."""
-        if self.sign_lower is None:
-            self.sign_lower, self.sign_upper = np.full(width, -np.inf), np.full(width, np.inf)
-        self.sign_lower[below] = 0.0
-        self.sign_upper[above] = 0.0
-
-    def _bounds(self, columns, lower: np.ndarray, upper: np.ndarray):
-        """The model's bounds of the given columns intersected with their
-        sign bounds."""
-        if self.sign_lower is None:
-            return lower, upper
-        return (np.maximum(lower, self.sign_lower[columns]),
-                np.minimum(upper, self.sign_upper[columns]))
+    def _clamped(self, lower: np.ndarray, upper: np.ndarray):
+        """The model's column bounds intersected with the sign rows' bounds
+        at 0."""
+        lower, upper = lower.copy(), upper.copy()
+        lower[self.below] = np.maximum(lower[self.below], 0.0)
+        upper[self.above] = np.minimum(upper[self.above], 0.0)
+        return lower, upper
 
     def set_bounds(self, columns: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> None:
-        """Hand new column bounds, intersected with the sign bounds, to
-        HiGHS, which keeps its basis."""
-        lower, upper = self._bounds(columns, lower, upper)
-        self.origin_feasible &= _rest_at_zero(lower, upper)
-        self.highs.changeColsBounds(len(columns), columns, lower, upper)
+        """Hand the model's column bounds `lower` and `upper` of the given
+        columns, intersected with the sign rows' bounds, to HiGHS, which
+        keeps its basis."""
+        lower, upper = self._clamped(lower, upper)
+        self.highs.changeColsBounds(len(columns), columns, lower[columns], upper[columns])
 
     def add_rows(self, indptr: np.ndarray, columns: np.ndarray, coefficients: np.ndarray,
-                 relations: np.ndarray, rhs: np.ndarray, lower: np.ndarray,
-                 upper: np.ndarray) -> None:
-        """Hand rows in canonical CSR form to HiGHS after a solve, given the
-        model's column bounds `lower` and `upper`: the sign rows as new
-        bounds of their columns and the others as rows; HiGHS keeps its
-        basis (the new rows' slacks become basic)."""
-        rows, signs = _sign_rows(indptr, columns, coefficients, relations, rhs)
-        self._add_rows(*rows)
-        if signs is not None:
-            self._keep_signs(len(lower), *signs)
-            touched = np.unique(np.concatenate(signs)).astype(np.int32)
-            self.set_bounds(touched, lower[touched], upper[touched])
-
-    def _add_rows(self, indptr: np.ndarray, columns: np.ndarray, coefficients: np.ndarray,
-                  relations: np.ndarray, rhs: np.ndarray) -> None:
+                 relations: np.ndarray, rhs: np.ndarray) -> None:
         """Hand rows in canonical CSR form to HiGHS as `lower <= row <=
-        upper`, after the rows it holds."""
+        upper`, after the rows it holds; after a solve HiGHS keeps its basis
+        (the new rows' slacks become basic)."""
         lower = np.where(relations == RELATIONS.index("<="), -np.inf, rhs)
         upper = np.where(relations == RELATIONS.index(">="), np.inf, rhs)
-        self.origin_feasible &= bool(np.all((lower <= 0) & (upper >= 0)))
         status = self.highs.addRows(len(rhs), lower, upper, len(columns),
                                     indptr.astype(np.int32), columns.astype(np.int32), coefficients)
         if status == highs_core.HighsStatus.kError:
             raise SolverFailureError("HiGHS refused the rows")
 
-    def _start_cold(self) -> None:
-        """Set the options of a run without a basis by `origin_feasible`."""
-        primal = self.origin_feasible
-        self.highs.setOptionValue("simplex_strategy", 4 if primal else 1)
-        self.highs.setOptionValue("presolve", "off" if primal else "on")
-
     def run(self, cost: np.ndarray):
-        """Minimize the cost vector and return HiGHS's model status.  A run
-        without a basis (the first) is primal simplex on the model as built
-        when the origin is feasible and dual simplex after presolve
-        otherwise; later ones start from the last basis by primal simplex
-        (HiGHS uses no presolve with a basis), which stays primal feasible
-        when only the cost changes (and after appended rows that the last
-        optimum satisfies, such as `direct2d`'s tie-break row); after new
-        bounds it may first have to regain feasibility."""
-        highs, warm, statuses = self.highs, self.solved, highs_core.HighsModelStatus
-        if warm:
-            highs.setOptionValue("simplex_strategy", 4)
-        else:
-            self._start_cold()
-        highs.changeColsCost(len(cost), np.arange(len(cost), dtype=np.int32), cost)
-        highs.run()
+        """Minimize the cost vector and return HiGHS's model status.  The
+        first run starts as `__init__` set it, by `origin_feasible`; later
+        ones start from the last basis by primal simplex (HiGHS uses no
+        presolve with a basis), which stays primal feasible when only the
+        cost changes (and after appended rows that the last optimum
+        satisfies, such as `direct2d`'s tie-break row); after new bounds it
+        may first have to regain feasibility."""
+        if self.solved:
+            self.highs.setOptionValue("simplex_strategy", 4)
+        self.highs.changeColsCost(len(cost), np.arange(len(cost), dtype=np.int32), cost)
+        self.highs.run()
         self.solved = True
-        status = highs.getModelStatus()
-        if warm and status not in (statuses.kOptimal, statuses.kInfeasible, statuses.kUnbounded):
-            # A warm start can end undecided (HiGHS reports "Unknown" when it
-            # starts from the basis an unbounded objective left): run again
-            # without that basis, as a solve of a fresh copy would.
-            self._start_cold()
-            highs.clearSolver()
-            highs.run()
-            status = highs.getModelStatus()
-        return status
+        return self.highs.getModelStatus()
 
 
 def solve(model: LpModel) -> LpSolution:
@@ -472,9 +436,15 @@ def solve(model: LpModel) -> LpSolution:
     c[list(model.objective)] = sense * np.array(list(model.objective.values()))
     if model._session is None:
         model._session = _Session(model)
-    session = model._session
+    session, statuses = model._session, highs_core.HighsModelStatus
+    warm = session.solved
     status = session.run(c)
-    statuses = highs_core.HighsModelStatus
+    if warm and status not in (statuses.kOptimal, statuses.kInfeasible, statuses.kUnbounded):
+        # A warm start can end undecided (HiGHS reports "Unknown" when it
+        # starts from the basis an unbounded objective left): solve again on
+        # a fresh session, as a solve of a fresh copy would.
+        model._session = session = _Session(model)
+        status = session.run(c)
     if status == statuses.kInfeasible:
         return LpSolution("infeasible")
     if status == statuses.kUnbounded:

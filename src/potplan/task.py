@@ -8,7 +8,6 @@ treated as immutable after construction and can be shared freely.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -132,7 +131,8 @@ class TransitionSystem:
     (state, operator) pair.
     """
 
-    # (state, variable) value indices, in `iter_states` order
+    # (state, variable) value indices, in lexicographic order, variable 0
+    # most significant
     states: np.ndarray
     # (transition, 3) rows (source, operator, target), by source, then operator
     transitions: np.ndarray
@@ -217,13 +217,9 @@ class SuccessorGenerator:
         return result
 
 
-def iter_states(domain_sizes: tuple[int, ...]):
-    """All states in lexicographic order (variable 0 most significant)."""
-    return itertools.product(*(range(dom) for dom in domain_sizes))
-
-
 def state_index(state: State, domain_sizes: tuple[int, ...]) -> int:
-    """Position of the state in `iter_states` order."""
+    """Position of the state in lexicographic order, variable 0 most
+    significant."""
     index = 0
     for val, dom in zip(state, domain_sizes):
         index = index * dom + val

@@ -61,9 +61,14 @@ from potplan.lp import (FEASIBILITY_TOL, RELATIONS, LinearExpression, LpError, L
                         check_solution, solve)
 from potplan.search import NoPlanError, SearchResult, tiebreak_key
 from potplan.reduction import Graph
-from potplan.task import is_applicable, iter_states, state_index, successor
+from potplan.task import is_applicable, state_index, successor
 
 ZERO = LinearExpression()
+
+
+def iter_states(domain_sizes: tuple[int, ...]):
+    """All states in lexicographic order (variable 0 most significant)."""
+    return itertools.product(*(range(dom) for dom in domain_sizes))
 
 
 class MissingAssignmentError(LpError):

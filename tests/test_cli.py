@@ -241,6 +241,18 @@ def test_solve_empty_feature_set_prints_float_goal_potential(capsys, tmp_path, t
     assert '"goal_potential": 0.0,' in out
 
 
+@pytest.mark.parametrize("method", ["direct2d", "exhaustive"])
+def test_solve_prints_no_negative_zero(capsys, tmp_path, method):
+    """A zero weight prints as 0.0 whatever sign HiGHS left on it: on `gen
+    --seed 0` two weights (three by the exhaustive method) came back as
+    -0.0."""
+    path = str(tmp_path / "gen0.sas")
+    assert run_cli(capsys, "gen", "--seed", "0", "-o", path)[0] == 0
+    code, out, _ = run_cli(capsys, "solve", "--method", method, path)
+    assert code == 0 and "-0.0" not in out
+    assert json.loads(out)["weights"]["var0=val1"] == 0.0
+
+
 COMPACT_502_1 = os.path.join(os.path.dirname(__file__), "data", "compact_502_1.sas")
 
 

@@ -5,10 +5,10 @@ from potplan.features import (Feature, FeatureError, FeatureSet, evaluate_potent
                               format_feature, generate_features, parse_feature,
                               parse_feature_file, truth_matrix, weights_from_strings)
 from potplan.generator import random_task
-from potplan.task import build_transition_system, is_applicable, iter_states
+from potplan.task import build_transition_system, is_applicable
 
-from reference_builders import (classify_features, delta, delta_independent, random_features,
-                                true_in, variables_of)
+from reference_builders import (classify_features, delta, delta_independent, iter_states,
+                                random_features, true_in, variables_of)
 
 
 def w_for(fs, mapping):

@@ -557,9 +557,8 @@ PRIMAL, DUAL = (4, "off"), (1, "on")
 
 
 def _cold_strategy(model):
-    """The simplex strategy and presolve option of the model's last run
-    without a basis (its first, unless a warm run was restarted), read
-    after it."""
+    """The simplex strategy and presolve option of the first run of the
+    model's session, read after it and before a warm run."""
     highs = model._session.highs
     return highs.getOptionValue("simplex_strategy")[1], highs.getOptionValue("presolve")[1]
 
@@ -619,19 +618,6 @@ def test_origin_infeasible_models_start_dual(bounds, relation, rhs):
     assert solve(m).status == "optimal" and _cold_strategy(m) == DUAL
 
 
-def test_rows_appended_to_an_origin_feasible_model_update_the_rule():
-    """A row appended after a solve that fails at x = 0 makes the next run
-    without a basis dual; the model's answer is unchanged by it."""
-    m = LpModel()
-    m.add_unknowns(["x"], [-math.inf], [math.inf])
-    m.add_rows([0, 1], [0], [1.0], "<=", 4.0)
-    m.set_objective("max", {0: 1.0})
-    assert solve(m).objective_value == 4.0 and m._session.origin_feasible
-    m.add_rows([0, 1], [0], [1.0], ">=", 1.0)
-    assert not m._session.origin_feasible
-    assert solve(m).objective_value == 4.0
-
-
 class _UndecidedOnce:
     """A HiGHS object whose next run reports "Unknown", as a warm start from
     the basis an unbounded objective left can."""
@@ -649,22 +635,52 @@ class _UndecidedOnce:
         return self._highs.getModelStatus()
 
 
-@pytest.mark.parametrize("rhs, expected", [(0.0, PRIMAL), (0.5, DUAL)],
-                         ids=["holds-at-0", "fails-at-0"])
-def test_undecided_warm_run_restarts_by_the_cold_rule(rhs, expected):
-    """A warm run that ends undecided runs again without a basis, by the
+def _restart(model):
+    """Solve the model with its session's next run undecided, so that it is
+    solved again on a fresh session; assert that it was, and return the
+    solution."""
+    session = model._session
+    session.highs = _UndecidedOnce(session.highs)
+    solution = solve(model)
+    assert not session.highs._undecided and model._session is not session
+    return solution
+
+
+def test_rows_appended_to_an_origin_feasible_model_update_the_rule():
+    """A row appended after a solve that fails at x = 0 goes to the live
+    session, whose next run is warm; the session that replaces it after an
+    undecided warm run starts dual after presolve, as a fresh copy's would.
+    The model's answer is unchanged by it."""
+    m = LpModel()
+    m.add_unknowns(["x"], [-math.inf], [math.inf])
+    m.add_rows([0, 1], [0], [1.0], "<=", 4.0)
+    m.set_objective("max", {0: 1.0})
+    assert solve(m).objective_value == 4.0 and _cold_strategy(m) == PRIMAL
+    session = m._session
+    m.add_rows([0, 1], [0], [1.0], ">=", 1.0)
+    assert solve(m).objective_value == 4.0 and m._session is session
+    assert _restart(m).objective_value == 4.0
+    assert not m._session.origin_feasible and _cold_strategy(m) == DUAL
+
+
+@pytest.mark.parametrize("change, expected", [
+    (lambda m: m.add_rows([0, 1], [1], [1.0], ">=", 0.0), PRIMAL),
+    (lambda m: m.add_rows([0, 1], [1], [1.0], ">=", 0.5), DUAL),
+    (lambda m: m.set_bounds([1], [0.5], [1.0]), DUAL)],
+    ids=["holds-at-0", "fails-at-0", "bounds-away-from-0"])
+def test_undecided_warm_run_restarts_by_the_cold_rule(change, expected):
+    """A warm run that ends undecided runs again on a new session, by the
     rule of a first run on the model as it is then: after a first primal
-    run without presolve, a row appended that fails at x = 0 makes the
-    restart dual simplex after presolve."""
+    run without presolve, a row appended that fails at x = 0, or bounds set
+    away from 0, make the restart dual simplex after presolve."""
     m = LpModel()
     m.add_unknowns(["x", "y"], [-math.inf, 0.0], [math.inf, 1.0])
     m.add_rows([0, 2], [0, 1], [1.0, 1.0], "<=", 3.0)
     m.set_objective("max", {0: 1.0})
     assert solve(m).objective_value == 3.0 and _cold_strategy(m) == PRIMAL
-    m.add_rows([0, 1], [1], [1.0], ">=", rhs)
+    change(m)
     m.set_objective("max", {0: 1.0, 1: 2.0})
-    m._session.highs = _UndecidedOnce(m._session.highs)
-    assert solve(m).objective_value == 4.0 and not m._session.highs._undecided
+    assert _restart(m).objective_value == 4.0
     assert _cold_strategy(m) == expected
 
 
@@ -813,11 +829,11 @@ def _two_rows():
     return m
 
 
-def test_sign_rows_appended_after_a_solve_are_warm_bounds():
-    """A sign row appended after a solve becomes a bound on the live
-    session, which keeps its basis: the next run is warm (no pivot when the
-    last optimum meets it) and ends at the optimum of a fresh copy with the
-    same rows, solved cold."""
+def test_sign_rows_appended_after_a_solve_are_warm_rows():
+    """A sign row appended after a solve becomes a row of the live session,
+    which keeps its basis and its bounds: the next run is warm (no pivot
+    when the last optimum meets it) and ends at the optimum of a fresh copy
+    with the same rows, solved cold, whose session holds them as bounds."""
     warm = _two_rows()
     assert solve(warm).objective_value == 7.0
     session, appended = warm._session, []
@@ -828,8 +844,8 @@ def test_sign_rows_appended_after_a_solve_are_warm_bounds():
         appended.append(row)
         held = session.highs.getLp()
         assert warm._session is session and session.highs.getBasis().valid
-        assert held.num_row_ == 2
-        assert (held.col_lower_[column], held.col_upper_[column]) == bounds
+        assert held.num_row_ == 2 + len(appended)
+        assert (list(held.col_lower_), list(held.col_upper_)) == ([-math.inf] * 2, [math.inf] * 2)
         result = solve(warm)
         assert result.objective_value == optimum
         if optimum == 7.0:
@@ -838,6 +854,9 @@ def test_sign_rows_appended_after_a_solve_are_warm_bounds():
         for column, coefficient, relation in appended:
             cold.add_rows([0, 1], [column], [coefficient], relation, 0.0)
         cold_result = solve(cold)
+        cold_held = cold._session.highs.getLp()
+        assert cold_held.num_row_ == 2
+        assert (cold_held.col_lower_[column], cold_held.col_upper_[column]) == bounds
         assert cold_result.objective_value == optimum
         np.testing.assert_array_equal(result.x, cold_result.x)
 
@@ -1046,17 +1065,25 @@ def test_set_bounds_refuses_and_changes_nothing(columns, lower, upper):
 
 
 def test_bounds_away_from_zero_keep_the_dual_start():
-    """A bound set away from 0 after a solve makes the next run without a
-    basis dual, as a column declared so would."""
+    """Bounds set after a solve go to the live session, whose next run is
+    warm; the session that replaces it after an undecided warm run starts
+    dual after presolve when a bound is away from 0, as the session of a
+    column declared so would."""
     m = LpModel()
     m.add_unknowns(["x"], [-math.inf], [math.inf])
     m.add_rows([0, 1], [0], [1.0], "<=", 4.0)
     m.set_objective("max", {0: 1.0})
-    assert solve(m).objective_value == 4.0 and m._session.origin_feasible
-    m.set_bounds([0], [0.0], [2.0])
-    assert m._session.origin_feasible and solve(m).objective_value == 2.0
-    m.set_bounds([0], [1.0], [3.0])
-    assert not m._session.origin_feasible and solve(m).objective_value == 3.0
+    assert solve(m).objective_value == 4.0 and _cold_strategy(m) == PRIMAL
+    for lower, upper, expected in [(0.0, 2.0, PRIMAL), (1.0, 3.0, DUAL)]:
+        m.set_bounds([0], [lower], [upper])
+        session = m._session
+        assert solve(m).objective_value == upper and m._session is session
+        assert _restart(m).objective_value == upper and _cold_strategy(m) == expected
+        declared = LpModel()
+        declared.add_unknowns(["x"], [lower], [upper])
+        declared.add_rows([0, 1], [0], [1.0], "<=", 4.0)
+        declared.set_objective("max", {0: 1.0})
+        assert solve(declared).objective_value == upper and _cold_strategy(declared) == expected
 
 
 def test_warm_resolve_through_unbounded():

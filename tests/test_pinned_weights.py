@@ -29,12 +29,12 @@ from potplan.features import (Feature, FeatureSet, format_feature, generate_feat
 from potplan.generator import random_task
 from potplan.lp import LpModel, export_lp, solve
 from potplan.search import PotentialHeuristic, validate
-from potplan.task import (build_transition_system, exact_goal_distances, iter_states, parse_sas,
+from potplan.task import (build_transition_system, exact_goal_distances, parse_sas,
                           serialize_sas, state_index)
 
 from conftest import make_alias_task, make_toy1
-from reference_builders import (parse_lp, random_features, reference_exhaustive_model,
-                                reference_general_model)
+from reference_builders import (iter_states, parse_lp, random_features,
+                                reference_exhaustive_model, reference_general_model)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 COMPACT_502_1 = os.path.join(DATA, "compact_502_1.sas")

@@ -8,11 +8,11 @@ from potplan.generator import random_task
 from potplan.task import (NotApplicableError, SasParseError, StateSpaceTooLargeError,
                           SuccessorGenerator, Task, TransitionSystem, UnsupportedFeatureError,
                           build_transition_system, exact_goal_distances,
-                          is_applicable, iter_states, parse_sas, serialize_sas, state_index,
+                          is_applicable, parse_sas, serialize_sas, state_index,
                           successor)
 
 from conftest import make_mixed_preconditions, make_toy1
-from reference_builders import (complete_graph, reference_goal_distances,
+from reference_builders import (complete_graph, iter_states, reference_goal_distances,
                                 reference_successors, reference_transitions)
 
 TOY1_SAS = """\
