@@ -116,7 +116,7 @@ def _build_model(task: Task, fs, args) -> lp.LpModel:
         states = direct2d.sample_states(task, _count(args.objective), args.seed)
     else:
         raise CliUsageError(f"unknown objective '{args.objective}' (use init or samples:N)")
-    model.set_objective("max", direct2d.state_objective(task, fs, *states))
+    model.set_objective(direct2d.state_objective(task, fs, *states))
     return model
 
 
@@ -250,12 +250,16 @@ def _compare_states(task: Task, ts, distances, args):
 
 
 def _optima(model: lp.LpModel, states, set_state) -> list[float]:
-    """The model's maximum at each state.  Only the objective changes
-    between the solves, so each re-solve starts from the last basis."""
+    """The model's maximum at each state, math.inf where it is unbounded:
+    every model here is admissible, so an unbounded maximum certifies that
+    h* is infinite there.  Only the objective changes between the solves,
+    so each re-solve starts from the last basis."""
     values = []
     for state in states:
         set_state(state)
-        values.append(lp.solve(model).require_optimal().objective_value)
+        solution = lp.solve(model)
+        values.append(math.inf if solution.status == "unbounded"
+                      else solution.require_optimal().objective_value)
     return values
 
 
@@ -263,7 +267,7 @@ def _potential_optima(task: Task, dim: int, states) -> list[float]:
     fs = features.generate_features(task, dim)
     model = direct2d.build_direct2d_lp(task, fs)
     return _optima(model, states, lambda state: model.set_objective(
-        "max", direct2d.state_objective(task, fs, state)))
+        direct2d.state_objective(task, fs, state)))
 
 
 def _partitioning_optima(build, ts, patterns, states) -> list[float]:
@@ -290,7 +294,8 @@ def cmd_compare(args) -> int:
         h_star = distances[state_index(state, ts.domain_sizes)].tolist()
         rows.append({
             "state": label,
-            **{column: round(values[i], 6) for column, values in columns.items()},
+            **{column: round(values[i], 6) if math.isfinite(values[i]) else "inf"
+               for column, values in columns.items()},
             "h_star": h_star if math.isfinite(h_star) else "inf",
         })
     if args.format == "json":

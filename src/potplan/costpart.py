@@ -59,7 +59,7 @@ class CostPartitioningLp:
     def set_state(self, state: State) -> None:
         """Make the objective the total abstract value of the given state."""
         row = self.state_columns[state_index(state, self.domain_sizes)]
-        self.model.set_objective("max", dict.fromkeys(row.tolist(), 1.0))
+        self.model.set_objective(dict.fromkeys(row.tolist(), 1.0))
 
 
 def _add_h_unknowns(model: LpModel, ts: TransitionSystem,
@@ -69,7 +69,7 @@ def _add_h_unknowns(model: LpModel, ts: TransitionSystem,
     the h column of each concrete state's abstract state."""
     offsets = np.cumsum([len(model.names)] + [proj.size for proj in projections])
     names = [f"h_a{ai}_s{si}" for ai, proj in enumerate(projections) for si in range(proj.size)]
-    model.add_unknowns(names, [-math.inf] * len(names), [math.inf] * len(names))
+    model.add_unknowns(names)
     maps = [offset + proj.state_map for offset, proj in zip(offsets, projections)]
     state_columns = np.array(maps, dtype=np.int64).reshape(len(projections), len(ts.states)).T
     model.add_rows(np.arange(len(projections) + 1), state_columns[ts.goals[0]],
@@ -116,7 +116,7 @@ def build_ocp_lp(ts: TransitionSystem, patterns, state: State) -> CostPartitioni
     state_columns = _add_h_unknowns(model, ts, projections)
     first_cost = len(model.names)
     names = [f"c_a{ai}_o{op}" for ai in range(len(projections)) for op in range(n_ops)]
-    model.add_unknowns(names, [-math.inf] * len(names), [math.inf] * len(names))
+    model.add_unknowns(names)
     # cost column of (abstraction ai, operator op), one row per operator
     cost_columns = first_cost + np.arange(len(projections)) * n_ops + np.arange(n_ops)[:, None]
     # (abstraction, transition) arrays, abstraction-major; an h column names

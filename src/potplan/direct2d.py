@@ -40,7 +40,6 @@ carry the assignment to the remaining scope, `z_o{op}_v{var}__v{u}.{value}_...`.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 
@@ -93,8 +92,7 @@ def _weights_and_goal_row(task: Task, fs: FeatureSet) -> tuple[LpModel, FeatureS
     _require_tnf(task)
     kept = kept_features(fs, task.domain_sizes)[0]
     model = LpModel()
-    model.add_unknowns([weight_var_name(f) for f in kept.features],
-                       [-math.inf] * len(kept), [math.inf] * len(kept))
+    model.add_unknowns([weight_var_name(f) for f in kept.features])
     goal = state_objective(task, fs, _goal_state(task))
     model.add_rows([0, len(goal)], list(goal), list(goal.values()), "<=", 0.0, ["goal"])
     return model, kept
@@ -208,11 +206,11 @@ def solve_for_state(task: Task, fs: FeatureSet, state: State) -> PotentialSolveR
     solve's optimum; if that is unbounded (a dead end), it raises LpStatusError."""
     model = build_direct2d_lp(task, fs)
     objective = state_objective(task, fs, state)
-    model.set_objective("max", objective)
+    model.set_objective(objective)
     optimum = solve(model).require_optimal().objective_value
     model.add_rows([0, len(objective)], list(objective), list(objective.values()), ">=",
                    optimum - OPTIMALITY_TOL * max(1.0, abs(optimum)), ["tie_break"])
-    model.set_objective("max", mean := all_states_objective(task, fs))
+    model.set_objective(mean := all_states_objective(task, fs))
     solution = solve(model)
     if solution.status == "unbounded":
         model.set_bounds(list(mean), [WEIGHT_LOWER] * len(mean), [WEIGHT_UPPER] * len(mean))

@@ -37,7 +37,6 @@ and condenses the buckets of all operators at one position together.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -269,7 +268,7 @@ def _block(model: LpModel, task: Task, start: int, stop: int, first: int,
     final[by_op] = np.arange(len(by_op))
     names = [name for _, _, step in unknowns for name in step]
     names = [names[j] for j in by_op.tolist()]
-    model.add_unknowns(names, [-math.inf] * len(names), [math.inf] * len(names))
+    model.add_unknowns(names)
     u_op, values = u_op[by_op], values[by_op]
     before = np.concatenate(([0], np.cumsum(values)))
     count = stop - start

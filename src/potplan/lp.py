@@ -3,27 +3,27 @@ solve contract backed by the HiGHS that scipy bundles, CPLEX-LP-format text
 export, and the name-level expression algebra (LinearExpression) of the
 tests' reference builders.
 
-A model keeps what its builders give it, checked but not repaired: rows come
-in canonical form (columns increasing within each row, no zero coefficient)
-with finite right-hand sides, or the block is refused.  A model keeps the
-HiGHS session built at its first solve as long as no column is added, so
-that re-solving it for another objective starts from the last optimal
-basis; rows appended and bounds changed after a solve are handed to that
-session, and adding a column drops it.  A session gets each sign row (one
-term, right-hand side 0) of the model as built as a bound at 0 on its
-column, and the other rows and every row appended later as rows, in model
-order; the model and its row re-check keep every row.  A session's first
-run starts primal simplex from the slack basis, with presolve off, when
-x = 0 is a feasible basic point (presolve would throw that feasible basis
-away), and dual simplex after presolve otherwise.  A warm run that ends
-undecided is solved again on a fresh session.
+A model is a maximization over free columns, bounded only where
+`set_bounds` puts bounds, and keeps what its builders give it, checked but
+not repaired: named rows come in canonical form (columns increasing within
+each row, no zero coefficient) with finite right-hand sides, or the block is
+refused.  It keeps the HiGHS session built at its first solve as long as no
+column is added, so that re-solving it for another objective starts from
+the last optimal basis; rows appended and bounds changed after a solve are
+handed to that session.  A session gets each sign row (one term, right-hand
+side 0) of the model as built as a bound at 0 on its column, and the other
+rows and every row appended later as rows, in model order; the model and
+its row re-check keep every row.  A session's first run starts primal
+simplex from the slack basis, with presolve off, when x = 0 is a feasible
+basic point (presolve would throw that feasible basis away), and dual
+simplex after presolve otherwise.  A warm run that ends undecided is solved
+again on a fresh session.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +40,8 @@ OPTIMALITY_TOL = 1e-6    # relative, for optimum comparisons
 RELATIONS = ("<=", "=", ">=")
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.()]*")
-# Row names, each then "\n": "" or a safe name other than c<digits>, unnamed rows' name.
-_ROW_NAMES_RE = re.compile(rf"(?:(?:(?!c\d+\n){_NAME_RE.pattern})?\n)*")
+# Row names, each then "\n".
+_ROW_NAMES_RE = re.compile(rf"(?:{_NAME_RE.pattern}\n)*")
 
 
 class LpError(ValueError):
@@ -116,84 +116,80 @@ class LinearExpression:
     __rmul__ = __mul__
 
 
-def _append(buffer: array, values) -> None:
-    """Append a numpy-convertible sequence to a typed array in one copy."""
-    buffer.frombytes(np.ascontiguousarray(values, dtype=buffer.typecode).tobytes())
-
-
 class LpModel:
-    """Columns with bounds, an objective, and the rows as one sparse table,
-    all by column index: columns come in through `add_unknowns` and are kept
-    as `names` with the float arrays `lower` and `upper`, rows through
-    `add_rows` and the objective through `set_objective`; the rows come out
-    through `row_table()` and a solution as `LpSolution.x`.
+    """Free columns, an objective to maximize, and named rows, all by column
+    index: columns come in through `add_unknowns` and are kept as `names`
+    with the float arrays `lower` and `upper`, which only `set_bounds`
+    changes; rows come in through `add_rows`, the objective through
+    `set_objective`, and a solution comes out as `LpSolution.x`.
 
-    Row i holds the terms `_columns[s:e]` / `_coefficients[s:e]` with s the
-    previous row's end and e `_row_ends[i]`, plus a relation code (an index
-    into RELATIONS), a right-hand side and a name ("" for unnamed).
+    `rows` holds the rows once, as the arrays (indptr, columns,
+    coefficients, relations, rhs): row i has the terms `columns[s:e]` /
+    `coefficients[s:e]` with s = indptr[i] and e = indptr[i + 1], a relation
+    code (an index into RELATIONS) and a right-hand side, and the name
+    `row_names[i]`.  A block of rows replaces the arrays with longer ones
+    and nothing writes into them, so the session, `row_table()` and
+    `export_lp` read them as they are.
     """
 
     def __init__(self):
         self.names: list[str] = []
         self.lower = np.zeros(0)
         self.upper = np.zeros(0)
-        self.objective_sense = "max"
         self.objective: dict[int, float] = {}
+        self.rows = (np.zeros(1, np.int32), np.zeros(0, np.int32), np.zeros(0),
+                     np.zeros(0, np.int8), np.zeros(0))
+        self.row_names: list[str] = []
         self._session: _Session | None = None
-        self._columns = array("q")
-        self._coefficients = array("d")
-        self._row_ends = array("q")
-        self._relations = array("b")
-        self._rhs = array("d")
-        self._row_names: list[str] = []
 
-    def add_unknowns(self, names: list[str], lower: list[float], upper: list[float]) -> None:
-        """Declare columns in order, one per name, with the matching bounds;
-        a model with a solver session drops it.  Nothing is declared when a
-        name is not LP-file safe or declared twice, or a column's bounds hold
-        no number (NaN, lower above upper, lower +inf or upper -inf)."""
-        if not len(names) == len(lower) == len(upper):
-            raise LpError("unknowns: not one lower and one upper bound per name")
+    def add_unknowns(self, names: list[str]) -> None:
+        """Declare free columns in order, one per name; a model with a
+        solver session drops it.  Nothing is declared when a name is not
+        LP-file safe or declared twice."""
         for name in names:
             if not _NAME_RE.fullmatch(name) or name in ("free", "inf"):
                 raise LpError(f"unknown name '{name}' is not LP-file safe")
-        lo, hi = np.array(lower, dtype=float), np.array(upper, dtype=float)
-        # Written as "not ok" so that a NaN bound counts as empty.
-        empty = np.flatnonzero(~((lo <= hi) & (lo < math.inf) & (hi > -math.inf)))
-        if empty.size:
-            j = empty[0]
-            raise LpError(f"unknown '{names[j]}': " + (
-                f"lower bound {lo[j]} above upper {hi[j]}" if lo[j] > hi[j]
-                else f"bounds [{lo[j]}, {hi[j]}] hold no number"))
         seen = set(self.names)
         twice = next((name for name in names if name in seen or seen.add(name)), None)
         if twice is not None:
             raise LpError(f"unknown '{twice}' declared twice")
         self._session = None
         self.names.extend(names)
-        self.lower, self.upper = np.append(self.lower, lo), np.append(self.upper, hi)
+        self.lower = np.append(self.lower, np.full(len(names), -math.inf))
+        self.upper = np.append(self.upper, np.full(len(names), math.inf))
 
     def set_bounds(self, columns: list[int], lower: list[float], upper: list[float]) -> None:
-        """Replace the bounds of the given distinct columns, checked as
-        `add_unknowns` checks a declaration; nothing changes when a check
-        fails.  A live solver session gets them too and keeps its basis."""
-        if not all(0 <= j < len(self.names) for j in columns):
-            raise LpError(f"bounds of undeclared columns {list(columns)}")
-        alone = LpModel()
-        alone.add_unknowns([self.names[j] for j in columns], lower, upper)
-        self.lower[columns], self.upper[columns] = alone.lower, alone.upper
+        """Replace the bounds of the given columns.  Nothing changes when a
+        column is undeclared or given twice, the three lengths differ, or a
+        column's bounds hold no number (NaN, lower above upper, lower +inf or
+        upper -inf).  A live solver session gets them too and keeps its
+        basis."""
+        columns = np.asarray(columns, dtype=np.int64)
+        lo, hi = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
+        if not len(columns) == len(lo) == len(hi):
+            raise LpError("bounds: not one lower and one upper bound per column")
+        if np.any((columns < 0) | (columns >= len(self.names))):
+            raise LpError(f"bounds of undeclared columns {columns.tolist()}")
+        if len(np.unique(columns)) < len(columns):
+            raise LpError(f"bounds of columns {columns.tolist()}: a column is given twice")
+        # Written as "not ok" so that a NaN bound counts as empty.
+        empty = np.flatnonzero(~((lo <= hi) & (lo < math.inf) & (hi > -math.inf)))
+        if empty.size:
+            j, name = empty[0], self.names[columns[empty[0]]]
+            raise LpError(f"unknown '{name}': " + (
+                f"lower bound {lo[j]} above upper {hi[j]}" if lo[j] > hi[j]
+                else f"bounds [{lo[j]}, {hi[j]}] hold no number"))
+        self.lower[columns], self.upper[columns] = lo, hi
         if self._session is not None:
-            self._session.set_bounds(np.array(columns, dtype=np.int32), self.lower, self.upper)
+            self._session.set_bounds(columns.astype(np.int32), self.lower, self.upper)
 
-    def add_rows(self, indptr, columns, coefficients, relations, rhs,
-                 names=None) -> None:
+    def add_rows(self, indptr, columns, coefficients, relations, rhs, names) -> None:
         """Append rows given in CSR form: row i has the terms
         `columns[indptr[i]:indptr[i + 1]]` (column indices) with the matching
         `coefficients`.  `relations` and `rhs` are one value for every row or
-        one per row; `names` is one per row, or None for unnamed rows.  Rows
-        must be canonical: columns increase within each row and every
-        coefficient is finite and not zero.  Right-hand sides must be finite,
-        and names LP-file safe and not of the form `c<digits>`.  A block that
+        one per row; `names` is one LP-file safe name per row.  Rows must be
+        canonical: columns increase within each row and every coefficient is
+        finite and not zero.  Right-hand sides must be finite.  A block that
         breaks any of these adds nothing.  A live solver session gets the
         rows first."""
         indptr = np.asarray(indptr, dtype=np.int64)
@@ -212,7 +208,6 @@ class LpModel:
             raise LpError(f"bad relation '{relations[~match.any(axis=1), 0][0]}'")
         codes = match.argmax(axis=1).astype(np.int8)
         rhs = np.asarray(rhs, dtype=float).reshape(-1)
-        names = [""] * count if names is None else list(names)
         for what, size in (("relations", len(codes)), ("right-hand sides", len(rhs))):
             if size not in (1, count):
                 raise LpError(f"rows: {size} {what} for {count} rows")
@@ -227,50 +222,33 @@ class LpModel:
             raise LpError("rows: columns do not increase within a row")
         text = "\n".join([*names, ""])
         if text.count("\n") != count or not _ROW_NAMES_RE.fullmatch(text):
-            bad = next(n for n in names if "\n" in n or not _ROW_NAMES_RE.fullmatch(n + "\n"))
-            raise LpError(f"row name '{bad}' is not LP-file safe or is that of an unnamed row")
+            bad = next(name for name in names if not _NAME_RE.fullmatch(name))
+            raise LpError(f"row name '{bad}' is not LP-file safe")
+        indptr, columns = indptr.astype(np.int32), columns.astype(np.int32)
         codes, rhs = np.broadcast_to(codes, count), np.broadcast_to(rhs, count)
         if self._session is not None:
             self._session.add_rows(indptr, columns, coefficients, codes, rhs)
-        _append(self._row_ends, indptr[1:].astype(np.int64) + len(self._columns))
-        _append(self._columns, columns)
-        _append(self._coefficients, coefficients)
-        _append(self._relations, codes)
-        _append(self._rhs, rhs)
-        self._row_names.extend(names)
-
-    def _row_arrays(self) -> tuple[np.ndarray, ...]:
-        """All rows as the CSR arrays (indptr, columns, coefficients), with
-        per-row relation codes (indices into RELATIONS) and right-hand
-        sides."""
-        indptr = np.zeros(len(self._row_ends) + 1, dtype=np.int64)
-        indptr[1:] = self._row_ends
-        return (indptr, np.array(self._columns, dtype=np.int64),
-                np.array(self._coefficients, dtype=float),
-                np.array(self._relations, dtype=np.int8), np.array(self._rhs, dtype=float))
+        block = (self.rows[0][-1] + indptr[1:], columns, coefficients, codes, rhs)
+        self.rows = tuple(np.concatenate(pair) for pair in zip(self.rows, block))
+        self.row_names.extend(names)
 
     def row_table(self) -> tuple[csr_matrix, np.ndarray, np.ndarray]:
         """All rows as a CSR matrix over the columns, with per-row relation
         codes (indices into RELATIONS) and right-hand sides."""
-        indptr, columns, coefficients, relations, rhs = self._row_arrays()
+        indptr, columns, coefficients, relations, rhs = self.rows
         matrix = csr_matrix((coefficients, columns, indptr),
                             shape=(len(indptr) - 1, len(self.names)))
         return matrix, relations, rhs
 
-    def row_name(self, index: int) -> str:
-        return self._row_names[index] or f"c{index + 1}"
-
-    def set_objective(self, sense: str, terms: dict[int, float]) -> None:
-        """Replace the objective, given as {column: coefficient} (zeros are
-        dropped); the next solve warm-starts from the last."""
-        if sense not in ("max", "min"):
-            raise LpError(f"bad objective sense '{sense}'")
+    def set_objective(self, terms: dict[int, float]) -> None:
+        """Replace the objective, to be maximized, given as {column:
+        coefficient} (zeros are dropped); the next solve warm-starts from
+        the last."""
         for column in terms:
             if not 0 <= column < len(self.names):
                 raise LpError(f"objective references undeclared unknown column {column}")
         if not np.isfinite(np.array(list(terms.values()), dtype=float)).all():
             raise LpError("objective: a coefficient is not finite")
-        self.objective_sense = sense
         self.objective = {int(j): float(c) for j, c in terms.items() if c != 0.0}
 
 
@@ -297,7 +275,7 @@ def check_solution(model: LpModel, x: np.ndarray) -> list[str]:
     ok = np.where(relations == RELATIONS.index("<="), lhs <= rhs + slack,
                   np.where(relations == RELATIONS.index(">="), lhs >= rhs - slack,
                            np.abs(lhs - rhs) <= slack))
-    violations = [model.row_name(i) for i in np.flatnonzero(~ok)]
+    violations = [model.row_names[i] for i in np.flatnonzero(~ok)]
     out_of_bounds = (x < model.lower - FEASIBILITY_TOL) | (x > model.upper + FEASIBILITY_TOL)
     violations.extend(f"bound:{model.names[j]}" for j in np.flatnonzero(out_of_bounds))
     return violations
@@ -322,7 +300,7 @@ def _sign_rows(indptr: np.ndarray, columns: np.ndarray, coefficients: np.ndarray
     at = columns[first]
     terms = np.ones(len(columns), dtype=bool)
     terms[first] = False
-    others = (np.concatenate(([0], np.cumsum(sizes[kept]))), columns[terms],
+    others = (np.concatenate(([0], np.cumsum(sizes[kept]))).astype(np.int32), columns[terms],
               coefficients[terms], relations[kept], rhs[kept])
     return others, (at[codes >= RELATIONS.index("=")], at[codes <= RELATIONS.index("=")])
 
@@ -363,7 +341,7 @@ class _Session:
     slack basis is not feasible, and after postsolve HiGHS would solve the
     whole model again.  Dual simplex would first repair the dual
     infeasibility of the free columns.  Every `src/` model qualifies, since
-    all their columns are free; a model with a column boxed away from 0 (a
+    columns are declared free; a model with a column boxed away from 0 (a
     fresh session after `direct2d.solve_for_state`'s fallback) gets dual
     simplex after presolve."""
 
@@ -372,7 +350,7 @@ class _Session:
         self.solved = False
         for option in ("output_flag", "log_to_console"):
             self.highs.setOptionValue(option, False)
-        rows, (self.below, self.above) = _sign_rows(*model._row_arrays())
+        rows, (self.below, self.above) = _sign_rows(*model.rows)
         lower, upper = self._clamped(model.lower, model.upper)
         self.origin_feasible = _origin_feasible(lower, upper, *rows[3:])
         self.highs.setOptionValue("simplex_strategy", 4 if self.origin_feasible else 1)
@@ -398,13 +376,13 @@ class _Session:
 
     def add_rows(self, indptr: np.ndarray, columns: np.ndarray, coefficients: np.ndarray,
                  relations: np.ndarray, rhs: np.ndarray) -> None:
-        """Hand rows in canonical CSR form to HiGHS as `lower <= row <=
-        upper`, after the rows it holds; after a solve HiGHS keeps its basis
-        (the new rows' slacks become basic)."""
+        """Hand rows in canonical CSR form, int32 indices, to HiGHS as
+        `lower <= row <= upper`, after the rows it holds; after a solve HiGHS
+        keeps its basis (the new rows' slacks become basic)."""
         lower = np.where(relations == RELATIONS.index("<="), -np.inf, rhs)
         upper = np.where(relations == RELATIONS.index(">="), np.inf, rhs)
-        status = self.highs.addRows(len(rhs), lower, upper, len(columns),
-                                    indptr.astype(np.int32), columns.astype(np.int32), coefficients)
+        status = self.highs.addRows(len(rhs), lower, upper, len(columns), indptr, columns,
+                                    coefficients)
         if status == highs_core.HighsStatus.kError:
             raise SolverFailureError("HiGHS refused the rows")
 
@@ -431,9 +409,8 @@ def solve(model: LpModel) -> LpSolution:
         # rows read `0 <relation> rhs`, so the row re-check alone decides.
         x = np.zeros(0)
         return LpSolution("infeasible") if check_solution(model, x) else _finish(model, x)
-    sense = 1.0 if model.objective_sense == "min" else -1.0
-    c = np.zeros(len(model.names))
-    c[list(model.objective)] = sense * np.array(list(model.objective.values()))
+    c = np.zeros(len(model.names))  # HiGHS minimizes the negated objective
+    c[list(model.objective)] = -np.array(list(model.objective.values()))
     if model._session is None:
         model._session = _Session(model)
     session, statuses = model._session, highs_core.HighsModelStatus
@@ -481,23 +458,22 @@ def _format_terms(names: list[str], terms) -> str:
 
 
 def export_lp(model: LpModel) -> str:
-    """CPLEX LP text: Maximize/Minimize, Subject To, Bounds, End.
+    """CPLEX LP text: Maximize, Subject To, Bounds, End.
 
     Terms are written in column order.  Every unknown gets a Bounds line, so
     a reader can recover the column list (with its order) even for columns
-    that appear in no row; an unnamed row i is written as c{i+1}, a name no
-    named row may have.
+    that appear in no row.
     """
     names = model.names
-    lines = ["Maximize" if model.objective_sense == "max" else "Minimize"]
-    lines.append(f" obj: {_format_terms(names, sorted(model.objective.items()))}".rstrip())
-    lines.append("Subject To")
-    matrix, relations, rhs = model.row_table()
-    indptr = matrix.indptr.tolist()
-    terms = list(zip(matrix.indices.tolist(), matrix.data.tolist()))
-    for i, (code, bound) in enumerate(zip(relations.tolist(), rhs.tolist())):
+    lines = ["Maximize", f" obj: {_format_terms(names, sorted(model.objective.items()))}".rstrip(),
+             "Subject To"]
+    indptr, columns, coefficients, relations, rhs = model.rows
+    indptr = indptr.tolist()
+    terms = list(zip(columns.tolist(), coefficients.tolist()))
+    for i, (name, code, bound) in enumerate(zip(model.row_names, relations.tolist(),
+                                                rhs.tolist())):
         row = _format_terms(names, terms[indptr[i]:indptr[i + 1]])
-        lines.append(f" {model.row_name(i)}: {row} {RELATIONS[code]} {bound!r}")
+        lines.append(f" {name}: {row} {RELATIONS[code]} {bound!r}")
     lines.append("Bounds")
     for name, lower, upper in zip(names, model.lower.tolist(), model.upper.tolist()):
         if math.isinf(lower) and math.isinf(upper):

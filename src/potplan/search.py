@@ -21,12 +21,6 @@ class NoPlanError(ValueError):
     pass
 
 
-# Open list order: lowest f, then lowest h, then first-in first-out.  Fixed so
-# that expansion counts are reproducible across runs and machines.
-def tiebreak_key(f: float, h: float, counter: int) -> tuple[float, float, int]:
-    return (f, h, counter)
-
-
 @dataclass
 class SearchResult:
     plan: list[int] | None
@@ -98,8 +92,10 @@ def astar(task: Task, heuristic: Callable[[State], float]) -> SearchResult:
     # index -> [g, h, values, parent index, operator] of every generated state
     nodes: dict[int, list] = {i0: [0.0, h0, s0, None, None]}
     get = nodes.get
+    # Entries (f, h, push counter, index): lowest f, then lowest h, then
+    # first in first out, so that expansion counts are reproducible.
     open_list: list[tuple[float, float, int, int]] = []
-    push(open_list, (*tiebreak_key(h0, h0, 0), i0))
+    push(open_list, (h0, h0, 0, i0))
     pushes = 1
     expansions = 0
     expansion_f: list[float] = []
@@ -137,7 +133,7 @@ def astar(task: Task, heuristic: Callable[[State], float]) -> SearchResult:
                 node[0], node[3], node[4] = g2, index, op_id
             else:
                 continue
-            push(open_list, (*tiebreak_key(g2 + node[1], node[1], pushes), succ))
+            push(open_list, (g2 + node[1], node[1], pushes, succ))
             pushes += 1
     raise NoPlanError("goal is unreachable from the initial state")
 

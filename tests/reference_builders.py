@@ -20,7 +20,8 @@ time over neighbour sets (`reference_min_fill_order`,
 arrays, `elimination.eliminate_graphs`, and enumerating every assignment
 (`brute_force_max`) is the oracle of the symbolic eliminator.  The
 search references test every operator in every state with `is_applicable`
-and `successor`; the indexed successor generator has to reproduce them.
+and `successor`, and keep their open list in the order `reference_open_key`
+gives; the indexed successor generator and A* have to reproduce them.
 The TCP model with one cost unknown per (abstraction, transition) is no
 builder's reference but the oracle of the eliminated one: same optimum, and
 the solution lifted into it is feasible.  The potential references have a
@@ -59,7 +60,7 @@ from potplan.elimination import OrderingError, check_order
 from potplan.features import Feature, FeatureError, FeatureSet
 from potplan.lp import (FEASIBILITY_TOL, RELATIONS, LinearExpression, LpError, LpModel,
                         check_solution, solve)
-from potplan.search import NoPlanError, SearchResult, tiebreak_key
+from potplan.search import NoPlanError, SearchResult
 from potplan.reduction import Graph
 from potplan.task import is_applicable, state_index, successor
 
@@ -99,8 +100,12 @@ class Row(NamedTuple):
 
 
 def add_unknown(model, name, lower=-math.inf, upper=math.inf):
-    """Declare one column through `add_unknowns`; returns its name."""
-    model.add_unknowns([name], [lower], [upper])
+    """Declare one free column through `add_unknowns`, then give it the
+    bounds through `set_bounds` unless they are (-inf, inf); returns its
+    name."""
+    model.add_unknowns([name])
+    if (lower, upper) != (-math.inf, math.inf):
+        model.set_bounds([len(model.names) - 1], [lower], [upper])
     return name
 
 
@@ -119,25 +124,27 @@ def column_terms(model, expression):
         raise LpError(f"expression references undeclared unknown {e}") from None
 
 
-def add_row(model, expression, relation, rhs, name=""):
+def add_row(model, expression, relation, rhs, name=None):
     """Append one row through `add_rows`; the expression's constant is folded
-    into the right-hand side."""
+    into the right-hand side, and row i is named c{i+1} unless `name` is
+    given."""
     terms = column_terms(model, expression)
     model.add_rows([0, len(terms)], list(terms), list(terms.values()), relation,
-                   float(rhs) - expression.constant, [name])
+                   float(rhs) - expression.constant,
+                   [name or f"c{len(model.row_names) + 1}"])
 
 
 def model_rows(model):
-    """The model's rows by unknown names, read off `row_table()`; an unnamed
-    row has the name `row_name` gives it."""
+    """The model's rows by unknown names, read off `row_table()`, with their
+    names."""
     names = model.names
     matrix, relations, rhs = model.row_table()
     return [Row(LinearExpression.build(0.0, {names[j]: c for j, c in zip(
                     matrix.indices[start:end].tolist(), matrix.data[start:end].tolist())}),
-                RELATIONS[code], value, model.row_name(i))
-            for i, (start, end, code, value) in enumerate(zip(
+                RELATIONS[code], value, name)
+            for start, end, code, value, name in zip(
                 matrix.indptr[:-1].tolist(), matrix.indptr[1:].tolist(), relations.tolist(),
-                rhs.tolist()))]
+                rhs.tolist(), model.row_names)]
 
 
 def solution_values(model, solution):
@@ -156,7 +163,7 @@ def check_values(model, values):
     return check_solution(model, np.array(x, dtype=float))
 
 
-_HEADERS = ("Maximize|Minimize", "obj:.*", "Subject To", "Bounds", "End")
+_HEADERS = ("Maximize", "obj:.*", "Subject To", "Bounds", "End")
 _BOUND_RE = re.compile(r"(?:(\S+) <= )?(\S+) (?:free|>= (\S+)|<= (\S+))")
 _ROW_RE = re.compile(r"(\S+): ?(.*) (<=|=|>=) (\S+)")
 _TERMS_RE = re.compile(r"(?:[+-] (?:\d\S* )?\S+(?: |$))*")
@@ -164,7 +171,7 @@ _TERM_RE = re.compile(r"([+-]) (?:(\d\S*) )?(\S+)")
 
 
 def parse_lp(text):
-    """Read back exactly what export_lp writes: `Maximize` or `Minimize`, one
+    """Read back exactly what export_lp writes: `Maximize`, one
     ` obj: terms` line, `Subject To` with one ` name: terms relation rhs` line
     per row, `Bounds` with one line per unknown in column order, and `End`.
     Any other line raises an LpError that names it."""
@@ -180,18 +187,18 @@ def parse_lp(text):
     _read(blocks[0] + blocks[1] + blocks[2] + blocks[5], None)
     model, declared = LpModel(), _read(blocks[4], _parse_bound)
     if declared:
-        model.add_unknowns(*zip(*declared))
+        names, lower, upper = zip(*declared)
+        model.add_unknowns(names)
+        model.set_bounds(range(len(names)), lower, upper)
     columns = {name: j for j, name in enumerate(model.names)}
     parsed = _read(blocks[3], _parse_row, columns)
     if parsed:
         names, terms, relations, rhs = zip(*parsed)
-        # export_lp writes unnamed row i as c{i+1}
-        names = ["" if name == f"c{i + 1}" else name for i, name in enumerate(names)]
         model.add_rows(np.cumsum([0] + [len(row) for row in terms]), [j for row in terms for j in row],
                        [c for row in terms for c in row.values()], relations, rhs, names)
     (objective,) = _read(headers[1:2], lambda line: _parse_terms(
         line[4:].strip(), columns, "the objective"))
-    model.set_objective("max" if headers[0][1] == "Maximize" else "min", objective)
+    model.set_objective(objective)
     return model
 
 
@@ -374,7 +381,7 @@ def _finish(model, projections, state):
             index = index * dom + state[var]
         name = f"h_a{ai}_s{index}"
         terms[name] = terms.get(name, 0.0) + 1.0
-    model.set_objective("max", column_terms(model, LinearExpression.build(0.0, terms)))
+    model.set_objective(column_terms(model, LinearExpression.build(0.0, terms)))
     return model
 
 
@@ -890,7 +897,7 @@ def _maximize(task, fs, model, state):
     """Maximize the potential of one state over a model built over `fs`.
     Auxiliary unknowns never enter the objective (their one-sided slack
     would otherwise distort it)."""
-    model.set_objective("max", state_objective(task, fs, state))
+    model.set_objective(state_objective(task, fs, state))
     return extract_result(fs, task, solve(model).require_optimal())
 
 
@@ -964,6 +971,12 @@ def reference_transitions(task):
             for op_id, t, _ in reference_successors(task, s)]
 
 
+def reference_open_key(f, h, counter):
+    """The reference's open-list order: lowest f, then lowest h, then first
+    in first out (the push counter)."""
+    return (f, h, counter)
+
+
 def reference_astar(task, heuristic, reopened=None):
     """A* that scans every operator of the task at each expansion; the
     wall time of the result is 0.  If `reopened` is a list, every state whose
@@ -980,7 +993,7 @@ def reference_astar(task, heuristic, reopened=None):
     g_best = {s0: 0.0}
     open_list = []
     h0 = h(s0)
-    heapq.heappush(open_list, (*tiebreak_key(h0, h0, next(counter)), s0))
+    heapq.heappush(open_list, (*reference_open_key(h0, h0, next(counter)), s0))
     parent = {}
     expansions = 0
     expansion_f = []
@@ -1011,5 +1024,6 @@ def reference_astar(task, heuristic, reopened=None):
                 g_best[succ] = g2
                 parent[succ] = (state, op_id)
                 heapq.heappush(open_list,
-                               (*tiebreak_key(g2 + h(succ), h(succ), next(counter)), succ))
+                               (*reference_open_key(g2 + h(succ), h(succ), next(counter)),
+                                succ))
     raise NoPlanError("goal is unreachable from the initial state")

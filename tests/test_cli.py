@@ -1,20 +1,25 @@
 import glob
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
 
+from scipy.optimize._highspy import _core as highs_core
+
 import potplan
-from potplan import direct2d
+from potplan import cli, costpart, direct2d
 from potplan.cli import main
+from potplan.features import format_feature
 from potplan.generator import GENERATOR_STATE_CAP, GenerationError, random_task
-from potplan.lp import export_lp
-from potplan.task import Task, parse_sas, serialize_sas
+from potplan.lp import OPTIMALITY_TOL, export_lp
+from potplan.task import (Task, build_transition_system, exact_goal_distances, parse_sas,
+                          serialize_sas)
 from potplan.tnf import is_tnf
 
-from reference_builders import parse_lp
+from reference_builders import parse_lp, random_features
 from test_lp import REJECTED_LP
 from test_task import TOY1_SAS
 
@@ -133,6 +138,39 @@ def test_lp_export_reads_back(capsys, tmp_path, path, dim):
     code, _, _ = run_cli(capsys, "lp", "--dim", dim, path, "--out", str(out_path))
     text = out_path.read_text()
     assert code == 0 and export_lp(parse_lp(text)) == text
+
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+@pytest.mark.parametrize("method, path", [("direct2d", "compact_502_1.sas"),
+                                          ("bucket", "compact_502_1.sas"),
+                                          ("exhaustive", "dead_ends_52.sas")])
+def test_highs_reads_the_lp_export(capsys, tmp_path, method, path):
+    """HiGHS's own LP-file reader takes what `potplan lp` writes, for the
+    direct2d, the dimension-3 bucket (over a feature file) and the
+    exhaustive model, and reaches the optimum that `potplan solve` prints
+    within OPTIMALITY_TOL: the export runs in a solver outside potplan."""
+    path = os.path.join(DATA, path)
+    argv = ["--method", method, path]
+    if method == "bucket":
+        with open(path, encoding="utf-8") as f:
+            task = parse_sas(f.read())
+        features = tmp_path / "dim3.features"
+        features.write_text("".join(format_feature(task, f) + "\n"
+                                    for f in random_features(task, 40, 3, 0)))
+        argv = ["--features", str(features), *argv]
+    out_path = tmp_path / "model.lp"
+    assert run_cli(capsys, "lp", *argv, "--out", str(out_path))[0] == 0
+    code, out, _ = run_cli(capsys, "solve", *argv)
+    assert code == 0
+    highs = highs_core._Highs()
+    highs.setOptionValue("output_flag", False)
+    assert highs.readModel(str(out_path)) == highs_core.HighsStatus.kOk
+    highs.run()
+    assert highs.getModelStatus() == highs_core.HighsModelStatus.kOptimal
+    assert highs.getInfo().objective_function_value == pytest.approx(
+        json.loads(out)["objective"], rel=OPTIMALITY_TOL, abs=OPTIMALITY_TOL)
 
 
 @pytest.mark.parametrize("name, text, message", REJECTED_LP, ids=[n for n, _, _ in REJECTED_LP])
@@ -298,6 +336,56 @@ def test_compare_csv(capsys, toy1_file):
     cells = lines[1].split(",")
     assert cells[0] == "init"
     assert [float(c) for c in cells[1:]] == [2.0, 2.0, 2.0, 2.0, 2.0]
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_compare_dead_end_initial_state(capsys, tmp_path, seed):
+    """At a dead-end initial state every optimum that `compare` prints is
+    unbounded, which certifies h* = inf as h_star does: each is printed as
+    "inf" in CSV and as the string "inf" in JSON, which has no infinity."""
+    path = tmp_path / "dead.sas"
+    code, _, _ = run_cli(capsys, "gen", "--vars", "3", "--dom", "3", "--ops", "4",
+                         "--allow-unsolvable", "--seed", str(seed), "-o", str(path))
+    assert code == 0
+    code, out, err = run_cli(capsys, "compare", str(path))
+    assert (code, err) == (0, "")
+    assert out == "state,h_pot1,h_pot2,h_ocp2,h_tcp2,h_star\ninit,inf,inf,inf,inf,inf\n"
+    code, out, err = run_cli(capsys, "compare", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out, parse_constant=_reject_constant) == [
+        {"state": "init", **dict.fromkeys(["h_pot1", "h_pot2", "h_ocp2", "h_tcp2", "h_star"],
+                                          "inf")}]
+
+
+def test_compare_optima_are_infinite_only_at_dead_ends():
+    """The optima `compare` computes at every state of unsolvable-allowed
+    random tasks: an optimum is inf only where h* is (each is admissible),
+    pot2 is inf exactly where TCP is, pot1 inf implies pot2 inf, OCP inf
+    implies TCP inf, and a finite pot2 equals TCP within 1e-6 (on these
+    tasks the dimension-2 potential LP is as strong as TCP over all
+    patterns of size at most 2)."""
+    counts = [0, 0]  # states, states where pot2 is inf
+    for seed in range(60):
+        task = random_task(3, 3, 5, seed, solvable=False)
+        ts = build_transition_system(task)
+        states = list(map(tuple, ts.states.tolist()))
+        patterns = costpart.all_patterns(len(task.variables))
+        pot1, pot2 = (cli._potential_optima(task, dim, states) for dim in (1, 2))
+        ocp, tcp = (cli._partitioning_optima(build, ts, patterns, states)
+                    for build in (costpart.build_ocp_lp, costpart.build_tcp_lp))
+        for values in zip(pot1, pot2, ocp, tcp, exact_goal_distances(ts).tolist()):
+            h1, h2, o, t, h_star = values
+            assert h_star == math.inf or max(h1, h2, o, t) < math.inf, (seed, values)
+            assert (h2 == math.inf) == (t == math.inf), (seed, values)
+            assert h1 < math.inf or h2 == math.inf, (seed, values)
+            assert o < math.inf or t == math.inf, (seed, values)
+            assert h2 == math.inf or h2 == pytest.approx(t, rel=1e-6, abs=1e-6), (seed, values)
+            counts = [counts[0] + 1, counts[1] + (h2 == math.inf)]
+    assert counts == [939, 810]
 
 
 def test_compare_random_states_json(capsys, toy1_file):

@@ -207,7 +207,7 @@ def test_sampled_objective_is_deterministic(toy1):
     obj2 = state_objective(toy1, fs, *sample_states(toy1, 8, seed=3))
     assert obj1 == obj2
     assert sample_states(toy1, 5, seed=3) == sample_states(toy1, 5, seed=3)
-    model.set_objective("max", obj1)
+    model.set_objective(obj1)
     solution = solve(model).require_optimal()
     assert solution.objective_value <= 2.0 + 1e-6  # mean potential below max h*
 
@@ -257,7 +257,7 @@ def test_objective_is_summed_in_column_order():
     task = random_task(6, 2, 16, 26)
     fs = generate_features(task, 2)
     model = build_direct2d_lp(task, fs)
-    model.set_objective("max", state_objective(task, fs, task.initial_state))
+    model.set_objective(state_objective(task, fs, task.initial_state))
     solution = solve(model).require_optimal()
     by_column = 0.0
     for column, coefficient in sorted(model.objective.items()):

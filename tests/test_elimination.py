@@ -280,12 +280,13 @@ def test_alias_adds_no_unknown():
 
 
 def lp_minimum_of_result(functions, domains, order):
-    """Minimize the result over the elimination rows, with the constants on
-    column 0 fixed at 1."""
+    """The minimum of the result over the elimination rows, with the
+    constants on column 0 fixed at 1: the negated maximum of the negated
+    result."""
     model = base_model("one", lower=1.0, upper=1.0)
     result = eliminate(model, functions, domains, order)
-    model.set_objective("min", column_terms(model, LinearExpression.build(0.0, result)))
-    return solve(model).require_optimal(), model, result
+    model.set_objective(column_terms(model, -LinearExpression.build(0.0, result)))
+    return -solve(model).require_optimal().objective_value, model, result
 
 
 def bottom_up_result(model, result):
@@ -297,9 +298,9 @@ def bottom_up_result(model, result):
 def test_numeric_max_oracle(seed):
     domains, functions = random_scoped_set(4, 3, 5, seed)
     order = reference_min_fill_order(dependency_graph(functions, domains))
-    solution, model, result = lp_minimum_of_result(functions, domains, order)
+    minimum, model, result = lp_minimum_of_result(functions, domains, order)
     expected = brute_force_max(functions, domains, {"one": 1.0})
-    assert solution.objective_value == pytest.approx(expected, abs=1e-9)
+    assert minimum == pytest.approx(expected, abs=1e-9)
     bottom_up, _ = bottom_up_result(model, result)
     assert bottom_up == pytest.approx(expected, abs=1e-12)
 
@@ -324,7 +325,7 @@ def test_minimizing_aux_recovers_equation_solution(seed):
     model = base_model("one", lower=1.0, upper=1.0)
     eliminate(model, functions, domains, order)
     aux = model.names[1:]
-    model.set_objective("min", dict.fromkeys(range(1, len(model.names)), 1.0))
+    model.set_objective(dict.fromkeys(range(1, len(model.names)), -1.0))  # minimize the sum
     solution = solve(model).require_optimal()
     aux_values = bottom_up_values(model, {"one": 1.0})
     values = solution_values(model, solution)

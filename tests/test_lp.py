@@ -65,7 +65,7 @@ def test_solve_bounded():
     m = LpModel()
     add_unknown(m, "x")
     add_row(m, term("x"), "<=", 3)
-    m.set_objective("max", column_terms(m, term("x")))
+    m.set_objective(column_terms(m, term("x")))
     sol = solve(m)
     assert sol.status == "optimal"
     assert solution_values(m, sol)["x"] == pytest.approx(3.0)
@@ -75,7 +75,7 @@ def test_solve_bounded():
 def test_solve_unbounded():
     m = LpModel()
     add_unknown(m, "x")
-    m.set_objective("max", column_terms(m, term("x")))
+    m.set_objective(column_terms(m, term("x")))
     assert solve(m).status == "unbounded"
 
 
@@ -84,7 +84,7 @@ def test_solve_infeasible():
     add_unknown(m, "x")
     add_row(m, term("x"), "<=", 0)
     add_row(m, term("x"), ">=", 1)
-    m.set_objective("max", column_terms(m, term("x")))
+    m.set_objective(column_terms(m, term("x")))
     assert solve(m).status == "infeasible"
 
 
@@ -92,7 +92,7 @@ def test_solution_recheck():
     m = LpModel()
     add_unknown(m, "x", 0, 10)
     add_row(m, term("x"), "<=", 3)
-    m.set_objective("max", column_terms(m, term("x")))
+    m.set_objective(column_terms(m, term("x")))
     sol = solve(m)
     assert check_solution(m, sol.x) == []
     assert check_values(m, {"x": 5.0}) == ["c1"]
@@ -128,7 +128,7 @@ def test_model_without_columns_is_decided_by_its_rows():
     assert (solution.status, solution.objective_value, solution_values(m, solution)) == \
         ("optimal", 0.0, {})
     m.add_rows([0, 0, 0], [], [], ["<=", "="], [1.0, 0.0], ["low", "tie"])
-    m.set_objective("min", {})
+    m.set_objective({})
     solution = solve(m)
     assert (solution.status, solution.objective_value, solution.x.tolist()) == \
         ("optimal", 0.0, [])
@@ -140,13 +140,13 @@ def test_objective_by_column():
     m = LpModel()
     add_unknown(m, "x", 0.0, 2.0)
     add_unknown(m, "y", 0.0, 1.0)
-    m.set_objective("max", {1: 3.0, 0: 0.0})  # the zero is dropped
+    m.set_objective({1: 3.0, 0: 0.0})  # the zero is dropped
     assert m.objective == {1: 3.0}
     solution = solve(m)
     assert solution.objective_value == 3.0 and solution.x.tolist()[1] == 1.0
     assert export_lp(m).splitlines()[1] == " obj: 3.0 y"
     with pytest.raises(LpError, match="undeclared unknown column 2"):
-        m.set_objective("max", {2: 1.0})
+        m.set_objective({2: 1.0})
     with pytest.raises(LpError, match="constants in the objective"):
         parse_lp("Maximize\n obj: x + 2.0\nSubject To\nBounds\n x free\nEnd\n")
 
@@ -169,7 +169,7 @@ def test_export_format():
     m = LpModel()
     add_unknown(m, "x")
     add_row(m, term("x"), "<=", 3)
-    m.set_objective("max", column_terms(m, term("x")))
+    m.set_objective(column_terms(m, term("x")))
     doc = export_lp(m)
     lines = doc.splitlines()
     assert lines[0] == "Maximize"
@@ -251,9 +251,15 @@ def _random_model(seed):
         expr = LinearExpression.build(
             0.0, {n: round(rng.uniform(-4, 4), 3) for n in names if rng.random() < 0.8})
         add_row(m, expr, rng.choice(["<=", ">=", "="]), round(rng.uniform(-3, 6), 3))
-    m.set_objective(rng.choice(["max", "min"]),
-                    {j: round(rng.uniform(-2, 2), 3) for j in range(len(names))})
+    m.set_objective(_maximized(rng, len(names)))
     return m
+
+
+def _maximized(rng, width):
+    """A random objective by column, negated at random: maximizing it is
+    minimizing its negation."""
+    sign = rng.choice([1.0, -1.0])
+    return {j: sign * round(rng.uniform(-2, 2), 3) for j in range(width)}
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -261,7 +267,6 @@ def test_parse_export_round_trip(seed):
     m = _random_model(seed)
     back = parse_lp(export_lp(m))
     assert columns(back) == columns(m)
-    assert back.objective_sense == m.objective_sense
     assert back.objective == m.objective
     original = {(r.expression, r.relation, r.rhs) for r in model_rows(m)}
     parsed = {(r.expression, r.relation, r.rhs) for r in model_rows(back)}
@@ -282,7 +287,7 @@ def test_row_permutation_invariance(seed):
     rng.shuffle(rows)
     for row in rows:
         add_row(shuffled, row.expression, row.relation, row.rhs)
-    shuffled.set_objective(m.objective_sense, m.objective)
+    shuffled.set_objective(m.objective)
     second = solve(shuffled)
     assert second.status == "optimal"
     assert second.objective_value == pytest.approx(first.objective_value,
@@ -296,8 +301,8 @@ def test_model_validation():
         add_unknown(m, "x")
     with pytest.raises(LpError):
         add_unknown(m, "2bad")
-    with pytest.raises(LpError):
-        add_unknown(m, "y", 1.0, 0.0)
+    with pytest.raises(LpError, match="lower bound 1.0 above upper 0.0"):
+        m.set_bounds([0], [1.0], [0.0])
     with pytest.raises(LpError):
         add_row(m, term("ghost"), "<=", 0)
     with pytest.raises(LpError):
@@ -305,15 +310,15 @@ def test_model_validation():
     add_unknown(m, "y", 0.0, 1.0)
     add_unknown(m, "z", 0.0, 1.0)
     with pytest.raises(LpError, match="undeclared unknown column 3"):
-        m.add_rows([0, 2], [0, 3], [1.0, 1.0], "<=", 0)
+        m.add_rows([0, 2], [0, 3], [1.0, 1.0], "<=", 0, ["r"])
     with pytest.raises(LpError, match="undeclared"):
-        m.add_rows([0, 1], [-1], [1.0], "<=", 0)
+        m.add_rows([0, 1], [-1], [1.0], "<=", 0, ["r"])
     with pytest.raises(LpError, match="bad relation"):
-        m.add_rows([0, 1, 2], [0, 1], [1.0, 1.0], ["<=", "=<"], 0)
+        m.add_rows([0, 1, 2], [0, 1], [1.0, 1.0], ["<=", "=<"], 0, ["r", "s"])
     with pytest.raises(LpError):
-        m.add_rows([0, 2], [0, 1], [1.0], "<=", 0)  # coefficient missing
+        m.add_rows([0, 2], [0, 1], [1.0], "<=", 0, ["r"])  # coefficient missing
     with pytest.raises(LpError):
-        m.add_rows([0, 1, 2], [0, 1], [1.0, 1.0], "<=", [0.0, 1.0, 2.0])
+        m.add_rows([0, 1, 2], [0, 1], [1.0, 1.0], "<=", [0.0, 1.0, 2.0], ["r", "s"])
     with pytest.raises(LpError):
         m.add_rows([0, 1], [0], [1.0], "<=", 0, ["a", "b"])
     # a repeated column, one out of order and a zero coefficient are refused
@@ -321,30 +326,33 @@ def test_model_validation():
                                        ([0, 2, 3], [1, 0, 2], [1.0, 2.0, 1.0]),
                                        ([0, 2, 3], [0, 1, 2], [2.0, 0.0, 1.0])]:
         with pytest.raises(LpError, match="rows: "):
-            m.add_rows(indptr, cols, coefficients, ["<=", ">="], [1.0, 2.0])
+            m.add_rows(indptr, cols, coefficients, ["<=", ">="], [1.0, 2.0], ["r", "s"])
     assert len(model_rows(m)) == 0  # nothing half-added
     # a canonical block is stored as given, empty rows included
-    m.add_rows([0, 1, 1], [0], [2.0], ["<=", ">="], [1.0, 2.0])
+    m.add_rows([0, 1, 1], [0], [2.0], ["<=", ">="], [1.0, 2.0], ["c1", "c2"])
     assert model_rows(m) == [Row(LinearExpression.build(0.0, {"x": 2.0}), "<=", 1.0, "c1"),
                              Row(LinearExpression(), ">=", 2.0, "c2")]
 
 
 def test_add_unknowns_checks_every_name():
+    """Columns are declared free, by name only; bounds come in through
+    `set_bounds` alone."""
     m = LpModel()
-    m.add_unknowns(["a", "b"], [0.0, -math.inf], [1.0, math.inf])
-    for names, lower, upper, message in [
-            (["c", "a"], [0.0, 0.0], [1.0, 1.0], "'a' declared twice"),
-            (["c", "c"], [0.0, 0.0], [1.0, 1.0], "'c' declared twice"),
-            (["c", "2bad"], [0.0, 0.0], [1.0, 1.0], "not LP-file safe"),
-            (["c", "x\n"], [0.0, 0.0], [1.0, 1.0], "not LP-file safe"),
-            (["c", "d"], [0.0, 2.0], [1.0, 1.0], "'d': lower bound 2.0 above upper 1.0")]:
+    m.add_unknowns(["a", "b"])
+    m.set_bounds([0], [0.0], [1.0])
+    for names, message in [(["c", "a"], "'a' declared twice"), (["c", "c"], "'c' declared twice"),
+                           (["c", "2bad"], "not LP-file safe"), (["c", "x\n"], "not LP-file safe"),
+                           (["c", "free"], "not LP-file safe")]:
         with pytest.raises(LpError, match=message):
-            m.add_unknowns(names, lower, upper)
+            m.add_unknowns(names)
         # nothing is declared when one name fails
         assert m.names == ["a", "b"]
         assert m.lower.tolist() == [0.0, -math.inf] and m.upper.tolist() == [1.0, math.inf]
-    m.add_unknowns(["c"], [-math.inf], [math.inf])
-    assert columns(m)[-1] == ("c", -math.inf, math.inf) and m.names.index("c") == 2
+    with pytest.raises(TypeError):
+        m.add_unknowns(["c"], [0.0], [1.0])  # no bounds at declaration
+    assert m.names == ["a", "b"]
+    m.add_unknowns(["c", "d"])
+    assert columns(m)[2:] == [("c", -math.inf, math.inf), ("d", -math.inf, math.inf)]
 
 
 def test_input_that_holds_no_number_is_refused_where_it_enters():
@@ -352,36 +360,38 @@ def test_input_that_holds_no_number_is_refused_where_it_enters():
     side that is not finite and a row name that `export_lp` cannot write
     back as that row's own are LpErrors, and nothing is added."""
     m = LpModel()
-    m.add_unknowns(["x"], [0.0], [10.0])
+    m.add_unknowns(["x", "y"])
+    m.set_bounds([0, 1], [0.0, 0.0], [10.0, 1.0])
     for lower, upper, message in [(math.nan, 1.0, r"'y': bounds \[nan, 1.0\]"),
                                   (0.0, math.nan, "'y': bounds"),
                                   (math.inf, math.inf, r"'y': bounds \[inf, inf\] hold no number"),
                                   (-math.inf, -math.inf, "'y': bounds")]:
         with pytest.raises(LpError, match=message):
-            m.add_unknowns(["a", "y"], [0.0, lower], [1.0, upper])
+            m.set_bounds([0, 1], [0.0, lower], [1.0, upper])
     for coefficients, rhs, names, message in [
-            ([math.nan, 1.0], 1.0, None, "not finite"),
-            ([1.0, math.inf], 1.0, None, "not finite"),
-            ([-math.inf, 1.0], 1.0, None, "not finite"),
-            ([1.0, 1.0], [1.0, math.nan], None, "not finite"),
-            ([1.0, 1.0], [math.inf, 3.0], None, "not finite"),
-            ([1.0, 1.0], [1.0, -math.inf], None, "not finite"),
+            ([math.nan, 1.0], 1.0, ["r", "s"], "not finite"),
+            ([1.0, math.inf], 1.0, ["r", "s"], "not finite"),
+            ([-math.inf, 1.0], 1.0, ["r", "s"], "not finite"),
+            ([1.0, 1.0], [1.0, math.nan], ["r", "s"], "not finite"),
+            ([1.0, 1.0], [math.inf, 3.0], ["r", "s"], "not finite"),
+            ([1.0, 1.0], [1.0, -math.inf], ["r", "s"], "not finite"),
             ([1.0, 1.0], 1.0, ["ok", "my row"], "'my row' is not LP-file safe"),
             ([1.0, 1.0], 1.0, ["ok", "a:b"], "'a:b'"),
-            ([1.0, 1.0], 1.0, ["", "c1"], "'c1' is not LP-file safe or is that of an unnamed"),
-            ([1.0, 1.0], 1.0, ["c2", ""], "'c2'"),
+            ([1.0, 1.0], 1.0, ["", "c1"], "row name '' is not LP-file safe"),
+            ([1.0, 1.0], 1.0, ["c2", ""], "row name ''"),
             ([1.0, 1.0], 1.0, ["a\nb", "c"], "'a\nb'")]:
         with pytest.raises(LpError, match=message):
             m.add_rows([0, 1, 2], [0, 0], coefficients, "<=", rhs, names)
     for coefficient in (math.inf, -math.inf, math.nan):
         with pytest.raises(LpError, match="objective: a coefficient is not finite"):
-            m.set_objective("max", {0: coefficient})
-    assert columns(m) == [("x", 0.0, 10.0)] and model_rows(m) == [] and m.objective == {}
+            m.set_objective({0: coefficient})
+    assert columns(m) == [("x", 0.0, 10.0), ("y", 0.0, 1.0)]
+    assert model_rows(m) == [] and m.objective == {}
     # an infinite right-hand side is refused also where no column could meet it
     for relation, rhs in itertools.product(RELATIONS, (math.inf, -math.inf)):
         empty = LpModel()
         with pytest.raises(LpError, match="not finite"):
-            empty.add_rows([0, 0], [], [], relation, rhs)
+            empty.add_rows([0, 0], [], [], relation, rhs, ["r"])
         assert model_rows(empty) == [], (relation, rhs)
 
 
@@ -399,13 +409,15 @@ def _assert_refused(indptr, cols, coefficients, relation, rhs):
     solved one, whose HiGHS session keeps its row count and optimum."""
     for warm in (False, True):
         m = LpModel()
-        m.add_unknowns(["x", "y"], [0.0, 0.0], [1.0, 1.0])
+        m.add_unknowns(["x", "y"])
+        m.set_bounds([0, 1], [0.0, 0.0], [1.0, 1.0])
         m.add_rows([0, 1], [1], [1.0], "<=", 0.5, ["held"])
-        m.set_objective("max", {0: 1.0, 1: 1.0})
+        m.set_objective({0: 1.0, 1: 1.0})
         if warm:
             assert solve(m).objective_value == 1.5
         with pytest.raises(LpError, match="rows: "):
-            m.add_rows(indptr, cols, coefficients, relation, rhs)
+            m.add_rows(indptr, cols, coefficients, relation, rhs,
+                       [f"r{i}" for i in range(len(indptr) - 1)])
         assert [row.name for row in model_rows(m)] == ["held"], warm
         if warm:
             assert m._session.highs.getLp().num_row_ == 1
@@ -429,37 +441,42 @@ def test_rows_highs_refuses_are_a_solver_failure():
     a new model's solve raises, and on a live session `add_rows` raises and
     adds the row to neither."""
     m = LpModel()
-    m.add_unknowns(["x"], [0.0], [1.0])
-    m.add_rows([0, 1], [0], [1e16], "<=", 1.0)
-    m.set_objective("max", {0: 1.0})
+    add_unknown(m, "x", 0.0, 1.0)
+    m.add_rows([0, 1], [0], [1e16], "<=", 1.0, ["huge"])
+    m.set_objective({0: 1.0})
     with pytest.raises(SolverFailureError, match="HiGHS refused the rows"):
         solve(m)
     m = LpModel()
-    m.add_unknowns(["x"], [0.0], [1.0])
-    m.set_objective("max", {0: 1.0})
+    add_unknown(m, "x", 0.0, 1.0)
+    m.set_objective({0: 1.0})
     assert solve(m).objective_value == 1.0
     with pytest.raises(SolverFailureError, match="HiGHS refused the rows"):
-        m.add_rows([0, 1], [0], [1e16], "<=", 1.0)
+        m.add_rows([0, 1], [0], [1e16], "<=", 1.0, ["huge"])
     assert model_rows(m) == [] and m._session.highs.getLp().num_row_ == 0
-    m.add_rows([0, 1], [0], [2.0], "<=", 1.0)
+    m.add_rows([0, 1], [0], [2.0], "<=", 1.0, ["half"])
     assert solve(m).objective_value == 0.5
 
 
-def test_unnamed_rows_read_back_unnamed():
-    """`parse_lp` reads row i written as `c{i+1}` back as unnamed, so export
-    and parse are inverse on any model; a `c<digits>` name elsewhere is an
-    LpError."""
+def test_rows_need_names():
+    """Every row has a name of its own: a block without names, or with an
+    empty one, is refused and adds nothing; any LP-file safe name, of the
+    form `c<digits>` at any position included, is written and read back as
+    it is, so export and parse are inverse on any model."""
     m = LpModel()
-    m.add_unknowns(["x"], [0.0], [1.0])
+    add_unknown(m, "x", 0.0, 1.0)
+    with pytest.raises(TypeError):
+        m.add_rows([0, 1], [0], [1.0], "<=", 1.0)  # no names
+    with pytest.raises(LpError, match="row name '' is not LP-file safe"):
+        m.add_rows([0, 1, 2], [0, 0], [1.0, 2.0], "<=", 1.0, ["named", ""])
+    assert model_rows(m) == []
     m.add_rows([0, 1, 2, 3, 4], [0, 0, 0, 0], [1.0, 2.0, 3.0, 4.0], "<=", 1.0,
-               ["", "named", "", "c7x"])
+               ["c3", "named", "c1", "c7x"])
     text = export_lp(m)
     assert [line.split(":")[0] for line in text.splitlines()[3:7]] == [
-        " c1", " named", " c3", " c7x"]
+        " c3", " named", " c1", " c7x"]
     back = parse_lp(text)
-    assert back._row_names == m._row_names and export_lp(back) == text
-    with pytest.raises(LpError, match="'c3'"):
-        parse_lp(text.replace(" c1:", " c3:"))
+    assert back.row_names == m.row_names == ["c3", "named", "c1", "c7x"]
+    assert export_lp(back) == text
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -473,12 +490,13 @@ def test_add_rows_stores_canonical_rows(seed):
              for j in sorted(rng.sample(range(width), rng.choice([0, 1, 3, 5])))]
             for _ in range(rng.randint(1, 6))]
     m = LpModel()
-    m.add_unknowns([f"x{j}" for j in range(width)], [-1.0] * width, [1.0] * width)
+    m.add_unknowns([f"x{j}" for j in range(width)])
+    m.set_bounds(range(width), [-1.0] * width, [1.0] * width)
 
     def add(block):
         m.add_rows(np.cumsum([0] + [len(row) for row in block]),
                    [j for row in block for j, _ in row], [c for row in block for _, c in row],
-                   "<=", 1.0)
+                   "<=", 1.0, [f"r{i}" for i in range(len(block))])
 
     add(rows)
     longest = max(range(len(rows)), key=lambda i: len(rows[i]))
@@ -509,17 +527,17 @@ def _seeded_model(seed):
         add_row(m, LinearExpression.build(
             0.0, {n: round(rng.uniform(-4, 4), 3) for n in names if rng.random() < 0.7}),
             rng.choice(RELATIONS), round(rng.uniform(-3, 6), 3))
-    m.set_objective(rng.choice(["max", "min"]),
-                    {j: round(rng.uniform(-2, 2), 3) for j in range(len(names))})
+    m.set_objective(_maximized(rng, len(names)))
     return m
 
 
 def _linprog(model, method="highs"):
-    """The model solved by scipy's linprog, given the `<=`/`>=` rows (the
-    `>=` ones negated) as A_ub and the `=` rows as A_eq."""
+    """The model solved by scipy's linprog, which minimizes, for the
+    negated objective, given the `<=`/`>=` rows (the `>=` ones negated) as
+    A_ub and the `=` rows as A_eq."""
     c = np.zeros(len(model.names))
     for column, coef in model.objective.items():
-        c[column] = coef if model.objective_sense == "min" else -coef
+        c[column] = -coef
     matrix, relations, rhs = model.row_table()
     sign = np.where(relations == RELATIONS.index(">="), -1.0, 1.0)
     signed = (diags(sign) @ matrix).tocsr()
@@ -572,16 +590,17 @@ def _origin_feasible_model(seed):
     bounds = [rng.choice([(-math.inf, math.inf)] * 3 + [
         (0.0, math.inf), (-math.inf, 0.0), (0.0, round(rng.uniform(0.5, 5), 3)),
         (round(rng.uniform(-5, -0.5), 3), 0.0)]) for _ in range(width)]
-    m.add_unknowns([f"x{j}" for j in range(width)], *zip(*bounds))
+    m.add_unknowns([f"x{j}" for j in range(width)])
+    m.set_bounds(range(width), *zip(*bounds))
     for _ in range(rng.randint(1, 8)):
         relation = rng.choice(RELATIONS)
         rhs = {"<=": round(rng.uniform(0, 6), 3), ">=": round(rng.uniform(-6, 0), 3),
                "=": 0.0}[relation]
         columns = [j for j in range(width) if rng.random() < 0.7]
         m.add_rows([0, len(columns)], columns,
-                   [round(rng.uniform(-4, 4), 3) for _ in columns], relation, rhs)
-    m.set_objective(rng.choice(["max", "min"]),
-                    {j: round(rng.uniform(-2, 2), 3) for j in range(width)})
+                   [round(rng.uniform(-4, 4), 3) for _ in columns], relation, rhs,
+                   [f"c{len(m.row_names) + 1}"])
+    m.set_objective(_maximized(rng, width))
     return m
 
 
@@ -597,8 +616,8 @@ def test_origin_feasible_models_start_primal_and_match_dual_simplex():
         expected = {0: "optimal", 3: "unbounded"}[reference.status]
         assert ours.status == expected, seed
         if expected == "optimal":
-            optimum = -reference.fun if m.objective_sense == "max" else reference.fun
-            assert ours.objective_value == pytest.approx(optimum, rel=1e-9, abs=1e-9), seed
+            assert ours.objective_value == pytest.approx(-reference.fun, rel=1e-9,
+                                                         abs=1e-9), seed
         statuses.add(expected)
     assert statuses == {"optimal", "unbounded"}
 
@@ -612,9 +631,9 @@ def test_origin_infeasible_models_start_dual(bounds, relation, rhs):
     """A row that fails at x = 0, or a column whose bounds leave out 0 or
     do not include 0 as a bound, keeps the dual first run after presolve."""
     m = LpModel()
-    m.add_unknowns(["x"], [bounds[0]], [bounds[1]])
-    m.add_rows([0, 1], [0], [1.0], relation, rhs)
-    m.set_objective("max" if relation == "<=" else "min", {0: 1.0})
+    add_unknown(m, "x", *bounds)
+    m.add_rows([0, 1], [0], [1.0], relation, rhs, ["row"])
+    m.set_objective({0: 1.0 if relation == "<=" else -1.0})
     assert solve(m).status == "optimal" and _cold_strategy(m) == DUAL
 
 
@@ -652,20 +671,20 @@ def test_rows_appended_to_an_origin_feasible_model_update_the_rule():
     undecided warm run starts dual after presolve, as a fresh copy's would.
     The model's answer is unchanged by it."""
     m = LpModel()
-    m.add_unknowns(["x"], [-math.inf], [math.inf])
-    m.add_rows([0, 1], [0], [1.0], "<=", 4.0)
-    m.set_objective("max", {0: 1.0})
+    m.add_unknowns(["x"])
+    m.add_rows([0, 1], [0], [1.0], "<=", 4.0, ["high"])
+    m.set_objective({0: 1.0})
     assert solve(m).objective_value == 4.0 and _cold_strategy(m) == PRIMAL
     session = m._session
-    m.add_rows([0, 1], [0], [1.0], ">=", 1.0)
+    m.add_rows([0, 1], [0], [1.0], ">=", 1.0, ["low"])
     assert solve(m).objective_value == 4.0 and m._session is session
     assert _restart(m).objective_value == 4.0
     assert not m._session.origin_feasible and _cold_strategy(m) == DUAL
 
 
 @pytest.mark.parametrize("change, expected", [
-    (lambda m: m.add_rows([0, 1], [1], [1.0], ">=", 0.0), PRIMAL),
-    (lambda m: m.add_rows([0, 1], [1], [1.0], ">=", 0.5), DUAL),
+    (lambda m: m.add_rows([0, 1], [1], [1.0], ">=", 0.0, ["y_low"]), PRIMAL),
+    (lambda m: m.add_rows([0, 1], [1], [1.0], ">=", 0.5, ["y_low"]), DUAL),
     (lambda m: m.set_bounds([1], [0.5], [1.0]), DUAL)],
     ids=["holds-at-0", "fails-at-0", "bounds-away-from-0"])
 def test_undecided_warm_run_restarts_by_the_cold_rule(change, expected):
@@ -674,12 +693,13 @@ def test_undecided_warm_run_restarts_by_the_cold_rule(change, expected):
     run without presolve, a row appended that fails at x = 0, or bounds set
     away from 0, make the restart dual simplex after presolve."""
     m = LpModel()
-    m.add_unknowns(["x", "y"], [-math.inf, 0.0], [math.inf, 1.0])
-    m.add_rows([0, 2], [0, 1], [1.0, 1.0], "<=", 3.0)
-    m.set_objective("max", {0: 1.0})
+    m.add_unknowns(["x", "y"])
+    m.set_bounds([1], [0.0], [1.0])
+    m.add_rows([0, 2], [0, 1], [1.0, 1.0], "<=", 3.0, ["sum"])
+    m.set_objective({0: 1.0})
     assert solve(m).objective_value == 3.0 and _cold_strategy(m) == PRIMAL
     change(m)
-    m.set_objective("max", {0: 1.0, 1: 2.0})
+    m.set_objective({0: 1.0, 1: 2.0})
     assert _restart(m).objective_value == 4.0
     assert _cold_strategy(m) == expected
 
@@ -702,7 +722,7 @@ def test_every_model_starts_primal():
     models = []
     for model, fs in potential:
         assert np.all(model.lower == -math.inf) and np.all(model.upper == math.inf)
-        model.set_objective("max", direct2d.state_objective(task, fs, state))
+        model.set_objective(direct2d.state_objective(task, fs, state))
         solve(model).require_optimal()
         assert _cold_strategy(model) == PRIMAL
         models.append(model)
@@ -752,7 +772,7 @@ def test_sign_rows_of_a_direct2d_model_are_bounds():
     task = TASKS["random0"]()
     fs = generate_features(task, 2)
     model = direct2d.build_direct2d_lp(task, fs)
-    model.set_objective("max", direct2d.state_objective(task, fs, task.initial_state))
+    model.set_objective(direct2d.state_objective(task, fs, task.initial_state))
     solve(model).require_optimal()
     matrix, relations, rhs = model.row_table()
     sizes = np.diff(matrix.indptr)
@@ -778,10 +798,11 @@ def test_sign_row_is_a_bound_at_zero(relation, coefficient, bounds):
     they state on x, mirrored for a < 0; the row with two terms stays a
     row, and the optimum is that of scipy's linprog on the same rows."""
     m = LpModel()
-    m.add_unknowns(["x", "y"], [-math.inf, -math.inf], [math.inf, math.inf])
-    m.add_rows([0, 2, 3], [0, 1, 0], [1.0, 1.0, coefficient], ["<=", relation], [4.0, 0.0])
-    m.add_rows([0, 1], [1], [1.0], "<=", 3.0)
-    m.set_objective("max", {0: 1.0, 1: 2.0} if bounds[1] == 0 else {0: -1.0, 1: 1.0})
+    m.add_unknowns(["x", "y"])
+    m.add_rows([0, 2, 3], [0, 1, 0], [1.0, 1.0, coefficient], ["<=", relation], [4.0, 0.0],
+               ["sum", "sign"])
+    m.add_rows([0, 1], [1], [1.0], "<=", 3.0, ["y_high"])
+    m.set_objective({0: 1.0, 1: 2.0} if bounds[1] == 0 else {0: -1.0, 1: 1.0})
     result = solve(m)
     held = m._session.highs.getLp()
     assert held.num_row_ == 2
@@ -797,9 +818,9 @@ def test_one_term_row_away_from_zero_stays_a_row(rhs):
     """A one-term row whose right-hand side is not 0 stays a row: a bound
     away from 0 would end the start at the origin."""
     m = LpModel()
-    m.add_unknowns(["x"], [-math.inf], [math.inf])
-    m.add_rows([0, 1], [0], [2.0], "<=", rhs)
-    m.set_objective("max", {0: 1.0})
+    m.add_unknowns(["x"])
+    m.add_rows([0, 1], [0], [2.0], "<=", rhs, ["one_term"])
+    m.set_objective({0: 1.0})
     assert solve(m).objective_value == rhs / 2
     held = m._session.highs.getLp()
     assert held.num_row_ == 1
@@ -811,9 +832,9 @@ def test_sign_row_against_a_model_bound_is_infeasible(relation, coefficient):
     """x in [1, 2] with a sign row that keeps x at or below 0: HiGHS gets
     the empty bounds [1, 0] and the model is infeasible, as with the row."""
     m = LpModel()
-    m.add_unknowns(["x"], [1.0], [2.0])
-    m.add_rows([0, 1], [0], [coefficient], relation, 0.0)
-    m.set_objective("max", {0: 1.0})
+    add_unknown(m, "x", 1.0, 2.0)
+    m.add_rows([0, 1], [0], [coefficient], relation, 0.0, ["sign"])
+    m.set_objective({0: 1.0})
     assert solve(m).status == "infeasible"
     held = m._session.highs.getLp()
     assert (held.num_row_, held.col_lower_[0], held.col_upper_[0]) == (0, 1.0, 0.0)
@@ -823,9 +844,10 @@ def test_sign_row_against_a_model_bound_is_infeasible(relation, coefficient):
 def _two_rows():
     """max x + 2y over x + y <= 4 and y - x <= 2, both free: 7 at (1, 3)."""
     m = LpModel()
-    m.add_unknowns(["x", "y"], [-math.inf, -math.inf], [math.inf, math.inf])
-    m.add_rows([0, 2, 4], [0, 1, 0, 1], [1.0, 1.0, -1.0, 1.0], "<=", [4.0, 2.0])
-    m.set_objective("max", {0: 1.0, 1: 2.0})
+    m.add_unknowns(["x", "y"])
+    m.add_rows([0, 2, 4], [0, 1, 0, 1], [1.0, 1.0, -1.0, 1.0], "<=", [4.0, 2.0],
+               ["sum", "difference"])
+    m.set_objective({0: 1.0, 1: 2.0})
     return m
 
 
@@ -840,7 +862,7 @@ def test_sign_rows_appended_after_a_solve_are_warm_rows():
     for row, optimum, bounds in [((0, 1.0, ">="), 7.0, (0.0, math.inf)),
                                  ((1, 3.0, "<="), 4.0, (-math.inf, 0.0))]:
         column, coefficient, relation = row
-        warm.add_rows([0, 1], [column], [coefficient], relation, 0.0)
+        warm.add_rows([0, 1], [column], [coefficient], relation, 0.0, ["sign"])
         appended.append(row)
         held = session.highs.getLp()
         assert warm._session is session and session.highs.getBasis().valid
@@ -852,7 +874,7 @@ def test_sign_rows_appended_after_a_solve_are_warm_rows():
             assert session.highs.getInfo().simplex_iteration_count == 0
         cold = _two_rows()
         for column, coefficient, relation in appended:
-            cold.add_rows([0, 1], [column], [coefficient], relation, 0.0)
+            cold.add_rows([0, 1], [column], [coefficient], relation, 0.0, ["sign"])
         cold_result = solve(cold)
         cold_held = cold._session.highs.getLp()
         assert cold_held.num_row_ == 2
@@ -866,7 +888,7 @@ def test_set_bounds_after_sign_rows_hands_highs_the_intersection():
     intersected with that bound, as a fresh copy's first solve would see
     them; the model keeps the bounds it was given."""
     m = _two_rows()
-    m.add_rows([0, 1], [0], [-1.0], "<=", 0.0)   # x >= 0
+    m.add_rows([0, 1], [0], [-1.0], "<=", 0.0, ["sign"])   # x >= 0
     assert solve(m).objective_value == 7.0
     held = m._session.highs
     for lower, upper, expected, status in [
@@ -878,7 +900,7 @@ def test_set_bounds_after_sign_rows_hands_highs_the_intersection():
         assert (lp.col_lower_[0], lp.col_upper_[0]) == expected
         result = solve(m)
         cold = _two_rows()
-        cold.add_rows([0, 1], [0], [-1.0], "<=", 0.0)
+        cold.add_rows([0, 1], [0], [-1.0], "<=", 0.0, ["sign"])
         cold.set_bounds([0], [lower], [upper])
         assert result.status == status == solve(cold).status
         if status == "optimal":
@@ -908,7 +930,7 @@ def test_row_recheck_names_a_violated_sign_row():
     task = TASKS["random0"]()
     fs = generate_features(task, 2)
     model = direct2d.build_direct2d_lp(task, fs)
-    model.set_objective("max", direct2d.state_objective(task, fs, task.initial_state))
+    model.set_objective(direct2d.state_objective(task, fs, task.initial_state))
     solution = solve(model).require_optimal()
     matrix, _, rhs = model.row_table()
     row = np.flatnonzero((np.diff(matrix.indptr) == 1) & (rhs == 0))[0]
@@ -916,9 +938,9 @@ def test_row_recheck_names_a_violated_sign_row():
     assert solution.x[column] >= 0
     bad = solution.x.copy()
     bad[column] = -1e-3
-    assert model.row_name(row) in check_solution(model, bad)
+    assert model.row_names[row] in check_solution(model, bad)
     model._session.highs = _NegativeColumn(model._session.highs, column)
-    with pytest.raises(SolverFailureError, match=rf"\b{model.row_name(row)}\b"):
+    with pytest.raises(SolverFailureError, match=rf"\b{model.row_names[row]}\b"):
         solve(model)
 
 
@@ -932,7 +954,8 @@ def _signed_model(seed):
     count = rng.randint(1, 4)
     m.add_rows(np.arange(count + 1), [rng.randrange(width) for _ in range(count)],
                [rng.choice([-2.0, -1.0, 0.5, 3.0]) for _ in range(count)],
-               [rng.choice(RELATIONS) for _ in range(count)], 0.0)
+               [rng.choice(RELATIONS) for _ in range(count)], 0.0,
+               [f"sign{i}" for i in range(count)])
     return m
 
 
@@ -947,8 +970,8 @@ def test_models_with_sign_rows_match_linprog():
         expected = {0: "optimal", 2: "infeasible", 3: "unbounded"}[reference.status]
         assert ours.status == expected, seed
         if expected == "optimal":
-            optimum = -reference.fun if m.objective_sense == "max" else reference.fun
-            assert ours.objective_value == pytest.approx(optimum, rel=1e-9, abs=1e-9), seed
+            assert ours.objective_value == pytest.approx(-reference.fun, rel=1e-9,
+                                                         abs=1e-9), seed
         lower, upper, count = _effective_bounds(m)
         held = m._session.highs.getLp()
         assert held.num_row_ == m.row_table()[0].shape[0] - count, seed
@@ -959,12 +982,12 @@ def test_models_with_sign_rows_match_linprog():
 
 
 def _objectives(model, seed, count=8):
-    """Objectives by column; a coefficient rounded to 0 is dropped."""
+    """Objectives by column, each negated at random (maximizing it is
+    minimizing its negation); a coefficient rounded to 0 is dropped."""
     rng = random.Random(seed)
-    return [(rng.choice(["max", "min"]),
-             {j: round(rng.uniform(-2, 2), 3) for j in range(len(model.names))
-              if rng.random() < 0.8})
-            for _ in range(count)]
+    return [{j: sign * round(rng.uniform(-2, 2), 3) for j in range(len(model.names))
+             if rng.random() < 0.8}
+            for sign in (rng.choice([1.0, -1.0]) for _ in range(count))]
 
 
 def _assert_same_result(warm, cold):
@@ -978,10 +1001,10 @@ def test_warm_resolves_match_cold_solves(seed):
     """One model re-solved for a sequence of objectives gives what a fresh
     copy solved once per objective gives."""
     warm = _seeded_model(seed)
-    for sense, objective in _objectives(warm, seed):
-        warm.set_objective(sense, objective)
+    for objective in _objectives(warm, seed):
+        warm.set_objective(objective)
         cold = _seeded_model(seed)
-        cold.set_objective(sense, objective)
+        cold.set_objective(objective)
         _assert_same_result(solve(warm), solve(cold))
 
 
@@ -999,7 +1022,8 @@ def test_rows_appended_after_a_solve_match_cold_solves(seed):
     cold = _seeded_model(seed)
     for model in (warm, cold):
         for columns, coefficients, relation, rhs in rows:
-            model.add_rows([0, len(columns)], columns, coefficients, relation, rhs)
+            model.add_rows([0, len(columns)], columns, coefficients, relation, rhs,
+                           [f"c{len(model.row_names) + 1}"])
     result = solve(warm)
     _assert_same_result(result, solve(cold))
     if result.status == "optimal":
@@ -1037,24 +1061,32 @@ def test_bounds_set_after_a_solve_match_cold_solves(seed):
         assert check_solution(cold, result.x) == []
 
 
-@pytest.mark.parametrize("columns, lower, upper", [
-    ([0], [math.nan], [1.0]), ([1], [-1.0], [math.nan]), ([0, 1], [0.0, 2.0], [1.0, 1.0]),
-    ([0], [math.inf], [math.inf]), ([1], [-math.inf], [-math.inf]), ([2], [0.0], [1.0]),
-    ([-1], [0.0], [1.0]), ([0, 0], [0.0, 0.0], [1.0, 1.0]), ([0, 1], [0.0], [1.0])],
+@pytest.mark.parametrize("columns, lower, upper, message", [
+    ([0], [math.nan], [1.0], r"'x': bounds \[nan, 1.0\] hold no number"),
+    ([1], [-1.0], [math.nan], r"'y': bounds \[-1.0, nan\]"),
+    ([0, 1], [0.0, 2.0], [1.0, 1.0], "'y': lower bound 2.0 above upper 1.0"),
+    ([0], [math.inf], [math.inf], r"'x': bounds \[inf, inf\]"),
+    ([1], [-math.inf], [-math.inf], r"'y': bounds \[-inf, -inf\]"),
+    ([2], [0.0], [1.0], r"undeclared columns \[2\]"),
+    ([-1], [0.0], [1.0], r"undeclared columns \[-1\]"),
+    ([0, 0], [0.0, 0.0], [1.0, 1.0], r"columns \[0, 0\]: a column is given twice"),
+    ([0, 1], [0.0], [1.0], "not one lower and one upper bound per column")],
     ids=["nan-lower", "nan-upper", "lower-above-upper", "inf-lower", "minus-inf-upper",
          "undeclared", "negative", "repeated", "lengths"])
-def test_set_bounds_refuses_and_changes_nothing(columns, lower, upper):
+def test_set_bounds_refuses_and_changes_nothing(columns, lower, upper, message):
     """Bounds that hold no number, undeclared or repeated columns and a
-    count mismatch are refused, before and after a solve; neither the model
-    nor its session changes, and the optimum stays."""
+    count mismatch are refused with their own message, before and after a
+    solve; neither the model nor its session changes, and the optimum
+    stays."""
     for warm in (False, True):
         m = LpModel()
-        m.add_unknowns(["x", "y"], [0.0, -math.inf], [4.0, math.inf])
-        m.add_rows([0, 2], [0, 1], [1.0, 1.0], "<=", 3.0)
-        m.set_objective("max", {0: 1.0})
+        m.add_unknowns(["x", "y"])
+        m.set_bounds([0], [0.0], [4.0])
+        m.add_rows([0, 2], [0, 1], [1.0, 1.0], "<=", 3.0, ["sum"])
+        m.set_objective({0: 1.0})
         if warm:
             assert solve(m).objective_value == 4.0
-        with pytest.raises(LpError):
+        with pytest.raises(LpError, match=message):
             m.set_bounds(columns, lower, upper)
         assert (m.lower.tolist(), m.upper.tolist()) == ([0.0, -math.inf], [4.0, math.inf])
         if warm:
@@ -1068,11 +1100,11 @@ def test_bounds_away_from_zero_keep_the_dual_start():
     """Bounds set after a solve go to the live session, whose next run is
     warm; the session that replaces it after an undecided warm run starts
     dual after presolve when a bound is away from 0, as the session of a
-    column declared so would."""
+    model given those bounds before its first solve would."""
     m = LpModel()
-    m.add_unknowns(["x"], [-math.inf], [math.inf])
-    m.add_rows([0, 1], [0], [1.0], "<=", 4.0)
-    m.set_objective("max", {0: 1.0})
+    m.add_unknowns(["x"])
+    m.add_rows([0, 1], [0], [1.0], "<=", 4.0, ["high"])
+    m.set_objective({0: 1.0})
     assert solve(m).objective_value == 4.0 and _cold_strategy(m) == PRIMAL
     for lower, upper, expected in [(0.0, 2.0, PRIMAL), (1.0, 3.0, DUAL)]:
         m.set_bounds([0], [lower], [upper])
@@ -1080,9 +1112,9 @@ def test_bounds_away_from_zero_keep_the_dual_start():
         assert solve(m).objective_value == upper and m._session is session
         assert _restart(m).objective_value == upper and _cold_strategy(m) == expected
         declared = LpModel()
-        declared.add_unknowns(["x"], [lower], [upper])
-        declared.add_rows([0, 1], [0], [1.0], "<=", 4.0)
-        declared.set_objective("max", {0: 1.0})
+        add_unknown(declared, "x", lower, upper)
+        declared.add_rows([0, 1], [0], [1.0], "<=", 4.0, ["high"])
+        declared.set_objective({0: 1.0})
         assert solve(declared).objective_value == upper and _cold_strategy(declared) == expected
 
 
@@ -1100,12 +1132,12 @@ def test_warm_resolve_through_unbounded():
     warm = model()
     results = []
     for objective in (term("x"), -term("x"), term("x") + 2 * term("y"), 2 * term("y")):
-        warm.set_objective("max", column_terms(warm, objective))
+        warm.set_objective(column_terms(warm, objective))
         session = warm._session
         result = solve(warm)
         assert session is None or warm._session is session
         cold = model()
-        cold.set_objective("max", column_terms(cold, objective))
+        cold.set_objective(column_terms(cold, objective))
         _assert_same_result(result, solve(cold))
         results.append((result.status, result.objective_value))
     assert results == [("optimal", 2.5), ("unbounded", None), ("optimal", 4.0),
@@ -1126,7 +1158,8 @@ def test_session_holds_the_rows_in_model_order():
                 m.add_rows([0, width, 2 * width], list(range(width)) * 2,
                            [round(rng.uniform(-2, 2), 3) for _ in range(2 * width)],
                            [rng.choice(RELATIONS) for _ in range(2)],
-                           [round(rng.uniform(-1, 4), 3) for _ in range(2)])
+                           [round(rng.uniform(-1, 4), 3) for _ in range(2)],
+                           ["appended0", "appended1"])
             solution = solve(m)
             held = m._session.highs.getLp()
             a = held.a_matrix_
@@ -1153,22 +1186,22 @@ def test_structure_change_after_solve_is_honoured():
     m = LpModel()
     add_unknown(m, "x", 0.0, 10.0)
     add_row(m, term("x"), "<=", 3)
-    m.set_objective("max", column_terms(m, term("x")))
+    m.set_objective(column_terms(m, term("x")))
     assert solve(m).objective_value == 3.0
     session = m._session
     add_row(m, term("x"), "<=", 1, "tighter")
     assert m._session is session and session.highs.getLp().num_row_ == 2
     assert solve(m).objective_value == 1.0
-    m.add_rows([0, 1], [0], [1.0], ">=", 2.0)
+    m.add_rows([0, 1], [0], [1.0], ">=", 2.0, ["too_high"])
     assert solve(m).status == "infeasible"
     assert m._session is session
     m = LpModel()
     add_unknown(m, "x", 0.0, 10.0)
-    m.set_objective("max", column_terms(m, term("x")))
+    m.set_objective(column_terms(m, term("x")))
     assert solve(m).objective_value == 10.0
     add_unknown(m, "y", 0.0, 2.0)
     add_row(m, term("x") + term("y"), "<=", 4)
-    m.set_objective("max", column_terms(m, term("x") + 3 * term("y")))
+    m.set_objective(column_terms(m, term("x") + 3 * term("y")))
     solution = solve(m)
     assert solution_values(m, solution) == {"x": 2.0, "y": 2.0}
     assert solution.objective_value == 8.0
@@ -1181,7 +1214,7 @@ def _compare_models(task, ts, state):
     for dim in (1, 2):
         fs = generate_features(task, dim)
         model = direct2d.build_direct2d_lp(task, fs)
-        model.set_objective("max", direct2d.state_objective(task, fs, state))
+        model.set_objective(direct2d.state_objective(task, fs, state))
         models.append(model)
     for build in (costpart.build_ocp_lp, costpart.build_tcp_lp):
         models.append(build(ts, patterns, state).model)
@@ -1200,7 +1233,7 @@ def test_compare_models_warm_equal_cold(name):
     for state in states:
         cold = _compare_models(task, ts, state)
         for model, fresh in zip(warm, cold):
-            model.set_objective(fresh.objective_sense, fresh.objective)
+            model.set_objective(fresh.objective)
             result = solve(model)
             _assert_same_result(result, solve(fresh))
             statuses.add(result.status)
@@ -1214,6 +1247,6 @@ def test_external_solver_failure(monkeypatch):
     monkeypatch.setenv("POTPLAN_LP_SOLVER_CMD", "false")
     m = LpModel()
     add_unknown(m, "x", 0, 1)
-    m.set_objective("max", column_terms(m, term("x")))
+    m.set_objective(column_terms(m, term("x")))
     sol = solve(m)
     assert sol.status == "optimal" and sol.objective_value == 1.0

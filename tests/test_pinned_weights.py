@@ -162,8 +162,8 @@ def assert_same_optima(task, fs, model, unpinned, states):
     """The model over the kept features of `fs` and the one over all of
     them (feature i on column i) have the same optima at the states."""
     for state in states:
-        model.set_objective("max", state_objective(task, fs, state))
-        unpinned.set_objective("max", {i: 1.0 for i in
+        model.set_objective(state_objective(task, fs, state))
+        unpinned.set_objective({i: 1.0 for i in
                                        np.flatnonzero(truth_matrix(fs, [state])[0]).tolist()})
         ours, reference = solve(model), solve(unpinned)
         assert ours.status == reference.status
@@ -200,7 +200,7 @@ def test_tie_broken_weights_are_valid(seed, dimension):
     report = validate(task, heuristic)
     assert report.goal_aware and report.consistent and report.admissible
     model = build_general_lp(task, fs)
-    model.set_objective("max", state_objective(task, fs, task.initial_state))
+    model.set_objective(state_objective(task, fs, task.initial_state))
     optimum = solve(model).require_optimal().objective_value
     assert result.value == optimum
     assert heuristic(task.initial_state) >= optimum - 1e-6 * max(1.0, abs(optimum)) - 1e-9
@@ -233,7 +233,7 @@ def test_pinned_weights_are_zero():
     model = build_general_lp(task, fs)
     assert model.names[:len(kept)] == [weight_var_name(f) for f in kept.features]
     assert left_out and not names & set(model.names)
-    model.set_objective("max", state_objective(task, fs, task.initial_state))
+    model.set_objective(state_objective(task, fs, task.initial_state))
     solution = solve(model).require_optimal()
     result = extract_result(fs, task, solution)
     assert [result.weights[i] for i in index.tolist()] == solution.x[:len(kept)].tolist()
@@ -324,7 +324,7 @@ def test_init_optima_agree_across_methods():
         optima = []
         for model in (build_direct2d_lp(task, fs), build_general_lp(task, fs),
                       build_exhaustive_lp(task, fs, ts)):
-            model.set_objective("max", state_objective(task, fs, task.initial_state))
+            model.set_objective(state_objective(task, fs, task.initial_state))
             optima.append(solve(model).require_optimal().objective_value)
         assert max(optima) - min(optima) <= 1e-9, (seed, optima)
         compared += 1

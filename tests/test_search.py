@@ -7,12 +7,11 @@ from potplan.direct2d import solve_for_state
 from potplan.features import evaluate_potential, generate_features
 from potplan.generator import random_task
 from potplan.reduction import reduce_3col
-from potplan.search import (NoPlanError, PotentialHeuristic, astar, blind, tiebreak_key,
-                            validate)
+from potplan.search import NoPlanError, PotentialHeuristic, astar, blind, validate
 from potplan.task import Task, build_transition_system, exact_goal_distances
 
 from conftest import make_mixed_preconditions, make_toy1
-from reference_builders import complete_graph, reference_astar
+from reference_builders import complete_graph, reference_astar, reference_open_key
 
 
 def optimal_heuristic(task, dim):
@@ -42,10 +41,12 @@ def test_astar_no_plan(toy1):
 
 
 def test_tiebreak_policy():
-    assert tiebreak_key(5.0, 1.0, 7) == (5.0, 1.0, 7)
-    assert tiebreak_key(5.0, 1.0, 0) < tiebreak_key(5.0, 2.0, 1)
-    assert tiebreak_key(5.0, 1.0, 0) < tiebreak_key(5.0, 1.0, 1)
-    assert tiebreak_key(4.0, 9.0, 9) < tiebreak_key(5.0, 0.0, 0)
+    """The reference A*'s open-list order, which `astar` has to reproduce:
+    lowest f, then lowest h, then first in first out."""
+    assert reference_open_key(5.0, 1.0, 7) == (5.0, 1.0, 7)
+    assert reference_open_key(5.0, 1.0, 0) < reference_open_key(5.0, 2.0, 1)
+    assert reference_open_key(5.0, 1.0, 0) < reference_open_key(5.0, 1.0, 1)
+    assert reference_open_key(4.0, 9.0, 9) < reference_open_key(5.0, 0.0, 0)
 
 
 def test_astar_is_deterministic(toy1):

@@ -5,8 +5,8 @@
 Runs one fixed list of `potplan.cli.main` calls in process under each tree
 (one subprocess per tree, importing `potplan` from TREE/src) and compares,
 call by call, stdout, the exit code and a digest of every `potplan.lp.solve`
-call: whether the model has a solver session, its objective sense and
-coefficients and its column bounds, and for a model without a session (one
+call: whether the model has a solver session, its objective's columns
+and coefficients and its column bounds, and for a model without a session (one
 not solved since its last column was added) its whole row table too.  So
 trees that hand rows to HiGHS differently are still compared LP by LP.
 Each differing call is printed with what differs; where stdout differs and
@@ -49,7 +49,10 @@ only failure, and witness, is admissibility.
 `compare --state random:3`, as does `gen --vars 8 --dom 4 --ops 20 --seed 0`
 (3,072 states), so that the cost partitioning models, whose first run
 starts primal simplex at the origin, are compared LP by LP on a task of
-several thousand states too.  `gen --vars 9 --dom 4 --ops 60 --seed 0..3`
+several thousand states too.  `gen --vars 3 --dom 3 --ops 4
+--allow-unsolvable --seed 0`, whose initial state is a dead end, adds
+`compare` and `compare --format json`, so that unbounded optima, printed
+as "inf", are compared too.  `gen --vars 9 --dom 4 --ops 60 --seed 0..3`
 (9,216 to 15,552 states) adds a blind `search` each, of 712 to 5,843
 expansions, so that a long search whose ties in g are broken first-in
 first-out is compared too, and a `search --heuristic pot1` and `pot2` each,
@@ -87,6 +90,8 @@ GENERAL_SEEDS = range(6)  # also `gen --general`
 RANDOM_SEEDS = range(6)
 COMPARE_SEEDS = (0, 15, 34)  # 96, 128 and 192 states
 LARGE_COMPARE = ["--vars", "8", "--dom", "4", "--ops", "20", "--seed", "0"]  # 3,072 states
+# a dead-end initial state: `compare` prints "inf" for the unbounded optima
+DEAD_END_COMPARE = ["--vars", "3", "--dom", "3", "--ops", "4", "--allow-unsolvable", "--seed", "0"]
 LONG_SEARCH_SEEDS = range(4)  # `gen --vars 9 --dom 4 --ops 60`, blind, pot1 and pot2 search
 CANCELLING_TASK = (6, 2, 16, 26)  # random_task arguments; prints objective 25.0
 # DIMACS graphs for `reduce3col --check`: 3-colorable and not
@@ -233,6 +238,9 @@ def prepare(tree: str, workdir: str, extra: list[str]) -> None:
     with contextlib.redirect_stdout(io.StringIO()):
         potplan.cli.main(["gen", *LARGE_COMPARE, "-o", "large_compare.sas"])
     calls.append(["compare", "large_compare.sas", "--state", "random:3", "--format", "json"])
+    with contextlib.redirect_stdout(io.StringIO()):
+        potplan.cli.main(["gen", *DEAD_END_COMPARE, "-o", "dead_end.sas"])
+    calls += [["compare", "dead_end.sas"], ["compare", "dead_end.sas", "--format", "json"]]
     for seed in LONG_SEARCH_SEEDS:
         sas = f"long{seed}.sas"
         with contextlib.redirect_stdout(io.StringIO()):
@@ -283,12 +291,12 @@ def _column_bounds(model) -> np.ndarray:
 
 
 def _digest(model) -> str:
-    """Digest of one solve: whether the model has a session, its sense, its
+    """Digest of one solve: whether the model has a session, its
     objective's columns and coefficients and its column bounds, then for a
     model without a session its row table (shape, indptr, indices, data,
     relation codes, right-hand sides)."""
     objective = sorted(model.objective.items())
-    parts = [np.array([model._session is not None, model.objective_sense == "max"]),
+    parts = [np.array([model._session is not None]),
              np.array([j for j, _ in objective]), np.array([c for _, c in objective]),
              _column_bounds(model)]
     if model._session is None:
