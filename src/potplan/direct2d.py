@@ -4,8 +4,10 @@ its reference oracle.
 
 Both models, returned as the `LpModel` itself, are built over the kept
 features of the given set (`features.kept_features`): they start with one
-free weight unknown per kept feature (kept feature i is column i), and the
-goal-awareness row `state_objective(goal_state) <= 0`.  As in the paper,
+free weight unknown per kept feature (kept feature i is column i), named
+from the kept fact table by `features.joined_facts`, `w_v3.1__v7.0` for
+the feature v3 = 1 & v7 = 0, and the goal-awareness row
+`state_objective(goal_state) <= 0`.  As in the paper,
 only rows constrain the weights, so HiGHS starts primal simplex at x = 0
 (`lp._Session`); an admissible potential is at most h*, so only an
 objective over dead-end states can be unbounded.
@@ -47,7 +49,7 @@ import numpy as np
 
 from .elimination import (adjacency, check_order, classify, eliminate_buckets,
                           eliminate_graphs, eliminate_width0)
-from .features import Feature, FeatureSet, evaluate_potential, kept_features, truth_matrix
+from .features import FeatureSet, evaluate_potential, joined_facts, kept_features, truth_matrix
 from .lp import OPTIMALITY_TOL, LpModel, LpSolution, solve
 from .task import (DEFAULT_STATE_CAP, State, SuccessorGenerator, Task,
                    TransitionSystem, build_transition_system, successor)
@@ -63,10 +65,6 @@ WEIGHT_UPPER = 1e6
 
 class PotentialLpError(ValueError):
     pass
-
-
-def weight_var_name(feature: Feature) -> str:
-    return "w_" + "__".join(f"v{var}.{val}" for var, val in feature.facts)
 
 
 @dataclass
@@ -92,7 +90,9 @@ def _weights_and_goal_row(task: Task, fs: FeatureSet) -> tuple[LpModel, FeatureS
     _require_tnf(task)
     kept = kept_features(fs, task.domain_sizes)[0]
     model = LpModel()
-    model.add_unknowns([weight_var_name(f) for f in kept.features])
+    model.add_unknowns(["w_" + name for name in joined_facts(
+        kept, [[f"v{var.id}.{val}" for val in range(var.domain_size)] for var in task.variables],
+        "__")])
     goal = state_objective(task, fs, _goal_state(task))
     model.add_rows([0, len(goal)], list(goal), list(goal.values()), "<=", 0.0, ["goal"])
     return model, kept

@@ -1,17 +1,21 @@
-"""Fact-conjunction features, feature sets with their fact table, the
-features whose weights the potential models keep (`kept_features`), and the
-truth table of features over states.  Weights are a list of floats, one per
+"""Fact-conjunction features, feature sets as fact tables, the features
+whose weights the potential models keep (`kept_features`), and the truth
+table of features over states.  Weights are a list of floats, one per
 feature in the set's order.
 
 A feature is a conjunction of facts over pairwise distinct variables.  The
 potential of a state is the sum of the weights of all features true in it.
+A feature set is its table: generation, the checks, pinning and the names
+of its features (`joined_facts`) all work on the table by array, and a
+`Feature` object per feature is built only when something asks for one (the
+parser, `reduction` and the tests).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property
 
 import numpy as np
 
@@ -47,30 +51,67 @@ class Feature:
         return len(self.facts)
 
 
-@dataclass
 class FeatureSet:
-    """Distinct features, with their `dimension` (the largest size),
-    `fact_table` and `distinct`, all built once: the facts as a (feature,
-    fact, (variable, value)) int64 array, each feature's last fact repeated
-    up to the dimension, which leaves the conjunction unchanged, and the
-    (feature, fact) mask of the facts that are not such repeats.  The set
+    """Distinct features as one table, checked once.  `fact_table` holds
+    the facts as a (feature, fact, (variable, value)) int64 array, each
+    feature's facts by increasing variable and its last fact repeated up to
+    the set's `dimension` (the largest size), which leaves the conjunction
+    unchanged; `distinct` is the (feature, fact) mask of the facts that are
+    not such repeats.  A table wider than its largest feature is trimmed to
+    it.  `features` builds one `Feature` per row when first asked.  The set
     also keeps what `kept_features` found for it, by domain sizes."""
 
-    features: tuple[Feature, ...]
+    def __init__(self, fact_table):
+        table = np.asarray(fact_table, dtype=np.int64)
+        if table.ndim != 3 or table.shape[2] != 2:
+            raise FeatureError(f"a fact table is a (feature, fact, 2) array, not {table.shape}")
+        if len(table) and not table.shape[1]:
+            raise FeatureError("empty feature")
+        variables = table[:, :, 0]
+        distinct = np.ones(variables.shape, dtype=bool)
+        distinct[:, 1:] = variables[:, 1:] != variables[:, :-1]
+        # a repeat repeats the fact before it, and only repeats follow one
+        bad = (variables[:, 1:] < variables[:, :-1]) | distinct[:, 1:] & ~distinct[:, :-1] \
+            | ~distinct[:, 1:] & (table[:, 1:, 1] != table[:, :-1, 1])
+        if bad.any():
+            row = table[np.flatnonzero(bad.any(axis=1))[0]]
+            raise FeatureError(f"feature facts must be sorted over distinct variables: "
+                               f"{tuple(map(tuple, row.tolist()))}")
+        self._store(table, distinct)
+        if len(table) > 1:
+            rows = self.fact_table.reshape(len(table), -1)
+            rows = rows[np.lexsort(rows.T)]
+            if (rows[1:] == rows[:-1]).all(axis=1).any():
+                raise FeatureError("duplicate features")
 
-    def __post_init__(self):
-        if len(set(self.features)) != len(self.features):
-            raise FeatureError("duplicate features")
-        self.dimension = width = max((f.size for f in self.features), default=0)
-        self.fact_table = np.array(
-            [x for f in self.features for fact in f.facts + f.facts[-1:] * (width - f.size)
-             for x in fact], dtype=np.int64).reshape(len(self.features), width, 2)
-        self.distinct = np.ones((len(self.features), width), dtype=bool)
-        self.distinct[:, 1:] = self.fact_table[:, 1:, 0] != self.fact_table[:, :-1, 0]
+    def _store(self, table: np.ndarray, distinct: np.ndarray) -> None:
+        self.dimension = width = int(distinct.sum(axis=1).max(initial=0))
+        self.fact_table, self.distinct = table[:, :width], distinct[:, :width]
         self._kept: dict[tuple[int, ...], tuple[FeatureSet, np.ndarray]] = {}
 
+    def _rows(self, index: np.ndarray) -> "FeatureSet":
+        """The features at `index`, in that order, as a set: rows of a
+        checked table, so they are not checked again."""
+        rows = object.__new__(FeatureSet)
+        rows._store(self.fact_table[index], self.distinct[index])
+        return rows
+
+    @classmethod
+    def of(cls, features) -> "FeatureSet":
+        """The set of the given `Feature`s, in their order."""
+        features = tuple(features)
+        width = max((f.size for f in features), default=0)
+        return cls(np.array(
+            [x for f in features for fact in f.facts + f.facts[-1:] * (width - f.size)
+             for x in fact], dtype=np.int64).reshape(len(features), width, 2))
+
+    @cached_property
+    def features(self) -> tuple[Feature, ...]:
+        return tuple(Feature(tuple(map(tuple, row[:size]))) for row, size in
+                     zip(self.fact_table.tolist(), self.distinct.sum(axis=1).tolist()))
+
     def __len__(self) -> int:
-        return len(self.features)
+        return len(self.fact_table)
 
     def __iter__(self):
         return iter(self.features)
@@ -78,21 +119,28 @@ class FeatureSet:
 
 def generate_features(task: Task, dimension: int) -> FeatureSet:
     """All facts (dimension 1), or facts plus cross-variable pairs (dimension
-    2); higher dimensions take a feature file (`parse_feature_file`)."""
+    2); higher dimensions take a feature file (`parse_feature_file`).  Atoms
+    come by variable, then value, and pairs by (variable a, variable b,
+    value a, value b), a < b."""
     if dimension < 1:
         raise FeatureError(f"dimension must be positive, got {dimension}")
     if dimension > 2:
         raise FeatureError("dimensions above 2 need a feature file")
-    atoms = [Feature(((var.id, val),))
-             for var in task.variables for val in range(var.domain_size)]
+    sizes = np.asarray(task.domain_sizes, dtype=np.int64)
+    first = np.cumsum(sizes) - sizes  # row of atom (V, 0)
+    variables = np.repeat(np.arange(len(sizes)), sizes)
+    atoms = np.stack([variables, np.arange(len(variables)) - first[variables]], axis=1)
     if dimension == 1:
-        return FeatureSet(tuple(atoms))
-    pairs = []
-    for a, b in combinations(task.variables, 2):
-        for va in range(a.domain_size):
-            for vb in range(b.domain_size):
-                pairs.append(Feature(((a.id, va), (b.id, vb))))
-    return FeatureSet(tuple(atoms + pairs))
+        return FeatureSet(atoms[:, None])
+    a, b = np.triu_indices(len(sizes), 1)  # the variable pairs in `combinations` order
+    block = sizes[a] * sizes[b]
+    pair = np.repeat(np.arange(len(a)), block)
+    # within a block, value a * |D_b| + value b
+    k = np.arange(block.sum()) - np.repeat(np.cumsum(block) - block, block)
+    size_b = sizes[b[pair]]
+    pairs = np.stack([atoms[first[a[pair]] + k // size_b], atoms[first[b[pair]] + k % size_b]],
+                     axis=1)
+    return FeatureSet(np.concatenate([atoms[:, None].repeat(2, axis=1), pairs]))
 
 
 def evaluate_potential(fs: FeatureSet, w: list[float], state: State) -> float:
@@ -115,29 +163,53 @@ def kept_features(fs: FeatureSet, domain_sizes) -> tuple[FeatureSet, np.ndarray]
     1, the sum of the anchor's atoms.  Each g + (V, u) has fewer value-0
     facts than f and g fewer facts, so by induction every pinned indicator
     is a combination of kept ones.
+
+    Atoms are pinned by a count of each variable's atoms in the set.  For
+    larger features the rule runs on integer keys: facts are numbered by
+    variable, then value, and a conjunction's key has one digit per fact,
+    its number + 1, first fact most significant, 0 past its last fact.  The
+    keys of g and of each g + (V, u) are computed from f's and looked up
+    among the set's by `searchsorted`; keys that do not fit int64 are Python
+    ints.
     """
     key = tuple(domain_sizes)
     if key in fs._kept:
         return fs._kept[key]
-    present = {f.facts for f in fs.features}
-    anchor = next((v for v, size in enumerate(domain_sizes)
-                   if all(((v, x),) in present for x in range(size))), None)
-    index = []
-    for i, f in enumerate(fs.features):
-        for k, (var, val) in enumerate(f.facts):
-            if val != 0:
-                continue
-            # g = before + after, and g + (V, u) is f with u for 0
-            before, after = f.facts[:k], f.facts[k + 1:]
-            if ((before + after in present) if f.size > 1 else anchor not in (None, var)) \
-                    and all(before + ((var, u),) + after in present
-                            for u in range(1, domain_sizes[var])):
-                break  # pinned
-        else:
-            index.append(i)
-    index = np.array(index, dtype=np.int64)
-    kept = FeatureSet(tuple(fs.features[i] for i in index.tolist()))
-    fs._kept[key] = kept, index
+    sizes = np.asarray(key, dtype=np.int64)
+    variables, values = fs.fact_table[:, :, 0], fs.fact_table[:, :, 1]
+    n, width = variables.shape
+    pinned = np.zeros(n, dtype=bool)
+    atom = ~fs.distinct[:, 1] if width > 1 else ~pinned
+    # the variables whose atoms are all in the set; the anchor is the first
+    complete = np.bincount(variables[atom, 0] if width else [], minlength=len(sizes)) == sizes
+    if complete.any():
+        pinned = atom & (values[:, 0] == 0) & complete[variables[:, 0]] \
+            & (variables[:, 0] != complete.argmax())
+    if width > 1:
+        first = np.cumsum(sizes) - sizes  # the number of fact (V, 0)
+        base = int(sizes.sum()) + 1
+        dtype = np.int64 if base ** width <= np.iinfo(np.int64).max else object
+        place = np.array([base ** k for k in range(width - 1, -1, -1)], dtype=dtype)
+        keys = (np.where(fs.distinct, first[variables] + values + 1, 0).astype(dtype)
+                * place).sum(axis=1)
+        present = np.sort(keys)
+
+        def found(queries):
+            return present[np.minimum(np.searchsorted(present, queries), n - 1)] == queries
+
+        # each value-0 fact of a feature that is no atom; g drops its digit
+        f, k = np.nonzero(fs.distinct & (values == 0) & ~atom[:, None])
+        f_keys, f_place = keys[f], place[k]
+        g = f_keys - f_keys % (f_place * base) + f_keys % f_place * base
+        # g + (V, u), u = 1 .. |D_V| - 1: f's key with u added to the digit
+        count = sizes[variables[f, k]] - 1
+        family = np.repeat(np.arange(len(f)), count)
+        u = np.arange(1, len(family) + 1) - np.repeat(np.cumsum(count) - count, count)
+        rule = found(g)
+        rule[family[~found(f_keys[family] + u * f_place[family])]] = False
+        pinned[f[rule]] = True
+    index = np.flatnonzero(~pinned)
+    fs._kept[key] = fs._rows(index), index
     return fs._kept[key]
 
 
@@ -150,10 +222,19 @@ def truth_matrix(fs: FeatureSet, states) -> np.ndarray:
     return np.all(states[:, facts[:, :, 0]] == facts[:, :, 1], axis=2).view(np.int8)
 
 
-def format_feature(task: Task, feature: Feature) -> str:
-    return " & ".join(
-        f"{task.variables[var].name}={task.variables[var].value_names[val]}"
-        for var, val in feature.facts)
+def joined_facts(fs: FeatureSet, fact_names: list[list[str]], separator: str) -> list[str]:
+    """Each feature's name in the set's order: the names of its facts,
+    `fact_names[variable][value]`, joined by `separator`."""
+    if not len(fs):
+        return []
+    sizes = [len(names) for names in fact_names]
+    first = np.cumsum(sizes) - sizes
+    names = np.array([name for by_value in fact_names for name in by_value], dtype=object)
+    names = names[first[fs.fact_table[:, :, 0]] + fs.fact_table[:, :, 1]]
+    joined = names[:, 0]
+    for k in range(1, fs.dimension):
+        joined = joined + np.where(fs.distinct[:, k], separator + names[:, k], "")
+    return joined.tolist()
 
 
 def parse_feature(task: Task, text: str) -> Feature:
@@ -185,11 +266,14 @@ def parse_feature_file(task: Task, text: str) -> FeatureSet:
         if not line or line.startswith("#"):
             continue
         features.append(parse_feature(task, line))
-    return FeatureSet(tuple(features))
+    return FeatureSet.of(features)
 
 
 def weights_to_strings(task: Task, fs: FeatureSet, w: list[float]) -> dict[str, float]:
-    return {format_feature(task, f): w[i] for i, f in enumerate(fs.features)}
+    """The weights keyed by feature, `var=val & var=val & ...`."""
+    return dict(zip(joined_facts(
+        fs, [[f"{var.name}={val}" for val in var.value_names] for var in task.variables],
+        " & "), w))
 
 
 def weights_from_strings(task: Task, mapping: dict[str, float]) -> tuple[FeatureSet, list[float]]:
@@ -209,4 +293,4 @@ def weights_from_strings(task: Task, mapping: dict[str, float]) -> tuple[Feature
         if not number:
             raise FeatureError(f"weight of '{text}' is not a number: {weight!r}")
         values.append(float(weight))
-    return FeatureSet(tuple(features)), values
+    return FeatureSet.of(features), values

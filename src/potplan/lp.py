@@ -42,6 +42,9 @@ RELATIONS = ("<=", "=", ">=")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.()]*")
 # Row names, each then "\n".
 _ROW_NAMES_RE = re.compile(rf"(?:{_NAME_RE.pattern}\n)*")
+# Unknown names, each then "\n": the LP file's keywords `free` and `inf` are
+# no unknown's name.
+_UNKNOWN_NAMES_RE = re.compile(rf"(?:(?!(?:free|inf)\n){_NAME_RE.pattern}\n)*")
 
 
 class LpError(ValueError):
@@ -146,12 +149,16 @@ class LpModel:
         """Declare free columns in order, one per name; a model with a
         solver session drops it.  Nothing is declared when a name is not
         LP-file safe or declared twice."""
-        for name in names:
-            if not _NAME_RE.fullmatch(name) or name in ("free", "inf"):
-                raise LpError(f"unknown name '{name}' is not LP-file safe")
+        text = "\n".join([*names, ""])
+        if text.count("\n") != len(names) or not _UNKNOWN_NAMES_RE.fullmatch(text):
+            bad = next(name for name in names
+                       if not _NAME_RE.fullmatch(name) or name in ("free", "inf"))
+            raise LpError(f"unknown name '{bad}' is not LP-file safe")
         seen = set(self.names)
-        twice = next((name for name in names if name in seen or seen.add(name)), None)
-        if twice is not None:
+        seen.update(names)
+        if len(seen) != len(self.names) + len(names):
+            seen = set(self.names)
+            twice = next(name for name in names if name in seen or seen.add(name))
             raise LpError(f"unknown '{twice}' declared twice")
         self._session = None
         self.names.extend(names)

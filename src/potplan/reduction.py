@@ -142,4 +142,4 @@ def reduce_3col(graph: Graph) -> Reduction:
                 for cv in range(3):
                     features.append(Feature.of(((u, cu), (v, cv), (master, m))))
                     values.append(-1.0 if m == 1 and cu != cv else 0.0)
-    return Reduction(graph, task, FeatureSet(tuple(features)), values, master, 0)
+    return Reduction(graph, task, FeatureSet.of(features), values, master, 0)

@@ -48,13 +48,13 @@ class PotentialHeuristic:
     holds instead of scanning all; the sum runs by variable, then feature."""
 
     def __init__(self, task: Task, fs: FeatureSet, w: list[float]):
-        self._index: list[list[list[tuple[tuple[tuple[int, int], ...], float]]]] = [
+        self._index: list[list[list[tuple[list[list[int]], float]]]] = [
             [[] for _ in range(var.domain_size)] for var in task.variables]
-        for i, f in enumerate(fs.features):
-            weight = w[i]
+        sizes = fs.distinct.sum(axis=1).tolist()
+        for facts, size, weight in zip(fs.fact_table.tolist(), sizes, w):
             if weight == 0.0:
                 continue
-            (var, val), rest = f.facts[0], f.facts[1:]
+            (var, val), rest = facts[0], facts[1:size]
             self._index[var][val].append((rest, weight))
 
     def __call__(self, state: State) -> float:

@@ -65,8 +65,8 @@ def make_alias_task() -> tuple[Task, FeatureSet]:
                  Variable(2, "c", 2, ("0", "1"))]
     task = Task(variables, [Operator("o", {0: 0}, {0: 1}, 1)], (0, 0, 0),
                 {0: 1, 1: 0, 2: 0})
-    return task, FeatureSet((Feature.of(((0, 0), (1, 0), (2, 0))),
-                             Feature.of(((0, 0), (2, 1)))))
+    return task, FeatureSet.of((Feature.of(((0, 0), (1, 0), (2, 0))),
+                                Feature.of(((0, 0), (2, 1)))))
 
 
 def ab(a: float = 0.0, b: float = 0.0) -> LinearExpression:

@@ -22,6 +22,9 @@ arrays, `elimination.eliminate_graphs`, and enumerating every assignment
 search references test every operator in every state with `is_applicable`
 and `successor`, and keep their open list in the order `reference_open_key`
 gives; the indexed successor generator and A* have to reproduce them.
+`reference_generate_features` and `reference_kept_features` generate and
+pin features one `Feature` at a time, the references of the array passes
+over the fact table in `potplan.features`.
 The TCP model with one cost unknown per (abstraction, transition) is no
 builder's reference but the oracle of the eliminated one: same optimum, and
 the solution lifted into it is feasible.  The potential references have a
@@ -36,7 +39,8 @@ here too: `evaluate` (a LinearExpression's value under an assignment by
 unknown name), `shift_weights_to_goal`, `abstract_transitions`,
 `extract_cost_functions`, `validate_partition` and
 `features_of_abstractions` over the cost-partitioning models,
-`variables_of` (a feature's variables),
+`variables_of` (a feature's variables), `weight_var_name` and
+`format_feature` (one feature's weight column name and printed key),
 `solve_general_for_state` and `solve_exhaustive_for_state` (one state's
 maximum potential over the compact and the exhaustive model), the seeded
 `random_features`, and the graphs `complete_graph`, `cycle_graph` and
@@ -55,7 +59,7 @@ import numpy as np
 
 from potplan.costpart import AbstractionError
 from potplan.direct2d import (build_exhaustive_lp, build_general_lp, extract_result,
-                              sample_states, state_objective, weight_var_name)
+                              sample_states, state_objective)
 from potplan.elimination import OrderingError, check_order
 from potplan.features import Feature, FeatureError, FeatureSet
 from potplan.lp import (FEASIBILITY_TOL, RELATIONS, LinearExpression, LpError, LpModel,
@@ -299,6 +303,55 @@ def variables_of(feature):
     return tuple(var for var, _ in feature.facts)
 
 
+def weight_var_name(feature):
+    """The name of a feature's weight column in the potential models."""
+    return "w_" + "__".join(f"v{var}.{val}" for var, val in feature.facts)
+
+
+def format_feature(task, feature):
+    """A feature as `solve` prints it and feature files list it."""
+    return " & ".join(
+        f"{task.variables[var].name}={task.variables[var].value_names[val]}"
+        for var, val in feature.facts)
+
+
+def reference_generate_features(task, dimension):
+    """`generate_features` one `Feature` at a time: all atoms, then at
+    dimension 2 every pair of facts over two variables."""
+    atoms = [Feature(((var.id, val),))
+             for var in task.variables for val in range(var.domain_size)]
+    if dimension == 1:
+        return FeatureSet.of(atoms)
+    pairs = []
+    for a, b in itertools.combinations(task.variables, 2):
+        for va in range(a.domain_size):
+            for vb in range(b.domain_size):
+                pairs.append(Feature(((a.id, va), (b.id, vb))))
+    return FeatureSet.of(atoms + pairs)
+
+
+def reference_kept_features(fs, domain_sizes):
+    """`kept_features` by its rule, one feature and one value-0 fact at a
+    time over the set's fact tuples."""
+    present = {f.facts for f in fs.features}
+    anchor = next((v for v, size in enumerate(domain_sizes)
+                   if all(((v, x),) in present for x in range(size))), None)
+    index = []
+    for i, f in enumerate(fs.features):
+        for k, (var, val) in enumerate(f.facts):
+            if val != 0:
+                continue
+            # g = before + after, and g + (V, u) is f with u for 0
+            before, after = f.facts[:k], f.facts[k + 1:]
+            if ((before + after in present) if f.size > 1 else anchor not in (None, var)) \
+                    and all(before + ((var, u),) + after in present
+                            for u in range(1, domain_sizes[var])):
+                break  # pinned
+        else:
+            index.append(i)
+    return FeatureSet.of(fs.features[i] for i in index), np.array(index, dtype=np.int64)
+
+
 def true_in(feature, state):
     return all(state[var] == val for var, val in feature.facts)
 
@@ -512,7 +565,7 @@ def features_of_abstractions(ts, patterns):
             if f not in seen:
                 seen.add(f)
                 features.append(f)
-    return FeatureSet(tuple(features))
+    return FeatureSet.of(features)
 
 
 def _reference_weights(model, fs):
@@ -840,7 +893,7 @@ def random_features(task, count, max_size, seed):
                 seen.add(facts)
                 features.append(Feature(facts))
                 break
-    return FeatureSet(tuple(features))
+    return FeatureSet.of(features)
 
 
 def reference_general_model(task, fs, orderings=None):

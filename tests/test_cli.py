@@ -12,14 +12,13 @@ from scipy.optimize._highspy import _core as highs_core
 import potplan
 from potplan import cli, costpart, direct2d
 from potplan.cli import main
-from potplan.features import format_feature
 from potplan.generator import GENERATOR_STATE_CAP, GenerationError, random_task
 from potplan.lp import OPTIMALITY_TOL, export_lp
 from potplan.task import (Task, build_transition_system, exact_goal_distances, parse_sas,
                           serialize_sas)
 from potplan.tnf import is_tnf
 
-from reference_builders import parse_lp, random_features
+from reference_builders import format_feature, parse_lp, random_features
 from test_lp import REJECTED_LP
 from test_task import TOY1_SAS
 
@@ -192,6 +191,30 @@ def test_search_subcommand(capsys, toy1_file):
     code, out, _ = run_cli(capsys, "search", "--heuristic", "blind",
                            "--timing", toy1_file)
     assert "wall_time" in json.loads(out)
+
+
+TWICE = "error: conjunction mentions a variable twice: ((0, 0), (0, 1))\n"
+
+
+@pytest.mark.parametrize("command, conjunctions, message", [
+    ("solve", ["X=0 & Y=1", "Y=1 & X=0"], "error: duplicate features\n"),
+    ("validate", ["X=0 & Y=1", "Y=1 & X=0"], "error: duplicate features\n"),
+    ("solve", ["X=1", "X=0 & X=1"], TWICE),
+    ("validate", ["X=1", "X=1 & X=0"], TWICE),
+])
+def test_feature_set_refusals(capsys, tmp_path, toy1_file, command, conjunctions, message):
+    """A feature file (`solve --features`) or a weight file (`validate
+    --weights`) that lists one conjunction twice, in two fact orders, or a
+    conjunction naming a variable twice, exits 1 with the reason."""
+    if command == "solve":
+        path = tmp_path / "f.features"
+        path.write_text("".join(c + "\n" for c in conjunctions))
+        argv = ["solve", "--features", str(path), toy1_file]
+    else:
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({c: 1.0 for c in conjunctions}))
+        argv = ["validate", toy1_file, "--weights", str(path)]
+    assert run_cli(capsys, *argv) == (1, "", message)
 
 
 def test_search_weights_file(capsys, tmp_path, toy1_file):

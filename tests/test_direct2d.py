@@ -39,7 +39,7 @@ def test_goal_row_dim2(toy1):
 
 
 def test_goal_row_empty_feature_set(toy1):
-    row = model_rows(build_direct2d_lp(toy1, FeatureSet(())))[0]
+    row = model_rows(build_direct2d_lp(toy1, FeatureSet.of(())))[0]
     assert row.name == "goal"
     assert row.expression.is_zero() and row.rhs == 0.0
 
@@ -89,10 +89,10 @@ def test_operator_touching_all_variables(toy1):
 
 
 def test_dimension_cap(toy1):
-    fs = FeatureSet((Feature.of(((0, 0), (1, 0))), Feature.of(((0, 1),))))
+    fs = FeatureSet.of((Feature.of(((0, 0), (1, 0))), Feature.of(((0, 1),))))
     build_direct2d_lp(toy1, fs)  # dimension 2 is fine
     too_big = random_task(3, 2, 3, 0)
-    fs3 = FeatureSet((Feature.of(((0, 0), (1, 0), (2, 0))),))
+    fs3 = FeatureSet.of((Feature.of(((0, 0), (1, 0), (2, 0))),))
     with pytest.raises(PotentialLpError):
         build_direct2d_lp(too_big, fs3)
 

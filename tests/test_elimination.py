@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from potplan.direct2d import build_general_lp, solve_for_state, weight_var_name
+from potplan.direct2d import build_general_lp, solve_for_state
 from potplan.elimination import (OrderingError, adjacency, check_order, classify,
                                  eliminate_graphs)
 from potplan.features import Feature, FeatureSet, generate_features, kept_features
@@ -21,7 +21,7 @@ from reference_builders import (DependencyGraph, ScopedFunction, brute_force_max
                                 random_scoped_set, reference_bucket_eliminate,
                                 reference_induced_width, reference_min_fill_order,
                                 solution_values, solve_exhaustive_for_state,
-                                solve_general_for_state, variables_of)
+                                solve_general_for_state, variables_of, weight_var_name)
 
 
 def operator_pairs(task, fs, op_index):
@@ -89,7 +89,7 @@ def three_var_task():
 
 def test_context_graph_triple_feature():
     task = three_var_task()
-    fs = FeatureSet((Feature.of(((0, 0), (1, 0), (2, 0))),))
+    fs = FeatureSet.of((Feature.of(((0, 0), (1, 0), (2, 0))),))
     assert graph_edges(task, fs) == [frozenset({(1, 2)}), frozenset()]
 
 

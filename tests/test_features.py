@@ -1,14 +1,22 @@
+import itertools
+import random
+
+import numpy as np
 import pytest
 
+from potplan.direct2d import build_general_lp
 from potplan.elimination import classify
 from potplan.features import (Feature, FeatureError, FeatureSet, evaluate_potential,
-                              format_feature, generate_features, parse_feature,
-                              parse_feature_file, truth_matrix, weights_from_strings)
+                              generate_features, kept_features, parse_feature,
+                              parse_feature_file, truth_matrix, weights_from_strings,
+                              weights_to_strings)
 from potplan.generator import random_task
-from potplan.task import build_transition_system, is_applicable
+from potplan.task import Task, Variable, build_transition_system, is_applicable
 
-from reference_builders import (classify_features, delta, delta_independent, iter_states,
-                                random_features, true_in, variables_of)
+from reference_builders import (classify_features, delta, delta_independent,
+                                format_feature, iter_states, random_features,
+                                reference_generate_features, reference_kept_features,
+                                true_in, variables_of, weight_var_name)
 
 
 def w_for(fs, mapping):
@@ -46,7 +54,94 @@ def test_feature_equality_order_and_hash_follow_the_sorted_facts():
 
 def test_explicit_list_validated(toy1):
     with pytest.raises(FeatureError):
-        FeatureSet((Feature.of(((0, 1),)), Feature.of(((0, 1),))))
+        FeatureSet.of((Feature.of(((0, 1),)), Feature.of(((0, 1),))))
+
+
+@pytest.mark.parametrize("table, message", [
+    ([[[1, 0], [0, 0]]], "sorted over distinct variables"),      # unsorted variables
+    ([[[0, 0], [0, 1]]], "sorted over distinct variables"),      # a variable twice
+    ([[[0, 0], [0, 0], [1, 0]]], "sorted over distinct variables"),  # a repeat before a fact
+    ([[[0, 0], [1, 0]], [[0, 1], [0, 1]], [[0, 0], [1, 0]]], "duplicate features"),
+    ([[[0, 1], [0, 1]], [[0, 1], [0, 1]]], "duplicate features"),  # an atom twice
+    (np.zeros((2, 0, 2)), "empty feature"),
+    ([[0, 1]], "fact table"),
+])
+def test_fact_table_refusals(table, message):
+    """A table given straight to `FeatureSet` is checked as `Feature` and
+    `FeatureSet.of` check features: variables increase within a row,
+    padding only repeats a row's last fact, and no row repeats."""
+    with pytest.raises(FeatureError, match=message):
+        FeatureSet(table)
+
+
+def test_fact_table_is_trimmed_to_its_dimension():
+    fs = FeatureSet([[[0, 1], [0, 1], [0, 1]], [[0, 0], [1, 1], [1, 1]]])
+    assert fs.dimension == 2 and fs.fact_table.shape == (2, 2, 2)
+    assert fs.features == (Feature(((0, 1),)), Feature(((0, 0), (1, 1))))
+    assert fs.distinct.tolist() == [[True, False], [True, True]]
+
+
+def domain_task(sizes):
+    """A task without operators over variables of the given domain sizes."""
+    variables = [Variable(v, f"v{v}", size, tuple(f"x{x}" for x in range(size)))
+                 for v, size in enumerate(sizes)]
+    return Task(variables, [], (0,) * len(sizes), {v: 0 for v in range(len(sizes))})
+
+
+def table_cases(seed):
+    """A random task and one over random domain sizes, with domains 1 and 2
+    among them, and (task, feature set) pairs: random sets of dimensions
+    1-4, the generated sets over the domains, the dimension-2 set less one
+    atom of every variable (no anchor), the empty set, and a dimension-4
+    set whose conjunction keys exceed int64."""
+    rng = random.Random(f"tables:{seed}")
+    task = random_task(5, 3, 6, seed)
+    cases = [(task, random_features(task, 14, dim, seed)) for dim in (1, 2, 3, 4)]
+    sizes = [1, 2] + [rng.randint(1, 4) for _ in range(rng.randint(0, 4))]
+    rng.shuffle(sizes)
+    domains = domain_task(sizes)
+    cases += [(domains, generate_features(domains, dim)) for dim in (1, 2)]
+    missing = {((v, rng.randrange(size)),) for v, size in enumerate(sizes)}
+    cases.append((domains, FeatureSet.of(f for f in generate_features(domains, 2)
+                                         if f.facts not in missing)))
+    cases.append((domains, FeatureSet.of(())))
+    # keys of 4 facts led by v0 = 69999 reach 70_000 * 70_008 ** 3 > 2 ** 63
+    wide = domain_task([70_000, 2, 3, 2])
+    tails = [tuple(zip(scope, values)) for size in (0, 1, 2, 3)
+             for scope in itertools.combinations((1, 2, 3), size)
+             for values in itertools.product(*(range(wide.domain_sizes[v]) for v in scope))]
+    conjunctions = [Feature(((0, 0),))] + [Feature(tail) for tail in tails if tail] \
+        + [Feature(((0, 69_999),) + tail) for tail in tails]
+    rng.shuffle(conjunctions)
+    cases.append((wide, FeatureSet.of(conjunctions)))
+    return (task, domains), cases
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_table_builders_match_the_per_feature_references(seed):
+    """Generation, pinning and naming by array give what the per-`Feature`
+    references give: the same generated tables, the same kept indices,
+    kept table and dimension, and feature by feature the same weight
+    column names and printed keys."""
+    tasks, cases = table_cases(seed)
+    for task, dim in itertools.product(tasks, (1, 2)):
+        assert generate_features(task, dim).fact_table.tolist() == \
+            reference_generate_features(task, dim).fact_table.tolist()
+    pinned_total = 0
+    for task, fs in cases:
+        kept, index = kept_features(fs, task.domain_sizes)
+        reference, reference_index = reference_kept_features(fs, task.domain_sizes)
+        assert index.tolist() == reference_index.tolist()
+        assert kept.fact_table.tolist() == reference.fact_table.tolist()
+        assert kept.distinct.tolist() == reference.distinct.tolist()
+        assert kept.dimension == reference.dimension
+        pinned_total += len(fs) - len(kept)
+        model = build_general_lp(task, fs)
+        assert model.names[:len(kept)] == [weight_var_name(f) for f in kept.features]
+        w = [float(i) for i in range(len(fs))]
+        assert list(weights_to_strings(task, fs, w).items()) == \
+            [(format_feature(task, f), w[i]) for i, f in enumerate(fs.features)]
+    assert pinned_total > 0
 
 
 def test_evaluate_potential(toy1):
@@ -66,7 +161,7 @@ def test_evaluate_potential_false_feature(toy1):
 def test_truth_matrix_matches_true_in(seed):
     task = random_task(4, 3, 6, seed)
     states = list(iter_states(task.domain_sizes))
-    for fs in (FeatureSet(()), generate_features(task, 1), generate_features(task, 2),
+    for fs in (FeatureSet.of(()), generate_features(task, 1), generate_features(task, 2),
                random_features(task, 10, 3, seed)):
         truth = truth_matrix(fs, states)
         assert truth.shape == (len(states), len(fs))
@@ -91,7 +186,7 @@ def test_classify_dim1_has_no_context(toy1):
 
 def test_classify_three_variable_feature():
     from potplan.task import Operator
-    fs = FeatureSet((Feature.of(((0, 0), (1, 0), (2, 0))),))
+    fs = FeatureSet.of((Feature.of(((0, 0), (1, 0), (2, 0))),))
     touches_only_a = Operator("o", {0: 0}, {0: 1}, 1)
     part = classify_features(fs, touches_only_a)
     assert part.context_dependent == (0,)

@@ -125,7 +125,7 @@ def test_exhaustive_model_matches_reference(name):
     task = TASKS[name]()
     ts = build_transition_system(task)
     feature_sets = [generate_features(task, 1), generate_features(task, 2),
-                    random_features(task, 8, 3, 0), FeatureSet(())]
+                    random_features(task, 8, 3, 0), FeatureSet.of(())]
     for fs in feature_sets:
         assert_same_model(build_exhaustive_lp(task, fs, ts),
                           reference_exhaustive_model(task, kept(task, fs), ts))
@@ -247,8 +247,8 @@ def untouched_task():
     """Features over variables 1 and 2 only: operators on variable 0 alone
     touch no feature."""
     task = random_task(4, 3, 6, 3)
-    return task, FeatureSet(tuple(f for f in generate_features(task, 2)
-                                  if set(variables_of(f)) <= {1, 2}))
+    return task, FeatureSet.of(tuple(f for f in generate_features(task, 2)
+                                     if set(variables_of(f)) <= {1, 2}))
 
 
 def with_features(make_task, dimension):
@@ -316,7 +316,7 @@ def untouched_dimension3():
     """No feature mentions variable 4: the two operators on it alone touch
     no feature."""
     task, fs = random_dimension(3, 3)
-    return task, FeatureSet(tuple(f for f in fs if 4 not in variables_of(f)))
+    return task, FeatureSet.of(tuple(f for f in fs if 4 not in variables_of(f)))
 
 
 LOOP_CASES = {"k4_reduction": k4_reduction, "domain1_alias": make_alias_task,

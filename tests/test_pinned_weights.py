@@ -23,9 +23,8 @@ from potplan import direct2d
 from potplan.cli import main
 from potplan.direct2d import (all_states_objective, build_direct2d_lp, build_exhaustive_lp,
                               build_general_lp, extract_result, solve_for_state,
-                              state_objective, weight_var_name)
-from potplan.features import (Feature, FeatureSet, format_feature, generate_features,
-                              kept_features, truth_matrix)
+                              state_objective)
+from potplan.features import Feature, FeatureSet, generate_features, kept_features, truth_matrix
 from potplan.generator import random_task
 from potplan.lp import LpModel, export_lp, solve
 from potplan.search import PotentialHeuristic, validate
@@ -33,8 +32,9 @@ from potplan.task import (build_transition_system, exact_goal_distances, parse_s
                           serialize_sas, state_index)
 
 from conftest import make_alias_task, make_toy1
-from reference_builders import (iter_states, parse_lp, random_features,
-                                reference_exhaustive_model, reference_general_model)
+from reference_builders import (format_feature, iter_states, parse_lp, random_features,
+                                reference_exhaustive_model, reference_general_model,
+                                weight_var_name)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 COMPACT_502_1 = os.path.join(DATA, "compact_502_1.sas")
@@ -65,7 +65,7 @@ def random_subset(task, dimension, seed, keep):
     """A random share `keep` of all conjunctions up to the dimension, so that
     some families of a pin rule are complete and others are not."""
     rng = random.Random(f"subset:{seed}:{dimension}")
-    return FeatureSet(tuple(f for f in conjunctions(task, dimension) if rng.random() < keep))
+    return FeatureSet.of(tuple(f for f in conjunctions(task, dimension) if rng.random() < keep))
 
 
 def feature_sets(task, dimension, seed):
@@ -74,7 +74,7 @@ def feature_sets(task, dimension, seed):
     if dimension <= 2:
         sets.append(generate_features(task, dimension))
     else:
-        sets.append(FeatureSet(tuple(conjunctions(task, 3))))
+        sets.append(FeatureSet.of(tuple(conjunctions(task, 3))))
     return sets
 
 
@@ -107,7 +107,7 @@ def test_pin_counts_on_a_ten_variable_task():
             if i not in left_out and any(val == 0 for _, val in f.facts)] == [0]
     atoms = [f for f in fs.features if f.size == 1]
     triples = [Feature(((0, 0), (1, 0), (2, 0))), Feature(((3, 0), (5, 1), (9, 0)))]
-    fs = FeatureSet(tuple(atoms + triples))
+    fs = FeatureSet.of(tuple(atoms + triples))
     assert [fs.features[i].facts for i in pinned(fs, task.domain_sizes)] == \
         [((v, 0),) for v in range(1, 10)]
 
@@ -116,8 +116,8 @@ def test_no_anchor_pins_no_atom():
     """Without a variable whose atoms are all present the constant is not
     expressible, so no atom is pinned; a pair whose family is complete is."""
     task = make_toy1()
-    fs = FeatureSet((Feature(((0, 0),)), Feature(((1, 1),)), Feature(((0, 0), (1, 0))),
-                     Feature(((0, 0), (1, 1)))))
+    fs = FeatureSet.of((Feature(((0, 0),)), Feature(((1, 1),)), Feature(((0, 0), (1, 0))),
+                        Feature(((0, 0), (1, 1)))))
     assert pinned(fs, task.domain_sizes) == [2]
     task, fs = make_alias_task()
     assert pinned(fs, task.domain_sizes) == []
@@ -145,7 +145,7 @@ def test_kept_set_below_the_dimension_of_its_set():
     """The pair with the domain-1 variable b is pinned, so the kept set has
     dimension 1 and tables one fact wide."""
     task, _ = make_alias_task()
-    fs = FeatureSet((Feature(((0, 0),)), Feature(((0, 1),)), Feature(((0, 1), (1, 0)))))
+    fs = FeatureSet.of((Feature(((0, 0),)), Feature(((0, 1),)), Feature(((0, 1), (1, 0)))))
     kept = assert_computed_once(task, fs)
     assert (fs.dimension, len(kept), kept.dimension, kept.fact_table.shape) == (2, 2, 1, (2, 1, 2))
 
@@ -210,7 +210,7 @@ def test_all_states_objective_is_the_mean_over_states():
     """Over the kept features' columns, each feature's share of all
     syntactic states."""
     task = random_task(4, 3, 6, 1)
-    fs = FeatureSet(tuple(conjunctions(task, 3)))
+    fs = FeatureSet.of(tuple(conjunctions(task, 3)))
     kept = kept_features(fs, task.domain_sizes)[0]
     states = list(iter_states(task.domain_sizes))
     expected = truth_matrix(kept, states).sum(axis=0) / len(states)

@@ -30,10 +30,11 @@ read back; each task also gets two `compare` calls, with `--state random:2`
 and `random:3`, so that the OCP and TCP models of 24 more state sets are
 compared LP by LP), and `random_task(4, 3, 6, seed)` with
 `random_features(task, 10, dim, seed)` for seeds 0..5 and dimensions 1-4 as
-feature files (`random_features` is taken from `tests/reference_builders.py`
-beside this tool, and a worker of its own writes these files with the tree
-this tool is in, so either tree can be BEFORE_TREE and the files stay the
-same), plus four `--order` files (at dimension 3 one that reverses every
+feature files (`random_features` and `format_feature`, which writes every
+feature file and weight key the tool makes, are taken from
+`tests/reference_builders.py` beside this tool, and a worker of its own
+writes these files with the tree this tool is in, so either tree can be
+BEFORE_TREE and the files stay the same), plus four `--order` files (at dimension 3 one that reverses every
 operator's min-fill order, one that gives every other operator a seeded
 random order and leaves the rest to min-fill, and one missing a variable; at
 dimension 2 one that gives an operator with two context variables an order
@@ -134,10 +135,9 @@ def write_features(tree: str, workdir: str) -> None:
     """Write the random feature files with `tree`, the one this tool is in,
     and the `random_features` of its tests."""
     _import_potplan(tree)
-    from potplan.features import format_feature
     from potplan.generator import random_task
     sys.path.insert(0, os.path.join(TOOL_TREE, "tests"))
-    from reference_builders import random_features
+    from reference_builders import format_feature, random_features
     os.chdir(workdir)
     for seed in RANDOM_SEEDS:
         task = random_task(4, 3, 6, seed)
@@ -151,9 +151,11 @@ def prepare(tree: str, workdir: str, extra: list[str]) -> None:
     list of argument vectors."""
     potplan = _import_potplan(tree)
     from potplan.elimination import adjacency, classify, eliminate_graphs
-    from potplan.features import Feature, FeatureSet, format_feature, parse_feature_file
+    from potplan.features import Feature, parse_feature_file
     from potplan.generator import random_task
     from potplan.task import Operator, Task, Variable, serialize_sas
+    sys.path.insert(0, os.path.join(TOOL_TREE, "tests"))
+    from reference_builders import format_feature
     os.chdir(workdir)
     calls = []
     for seed in GEN_SEEDS:
@@ -252,8 +254,9 @@ def prepare(tree: str, workdir: str, extra: list[str]) -> None:
                   Variable(2, "c", 2, ("0", "1"))],
                  [Operator("o", {0: 0}, {0: 1}, 1)], (0, 0, 0), {0: 1, 1: 0, 2: 0})
     sas = _write("alias.sas", serialize_sas(alias))
-    fs = FeatureSet((Feature(((0, 0), (1, 0), (2, 0))), Feature(((0, 0), (2, 1)))))
-    features = _write("alias.features", "".join(format_feature(alias, f) + "\n" for f in fs))
+    features = _write("alias.features", "".join(
+        format_feature(alias, f) + "\n"
+        for f in (Feature(((0, 0), (1, 0), (2, 0))), Feature(((0, 0), (2, 1))))))
     _write("alias_order.json", json.dumps({"o": ["a", "b", "c"]}))
     base = ["--method", "bucket", "--dim", "3", "--features", features,
             "--order", "alias_order.json", sas]
