@@ -52,7 +52,7 @@ from .elimination import (adjacency, check_order, classify, eliminate_buckets,
 from .features import FeatureSet, evaluate_potential, joined_facts, kept_features, truth_matrix
 from .lp import OPTIMALITY_TOL, LpModel, LpSolution, solve
 from .task import (DEFAULT_STATE_CAP, State, SuccessorGenerator, Task,
-                   TransitionSystem, build_transition_system, successor)
+                   TransitionSystem, build_transition_system)
 from .tnf import is_tnf
 
 # The weights' box in `solve_for_state`'s tie-break if it is unbounded.  A
@@ -165,7 +165,8 @@ def sample_states(task: Task, count: int, seed: int) -> list[State]:
         for _ in range(rng.randint(0, 4 * len(task.variables))):
             if not (applicable := successors.applicable(state)):
                 break
-            state = successor(state, task.operators[rng.choice(applicable)])
+            effect = dict(successors.effect[rng.choice(applicable)])
+            state = tuple(effect.get(var, val) for var, val in enumerate(state))
         states.append(state)
     return states
 

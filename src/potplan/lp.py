@@ -13,11 +13,9 @@ the last optimal basis; rows appended and bounds changed after a solve are
 handed to that session.  A session gets each sign row (one term, right-hand
 side 0) of the model as built as a bound at 0 on its column, and the other
 rows and every row appended later as rows, in model order; the model and
-its row re-check keep every row.  A session's first run starts primal
-simplex from the slack basis, with presolve off, when x = 0 is a feasible
-basic point (presolve would throw that feasible basis away), and dual
-simplex after presolve otherwise.  A warm run that ends undecided is solved
-again on a fresh session.
+its row re-check keep every row.  Every run is primal simplex with presolve
+off, from the slack basis (x = 0) or the last basis; a warm run that ends
+undecided runs again on a fresh session.
 """
 
 from __future__ import annotations
@@ -312,17 +310,6 @@ def _sign_rows(indptr: np.ndarray, columns: np.ndarray, coefficients: np.ndarray
     return others, (at[codes >= RELATIONS.index("=")], at[codes <= RELATIONS.index("=")])
 
 
-def _origin_feasible(lower: np.ndarray, upper: np.ndarray, relations: np.ndarray,
-                     rhs: np.ndarray) -> bool:
-    """Whether x = 0 is a feasible basic point: every column is free or has
-    0 as a bound, and its bounds hold 0, and every row holds at 0."""
-    free = (lower == -np.inf) & (upper == np.inf)
-    rest = free | ((lower == 0) & (upper >= 0)) | ((upper == 0) & (lower <= 0))
-    holds = np.where(relations == RELATIONS.index("<="), rhs >= 0,
-                     np.where(relations == RELATIONS.index(">="), rhs <= 0, rhs == 0))
-    return bool(rest.all() and holds.all())
-
-
 class _Session:
     """A model's HiGHS object, built from the model as it is at its first
     solve and kept until a column is added: it holds the model's columns,
@@ -341,27 +328,20 @@ class _Session:
     row re-check keep every row; a sign row's multiplier is its column's
     `col_dual` in HiGHS, not a `row_dual`.
 
-    `origin_feasible` says whether x = 0 is a feasible basic point of the
-    model as built, with the sign rows' bounds.  HiGHS's slack basis is then
-    primal feasible, so the first run is primal simplex with presolve off
-    and skips phase 1: presolve would hand the simplex a reduced model whose
-    slack basis is not feasible, and after postsolve HiGHS would solve the
-    whole model again.  Dual simplex would first repair the dual
-    infeasibility of the free columns.  Every `src/` model qualifies, since
-    columns are declared free; a model with a column boxed away from 0 (a
-    fresh session after `direct2d.solve_for_state`'s fallback) gets dual
-    simplex after presolve."""
+    Every run is primal simplex with presolve off.  x = 0 satisfies every
+    model that the program builds, so the slack basis is primal feasible
+    and phase 1 is skipped; presolve would hand the simplex a reduced model
+    whose slack basis is not, and HiGHS would solve the whole model again
+    after postsolve.  Where x = 0 is not feasible (a restart after
+    `direct2d.solve_for_state`'s tie-break row or box), phase 1 runs."""
 
     def __init__(self, model: LpModel):
         self.highs = highs_core._Highs()
-        self.solved = False
-        for option in ("output_flag", "log_to_console"):
-            self.highs.setOptionValue(option, False)
+        for option, value in (("output_flag", False), ("log_to_console", False),
+                              ("simplex_strategy", 4), ("presolve", "off")):
+            self.highs.setOptionValue(option, value)
         rows, (self.below, self.above) = _sign_rows(*model.rows)
         lower, upper = self._clamped(model.lower, model.upper)
-        self.origin_feasible = _origin_feasible(lower, upper, *rows[3:])
-        self.highs.setOptionValue("simplex_strategy", 4 if self.origin_feasible else 1)
-        self.highs.setOptionValue("presolve", "off" if self.origin_feasible else "on")
         if self.highs.addVars(len(lower), lower, upper) == highs_core.HighsStatus.kError:
             raise SolverFailureError("HiGHS refused the columns")
         self.add_rows(*rows)
@@ -394,18 +374,13 @@ class _Session:
             raise SolverFailureError("HiGHS refused the rows")
 
     def run(self, cost: np.ndarray):
-        """Minimize the cost vector and return HiGHS's model status.  The
-        first run starts as `__init__` set it, by `origin_feasible`; later
-        ones start from the last basis by primal simplex (HiGHS uses no
-        presolve with a basis), which stays primal feasible when only the
-        cost changes (and after appended rows that the last optimum
-        satisfies, such as `direct2d`'s tie-break row); after new bounds it
-        may first have to regain feasibility."""
-        if self.solved:
-            self.highs.setOptionValue("simplex_strategy", 4)
+        """Minimize the cost vector and return HiGHS's model status.  A run
+        after the first starts from the last basis, which stays primal
+        feasible when only the cost changes (and after appended rows that
+        the last optimum satisfies, such as `direct2d`'s tie-break row);
+        after new bounds it may first have to regain feasibility."""
         self.highs.changeColsCost(len(cost), np.arange(len(cost), dtype=np.int32), cost)
         self.highs.run()
-        self.solved = True
         return self.highs.getModelStatus()
 
 
@@ -418,10 +393,10 @@ def solve(model: LpModel) -> LpSolution:
         return LpSolution("infeasible") if check_solution(model, x) else _finish(model, x)
     c = np.zeros(len(model.names))  # HiGHS minimizes the negated objective
     c[list(model.objective)] = -np.array(list(model.objective.values()))
-    if model._session is None:
+    warm = model._session is not None
+    if not warm:
         model._session = _Session(model)
     session, statuses = model._session, highs_core.HighsModelStatus
-    warm = session.solved
     status = session.run(c)
     if warm and status not in (statuses.kOptimal, statuses.kInfeasible, statuses.kUnbounded):
         # A warm start can end undecided (HiGHS reports "Unknown" when it

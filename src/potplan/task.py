@@ -347,10 +347,13 @@ def parse_sas(text: str) -> Task:
         raise SasParseError(f"metric flag must be 0 or 1, found {metric}", cur.line_no)
     cur.expect("end_metric")
 
-    variables = []
+    variables, names = [], set()
     for var_id in range(cur.next_int("variable count")):
         cur.expect("begin_variable")
         name = cur.next()
+        if name in names:
+            raise SasParseError(f"variable name '{name}' used twice", cur.line_no)
+        names.add(name)
         axiom_layer = cur.next_int("axiom layer")
         if axiom_layer != -1:
             raise UnsupportedFeatureError(
@@ -358,9 +361,15 @@ def parse_sas(text: str) -> Task:
         size = cur.next_int("domain size")
         if size < 1:
             raise SasParseError(f"variable {name}: empty domain", cur.line_no)
-        values = tuple(cur.next() for _ in range(size))
+        values: dict[str, None] = {}  # value names in order
+        for _ in range(size):
+            value = cur.next()
+            if value in values:
+                raise SasParseError(f"variable {name}: value name '{value}' used twice",
+                                    cur.line_no)
+            values[value] = None
         cur.expect("end_variable")
-        variables.append(Variable(var_id, name, size, values))
+        variables.append(Variable(var_id, name, size, tuple(values)))
 
     def check_fact(var: int, val: int, what: str) -> None:
         if not 0 <= var < len(variables):

@@ -25,6 +25,15 @@ def is_tnf(task: Task) -> bool:
     return all(set(op.pre) == set(op.eff) for op in task.operators)
 
 
+def _fresh_value_name(names: tuple[str, ...]) -> str:
+    """FRESH_VALUE_NAME, primed until no value of the variable has it, so
+    that value names stay distinct."""
+    name = FRESH_VALUE_NAME
+    while name in names:
+        name += "'"
+    return name
+
+
 def to_tnf(task: Task) -> tuple[Task, TnfCertificate]:
     """Normalize a task, preserving optimal plan cost.
 
@@ -38,7 +47,7 @@ def to_tnf(task: Task) -> tuple[Task, TnfCertificate]:
     fresh = {var.id: var.domain_size for var in task.variables}
     variables = [
         Variable(var.id, var.name, var.domain_size + 1,
-                 var.value_names + (FRESH_VALUE_NAME,))
+                 var.value_names + (_fresh_value_name(var.value_names),))
         for var in task.variables
     ]
 

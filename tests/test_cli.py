@@ -54,6 +54,22 @@ def test_validate_task_bad_file(capsys, tmp_path):
     assert code == 1 and "error" in err
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("begin_variable\nY", "begin_variable\nX", "line 16: variable name 'X' used twice"),
+    ("2\n0\n1\nend_variable\nbegin_variable\nY", "2\n0\n0\nend_variable\nbegin_variable\nY",
+     "line 13: variable X: value name '0' used twice")],
+    ids=["variable", "value"])
+def test_repeated_names_are_refused(capsys, tmp_path, old, new, message):
+    """A variable name used twice, or a value name used twice within one
+    variable, is a parse error naming its line: the printed weights would
+    key two features alike."""
+    path = tmp_path / "twice.sas"
+    path.write_text(TOY1_SAS.replace(old, new, 1))
+    assert path.read_text() != TOY1_SAS
+    code, out, err = run_cli(capsys, "solve", "--dim", "1", str(path))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_tnf_subcommand(capsys, tmp_path, toy1_file):
     partial = tmp_path / "partial.sas"
     partial.write_text(TOY1_SAS.replace("begin_goal\n2\n0 1\n1 1",

@@ -207,9 +207,9 @@ def test_shift_normalization(seed):
 @pytest.mark.parametrize("seed", range(6))
 def test_tcp_equals_potential_and_dominates_ocp_on_larger_tasks(seed):
     """On tasks of 144 to 2,304 states, the TCP optimum (whose first run is
-    primal simplex from the origin) equals the maximal potential over
-    abstraction features in the dimension-2 and the exhaustive model (both
-    dual first runs), and OCP stays below it, state by state."""
+    primal simplex from the origin, like every run) equals the maximal
+    potential over abstraction features in the dimension-2 and the
+    exhaustive model, and OCP stays below it, state by state."""
     task = random_task(6, 4, 16, seed)
     ts = build_transition_system(task)
     patterns = all_patterns(len(task.variables))

@@ -555,7 +555,7 @@ def test_solve_matches_linprog():
     """Same status as linprog on the same arrays, and on optimal models the
     same vertex within 1e-12 relative (HiGHS gets the rows in model order,
     not in linprog's order, so the last bits may differ)."""
-    statuses, no_rows, free = set(), 0, 0
+    statuses, no_rows, free, origin_infeasible = set(), 0, 0, 0
     for seed in range(120):
         m = _seeded_model(seed)
         ours, reference = solve(m), _linprog(m)
@@ -566,19 +566,33 @@ def test_solve_matches_linprog():
         statuses.add(expected)
         no_rows += not model_rows(m)
         free += bool(np.any(np.isinf(m.lower) & np.isinf(m.upper)))
+        origin_infeasible += _origin_infeasible(m)
     assert statuses == {"optimal", "infeasible", "unbounded"} and no_rows and free
+    assert origin_infeasible
 
 
-# HiGHS's simplex_strategy and presolve values: primal simplex on the model
-# as built, dual simplex after presolve
-PRIMAL, DUAL = (4, "off"), (1, "on")
+# HiGHS's simplex_strategy and presolve values of every run: primal simplex
+# on the model as built
+PRIMAL = (4, "off")
 
 
 def _cold_strategy(model):
-    """The simplex strategy and presolve option of the first run of the
-    model's session, read after it and before a warm run."""
+    """The simplex strategy and presolve option of the model's session."""
     highs = model._session.highs
     return highs.getOptionValue("simplex_strategy")[1], highs.getOptionValue("presolve")[1]
+
+
+def _origin_infeasible(model):
+    """Whether x = 0 is not a feasible basic point of the model: a row fails
+    at x = 0, or a column that is not free has bounds, intersected with its
+    sign rows' bounds at 0, that leave out 0 or do not have 0 as a bound."""
+    _, relations, rhs = model.row_table()
+    fails = np.where(relations == RELATIONS.index("<="), rhs < 0,
+                     np.where(relations == RELATIONS.index(">="), rhs > 0, rhs != 0))
+    lower, upper, _ = _effective_bounds(model)
+    free = (lower == -math.inf) & (upper == math.inf)
+    at_zero = ((lower == 0) & (upper >= 0)) | ((upper == 0) & (lower <= 0))
+    return bool(fails.any() or not np.all(free | at_zero))
 
 
 def _origin_feasible_model(seed):
@@ -612,7 +626,7 @@ def test_origin_feasible_models_start_primal_and_match_dual_simplex():
     for seed in range(80):
         m = _origin_feasible_model(seed)
         ours, reference = solve(m), _linprog(m, "highs-ds")
-        assert _cold_strategy(m) == PRIMAL, seed
+        assert not _origin_infeasible(m) and _cold_strategy(m) == PRIMAL, seed
         expected = {0: "optimal", 3: "unbounded"}[reference.status]
         assert ours.status == expected, seed
         if expected == "optimal":
@@ -627,14 +641,19 @@ def test_origin_feasible_models_start_primal_and_match_dual_simplex():
     ((-math.inf, math.inf), "=", 2.0), ((1.0, 5.0), "<=", 10.0),
     ((-math.inf, 5.0), "<=", 10.0), ((-3.0, 3.0), ">=", -10.0)],
     ids=["row-ge", "row-le", "row-eq", "lower-1", "upper-5", "boxed"])
-def test_origin_infeasible_models_start_dual(bounds, relation, rhs):
+def test_origin_infeasible_models_start_primal_and_match_dual_simplex(bounds, relation, rhs):
     """A row that fails at x = 0, or a column whose bounds leave out 0 or
-    do not include 0 as a bound, keeps the dual first run after presolve."""
+    do not include 0 as a bound, gets the same primal first run without
+    presolve, which runs its own phase 1, with the status and optimum of
+    scipy's dual simplex."""
     m = LpModel()
     add_unknown(m, "x", *bounds)
     m.add_rows([0, 1], [0], [1.0], relation, rhs, ["row"])
     m.set_objective({0: 1.0 if relation == "<=" else -1.0})
-    assert solve(m).status == "optimal" and _cold_strategy(m) == DUAL
+    assert _origin_infeasible(m)
+    ours, reference = solve(m), _linprog(m, "highs-ds")
+    assert ours.status == "optimal" and reference.status == 0 and _cold_strategy(m) == PRIMAL
+    assert ours.objective_value == pytest.approx(-reference.fun, rel=1e-9, abs=1e-9)
 
 
 class _UndecidedOnce:
@@ -665,11 +684,11 @@ def _restart(model):
     return solution
 
 
-def test_rows_appended_to_an_origin_feasible_model_update_the_rule():
+def test_rows_appended_that_fail_at_the_origin_keep_the_primal_start():
     """A row appended after a solve that fails at x = 0 goes to the live
     session, whose next run is warm; the session that replaces it after an
-    undecided warm run starts dual after presolve, as a fresh copy's would.
-    The model's answer is unchanged by it."""
+    undecided warm run starts primal without presolve, as a fresh copy's
+    would.  The model's answer is unchanged by it."""
     m = LpModel()
     m.add_unknowns(["x"])
     m.add_rows([0, 1], [0], [1.0], "<=", 4.0, ["high"])
@@ -679,19 +698,19 @@ def test_rows_appended_to_an_origin_feasible_model_update_the_rule():
     m.add_rows([0, 1], [0], [1.0], ">=", 1.0, ["low"])
     assert solve(m).objective_value == 4.0 and m._session is session
     assert _restart(m).objective_value == 4.0
-    assert not m._session.origin_feasible and _cold_strategy(m) == DUAL
+    assert _origin_infeasible(m) and _cold_strategy(m) == PRIMAL
 
 
-@pytest.mark.parametrize("change, expected", [
-    (lambda m: m.add_rows([0, 1], [1], [1.0], ">=", 0.0, ["y_low"]), PRIMAL),
-    (lambda m: m.add_rows([0, 1], [1], [1.0], ">=", 0.5, ["y_low"]), DUAL),
-    (lambda m: m.set_bounds([1], [0.5], [1.0]), DUAL)],
+@pytest.mark.parametrize("change, origin_infeasible", [
+    (lambda m: m.add_rows([0, 1], [1], [1.0], ">=", 0.0, ["y_low"]), False),
+    (lambda m: m.add_rows([0, 1], [1], [1.0], ">=", 0.5, ["y_low"]), True),
+    (lambda m: m.set_bounds([1], [0.5], [1.0]), True)],
     ids=["holds-at-0", "fails-at-0", "bounds-away-from-0"])
-def test_undecided_warm_run_restarts_by_the_cold_rule(change, expected):
+def test_undecided_warm_run_restarts_by_the_cold_rule(change, origin_infeasible):
     """A warm run that ends undecided runs again on a new session, by the
-    rule of a first run on the model as it is then: after a first primal
-    run without presolve, a row appended that fails at x = 0, or bounds set
-    away from 0, make the restart dual simplex after presolve."""
+    rule of a first run on the model as it is then: primal simplex without
+    presolve, also after a row appended that fails at x = 0, or bounds set
+    away from 0."""
     m = LpModel()
     m.add_unknowns(["x", "y"])
     m.set_bounds([1], [0.0], [1.0])
@@ -701,7 +720,7 @@ def test_undecided_warm_run_restarts_by_the_cold_rule(change, expected):
     change(m)
     m.set_objective({0: 1.0, 1: 2.0})
     assert _restart(m).objective_value == 4.0
-    assert _cold_strategy(m) == expected
+    assert _origin_infeasible(m) == origin_infeasible and _cold_strategy(m) == PRIMAL
 
 
 def test_every_model_starts_primal():
@@ -738,8 +757,7 @@ def test_every_model_starts_primal():
         held = model._session.highs.getLp()
         assert held.num_row_ == model.row_table()[0].shape[0] - count
         assert (list(held.col_lower_), list(held.col_upper_)) == (lower.tolist(), upper.tolist())
-        free = (lower == -math.inf) & (upper == math.inf)
-        assert np.all(free | ((lower == 0) & (upper >= 0)) | ((upper == 0) & (lower <= 0)))
+        assert not _origin_infeasible(model)
         signs.append(count)
     assert signs[0] and signs[-2] and signs[-1], signs  # direct2d, TCP, OCP
 
@@ -838,7 +856,7 @@ def test_sign_row_against_a_model_bound_is_infeasible(relation, coefficient):
     assert solve(m).status == "infeasible"
     held = m._session.highs.getLp()
     assert (held.num_row_, held.col_lower_[0], held.col_upper_[0]) == (0, 1.0, 0.0)
-    assert not m._session.origin_feasible and _cold_strategy(m) == DUAL
+    assert _origin_infeasible(m) and _cold_strategy(m) == PRIMAL
 
 
 def _two_rows():
@@ -1096,26 +1114,27 @@ def test_set_bounds_refuses_and_changes_nothing(columns, lower, upper, message):
         assert solve(m).objective_value == 4.0, warm
 
 
-def test_bounds_away_from_zero_keep_the_dual_start():
+def test_bounds_away_from_zero_keep_the_primal_start():
     """Bounds set after a solve go to the live session, whose next run is
     warm; the session that replaces it after an undecided warm run starts
-    dual after presolve when a bound is away from 0, as the session of a
-    model given those bounds before its first solve would."""
+    primal without presolve, also when a bound is away from 0, as the
+    session of a model given those bounds before its first solve does."""
     m = LpModel()
     m.add_unknowns(["x"])
     m.add_rows([0, 1], [0], [1.0], "<=", 4.0, ["high"])
     m.set_objective({0: 1.0})
     assert solve(m).objective_value == 4.0 and _cold_strategy(m) == PRIMAL
-    for lower, upper, expected in [(0.0, 2.0, PRIMAL), (1.0, 3.0, DUAL)]:
+    for lower, upper, origin_infeasible in [(0.0, 2.0, False), (1.0, 3.0, True)]:
         m.set_bounds([0], [lower], [upper])
         session = m._session
         assert solve(m).objective_value == upper and m._session is session
-        assert _restart(m).objective_value == upper and _cold_strategy(m) == expected
+        assert _restart(m).objective_value == upper and _cold_strategy(m) == PRIMAL
         declared = LpModel()
         add_unknown(declared, "x", lower, upper)
         declared.add_rows([0, 1], [0], [1.0], "<=", 4.0, ["high"])
         declared.set_objective({0: 1.0})
-        assert solve(declared).objective_value == upper and _cold_strategy(declared) == expected
+        assert _origin_infeasible(declared) == origin_infeasible
+        assert solve(declared).objective_value == upper and _cold_strategy(declared) == PRIMAL
 
 
 def test_warm_resolve_through_unbounded():

@@ -21,8 +21,10 @@ names = st.text(st.characters(categories=("L", "N", "P", "S")), min_size=1, max_
 @st.composite
 def tasks(draw) -> Task:
     sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
-    variables = [Variable(i, draw(names), size,
-                          tuple(draw(st.lists(names, min_size=size, max_size=size))))
+    # Variable names are distinct, and so are value names within a variable.
+    var_names = draw(st.lists(names, min_size=len(sizes), max_size=len(sizes), unique=True))
+    variables = [Variable(i, var_names[i], size, tuple(
+                     draw(st.lists(names, min_size=size, max_size=size, unique=True))))
                  for i, size in enumerate(sizes)]
 
     def values(scope):

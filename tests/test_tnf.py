@@ -3,8 +3,9 @@ import math
 import pytest
 
 from potplan.generator import random_task
-from potplan.task import Operator, Task, build_transition_system, exact_goal_distances
-from potplan.tnf import is_tnf, to_tnf
+from potplan.task import (Operator, Task, Variable, build_transition_system,
+                          exact_goal_distances, parse_sas, serialize_sas)
+from potplan.tnf import FRESH_VALUE_NAME, is_tnf, to_tnf
 
 
 def optimal_cost(task, cap=200_000):
@@ -45,6 +46,18 @@ def test_to_tnf_partial_goal(toy1):
     for op_id in certificate.added_operators:
         op = result.operators[op_id]
         assert op.cost == 0 and len(op.pre) == 1 and len(op.eff) == 1
+
+
+def test_fresh_value_name_is_distinct(toy1):
+    """A value already named like the fresh value leaves the fresh one
+    primed, so that the written task reads back."""
+    x = toy1.variables[0]
+    named = Variable(x.id, x.name, 2, ("0", FRESH_VALUE_NAME))
+    task = Task([named, toy1.variables[1]], toy1.operators, toy1.initial_state, {1: 1})
+    result, _ = to_tnf(task)
+    assert result.variables[0].value_names == ("0", FRESH_VALUE_NAME, FRESH_VALUE_NAME + "'")
+    assert result.variables[1].value_names == ("0", "1", FRESH_VALUE_NAME)
+    assert parse_sas(serialize_sas(result)) == result
 
 
 def test_to_tnf_partial_operator(toy1):
