@@ -5,17 +5,15 @@ feature in the set's order.
 
 A feature is a conjunction of facts over pairwise distinct variables.  The
 potential of a state is the sum of the weights of all features true in it.
-A feature set is its table: generation, the checks, pinning and the names
-of its features (`joined_facts`) all work on the table by array, and a
-`Feature` object per feature is built only when something asks for one (the
-parser, `reduction` and the tests).
+A feature set is its table: the readers (`parse_feature_file`,
+`weights_from_strings`) and `reduction` hand their conjunctions to
+`FeatureSet.of`, and generation, the checks, pinning and the names of its
+features (`joined_facts`) all work on the table by array.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -26,31 +24,6 @@ class FeatureError(ValueError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class Feature:
-    facts: tuple[tuple[int, int], ...]  # sorted by variable id, variables distinct
-
-    def __post_init__(self):
-        if not self.facts:
-            raise FeatureError("empty feature")
-        variables = [var for var, _ in self.facts]
-        if sorted(variables) != variables or len(set(variables)) != len(variables):
-            raise FeatureError(f"feature facts must be sorted over distinct variables: "
-                               f"{self.facts}")
-
-    @classmethod
-    def of(cls, facts) -> "Feature":
-        facts = tuple(sorted(facts))
-        variables = [var for var, _ in facts]
-        if len(set(variables)) != len(variables):
-            raise FeatureError(f"conjunction mentions a variable twice: {facts}")
-        return cls(facts)
-
-    @property
-    def size(self) -> int:
-        return len(self.facts)
-
-
 class FeatureSet:
     """Distinct features as one table, checked once.  `fact_table` holds
     the facts as a (feature, fact, (variable, value)) int64 array, each
@@ -58,8 +31,8 @@ class FeatureSet:
     the set's `dimension` (the largest size), which leaves the conjunction
     unchanged; `distinct` is the (feature, fact) mask of the facts that are
     not such repeats.  A table wider than its largest feature is trimmed to
-    it.  `features` builds one `Feature` per row when first asked.  The set
-    also keeps what `kept_features` found for it, by domain sizes."""
+    it.  The set also keeps what `kept_features` found for it, by domain
+    sizes."""
 
     def __init__(self, fact_table):
         table = np.asarray(fact_table, dtype=np.int64)
@@ -97,24 +70,24 @@ class FeatureSet:
         return rows
 
     @classmethod
-    def of(cls, features) -> "FeatureSet":
-        """The set of the given `Feature`s, in their order."""
-        features = tuple(features)
-        width = max((f.size for f in features), default=0)
-        return cls(np.array(
-            [x for f in features for fact in f.facts + f.facts[-1:] * (width - f.size)
-             for x in fact], dtype=np.int64).reshape(len(features), width, 2))
-
-    @cached_property
-    def features(self) -> tuple[Feature, ...]:
-        return tuple(Feature(tuple(map(tuple, row[:size]))) for row, size in
-                     zip(self.fact_table.tolist(), self.distinct.sum(axis=1).tolist()))
+    def of(cls, conjunctions) -> "FeatureSet":
+        """The set of the given conjunctions, in their order: each is an
+        iterable of (variable, value) facts in any order, checked before
+        the next one is taken."""
+        rows = []
+        for facts in conjunctions:
+            facts = tuple(sorted(facts))
+            if not facts:
+                raise FeatureError("empty feature")
+            if len({var for var, _ in facts}) != len(facts):
+                raise FeatureError(f"conjunction mentions a variable twice: {facts}")
+            rows.append(facts)
+        width = max(map(len, rows), default=0)
+        return cls(np.array([facts + facts[-1:] * (width - len(facts)) for facts in rows],
+                            dtype=np.int64).reshape(len(rows), width, 2))
 
     def __len__(self) -> int:
         return len(self.fact_table)
-
-    def __iter__(self):
-        return iter(self.features)
 
 
 def generate_features(task: Task, dimension: int) -> FeatureSet:
@@ -237,7 +210,8 @@ def joined_facts(fs: FeatureSet, fact_names: list[list[str]], separator: str) ->
     return joined.tolist()
 
 
-def parse_feature(task: Task, text: str) -> Feature:
+def parse_feature(task: Task, text: str) -> tuple[tuple[int, int], ...]:
+    """The facts of `var=val & var=val & ...`, in the text's order."""
     by_name = {var.name: var for var in task.variables}
     facts = []
     for part in text.split("&"):
@@ -255,18 +229,13 @@ def parse_feature(task: Task, text: str) -> Feature:
             raise FeatureError(f"unknown value '{val_name}' for variable "
                                f"{var.name}") from None
         facts.append((var.id, val))
-    return Feature.of(facts)
+    return tuple(facts)
 
 
 def parse_feature_file(task: Task, text: str) -> FeatureSet:
     """One feature per non-empty line, `var=val & var=val & ...`."""
-    features = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        features.append(parse_feature(task, line))
-    return FeatureSet.of(features)
+    return FeatureSet.of(parse_feature(task, line) for line in map(str.strip, text.splitlines())
+                         if line and not line.startswith("#"))
 
 
 def weights_to_strings(task: Task, fs: FeatureSet, w: list[float]) -> dict[str, float]:
@@ -282,15 +251,19 @@ def weights_from_strings(task: Task, mapping: dict[str, float]) -> tuple[Feature
     integer must fit a float (JSON reads `1e400` as inf, which passes)."""
     if not isinstance(mapping, dict):
         raise FeatureError("weights must map feature strings to numbers")
-    features, values = [], []
-    for text, weight in mapping.items():
-        features.append(parse_feature(task, text))
-        try:
-            number = not isinstance(weight, bool) and isinstance(weight, (int, float)) \
-                and not math.isnan(weight)
-        except OverflowError:  # an int beyond float range
-            number = False
-        if not number:
-            raise FeatureError(f"weight of '{text}' is not a number: {weight!r}")
-        values.append(float(weight))
-    return FeatureSet.of(features), values
+    values = []
+
+    def conjunctions():
+        for text, weight in mapping.items():
+            yield parse_feature(task, text)
+            try:
+                number = not isinstance(weight, bool) and isinstance(weight, (int, float)) \
+                    and not math.isnan(weight)
+            except OverflowError:  # an int beyond float range
+                number = False
+            if not number:
+                raise FeatureError(f"weight of '{text}' is not a number: {weight!r}")
+            values.append(float(weight))
+
+    fs = FeatureSet.of(conjunctions())  # checks each key's facts before its weight
+    return fs, values

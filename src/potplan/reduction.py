@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .features import Feature, FeatureSet
+from .features import FeatureSet
 from .task import Operator, Task, Variable
 
 COLORS = ("red", "green", "blue")
@@ -134,12 +134,12 @@ def reduce_3col(graph: Graph) -> Reduction:
     goal[master] = 1
     task = Task(variables, operators, initial, goal)
 
-    features = [Feature(((master, 1),))]
+    features = [((master, 1),)]
     values = [float(len(graph.edges) - 1)]
     for u, v in sorted(graph.edges):
         for m in (0, 1):
             for cu in range(3):
                 for cv in range(3):
-                    features.append(Feature.of(((u, cu), (v, cv), (master, m))))
+                    features.append(((u, cu), (v, cv), (master, m)))
                     values.append(-1.0 if m == 1 and cu != cv else 0.0)
     return Reduction(graph, task, FeatureSet.of(features), values, master, 0)

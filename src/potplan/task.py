@@ -333,7 +333,10 @@ def parse_sas(text: str) -> Task:
 
     Mutex sections are read and ignored.  Axioms and conditional effects are
     rejected as unsupported.  When the metric flag is 0 all operator costs
-    are taken to be 1.
+    are taken to be 1.  Feature strings and weight keys name facts by these
+    names, so a variable name used twice, a value name used twice within
+    its variable, a variable name with '&' or '=' and a value name with '&'
+    are refused.
     """
     cur = _Cursor(text)
     cur.expect("begin_version")
@@ -353,6 +356,9 @@ def parse_sas(text: str) -> Task:
         name = cur.next()
         if name in names:
             raise SasParseError(f"variable name '{name}' used twice", cur.line_no)
+        for char in "&=":
+            if char in name:
+                raise SasParseError(f"variable name '{name}' contains '{char}'", cur.line_no)
         names.add(name)
         axiom_layer = cur.next_int("axiom layer")
         if axiom_layer != -1:
@@ -366,6 +372,9 @@ def parse_sas(text: str) -> Task:
             value = cur.next()
             if value in values:
                 raise SasParseError(f"variable {name}: value name '{value}' used twice",
+                                    cur.line_no)
+            if "&" in value:
+                raise SasParseError(f"variable {name}: value name '{value}' contains '&'",
                                     cur.line_no)
             values[value] = None
         cur.expect("end_variable")

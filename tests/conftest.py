@@ -9,7 +9,7 @@ try:
 except ImportError:  # running from a source checkout without installing
     sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
-from potplan.features import Feature, FeatureSet
+from potplan.features import FeatureSet
 from potplan.lp import LinearExpression, LpModel
 from potplan.task import Operator, Task, Variable
 
@@ -65,8 +65,7 @@ def make_alias_task() -> tuple[Task, FeatureSet]:
                  Variable(2, "c", 2, ("0", "1"))]
     task = Task(variables, [Operator("o", {0: 0}, {0: 1}, 1)], (0, 0, 0),
                 {0: 1, 1: 0, 2: 0})
-    return task, FeatureSet.of((Feature.of(((0, 0), (1, 0), (2, 0))),
-                                Feature.of(((0, 0), (2, 1)))))
+    return task, FeatureSet.of((((0, 0), (1, 0), (2, 0)), ((0, 0), (2, 1))))
 
 
 def ab(a: float = 0.0, b: float = 0.0) -> LinearExpression:

@@ -24,7 +24,9 @@ and `successor`, and keep their open list in the order `reference_open_key`
 gives; the indexed successor generator and A* have to reproduce them.
 `reference_generate_features` and `reference_kept_features` generate and
 pin features one `Feature` at a time, the references of the array passes
-over the fact table in `potplan.features`.
+over the fact table in `potplan.features`.  `Feature`, one conjunction as
+its facts sorted by variable, is the type these references are written
+over; `features_of(fs)` lists a set's features as `Feature`s.
 The TCP model with one cost unknown per (abstraction, transition) is no
 builder's reference but the oracle of the eliminated one: same optimum, and
 the solution lifted into it is feasible.  The potential references have a
@@ -61,7 +63,7 @@ from potplan.costpart import AbstractionError
 from potplan.direct2d import (build_exhaustive_lp, build_general_lp, extract_result,
                               sample_states, state_objective)
 from potplan.elimination import OrderingError, check_order
-from potplan.features import Feature, FeatureError, FeatureSet
+from potplan.features import FeatureError, FeatureSet
 from potplan.lp import (FEASIBILITY_TOL, RELATIONS, LinearExpression, LpError, LpModel,
                         check_solution, solve)
 from potplan.search import NoPlanError, SearchResult
@@ -78,6 +80,38 @@ def iter_states(domain_sizes: tuple[int, ...]):
 
 class MissingAssignmentError(LpError):
     pass
+
+
+@dataclass(frozen=True, order=True)
+class Feature:
+    facts: tuple[tuple[int, int], ...]  # sorted by variable id, variables distinct
+
+    def __post_init__(self):
+        if not self.facts:
+            raise FeatureError("empty feature")
+        variables = [var for var, _ in self.facts]
+        if sorted(variables) != variables or len(set(variables)) != len(variables):
+            raise FeatureError(f"feature facts must be sorted over distinct variables: "
+                               f"{self.facts}")
+
+    @classmethod
+    def of(cls, facts) -> "Feature":
+        facts = tuple(sorted(facts))
+        variables = [var for var, _ in facts]
+        if len(set(variables)) != len(variables):
+            raise FeatureError(f"conjunction mentions a variable twice: {facts}")
+        return cls(facts)
+
+    @property
+    def size(self) -> int:
+        return len(self.facts)
+
+
+def features_of(fs):
+    """The features of a set, in its order, one `Feature` per row of its
+    fact table without the padding."""
+    return tuple(Feature(tuple(map(tuple, row[:size]))) for row, size in
+                 zip(fs.fact_table.tolist(), fs.distinct.sum(axis=1).tolist()))
 
 
 def evaluate(expression: LinearExpression, assignment: dict[str, float]) -> float:
@@ -288,7 +322,7 @@ def _require_tnf_operator(op):
 def classify_features(fs, op):
     op_vars = _require_tnf_operator(op)
     irrelevant, independent, dependent = [], [], []
-    for i, f in enumerate(fs.features):
+    for i, f in enumerate(features_of(fs)):
         f_vars = set(variables_of(f))
         if not f_vars & op_vars:
             irrelevant.append(i)
@@ -321,23 +355,24 @@ def reference_generate_features(task, dimension):
     atoms = [Feature(((var.id, val),))
              for var in task.variables for val in range(var.domain_size)]
     if dimension == 1:
-        return FeatureSet.of(atoms)
+        return FeatureSet.of(f.facts for f in atoms)
     pairs = []
     for a, b in itertools.combinations(task.variables, 2):
         for va in range(a.domain_size):
             for vb in range(b.domain_size):
                 pairs.append(Feature(((a.id, va), (b.id, vb))))
-    return FeatureSet.of(atoms + pairs)
+    return FeatureSet.of(f.facts for f in atoms + pairs)
 
 
 def reference_kept_features(fs, domain_sizes):
     """`kept_features` by its rule, one feature and one value-0 fact at a
     time over the set's fact tuples."""
-    present = {f.facts for f in fs.features}
+    features = features_of(fs)
+    present = {f.facts for f in features}
     anchor = next((v for v, size in enumerate(domain_sizes)
                    if all(((v, x),) in present for x in range(size))), None)
     index = []
-    for i, f in enumerate(fs.features):
+    for i, f in enumerate(features):
         for k, (var, val) in enumerate(f.facts):
             if val != 0:
                 continue
@@ -349,7 +384,7 @@ def reference_kept_features(fs, domain_sizes):
                 break  # pinned
         else:
             index.append(i)
-    return FeatureSet.of(fs.features[i] for i in index), np.array(index, dtype=np.int64)
+    return FeatureSet.of(features[i].facts for i in index), np.array(index, dtype=np.int64)
 
 
 def true_in(feature, state):
@@ -377,7 +412,7 @@ def delta_independent(op, feature):
 
 def _reference_state_objective(fs, weight_vars, state):
     terms = {}
-    for i, f in enumerate(fs.features):
+    for i, f in enumerate(features_of(fs)):
         if true_in(f, state):
             terms[weight_vars[i]] = terms.get(weight_vars[i], 0.0) + 1.0
     return LinearExpression.build(0.0, terms)
@@ -386,7 +421,7 @@ def _reference_state_objective(fs, weight_vars, state):
 def reference_samples_objective(task, fs, count, seed):
     """Mean potential over sampled states: the states' indicator expressions
     added up one by one, then scaled by 1/count."""
-    weight_vars = {i: weight_var_name(f) for i, f in enumerate(fs.features)}
+    weight_vars = {i: weight_var_name(f) for i, f in enumerate(features_of(fs))}
     expr = LinearExpression()
     for state in sample_states(task, count, seed):
         expr = expr + _reference_state_objective(fs, weight_vars, state)
@@ -500,12 +535,13 @@ def shift_weights_to_goal(ts, patterns, fs, w):
     goal-state feature; the shifted potential dominates the original one and
     stays feasible."""
     goal_state = ts.states[ts.goals[0]].tolist()
+    features = features_of(fs)
     goal_weight = {}
     for pattern in patterns:
         pattern = tuple(sorted(pattern))
         goal_feature = Feature(tuple((v, goal_state[v]) for v in pattern))
-        goal_weight[pattern] = w[fs.features.index(goal_feature)]
-    return [w[i] - goal_weight[variables_of(f)] for i, f in enumerate(fs.features)]
+        goal_weight[pattern] = w[features.index(goal_feature)]
+    return [w[i] - goal_weight[variables_of(f)] for i, f in enumerate(features)]
 
 
 def abstract_transitions(proj, ts):
@@ -565,13 +601,13 @@ def features_of_abstractions(ts, patterns):
             if f not in seen:
                 seen.add(f)
                 features.append(f)
-    return FeatureSet.of(features)
+    return FeatureSet.of(f.facts for f in features)
 
 
 def _reference_weights(model, fs):
     """One free weight unknown per feature."""
     return {i: add_unknown(model, weight_var_name(f), -math.inf, math.inf)
-            for i, f in enumerate(fs.features)}
+            for i, f in enumerate(features_of(fs))}
 
 
 def _reference_goal_row(model, task, fs, weight_vars):
@@ -583,10 +619,11 @@ def reference_exhaustive_model(task, fs, ts):
     model = LpModel()
     weight_vars = _reference_weights(model, fs)
     _reference_goal_row(model, task, fs, weight_vars)
+    features = features_of(fs)
     for ti, (src, op_id, dst) in enumerate(ts.transitions):
         s, t = ts.states[src], ts.states[dst]
         terms = {}
-        for i, f in enumerate(fs.features):
+        for i, f in enumerate(features):
             change = int(true_in(f, s)) - int(true_in(f, t))
             if change:
                 terms[weight_vars[i]] = terms.get(weight_vars[i], 0.0) + change
@@ -603,14 +640,15 @@ def _reference_operator_rows(task, fs, weight_vars, op_index):
     op = task.operators[op_index]
     partition = classify_features(fs, op)
     op_vars = set(op.eff)
+    features = features_of(fs)
     main = LinearExpression()
     for i in partition.context_independent:
-        change = delta_independent(op, fs.features[i])
+        change = delta_independent(op, features[i])
         if change:
             main = main + LinearExpression.term(weight_vars[i], float(change))
     by_context_var = {}
     for i in partition.context_dependent:
-        f = fs.features[i]
+        f = features[i]
         inside = [fact for fact in f.facts if fact[0] in op_vars]
         (var, val), = [fact for fact in f.facts if fact[0] not in op_vars]
         change = delta_independent(op, Feature(tuple(inside)))
@@ -891,7 +929,7 @@ def random_features(task, count, max_size, seed):
                           for v in scope)
             if facts not in seen:
                 seen.add(facts)
-                features.append(Feature(facts))
+                features.append(facts)
                 break
     return FeatureSet.of(features)
 
@@ -905,19 +943,20 @@ def reference_general_model(task, fs, orderings=None):
     model = LpModel()
     weight_vars = _reference_weights(model, fs)
     _reference_goal_row(model, task, fs, weight_vars)
+    features = features_of(fs)
     for op_index, op in enumerate(task.operators):
         partition = classify_features(fs, op)
         op_vars = set(op.eff)
         cost = {}
         for i in partition.context_independent:
-            change = delta_independent(op, fs.features[i])
+            change = delta_independent(op, features[i])
             if change:
                 cost[weight_vars[i]] = float(change)
         constant, rows = 0.0, []
         if partition.context_dependent:
             functions = []
             for i in partition.context_dependent:
-                f = fs.features[i]
+                f = features[i]
                 inside = tuple(fact for fact in f.facts if fact[0] in op_vars)
                 outside = tuple(fact for fact in f.facts if fact[0] not in op_vars)
                 scope = tuple(var for var, _ in outside)

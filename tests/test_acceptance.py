@@ -26,8 +26,8 @@ from conftest import (PAPER_BE_DOMAINS, base_model, bottom_up_values, candidates
                       eliminate, make_paper_be)
 from reference_builders import (brute_force_max, classify_features, column_terms,
                                 complete_graph, cycle_graph, dependency_graph, empty_graph,
-                                evaluate, features_of_abstractions, model_rows, random_features,
-                                random_scoped_set, reference_induced_width,
+                                evaluate, features_of, features_of_abstractions, model_rows,
+                                random_features, random_scoped_set, reference_induced_width,
                                 reference_min_fill_order, solve_exhaustive_for_state,
                                 solve_general_for_state)
 
@@ -202,10 +202,11 @@ def test_criterion_9_size_formula():
             fs = generate_features(task, 2)
             model = build_direct2d_lp(task, fs)
             expected = 1
+            features = features_of(fs)
             for op in task.operators:
                 expected += 1
                 context_vars = {var for i in classify_features(fs, op).context_dependent
-                                for var, _ in fs.features[i].facts if var not in op.eff}
+                                for var, _ in features[i].facts if var not in op.eff}
                 expected += sum(task.variables[v].domain_size
                                 for v in context_vars)
             assert len(model_rows(model)) == expected, seed

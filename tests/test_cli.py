@@ -18,7 +18,7 @@ from potplan.task import (Task, build_transition_system, exact_goal_distances, p
                           serialize_sas)
 from potplan.tnf import is_tnf
 
-from reference_builders import format_feature, parse_lp, random_features
+from reference_builders import features_of, format_feature, parse_lp, random_features
 from test_lp import REJECTED_LP
 from test_task import TOY1_SAS
 
@@ -57,12 +57,16 @@ def test_validate_task_bad_file(capsys, tmp_path):
 @pytest.mark.parametrize("old, new, message", [
     ("begin_variable\nY", "begin_variable\nX", "line 16: variable name 'X' used twice"),
     ("2\n0\n1\nend_variable\nbegin_variable\nY", "2\n0\n0\nend_variable\nbegin_variable\nY",
-     "line 13: variable X: value name '0' used twice")],
-    ids=["variable", "value"])
+     "line 13: variable X: value name '0' used twice"),
+    ("0\n1\nend_variable\nbegin_variable\nY", "0\n1 & Y=0\nend_variable\nbegin_variable\nY",
+     "line 13: variable X: value name '1 & Y=0' contains '&'")],
+    ids=["variable", "value", "value-with-and"])
 def test_repeated_names_are_refused(capsys, tmp_path, old, new, message):
     """A variable name used twice, or a value name used twice within one
     variable, is a parse error naming its line: the printed weights would
-    key two features alike."""
+    key two features alike.  So is a value name with '&': `X=1 & Y=0` would
+    key both the atom of that value and the pair X=1, Y=0, and `validate
+    --weights` could not read `solve`'s own weights."""
     path = tmp_path / "twice.sas"
     path.write_text(TOY1_SAS.replace(old, new, 1))
     assert path.read_text() != TOY1_SAS
@@ -173,7 +177,7 @@ def test_highs_reads_the_lp_export(capsys, tmp_path, method, path):
             task = parse_sas(f.read())
         features = tmp_path / "dim3.features"
         features.write_text("".join(format_feature(task, f) + "\n"
-                                    for f in random_features(task, 40, 3, 0)))
+                                    for f in features_of(random_features(task, 40, 3, 0))))
         argv = ["--features", str(features), *argv]
     out_path = tmp_path / "model.lp"
     assert run_cli(capsys, "lp", *argv, "--out", str(out_path))[0] == 0

@@ -11,7 +11,7 @@ from potplan.lp import solve
 from potplan.search import PotentialHeuristic, validate
 from potplan.task import build_transition_system, exact_goal_distances, state_index
 
-from reference_builders import (abstract_transitions, extract_cost_functions,
+from reference_builders import (abstract_transitions, extract_cost_functions, features_of,
                                 features_of_abstractions, reference_goal_distances,
                                 shift_weights_to_goal, solution_values,
                                 solve_exhaustive_for_state, validate_partition)
@@ -117,7 +117,7 @@ def test_extract_cost_functions(seed, build, cost):
 def test_features_of_abstractions(toy1):
     ts = build_transition_system(toy1)
     fs = features_of_abstractions(ts, [(0,)])
-    assert {f.facts for f in fs} == {((0, 0),), ((0, 1),)}
+    assert {f.facts for f in features_of(fs)} == {((0, 0),), ((0, 1),)}
     fs2 = features_of_abstractions(ts, [(0,), (0, 1)])
     assert len(fs2) == 6
     with pytest.raises(AbstractionError):

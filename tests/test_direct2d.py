@@ -2,16 +2,15 @@ import pytest
 
 from potplan.direct2d import (PotentialLpError, build_direct2d_lp, build_general_lp,
                               sample_states, solve_for_state, state_objective)
-from potplan.features import (Feature, FeatureSet, evaluate_potential, generate_features,
-                              kept_features)
+from potplan.features import FeatureSet, evaluate_potential, generate_features, kept_features
 from potplan.generator import random_task
 from potplan.lp import solve
 from potplan.search import PotentialHeuristic, validate
 from potplan.task import Task, successor
 
 from conftest import make_mixed_preconditions
-from reference_builders import (classify_features, column_terms, delta_independent,
-                                model_rows, random_features, reference_sample_states,
+from reference_builders import (Feature, classify_features, column_terms, delta_independent,
+                                features_of, model_rows, random_features, reference_sample_states,
                                 reference_samples_objective,
                                 solve_exhaustive_for_state)
 
@@ -89,10 +88,10 @@ def test_operator_touching_all_variables(toy1):
 
 
 def test_dimension_cap(toy1):
-    fs = FeatureSet.of((Feature.of(((0, 0), (1, 0))), Feature.of(((0, 1),))))
+    fs = FeatureSet.of((((0, 0), (1, 0)), ((0, 1),)))
     build_direct2d_lp(toy1, fs)  # dimension 2 is fine
     too_big = random_task(3, 2, 3, 0)
-    fs3 = FeatureSet.of((Feature.of(((0, 0), (1, 0), (2, 0))),))
+    fs3 = FeatureSet.of((((0, 0), (1, 0), (2, 0)),))
     with pytest.raises(PotentialLpError):
         build_direct2d_lp(too_big, fs3)
 
@@ -138,14 +137,15 @@ def test_tightness_witness(seed):
     fs = generate_features(task, 2)
     result = solve_for_state(task, fs, task.initial_state)
     w = result.weights
+    features = features_of(fs)
     for op in task.operators:
         part = classify_features(fs, op)
-        independent = sum(w[i] * delta_independent(op, fs.features[i])
+        independent = sum(w[i] * delta_independent(op, features[i])
                           for i in part.context_independent)
         op_vars = set(op.eff)
         per_var: dict[int, dict[int, float]] = {}
         for i in part.context_dependent:
-            f = fs.features[i]
+            f = features[i]
             inside = tuple(fact for fact in f.facts if fact[0] in op_vars)
             (var, val), = tuple(fact for fact in f.facts if fact[0] not in op_vars)
             change = delta_independent(op, Feature(inside))
@@ -175,10 +175,11 @@ def test_row_count_formula(seed):
     fs = generate_features(task, 2)
     model = build_direct2d_lp(task, fs)
     expected = 1
+    features = features_of(fs)
     for op in task.operators:
         expected += 1
         context_vars = {var for i in classify_features(fs, op).context_dependent
-                        for var, _ in fs.features[i].facts if var not in op.eff}
+                        for var, _ in features[i].facts if var not in op.eff}
         expected += sum(task.variables[v].domain_size for v in context_vars)
     assert len(model_rows(model)) == expected
 
@@ -188,12 +189,13 @@ def test_z_vars_keyed_by_context_pairs(seed):
     task = suite_task(seed)
     fs = generate_features(task, 2)
     model = build_direct2d_lp(task, fs)
+    features = features_of(fs)
     for op_index, op in enumerate(task.operators):
         part = classify_features(fs, op)
         op_vars = set(op.eff)
         paired = set()
         for i in part.context_dependent:
-            for var, _ in fs.features[i].facts:
+            for var, _ in features[i].facts:
                 if var not in op_vars:
                     paired.add(var)
         assert z_unknowns(model, op_index) == \

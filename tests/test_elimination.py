@@ -7,7 +7,7 @@ import pytest
 from potplan.direct2d import build_general_lp, solve_for_state
 from potplan.elimination import (OrderingError, adjacency, check_order, classify,
                                  eliminate_graphs)
-from potplan.features import Feature, FeatureSet, generate_features, kept_features
+from potplan.features import FeatureSet, generate_features, kept_features
 from potplan.generator import random_task
 from potplan.lp import LinearExpression, export_lp, solve
 from potplan.reduction import reduce_3col
@@ -15,10 +15,10 @@ from potplan.task import Operator, Task, Variable
 
 from conftest import (PAPER_BE_DOMAINS, base_model, bottom_up_values, candidates,
                       eliminate, make_alias_task)
-from reference_builders import (DependencyGraph, ScopedFunction, brute_force_max,
+from reference_builders import (DependencyGraph, Feature, ScopedFunction, brute_force_max,
                                 column_terms, complete_graph, delta_independent,
-                                dependency_graph, evaluate, model_rows, random_features,
-                                random_scoped_set, reference_bucket_eliminate,
+                                dependency_graph, evaluate, features_of, model_rows,
+                                random_features, random_scoped_set, reference_bucket_eliminate,
                                 reference_induced_width, reference_min_fill_order,
                                 solution_values, solve_exhaustive_for_state,
                                 solve_general_for_state, variables_of, weight_var_name)
@@ -52,26 +52,28 @@ def test_scoped_functions_toy1(toy1):
     dependent = [pair for pair in pairs if pair[1]]
     assert all(len(facts) == 1 and facts[0][0] == 1 for _, facts, _ in dependent)
     # X=0&Y=0 contributes +w at Y=0; X=1&Y=1 contributes -w at Y=1
-    plus = fs.features.index(Feature.of(((0, 0), (1, 0))))
-    minus = fs.features.index(Feature.of(((0, 1), (1, 1))))
+    features = features_of(fs)
+    plus = features.index(Feature.of(((0, 0), (1, 0))))
+    minus = features.index(Feature.of(((0, 1), (1, 1))))
     assert (plus, ((1, 0),), 1) in dependent
     assert (minus, ((1, 1),), -1) in dependent
     assert len(dependent) == 4  # one per context feature
     # X=0 and X=1 change by a constant: no facts outside
     independent = [(i, change) for i, facts, change in pairs if not facts]
-    assert independent == [(fs.features.index(Feature.of(((0, 0),))), 1),
-                           (fs.features.index(Feature.of(((0, 1),))), -1)]
+    assert independent == [(features.index(Feature.of(((0, 0),))), 1),
+                           (features.index(Feature.of(((0, 1),))), -1)]
 
 
 def test_scoped_functions_independent_have_empty_scope(toy1):
     fs = generate_features(toy1, 1)
     op = toy1.operators[0]
     pairs = operator_pairs(toy1, fs, 0)
-    expected = [i for i, f in enumerate(fs.features) if set(variables_of(f)) <= set(op.eff)]
+    features = features_of(fs)
+    expected = [i for i, f in enumerate(features) if set(variables_of(f)) <= set(op.eff)]
     assert [i for i, _, _ in pairs] == expected and len(expected) == 2
     for i, facts, change in pairs:
         assert facts == ()
-        assert change == delta_independent(op, fs.features[i])
+        assert change == delta_independent(op, features[i])
 
 
 def test_context_graph_dim2_is_edge_free(toy1):
@@ -89,7 +91,7 @@ def three_var_task():
 
 def test_context_graph_triple_feature():
     task = three_var_task()
-    fs = FeatureSet.of((Feature.of(((0, 0), (1, 0), (2, 0))),))
+    fs = FeatureSet.of((((0, 0), (1, 0), (2, 0)),))
     assert graph_edges(task, fs) == [frozenset({(1, 2)}), frozenset()]
 
 
@@ -401,7 +403,7 @@ def test_k4_reduction_weights_satisfy_consistency_rows():
     model = build_general_lp(task, fs)
     assert max(min_fill_widths(task, fs)) == 3  # the switch operator sees the whole graph
     assignment = bottom_up_values(model, {weight_var_name(f): red.weights[i]
-                                                for i, f in enumerate(fs.features)})
+                                                for i, f in enumerate(features_of(fs))})
     for row in model_rows(model):
         lhs = evaluate(row.expression, assignment)
         if row.name == "goal":
@@ -439,6 +441,7 @@ def test_general_lp_graphs_and_functions_per_operator(monkeypatch):
         assert given.tolist() == [(orderings or {}).get(k, [-1] * len(task.variables))
                                   for k in played]
     # one function per feature sharing a variable with the operator, no more
+    features = features_of(fs)
     for op_index, op in enumerate(task.operators):
         assert len(operator_pairs(task, fs, op_index)) == sum(
-            1 for f in fs.features if set(variables_of(f)) & set(op.eff))
+            1 for f in features if set(variables_of(f)) & set(op.eff))

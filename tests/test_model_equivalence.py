@@ -24,7 +24,7 @@ from potplan.task import Operator, Task, Variable, build_transition_system, exac
 
 from conftest import make_alias_task, make_toy1
 from reference_builders import (abstract_transitions, check_values, complete_graph,
-                                extract_cost_functions, random_features,
+                                extract_cost_functions, features_of, random_features,
                                 reference_direct2d_model, reference_exhaustive_model,
                                 reference_general_model, reference_ocp_model,
                                 reference_projection, reference_tcp_eliminated_model,
@@ -247,7 +247,7 @@ def untouched_task():
     """Features over variables 1 and 2 only: operators on variable 0 alone
     touch no feature."""
     task = random_task(4, 3, 6, 3)
-    return task, FeatureSet.of(tuple(f for f in generate_features(task, 2)
+    return task, FeatureSet.of(tuple(f.facts for f in features_of(generate_features(task, 2))
                                      if set(variables_of(f)) <= {1, 2}))
 
 
@@ -316,7 +316,7 @@ def untouched_dimension3():
     """No feature mentions variable 4: the two operators on it alone touch
     no feature."""
     task, fs = random_dimension(3, 3)
-    return task, FeatureSet.of(tuple(f for f in fs if 4 not in variables_of(f)))
+    return task, FeatureSet.of(tuple(f.facts for f in features_of(fs) if 4 not in variables_of(f)))
 
 
 LOOP_CASES = {"k4_reduction": k4_reduction, "domain1_alias": make_alias_task,

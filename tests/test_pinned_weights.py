@@ -24,7 +24,7 @@ from potplan.cli import main
 from potplan.direct2d import (all_states_objective, build_direct2d_lp, build_exhaustive_lp,
                               build_general_lp, extract_result, solve_for_state,
                               state_objective)
-from potplan.features import Feature, FeatureSet, generate_features, kept_features, truth_matrix
+from potplan.features import FeatureSet, generate_features, kept_features, truth_matrix
 from potplan.generator import random_task
 from potplan.lp import LpModel, export_lp, solve
 from potplan.search import PotentialHeuristic, validate
@@ -32,7 +32,8 @@ from potplan.task import (build_transition_system, exact_goal_distances, parse_s
                           serialize_sas, state_index)
 
 from conftest import make_alias_task, make_toy1
-from reference_builders import (format_feature, iter_states, parse_lp, random_features,
+from reference_builders import (features_of, format_feature, iter_states, parse_lp,
+                                random_features,
                                 reference_exhaustive_model, reference_general_model,
                                 weight_var_name)
 
@@ -57,7 +58,7 @@ def conjunctions(task, dimension):
         for scope in itertools.combinations(range(len(task.variables)), size):
             for values in itertools.product(*(range(task.variables[v].domain_size)
                                               for v in scope)):
-                out.append(Feature(tuple(zip(scope, values))))
+                out.append(tuple(zip(scope, values)))
     return out
 
 
@@ -103,12 +104,12 @@ def test_pin_counts_on_a_ten_variable_task():
     fs = generate_features(task, 2)
     left_out = pinned(fs, task.domain_sizes)
     assert (len(left_out), len(fs)) == (234, 435)
-    assert [i for i, f in enumerate(fs.features)
+    assert [i for i, f in enumerate(features_of(fs))
             if i not in left_out and any(val == 0 for _, val in f.facts)] == [0]
-    atoms = [f for f in fs.features if f.size == 1]
-    triples = [Feature(((0, 0), (1, 0), (2, 0))), Feature(((3, 0), (5, 1), (9, 0)))]
+    atoms = [f.facts for f in features_of(fs) if f.size == 1]
+    triples = [((0, 0), (1, 0), (2, 0)), ((3, 0), (5, 1), (9, 0))]
     fs = FeatureSet.of(tuple(atoms + triples))
-    assert [fs.features[i].facts for i in pinned(fs, task.domain_sizes)] == \
+    assert [features_of(fs)[i].facts for i in pinned(fs, task.domain_sizes)] == \
         [((v, 0),) for v in range(1, 10)]
 
 
@@ -116,8 +117,7 @@ def test_no_anchor_pins_no_atom():
     """Without a variable whose atoms are all present the constant is not
     expressible, so no atom is pinned; a pair whose family is complete is."""
     task = make_toy1()
-    fs = FeatureSet.of((Feature(((0, 0),)), Feature(((1, 1),)), Feature(((0, 0), (1, 0))),
-                        Feature(((0, 0), (1, 1)))))
+    fs = FeatureSet.of((((0, 0),), ((1, 1),), ((0, 0), (1, 0)), ((0, 0), (1, 1))))
     assert pinned(fs, task.domain_sizes) == [2]
     task, fs = make_alias_task()
     assert pinned(fs, task.domain_sizes) == []
@@ -128,7 +128,7 @@ def assert_computed_once(task, fs):
     asked again, the same objects."""
     kept, index = kept_features(fs, task.domain_sizes)
     assert index.tolist() == sorted(set(index.tolist()))
-    assert kept.features == tuple(fs.features[i] for i in index.tolist())
+    assert features_of(kept) == tuple(features_of(fs)[i] for i in index.tolist())
     assert kept_features(fs, task.domain_sizes)[0] is kept
     assert kept_features(fs, task.domain_sizes)[1] is index
     return kept
@@ -145,7 +145,7 @@ def test_kept_set_below_the_dimension_of_its_set():
     """The pair with the domain-1 variable b is pinned, so the kept set has
     dimension 1 and tables one fact wide."""
     task, _ = make_alias_task()
-    fs = FeatureSet.of((Feature(((0, 0),)), Feature(((0, 1),)), Feature(((0, 1), (1, 0)))))
+    fs = FeatureSet.of((((0, 0),), ((0, 1),), ((0, 1), (1, 0))))
     kept = assert_computed_once(task, fs)
     assert (fs.dimension, len(kept), kept.dimension, kept.fact_table.shape) == (2, 2, 1, (2, 1, 2))
 
@@ -219,7 +219,7 @@ def test_all_states_objective_is_the_mean_over_states():
     assert np.allclose(list(objective.values()), expected, rtol=0, atol=1e-15)
     # feature f holds in the share 1 / Π_{V in vars(f)} |D_V| of the states
     assert objective == {i: 1.0 / math.prod(task.domain_sizes[v] for v, _ in f.facts)
-                         for i, f in enumerate(kept.features)}
+                         for i, f in enumerate(features_of(kept))}
 
 
 def test_pinned_weights_are_zero():
@@ -229,9 +229,9 @@ def test_pinned_weights_are_zero():
     fs = generate_features(task, 2)
     kept, index = kept_features(fs, task.domain_sizes)
     left_out = pinned(fs, task.domain_sizes)
-    names = {weight_var_name(fs.features[i]) for i in left_out}
+    names = {weight_var_name(features_of(fs)[i]) for i in left_out}
     model = build_general_lp(task, fs)
-    assert model.names[:len(kept)] == [weight_var_name(f) for f in kept.features]
+    assert model.names[:len(kept)] == [weight_var_name(f) for f in features_of(kept)]
     assert left_out and not names & set(model.names)
     model.set_objective(state_objective(task, fs, task.initial_state))
     solution = solve(model).require_optimal()
@@ -270,10 +270,11 @@ def test_solve_compact_502_1_reports_every_weight(capsys, monkeypatch):
     weights = json.loads(capsys.readouterr().out)["weights"]
     task = compact_502_1()
     fs = generate_features(task, 2)
-    assert list(weights) == [format_feature(task, f) for f in fs.features]
+    features = features_of(fs)
+    assert list(weights) == [format_feature(task, f) for f in features]
     left_out = pinned(fs, task.domain_sizes)
     assert len(left_out) == 234
-    assert all(weights[format_feature(task, fs.features[i])] == 0.0 for i in left_out)
+    assert all(weights[format_feature(task, features[i])] == 0.0 for i in left_out)
     model, = built
     columns = [name for name in model.names if name.startswith("w_")]
     assert len(columns) == 201
@@ -366,4 +367,4 @@ def test_lp_export_of_the_kept_model_reads_back(capsys, tmp_path, method):
     assert len(weights) == 201
     task = compact_502_1()
     kept = kept_features(generate_features(task, 2), task.domain_sizes)[0]
-    assert weights == [weight_var_name(f) for f in kept.features]
+    assert weights == [weight_var_name(f) for f in features_of(kept)]

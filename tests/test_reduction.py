@@ -9,7 +9,7 @@ from potplan.search import validate
 from potplan.task import build_transition_system, is_applicable
 from potplan.tnf import is_tnf
 
-from reference_builders import complete_graph, cycle_graph, empty_graph
+from reference_builders import complete_graph, cycle_graph, empty_graph, features_of
 
 
 def test_graph_validation():
@@ -48,7 +48,7 @@ def test_reduction_k3_shape():
     assert len(red.task.variables) == 4
     assert len(red.task.operators) == 3 * 6 + 1 == 19
     assert is_tnf(red.task)
-    triples = [f for f in red.features if f.size == 3]
+    triples = [f for f in features_of(red.features) if f.size == 3]
     assert len(triples) == 3 * 2 * 9 == 54
     assert sum(1 for v in red.weights if v == -1.0) == 3 * 6 == 18
     assert red.weights[red.master_feature] == 2.0  # edges minus one

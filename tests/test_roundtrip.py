@@ -14,17 +14,23 @@ from reference_builders import columns, complete_graph, model_rows, parse_lp, ra
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
-# One line of a SAS document: no line breaks, and nothing the parser strips.
-names = st.text(st.characters(categories=("L", "N", "P", "S")), min_size=1, max_size=10)
+
+def names(exclude=""):
+    """One line of a SAS document: no line breaks, and nothing the parser
+    strips or refuses in its place (`exclude`)."""
+    return st.text(st.characters(categories=("L", "N", "P", "S"), exclude_characters=exclude),
+                   min_size=1, max_size=10)
 
 
 @st.composite
 def tasks(draw) -> Task:
     sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
-    # Variable names are distinct, and so are value names within a variable.
-    var_names = draw(st.lists(names, min_size=len(sizes), max_size=len(sizes), unique=True))
+    # Variable names are distinct, and so are value names within a variable;
+    # facts are written `variable=value` and joined by '&'.
+    var_names = draw(st.lists(names("&="), min_size=len(sizes), max_size=len(sizes),
+                              unique=True))
     variables = [Variable(i, var_names[i], size, tuple(
-                     draw(st.lists(names, min_size=size, max_size=size, unique=True))))
+                     draw(st.lists(names("&"), min_size=size, max_size=size, unique=True))))
                  for i, size in enumerate(sizes)]
 
     def values(scope):
@@ -38,7 +44,7 @@ def tasks(draw) -> Task:
         eff = values(scope(min_size=1))
         pre = values(scope() - set(eff))  # prevail conditions
         pre.update(values(scope() & set(eff)))  # effect preconditions
-        operators.append(Operator(draw(names), pre, eff, draw(st.integers(0, 20))))
+        operators.append(Operator(draw(names()), pre, eff, draw(st.integers(0, 20))))
     return Task(variables, operators, tuple(values(range(len(sizes))).values()),
                 values(scope()))
 

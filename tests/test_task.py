@@ -95,6 +95,34 @@ def test_parse_rejects_conditional_effects():
         parse_sas(doc)
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("begin_variable\nX", "begin_variable\nX&Y", "line 9: variable name 'X&Y' contains '&'"),
+    ("begin_variable\nY", "begin_variable\nY=0", "line 16: variable name 'Y=0' contains '='"),
+    ("begin_variable\nY", "begin_variable\na & b=c",
+     "line 16: variable name 'a & b=c' contains '&'"),
+    ("0\n1\nend_variable\nbegin_variable\nY", "0\n1 & Y=0\nend_variable\nbegin_variable\nY",
+     "line 13: variable X: value name '1 & Y=0' contains '&'"),
+    ("-1\n2\n0\n1\nend_variable\n0", "-1\n2\n&\n1\nend_variable\n0",
+     "line 19: variable Y: value name '&' contains '&'")],
+    ids=["variable-and", "variable-equals", "variable-both", "value-and", "value-only-and"])
+def test_parse_refuses_fact_separators_in_names(old, new, message):
+    """A variable name with '&' or '=', or a value name with '&', is a
+    parse error naming its line: feature strings and weight keys join facts
+    by '&' and write each as 'variable=value'."""
+    doc = TOY1_SAS.replace(old, new, 1)
+    assert doc != TOY1_SAS
+    with pytest.raises(SasParseError) as info:
+        parse_sas(doc)
+    assert str(info.value) == message
+
+
+def test_parse_keeps_equals_in_value_names():
+    """A value name may contain '=': a fact splits at its first '='."""
+    doc = TOY1_SAS.replace("0\n1\nend_variable\nbegin_variable\nY",
+                           "0\nx=1\nend_variable\nbegin_variable\nY", 1)
+    assert parse_sas(doc).variables[0].value_names == ("0", "x=1")
+
+
 def test_parse_reports_line_numbers():
     doc = TOY1_SAS.replace("begin_metric", "begin_wrong")
     with pytest.raises(SasParseError) as info:

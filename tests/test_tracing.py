@@ -14,6 +14,8 @@ import potplan.cli as cli
 # The tracer looks these modules up in sys.modules.
 from potplan import costpart, direct2d, elimination, features, lp, search, task  # noqa: F401
 
+from reference_builders import features_of, format_feature, random_features
+
 HERE = os.path.dirname(__file__)
 COMPACT_502_1 = os.path.join(HERE, "data", "compact_502_1.sas")
 DEAD_ENDS_52 = os.path.join(HERE, "data", "dead_ends_52.sas")
@@ -74,3 +76,28 @@ def test_traced_command_reads_every_layer(capsys, argv, names):
     capsys.readouterr()
     metrics = tracer.metrics(1, 1.0, 1.0)
     assert [name for name in names if not metrics[name] > 0] == []
+
+
+def test_traced_feature_file_counts_one_parse_per_conjunction(capsys, tmp_path):
+    """`features.parse_feature_calls` counts the conjunctions of a feature
+    file, one per line that is neither blank nor a comment: the reader
+    parses each conjunction on its own."""
+    with open(COMPACT_502_1, encoding="utf-8") as f:
+        compact = task.parse_sas(f.read())
+    conjunctions = [format_feature(compact, f) for f in
+                    features_of(features.generate_features(compact, 1))
+                    + tuple(f for f in features_of(random_features(compact, 30, 3, 0))
+                            if f.size == 3)]
+    path = tmp_path / "dim3.features"
+    path.write_text("# atoms and triples\n\n" + "\n".join(conjunctions) + "\n\n")
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["solve", "--method", "bucket", "--dim", "3", "--features", str(path),
+                         COMPACT_502_1]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    metrics = tracer.metrics(1, 1.0, 1.0)
+    assert len(conjunctions) > 30
+    assert metrics["features.parse_feature_calls"] == len(conjunctions)

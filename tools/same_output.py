@@ -42,7 +42,12 @@ other than min-fill's, so that the lockstep pass eliminates it instead of
 the width-0 pass) and the weights that `solve --method exhaustive` prints
 for each random task, which `validate` reads back as they are, raised by 1
 in every state (consistent, not goal-aware) and tripled (inconsistent, so
-the witness names an operator).  A unit-cost chain whose weights overshoot
+the witness names an operator).  For seed 0 the dimension-3 feature file
+and the exhaustive weights are also written with each conjunction's facts
+in reverse variable order and spaces added and dropped around `=` and `&`
+(`var2 = val0 &var0=val1`), read by a bucket `solve` and `lp` and by
+`validate`, so that the feature-file and weight-file readers are compared
+on conjunctions they must sort.  A unit-cost chain whose weights overshoot
 the goal distances by a little more at each step, within the 1e-6
 tolerance per transition but not over the chain, adds a `validate` whose
 only failure, and witness, is admissibility.
@@ -137,13 +142,23 @@ def write_features(tree: str, workdir: str) -> None:
     _import_potplan(tree)
     from potplan.generator import random_task
     sys.path.insert(0, os.path.join(TOOL_TREE, "tests"))
-    from reference_builders import format_feature, random_features
+    from reference_builders import features_of, format_feature, random_features
     os.chdir(workdir)
     for seed in RANDOM_SEEDS:
         task = random_task(4, 3, 6, seed)
         for dim in (1, 2, 3, 4):
             _write(_features_path(seed, dim), "".join(
-                format_feature(task, f) + "\n" for f in random_features(task, 10, dim, seed)))
+                format_feature(task, f) + "\n"
+                for f in features_of(random_features(task, 10, dim, seed))))
+
+
+def _scrambled(key: str) -> str:
+    """A feature string with its facts in reverse order and spaces added
+    or dropped around '=' and '&', which the readers must read alike:
+    `var0=val1 & var2=val0` becomes `var2 = val0 &var0=val1`."""
+    facts = [fact.partition("=") for fact in reversed(key.split(" & "))]
+    return " &".join(f"{var} = {val}" if k % 2 == 0 else f"{var}={val}"
+                     for k, (var, _, val) in enumerate(facts))
 
 
 def prepare(tree: str, workdir: str, extra: list[str]) -> None:
@@ -151,11 +166,11 @@ def prepare(tree: str, workdir: str, extra: list[str]) -> None:
     list of argument vectors."""
     potplan = _import_potplan(tree)
     from potplan.elimination import adjacency, classify, eliminate_graphs
-    from potplan.features import Feature, parse_feature_file
+    from potplan.features import parse_feature_file
     from potplan.generator import random_task
     from potplan.task import Operator, Task, Variable, serialize_sas
     sys.path.insert(0, os.path.join(TOOL_TREE, "tests"))
-    from reference_builders import format_feature
+    from reference_builders import Feature, features_of, format_feature
     os.chdir(workdir)
     calls = []
     for seed in GEN_SEEDS:
@@ -194,6 +209,10 @@ def prepare(tree: str, workdir: str, extra: list[str]) -> None:
         calls += [["validate", sas, "--weights", path] for path in (
             weights, _write(f"random{seed}.raised.json", json.dumps(raised)),
             _write(f"random{seed}.tripled.json", json.dumps(tripled)))]
+        if seed == 0:
+            scrambled = {_scrambled(text): weight for text, weight in solved.items()}
+            calls.append(["validate", sas, "--weights",
+                          _write("random0.scrambled.json", json.dumps(scrambled))])
         calls += [["compare", sas], ["search", sas, "--heuristic", "blind"]]
         for dim in (1, 2, 3, 4):
             features = _features_path(seed, dim)
@@ -208,14 +227,20 @@ def prepare(tree: str, workdir: str, extra: list[str]) -> None:
             if seed == 0 and dim == 2:
                 # increasing ids, the reverse of min-fill's order, for an
                 # operator with two context variables
-                classes = classify(task, fs)
+                classes, listed = classify(task, fs), features_of(fs)
                 op = next(op for k, op in enumerate(task.operators)
                           if len({v for i in classes.feature[classes.operator == k].tolist()
-                                  for v, _ in fs.features[i].facts} - op.eff.keys()) > 1)
+                                  for v, _ in listed[i].facts} - op.eff.keys()) > 1)
                 _write("width0_order.json",
                        json.dumps({op.name: [v.name for v in task.variables]}))
                 base = ["--method", "bucket", "--features", features,
                         "--order", "width0_order.json", sas]
+                calls += [["solve", *base], ["lp", *base]]
+            if seed == 0 and dim == 3:
+                with open(features, encoding="utf-8") as f:
+                    text = "".join(_scrambled(line.strip()) + "\n" for line in f)
+                base = ["--method", "bucket", "--dim", "3", "--features",
+                        _write("random0_dim3.scrambled.features", text), sas]
                 calls += [["solve", *base], ["lp", *base]]
             if seed in (0, 1) and dim == 3:
                 names = [v.name for v in task.variables]
